@@ -34,6 +34,7 @@ from .lattice import (
 )
 from .markov import (
     MarkovTriple,
+    MarkovWalk,
     MutationKind,
     SubtreeSpec,
     TreeNode,
@@ -45,6 +46,7 @@ from .markov import (
     essential_subtree,
     is_markov,
     markov_numbers,
+    markov_prefix,
     mutate,
     uniqueness_check,
     wedge,

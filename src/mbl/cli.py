@@ -51,6 +51,7 @@ from .markov import (
     brute_force_triples,
     enumerate_triples,
     fibonacci,
+    markov_prefix,
     mutate,
     pell,
     uniqueness_check,
@@ -66,7 +67,6 @@ from .ordering import (
     spectrum_rows,
     verify_chain_inequalities,
     verify_swap_pattern,
-    _context,
 )
 
 EXIT_OK = 0
@@ -87,13 +87,10 @@ class RunConfig:
     depth: int = 3
     k: int = 4
     n: int = 10
-    count: int = 10
     triple: MarkovTriple | None = None
     preserve: int | None = None
     threshold: Fraction | None = None
-    eps: Fraction | None = None
     delta: Fraction = Fraction(1, 4)
-    side: str = "alternating"
     figure: str | None = None
     polygon: str | None = None
     bfile: str | None = None
@@ -270,11 +267,21 @@ def cmd_order(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_fixture() -> dict:
+def _fixture_match(records, n_max: int) -> bool:
+    """Whether the records found up to n_max match the stored catalogue."""
     from importlib import resources
 
     blob = (resources.files("mbl") / "data" / "irregularities_450.json").read_text()
-    return json.loads(blob)
+    fixture = json.loads(blob)
+    if n_max != fixture["n_max"]:
+        raise ValueError(
+            f"--fixture catalogue covers n_max={fixture['n_max']}, "
+            f"got --n-max {n_max}"
+        )
+    return all(
+        [rec.n for rec in records if rec.span == span] == fixture[f"span_{span}"]
+        for span in (1, 2)
+    )
 
 
 def cmd_irregularities(config: RunConfig) -> int:
@@ -296,15 +303,7 @@ def cmd_irregularities(config: RunConfig) -> int:
     if not all(r["swap_verified"] for r in payload_rows):
         status = EXIT_VERIFICATION
     if config.fixture:
-        fixture = _load_fixture()
-        if config.n_max != fixture["n_max"]:
-            raise ValueError(
-                f"--fixture catalogue covers n_max={fixture['n_max']}, "
-                f"got --n-max {config.n_max}"
-            )
-        got_1 = [rec.n for rec in records if rec.span == 1]
-        got_2 = [rec.n for rec in records if rec.span == 2]
-        match = got_1 == fixture["span_1"] and got_2 == fixture["span_2"]
+        match = _fixture_match(records, config.n_max)
         table.payload["fixture_match"] = match
         table.notes.append(f"fixture match: {match}")
         if not match:
@@ -361,9 +360,7 @@ def cmd_width(config: RunConfig) -> int:
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
-        except OSError:
-            raise
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
@@ -477,7 +474,12 @@ def _suite_markov(config: RunConfig) -> list[dict]:
     for node in nodes:
         t = node.triple
         for kind in MutationKind:
-            child = mutate(t, kind)  # construction re-checks the equation
+            try:
+                child = mutate(t, kind)  # construction re-checks the equation
+            except ValueError:
+                closure = False
+                witness = f"{t} {kind.name}"
+                continue
             if not any(mutate(child, back) == t for back in MutationKind):
                 involution = False
                 witness = f"{t} {kind.name}"
@@ -494,7 +496,7 @@ def _suite_markov(config: RunConfig) -> list[dict]:
         if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
             coprime = False
             witness = str(t)
-    _check(checks, "mutation-closure", closure)
+    _check(checks, "mutation-closure", closure, witness)
     _check(checks, "mutation-involution", involution, witness)
     _check(checks, "mutation-monotonicity", monotone, witness)
     _check(checks, "pairwise-coprimality", coprime, witness)
@@ -584,7 +586,7 @@ def _suite_ordering(config: RunConfig) -> list[dict]:
         )
         _check(checks, "row-anchors", anchors)
     prefix_ok = True
-    numbers, _ = _context(min(config.n_max, 32) + 16)
+    numbers, _ = markov_prefix(min(config.n_max, 32) + 16)
     for n in range(1, min(config.n_max, 32) + 1):
         for n_prime in scan_window(n, numbers):
             if not check_nn_inequality(n, n_prime):
@@ -595,11 +597,7 @@ def _suite_ordering(config: RunConfig) -> list[dict]:
     swaps_ok = all(verify_swap_pattern(rec) for rec in records)
     _check(checks, "swap-patterns", swaps_ok, f"{len(records)} records")
     if config.fixture and config.n_max == 450:
-        fixture = _load_fixture()
-        got_1 = [rec.n for rec in records if rec.span == 1]
-        got_2 = [rec.n for rec in records if rec.span == 2]
-        _check(checks, "catalogue-fixture",
-               got_1 == fixture["span_1"] and got_2 == fixture["span_2"])
+        _check(checks, "catalogue-fixture", _fixture_match(records, config.n_max))
     return checks
 
 
@@ -698,12 +696,18 @@ _SUITES = {
 
 def cmd_verify(config: RunConfig) -> int:
     names = config.suites or tuple(_SUITES)
+    if config.n_max < 1 or config.max_bound < 1:
+        raise ValueError("verify needs --n-max and --max-bound >= 1")
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        checks = _SUITES[name](config)
+        try:
+            checks = _SUITES[name](config)
+        except (ValueError, VerificationError) as exc:
+            checks = []
+            _check(checks, "completed", False, f"{type(exc).__name__}: {exc}")
         passed = all(c["passed"] for c in checks)
         report["suites"][name] = {"passed": passed, "checks": checks}
         report["passed"] = report["passed"] and passed
@@ -839,24 +843,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in vars(args):
-        if name in ("command",):
-            continue
-        value = getattr(args, name)
-        if value is None and name not in ("out", "triple", "polygon", "bfile",
-                                          "preserve", "threshold", "suites",
-                                          "cache_dir", "figure"):
-            continue
-        if name == "triple" and value is not None:
-            value = _parse_triple(value)
-        elif name == "threshold" and value is not None:
-            value = _parse_rational(value)
-        elif name == "delta":
-            value = _parse_rational(value)
-        elif name == "suites":
-            value = tuple(value) if value else ()
-        setattr(config, name, value)
+    config = RunConfig(**vars(args))
+    if config.triple is not None:
+        config.triple = _parse_triple(config.triple)
+    if config.threshold is not None:
+        config.threshold = _parse_rational(config.threshold)
+    if isinstance(config.delta, str):
+        config.delta = _parse_rational(config.delta)
+    config.suites = tuple(config.suites or ())
     return config
 
 

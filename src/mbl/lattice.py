@@ -81,7 +81,14 @@ class LatticePolygon:
 
     @classmethod
     def from_json(cls, obj) -> "LatticePolygon":
-        return cls([RationalPoint(Fraction(x), Fraction(y)) for x, y in obj])
+        """[x, y] pairs of ints or rational strings; floats are inexact, refused."""
+        return cls([RationalPoint(_exact(x), _exact(y)) for x, y in obj])
+
+
+def _exact(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)

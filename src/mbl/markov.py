@@ -9,10 +9,15 @@ keying on the sorted tuple).
 
 from __future__ import annotations
 
+import bisect
 import enum
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
+
+from .errors import VerificationError
 
 
 class MutationKind(enum.Enum):
@@ -163,35 +168,81 @@ def enumerate_triples(max_bound: int) -> list[TreeNode]:
     return out
 
 
-def markov_numbers(n: int) -> list[int]:
-    """The first n Markov numbers in increasing order.
+class MarkovWalk:
+    """The Markov numbers m_1 < m_2 < ... with their apex triples, on demand.
 
-    Every Markov number is the maximal entry of its apex triple, so the
-    distinct maxima of an enumeration up to a sufficient bound give the
-    sequence; the bound grows geometrically until n maxima are found.
+    A heap-ordered walk of the tree from (1,1,1) along the two
+    max-increasing mutations.  Every non-root triple has one parent, with a
+    smaller maximum, so triples leave the heap by increasing maximal entry
+    and each Markov number is reached once, as the maximum of its apex.  The
+    walk only appends, so what it returns depends only on how far it has
+    been extended; it returns tuples, never its own lists.  A maximal entry
+    shared by two triples raises VerificationError once it is reached.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bound = 512
-    while True:
-        maxima = sorted({node.triple.a for node in enumerate_triples(bound)})
-        if len(maxima) >= n:
-            return maxima[:n]
-        bound *= 4
+
+    def __init__(self):
+        self._heap = [MarkovTriple(1, 1, 1)]
+        self._numbers: list[int] = []
+        self._apexes: list[MarkovTriple] = []
+
+    def _step(self) -> None:
+        t, twin = self._heap[0], min(self._heap[1:3], default=None)
+        # every triple with maximum t.a is queued by now (their parents'
+        # maxima are smaller), so a shared maximum shows in the next smallest
+        if twin is not None and twin.a == t.a:
+            raise VerificationError(f"{t} and {twin} share their maximum")
+        heapq.heappop(self._heap)
+        self._numbers.append(t.a)
+        self._apexes.append(t)
+        # the two children coincide only at (1,1,1) and (2,1,1)
+        for child in {mutate(t, MutationKind.ELIMINATE_MID),
+                      mutate(t, MutationKind.ELIMINATE_MIN)}:
+            heapq.heappush(self._heap, child)
+
+    def prefix(
+        self, count: int, stop: Callable[[int], bool] | None = None
+    ) -> tuple[tuple[int, ...], tuple[MarkovTriple, ...]]:
+        """The first `count` Markov numbers and the apex triple of each.
+
+        With `stop`, the prefix runs on to the first number m at or past
+        position `count` with stop(m) true.
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        while True:
+            while len(self._numbers) < count:
+                self._step()
+            if stop is None or stop(self._numbers[count - 1]):
+                return tuple(self._numbers[:count]), tuple(self._apexes[:count])
+            count += 1
+
+    def apex(self, p: int) -> MarkovTriple | None:
+        """The apex of p if p is a Markov number, else None."""
+        while not self._numbers or self._numbers[-1] < p:
+            self._step()
+        i = bisect.bisect_left(self._numbers, p)
+        return self._apexes[i] if self._numbers[i] == p else None
+
+
+_WALK = MarkovWalk()  # shared by every Markov-number path of the package
+markov_prefix = _WALK.prefix
+
+
+def markov_numbers(n: int) -> list[int]:
+    """The first n Markov numbers in increasing order, from the shared walk."""
+    return list(markov_prefix(n)[0])
 
 
 def is_markov_number(p: int) -> bool:
-    if p < 1:
-        return False
-    return any(node.triple.a == p for node in enumerate_triples(p))
+    return p >= 1 and _WALK.apex(p) is not None
 
 
 def apex_of_number(p: int) -> MarkovTriple:
     """The triple in which p is the maximal entry (root of its subtree)."""
-    for node in enumerate_triples(max(p, 1)):
-        if node.triple.a == p:
-            return node.triple
-    raise ValueError(f"{p} is not a Markov number")
+    apex = _WALK.apex(p) if p >= 1 else None
+    if apex is None:
+        raise ValueError(f"{p} is not a Markov number")
+    return apex
 
 
 def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
@@ -209,35 +260,30 @@ def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
     return t
 
 
-def _kind_from_parent(parent: MarkovTriple, child: MarkovTriple) -> MutationKind:
-    for kind in _KINDS:
-        if mutate(parent, kind) == child:
-            return kind
-    raise ValueError(f"{child} is not a mutation of {parent}")
-
-
 def _path_from_root(triple: MarkovTriple) -> tuple[MutationKind, ...]:
-    chain = [triple]
-    t = triple
-    while t != MarkovTriple(1, 1, 1):
-        t = mutate(t, MutationKind.ELIMINATE_MAX)
-        chain.append(t)
-    chain.reverse()
-    return tuple(
-        _kind_from_parent(chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-    )
+    path = []
+    while triple != MarkovTriple(1, 1, 1):
+        parent = mutate(triple, MutationKind.ELIMINATE_MAX)
+        path.append(next(kind for kind in _KINDS if mutate(parent, kind) == triple))
+        triple = parent
+    return tuple(reversed(path))
 
 
-def _preserving_child(t: MarkovTriple, p: int) -> MarkovTriple:
-    """The unique max-increasing mutation of t that keeps p in the triple."""
-    candidates = []
+def _preserving_kind(t: MarkovTriple, p: int) -> MutationKind:
+    """The max-increasing mutation of t that keeps p in the triple.
+
+    Two kinds give the same child only at the degenerate root levels.
+    """
     for kind in (MutationKind.ELIMINATE_MID, MutationKind.ELIMINATE_MIN,
                  MutationKind.ELIMINATE_MAX):
         child = mutate(t, kind)
         if p in child and child.a > t.a:
-            candidates.append(child)
-    # distinct candidates only coincide at the degenerate root levels
-    return candidates[0]
+            return kind
+    raise ValueError(f"no max-increasing mutation of {t} keeps {p}")
+
+
+def _child_node(node: TreeNode, kind: MutationKind) -> TreeNode:
+    return TreeNode(mutate(node.triple, kind), node.depth + 1, node.path + (kind,))
 
 
 def wedge(spec: SubtreeSpec, depth: int) -> list[TreeNode]:
@@ -251,31 +297,18 @@ def wedge(spec: SubtreeSpec, depth: int) -> list[TreeNode]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    p = spec.preserved
     apex_path = _path_from_root(spec.apex)
-    apex_node = TreeNode(spec.apex, len(apex_path), apex_path)
-    out = [apex_node]
-    if depth == 0:
-        return out
-    left = mutate(spec.apex, MutationKind.ELIMINATE_MID)
-    right = mutate(spec.apex, MutationKind.ELIMINATE_MIN)
-    chains = [left] if left == right else [left, right]
-    columns = []
-    for start in chains:
-        kind = _kind_from_parent(spec.apex, start)
-        node = TreeNode(start, apex_node.depth + 1, apex_path + (kind,))
-        column = [node]
-        t = start
-        for _ in range(depth - 1):
-            child = _preserving_child(t, p)
-            kind = _kind_from_parent(t, child)
-            node = TreeNode(child, node.depth + 1, node.path + (kind,))
-            column.append(node)
-            t = child
-        columns.append(column)
+    out = [TreeNode(spec.apex, len(apex_path), apex_path)]
+    columns = [[_child_node(out[0], MutationKind.ELIMINATE_MID)],
+               [_child_node(out[0], MutationKind.ELIMINATE_MIN)]]
+    if columns[0][0].triple == columns[1][0].triple:
+        del columns[1]
+    for column in columns:
+        while len(column) < depth:
+            kind = _preserving_kind(column[-1].triple, spec.preserved)
+            column.append(_child_node(column[-1], kind))
     for level in range(depth):
-        for column in columns:
-            out.append(column[level])
+        out.extend(column[level] for column in columns)
     return out
 
 

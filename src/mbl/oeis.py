@@ -41,9 +41,6 @@ class BFile:
     entries: dict[int, int]
     source: str
 
-    def first(self, count: int) -> list[int]:
-        return list(self.entries.values())[:count]
-
     def __len__(self) -> int:
         return len(self.entries)
 

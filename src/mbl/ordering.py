@@ -1,7 +1,8 @@
 """Global decreasing order of the capacities bc/a, and its irregularities.
 
 Indexing triples by their maximal entry m_1 < m_2 < ... (uniqueness of the
-maximal entry holds far beyond the range used here and is re-checked), the
+maximal entry holds far beyond the range used here; the walk behind
+`markov.markov_prefix` re-checks it for every number it reaches), the
 capacities of each essential subtree form a strictly decreasing sequence
 with irrational limit.  Juxtaposing those sequences in order of m_n gives
 the global decreasing order, except where the juxtaposition inequality
@@ -18,17 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .capacity import Capacity, QuadraticValue, capacity_to_json, width
+from .capacity import Capacity, QuadraticValue, capacity_to_json, limit_point, width
 from .errors import VerificationError
-from .markov import (
-    MarkovTriple,
-    SubtreeSpec,
-    enumerate_triples,
-    markov_numbers,
-    wedge,
-)
+from .markov import MarkovTriple, SubtreeSpec, markov_prefix, wedge
 
 ONE_THIRD = Fraction(1, 3)
 
@@ -68,11 +62,9 @@ class ChainValues:
     def triples(self) -> list[MarkovTriple]:
         """Materialize the chain triples (validates the Markov equation)."""
         out = []
-        for values, seed in ((self.f, self.b), (self.g, self.c)):
-            prev = seed
+        for values in (self.f, self.g):
             for i in range(len(values) - 1):
                 out.append(MarkovTriple.from_values(values[i + 1], values[i], self.a))
-                prev = values[i]
         return out
 
 
@@ -125,27 +117,6 @@ class IrregularityRecord:
                 "kind": self.kind}
 
 
-@lru_cache(maxsize=16)
-def _context(count: int):
-    """First `count` Markov numbers with the apex triple of each."""
-    numbers = tuple(markov_numbers(count))
-    apex_by_max = {
-        node.triple.a: node.triple for node in enumerate_triples(numbers[-1])
-    }
-    apexes = tuple(apex_by_max[m] for m in numbers)
-    return numbers, apexes
-
-
-def _scan_context(n_max: int):
-    """Context wide enough that every scan window below n_max closes."""
-    count = n_max + 8
-    while True:
-        numbers, apexes = _context(count)
-        if numbers[-1] ** 2 >= 2 * numbers[n_max - 1] ** 2:
-            return numbers, apexes
-        count += 8
-
-
 def _b_value(apex: MarkovTriple) -> int:
     # 3ac - b: the smallest middle entry below the apex; for the degenerate
     # rows 1 and 2 it coincides with the second-smallest member convention
@@ -154,11 +125,6 @@ def _b_value(apex: MarkovTriple) -> int:
 
 def _f1_value(apex: MarkovTriple) -> int:
     return 3 * apex.a * apex.b - apex.c
-
-
-def _limit_of(m: int) -> QuadraticValue:
-    # m is taken from the enumeration, so no Markov re-validation here
-    return QuadraticValue(Fraction(3 * m * m, 2), Fraction(-m, 2), 9 * m * m - 4)
 
 
 def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
@@ -250,13 +216,13 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
         raise ValueError("n_max must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    numbers, apexes = _context(n_max)
+    numbers, apexes = markov_prefix(n_max)
     rows = []
     for n in range(1, n_max + 1):
         m = numbers[n - 1]
         apex = apexes[n - 1]
         caps = _essential_capacities(apex, k)
-        limit = _limit_of(m)
+        limit = limit_point(m)
         for w0, w1 in zip(caps, caps[1:]):
             if not w0 > w1:
                 raise VerificationError(f"row {n}: capacities fail to decrease")
@@ -273,7 +239,7 @@ def check_nn_inequality(n: int, n_prime: int) -> bool:
     """Whether sequence n precedes all of sequence n' in the global order."""
     if not 1 <= n < n_prime:
         raise ValueError("need 1 <= n < n_prime")
-    numbers, apexes = _context(n_prime)
+    numbers, apexes = markov_prefix(n_prime)
     return _holds(n, n_prime, numbers, apexes)
 
 
@@ -299,7 +265,9 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    numbers, apexes = _scan_context(n_max)
+    m = markov_prefix(n_max)[0][-1]
+    # every scan window up to n_max closes at the first m_end^2 >= 2 m_{n_max}^2
+    numbers, apexes = markov_prefix(n_max + 1, lambda m_end: m_end**2 >= 2 * m * m)
     lowest_n: dict[int, int] = {}
     for n in range(1, n_max + 1):
         for n_prime in scan_window(n, numbers):
@@ -334,7 +302,7 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     Vacuously true if the pair is not violated at all.
     """
     n, n_prime = rec.n, rec.n_prime
-    numbers, apexes = _scan_context(n_prime)
+    numbers, apexes = markov_prefix(n_prime)
     if _holds(n, n_prime, numbers, apexes):
         return True
     m_p = numbers[n_prime - 1]
@@ -447,10 +415,9 @@ def ordered_prefix_complete_above(
     )
 
     tail_exact = []
-    count = n_max + 8
-    numbers, apexes = _context(count)
-    n = n_max + 1
-    while Fraction(numbers[n - 1] ** 2) < crude:
+    # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
+    numbers, apexes = markov_prefix(n_max + 1, lambda m: m * m >= crude)
+    for n in range(n_max + 1, len(numbers)):
         m_n = numbers[n - 1]
         b_n = _b_value(apexes[n - 1])
         ok = Fraction(1, m_n * m_n) + Fraction(1, b_n * b_n) < rhs
@@ -459,12 +426,8 @@ def ordered_prefix_complete_above(
             failures.append(
                 f"sequence {n} beyond n_max still reaches the threshold"
             )
-        n += 1
-        if n > len(numbers):
-            count += 8
-            numbers, apexes = _context(count)
-    tail_bound_index = n
-    tail_bound_m = numbers[n - 1]
+    tail_bound_index = len(numbers)
+    tail_bound_m = numbers[-1]
 
     conditions = (
         "pairwise juxtaposition checked for every n <= n_max over the full "

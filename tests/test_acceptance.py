@@ -28,6 +28,7 @@ from mbl.markov import (
     enumerate_triples,
     fibonacci,
     markov_numbers,
+    markov_prefix,
     pell,
     uniqueness_check,
 )
@@ -40,7 +41,6 @@ from mbl.ordering import (
     scan_window,
     spectrum_rows,
     verify_chain_inequalities,
-    _context,
 )
 
 from support import interval_compare, random_quadratic, random_unimodular
@@ -104,7 +104,7 @@ def test_criterion_03_irregularity_catalogue():
 
 def test_criterion_04_regular_prefix():
     with _Timer(4, "juxtaposition inequality holds for all n <= 32", 30.0):
-        numbers, _ = _context(48)
+        numbers, _ = markov_prefix(48)
         for n in range(1, 33):
             window = scan_window(n, numbers)
             for n_prime in window:

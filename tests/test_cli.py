@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import mbl.cli
 from mbl.capacity import capacity_from_json
 from mbl.cli import main
-from mbl.markov import MarkovTriple, markov_numbers
+from mbl.errors import VerificationError
+from mbl.markov import MarkovTriple, MutationKind, markov_numbers
 
 
 def run(capsys, *argv):
@@ -105,6 +107,21 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "width", "--polygon", str(path))
         assert code == 0 and out.splitlines()[2].startswith("1")
 
+    @pytest.mark.parametrize("bad", [0.001, True, None, "1/0"])
+    def test_width_rejects_inexact_coordinates(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([[0, 0], [1, 0], [0, bad]]))
+        code, out, err = run(capsys, "width", "--polygon", str(path))
+        assert code == 2 and out == "" and err.startswith("mbl: ")
+
+    def test_width_accepts_ints_and_rational_strings(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps([[0, 0], ["1", 0], [0, "1/2"]]))
+        code, out, _ = run(capsys, "width", "--polygon", str(path),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["vertices"] == [["0", "0"], ["1", "0"], ["0", "1/2"]]
+
     def test_width_missing_file_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "width", "--polygon",
                            str(tmp_path / "absent.json"))
@@ -141,6 +158,41 @@ class TestVerifyAndComplete:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
+
+    def test_mutation_closure_can_fail(self, capsys, monkeypatch):
+        real = mbl.cli.mutate
+
+        def broken(t, kind):
+            if t == MarkovTriple(1, 1, 1) and kind is MutationKind.ELIMINATE_MAX:
+                raise ValueError("mutation left the solution set")
+            return real(t, kind)
+
+        monkeypatch.setattr(mbl.cli, "mutate", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "markov",
+                           "--max-bound", "30", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["markov"]["checks"]}
+        assert not checks["mutation-closure"]["passed"]
+        assert checks["mutation-closure"]["witness"] == "(1,1,1) ELIMINATE_MAX"
+
+    @pytest.mark.parametrize("error", [ValueError, VerificationError])
+    def test_error_inside_suite_is_a_failed_check(self, capsys, monkeypatch, error):
+        def raising(n_max):
+            raise error("scan broke")
+
+        monkeypatch.setattr(mbl.cli, "find_irregularities", raising)
+        code, out, _ = run(capsys, "verify", "--suite", "ordering",
+                           "--max-bound", "30", "--n-max", "40", "--format", "json")
+        assert code == 1
+        suite = json.loads(out)["suites"]["ordering"]
+        assert suite == {"passed": False, "checks": [{
+            "name": "completed", "passed": False,
+            "witness": f"{error.__name__}: scan broke"}]}
+
+    def test_nonpositive_bounds_are_usage_errors(self, capsys):
+        for flag in ("--n-max", "--max-bound"):
+            code, out, _ = run(capsys, "verify", "--suite", "markov", flag, "0")
+            assert code == 2 and out == ""
 
     def test_aggregate_equals_conjunction(self, capsys):
         bounds = ["--max-bound", "500", "--n-max", "36"]

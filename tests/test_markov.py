@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
+    MarkovWalk,
     MutationKind,
     SubtreeSpec,
     apex_for,
@@ -19,6 +21,7 @@ from mbl.markov import (
     is_markov,
     is_markov_number,
     markov_numbers,
+    markov_prefix,
     mutate,
     pell,
     replay_path,
@@ -151,6 +154,69 @@ class TestMarkovNumbers:
     def test_is_markov_number(self):
         assert is_markov_number(34)
         assert not is_markov_number(3)
+
+
+class TestMarkovWalk:
+    """The walk against the pairwise quadratic scan, which never mutates."""
+
+    @pytest.fixture(scope="class")
+    def brute_apexes(self):
+        return {t[0]: T(*t) for t in brute_force_triples(2000)}
+
+    def test_membership_matches_brute_force(self, brute_apexes):
+        for p in range(-2, 2001):
+            assert is_markov_number(p) == (p in brute_apexes)
+
+    def test_apexes_match_brute_force(self, brute_apexes):
+        for p in range(1, 2001):
+            if p in brute_apexes:
+                assert apex_of_number(p) == brute_apexes[p]
+            else:
+                with pytest.raises(ValueError):
+                    apex_of_number(p)
+
+    def test_prefix_matches_brute_force(self, brute_apexes):
+        numbers, apexes = MarkovWalk().prefix(len(brute_apexes))
+        assert numbers == tuple(sorted(brute_apexes))
+        assert apexes == tuple(brute_apexes[m] for m in numbers)
+
+    def test_out_of_order_requests(self):
+        walk = MarkovWalk()
+        assert walk.apex(10 ** 12) is None
+        large = walk.prefix(300)
+        small = walk.prefix(40)
+        fresh = MarkovWalk().prefix(300)
+        assert large == fresh
+        assert small == (fresh[0][:40], fresh[1][:40])
+
+    def test_stop_extends_to_first_match(self):
+        walk = MarkovWalk()
+        numbers, apexes = walk.prefix(5, lambda m: m >= 100)
+        assert numbers == (1, 2, 5, 13, 29, 34, 89, 169)
+        assert apexes[-1] == T(169, 29, 2)
+        walk.prefix(50)  # already extended past the match: same answer
+        assert walk.prefix(5, lambda m: m >= 100)[0] == numbers
+        assert walk.prefix(3, lambda m: True)[0] == (1, 2, 5)
+
+    def test_returned_sequences_cannot_alter_later_results(self):
+        numbers, apexes = markov_prefix(10)
+        assert isinstance(numbers, tuple) and isinstance(apexes, tuple)
+        values = markov_numbers(10)
+        values[0] = 4
+        values.append(7)
+        assert markov_numbers(11) == list(markov_prefix(11)[0])
+        assert markov_numbers(10)[0] == 1 and is_markov_number(7) is False
+
+    def test_repeated_maximum_raises(self):
+        walk = MarkovWalk()
+        walk._heap.append(T(1, 1, 1))  # a second triple with maximum 1
+        for _ in range(2):  # the failed step leaves the walk unchanged
+            with pytest.raises(VerificationError):
+                walk.prefix(1)
+
+    def test_count_validated(self):
+        with pytest.raises(ValueError):
+            markov_prefix(0)
 
 
 class TestApexFor:

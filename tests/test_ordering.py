@@ -4,7 +4,7 @@ import pytest
 
 from mbl.capacity import QuadraticValue, compare, limit_point, width
 from mbl.errors import VerificationError
-from mbl.markov import MarkovTriple, enumerate_triples, fibonacci, pell
+from mbl.markov import MarkovTriple, enumerate_triples, fibonacci, markov_prefix, pell
 from mbl.ordering import (
     ChainValues,
     IrregularityRecord,
@@ -16,7 +16,6 @@ from mbl.ordering import (
     spectrum_rows,
     verify_chain_inequalities,
     verify_swap_pattern,
-    _context,
 )
 
 T = MarkovTriple
@@ -156,7 +155,7 @@ class TestNNInequality:
         assert not check_nn_inequality(33, 34)
 
     def test_prefix_regular_through_32(self):
-        numbers, _ = _context(48)
+        numbers, _ = markov_prefix(48)
         for n in range(1, 33):
             for n_prime in scan_window(n, numbers):
                 assert check_nn_inequality(n, n_prime)
