@@ -16,7 +16,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oeis, svg
@@ -77,31 +77,6 @@ EXIT_IO = 3
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    out: str | None = None
-    max_bound: int = 10_000
-    n_max: int = 450
-    depth: int = 3
-    k: int = 4
-    n: int = 10
-    triple: MarkovTriple | None = None
-    preserve: int | None = None
-    threshold: Fraction | None = None
-    delta: Fraction = Fraction(1, 4)
-    figure: str | None = None
-    polygon: str | None = None
-    bfile: str | None = None
-    kind: str = "all"
-    suites: tuple[str, ...] = ()
-    cache_dir: str | None = None
-    offline: bool = False
-    fetch: bool = False
-    fixture: bool = False
-
-
 def _parse_triple(text: str) -> MarkovTriple:
     try:
         values = [int(part) for part in text.split(",")]
@@ -136,7 +111,7 @@ class Table:
     columns: list[str]
     rows: list[list[str]]
     payload: dict
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -164,7 +139,7 @@ class Table:
         return "\n".join(lines) + "\n"
 
 
-def _emit(config: RunConfig, data: str | bytes) -> None:
+def _emit(config: argparse.Namespace, data: str | bytes) -> None:
     if config.out:
         mode = "wb" if isinstance(data, bytes) else "w"
         with open(config.out, mode) as handle:
@@ -177,94 +152,88 @@ def _emit(config: RunConfig, data: str | bytes) -> None:
         sys.stdout.write(data)
 
 
-def cmd_widths(config: RunConfig) -> int:
+def _emit_rows(
+    config: argparse.Namespace,
+    columns: list[str],
+    items: list[tuple[list[str], dict]],
+    payload: dict,
+    notes: tuple[str, ...] = (),
+    status: int = EXIT_OK,
+) -> int:
+    """Emit one table row per (cells, json_row) item and return status.
+
+    The cells fill the text and CSV rows; the JSON rows go under
+    payload["rows"].
+    """
+    payload["rows"] = [json_row for _, json_row in items]
+    table = Table(columns, [cells for cells, _ in items], payload, notes)
+    _emit(config, table.render(config.fmt))
+    return status
+
+
+def cmd_widths(config: argparse.Namespace) -> int:
     triples = (
         [config.triple]
         if config.triple is not None
         else [MarkovTriple(*t) for t in _PAPER_TABLE]
     )
-    rows, payload_rows = [], []
+    items = []
     for t in triples:
         w = width(t)
-        rows.append([str(t), str(w), _preview(w)])
-        payload_rows.append(
-            {"triple": t.to_json(), "width": capacity_to_json(w), "preview": _preview(w)}
-        )
-    table = Table(["triple", "width", "decimal"], rows,
-                  {"command": "widths", "rows": payload_rows})
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+        items.append((
+            [str(t), str(w), _preview(w)],
+            {"triple": t.to_json(), "width": capacity_to_json(w), "preview": _preview(w)},
+        ))
+    return _emit_rows(config, ["triple", "width", "decimal"], items, {"command": "widths"})
 
 
-def cmd_triples(config: RunConfig) -> int:
-    nodes = enumerate_triples(config.max_bound)
-    rows, payload_rows = [], []
-    for node in nodes:
-        rows.append([str(node.triple), str(node.depth), str(width(node.triple))])
-        payload_rows.append(
+def cmd_triples(config: argparse.Namespace) -> int:
+    items = []
+    for node in enumerate_triples(config.max_bound):
+        w = width(node.triple)
+        items.append((
+            [str(node.triple), str(node.depth), str(w)],
             {
                 "triple": node.triple.to_json(),
                 "depth": node.depth,
-                "width": capacity_to_json(width(node.triple)),
-            }
-        )
-    table = Table(
-        ["triple", "depth", "width"],
-        rows,
-        {"command": "triples", "max_bound": str(config.max_bound), "rows": payload_rows},
-    )
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+                "width": capacity_to_json(w),
+            },
+        ))
+    payload = {"command": "triples", "max_bound": str(config.max_bound)}
+    return _emit_rows(config, ["triple", "depth", "width"], items, payload)
 
 
-def cmd_subtree(config: RunConfig) -> int:
-    if config.triple is None:
-        raise ValueError("subtree needs --triple")
+def cmd_subtree(config: argparse.Namespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     spec = SubtreeSpec.rooted(preserved, config.triple)
-    nodes = wedge(spec, config.depth)
-    rows, payload_rows = [], []
-    for node in nodes:
+    items = []
+    for node in wedge(spec, config.depth):
         w = width(node.triple)
-        rows.append([str(node.depth), str(node.triple), str(w), _preview(w)])
-        payload_rows.append(
+        items.append((
+            [str(node.depth), str(node.triple), str(w), _preview(w)],
             {
                 "depth": node.depth,
                 "triple": node.triple.to_json(),
                 "width": capacity_to_json(w),
-            }
-        )
-    table = Table(
-        ["depth", "triple", "width", "decimal"],
-        rows,
-        {
-            "command": "subtree",
-            "preserved": str(spec.preserved),
-            "apex": spec.apex.to_json(),
-            "rows": payload_rows,
-        },
-    )
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+            },
+        ))
+    payload = {
+        "command": "subtree",
+        "preserved": str(spec.preserved),
+        "apex": spec.apex.to_json(),
+    }
+    return _emit_rows(config, ["depth", "triple", "width", "decimal"], items, payload)
 
 
-def cmd_order(config: RunConfig) -> int:
-    if config.triple is None:
-        raise ValueError("order needs --triple (used as the apex)")
-    sequence = alternating_order(config.triple, config.depth)
-    rows, payload_rows = [], []
-    for rank, (t, w) in enumerate(sequence, start=1):
-        rows.append([str(rank), str(t), str(w), _preview(w)])
-        payload_rows.append(
-            {"rank": rank, "triple": t.to_json(), "width": capacity_to_json(w)}
-        )
-    table = Table(
-        ["rank", "triple", "width", "decimal"],
-        rows,
-        {"command": "order", "apex": config.triple.to_json(), "rows": payload_rows},
-    )
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+def cmd_order(config: argparse.Namespace) -> int:
+    items = []
+    for rank, (t, w) in enumerate(alternating_order(config.triple, config.depth), start=1):
+        items.append((
+            [str(rank), str(t), str(w), _preview(w)],
+            {"rank": rank, "triple": t.to_json(), "width": capacity_to_json(w)},
+        ))
+    payload = {"command": "order", "apex": config.triple.to_json()}
+    return _emit_rows(config, ["rank", "triple", "width", "decimal"], items, payload)
 
 
 def _fixture_match(records, n_max: int) -> bool:
@@ -284,37 +253,32 @@ def _fixture_match(records, n_max: int) -> bool:
     )
 
 
-def cmd_irregularities(config: RunConfig) -> int:
+def cmd_irregularities(config: argparse.Namespace) -> int:
     records = find_irregularities(config.n_max)
-    rows, payload_rows = [], []
+    items = []
     for rec in records:
         ok = verify_swap_pattern(rec)
-        rows.append([str(rec.n), str(rec.span), str(rec.n_prime),
-                     "yes" if ok else "NO", rec.kind])
-        payload_rows.append({**rec.to_json(), "swap_verified": ok})
-    table = Table(
-        ["n", "span", "n_prime", "swap_verified", "kind"],
-        rows,
-        {"command": "irregularities", "n_max": config.n_max, "rows": payload_rows},
-        notes=["b values for rows 1 and 2 use the second-smallest-member "
-               "convention; those rows never violate the inequality"],
-    )
+        items.append((
+            [str(rec.n), str(rec.span), str(rec.n_prime), "yes" if ok else "NO", rec.kind],
+            {**rec.to_json(), "swap_verified": ok},
+        ))
+    payload = {"command": "irregularities", "n_max": config.n_max}
+    notes = ("b values for rows 1 and 2 use the second-smallest-member "
+             "convention; those rows never violate the inequality",)
     status = EXIT_OK
-    if not all(r["swap_verified"] for r in payload_rows):
+    if not all(json_row["swap_verified"] for _, json_row in items):
         status = EXIT_VERIFICATION
     if config.fixture:
         match = _fixture_match(records, config.n_max)
-        table.payload["fixture_match"] = match
-        table.notes.append(f"fixture match: {match}")
+        payload["fixture_match"] = match
+        notes += (f"fixture match: {match}",)
         if not match:
             status = EXIT_VERIFICATION
-    _emit(config, table.render(config.fmt))
-    return status
+    columns = ["n", "span", "n_prime", "swap_verified", "kind"]
+    return _emit_rows(config, columns, items, payload, notes, status)
 
 
-def cmd_triangle(config: RunConfig) -> int:
-    if config.triple is None:
-        raise ValueError("triangle needs --triple")
+def cmd_triangle(config: argparse.Namespace) -> int:
     tri = vianna_triangle(config.triple)
     center = central_point(tri)
     value, xi = lattice_width(tri.polygon())
@@ -350,7 +314,7 @@ def cmd_triangle(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_width(config: RunConfig) -> int:
+def cmd_width(config: argparse.Namespace) -> int:
     if (config.triple is None) == (config.polygon is None):
         raise ValueError("width needs exactly one of --triple or --polygon")
     if config.triple is not None:
@@ -378,12 +342,11 @@ def cmd_width(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_limits(config: RunConfig) -> int:
-    rows_data = spectrum_rows(config.n, k=config.k)
-    rows, payload_rows = [], []
-    for row in rows_data:
+def cmd_limits(config: argparse.Namespace) -> int:
+    items = []
+    for row in spectrum_rows(config.n, k=config.k):
         lam = lagrange_number(row.m)
-        rows.append(
+        items.append((
             [
                 str(row.n),
                 str(row.m),
@@ -391,57 +354,44 @@ def cmd_limits(config: RunConfig) -> int:
                 str(lam),
                 str(row.limit),
                 _preview(row.limit),
-            ]
-        )
-        payload_rows.append(
+            ],
             {
                 **row.to_json(),
                 "lagrange": lam.to_json(),
                 "preview": _preview(row.limit),
-            }
-        )
-    table = Table(
-        ["n", "m", "b", "lagrange", "limit", "decimal"],
-        rows,
-        {"command": "limits", "rows": payload_rows},
-        notes=["* b for rows 1 and 2 follows the second-smallest-member "
-               "convention (values 2 and 5)"],
-    )
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+            },
+        ))
+    notes = ("* b for rows 1 and 2 follows the second-smallest-member "
+             "convention (values 2 and 5)",)
+    columns = ["n", "m", "b", "lagrange", "limit", "decimal"]
+    return _emit_rows(config, columns, items, {"command": "limits"}, notes)
 
 
-def cmd_plot(config: RunConfig) -> int:
-    figure = config.figure
-    if figure == "order5":
+def cmd_plot(config: argparse.Namespace) -> int:
+    if config.figure == "order5":
         triple = config.triple or MarkovTriple(5, 2, 1)
         data = svg.figure_subtree(triple, config.depth)
-    elif figure == "numberline":
+    elif config.figure == "numberline":
         data = svg.figure_numberline(config.n, k=config.k)
-    elif figure == "triangle":
-        if config.triple is None:
-            raise ValueError("plot --figure triangle needs --triple")
-        data = svg.figure_triangle(config.triple, config.delta)
+    elif config.triple is None:
+        raise ValueError("plot --figure triangle needs --triple")
     else:
-        raise ValueError(f"unknown figure {config.figure!r}")
+        data = svg.figure_triangle(config.triple, config.delta)
     _emit(config, data)
     return EXIT_OK
 
 
-def cmd_ingest(config: RunConfig) -> int:
+def cmd_ingest(config: argparse.Namespace) -> int:
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
-    if config.fetch and config.offline:
-        raise ValueError("--fetch and --offline are mutually exclusive")
     if config.fetch:
         for kind in kinds:
             oeis.fetch_bfile(kind, cache_dir=config.cache_dir)
-    rows, payload_rows, all_ok = [], [], True
+    items = []
     for kind in kinds:
         report = oeis.cross_check(
             kind, config.n, path=config.bfile, cache_dir=config.cache_dir
         )
-        all_ok = all_ok and report.ok
-        rows.append(
+        items.append((
             [
                 kind,
                 report.sequence_id,
@@ -449,57 +399,57 @@ def cmd_ingest(config: RunConfig) -> int:
                 report.source,
                 "ok" if report.ok else
                 f"MISMATCH at {report.first_mismatch[0]}",
-            ]
-        )
-        payload_rows.append(report.to_json())
-    table = Table(
-        ["kind", "sequence", "n", "source", "status"],
-        rows,
-        {"command": "ingest", "rows": payload_rows},
-    )
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+            ],
+            report.to_json(),
+        ))
+    status = EXIT_OK if all(row["ok"] for _, row in items) else EXIT_VERIFICATION
+    columns = ["kind", "sequence", "n", "source", "status"]
+    return _emit_rows(config, columns, items, {"command": "ingest"}, status=status)
 
 
 def _check(checks: list, name: str, passed: bool, witness: str = "") -> None:
     checks.append({"name": name, "passed": bool(passed), "witness": witness})
 
 
-def _suite_markov(config: RunConfig) -> list[dict]:
+def _failure_checks(failures: dict[str, str], *names: str) -> list[dict]:
+    """One check per name, failed with its witness if failures records one."""
     checks: list[dict] = []
+    for name in names:
+        _check(checks, name, name not in failures, failures.get(name, ""))
+    return checks
+
+
+def _suite_markov(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10_000)
     nodes = enumerate_triples(bound)
-    closure = involution = monotone = coprime = True
-    witness = ""
+    failures: dict[str, str] = {}
     for node in nodes:
         t = node.triple
         for kind in MutationKind:
             try:
                 child = mutate(t, kind)  # construction re-checks the equation
             except ValueError:
-                closure = False
-                witness = f"{t} {kind.name}"
+                failures["mutation-closure"] = f"{t} {kind.name}"
                 continue
             if not any(mutate(child, back) == t for back in MutationKind):
-                involution = False
-                witness = f"{t} {kind.name}"
+                failures["mutation-involution"] = f"{t} {kind.name}"
         if not (
             mutate(t, MutationKind.ELIMINATE_MIN).a > t.a
             and mutate(t, MutationKind.ELIMINATE_MID).a > t.a
         ):
-            monotone = False
-            witness = str(t)
+            failures["mutation-monotonicity"] = str(t)
         degenerate = t.as_tuple() in ((1, 1, 1), (2, 1, 1))
         if not degenerate and not mutate(t, MutationKind.ELIMINATE_MAX).a < t.a:
-            monotone = False
-            witness = str(t)
+            failures["mutation-monotonicity"] = str(t)
         if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
-            coprime = False
-            witness = str(t)
-    _check(checks, "mutation-closure", closure, witness)
-    _check(checks, "mutation-involution", involution, witness)
-    _check(checks, "mutation-monotonicity", monotone, witness)
-    _check(checks, "pairwise-coprimality", coprime, witness)
+            failures["pairwise-coprimality"] = str(t)
+    checks = _failure_checks(
+        failures,
+        "mutation-closure",
+        "mutation-involution",
+        "mutation-monotonicity",
+        "pairwise-coprimality",
+    )
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
     walked = [n.triple.as_tuple() for n in enumerate_triples(small)]
@@ -509,40 +459,31 @@ def _suite_markov(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_capacity(config: RunConfig) -> list[dict]:
-    checks: list[dict] = []
+def _suite_capacity(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10 ** 6)
     root = MarkovTriple(1, 1, 1)
-    bounds_ok = identity_ok = True
-    witness = ""
+    failures: dict[str, str] = {}
     for node in enumerate_triples(bound):
         t = node.triple
         w = width(t)
         if t == root:
             if w != 1 or surd_identity_check(t):
-                bounds_ok = False
-                witness = str(t)
+                failures["width-bounds"] = str(t)
             continue
         if not (Fraction(1, 3) < w <= Fraction(1, 2)):
-            bounds_ok = False
-            witness = str(t)
+            failures["width-bounds"] = str(t)
         if t.a <= 10_000 and not (
             surd_identity_check(t) and width_as_surd(t) == w
         ):
-            identity_ok = False
-            witness = str(t)
-    _check(checks, "width-bounds", bounds_ok, witness)
-    _check(checks, "surd-identity", identity_ok, witness)
-    gaps_ok = True
+            failures["surd-identity"] = str(t)
     try:
         convergence_trace(SubtreeSpec.rooted(1, MarkovTriple(2, 1, 1)), 10)
         convergence_trace(SubtreeSpec.rooted(2, MarkovTriple(2, 1, 1)), 10)
         for side in ("left", "right", "alternating"):
             convergence_trace(SubtreeSpec.rooted(5, MarkovTriple(5, 2, 1)), 10, side)
     except VerificationError as exc:
-        gaps_ok = False
-        witness = str(exc)
-    _check(checks, "limit-gaps", gaps_ok, witness)
+        failures["limit-gaps"] = str(exc)
+    checks = _failure_checks(failures, "width-bounds", "surd-identity", "limit-gaps")
     sane = (
         compare(lagrange_number(2), QuadraticValue.sqrt(8)) == 0
         and compare(limit_point(1), QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
@@ -552,30 +493,25 @@ def _suite_capacity(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_ordering(config: RunConfig) -> list[dict]:
-    checks: list[dict] = []
+def _suite_ordering(config: argparse.Namespace) -> list[dict]:
     apex_bound = min(config.max_bound, 10_000)
-    interleave = chain_ok = descent = True
-    witness = ""
+    failures: dict[str, str] = {}
     for node in enumerate_triples(apex_bound):
         t = node.triple
         if t.a >= 5:
             cv = ChainValues.build(t, 10)
             merged = [x for pair in zip(cv.g, cv.f) for x in pair]
             if any(x >= y for x, y in zip(merged, merged[1:])):
-                interleave = False
-                witness = str(t)
+                failures["chain-interleaving"] = str(t)
             if not verify_chain_inequalities(t.a, t.b, t.c, 8):
-                chain_ok = False
-                witness = str(t)
+                failures["chain-inequalities"] = str(t)
         try:
             alternating_order(t, 8)
         except VerificationError as exc:
-            descent = False
-            witness = str(exc)
-    _check(checks, "chain-interleaving", interleave, witness)
-    _check(checks, "chain-inequalities", chain_ok, witness)
-    _check(checks, "alternating-descent", descent, witness)
+            failures["alternating-descent"] = str(exc)
+    checks = _failure_checks(
+        failures, "chain-interleaving", "chain-inequalities", "alternating-descent"
+    )
     if config.n_max >= 34:
         rows = spectrum_rows(34)
         anchors = (
@@ -585,14 +521,12 @@ def _suite_ordering(config: RunConfig) -> list[dict]:
             and rows[33].b == fibonacci(29)
         )
         _check(checks, "row-anchors", anchors)
-    prefix_ok = True
     numbers, _ = markov_prefix(min(config.n_max, 32) + 16)
     for n in range(1, min(config.n_max, 32) + 1):
         for n_prime in scan_window(n, numbers):
             if not check_nn_inequality(n, n_prime):
-                prefix_ok = False
-                witness = f"(n,n')=({n},{n_prime})"
-    _check(checks, "regular-prefix", prefix_ok, witness)
+                failures["regular-prefix"] = f"(n,n')=({n},{n_prime})"
+    checks += _failure_checks(failures, "regular-prefix")
     records = find_irregularities(config.n_max)
     swaps_ok = all(verify_swap_pattern(rec) for rec in records)
     _check(checks, "swap-patterns", swaps_ok, f"{len(records)} records")
@@ -601,21 +535,17 @@ def _suite_ordering(config: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_lattice(config: RunConfig) -> list[dict]:
-    checks: list[dict] = []
+def _suite_lattice(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10_000)
     root = MarkovTriple(1, 1, 1)
-    aff = invariants = shear_ok = alg = True
-    witness = ""
+    failures: dict[str, str] = {}
     for node in enumerate_triples(bound):
         t = node.triple
         if not lattice_width_equals_capacity(t):
-            aff = False
-            witness = str(t)
+            failures["lattice-width-equals-capacity"] = str(t)
         tri = vianna_triangle(t)  # construction re-checks the invariants
         if tri.ell < 1:
-            invariants = False
-            witness = str(t)
+            failures["triangle-invariants"] = str(t)
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
             normalized, _ = shear_normalize(tri)
@@ -624,20 +554,12 @@ def _suite_lattice(config: RunConfig) -> list[dict]:
             if before != after or not inscribed_right_triangle(
                 normalized, normalized.h / 8
             ):
-                shear_ok = False
-                witness = str(t)
+                failures["shear-and-inscribed"] = str(t)
             if not check_width_inequality_failure(t):
-                aff = False
-                witness = str(t)
+                failures["lattice-width-equals-capacity"] = str(t)
         if check_alg_lemma(t) == (t == root):
-            alg = False
-            witness = str(t)
-    _check(checks, "lattice-width-equals-capacity", aff, witness)
-    _check(checks, "triangle-invariants", invariants, witness)
-    _check(checks, "shear-and-inscribed", shear_ok, witness)
-    _check(checks, "alg-lemma", alg, witness)
+            failures["alg-lemma"] = str(t)
     rng = random.Random(20240813)
-    unimodular = True
     for t in (MarkovTriple(5, 2, 1), MarkovTriple(29, 5, 2)):
         polygon = vianna_triangle(t).polygon()
         base, _ = lattice_width(polygon)
@@ -645,10 +567,15 @@ def _suite_lattice(config: RunConfig) -> list[dict]:
             mapped = _random_unimodular(rng).apply(polygon)
             got, _ = lattice_width(mapped)
             if got != base:
-                unimodular = False
-                witness = str(t)
-    _check(checks, "unimodular-invariance", unimodular, witness)
-    return checks
+                failures["unimodular-invariance"] = str(t)
+    return _failure_checks(
+        failures,
+        "lattice-width-equals-capacity",
+        "triangle-invariants",
+        "shear-and-inscribed",
+        "alg-lemma",
+        "unimodular-invariance",
+    )
 
 
 def _random_unimodular(rng: random.Random) -> UnimodularMap:
@@ -668,7 +595,7 @@ def _random_unimodular(rng: random.Random) -> UnimodularMap:
     )
 
 
-def _suite_ingest(config: RunConfig) -> list[dict]:
+def _suite_ingest(config: argparse.Namespace) -> list[dict]:
     checks: list[dict] = []
     for kind, n in (("markov", 500), ("fibonacci", 1000), ("pell", 1000)):
         report = oeis.cross_check(
@@ -694,15 +621,13 @@ _SUITES = {
 }
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     names = config.suites or tuple(_SUITES)
     if config.n_max < 1 or config.max_bound < 1:
         raise ValueError("verify needs --n-max and --max-bound >= 1")
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         try:
             checks = _SUITES[name](config)
         except (ValueError, VerificationError) as exc:
@@ -723,9 +648,7 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
-def cmd_complete(config: RunConfig) -> int:
-    if config.threshold is None:
-        raise ValueError("complete needs --threshold p/q (must exceed 1/3)")
+def cmd_complete(config: argparse.Namespace) -> int:
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
     if config.fmt == "json":
         _emit(config, report.to_json_str() + "\n")
@@ -837,29 +760,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--bfile", default=None)
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--offline", action="store_true")
     p.add_argument("--fetch", action="store_true")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**vars(args))
-    if config.triple is not None:
-        config.triple = _parse_triple(config.triple)
-    if config.threshold is not None:
-        config.threshold = _parse_rational(config.threshold)
-    if isinstance(config.delta, str):
-        config.delta = _parse_rational(config.delta)
-    config.suites = tuple(config.suites or ())
-    return config
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        if getattr(args, "triple", None) is not None:
+            args.triple = _parse_triple(args.triple)
+        if getattr(args, "threshold", None) is not None:
+            args.threshold = _parse_rational(args.threshold)
+        if getattr(args, "delta", None) is not None:
+            args.delta = _parse_rational(args.delta)
+        return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"mbl: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -331,24 +331,24 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     return [node.triple for node in nodes[skip:]]
 
 
-def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1."""
+def recurrence_prefix(k: int, n: int) -> list[int]:
+    """x_0..x_n with x_0 = 0, x_1 = 1, x_{i+1} = k x_i + x_{i-1}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x, y = 0, 1
-    for _ in range(n):
-        x, y = y, x + y
-    return x
+    values = [0, 1]
+    for _ in range(n - 1):
+        values.append(k * values[-1] + values[-2])
+    return values[: n + 1]
+
+
+def fibonacci(n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1."""
+    return recurrence_prefix(1, n)[n]
 
 
 def pell(n: int) -> int:
     """P_n with P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + P_{n-1}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x, y = 0, 1
-    for _ in range(n):
-        x, y = y, 2 * y + x
-    return x
+    return recurrence_prefix(2, n)[n]
 
 
 def branch_triple(kind: str, n: int) -> MarkovTriple:

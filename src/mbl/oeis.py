@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .markov import fibonacci, markov_numbers, pell
+from .markov import markov_numbers, recurrence_prefix
 
 SEQUENCE_IDS = {
     "markov": "A002559",
@@ -28,8 +28,8 @@ SEQUENCE_IDS = {
 
 _GENERATORS = {
     "markov": lambda n: {i + 1: m for i, m in enumerate(markov_numbers(n))},
-    "fibonacci": lambda n: {i: fibonacci(i) for i in range(n + 1)},
-    "pell": lambda n: {i: pell(i) for i in range(n + 1)},
+    "fibonacci": lambda n: dict(enumerate(recurrence_prefix(1, n))),
+    "pell": lambda n: dict(enumerate(recurrence_prefix(2, n))),
 }
 
 ENV_CACHE_DIR = "MBL_CACHE_DIR"

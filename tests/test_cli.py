@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -16,6 +17,61 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# sha256 of stdout and the exit code of each row-table command in each format.
+_ROW_TABLE_DIGESTS = [
+    ("widths", "text", 0, "c743ae79b014644edbde641d6789c415730ed4be3f880758eb9fca9600a03123"),
+    ("widths", "csv", 0, "a52fbcc741f5754444e18fbde593d659e4f811fc4aa3fe0c9e20a8e226be0d6b"),
+    ("widths", "json", 0, "c2baa5928960c02a01817b92ad6004ebf73fd256921f7776148f90568ec4b330"),
+    ("triples --max-bound 100", "text", 0,
+     "3b337b5cc6d89d3236dd44dbaf971175e90fafb210944bfc057316ad9b5a5a21"),
+    ("triples --max-bound 100", "csv", 0,
+     "05acf78693db17402c19f129a420df91aff631aebf6081265e3c236abdf1a4ec"),
+    ("triples --max-bound 100", "json", 0,
+     "79275fe498c7b6d9fc5652faa222a950d69d66e637444ad525547c16749c983b"),
+    ("subtree --triple 29,5,2 --preserve 5 --depth 2", "text", 0,
+     "32a5411101cc3f7c41b8f7baec6fe9a0ab693bbdb5dc3c4d7e907dd9cf2e74be"),
+    ("subtree --triple 29,5,2 --preserve 5 --depth 2", "csv", 0,
+     "8c8c8e5c37c9a32f16fa7a3b2bde9d200bb78c5baa90f659a7af7260fbfb695b"),
+    ("subtree --triple 29,5,2 --preserve 5 --depth 2", "json", 0,
+     "703f16d3497f93f34ea1ab6152c514236976f8995edb99f6c35aef9d5bce87be"),
+    ("order --triple 5,2,1 --depth 3", "text", 0,
+     "a146a4e1eb50b72c0fc12dfa2cc1bfa6816ff290fe4a6a53d8c0e13e6b5fffc6"),
+    ("order --triple 5,2,1 --depth 3", "csv", 0,
+     "87ee6eb31c21d0de9fc0f6e980c01d6f97e7639ec2a46ec7c9434ffe4119d722"),
+    ("order --triple 5,2,1 --depth 3", "json", 0,
+     "a4b838f66380ee20d4507baa6f68b716da5dbf1dcfcfe581630ef3bcabe70515"),
+    ("irregularities --n-max 40", "text", 0,
+     "bdb6a07a12545929f396dce52e3769176edfe172ab9a5f2f52bc48d86f7057b0"),
+    ("irregularities --n-max 40", "csv", 0,
+     "cb88e76a00f7d234d85da2df5841b75cd08a3eb2c011e61c58e240ec0ed7d294"),
+    ("irregularities --n-max 40", "json", 0,
+     "1e0b25a93a831798dafd008a8662b053d51d94beb41df15c57b764c290958aa2"),
+    ("limits --n 5", "text", 0,
+     "0a6f4934290a72e432e7fff1e54aa367fda5ff2695893dc5accb6a786ac8f3b9"),
+    ("limits --n 5", "csv", 0,
+     "a8337e8fcc5e9133748a83a19bffe4e22be16ffe7951ffeec3ec9b5dc77f160b"),
+    ("limits --n 5", "json", 0,
+     "6071d846067e9c027ee312b7aa64d517196ceba6adfaa85da5ea8f8bb3089d9a"),
+    ("ingest --kind markov --n 10", "text", 0,
+     "89cae2f9953b365e5060a3db3cfef9ee04883c0e8fece38542f9e82b39ade02b"),
+    ("ingest --kind markov --n 10", "csv", 0,
+     "ee6b199904c7d51ec6081afebe4735539249765d382f647439517560e2830b6b"),
+    ("ingest --kind markov --n 10", "json", 0,
+     "627c33700f43c8bbee958c015f81a95ebcfd33c32e8591dd10120ef52738d6db"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, exit_code, digest", _ROW_TABLE_DIGESTS,
+    ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS],
+)
+def test_row_table_bytes_are_pinned(capsys, monkeypatch, command, fmt, exit_code, digest):
+    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-file
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWidths:
@@ -174,6 +230,9 @@ class TestVerifyAndComplete:
         checks = {c["name"]: c for c in json.loads(out)["suites"]["markov"]["checks"]}
         assert not checks["mutation-closure"]["passed"]
         assert checks["mutation-closure"]["witness"] == "(1,1,1) ELIMINATE_MAX"
+        for name in ("mutation-involution", "mutation-monotonicity",
+                     "pairwise-coprimality"):
+            assert checks[name]["passed"] and checks[name]["witness"] == ""
 
     @pytest.mark.parametrize("error", [ValueError, VerificationError])
     def test_error_inside_suite_is_a_failed_check(self, capsys, monkeypatch, error):
@@ -251,7 +310,7 @@ class TestPlot:
 
 class TestIngestCommand:
     def test_offline_vendored(self, capsys):
-        code, out, _ = run(capsys, "ingest", "--offline", "--n", "100")
+        code, out, _ = run(capsys, "ingest", "--n", "100")
         assert code == 0 and "vendored" in out
 
     def test_doctored_bfile_fails(self, capsys, tmp_path):
@@ -263,7 +322,3 @@ class TestIngestCommand:
         code, out, _ = run(capsys, "ingest", "--kind", "markov", "--n", "10",
                            "--bfile", str(doctored))
         assert code == 1 and "MISMATCH" in out
-
-    def test_fetch_offline_conflict(self, capsys):
-        code, _, err = run(capsys, "ingest", "--fetch", "--offline")
-        assert code == 2 and "mutually exclusive" in err
