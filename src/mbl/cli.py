@@ -695,10 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str,
+            formats: tuple[str, ...] = ("text", "json", "csv")) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("text", "json", "csv"))
+        if formats:  # only the formats the command renders
+            p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--out", default=None)
         return p
 
@@ -732,11 +733,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--k", type=int, default=4)
 
-    p = add("complete", "certify the ordered prefix above a threshold")
+    p = add("complete", "certify the ordered prefix above a threshold", ("text", "json"))
     p.add_argument("--threshold", required=True)
     p.add_argument("--n-max", type=int, default=450)
 
-    p = add("verify", "run invariant suites")
+    p = add("verify", "run invariant suites", ("text", "json"))
     p.add_argument("--suite", action="append", default=None,
                    choices=tuple(_SUITES), dest="suites")
     p.add_argument("--max-bound", type=int, default=10_000)
@@ -745,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--bfile", default=None)
 
-    p = add("plot", "deterministic SVG figures")
+    p = add("plot", "deterministic SVG figures", ())
     p.add_argument("--figure", required=True,
                    choices=("order5", "numberline", "triangle"))
     p.add_argument("--triple", default=None)

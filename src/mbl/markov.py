@@ -3,8 +3,7 @@
 Triples are kept sorted (a >= b >= c >= 1).  Fixing two entries turns the
 equation into a quadratic in the third, so each triple has three neighbours
 ("mutations"); all solutions form a trivalent tree rooted at (1,1,1), which is
-degenerate at its first two levels (repeated triples are deduplicated here by
-keying on the sorted tuple).
+degenerate at its first two levels (where a triple repeats, it is kept once).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import bisect
 import enum
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,11 +75,6 @@ class TreeNode:
 
     triple: MarkovTriple
     depth: int
-    path: tuple[MutationKind, ...]
-
-    def __post_init__(self):
-        if self.depth != len(self.path):
-            raise ValueError("depth must equal the path length")
 
 
 @dataclass(frozen=True)
@@ -128,44 +121,13 @@ def mutate(t: MarkovTriple, kind: MutationKind) -> MarkovTriple:
     return MarkovTriple.from_values(a, b, 3 * a * b - c)
 
 
-def replay_path(path: tuple[MutationKind, ...]) -> MarkovTriple:
-    """Apply a mutation path starting from the root (1,1,1)."""
-    t = MarkovTriple(1, 1, 1)
-    for kind in path:
-        t = mutate(t, kind)
-    return t
-
-
-_KINDS = (MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MID, MutationKind.ELIMINATE_MAX)
-
-
-def enumerate_triples(max_bound: int) -> list[TreeNode]:
-    """All tree nodes whose triple has maximal entry <= max_bound.
-
-    Breadth-first from (1,1,1), following only mutations that increase the
-    maximal entry (every non-root triple has exactly one neighbour with a
-    smaller maximum, so this reaches each triple once; the degenerate root
-    levels are deduplicated).  Result sorted by (max, mid, min).
-    """
-    if max_bound < 1:
-        raise ValueError("max_bound must be >= 1")
-    root = TreeNode(MarkovTriple(1, 1, 1), 0, ())
-    seen = {root.triple.as_tuple()}
-    out = [root]
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for kind in _KINDS:
-            child = mutate(node.triple, kind)
-            key = child.as_tuple()
-            if child.a <= node.triple.a or child.a > max_bound or key in seen:
-                continue
-            seen.add(key)
-            child_node = TreeNode(child, node.depth + 1, node.path + (kind,))
-            out.append(child_node)
-            queue.append(child_node)
-    out.sort(key=lambda n: n.triple.as_tuple())
-    return out
+def tree_depth(t: MarkovTriple) -> int:
+    """The number of max-decreasing mutations from t back to (1,1,1)."""
+    depth = 0
+    while t.a != 1:
+        t = mutate(t, MutationKind.ELIMINATE_MAX)
+        depth += 1
+    return depth
 
 
 class MarkovWalk:
@@ -223,9 +185,26 @@ class MarkovWalk:
         i = bisect.bisect_left(self._numbers, p)
         return self._apexes[i] if self._numbers[i] == p else None
 
+    def upto(self, max_bound: int) -> tuple[MarkovTriple, ...]:
+        """Every apex with maximal entry <= max_bound, by increasing maximum."""
+        if max_bound < 1:
+            raise ValueError("max_bound must be >= 1")
+        self.apex(max_bound)
+        return tuple(self._apexes[:bisect.bisect_right(self._numbers, max_bound)])
+
 
 _WALK = MarkovWalk()  # shared by every Markov-number path of the package
 markov_prefix = _WALK.prefix
+
+
+def enumerate_triples(max_bound: int) -> list[TreeNode]:
+    """All tree nodes whose triple has maximal entry <= max_bound.
+
+    These are the shared walk's apexes up to the bound: no two triples share
+    a maximal entry (the walk raises if they do), so ordering by the maximum
+    is ordering by (max, mid, min).
+    """
+    return [TreeNode(t, tree_depth(t)) for t in _WALK.upto(max_bound)]
 
 
 def markov_numbers(n: int) -> list[int]:
@@ -260,55 +239,29 @@ def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
     return t
 
 
-def _path_from_root(triple: MarkovTriple) -> tuple[MutationKind, ...]:
-    path = []
-    while triple != MarkovTriple(1, 1, 1):
-        parent = mutate(triple, MutationKind.ELIMINATE_MAX)
-        path.append(next(kind for kind in _KINDS if mutate(parent, kind) == triple))
-        triple = parent
-    return tuple(reversed(path))
-
-
-def _preserving_kind(t: MarkovTriple, p: int) -> MutationKind:
-    """The max-increasing mutation of t that keeps p in the triple.
-
-    Two kinds give the same child only at the degenerate root levels.
-    """
-    for kind in (MutationKind.ELIMINATE_MID, MutationKind.ELIMINATE_MIN,
-                 MutationKind.ELIMINATE_MAX):
-        child = mutate(t, kind)
-        if p in child and child.a > t.a:
-            return kind
-    raise ValueError(f"no max-increasing mutation of {t} keeps {p}")
-
-
-def _child_node(node: TreeNode, kind: MutationKind) -> TreeNode:
-    return TreeNode(mutate(node.triple, kind), node.depth + 1, node.path + (kind,))
-
-
 def wedge(spec: SubtreeSpec, depth: int) -> list[TreeNode]:
     """The bivalent subtree preserving `spec.preserved`, to the given depth.
 
-    Level 0 is the apex; at the apex the left branch eliminates the middle
-    entry and the right branch the minimal one, and each branch then
-    continues as a chain.  For the degenerate apexes (1,1,1) and (2,1,1) the
-    two branches coincide and a single chain is returned (one node per
-    level).  Nodes carry absolute depths and paths from (1,1,1).
+    Level 0 is the apex (a, b, c); each branch below it is the chain
+    x_{i+1} = 3a x_i - x_{i-1}, with (x_{i+1}, x_i, a) at level i + 1.  The
+    left branch starts from (x_0, x_1) = (c, 3ac - b), eliminating the middle
+    entry of the apex, and the right branch from (b, 3ab - c), eliminating
+    the minimal one.  For the degenerate apexes (1,1,1) and (2,1,1) the two
+    branches coincide and a single chain is returned (one node per level).
+    Nodes carry absolute depths from (1,1,1).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    apex_path = _path_from_root(spec.apex)
-    out = [TreeNode(spec.apex, len(apex_path), apex_path)]
-    columns = [[_child_node(out[0], MutationKind.ELIMINATE_MID)],
-               [_child_node(out[0], MutationKind.ELIMINATE_MIN)]]
-    if columns[0][0].triple == columns[1][0].triple:
-        del columns[1]
-    for column in columns:
-        while len(column) < depth:
-            kind = _preserving_kind(column[-1].triple, spec.preserved)
-            column.append(_child_node(column[-1], kind))
-    for level in range(depth):
-        out.extend(column[level] for column in columns)
+    a, b, c = spec.apex
+    top = tree_depth(spec.apex)
+    chains = [(c, 3 * a * c - b), (b, 3 * a * b - c)]  # (x_0, x_1) per branch
+    if chains[0] == chains[1]:
+        del chains[1]
+    out = [TreeNode(spec.apex, top)]
+    for level in range(1, depth + 1):
+        out.extend(TreeNode(MarkovTriple.from_values(x, prev, a), top + level)
+                   for prev, x in chains)
+        chains = [(x, 3 * a * x - prev) for prev, x in chains]
     return out
 
 
@@ -388,9 +341,15 @@ def complete_triple(p1: int, p2: int) -> MarkovTriple:
 
 
 def uniqueness_check(max_bound: int) -> bool:
-    """Whether no two triples with max <= max_bound share a maximal entry."""
-    maxima = [node.triple.a for node in enumerate_triples(max_bound)]
-    return len(maxima) == len(set(maxima))
+    """Whether no two triples with max <= max_bound share a maximal entry.
+
+    The walk raises VerificationError on reaching a shared maximum.
+    """
+    try:
+        _WALK.upto(max_bound)
+    except VerificationError:
+        return False
+    return True
 
 
 def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:

@@ -106,7 +106,7 @@ def fetch_bfile(kind: str, cache_dir: str | None = None, timeout: float = 30.0) 
     """Download a b-file into the cache directory (network use is explicit)."""
     target = _cache_path(kind, cache_dir)
     if target is None:
-        raise OSError("no cache directory configured (flag or MBL_CACHE_DIR)")
+        raise ValueError("no cache directory configured (flag or MBL_CACHE_DIR)")
     target.parent.mkdir(parents=True, exist_ok=True)
     try:
         with urllib.request.urlopen(bfile_url(kind), timeout=timeout) as response:

@@ -59,14 +59,6 @@ class ChainValues:
 
         return cls(a, b, c, chain(3 * a * b - c, b), chain(3 * a * c - b, c))
 
-    def triples(self) -> list[MarkovTriple]:
-        """Materialize the chain triples (validates the Markov equation)."""
-        out = []
-        for values in (self.f, self.g):
-            for i in range(len(values) - 1):
-                out.append(MarkovTriple.from_values(values[i + 1], values[i], self.a))
-        return out
-
 
 @dataclass(frozen=True)
 class SpectrumRow:

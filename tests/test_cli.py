@@ -62,10 +62,33 @@ _ROW_TABLE_DIGESTS = [
      "627c33700f43c8bbee958c015f81a95ebcfd33c32e8591dd10120ef52738d6db"),
 ]
 
+# The degenerate apexes (1,1,1) and (2,1,1), below which the two branches coincide.
+_DEGENERATE_DIGESTS = [
+    ("subtree --triple 1,1,1 --depth 5", "text", 0,
+     "0bc184bc81d45387f0ad9136c8fda943edfb39511050b448a170fa6276ad9e34"),
+    ("subtree --triple 1,1,1 --depth 5", "csv", 0,
+     "797474c13c7be12758db95330b576b6fd17b391f54e1441bdd84844e31fc4864"),
+    ("subtree --triple 1,1,1 --depth 5", "json", 0,
+     "8dadd349f849def64580727ad663357386bee899d9cc11693adc63e3361eab86"),
+    ("subtree --triple 2,1,1 --preserve 2 --depth 5", "text", 0,
+     "c57103822b2aa3769508d1ea65ebb5c5992462261c2be902c361e9e373f19314"),
+    ("subtree --triple 2,1,1 --preserve 2 --depth 5", "csv", 0,
+     "274f0dc829cfd3a6bd44da8e97f6bea1cf80a1bbdad54d17e275ff4ba36016c5"),
+    ("subtree --triple 2,1,1 --preserve 2 --depth 5", "json", 0,
+     "d44690b9dbf06883f85a7ab2e07e6d6ac147bcc8019dd40b09b3dc0c0ec4c04e"),
+    ("order --triple 2,1,1 --depth 4", "text", 0,
+     "7162f5561e2b5d4b6c8a9514ac9522130b118f54cbf08c76b155961f2febe062"),
+    ("order --triple 2,1,1 --depth 4", "csv", 0,
+     "0fbcf8212c955824242f1b344625fb8a252f13bc0fd6e01a8d3f00d9433331e5"),
+    ("order --triple 2,1,1 --depth 4", "json", 0,
+     "3b3f2da8de8fb130f8c3d9d22baa7847d8d36088787759f632fa9db707e93fb1"),
+]
+
 
 @pytest.mark.parametrize(
-    "command, fmt, exit_code, digest", _ROW_TABLE_DIGESTS,
-    ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS],
+    "command, fmt, exit_code, digest", _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS,
+    ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS]
+    + [f"{c.split()[0]}-{c.split()[2]}-{fmt}" for c, fmt, _, _ in _DEGENERATE_DIGESTS],
 )
 def test_row_table_bytes_are_pinned(capsys, monkeypatch, command, fmt, exit_code, digest):
     monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-file
@@ -214,6 +237,12 @@ class TestVerifyAndComplete:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])
         assert excinfo.value.code == 2
+        # the reports render as text or json only
+        for argv in (["verify", "--format", "csv"],
+                     ["complete", "--threshold", "7/20", "--format", "csv"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
 
     def test_mutation_closure_can_fail(self, capsys, monkeypatch):
         real = mbl.cli.mutate
@@ -306,12 +335,22 @@ class TestPlot:
         with pytest.raises(SystemExit) as excinfo:
             main(["plot", "--figure", "spiral"])
         assert excinfo.value.code == 2
+        for fmt in ("text", "json", "csv"):  # figures are always SVG
+            with pytest.raises(SystemExit) as excinfo:
+                main(["plot", "--figure", "order5", "--format", fmt])
+            assert excinfo.value.code == 2
 
 
 class TestIngestCommand:
     def test_offline_vendored(self, capsys):
         code, out, _ = run(capsys, "ingest", "--n", "100")
         assert code == 0 and "vendored" in out
+
+    def test_fetch_needs_cache_dir(self, capsys, monkeypatch):
+        monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
+        code, out, err = run(capsys, "ingest", "--fetch")
+        assert code == 2 and out == ""
+        assert err == "mbl: no cache directory configured (flag or MBL_CACHE_DIR)\n"
 
     def test_doctored_bfile_fails(self, capsys, tmp_path):
         doctored = tmp_path / "bad.txt"

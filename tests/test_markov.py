@@ -1,9 +1,11 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbl.markov
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
@@ -24,7 +26,6 @@ from mbl.markov import (
     markov_prefix,
     mutate,
     pell,
-    replay_path,
     uniqueness_check,
     wedge,
 )
@@ -112,8 +113,9 @@ class TestEnumerate:
         assert len(triples_up_to(433)) == 11
 
     def test_bound_zero_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_triples(0)
+        for call in (enumerate_triples, uniqueness_check):
+            with pytest.raises(ValueError):
+                call(0)
 
     def test_deterministic_order(self):
         keys = [t.as_tuple() for t in triples_up_to(3000)]
@@ -126,9 +128,19 @@ class TestEnumerate:
                 brute_force_triples(bound)
 
     def test_paths_replay(self):
-        for node in enumerate_triples(10 ** 4):
-            assert replay_path(node.path) == node.triple
-            assert node.depth == len(node.path)
+        # oracle: breadth-first over all three mutations, so the depth of a
+        # triple is the length of its mutation path from (1,1,1)
+        bound = 10 ** 4
+        depths = {T(1, 1, 1): 0}
+        queue = deque(depths)
+        while queue:
+            t = queue.popleft()
+            for kind in MutationKind:
+                child = mutate(t, kind)
+                if child.a <= bound and child not in depths:
+                    depths[child] = depths[t] + 1
+                    queue.append(child)
+        assert {node.triple: node.depth for node in enumerate_triples(bound)} == depths
 
     def test_pairwise_coprime(self):
         for t in triples_up_to(2000):
@@ -265,9 +277,20 @@ class TestWedge:
         spec = SubtreeSpec.rooted(5, T(433, 29, 5))
         assert spec.apex == T(5, 2, 1)
 
-    def test_node_paths_replay(self):
-        for node in wedge(SubtreeSpec(T(13, 5, 1), 13), 4):
-            assert replay_path(node.path) == node.triple
+    def test_nodes_are_preserving_mutations(self):
+        # each node is a max-increasing mutation, keeping p, of the node above
+        # it in its column
+        for p in markov_numbers(40):
+            nodes = wedge(SubtreeSpec(apex_of_number(p), p), 6)
+            width = 1 if p in (1, 2) else 2
+            assert len(nodes) == 1 + 6 * width
+            for column in range(width):
+                chain = nodes[:1] + nodes[1 + column::width]
+                for above, node in zip(chain, chain[1:]):
+                    assert p in node.triple and node.triple.a > above.triple.a
+                    assert node.depth == above.depth + 1
+                    assert any(mutate(above.triple, kind) == node.triple
+                               for kind in MutationKind)
 
 
 class TestEssentialSubtree:
@@ -338,6 +361,13 @@ class TestUniqueness:
 
     def test_medium(self):
         assert uniqueness_check(10 ** 6)
+
+    def test_shared_maximum_detected(self, monkeypatch):
+        walk = MarkovWalk()
+        walk._heap.append(T(5, 2, 1))  # a second triple with maximum 5
+        monkeypatch.setattr(mbl.markov, "_WALK", walk)
+        assert uniqueness_check(2)
+        assert not uniqueness_check(5)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,14 @@ import pytest
 
 from mbl.capacity import QuadraticValue, compare, limit_point, width
 from mbl.errors import VerificationError
-from mbl.markov import MarkovTriple, enumerate_triples, fibonacci, markov_prefix, pell
+from mbl.markov import (
+    MarkovTriple,
+    enumerate_triples,
+    fibonacci,
+    is_markov,
+    markov_prefix,
+    pell,
+)
 from mbl.ordering import (
     ChainValues,
     IrregularityRecord,
@@ -66,8 +73,10 @@ class TestChains:
         assert cv.f == (29, 433, 6466)
 
     def test_chain_triples_are_solutions(self):
-        for t in ChainValues.build(T(13, 5, 1), 6).triples():
-            assert t.a > 13
+        cv = ChainValues.build(T(13, 5, 1), 6)
+        for values in (cv.f, cv.g):
+            for low, high in zip(values, values[1:]):
+                assert high > low > 13 and is_markov(high, low, 13)
 
     def test_interleaving(self):
         for node in enumerate_triples(10 ** 4):
