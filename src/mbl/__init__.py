@@ -36,11 +36,11 @@ from .markov import (
     MarkovTriple,
     MarkovWalk,
     MutationKind,
-    SubtreeSpec,
     TreeNode,
     apex_for,
     apex_of_number,
     branch_triple,
+    chains,
     complete_triple,
     enumerate_triples,
     essential_subtree,
@@ -53,7 +53,6 @@ from .markov import (
 )
 from .oeis import BFile, cross_check, load_bfile, parse_bfile
 from .ordering import (
-    ChainValues,
     IrregularityRecord,
     SpectrumRow,
     alternating_order,

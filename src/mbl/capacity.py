@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .errors import VerificationError
-from .markov import MarkovTriple, SubtreeSpec, is_markov_number, wedge
+from .markov import MarkovTriple, is_markov_number, wedge
 
 #: Capacities are plain rationals; the alias marks intent in signatures.
 Capacity = Fraction
@@ -328,29 +328,27 @@ def limit_point(a: int) -> QuadraticValue:
 
 
 def convergence_trace(
-    branch: SubtreeSpec, count: int, side: str = "alternating"
+    apex: MarkovTriple, count: int, side: str = "alternating"
 ) -> list[tuple[MarkovTriple, Capacity, QuadraticValue]]:
-    """Capacities and exact gaps along a decreasing sequence of the subtree.
+    """Capacities and exact gaps along a decreasing sequence of the subtree
+    preserving the apex maximum a.
 
     `side` picks the sequence: "alternating" interleaves the two branches in
-    tree order, "left"/"right" follow a single branch.  Gaps are
-    width - limit_point(preserved); they must come out positive and strictly
-    decreasing, which is re-checked here exactly.
+    tree order from the apex on, "left"/"right" follow a single branch (the
+    same one for the degenerate apexes).  Gaps are width - limit_point(a);
+    they must come out positive and strictly decreasing, which is re-checked
+    here exactly.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if side not in ("alternating", "left", "right"):
         raise ValueError(f"unknown side {side!r}")
-    limit = limit_point(branch.preserved)
-    nodes = wedge(branch, count)
-    is_chain = len(nodes) == count + 1  # degenerate apexes yield one column
-    if side == "alternating":
-        chosen = [n.triple for n in nodes[:count]]
-    elif is_chain:
-        chosen = [n.triple for n in nodes[1 : count + 1]]
-    else:
-        offset = 0 if side == "left" else 1
-        chosen = [nodes[1 + 2 * i + offset].triple for i in range(count)]
+    limit = limit_point(apex.a)
+    nodes = wedge(apex, count)
+    columns = (len(nodes) - 1) // count
+    start, step = {"alternating": (0, 1), "left": (1, columns),
+                   "right": (columns, columns)}[side]
+    chosen = [node.triple for node in nodes[start : start + step * count : step]]
     trace = []
     previous_gap = None
     for triple in chosen:

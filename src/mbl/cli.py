@@ -47,8 +47,9 @@ from .lattice import (
 from .markov import (
     MarkovTriple,
     MutationKind,
-    SubtreeSpec,
+    apex_for,
     brute_force_triples,
+    chains,
     enumerate_triples,
     fibonacci,
     markov_prefix,
@@ -58,7 +59,6 @@ from .markov import (
     wedge,
 )
 from .ordering import (
-    ChainValues,
     alternating_order,
     check_nn_inequality,
     find_irregularities,
@@ -205,9 +205,9 @@ def cmd_triples(config: argparse.Namespace) -> int:
 
 def cmd_subtree(config: argparse.Namespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
-    spec = SubtreeSpec.rooted(preserved, config.triple)
+    apex = apex_for(preserved, config.triple)
     items = []
-    for node in wedge(spec, config.depth):
+    for node in wedge(apex, config.depth):
         w = width(node.triple)
         items.append((
             [str(node.depth), str(node.triple), str(w), _preview(w)],
@@ -219,8 +219,8 @@ def cmd_subtree(config: argparse.Namespace) -> int:
         ))
     payload = {
         "command": "subtree",
-        "preserved": str(spec.preserved),
-        "apex": spec.apex.to_json(),
+        "preserved": str(apex.a),
+        "apex": apex.to_json(),
     }
     return _emit_rows(config, ["depth", "triple", "width", "decimal"], items, payload)
 
@@ -477,10 +477,10 @@ def _suite_capacity(config: argparse.Namespace) -> list[dict]:
         ):
             failures["surd-identity"] = str(t)
     try:
-        convergence_trace(SubtreeSpec.rooted(1, MarkovTriple(2, 1, 1)), 10)
-        convergence_trace(SubtreeSpec.rooted(2, MarkovTriple(2, 1, 1)), 10)
+        convergence_trace(root, 10)
+        convergence_trace(MarkovTriple(2, 1, 1), 10)
         for side in ("left", "right", "alternating"):
-            convergence_trace(SubtreeSpec.rooted(5, MarkovTriple(5, 2, 1)), 10, side)
+            convergence_trace(MarkovTriple(5, 2, 1), 10, side)
     except VerificationError as exc:
         failures["limit-gaps"] = str(exc)
     checks = _failure_checks(failures, "width-bounds", "surd-identity", "limit-gaps")
@@ -499,8 +499,8 @@ def _suite_ordering(config: argparse.Namespace) -> list[dict]:
     for node in enumerate_triples(apex_bound):
         t = node.triple
         if t.a >= 5:
-            cv = ChainValues.build(t, 10)
-            merged = [x for pair in zip(cv.g, cv.f) for x in pair]
+            g, f = (xs[1:] for xs in chains(t, 10))
+            merged = [x for pair in zip(g, f) for x in pair]
             if any(x >= y for x, y in zip(merged, merged[1:])):
                 failures["chain-interleaving"] = str(t)
             if not verify_chain_inequalities(t.a, t.b, t.c, 8):

@@ -77,29 +77,6 @@ class TreeNode:
     depth: int
 
 
-@dataclass(frozen=True)
-class SubtreeSpec:
-    """Root data for the bivalent subtree of mutations preserving one entry.
-
-    The apex is the unique triple of the subtree in which the preserved
-    number is maximal.
-    """
-
-    apex: MarkovTriple
-    preserved: int
-
-    def __post_init__(self):
-        if self.preserved != self.apex.a:
-            raise ValueError(
-                f"{self.preserved} is not the maximal entry of apex {self.apex}"
-            )
-
-    @classmethod
-    def rooted(cls, p: int, triple: MarkovTriple) -> "SubtreeSpec":
-        """Spec for the subtree through `triple` preserving p."""
-        return cls(apex_for(p, triple), p)
-
-
 def is_markov(a: int, b: int, c: int) -> bool:
     """Whether (a, b, c) solves the Markov equation.  Entries must be >= 1."""
     if a < 1 or b < 1 or c < 1:
@@ -239,49 +216,58 @@ def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
     return t
 
 
-def wedge(spec: SubtreeSpec, depth: int) -> list[TreeNode]:
-    """The bivalent subtree preserving `spec.preserved`, to the given depth.
+def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:
+    """x_0..x_depth of each branch of the subtree preserving the apex maximum.
 
-    Level 0 is the apex (a, b, c); each branch below it is the chain
-    x_{i+1} = 3a x_i - x_{i-1}, with (x_{i+1}, x_i, a) at level i + 1.  The
+    Each branch below the apex (a, b, c) is the chain
+    x_{i+1} = 3a x_i - x_{i-1}, whose level-i node is (x_i, x_{i-1}, a).  The
     left branch starts from (x_0, x_1) = (c, 3ac - b), eliminating the middle
     entry of the apex, and the right branch from (b, 3ab - c), eliminating
-    the minimal one.  For the degenerate apexes (1,1,1) and (2,1,1) the two
-    branches coincide and a single chain is returned (one node per level).
-    Nodes carry absolute depths from (1,1,1).
+    the minimal one.  For a > b > c the two chains interleave (left x_i <
+    right x_i < left x_{i+1}); for the degenerate apexes (1,1,1) and (2,1,1)
+    they coincide and a single chain is returned.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    a, b, c = spec.apex
-    top = tree_depth(spec.apex)
-    chains = [(c, 3 * a * c - b), (b, 3 * a * b - c)]  # (x_0, x_1) per branch
-    if chains[0] == chains[1]:
-        del chains[1]
-    out = [TreeNode(spec.apex, top)]
-    for level in range(1, depth + 1):
-        out.extend(TreeNode(MarkovTriple.from_values(x, prev, a), top + level)
-                   for prev, x in chains)
-        chains = [(x, 3 * a * x - prev) for prev, x in chains]
+    a, b, c = apex
+    columns = [[c, 3 * a * c - b], [b, 3 * a * b - c]]
+    if columns[0] == columns[1]:
+        del columns[1]
+    for xs in columns:
+        while len(xs) <= depth:
+            xs.append(3 * a * xs[-1] - xs[-2])
+        del xs[depth + 1:]
+    return columns
+
+
+def wedge(apex: MarkovTriple, depth: int) -> list[TreeNode]:
+    """The bivalent subtree preserving the apex maximum, to the given depth.
+
+    Level 0 is the apex; level i holds (x_i, x_{i-1}, a) for each branch of
+    `chains`, left before right, so the degenerate apexes give one node per
+    level.  Nodes carry absolute depths from (1,1,1).
+    """
+    a, top = apex.a, tree_depth(apex)
+    columns = chains(apex, depth)
+    out = [TreeNode(apex, top)]
+    for i in range(1, depth + 1):
+        out.extend(TreeNode(MarkovTriple.from_values(xs[i], xs[i - 1], a), top + i)
+                   for xs in columns)
     return out
 
 
 def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
-    """Triples of the subtree preserving p whose minimal entry is p.
+    """The first `depth` levels of subtree nodes whose minimal entry is p.
 
-    For p = 1 this is the whole branch starting at (1,1,1); for p = 2 the
-    branch with (2,1,1) and (5,2,1) removed; for p >= 5 the subtree with the
-    apex and its two children removed.  `depth` counts remaining levels (two
-    triples per level for p >= 5, one for p in {1, 2}).
+    For p = 1 this is the whole branch from (1,1,1); for p = 2 the branch
+    from (29,5,2); for p >= 5 both branches from their second level on (two
+    triples per level).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     apex = apex_of_number(p)  # raises for non-Markov p
-    spec = SubtreeSpec(apex, p)
-    if p == 1:
-        return [node.triple for node in wedge(spec, depth - 1)]
-    skip = 2 if p == 2 else 3  # (2,1,1)+(5,2,1), or apex and its two children
-    nodes = wedge(spec, depth + 1)
-    return [node.triple for node in nodes[skip:]]
+    essential = [node.triple for node in wedge(apex, depth + 1) if node.triple.c == p]
+    return essential[: depth * len(chains(apex, 0))]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

@@ -168,7 +168,6 @@ def cross_check(
     n: int,
     path: str | os.PathLike | None = None,
     cache_dir: str | None = None,
-    bfile: BFile | None = None,
 ) -> CrossCheckReport:
     """Compare the generated sequence prefix against the b-file prefix.
 
@@ -177,8 +176,7 @@ def cross_check(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if bfile is None:
-        bfile = load_bfile(kind, path=path, cache_dir=cache_dir)
+    bfile = load_bfile(kind, path=path, cache_dir=cache_dir)
     generated = _GENERATORS[kind](n)
     if any(i not in bfile.entries for i in generated):
         raise ValueError(

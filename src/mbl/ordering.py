@@ -19,45 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .capacity import Capacity, QuadraticValue, capacity_to_json, limit_point, width
 from .errors import VerificationError
-from .markov import MarkovTriple, SubtreeSpec, markov_prefix, wedge
+from .markov import MarkovTriple, chains, markov_prefix, wedge
 
 ONE_THIRD = Fraction(1, 3)
-
-
-@dataclass(frozen=True)
-class ChainValues:
-    """The two middle-entry chains descending from an apex (a, b, c).
-
-    f_1 = 3ab - c, f_2 = 3a f_1 - b, then f_{j+1} = 3a f_j - f_{j-1};
-    g is the same with b and c swapped.  Each consecutive pair (x_{j+1}, x_j)
-    completes with a to a Markov triple, and for a > b > c the two chains
-    interleave: g_1 < f_1 < g_2 < f_2 < ...
-    """
-
-    a: int
-    b: int
-    c: int
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-
-    @classmethod
-    def build(cls, apex: MarkovTriple, k: int) -> "ChainValues":
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        a, b, c = apex
-
-        def chain(first: int, seed: int) -> tuple[int, ...]:
-            values = [first]
-            prev = seed
-            while len(values) < k:
-                values.append(3 * a * values[-1] - prev)
-                prev = values[-2]
-            return tuple(values)
-
-        return cls(a, b, c, chain(3 * a * b - c, b), chain(3 * a * c - b, c))
 
 
 @dataclass(frozen=True)
@@ -136,9 +104,7 @@ def alternating_order(
     preserving the apex maximum: go down left, right, down left, right, ...
     along increasing maximal entries.
     """
-    spec = SubtreeSpec(apex, apex.a)
-    nodes = wedge(spec, depth)
-    sequence = [(node.triple, width(node.triple)) for node in nodes]
+    sequence = [(node.triple, width(node.triple)) for node in wedge(apex, depth)]
     for (t0, w0), (t1, w1) in zip(sequence, sequence[1:]):
         if not w0 > w1:
             raise VerificationError(
@@ -157,8 +123,7 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
     apex = MarkovTriple(a, b, c)
     if a < 5:
         raise ValueError("chain inequalities need a >= 5 (so a > b > c)")
-    cv = ChainValues.build(apex, k + 2)
-    f, g = cv.f, cv.g
+    g, f = (xs[1:] for xs in chains(apex, k + 2))
 
     def cap_f(j: int) -> Fraction:  # 1-indexed middle f_j
         return Fraction(a * f[j - 1], f[j])
@@ -180,21 +145,13 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[Capacity, ...]:
-    a = apex.a
-    if a == 1:
-        nodes = wedge(SubtreeSpec(apex, 1), k - 1)
-        return tuple(width(node.triple) for node in nodes[:k])
-    if a == 2:
-        nodes = wedge(SubtreeSpec(apex, 2), k + 1)
-        return tuple(width(node.triple) for node in nodes[2 : k + 2])
-    cv = ChainValues.build(apex, k // 2 + 2)
-    caps: list[Fraction] = []
-    j = 1
-    while len(caps) < k:
-        caps.append(Fraction(a * cv.g[j - 1], cv.g[j]))
-        if len(caps) < k:
-            caps.append(Fraction(a * cv.f[j - 1], cv.f[j]))
-        j += 1
+    # the first k widths of essential_subtree(apex.a, k), built lazily from the
+    # chains: level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
+    a, columns = apex.a, chains(apex, k + 1)
+    caps = [width(apex)] if apex.c == a else []  # only at (1,1,1)
+    below = (Fraction(a * xs[i - 1], xs[i])
+             for i in range(1, k + 2) for xs in columns if xs[i - 1] >= a)
+    caps.extend(islice(below, k - len(caps)))
     return tuple(caps)
 
 

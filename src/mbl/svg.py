@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .capacity import QuadraticValue, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
-from .markov import MarkovTriple, SubtreeSpec, wedge
+from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
 
 #: Versioned layout constants; bump "version" when changing any of them.
@@ -73,7 +73,7 @@ def _document(width_px: int, height_px: int, body: list[str]) -> bytes:
 def figure_subtree(apex: MarkovTriple, depth: int = 3) -> bytes:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
-    nodes = wedge(SubtreeSpec(apex, apex.a), depth)
+    nodes = wedge(apex, depth)
     chain = len(nodes) == depth + 1
     width_px, level_h, top = 920, 90, 60
     mid_x = Fraction(width_px, 2)

@@ -23,7 +23,7 @@ from mbl.cli import main
 from mbl.lattice import lattice_width, lattice_width_equals_capacity, vianna_triangle
 from mbl.markov import (
     MarkovTriple,
-    SubtreeSpec,
+    apex_for,
     brute_force_triples,
     enumerate_triples,
     fibonacci,
@@ -127,14 +127,14 @@ def test_criterion_05_alternating_descent():
 
 def test_criterion_06_limit_points():
     with _Timer(6, "gaps decrease to the limit points; spectrum values match", 30.0):
-        fib = SubtreeSpec.rooted(1, T(2, 1, 1))
-        pel = SubtreeSpec.rooted(2, T(5, 2, 1))
-        five = SubtreeSpec.rooted(5, T(13, 5, 1))
-        for spec, side in (
+        fib = apex_for(1, T(2, 1, 1))
+        pel = apex_for(2, T(5, 2, 1))
+        five = apex_for(5, T(13, 5, 1))
+        for apex, side in (
             (fib, "alternating"), (pel, "alternating"),
             (five, "left"), (five, "right"),
         ):
-            trace = convergence_trace(spec, 25, side)  # raises unless positive
+            trace = convergence_trace(apex, 25, side)  # raises unless positive
             assert len(trace) == 25                    # and strictly decreasing
         assert compare(lagrange_number(1), QuadraticValue.sqrt(5)) == 0
         assert compare(lagrange_number(2), QuadraticValue.sqrt(8)) == 0

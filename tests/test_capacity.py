@@ -18,7 +18,7 @@ from mbl.capacity import (
     width_as_surd,
 )
 from mbl.errors import VerificationError
-from mbl.markov import MarkovTriple, SubtreeSpec, enumerate_triples, markov_numbers
+from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 
 from support import interval_compare, random_quadratic
 
@@ -230,29 +230,34 @@ class TestQuadraticValue:
 
 class TestConvergenceTrace:
     def test_fibonacci_gaps_decrease(self):
-        spec = SubtreeSpec.rooted(1, T(2, 1, 1))
-        trace = convergence_trace(spec, 3)
+        apex = apex_for(1, T(2, 1, 1))
+        trace = convergence_trace(apex, 3)
         assert len(trace) == 3
         gaps = [gap for _, _, gap in trace]
         assert all(gap.sign() > 0 for gap in gaps)
         assert compare(gaps[0], gaps[1]) > 0 and compare(gaps[1], gaps[2]) > 0
+        # below the degenerate apexes both sides follow the single branch
+        for apex, child in ((T(1, 1, 1), T(2, 1, 1)), (T(2, 1, 1), T(5, 2, 1))):
+            left = convergence_trace(apex, 6, "left")
+            assert left == convergence_trace(apex, 6, "right")
+            assert len(left) == 6 and left[0][0] == child
 
     def test_left_and_right_of_five(self):
-        spec = SubtreeSpec.rooted(5, T(13, 5, 1))
+        apex = apex_for(5, T(13, 5, 1))
         lp = limit_point(5)
         for side in ("left", "right"):
-            for triple, w, _ in convergence_trace(spec, 5, side):
+            for triple, w, _ in convergence_trace(apex, 5, side):
                 assert compare(w, lp) > 0
-        left = [t for t, _, _ in convergence_trace(spec, 2, "left")]
+        left = [t for t, _, _ in convergence_trace(apex, 2, "left")]
         assert [t.as_tuple() for t in left] == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):
-        spec = SubtreeSpec.rooted(2, T(5, 2, 1))
-        assert len(convergence_trace(spec, 1)) == 1
+        apex = apex_for(2, T(5, 2, 1))
+        assert len(convergence_trace(apex, 1)) == 1
 
     def test_count_validation(self):
-        spec = SubtreeSpec.rooted(1, T(1, 1, 1))
+        apex = apex_for(1, T(1, 1, 1))
         with pytest.raises(ValueError):
-            convergence_trace(spec, 0)
+            convergence_trace(apex, 0)
         with pytest.raises(ValueError):
-            convergence_trace(spec, 2, side="down")
+            convergence_trace(apex, 2, side="down")

@@ -85,10 +85,23 @@ _DEGENERATE_DIGESTS = [
 ]
 
 
+# Seven essential capacities per row (the JSON rows carry them) over 60 rows.
+_ESSENTIAL_DIGESTS = [
+    ("limits --n 60 --k 7", "text", 0,
+     "0ad23fd6c8a3e1a7ad00c5d87579c6cb763ebf4c7cf0c6ed6179836de741fe4c"),
+    ("limits --n 60 --k 7", "csv", 0,
+     "6cb9b54aaa4a3203032ecdc48b9c65c91948456fcec5ccdecf3679ad42728cfa"),
+    ("limits --n 60 --k 7", "json", 0,
+     "5bceca75abebe5906891d504e35335d175fc00bcfa18c6b89b93567e35748de7"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, fmt, exit_code, digest", _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS,
+    "command, fmt, exit_code, digest",
+    _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS,
     ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS]
-    + [f"{c.split()[0]}-{c.split()[2]}-{fmt}" for c, fmt, _, _ in _DEGENERATE_DIGESTS],
+    + [f"{c.split()[0]}-{c.split()[2]}-{fmt}"
+       for c, fmt, _, _ in _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS],
 )
 def test_row_table_bytes_are_pinned(capsys, monkeypatch, command, fmt, exit_code, digest):
     monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-file

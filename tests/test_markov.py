@@ -11,7 +11,6 @@ from mbl.markov import (
     MarkovTriple,
     MarkovWalk,
     MutationKind,
-    SubtreeSpec,
     apex_for,
     apex_of_number,
     branch_triple,
@@ -246,42 +245,36 @@ class TestApexFor:
             apex_for(7, T(5, 2, 1))
 
     def test_idempotent_and_path_independent(self):
+        # two steps: (433,29,5) -> (29,5,2) -> (5,2,1)
+        assert apex_for(5, T(433, 29, 5)) == T(5, 2, 1)
         # same apex from every node of the preserving subtree
         for p in markov_numbers(12):
             apex = apex_of_number(p)
-            for node in wedge(SubtreeSpec(apex, p), 4):
+            for node in wedge(apex, 4):
                 assert apex_for(p, node.triple) == apex
             assert apex_for(p, apex) == apex
 
 
 class TestWedge:
     def test_order5_nodes(self):
-        nodes = wedge(SubtreeSpec(T(5, 2, 1), 5), 2)
+        nodes = wedge(T(5, 2, 1), 2)
         assert [n.triple.as_tuple() for n in nodes] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5), (433, 29, 5)]
 
     def test_fibonacci_chain(self):
-        nodes = wedge(SubtreeSpec(T(1, 1, 1), 1), 3)
+        nodes = wedge(T(1, 1, 1), 3)
         assert [n.triple.as_tuple() for n in nodes] == [
             (1, 1, 1), (2, 1, 1), (5, 2, 1), (13, 5, 1)]
 
     def test_pell_chain(self):
-        nodes = wedge(SubtreeSpec(T(2, 1, 1), 2), 2)
+        nodes = wedge(T(2, 1, 1), 2)
         assert [n.triple.as_tuple() for n in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
-
-    def test_spec_requires_maximal_entry(self):
-        with pytest.raises(ValueError):
-            SubtreeSpec(T(29, 5, 2), 5)
-
-    def test_rooted_factory(self):
-        spec = SubtreeSpec.rooted(5, T(433, 29, 5))
-        assert spec.apex == T(5, 2, 1)
 
     def test_nodes_are_preserving_mutations(self):
         # each node is a max-increasing mutation, keeping p, of the node above
         # it in its column
         for p in markov_numbers(40):
-            nodes = wedge(SubtreeSpec(apex_of_number(p), p), 6)
+            nodes = wedge(apex_of_number(p), 6)
             width = 1 if p in (1, 2) else 2
             assert len(nodes) == 1 + 6 * width
             for column in range(width):
@@ -376,7 +369,7 @@ def test_wedge_levels_counted_from_apex(depth_seed, p_index):
     p = markov_numbers(5)[p_index - 1]
     apex = apex_of_number(p)
     depth = depth_seed % 4
-    nodes = wedge(SubtreeSpec(apex, p), depth)
+    nodes = wedge(apex, depth)
     expected = depth + 1 if p in (1, 2) else 1 + 2 * depth
     assert len(nodes) == expected
     assert all(node.depth - nodes[0].depth <= depth for node in nodes)

@@ -6,14 +6,15 @@ from mbl.capacity import QuadraticValue, compare, limit_point, width
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
+    chains,
     enumerate_triples,
+    essential_subtree,
     fibonacci,
     is_markov,
     markov_prefix,
     pell,
 )
 from mbl.ordering import (
-    ChainValues,
     IrregularityRecord,
     alternating_order,
     check_nn_inequality,
@@ -68,22 +69,25 @@ class TestAlternatingOrder:
 
 class TestChains:
     def test_chain_values(self):
-        cv = ChainValues.build(T(5, 2, 1), 3)
-        assert cv.g == (13, 194, 2897)
-        assert cv.f == (29, 433, 6466)
+        # left from (c, 3ac - b), right from (b, 3ab - c)
+        assert chains(T(5, 2, 1), 3) == [[1, 13, 194, 2897], [2, 29, 433, 6466]]
+        assert chains(T(5, 2, 1), 0) == [[1], [2]]
+        # the degenerate apexes have a single chain
+        assert chains(T(1, 1, 1), 3) == [[1, 2, 5, 13]]
+        assert chains(T(2, 1, 1), 3) == [[1, 5, 29, 169]]
 
     def test_chain_triples_are_solutions(self):
-        cv = ChainValues.build(T(13, 5, 1), 6)
-        for values in (cv.f, cv.g):
-            for low, high in zip(values, values[1:]):
-                assert high > low > 13 and is_markov(high, low, 13)
+        for xs in chains(T(13, 5, 1), 6):
+            assert len(xs) == 7
+            for low, high in zip(xs, xs[1:]):
+                assert high > low and is_markov(high, low, 13)
 
     def test_interleaving(self):
         for node in enumerate_triples(10 ** 4):
             if node.triple.a < 5:
                 continue
-            cv = ChainValues.build(node.triple, 10)
-            merged = [x for pair in zip(cv.g, cv.f) for x in pair]
+            g, f = (xs[1:] for xs in chains(node.triple, 10))
+            merged = [x for pair in zip(g, f) for x in pair]
             assert all(x < y for x, y in zip(merged, merged[1:]))
 
     def test_five_term_chain(self):
@@ -99,6 +103,8 @@ class TestChains:
     def test_small_apex_rejected(self):
         with pytest.raises(ValueError):
             verify_chain_inequalities(2, 1, 1, 2)
+        with pytest.raises(ValueError):
+            chains(T(5, 2, 1), -1)
 
 
 class TestSpectrumRows:
@@ -125,8 +131,6 @@ class TestSpectrumRows:
     def test_b_is_second_smallest_member(self):
         # 3ac - b coincides with the second-smallest Markov number appearing
         # in the essential subtree, including the degenerate rows
-        from mbl.markov import essential_subtree
-
         for row in spectrum_rows(10):
             members = set()
             for t in essential_subtree(row.m, 4):
@@ -153,6 +157,11 @@ class TestSpectrumRows:
             Fraction(65, 194), Fraction(145, 433),
             Fraction(970, 2897), Fraction(2165, 6466),
         )
+        # the raw-chain capacities against the validated essential triples,
+        # including the degenerate rows 1 and 2
+        for row in spectrum_rows(200, k=7):
+            expected = tuple(width(t) for t in essential_subtree(row.m, 7)[:7])
+            assert row.first_capacities == expected
 
 
 class TestNNInequality:
