@@ -341,13 +341,13 @@ def convergence_trace(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if side not in ("alternating", "left", "right"):
-        raise ValueError(f"unknown side {side!r}")
     limit = limit_point(apex.a)
     nodes = wedge(apex, count)
     columns = (len(nodes) - 1) // count
-    start, step = {"alternating": (0, 1), "left": (1, columns),
-                   "right": (columns, columns)}[side]
+    slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
+    if side not in slices:
+        raise ValueError(f"unknown side {side!r}")
+    start, step = slices[side]
     chosen = [node.triple for node in nodes[start : start + step * count : step]]
     trace = []
     previous_gap = None

@@ -266,8 +266,9 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     apex = apex_of_number(p)  # raises for non-Markov p
-    essential = [node.triple for node in wedge(apex, depth + 1) if node.triple.c == p]
-    return essential[: depth * len(chains(apex, 0))]
+    nodes = wedge(apex, depth + 1)
+    columns = (len(nodes) - 1) // (depth + 1)
+    return [node.triple for node in nodes if node.triple.c == p][: depth * columns]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

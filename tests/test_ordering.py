@@ -79,6 +79,8 @@ class TestChains:
     def test_chain_triples_are_solutions(self):
         for xs in chains(T(13, 5, 1), 6):
             assert len(xs) == 7
+            # from x_1 on every chain value exceeds 13, the minimal entry of each node
+            assert all(x > 13 for x in xs[1:])
             for low, high in zip(xs, xs[1:]):
                 assert high > low and is_markov(high, low, 13)
 
