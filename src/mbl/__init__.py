@@ -25,7 +25,6 @@ from .lattice import (
     affine_length,
     central_point,
     check_alg_lemma,
-    check_width_inequality_failure,
     inscribed_right_triangle,
     lattice_width,
     shear_normalize,
@@ -39,9 +38,7 @@ from .markov import (
     TreeNode,
     apex_for,
     apex_of_number,
-    branch_triple,
     chains,
-    complete_triple,
     enumerate_triples,
     essential_subtree,
     is_markov,

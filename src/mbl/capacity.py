@@ -130,69 +130,6 @@ class QuadraticValue:
         )
         return t if su > 0 else -t
 
-    def _coerce_same_radical(self, other) -> "tuple[Fraction, Fraction]":
-        """Express other's surd part in terms of this radicand, or raise."""
-        if other._s == 0:
-            return other._q, Fraction(0)
-        if self._s == 0:
-            raise ValueError("rational value has no radicand to match")
-        ratio = _rational_sqrt(other._r / self._r)
-        if ratio is None:
-            raise ValueError(
-                f"incompatible radicands {self._r} and {other._r}; "
-                "only same-family surds combine exactly"
-            )
-        return other._q, other._s * ratio
-
-    def __add__(self, other):
-        if isinstance(other, _Rational):
-            return QuadraticValue(self._q + other, self._s, self._r)
-        if isinstance(other, QuadraticValue):
-            if self._s == 0:
-                return QuadraticValue(other._q + self._q, other._s, other._r)
-            oq, os = self._coerce_same_radical(other)
-            return QuadraticValue(self._q + oq, self._s + os, self._r)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticValue(-self._q, -self._s, self._r)
-
-    def __sub__(self, other):
-        if isinstance(other, _Rational):
-            return QuadraticValue(self._q - other, self._s, self._r)
-        if isinstance(other, QuadraticValue):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Rational):
-            return QuadraticValue(self._q * other, self._s * other, self._r)
-        if isinstance(other, QuadraticValue):
-            if other._s == 0:
-                return self * other._q
-            if self._s == 0:
-                return other * self._q
-            oq, os = self._coerce_same_radical(other)
-            return QuadraticValue(
-                self._q * oq + self._s * os * self._r,
-                self._q * os + self._s * oq,
-                self._r,
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Rational):
-            d = _fraction(other)
-            return QuadraticValue(self._q / d, self._s / d, self._r)
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, (QuadraticValue, *_Rational)):
             return self.compare(other) == 0
@@ -244,13 +181,6 @@ class QuadraticValue:
 
         return {"q": pair(self._q), "s": pair(self._s), "r": pair(self._r)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadraticValue":
-        def un(d: dict) -> Fraction:
-            return Fraction(int(d["num"]), int(d["den"]))
-
-        return cls(un(obj["q"]), un(obj["s"]), un(obj["r"]))
-
 
 def compare(x, y) -> int:
     """Exact three-way comparison of rationals and QuadraticValues."""
@@ -261,10 +191,6 @@ def compare(x, y) -> int:
 
 def capacity_to_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def capacity_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def width(t: MarkovTriple) -> Capacity:
@@ -353,7 +279,7 @@ def convergence_trace(
     previous_gap = None
     for triple in chosen:
         w = width(triple)
-        gap = QuadraticValue.from_rational(w) - limit
+        gap = QuadraticValue(w - limit.q, -limit.s, limit.r)
         if gap.sign() <= 0:
             raise VerificationError(f"gap at {triple} is not positive")
         if previous_gap is not None and gap.compare(previous_gap) >= 0:

@@ -37,10 +37,8 @@ from .lattice import (
     UnimodularMap,
     central_point,
     check_alg_lemma,
-    check_width_inequality_failure,
     inscribed_right_triangle,
     lattice_width,
-    lattice_width_equals_capacity,
     shear_normalize,
     vianna_triangle,
 )
@@ -343,8 +341,10 @@ def cmd_width(config: argparse.Namespace) -> int:
 
 
 def cmd_limits(config: argparse.Namespace) -> int:
+    if config.k is not None and config.fmt != "json":
+        raise ValueError("--k shows only in the JSON rows; use it with --format json")
     items = []
-    for row in spectrum_rows(config.n, k=config.k):
+    for row in spectrum_rows(config.n, k=4 if config.k is None else config.k):
         lam = lagrange_number(row.m)
         items.append((
             [
@@ -530,8 +530,6 @@ def _suite_ordering(config: argparse.Namespace) -> list[dict]:
     records = find_irregularities(config.n_max)
     swaps_ok = all(verify_swap_pattern(rec) for rec in records)
     _check(checks, "swap-patterns", swaps_ok, f"{len(records)} records")
-    if config.fixture and config.n_max == 450:
-        _check(checks, "catalogue-fixture", _fixture_match(records, config.n_max))
     return checks
 
 
@@ -541,22 +539,21 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
     failures: dict[str, str] = {}
     for node in enumerate_triples(bound):
         t = node.triple
-        if not lattice_width_equals_capacity(t):
-            failures["lattice-width-equals-capacity"] = str(t)
         tri = vianna_triangle(t)  # construction re-checks the invariants
+        value, xi = lattice_width(tri.polygon())
+        # below the root the width also drops under the ambient width 1
+        if (value, xi) != (width(t), (0, 1)) or (t != root and not value < 1):
+            failures["lattice-width-equals-capacity"] = str(t)
         if tri.ell < 1:
             failures["triangle-invariants"] = str(t)
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
             normalized, _ = shear_normalize(tri)
-            before, _ = lattice_width(tri.polygon())
             after, _ = lattice_width(normalized.polygon())
-            if before != after or not inscribed_right_triangle(
+            if value != after or not inscribed_right_triangle(
                 normalized, normalized.h / 8
             ):
                 failures["shear-and-inscribed"] = str(t)
-            if not check_width_inequality_failure(t):
-                failures["lattice-width-equals-capacity"] = str(t)
         if check_alg_lemma(t) == (t == root):
             failures["alg-lemma"] = str(t)
     rng = random.Random(20240813)
@@ -598,9 +595,7 @@ def _random_unimodular(rng: random.Random) -> UnimodularMap:
 def _suite_ingest(config: argparse.Namespace) -> list[dict]:
     checks: list[dict] = []
     for kind, n in (("markov", 500), ("fibonacci", 1000), ("pell", 1000)):
-        report = oeis.cross_check(
-            kind, n, path=config.bfile, cache_dir=config.cache_dir
-        )
+        report = oeis.cross_check(kind, n, cache_dir=config.cache_dir)
         _check(checks, f"cross-check-{kind}", report.ok,
                "" if report.ok else str(report.first_mismatch))
     markov_bfile = oeis.load_bfile("markov", cache_dir=config.cache_dir)
@@ -731,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("limits", "per-sequence limits and Lagrange values")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=None)
 
     p = add("complete", "certify the ordered prefix above a threshold", ("text", "json"))
     p.add_argument("--threshold", required=True)
@@ -742,9 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(_SUITES), dest="suites")
     p.add_argument("--max-bound", type=int, default=10_000)
     p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--fixture", action="store_true")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--bfile", default=None)
 
     p = add("plot", "deterministic SVG figures", ())
     p.add_argument("--figure", required=True,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import Capacity, width
+from .capacity import Capacity
 from .errors import VerificationError
 from .markov import MarkovTriple
 
@@ -374,21 +374,3 @@ def check_alg_lemma(t: MarkovTriple) -> bool:
 
     False exactly at (1,1,1)."""
     return t.a * t.a > 2 * t.b * t.b * t.c * t.c
-
-
-def check_width_inequality_failure(t: MarkovTriple) -> bool:
-    """Whether the base triangle's lattice width drops below 1.
-
-    The ambient width is 1, so a value < 1 shows the toric width bound does
-    not survive on these triangles; true for every triple except (1,1,1),
-    which is rejected."""
-    if t == MarkovTriple(1, 1, 1):
-        raise ValueError("(1,1,1) is the equality case; compare others")
-    value, _ = lattice_width(vianna_triangle(t).polygon())
-    return value < 1
-
-
-def lattice_width_equals_capacity(t: MarkovTriple) -> bool:
-    """lattice_width of the base triangle == bc/a, with minimizer (0, 1)."""
-    value, xi = lattice_width(vianna_triangle(t).polygon())
-    return value == width(t) and xi == (0, 1)

@@ -64,10 +64,6 @@ class MarkovTriple:
         # decimal strings: entries outgrow doubles quickly
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MarkovTriple":
-        return cls(int(obj["a"]), int(obj["b"]), int(obj["c"]))
-
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -289,42 +285,6 @@ def fibonacci(n: int) -> int:
 def pell(n: int) -> int:
     """P_n with P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + P_{n-1}."""
     return recurrence_prefix(2, n)[n]
-
-
-def branch_triple(kind: str, n: int) -> MarkovTriple:
-    """The n-th triple of an extreme branch of the tree.
-
-    kind "fibonacci": (F_{2n+1}, F_{2n-1}, 1); kind "pell":
-    (P_{2n+1}, P_{2n-1}, 2); n >= 1, result sorted.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    key = kind.lower()
-    if key == "fibonacci":
-        return MarkovTriple.from_values(fibonacci(2 * n + 1), fibonacci(2 * n - 1), 1)
-    if key == "pell":
-        return MarkovTriple.from_values(pell(2 * n + 1), pell(2 * n - 1), 2)
-    raise ValueError(f"unknown branch kind {kind!r}")
-
-
-def complete_triple(p1: int, p2: int) -> MarkovTriple:
-    """The unique triple containing p1 > p2 with p1 maximal.
-
-    Solves c^2 - 3 p1 p2 c + p1^2 + p2^2 = 0 for the smaller root and
-    verifies it is a positive integer below p1.
-    """
-    if not p1 > p2 >= 1:
-        raise ValueError("need p1 > p2 >= 1")
-    disc = 9 * p1 * p1 * p2 * p2 - 4 * (p1 * p1 + p2 * p2)
-    if disc < 0:
-        raise ValueError(f"{p1} and {p2} do not co-occur in a Markov triple")
-    s = math.isqrt(disc)
-    if s * s != disc or (3 * p1 * p2 - s) % 2 != 0:
-        raise ValueError(f"{p1} and {p2} do not co-occur in a Markov triple")
-    c = (3 * p1 * p2 - s) // 2
-    if c < 1 or c >= p1 or not is_markov(p1, p2, c):
-        raise ValueError(f"{p1} and {p2} do not co-occur in a Markov triple")
-    return MarkovTriple.from_values(p1, p2, c)
 
 
 def uniqueness_check(max_bound: int) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,9 +39,6 @@ class BFile:
     sequence_id: str
     entries: dict[int, int]
     source: str
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def parse_bfile(data: bytes | str, sequence_id: str = "?", source: str = "local") -> BFile:
@@ -108,6 +104,8 @@ def fetch_bfile(kind: str, cache_dir: str | None = None, timeout: float = 30.0) 
     if target is None:
         raise ValueError("no cache directory configured (flag or MBL_CACHE_DIR)")
     target.parent.mkdir(parents=True, exist_ok=True)
+    import urllib.request  # slow to import, and only `ingest --fetch` needs it
+
     try:
         with urllib.request.urlopen(bfile_url(kind), timeout=timeout) as response:
             blob = response.read()

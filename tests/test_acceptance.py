@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from mbl.capacity import (
     QuadraticValue,
-    capacity_from_json,
     compare,
     convergence_trace,
     lagrange_number,
@@ -20,7 +19,7 @@ from mbl.capacity import (
     width,
 )
 from mbl.cli import main
-from mbl.lattice import lattice_width, lattice_width_equals_capacity, vianna_triangle
+from mbl.lattice import lattice_width, vianna_triangle
 from mbl.markov import (
     MarkovTriple,
     apex_for,
@@ -51,6 +50,10 @@ SPAN_1 = [33, 37, 42, 104, 112, 118, 120, 214, 227, 309, 353, 382, 400, 416, 450
 SPAN_2 = [369, 433]
 
 
+def fraction_of(pair):  # a rational in the reports' {"num", "den"} form
+    return Fraction(int(pair["num"]), int(pair["den"]))
+
+
 class _Timer:
     def __init__(self, number, name, limit):
         self.number, self.name, self.limit = number, name, limit
@@ -77,7 +80,7 @@ def test_criterion_01_width_table(capsys, tmp_path):
         out = tmp_path / "widths.json"
         assert main(["widths", "--format", "json", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        widths = [capacity_from_json(row["width"]) for row in payload["rows"]]
+        widths = [fraction_of(row["width"]) for row in payload["rows"]]
         assert widths == [
             Fraction(1, 2), Fraction(2, 5), Fraction(5, 13),
             Fraction(10, 29), Fraction(145, 433),
@@ -89,7 +92,8 @@ def test_criterion_02_lattice_width_equals_capacity():
         nodes = enumerate_triples(10 ** 4)
         assert len(nodes) >= 21  # the actual census at this bound
         for node in nodes:
-            assert lattice_width_equals_capacity(node.triple)
+            polygon = vianna_triangle(node.triple).polygon()
+            assert lattice_width(polygon) == (width(node.triple), (0, 1))
 
 
 def test_criterion_03_irregularity_catalogue():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mbl.capacity import (
     QuadraticValue,
-    capacity_from_json,
     capacity_to_json,
     compare,
     convergence_trace,
@@ -53,7 +52,7 @@ class TestWidth:
 
     def test_json_roundtrip(self):
         w = width(T(433, 29, 5))
-        assert capacity_from_json(capacity_to_json(w)) == w
+        assert capacity_to_json(w) == {"num": "145", "den": "433"}
 
 
 class TestSurdIdentity:
@@ -128,7 +127,7 @@ class TestCompare:
         assert compare(QV(0, Fraction(1, 2), 32), QV(0, 1, 8)) == 0
 
     def test_mixed_rational(self):
-        assert compare(Fraction(2, 5), QV.sqrt(2) - 1) < 0
+        assert compare(Fraction(2, 5), QV(-1, 1, 2)) < 0
 
     def test_against_interval_oracle(self):
         rng = random.Random(4099)
@@ -170,21 +169,6 @@ class TestQuadraticValue:
         with pytest.raises(ValueError):
             QV(0, 1, -5)
 
-    def test_same_family_arithmetic(self):
-        x = QV(1, 1, 8) + QV(0, Fraction(1, 2), 32)
-        assert compare(x, QV(1, 2, 8)) == 0
-        assert compare(QV(1, 2, 8) - QV(1, 1, 8), QV.sqrt(8)) == 0
-
-    def test_incompatible_radicands(self):
-        with pytest.raises(ValueError):
-            QV.sqrt(2) + QV.sqrt(3)
-
-    def test_scalar_operations(self):
-        x = (QV.sqrt(5) * 2) / 4
-        assert compare(x, QV(0, Fraction(1, 2), 5)) == 0
-        assert compare(-x, QV(0, Fraction(-1, 2), 5)) == 0
-        assert compare(3 - QV.sqrt(5), QV(3, -1, 5)) == 0
-
     def test_rich_comparisons(self):
         assert QV.sqrt(2) < QV.sqrt(3)
         assert QV.sqrt(8) == QV(0, 2, 2)
@@ -195,23 +179,16 @@ class TestQuadraticValue:
         assert QV.from_rational(Fraction(1, 2)).decimal() == "0.5"
 
     def test_json_roundtrip(self):
-        x = limit_point(5)
-        assert compare(QV.from_json(x.to_json()), x) == 0
+        assert limit_point(5).to_json() == {
+            "q": {"num": "75", "den": "2"},
+            "s": {"num": "-5", "den": "2"},
+            "r": {"num": "221", "den": "1"},
+        }
 
     def test_str_forms(self):
         assert str(QV.from_rational(Fraction(2, 5))) == "2/5"
         assert str(QV.sqrt(5)) == "sqrt(5)"
         assert str(limit_point(1)) == "3/2 - 1/2*sqrt(5)"
-
-    @given(
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        st.fractions(min_value=0, max_value=30, max_denominator=12),
-    )
-    def test_add_then_subtract_rational_is_identity(self, q, s, r):
-        x = QV(q, s, r)
-        d = Fraction(7, 3)
-        assert compare((x + d) - d, x) == 0
 
     @settings(deadline=None)
     @given(

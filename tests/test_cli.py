@@ -2,15 +2,22 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mbl.cli
-from mbl.capacity import capacity_from_json
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.markov import MarkovTriple, MutationKind, markov_numbers
+
+
+def fraction_of(pair):  # a rational in the reports' {"num", "den"} form
+    return Fraction(int(pair["num"]), int(pair["den"]))
 
 
 def run(capsys, *argv):
@@ -85,29 +92,55 @@ _DEGENERATE_DIGESTS = [
 ]
 
 
-# Seven essential capacities per row (the JSON rows carry them) over 60 rows.
+# Seven essential capacities per row over 60 rows: only the JSON rows carry
+# them, so text and csv refuse --k as a usage error with no output.
 _ESSENTIAL_DIGESTS = [
-    ("limits --n 60 --k 7", "text", 0,
-     "0ad23fd6c8a3e1a7ad00c5d87579c6cb763ebf4c7cf0c6ed6179836de741fe4c"),
-    ("limits --n 60 --k 7", "csv", 0,
-     "6cb9b54aaa4a3203032ecdc48b9c65c91948456fcec5ccdecf3679ad42728cfa"),
+    ("limits --n 60 --k 7", "text", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("limits --n 60 --k 7", "csv", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("limits --n 60 --k 7", "json", 0,
      "5bceca75abebe5906891d504e35335d175fc00bcfa18c6b89b93567e35748de7"),
 ]
 
 
+# The verify and complete reports.
+_REPORT_DIGESTS = [
+    ("verify --max-bound 3000 --n-max 60", "text", 0,
+     "2a310704b536a15db63153dcf145a97e88ef572b429d47cba75762c48aab9e13"),
+    ("verify --max-bound 3000 --n-max 60", "json", 0,
+     "c030538ebeacddfd2bf619f9d3adb00983fa2461ccd58f12e90fd71e3582df86"),
+    ("verify --suite lattice --max-bound 10000", "json", 0,
+     "aec4c4c3c91f81804e803cc5bd474f48f23805dcd92e64e53f0514edac14f383"),
+    ("complete --threshold 7/20 --n-max 30", "text", 0,
+     "c73125a1ecd963233531a03e06ecea4fe0dc2379132a2e0e89838c0da53cde49"),
+    ("complete --threshold 7/20 --n-max 30", "json", 0,
+     "d30368d8c44fe09bb8029a15dc31f6eaa71defe5b2906de07fa5775b2ef890ed"),
+]
+
+
 @pytest.mark.parametrize(
     "command, fmt, exit_code, digest",
-    _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS,
+    _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS,
     ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS]
     + [f"{c.split()[0]}-{c.split()[2]}-{fmt}"
-       for c, fmt, _, _ in _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS],
+       for c, fmt, _, _ in _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS],
 )
 def test_row_table_bytes_are_pinned(capsys, monkeypatch, command, fmt, exit_code, digest):
-    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-file
+    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-files
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_import_leaves_the_network_stack_unloaded():
+    # only `ingest --fetch` imports urllib.request, inside oeis.fetch_bfile
+    probe = ("import sys, mbl.cli; "
+             "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestWidths:
@@ -128,12 +161,13 @@ class TestWidths:
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "widths", "--format", "json")
         payload = json.loads(out)
-        widths = [capacity_from_json(row["width"]) for row in payload["rows"]]
+        widths = [fraction_of(row["width"]) for row in payload["rows"]]
         assert widths == [
             Fraction(1, 2), Fraction(2, 5), Fraction(5, 13),
             Fraction(10, 29), Fraction(145, 433),
         ]
-        triples = [MarkovTriple.from_json(row["triple"]) for row in payload["rows"]]
+        triples = [MarkovTriple(*(int(row["triple"][k]) for k in "abc"))
+                   for row in payload["rows"]]
         assert triples[0] == MarkovTriple(2, 1, 1)
 
     def test_csv_parses(self, capsys):
@@ -227,6 +261,13 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "limits", "--n", "3")
         assert code == 0 and "sqrt(221)" in out
 
+    def test_limits_k_is_json_only(self, capsys):
+        code, out, err = run(capsys, "limits", "--n", "3", "--k", "5")
+        assert code == 2 and out == "" and "--format json" in err
+        code, out, _ = run(capsys, "limits", "--n", "3", "--k", "5", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["rows"][2]["first_capacities"]) == 5
+
 
 class TestVerifyAndComplete:
     def test_markov_suite_trivial_bound(self, capsys):
@@ -289,6 +330,14 @@ class TestVerifyAndComplete:
         assert suite == {"passed": False, "checks": [{
             "name": "completed", "passed": False,
             "witness": f"{error.__name__}: scan broke"}]}
+
+    def test_removed_flags_are_usage_errors(self):
+        # per-sequence b-files go through `ingest --bfile`, the stored
+        # catalogue through `irregularities --n-max 450 --fixture`
+        for flags in (["--bfile", "x"], ["--fixture"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", *flags])
+            assert excinfo.value.code == 2
 
     def test_nonpositive_bounds_are_usage_errors(self, capsys):
         for flag in ("--n-max", "--max-bound"):

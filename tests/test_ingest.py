@@ -42,7 +42,7 @@ class TestVendored:
         for kind in SEQUENCE_IDS:
             bfile = load_bfile(kind)
             assert bfile.source == "vendored"
-            assert len(bfile) >= 1000
+            assert len(bfile.entries) >= 1000
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

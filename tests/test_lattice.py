@@ -15,10 +15,8 @@ from mbl.lattice import (
     affine_length,
     central_point,
     check_alg_lemma,
-    check_width_inequality_failure,
     inscribed_right_triangle,
     lattice_width,
-    lattice_width_equals_capacity,
     shear_normalize,
     vianna_triangle,
     width_along,
@@ -90,7 +88,8 @@ class TestLatticeWidth:
 
     def test_matches_capacity_below_thousand(self):
         for node in enumerate_triples(1000):
-            assert lattice_width_equals_capacity(node.triple)
+            polygon = vianna_triangle(node.triple).polygon()
+            assert lattice_width(polygon) == (width(node.triple), (0, 1))
 
     def test_brute_force_agreement(self):
         polygons = [
@@ -265,16 +264,6 @@ class TestAlgLemma:
         for node in enumerate_triples(10 ** 6):
             expected = node.triple != T(1, 1, 1)
             assert check_alg_lemma(node.triple) == expected
-
-
-class TestWidthInequalityFailure:
-    def test_examples(self):
-        assert check_width_inequality_failure(T(2, 1, 1))
-        assert check_width_inequality_failure(T(433, 29, 5))
-
-    def test_root_rejected(self):
-        with pytest.raises(ValueError):
-            check_width_inequality_failure(T(1, 1, 1))
 
 
 class TestUnimodularMap:

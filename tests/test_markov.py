@@ -13,9 +13,7 @@ from mbl.markov import (
     MutationKind,
     apex_for,
     apex_of_number,
-    branch_triple,
     brute_force_triples,
-    complete_triple,
     enumerate_triples,
     essential_subtree,
     fibonacci,
@@ -69,8 +67,7 @@ class TestTriple:
         assert T.from_values(5, 1, 2) == T(5, 2, 1)
 
     def test_json_roundtrip(self):
-        t = T(433, 29, 5)
-        assert T.from_json(t.to_json()) == t
+        assert T(433, 29, 5).to_json() == {"a": "433", "b": "29", "c": "5"}
 
     def test_contains(self):
         assert 29 in T(433, 29, 5)
@@ -307,44 +304,11 @@ class TestEssentialSubtree:
             essential_subtree(4, 1)
 
 
-class TestBranches:
-    def test_fibonacci_base(self):
-        assert branch_triple("fibonacci", 1) == T(2, 1, 1)
-
-    def test_fibonacci_f27(self):
-        assert branch_triple("fibonacci", 13) == T(196418, 75025, 1)
-
-    def test_pell_p15(self):
-        assert branch_triple("pell", 7) == T(195025, 33461, 2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            branch_triple("lucas", 1)
-
-    @given(st.integers(1, 40))
-    def test_branch_triples_solve_equation(self, n):
-        branch_triple("fibonacci", n)
-        branch_triple("pell", n)
-
+class TestRecurrences:
     @given(st.integers(0, 60))
     def test_recurrences(self, n):
         assert fibonacci(n + 2) == fibonacci(n + 1) + fibonacci(n)
         assert pell(n + 2) == 2 * pell(n + 1) + pell(n)
-
-
-class TestCompleteTriple:
-    def test_examples(self):
-        assert complete_triple(5, 2) == T(5, 2, 1)
-        assert complete_triple(29, 5) == T(29, 5, 2)
-        assert complete_triple(13, 5) == T(13, 5, 1)
-
-    def test_non_cooccurring(self):
-        with pytest.raises(ValueError):
-            complete_triple(13, 2)
-
-    def test_order_required(self):
-        with pytest.raises(ValueError):
-            complete_triple(2, 5)
 
 
 class TestUniqueness:
