@@ -35,7 +35,6 @@ from .markov import (
     MarkovTriple,
     MarkovWalk,
     MutationKind,
-    TreeNode,
     apex_for,
     apex_of_number,
     chains,

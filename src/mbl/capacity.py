@@ -268,13 +268,13 @@ def convergence_trace(
     if count < 1:
         raise ValueError("count must be >= 1")
     limit = limit_point(apex.a)
-    nodes = wedge(apex, count)
-    columns = (len(nodes) - 1) // count
+    triples = wedge(apex, count)
+    columns = (len(triples) - 1) // count
     slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
     if side not in slices:
         raise ValueError(f"unknown side {side!r}")
     start, step = slices[side]
-    chosen = [node.triple for node in nodes[start : start + step * count : step]]
+    chosen = triples[start : start + step * count : step]
     trace = []
     previous_gap = None
     for triple in chosen:

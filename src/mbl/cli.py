@@ -16,7 +16,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import oeis, svg
@@ -50,18 +50,16 @@ from .markov import (
     chains,
     enumerate_triples,
     fibonacci,
-    markov_prefix,
     mutate,
     pell,
+    tree_depth,
     uniqueness_check,
     wedge,
 )
 from .ordering import (
     alternating_order,
-    check_nn_inequality,
     find_irregularities,
     ordered_prefix_complete_above,
-    scan_window,
     spectrum_rows,
     verify_chain_inequalities,
     verify_swap_pattern,
@@ -102,39 +100,23 @@ def _preview(value, digits: int = 12) -> str:
     )
 
 
-@dataclass
-class Table:
-    """One command's tabular output plus its exact JSON payload."""
-
-    columns: list[str]
-    rows: list[list[str]]
-    payload: dict
-    notes: tuple[str, ...] = ()
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
-        if fmt == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
-            return buffer.getvalue()
-        widths = [
-            max(len(self.columns[i]), *(len(r[i]) for r in self.rows)) if self.rows
-            else len(self.columns[i])
-            for i in range(len(self.columns))
-        ]
-        lines = [
-            "  ".join(c.ljust(w) for c, w in zip(self.columns, widths)).rstrip()
-        ]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in self.rows:
-            lines.append(
-                "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            )
-        lines.extend(f"# {note}" for note in self.notes)
-        return "\n".join(lines) + "\n"
+def _table(
+    fmt: str, columns: list[str], rows: list[list[str]], notes: tuple[str, ...] = ()
+) -> str:
+    """The rows as CSV, or as aligned text columns followed by "# note" lines."""
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    widths = [max(map(len, column)) for column in zip(columns, *rows)]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in [columns, ["-" * w for w in widths], *rows]
+    ]
+    lines.extend(f"# {note}" for note in notes)
+    return "\n".join(lines) + "\n"
 
 
 def _emit(config: argparse.Namespace, data: str | bytes) -> None:
@@ -148,6 +130,18 @@ def _emit(config: argparse.Namespace, data: str | bytes) -> None:
         sys.stdout.buffer.flush()
     else:
         sys.stdout.write(data)
+
+
+def _report(
+    config: argparse.Namespace, payload: dict, render: Callable[[], str],
+    status: int = EXIT_OK,
+) -> int:
+    """Write the payload as JSON under --format json, else render(); return status."""
+    if config.fmt == "json":
+        _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        _emit(config, render())
+    return status
 
 
 def _emit_rows(
@@ -164,9 +158,10 @@ def _emit_rows(
     payload["rows"].
     """
     payload["rows"] = [json_row for _, json_row in items]
-    table = Table(columns, [cells for cells, _ in items], payload, notes)
-    _emit(config, table.render(config.fmt))
-    return status
+    rows = [cells for cells, _ in items]
+    return _report(
+        config, payload, lambda: _table(config.fmt, columns, rows, notes), status
+    )
 
 
 def cmd_widths(config: argparse.Namespace) -> int:
@@ -187,15 +182,11 @@ def cmd_widths(config: argparse.Namespace) -> int:
 
 def cmd_triples(config: argparse.Namespace) -> int:
     items = []
-    for node in enumerate_triples(config.max_bound):
-        w = width(node.triple)
+    for t in enumerate_triples(config.max_bound):
+        w, depth = width(t), tree_depth(t)
         items.append((
-            [str(node.triple), str(node.depth), str(w)],
-            {
-                "triple": node.triple.to_json(),
-                "depth": node.depth,
-                "width": capacity_to_json(w),
-            },
+            [str(t), str(depth), str(w)],
+            {"triple": t.to_json(), "depth": depth, "width": capacity_to_json(w)},
         ))
     payload = {"command": "triples", "max_bound": str(config.max_bound)}
     return _emit_rows(config, ["triple", "depth", "width"], items, payload)
@@ -205,15 +196,11 @@ def cmd_subtree(config: argparse.Namespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     apex = apex_for(preserved, config.triple)
     items = []
-    for node in wedge(apex, config.depth):
-        w = width(node.triple)
+    for t in wedge(apex, config.depth):
+        w, depth = width(t), tree_depth(t)
         items.append((
-            [str(node.depth), str(node.triple), str(w), _preview(w)],
-            {
-                "depth": node.depth,
-                "triple": node.triple.to_json(),
-                "width": capacity_to_json(w),
-            },
+            [str(depth), str(t), str(w), _preview(w)],
+            {"depth": depth, "triple": t.to_json(), "width": capacity_to_json(w)},
         ))
     payload = {
         "command": "subtree",
@@ -307,9 +294,8 @@ def cmd_triangle(config: argparse.Namespace) -> int:
         ["central point", f"({center.x}, {center.y})"],
         ["lattice width", f"{value} at xi={xi}"],
     ]
-    table = Table(["quantity", "value"], rows, payload)
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+    columns = ["quantity", "value"]
+    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
 
 
 def cmd_width(config: argparse.Namespace) -> int:
@@ -335,9 +321,8 @@ def cmd_width(config: argparse.Namespace) -> int:
         "preview": _preview(value),
     }
     rows = [[str(value), f"({xi[0]},{xi[1]})", _preview(value)]]
-    table = Table(["lattice_width", "minimizer", "decimal"], rows, payload)
-    _emit(config, table.render(config.fmt))
-    return EXIT_OK
+    columns = ["lattice_width", "minimizer", "decimal"]
+    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
 
 
 def cmd_limits(config: argparse.Namespace) -> int:
@@ -382,6 +367,8 @@ def cmd_plot(config: argparse.Namespace) -> int:
 
 
 def cmd_ingest(config: argparse.Namespace) -> int:
+    if config.bfile is not None and config.kind == "all":
+        raise ValueError("--bfile holds one sequence; name it with --kind")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
     if config.fetch:
         for kind in kinds:
@@ -421,10 +408,8 @@ def _failure_checks(failures: dict[str, str], *names: str) -> list[dict]:
 
 def _suite_markov(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10_000)
-    nodes = enumerate_triples(bound)
     failures: dict[str, str] = {}
-    for node in nodes:
-        t = node.triple
+    for t in enumerate_triples(bound):
         for kind in MutationKind:
             try:
                 child = mutate(t, kind)  # construction re-checks the equation
@@ -452,7 +437,7 @@ def _suite_markov(config: argparse.Namespace) -> list[dict]:
     )
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
-    walked = [n.triple.as_tuple() for n in enumerate_triples(small)]
+    walked = [t.as_tuple() for t in enumerate_triples(small)]
     _check(checks, "brute-force-equivalence", brute == walked, f"bound {small}")
     _check(checks, "uniqueness", uniqueness_check(config.max_bound),
            f"bound {config.max_bound}")
@@ -463,8 +448,7 @@ def _suite_capacity(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10 ** 6)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
-    for node in enumerate_triples(bound):
-        t = node.triple
+    for t in enumerate_triples(bound):
         w = width(t)
         if t == root:
             if w != 1 or surd_identity_check(t):
@@ -496,8 +480,7 @@ def _suite_capacity(config: argparse.Namespace) -> list[dict]:
 def _suite_ordering(config: argparse.Namespace) -> list[dict]:
     apex_bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
-    for node in enumerate_triples(apex_bound):
-        t = node.triple
+    for t in enumerate_triples(apex_bound):
         if t.a >= 5:
             g, f = (xs[1:] for xs in chains(t, 10))
             merged = [x for pair in zip(g, f) for x in pair]
@@ -521,13 +504,13 @@ def _suite_ordering(config: argparse.Namespace) -> list[dict]:
             and rows[33].b == fibonacci(29)
         )
         _check(checks, "row-anchors", anchors)
-    numbers, _ = markov_prefix(min(config.n_max, 32) + 16)
-    for n in range(1, min(config.n_max, 32) + 1):
-        for n_prime in scan_window(n, numbers):
-            if not check_nn_inequality(n, n_prime):
-                failures["regular-prefix"] = f"(n,n')=({n},{n_prime})"
-    checks += _failure_checks(failures, "regular-prefix")
     records = find_irregularities(config.n_max)
+    # a record keeps the lowest n of its violated pairs, so the pairs with
+    # n <= 32 all hold exactly when no record has n <= 32
+    for rec in records:
+        if rec.n <= 32:
+            failures["regular-prefix"] = f"(n,n')=({rec.n},{rec.n_prime})"
+    checks += _failure_checks(failures, "regular-prefix")
     swaps_ok = all(verify_swap_pattern(rec) for rec in records)
     _check(checks, "swap-patterns", swaps_ok, f"{len(records)} records")
     return checks
@@ -537,8 +520,7 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
     bound = min(config.max_bound, 10_000)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
-    for node in enumerate_triples(bound):
-        t = node.triple
+    for t in enumerate_triples(bound):
         tri = vianna_triangle(t)  # construction re-checks the invariants
         value, xi = lattice_width(tri.polygon())
         # below the root the width also drops under the ambient width 1
@@ -636,50 +618,28 @@ def cmd_verify(config: argparse.Namespace) -> int:
             suffix = f"  [{c['witness']}]" if c["witness"] and not c["passed"] else ""
             lines.append(f"{status}  {name}:{c['name']}{suffix}")
     lines.append("all suites passed" if report["passed"] else "FAILURES above")
-    if config.fmt == "json":
-        _emit(config, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK if report["passed"] else EXIT_VERIFICATION
+    status = EXIT_OK if report["passed"] else EXIT_VERIFICATION
+    return _report(config, report, lambda: "\n".join(lines) + "\n", status)
 
 
 def cmd_complete(config: argparse.Namespace) -> int:
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
-    if config.fmt == "json":
-        _emit(config, report.to_json_str() + "\n")
-    else:
-        lines = [
-            f"threshold = {report.threshold} (~{_preview(report.threshold, 6)})",
-            f"n_max = {report.n_max}",
-            f"records: {len(report.records)} "
-            f"(span-1 at {[r.n for r in report.records if r.span == 1]}, "
-            f"span-2 at {[r.n for r in report.records if r.span == 2]})",
-            f"sequences with limit above threshold: {report.active_sequences}",
-            f"tail: {len(report.tail_exact)} exact leading-capacity checks, "
-            f"monotone bound from index {report.tail_bound_index} "
-            f"(m = {report.tail_bound_m})",
-            f"certified: {report.certified}",
-        ]
-        lines.extend(f"condition: {c}" for c in report.conditions)
-        lines.extend(f"FAILURE: {f}" for f in report.failures)
-        _emit(config, "\n".join(lines) + "\n")
-    return EXIT_OK if report.certified else EXIT_VERIFICATION
-
-
-_COMMANDS = {
-    "widths": cmd_widths,
-    "triples": cmd_triples,
-    "subtree": cmd_subtree,
-    "order": cmd_order,
-    "irregularities": cmd_irregularities,
-    "triangle": cmd_triangle,
-    "width": cmd_width,
-    "limits": cmd_limits,
-    "complete": cmd_complete,
-    "verify": cmd_verify,
-    "plot": cmd_plot,
-    "ingest": cmd_ingest,
-}
+    lines = [
+        f"threshold = {report.threshold} (~{_preview(report.threshold, 6)})",
+        f"n_max = {report.n_max}",
+        f"records: {len(report.records)} "
+        f"(span-1 at {[r.n for r in report.records if r.span == 1]}, "
+        f"span-2 at {[r.n for r in report.records if r.span == 2]})",
+        f"sequences with limit above threshold: {report.active_sequences}",
+        f"tail: {len(report.tail_exact)} exact leading-capacity checks, "
+        f"monotone bound from index {report.tail_bound_index} "
+        f"(m = {report.tail_bound_m})",
+        f"certified: {report.certified}",
+    ]
+    lines.extend(f"condition: {c}" for c in report.conditions)
+    lines.extend(f"FAILURE: {f}" for f in report.failures)
+    status = EXIT_OK if report.certified else EXIT_VERIFICATION
+    return _report(config, report.to_json(), lambda: "\n".join(lines) + "\n", status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -690,56 +650,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str,
+    def add(name: str, help_: str, handler: Callable[[argparse.Namespace], int],
             formats: tuple[str, ...] = ("text", "json", "csv")) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if formats:  # only the formats the command renders
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--out", default=None)
         return p
 
-    p = add("widths", "capacity table bc/a")
+    p = add("widths", "capacity table bc/a", cmd_widths)
     p.add_argument("--triple", default=None)
 
-    p = add("triples", "enumerate triples up to a bound")
+    p = add("triples", "enumerate triples up to a bound", cmd_triples)
     p.add_argument("--max-bound", type=int, default=1000)
 
-    p = add("subtree", "bivalent subtree preserving one entry")
+    p = add("subtree", "bivalent subtree preserving one entry", cmd_subtree)
     p.add_argument("--triple", required=True)
     p.add_argument("--preserve", type=int, default=None)
     p.add_argument("--depth", type=int, default=3)
 
-    p = add("order", "alternating decreasing capacity order below an apex")
+    p = add("order", "alternating decreasing capacity order below an apex", cmd_order)
     p.add_argument("--triple", required=True)
     p.add_argument("--depth", type=int, default=3)
 
-    p = add("irregularities", "scan the juxtaposition inequality")
+    p = add("irregularities", "scan the juxtaposition inequality", cmd_irregularities)
     p.add_argument("--n-max", type=int, default=450)
     p.add_argument("--fixture", action="store_true")
 
-    p = add("triangle", "base triangle data for a triple")
+    p = add("triangle", "base triangle data for a triple", cmd_triangle)
     p.add_argument("--triple", required=True)
 
-    p = add("width", "lattice width of a triangle or polygon file")
+    p = add("width", "lattice width of a triangle or polygon file", cmd_width)
     p.add_argument("--triple", default=None)
     p.add_argument("--polygon", default=None)
 
-    p = add("limits", "per-sequence limits and Lagrange values")
+    p = add("limits", "per-sequence limits and Lagrange values", cmd_limits)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--k", type=int, default=None)
 
-    p = add("complete", "certify the ordered prefix above a threshold", ("text", "json"))
+    p = add("complete", "certify the ordered prefix above a threshold", cmd_complete,
+            ("text", "json"))
     p.add_argument("--threshold", required=True)
     p.add_argument("--n-max", type=int, default=450)
 
-    p = add("verify", "run invariant suites", ("text", "json"))
+    p = add("verify", "run invariant suites", cmd_verify, ("text", "json"))
     p.add_argument("--suite", action="append", default=None,
                    choices=tuple(_SUITES), dest="suites")
     p.add_argument("--max-bound", type=int, default=10_000)
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--cache-dir", default=None)
 
-    p = add("plot", "deterministic SVG figures", ())
+    p = add("plot", "deterministic SVG figures", cmd_plot, ())
     p.add_argument("--figure", required=True,
                    choices=("order5", "numberline", "triangle"))
     p.add_argument("--triple", default=None)
@@ -748,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--delta", default="1/4")
 
-    p = add("ingest", "load and cross-check sequence b-files")
+    p = add("ingest", "load and cross-check sequence b-files", cmd_ingest)
     p.add_argument("--kind", default="all",
                    choices=("all",) + tuple(oeis.SEQUENCE_IDS))
     p.add_argument("--n", type=int, default=500)
@@ -768,7 +730,7 @@ def main(argv=None) -> int:
             args.threshold = _parse_rational(args.threshold)
         if getattr(args, "delta", None) is not None:
             args.delta = _parse_rational(args.delta)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"mbl: {exc}", file=sys.stderr)
         return EXIT_USAGE

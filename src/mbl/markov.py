@@ -65,14 +65,6 @@ class MarkovTriple:
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """A triple together with its position in the tree rooted at (1,1,1)."""
-
-    triple: MarkovTriple
-    depth: int
-
-
 def is_markov(a: int, b: int, c: int) -> bool:
     """Whether (a, b, c) solves the Markov equation.  Entries must be >= 1."""
     if a < 1 or b < 1 or c < 1:
@@ -170,14 +162,14 @@ _WALK = MarkovWalk()  # shared by every Markov-number path of the package
 markov_prefix = _WALK.prefix
 
 
-def enumerate_triples(max_bound: int) -> list[TreeNode]:
-    """All tree nodes whose triple has maximal entry <= max_bound.
+def enumerate_triples(max_bound: int) -> tuple[MarkovTriple, ...]:
+    """All triples with maximal entry <= max_bound, sorted.
 
     These are the shared walk's apexes up to the bound: no two triples share
     a maximal entry (the walk raises if they do), so ordering by the maximum
     is ordering by (max, mid, min).
     """
-    return [TreeNode(t, tree_depth(t)) for t in _WALK.upto(max_bound)]
+    return _WALK.upto(max_bound)
 
 
 def markov_numbers(n: int) -> list[int]:
@@ -236,20 +228,16 @@ def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:
     return columns
 
 
-def wedge(apex: MarkovTriple, depth: int) -> list[TreeNode]:
+def wedge(apex: MarkovTriple, depth: int) -> list[MarkovTriple]:
     """The bivalent subtree preserving the apex maximum, to the given depth.
 
     Level 0 is the apex; level i holds (x_i, x_{i-1}, a) for each branch of
-    `chains`, left before right, so the degenerate apexes give one node per
-    level.  Nodes carry absolute depths from (1,1,1).
+    `chains`, left before right, so the degenerate apexes give one triple per
+    level.  A level-i triple lies i levels below the apex in the tree.
     """
-    a, top = apex.a, tree_depth(apex)
     columns = chains(apex, depth)
-    out = [TreeNode(apex, top)]
-    for i in range(1, depth + 1):
-        out.extend(TreeNode(MarkovTriple.from_values(xs[i], xs[i - 1], a), top + i)
-                   for xs in columns)
-    return out
+    return [apex] + [MarkovTriple.from_values(xs[i], xs[i - 1], apex.a)
+                     for i in range(1, depth + 1) for xs in columns]
 
 
 def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
@@ -262,9 +250,9 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     apex = apex_of_number(p)  # raises for non-Markov p
-    nodes = wedge(apex, depth + 1)
-    columns = (len(nodes) - 1) // (depth + 1)
-    return [node.triple for node in nodes if node.triple.c == p][: depth * columns]
+    triples = wedge(apex, depth + 1)
+    columns = (len(triples) - 1) // (depth + 1)
+    return [t for t in triples if t.c == p][: depth * columns]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

@@ -16,7 +16,6 @@ integer or rational comparisons.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -26,6 +25,7 @@ from .errors import VerificationError
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
 ONE_THIRD = Fraction(1, 3)
+DESCENT_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def alternating_order(
     preserving the apex maximum: go down left, right, down left, right, ...
     along increasing maximal entries.
     """
-    sequence = [(node.triple, width(node.triple)) for node in wedge(apex, depth)]
+    sequence = [(t, width(t)) for t in wedge(apex, depth)]
     for (t0, w0), (t1, w1) in zip(sequence, sequence[1:]):
         if not w0 > w1:
             raise VerificationError(
@@ -285,7 +285,6 @@ class CompletenessReport:
     records: tuple[IrregularityRecord, ...]
     swap_checks: tuple[tuple[int, bool], ...]
     active_sequences: int
-    descent_depth: int
     tail_exact: tuple[tuple[int, bool], ...]
     tail_bound_index: int
     tail_bound_m: int
@@ -300,7 +299,7 @@ class CompletenessReport:
             "records": [rec.to_json() for rec in self.records],
             "swap_checks": [{"n": n, "ok": ok} for n, ok in self.swap_checks],
             "active_sequences": self.active_sequences,
-            "descent_depth": self.descent_depth,
+            "descent_depth": DESCENT_DEPTH,
             "tail_exact": [{"n": n, "ok": ok} for n, ok in self.tail_exact],
             "tail_bound_index": self.tail_bound_index,
             "tail_bound_m": str(self.tail_bound_m),
@@ -308,13 +307,8 @@ class CompletenessReport:
             "conditions": list(self.conditions),
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
-
-def ordered_prefix_complete_above(
-    threshold: Fraction, n_max: int, descent_depth: int = 6
-) -> CompletenessReport:
+def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> CompletenessReport:
     """Certify that the juxtaposed-with-swaps order accounts for every
     capacity >= threshold.
 
@@ -323,7 +317,7 @@ def ordered_prefix_complete_above(
     1. every pair (n, n') with n <= n_max inside the finite scan window
        either satisfies the juxtaposition inequality or belongs to a
        catalogued record whose swap pattern verifies;
-    2. within each sequence the first `descent_depth` capacities strictly
+    2. within each sequence the first DESCENT_DEPTH capacities strictly
        decrease and stay above the sequence limit (deeper capacities only
        ever decrease further along the verified chain recursions);
     3. sequences beyond n_max contribute nothing: their leading capacity is
@@ -355,7 +349,7 @@ def ordered_prefix_complete_above(
             failures.append(f"swap pattern at n={rec.n} (span {rec.span}) fails")
 
     try:
-        rows = spectrum_rows(n_max, descent_depth)
+        rows = spectrum_rows(n_max, DESCENT_DEPTH)
     except VerificationError as exc:
         rows = []
         failures.append(str(exc))
@@ -385,7 +379,7 @@ def ordered_prefix_complete_above(
         "only the leading capacity of the higher sequence moves, directly in "
         "front of the lowest spanned sequence",
         f"within-sequence strict descent above the limit verified exactly "
-        f"for the first {descent_depth} capacities of every sequence",
+        f"for the first {DESCENT_DEPTH} capacities of every sequence",
         f"tail exclusion: leading capacities checked exactly for "
         f"n_max < n < {tail_bound_index}; from index {tail_bound_index} on, "
         f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",
@@ -397,7 +391,6 @@ def ordered_prefix_complete_above(
         records=records,
         swap_checks=tuple(swap_checks),
         active_sequences=active,
-        descent_depth=descent_depth,
         tail_exact=tuple(tail_exact),
         tail_bound_index=tail_bound_index,
         tail_bound_m=tail_bound_m,

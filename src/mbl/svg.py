@@ -97,9 +97,9 @@ def figure_subtree(apex: MarkovTriple, depth: int = 3) -> bytes:
         body.append(
             _line(x1, y1 + 8, x2, y2 - 8, STYLE["order_stroke"], dash="5,4")
         )
-    for (x, y), node in zip(positions, nodes):
-        w = width(node.triple)
-        body.append(_text(x, y - 6, str(node.triple)))
+    for (x, y), t in zip(positions, nodes):
+        w = width(t)
+        body.append(_text(x, y - 6, str(t)))
         body.append(
             _text(x, y + 12, f"w = {w} = {_fmt(w, 4)}", size=11, fill="#444444")
         )

@@ -89,11 +89,11 @@ def test_criterion_01_width_table(capsys, tmp_path):
 
 def test_criterion_02_lattice_width_equals_capacity():
     with _Timer(2, "lattice width equals bc/a with minimizer (0,1), max <= 1e4", 60.0):
-        nodes = enumerate_triples(10 ** 4)
-        assert len(nodes) >= 21  # the actual census at this bound
-        for node in nodes:
-            polygon = vianna_triangle(node.triple).polygon()
-            assert lattice_width(polygon) == (width(node.triple), (0, 1))
+        triples = enumerate_triples(10 ** 4)
+        assert len(triples) >= 21  # the actual census at this bound
+        for t in triples:
+            polygon = vianna_triangle(t).polygon()
+            assert lattice_width(polygon) == (width(t), (0, 1))
 
 
 def test_criterion_03_irregularity_catalogue():
@@ -117,8 +117,7 @@ def test_criterion_04_regular_prefix():
 
 def test_criterion_05_alternating_descent():
     with _Timer(5, "alternating descent and chain inequalities, max <= 1e4", 60.0):
-        for node in enumerate_triples(10 ** 4):
-            t = node.triple
+        for t in enumerate_triples(10 ** 4):
             alternating_order(t, 8)  # raises on any descent violation
             if t.a >= 5:
                 assert verify_chain_inequalities(t.a, t.b, t.c, 8)
@@ -158,9 +157,9 @@ def test_criterion_07_completeness_threshold():
 
 def test_criterion_08_surd_identity():
     with _Timer(8, "surd identity for every triple != (1,1,1), max <= 1e4", 10.0):
-        for node in enumerate_triples(10 ** 4):
-            expected = node.triple != T(1, 1, 1)
-            assert surd_identity_check(node.triple) == expected
+        for t in enumerate_triples(10 ** 4):
+            expected = t != T(1, 1, 1)
+            assert surd_identity_check(t) == expected
 
 
 def test_criterion_09_cross_checks():
@@ -181,7 +180,7 @@ def test_criterion_09_cross_checks():
 def test_criterion_10_property_suites():
     with _Timer(10, "property suites (brute force, unimodular, order oracle)", 120.0):
         # tree enumeration vs quadratic-root scan
-        assert [n.triple.as_tuple() for n in enumerate_triples(2000)] == \
+        assert [t.as_tuple() for t in enumerate_triples(2000)] == \
             brute_force_triples(2000)
         # unimodular invariance, 100 random maps
         rng = random.Random(8191)

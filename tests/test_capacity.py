@@ -43,9 +43,9 @@ class TestWidth:
 
     def test_bounds_below_one_million(self):
         # strictly between 1/3 and 1/2 except at the root
-        for node in enumerate_triples(10 ** 6):
-            w = width(node.triple)
-            if node.triple == T(1, 1, 1):
+        for t in enumerate_triples(10 ** 6):
+            w = width(t)
+            if t == T(1, 1, 1):
                 assert w == 1
             else:
                 assert Fraction(1, 3) < w <= Fraction(1, 2)
@@ -64,9 +64,9 @@ class TestSurdIdentity:
         assert not surd_identity_check(T(1, 1, 1))
 
     def test_exhaustive_to_ten_thousand(self):
-        for node in enumerate_triples(10 ** 4):
-            expected = node.triple != T(1, 1, 1)
-            assert surd_identity_check(node.triple) == expected
+        for t in enumerate_triples(10 ** 4):
+            expected = t != T(1, 1, 1)
+            assert surd_identity_check(t) == expected
 
     def test_width_as_surd_folds(self):
         assert width_as_surd(T(5, 2, 1)) == Fraction(2, 5)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -119,15 +120,45 @@ _REPORT_DIGESTS = [
 ]
 
 
+# The single-row geometry tables; square.json is the unit square, written
+# to the working directory so that the JSON's polygon_file is the same each run.
+_GEOMETRY_DIGESTS = [
+    ("triangle --triple 29,5,2", "text", 0,
+     "ff7e1e9b008feed07bf97a7c9cc72ea66626f755405e7dff5de473f7249f7563"),
+    ("triangle --triple 29,5,2", "csv", 0,
+     "65d2c011aacb89e43024870491a5a3cd33afeece5ba3a39dd9f8470acff5bdbd"),
+    ("triangle --triple 29,5,2", "json", 0,
+     "c6fe6416c0141cbd560fb5c42841be31229f667c52be61523aefedd5652a471f"),
+    ("width --triple 433,29,5", "text", 0,
+     "8622bb811bf464bfd6ad37e0a17a8d617cb82db962e673b469e1652bac35dc84"),
+    ("width --triple 433,29,5", "csv", 0,
+     "956205e25a80d6854eb092903ca83bbe11dfe13443d3efdfbb4624d0ebea0a5a"),
+    ("width --triple 433,29,5", "json", 0,
+     "3c5f6081b223f7f813b5f91b47461ee23a5b60a7f86af26e4aeab08e40c00f16"),
+    ("width --polygon square.json", "text", 0,
+     "0083496aa09027da84024e14e920fac8afda2834df805c83474e49b09da4378e"),
+    ("width --polygon square.json", "csv", 0,
+     "c34e156a4bac5771e35d35adde115253e8aa7a07ffc97fe9df63449ee164a972"),
+    ("width --polygon square.json", "json", 0,
+     "cdf4bb0e65b496332a281afe283027d8b8d84a84078fef42d4e16364a256d88e"),
+]
+
+_NAMED_DIGESTS = (_DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS
+                  + _GEOMETRY_DIGESTS)
+
+
 @pytest.mark.parametrize(
     "command, fmt, exit_code, digest",
-    _ROW_TABLE_DIGESTS + _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS,
+    _ROW_TABLE_DIGESTS + _NAMED_DIGESTS,
     ids=[f"{c.split()[0]}-{fmt}" for c, fmt, _, _ in _ROW_TABLE_DIGESTS]
-    + [f"{c.split()[0]}-{c.split()[2]}-{fmt}"
-       for c, fmt, _, _ in _DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS],
+    + [f"{c.split()[0]}-{c.split()[2]}-{fmt}" for c, fmt, _, _ in _NAMED_DIGESTS],
 )
-def test_row_table_bytes_are_pinned(capsys, monkeypatch, command, fmt, exit_code, digest):
+def test_row_table_bytes_are_pinned(capsys, monkeypatch, tmp_path,
+                                    command, fmt, exit_code, digest):
     monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-files
+    (tmp_path / "square.json").write_text(
+        json.dumps([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]))
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -141,6 +172,20 @@ def test_import_leaves_the_network_stack_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_subcommands_match_readme_and_have_handlers():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = re.search(r"^mbl <([a-z|]+)> \[flags\]$", readme, re.M).group(1)
+    parser = mbl.cli.build_parser()
+    listed = re.search(r"\{([a-z,]+)\}", parser.format_usage()).group(1)
+    assert listed.split(",") == documented.split("|")
+    required = {"subtree": ["--triple", "5,2,1"], "order": ["--triple", "5,2,1"],
+                "triangle": ["--triple", "5,2,1"], "complete": ["--threshold", "7/20"],
+                "plot": ["--figure", "order5"]}
+    for name in listed.split(","):
+        handler = parser.parse_args([name, *required.get(name, [])]).handler
+        assert callable(handler) and handler.__name__ == f"cmd_{name}"
 
 
 class TestWidths:
@@ -316,6 +361,11 @@ class TestVerifyAndComplete:
         for name in ("mutation-involution", "mutation-monotonicity",
                      "pairwise-coprimality"):
             assert checks[name]["passed"] and checks[name]["witness"] == ""
+        # the text report, with its FAIL line and witness, is pinned too
+        code, out, _ = run(capsys, "verify", "--suite", "markov", "--max-bound", "30")
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0d7f3b0c158c70a0677ba4e30b0bb0e494abd10acc5d23f9f4c9de3ca3d108ce")
 
     @pytest.mark.parametrize("error", [ValueError, VerificationError])
     def test_error_inside_suite_is_a_failed_check(self, capsys, monkeypatch, error):
@@ -423,3 +473,11 @@ class TestIngestCommand:
         code, out, _ = run(capsys, "ingest", "--kind", "markov", "--n", "10",
                            "--bfile", str(doctored))
         assert code == 1 and "MISMATCH" in out
+
+    def test_bfile_needs_one_kind(self, capsys):
+        fibonacci_file = str(Path(mbl.cli.__file__).parent / "data" / "b000045.txt")
+        code, out, err = run(capsys, "ingest", "--bfile", fibonacci_file, "--n", "20")
+        assert code == 2 and out == "" and "--kind" in err
+        code, out, _ = run(capsys, "ingest", "--kind", "fibonacci", "--bfile",
+                           fibonacci_file, "--n", "20")
+        assert code == 0 and "ok" in out

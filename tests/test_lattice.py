@@ -87,9 +87,9 @@ class TestLatticeWidth:
         assert value == Fraction(2, 5) and xi == (0, 1)
 
     def test_matches_capacity_below_thousand(self):
-        for node in enumerate_triples(1000):
-            polygon = vianna_triangle(node.triple).polygon()
-            assert lattice_width(polygon) == (width(node.triple), (0, 1))
+        for t in enumerate_triples(1000):
+            polygon = vianna_triangle(t).polygon()
+            assert lattice_width(polygon) == (width(t), (0, 1))
 
     def test_brute_force_agreement(self):
         polygons = [
@@ -136,8 +136,8 @@ class TestViannaTriangle:
         assert tri.edge_data[1] == EdgeData((-6, 1), Fraction(2, 5))
 
     def test_invariants_below_ten_thousand(self):
-        for node in enumerate_triples(10 ** 4):
-            tri = vianna_triangle(node.triple)  # constructor re-checks
+        for t in enumerate_triples(10 ** 4):
+            tri = vianna_triangle(t)  # constructor re-checks
             assert tri.ell >= 1
             assert tri.h * tri.ell == 1
             assert sum(e.length for e in tri.edge_data) == 3
@@ -201,8 +201,8 @@ class TestCentralPoint:
 
     def test_exists_below_ten_thousand(self):
         third = Fraction(1, 3)
-        for node in enumerate_triples(10 ** 4):
-            tri = vianna_triangle(node.triple)
+        for t in enumerate_triples(10 ** 4):
+            tri = vianna_triangle(t)
             center = central_point(tri)
             assert 0 < center.y < tri.h  # interior height range
 
@@ -246,10 +246,10 @@ class TestShearAndInscribed:
             inscribed_right_triangle(normalized, Fraction(1))
 
     def test_inscribed_small_eps_below_thousand(self):
-        for node in enumerate_triples(1000):
-            if node.triple == T(1, 1, 1):
+        for t in enumerate_triples(1000):
+            if t == T(1, 1, 1):
                 continue
-            normalized, _ = shear_normalize(vianna_triangle(node.triple))
+            normalized, _ = shear_normalize(vianna_triangle(t))
             assert inscribed_right_triangle(normalized, normalized.h / 64)
 
 
@@ -261,9 +261,9 @@ class TestAlgLemma:
         assert check_alg_lemma(T(2, 1, 1))
 
     def test_exhaustive_to_one_million(self):
-        for node in enumerate_triples(10 ** 6):
-            expected = node.triple != T(1, 1, 1)
-            assert check_alg_lemma(node.triple) == expected
+        for t in enumerate_triples(10 ** 6):
+            expected = t != T(1, 1, 1)
+            assert check_alg_lemma(t) == expected
 
 
 class TestUnimodularMap:

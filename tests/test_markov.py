@@ -23,6 +23,7 @@ from mbl.markov import (
     markov_prefix,
     mutate,
     pell,
+    tree_depth,
     uniqueness_check,
     wedge,
 )
@@ -31,7 +32,7 @@ T = MarkovTriple
 
 
 def triples_up_to(bound):
-    return [node.triple for node in enumerate_triples(bound)]
+    return list(enumerate_triples(bound))
 
 
 class TestIsMarkov:
@@ -136,7 +137,7 @@ class TestEnumerate:
                 if child.a <= bound and child not in depths:
                     depths[child] = depths[t] + 1
                     queue.append(child)
-        assert {node.triple: node.depth for node in enumerate_triples(bound)} == depths
+        assert {t: tree_depth(t) for t in enumerate_triples(bound)} == depths
 
     def test_pairwise_coprime(self):
         for t in triples_up_to(2000):
@@ -247,25 +248,25 @@ class TestApexFor:
         # same apex from every node of the preserving subtree
         for p in markov_numbers(12):
             apex = apex_of_number(p)
-            for node in wedge(apex, 4):
-                assert apex_for(p, node.triple) == apex
+            for t in wedge(apex, 4):
+                assert apex_for(p, t) == apex
             assert apex_for(p, apex) == apex
 
 
 class TestWedge:
     def test_order5_nodes(self):
         nodes = wedge(T(5, 2, 1), 2)
-        assert [n.triple.as_tuple() for n in nodes] == [
+        assert [t.as_tuple() for t in nodes] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5), (433, 29, 5)]
 
     def test_fibonacci_chain(self):
         nodes = wedge(T(1, 1, 1), 3)
-        assert [n.triple.as_tuple() for n in nodes] == [
+        assert [t.as_tuple() for t in nodes] == [
             (1, 1, 1), (2, 1, 1), (5, 2, 1), (13, 5, 1)]
 
     def test_pell_chain(self):
         nodes = wedge(T(2, 1, 1), 2)
-        assert [n.triple.as_tuple() for n in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
+        assert [t.as_tuple() for t in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
 
     def test_nodes_are_preserving_mutations(self):
         # each node is a max-increasing mutation, keeping p, of the node above
@@ -277,9 +278,9 @@ class TestWedge:
             for column in range(width):
                 chain = nodes[:1] + nodes[1 + column::width]
                 for above, node in zip(chain, chain[1:]):
-                    assert p in node.triple and node.triple.a > above.triple.a
-                    assert node.depth == above.depth + 1
-                    assert any(mutate(above.triple, kind) == node.triple
+                    assert p in node and node.a > above.a
+                    assert tree_depth(node) == tree_depth(above) + 1
+                    assert any(mutate(above, kind) == node
                                for kind in MutationKind)
 
 
@@ -336,4 +337,4 @@ def test_wedge_levels_counted_from_apex(depth_seed, p_index):
     nodes = wedge(apex, depth)
     expected = depth + 1 if p in (1, 2) else 1 + 2 * depth
     assert len(nodes) == expected
-    assert all(node.depth - nodes[0].depth <= depth for node in nodes)
+    assert all(tree_depth(t) - tree_depth(nodes[0]) <= depth for t in nodes)

@@ -63,8 +63,8 @@ class TestAlternatingOrder:
             assert compare(w, rationalized(Fraction(5) - Fraction(4, f * f))) == 0
 
     def test_no_descent_violation_below_ten_thousand(self):
-        for node in enumerate_triples(10 ** 4):
-            alternating_order(node.triple, 8)
+        for t in enumerate_triples(10 ** 4):
+            alternating_order(t, 8)
 
 
 class TestChains:
@@ -85,10 +85,10 @@ class TestChains:
                 assert high > low and is_markov(high, low, 13)
 
     def test_interleaving(self):
-        for node in enumerate_triples(10 ** 4):
-            if node.triple.a < 5:
+        for t in enumerate_triples(10 ** 4):
+            if t.a < 5:
                 continue
-            g, f = (xs[1:] for xs in chains(node.triple, 10))
+            g, f = (xs[1:] for xs in chains(t, 10))
             merged = [x for pair in zip(g, f) for x in pair]
             assert all(x < y for x, y in zip(merged, merged[1:]))
 
@@ -97,9 +97,8 @@ class TestChains:
         assert verify_chain_inequalities(13, 5, 1, 2)
 
     def test_all_apexes_to_ten_thousand(self):
-        for node in enumerate_triples(10 ** 4):
-            if node.triple.a >= 5:
-                t = node.triple
+        for t in enumerate_triples(10 ** 4):
+            if t.a >= 5:
                 assert verify_chain_inequalities(t.a, t.b, t.c, 8)
 
     def test_small_apex_rejected(self):
