@@ -22,7 +22,6 @@ from .lattice import (
     RationalPoint,
     UnimodularMap,
     ViannaTriangle,
-    affine_length,
     central_point,
     check_alg_lemma,
     inscribed_right_triangle,

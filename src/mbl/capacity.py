@@ -213,7 +213,8 @@ def surd_identity_check(t: MarkovTriple) -> bool:
 
 
 def width_as_surd(t: MarkovTriple) -> QuadraticValue:
-    """2/(3 + sqrt(9 - 4/c^2 - 4/b^2)), rationalized; must equal width(t).
+    """2/(3 + sqrt(9 - 4/c^2 - 4/b^2)), rationalized; the caller compares it
+    with width(t).
 
     Rejects (1,1,1): its maximal entry is the smaller quadratic root, which
     breaks the squaring step behind the identity (2a - 3bc = -1 < 0 there).
@@ -226,10 +227,7 @@ def width_as_surd(t: MarkovTriple) -> QuadraticValue:
     b, c = t.b, t.c
     rad = Fraction(9) - Fraction(4, c * c) - Fraction(4, b * b)
     den = Fraction(9) - rad  # = 4/c^2 + 4/b^2 > 0
-    value = QuadraticValue(Fraction(6) / den, Fraction(-2) / den, rad)
-    if value.compare(width(t)) != 0:
-        raise VerificationError(f"surd form of {t} disagrees with bc/a")
-    return value
+    return QuadraticValue(Fraction(6) / den, Fraction(-2) / den, rad)
 
 
 def _require_markov_number(a: int) -> None:

@@ -530,7 +530,7 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
             failures["triangle-invariants"] = str(t)
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
-            normalized, _ = shear_normalize(tri)
+            normalized = shear_normalize(tri)
             after, _ = lattice_width(normalized.polygon())
             if value != after or not inscribed_right_triangle(
                 normalized, normalized.h / 8
@@ -599,7 +599,7 @@ _SUITES = {
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
-    names = config.suites or tuple(_SUITES)
+    names = dict.fromkeys(config.suites or _SUITES)  # once each, first-given order
     if config.n_max < 1 or config.max_bound < 1:
         raise ValueError("verify needs --n-max and --max-bound >= 1")
     report = {"command": "verify", "suites": {}, "passed": True}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .capacity import Capacity
@@ -65,12 +66,7 @@ class LatticePolygon:
                 )
 
     def signed_area(self) -> Fraction:
-        total = Fraction(0)
-        pts = self.vertices
-        for i in range(len(pts)):
-            p, q = pts[i], pts[(i + 1) % len(pts)]
-            total += p.x * q.y - q.x * p.y
-        return total / 2
+        return sum((p.x * q.y - q.x * p.y for p, q in self.edges()), Fraction(0)) / 2
 
     def edges(self) -> list[tuple[RationalPoint, RationalPoint]]:
         pts = self.vertices
@@ -106,10 +102,6 @@ class UnimodularMap:
         if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
             raise ValueError("matrix must have determinant +-1")
 
-    @classmethod
-    def shear(cls, k: int) -> "UnimodularMap":
-        return cls(1, k, 0, 1)
-
     def apply_point(self, p: RationalPoint) -> RationalPoint:
         return RationalPoint(
             self.m00 * p.x + self.m01 * p.y + self.tx,
@@ -125,22 +117,13 @@ class UnimodularMap:
 
 def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
     """Write (vx, vy) = s * d with d a primitive integer vector, s > 0."""
-    den = vx.denominator * vy.denominator // math.gcd(
-        vx.denominator, vy.denominator
-    )
+    den = math.lcm(vx.denominator, vy.denominator)
     nx = int(vx * den)
     ny = int(vy * den)
     g = math.gcd(abs(nx), abs(ny))
     if g == 0:
         raise ValueError("zero segment has no direction")
     return nx // g, ny // g, Fraction(g, den)
-
-
-def affine_length(p: RationalPoint, q: RationalPoint) -> Capacity:
-    """Scale factor of q - p against the primitive integer vector in its
-    direction."""
-    _, _, s = _primitive(q.x - p.x, q.y - p.y)
-    return s
 
 
 def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> Capacity:
@@ -206,73 +189,58 @@ class ViannaTriangle:
     """Base triangle of a Markov triple in the normal form with its longest
     edge on the x-axis from (0,0) to (ell, 0) and apex at (t, h).
 
-    Always has area 1/2, affine perimeter 3, h * ell = 1, and edge lengths
-    lam*a^2, lam*b^2, lam*c^2 with lam = 1/(abc).
+    The triple (a, b, c) and the integer u fix it: ell = a/(bc), h = bc/a and
+    t = uc/(ab).  Always has area 1/2, affine perimeter 3, h * ell = 1, and
+    edge lengths lam*a^2, lam*b^2, lam*c^2 with lam = 1/(abc).
     """
 
     triple: MarkovTriple
-    vertices: tuple[RationalPoint, RationalPoint, RationalPoint]
-    ell: Fraction
-    h: Fraction
-    t: Fraction
-    lam: Fraction
     u: int
-    edge_data: tuple[EdgeData, EdgeData, EdgeData]
 
     def __post_init__(self):
-        a, b, c = self.triple
-        lam = Fraction(1, a * b * c)
-        if self.lam != lam:
-            raise ValueError("lam must equal 1/(abc)")
-        if self.t != Fraction(self.u * c, a * b):
-            raise ValueError("apex abscissa must equal u*c/(ab)")
         if self.h * self.ell != 1:
             raise VerificationError(f"h*ell != 1 for {self.triple}")
         if self.polygon().signed_area() != Fraction(1, 2):
             raise VerificationError(f"area != 1/2 for {self.triple}")
         lengths = sorted(e.length for e in self.edge_data)
-        expected = sorted((lam * a * a, lam * b * b, lam * c * c))
+        expected = sorted(self.lam * x * x for x in self.triple)
         if lengths != expected:
             raise VerificationError(f"edge lengths off for {self.triple}")
         if sum(lengths) != 3:
             raise VerificationError(f"perimeter != 3 for {self.triple}")
 
+    @cached_property
+    def ell(self) -> Fraction:
+        return Fraction(self.triple.a, self.triple.b * self.triple.c)
+
+    @cached_property
+    def h(self) -> Fraction:
+        return Fraction(self.triple.b * self.triple.c, self.triple.a)
+
+    @cached_property
+    def t(self) -> Fraction:
+        return Fraction(self.u * self.triple.c, self.triple.a * self.triple.b)
+
+    @cached_property
+    def lam(self) -> Fraction:
+        return Fraction(1, self.triple.a * self.triple.b * self.triple.c)
+
+    @cached_property
+    def vertices(self) -> tuple[RationalPoint, RationalPoint, RationalPoint]:
+        return (RationalPoint(0, 0), RationalPoint(self.ell, 0),
+                RationalPoint(self.t, self.h))
+
+    @cached_property
+    def edge_data(self) -> tuple[EdgeData, EdgeData, EdgeData]:
+        out = []
+        pts = self.vertices
+        for p, q in zip(pts, pts[1:] + pts[:1]):
+            dx, dy, s = _primitive(q.x - p.x, q.y - p.y)
+            out.append(EdgeData((dx, dy), s))
+        return tuple(out)
+
     def polygon(self) -> LatticePolygon:
         return LatticePolygon(self.vertices)
-
-    def apex(self) -> RationalPoint:
-        return self.vertices[2]
-
-
-def _edge_data(vertices) -> tuple[EdgeData, ...]:
-    out = []
-    for i in range(len(vertices)):
-        p = vertices[i]
-        q = vertices[(i + 1) % len(vertices)]
-        dx, dy, s = _primitive(q.x - p.x, q.y - p.y)
-        out.append(EdgeData((dx, dy), s))
-    return tuple(out)
-
-
-def _build_triangle(triple: MarkovTriple, t: Fraction, u: int) -> ViannaTriangle:
-    a, b, c = triple
-    ell = Fraction(a, b * c)
-    h = Fraction(b * c, a)
-    vertices = (
-        RationalPoint(0, 0),
-        RationalPoint(ell, 0),
-        RationalPoint(t, h),
-    )
-    return ViannaTriangle(
-        triple=triple,
-        vertices=vertices,
-        ell=ell,
-        h=h,
-        t=t,
-        lam=Fraction(1, a * b * c),
-        u=u,
-        edge_data=_edge_data(vertices),
-    )
 
 
 def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
@@ -284,21 +252,20 @@ def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
     so every verified quantity is independent of this choice.
     """
     a, b, c = triple
-    if b == 1:
-        u = 0
-    else:
-        u = (a * a * pow(c, -2, b * b)) % (b * b)
-    t = Fraction(u * c, a * b)
-    return _build_triangle(triple, t, u)
+    return ViannaTriangle(triple, a * a * pow(c, -2, b * b) % (b * b))
 
 
-def _inner_normals(polygon: LatticePolygon) -> list[tuple[int, int, Fraction]]:
-    """Primitive inner normal and support value min <n, .> per edge."""
+def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, Fraction]]:
+    """Primitive inner normal n and support value min <n, .> per edge.
+
+    Edge i leaves vertex p along the primitive direction (dx, dy); the
+    triangle is counterclockwise, so n = (-dy, dx) points inward and the
+    minimum of <n, .> is taken at p itself.
+    """
     out = []
-    for p, q in polygon.edges():
-        nx, ny, _ = _primitive(-(q.y - p.y), q.x - p.x)
-        support = min(v.x * nx + v.y * ny for v in polygon.vertices)
-        out.append((nx, ny, support))
+    for p, edge in zip(tri.vertices, tri.edge_data):
+        dx, dy = edge.direction
+        out.append((-dy, dx, dx * p.y - dy * p.x))
     return out
 
 
@@ -309,7 +276,7 @@ def central_point(tri: ViannaTriangle) -> RationalPoint:
     inner normal n.  Two edges determine the point; the third equation is
     verified by substitution and can never fail for a valid base triangle.
     """
-    normals = _inner_normals(tri.polygon())
+    normals = _inner_normals(tri)
     third = Fraction(1, 3)
     (a0, b0, s0), (a1, b1, s1), (a2, b2, s2) = normals
     det = a0 * b1 - a1 * b0
@@ -323,23 +290,24 @@ def central_point(tri: ViannaTriangle) -> RationalPoint:
     return RationalPoint(x, y)
 
 
-def shear_normalize(tri: ViannaTriangle) -> tuple[ViannaTriangle, UnimodularMap]:
-    """Shear by the smallest |k| placing the apex strictly over the base.
+def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
+    """Shear the apex strictly over the base; the lattice width is unchanged.
 
-    Rejects the triple (1,1,1), whose apex can never move strictly inside
-    (its width equals its base).  The lattice width is unchanged.
+    The normal form has 0 <= u < b^2, so 0 <= t = uc/(ab) < bc/a = h.  Below
+    the root h < ell, since ell/h = a^2/(bc)^2 > 2 (check_alg_lemma), so the
+    apex already lies over the base unless t = 0.  That means u = 0, and
+    u*c^2 = a^2 (mod b^2) with gcd(a, b) = 1 then forces b = 1: the triple
+    is (2,1,1), which the shear (x, y) -> (x + y, y), u -> u + b^2, moves to
+    the apex (1/2, 1/2).  Rejects (1,1,1), whose apex can never move strictly
+    inside (its width equals its base).
     """
     if tri.triple == MarkovTriple(1, 1, 1):
         raise ValueError("(1,1,1) cannot be shear-normalized")
-    for k in range(0, 2 * int(tri.ell / tri.h) + 3):
-        for signed in ((k,) if k == 0 else (k, -k)):
-            t_new = tri.t + signed * tri.h
-            if 0 < t_new < tri.ell:
-                shear = UnimodularMap.shear(signed)
-                return _build_triangle(
-                    tri.triple, t_new, tri.u + signed * tri.triple.b ** 2
-                ), shear
-    raise VerificationError(f"no shear normalizes {tri.triple}")
+    b = tri.triple.b
+    sheared = tri if tri.t > 0 else ViannaTriangle(tri.triple, tri.u + b * b)
+    if not 0 < sheared.t < sheared.ell:
+        raise VerificationError(f"no shear normalizes {tri.triple}")
+    return sheared
 
 
 def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
@@ -363,7 +331,7 @@ def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
         RationalPoint(tri.t + sign * leg, y0),
         RationalPoint(tri.t, y0 + leg),
     )
-    normals = _inner_normals(tri.polygon())
+    normals = _inner_normals(tri)
     return all(
         nx * p.x + ny * p.y > s for (nx, ny, s) in normals for p in corners
     )

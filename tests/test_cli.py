@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mbl.capacity
 import mbl.cli
 from mbl.cli import main
 from mbl.errors import VerificationError
@@ -111,6 +112,8 @@ _REPORT_DIGESTS = [
      "2a310704b536a15db63153dcf145a97e88ef572b429d47cba75762c48aab9e13"),
     ("verify --max-bound 3000 --n-max 60", "json", 0,
      "c030538ebeacddfd2bf619f9d3adb00983fa2461ccd58f12e90fd71e3582df86"),
+    ("verify --suite lattice --max-bound 10000", "text", 0,
+     "a096294f2b32cd245bc48acd195377e798c696c4ab7242854e7dc0d1a1f88bc8"),
     ("verify --suite lattice --max-bound 10000", "json", 0,
      "aec4c4c3c91f81804e803cc5bd474f48f23805dcd92e64e53f0514edac14f383"),
     ("complete --threshold 7/20 --n-max 30", "text", 0,
@@ -123,6 +126,18 @@ _REPORT_DIGESTS = [
 # The single-row geometry tables; square.json is the unit square, written
 # to the working directory so that the JSON's polygon_file is the same each run.
 _GEOMETRY_DIGESTS = [
+    ("triangle --triple 1,1,1", "text", 0,
+     "5d86137e9d7f22614ccffdccb4eb9fc73debb659343c72ea92d72129c3a527c7"),
+    ("triangle --triple 1,1,1", "csv", 0,
+     "d622b3e817dfc8e3135e75ba2c386b87f5f60d86bd9ba3895bc674472f6694c4"),
+    ("triangle --triple 1,1,1", "json", 0,
+     "e5390c6b1c989a9414865944f4df5f6c387a208d9e4965c2e331241689214ce9"),
+    ("triangle --triple 2,1,1", "text", 0,
+     "771786612e219bee16acb57f57ee10d0685bc32489780214e420739cb5df4eb2"),
+    ("triangle --triple 2,1,1", "csv", 0,
+     "7f1812ac26b2e854a0f8598fdc85bda5bbafa78b5adf0321204a3afa41f39758"),
+    ("triangle --triple 2,1,1", "json", 0,
+     "917782e2d72351fe94085db69a065eba4fd7b0012f4982964daaf79b516abc62"),
     ("triangle --triple 29,5,2", "text", 0,
      "ff7e1e9b008feed07bf97a7c9cc72ea66626f755405e7dff5de473f7249f7563"),
     ("triangle --triple 29,5,2", "csv", 0,
@@ -367,6 +382,30 @@ class TestVerifyAndComplete:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d7f3b0c158c70a0677ba4e30b0bb0e494abd10acc5d23f9f4c9de3ca3d108ce")
 
+    def test_repeated_suite_runs_once(self, capsys):
+        code, once, _ = run(capsys, "verify", "--suite", "markov", "--max-bound", "30")
+        twice_code, twice, _ = run(capsys, "verify", "--suite", "markov",
+                                   "--suite", "markov", "--max-bound", "30")
+        assert (code, twice_code) == (0, 0)
+        assert twice == once
+
+    def test_surd_identity_failure_is_named(self, capsys, monkeypatch):
+        real = mbl.capacity.width
+
+        def skewed(t):  # still inside (1/3, 1/2], so only the surd form disagrees
+            off = Fraction(1, 10 ** 6) if t == MarkovTriple(433, 29, 5) else 0
+            return real(t) + off
+
+        monkeypatch.setattr(mbl.capacity, "width", skewed)
+        monkeypatch.setattr(mbl.cli, "width", skewed)
+        code, out, _ = run(capsys, "verify", "--suite", "capacity",
+                           "--max-bound", "1000")
+        assert code == 1
+        lines = out.splitlines()
+        assert "FAIL  capacity:surd-identity  [(433,29,5)]" in lines
+        for name in ("width-bounds", "limit-gaps", "spectrum-values"):
+            assert any(line.endswith(f"capacity:{name}") for line in lines)
+
     @pytest.mark.parametrize("error", [ValueError, VerificationError])
     def test_error_inside_suite_is_a_failed_check(self, capsys, monkeypatch, error):
         def raising(n_max):
@@ -432,6 +471,22 @@ class TestPlot:
                      "--out", str(out)]) == 0
         blob = out.read_text()
         assert "(1/3, 1/3)" in blob
+
+    @pytest.mark.parametrize("flags, digest", [
+        ("--triple 1,1,1",
+         "65110dec9743eb77e479548c29cd3f7cc7544db7a1b036c69994c2baadd56a9f"),
+        ("--triple 2,1,1",
+         "9dea88625b00fb5e9e70fb48c7e7a9003a5a6afbbc21c845e5fb4588e1bb2462"),
+        ("--triple 5,2,1",
+         "fe38abcf079a5aeba9a69af1980bd41212df73ee64a4edab62d4ea916e3d1fb7"),
+        ("--triple 433,29,5 --delta 1/5",
+         "4caac6fc3f48c7d611a0cee4b7f85fddb5b9dd41430f2afc1fbac8421dedb3c3"),
+    ])
+    def test_triangle_figure_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "tri.svg"
+        assert main(["plot", "--figure", "triangle", *flags.split(),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_numberline_figure(self, tmp_path):
         out = tmp_path / "n33.svg"

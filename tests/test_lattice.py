@@ -12,7 +12,7 @@ from mbl.lattice import (
     LatticePolygon,
     RationalPoint,
     UnimodularMap,
-    affine_length,
+    _primitive,
     central_point,
     check_alg_lemma,
     inscribed_right_triangle,
@@ -131,7 +131,7 @@ class TestViannaTriangle:
     def test_five_two_one(self):
         tri = vianna_triangle(T(5, 2, 1))
         assert tri.u == 1  # 25 mod 4
-        assert tuple(tri.apex()) == (Fraction(1, 10), Fraction(2, 5))
+        assert tuple(tri.vertices[2]) == (Fraction(1, 10), Fraction(2, 5))
         assert tri.edge_data[2] == EdgeData((-1, -4), Fraction(1, 10))
         assert tri.edge_data[1] == EdgeData((-6, 1), Fraction(2, 5))
 
@@ -144,21 +144,24 @@ class TestViannaTriangle:
 
 
 class TestAffineLength:
+    # the affine length of a segment p -> q is the scale factor _primitive
+    # returns for q - p against the primitive integer vector in its direction
     def test_horizontal(self):
-        assert affine_length(RationalPoint(0, 0), RationalPoint(Fraction(5, 2), 0)) \
-            == Fraction(5, 2)
+        p, q = RationalPoint(0, 0), RationalPoint(Fraction(5, 2), 0)
+        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(5, 2)
 
     def test_slant(self):
-        assert affine_length(
-            RationalPoint(0, 0), RationalPoint(Fraction(1, 10), Fraction(2, 5))
-        ) == Fraction(1, 10)
+        p, q = RationalPoint(0, 0), RationalPoint(Fraction(1, 10), Fraction(2, 5))
+        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(1, 10)
 
     def test_diagonal(self):
-        assert affine_length(RationalPoint(0, 0), RationalPoint(3, 3)) == 3
+        p, q = RationalPoint(0, 0), RationalPoint(3, 3)
+        assert _primitive(q.x - p.x, q.y - p.y)[2] == 3
 
     def test_zero_segment(self):
+        p = q = RationalPoint(1, 2)
         with pytest.raises(ValueError):
-            affine_length(RationalPoint(1, 2), RationalPoint(1, 2))
+            _primitive(q.x - p.x, q.y - p.y)
 
     @given(st.integers(1, 60), st.integers(-7, 7), st.integers(1, 7))
     def test_scales_with_primitive_direction(self, k, dx, dy):
@@ -168,7 +171,7 @@ class TestAffineLength:
             return
         p = RationalPoint(2, 3)
         q = RationalPoint(2 + Fraction(k, 5) * dx, 3 + Fraction(k, 5) * dy)
-        assert affine_length(p, q) == Fraction(k, 5)
+        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(k, 5)
 
 
 class TestCentralPoint:
@@ -210,20 +213,34 @@ class TestCentralPoint:
 class TestShearAndInscribed:
     def test_two_one_one_needs_one_shear(self):
         tri = vianna_triangle(T(2, 1, 1))
-        normalized, mapping = shear_normalize(tri)
-        assert (mapping.m00, mapping.m01, mapping.m10, mapping.m11) == (1, 1, 0, 1)
-        assert tuple(normalized.apex()) == (Fraction(1, 2), Fraction(1, 2))
+        normalized = shear_normalize(tri)
+        assert normalized.u - tri.u == 1
+        assert tuple(normalized.vertices[2]) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_five_two_one_already_interior(self):
         tri = vianna_triangle(T(5, 2, 1))
-        normalized, mapping = shear_normalize(tri)
-        assert mapping.m01 == 0
+        normalized = shear_normalize(tri)
         assert normalized == tri
+
+    def test_one_shear_suffices_below_ten_to_twelve(self):
+        # the normal form puts the apex at 0 <= t < h, and h < ell below the
+        # root, so only t = 0, which is (2,1,1), needs a shear
+        for t in enumerate_triples(10 ** 12):
+            if t == T(1, 1, 1):
+                continue
+            tri = vianna_triangle(t)
+            assert 0 <= tri.t < tri.h < tri.ell
+            normalized = shear_normalize(tri)
+            if t == T(2, 1, 1):
+                assert normalized.u == 1
+                assert tuple(normalized.vertices[2]) == (Fraction(1, 2), Fraction(1, 2))
+            else:
+                assert normalized == tri
 
     def test_width_preserved(self):
         for triple in ((2, 1, 1), (13, 5, 1), (433, 29, 5)):
             tri = vianna_triangle(T(*triple))
-            normalized, _ = shear_normalize(tri)
+            normalized = shear_normalize(tri)
             assert lattice_width(tri.polygon()) == lattice_width(normalized.polygon())
 
     def test_root_rejected(self):
@@ -231,9 +248,9 @@ class TestShearAndInscribed:
             shear_normalize(vianna_triangle(T(1, 1, 1)))
 
     def test_inscribed_examples(self):
-        normalized, _ = shear_normalize(vianna_triangle(T(2, 1, 1)))
+        normalized = shear_normalize(vianna_triangle(T(2, 1, 1)))
         assert inscribed_right_triangle(normalized, Fraction(1, 10))
-        normalized, _ = shear_normalize(vianna_triangle(T(5, 2, 1)))
+        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
         assert inscribed_right_triangle(normalized, Fraction(1, 25))
 
     def test_inscribed_needs_normal_form(self):
@@ -241,7 +258,7 @@ class TestShearAndInscribed:
             inscribed_right_triangle(vianna_triangle(T(2, 1, 1)), Fraction(1, 10))
 
     def test_inscribed_eps_range(self):
-        normalized, _ = shear_normalize(vianna_triangle(T(5, 2, 1)))
+        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
         with pytest.raises(ValueError):
             inscribed_right_triangle(normalized, Fraction(1))
 
@@ -249,7 +266,7 @@ class TestShearAndInscribed:
         for t in enumerate_triples(1000):
             if t == T(1, 1, 1):
                 continue
-            normalized, _ = shear_normalize(vianna_triangle(t))
+            normalized = shear_normalize(vianna_triangle(t))
             assert inscribed_right_triangle(normalized, normalized.h / 64)
 
 
