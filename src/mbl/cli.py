@@ -34,11 +34,11 @@ from .capacity import (
 from .errors import VerificationError
 from .lattice import (
     LatticePolygon,
-    UnimodularMap,
     central_point,
     check_alg_lemma,
     inscribed_right_triangle,
     lattice_width,
+    random_unimodular,
     shear_normalize,
     vianna_triangle,
 )
@@ -266,11 +266,12 @@ def cmd_irregularities(config: argparse.Namespace) -> int:
 def cmd_triangle(config: argparse.Namespace) -> int:
     tri = vianna_triangle(config.triple)
     center = central_point(tri)
-    value, xi = lattice_width(tri.polygon())
+    polygon = tri.polygon()
+    value, xi = lattice_width(polygon)
     payload = {
         "command": "triangle",
         "triple": config.triple.to_json(),
-        "vertices": tri.polygon().to_json(),
+        "vertices": polygon.to_json(),
         "ell": str(tri.ell),
         "h": str(tri.h),
         "t": str(tri.t),
@@ -543,7 +544,7 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
         polygon = vianna_triangle(t).polygon()
         base, _ = lattice_width(polygon)
         for _ in range(20):
-            mapped = _random_unimodular(rng).apply(polygon)
+            mapped = random_unimodular(rng).apply(polygon)
             got, _ = lattice_width(mapped)
             if got != base:
                 failures["unimodular-invariance"] = str(t)
@@ -554,23 +555,6 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
         "shear-and-inscribed",
         "alg-lemma",
         "unimodular-invariance",
-    )
-
-
-def _random_unimodular(rng: random.Random) -> UnimodularMap:
-    m = (1, 0, 0, 1)
-    for _ in range(rng.randint(2, 6)):
-        k = rng.randint(-3, 3)
-        which = rng.randint(0, 1)
-        if which == 0:  # shear (1 k; 0 1)
-            m = (m[0], m[1] + k * m[0], m[2], m[3] + k * m[2])
-        else:  # shear (1 0; k 1)
-            m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
-    if rng.randint(0, 1):
-        m = (m[1], m[0], m[3], m[2])  # swap columns: determinant -1
-    return UnimodularMap(
-        m[0], m[1], m[2], m[3],
-        Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)),
     )
 
 

@@ -10,9 +10,11 @@ normal form used here.  All geometry is exact over Fraction.
 
 from __future__ import annotations
 
+import bisect
 import math
+import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
 
 from .capacity import Capacity
@@ -115,6 +117,23 @@ class UnimodularMap:
         return LatticePolygon(pts)
 
 
+def random_unimodular(rng: random.Random) -> UnimodularMap:
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(2, 6)):
+        k = rng.randint(-3, 3)
+        if rng.randint(0, 1):
+            m = (m[0], m[1] + k * m[0], m[2], m[3] + k * m[2])
+        else:
+            m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
+    if rng.randint(0, 1):
+        m = (m[1], m[0], m[3], m[2])
+    return UnimodularMap(
+        m[0], m[1], m[2], m[3],
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+
+
 def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
     """Write (vx, vy) = s * d with d a primitive integer vector, s > 0."""
     den = math.lcm(vx.denominator, vy.denominator)
@@ -134,48 +153,46 @@ def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> Capacity:
     return max(values) - min(values)
 
 
-def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
-    # the Euclidean width of a convex polygon is minimized at an edge normal
-    best = None
-    for p, q in polygon.edges():
-        nx, ny = -(q.y - p.y), q.x - p.x
-        values = [v.x * nx + v.y * ny for v in polygon.vertices]
-        spread = max(values) - min(values)
-        wsq = spread * spread / (nx * nx + ny * ny)
-        if best is None or wsq < best:
-            best = wsq
-    return best
-
-
 def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
-    """Exact lattice width and a minimizing primitive direction.
+    """Exact lattice width and its lexicographically least minimizing direction.
 
-    Any direction xi satisfies width_along(xi) >= |xi| * W with W the minimal
-    Euclidean width, so directions with |xi|^2 W^2 > best^2 cannot improve on
-    the current best and the search over primitive xi in the upper half-plane
-    is finite.  Ties are broken lexicographically.
+    F(xi) = width_along(polygon, xi) is a norm on Z^2 (the vertices are not
+    collinear) with values in (1/D)Z, D the lcm of the vertex denominators.
+    Generalized Gauss reduction (Kaib and Schnorr, J. Algorithms 21, 1996)
+    starts from (1,0), (0,1), replaces b2 by b2 - mu*b1 for the mu that
+    minimizes F(b2 - mu*b1), and swaps while F(b2) < F(b1), each swap
+    lowering F(b1) in (1/D)Z.  F(b2 - mu*b1) is convex in mu and at least
+    |mu|F(b1) - F(b2), so bisection over |mu| <= 2F(b2)/F(b1) finds mu.  At
+    the end F(b1) <= F(b2) <= F(b2 + k*b1) for all integers k.
+
+    Let lam = F(b1) and v = x*b1 + y*b2.  For |y| >= 2 and k nearest x/y,
+    v = y(b2 + k*b1) + (x - k*y)b1 gives lam <= F(b2 + k*b1) <= F(v)/|y| +
+    lam/2; with F(v) >= F(b2) for |y| = 1, b1 is shortest and a minimal v
+    has |y| <= 2.  If |y| = 1, F(b2) = lam and lam >= |x|lam - lam give
+    |x| <= 2.  If |y| = 2, equality forces x odd and F(b2) = lam, so (b2, b1)
+    is reduced too and |x| = 1.  So every minimizer is +-one of b1, b2,
+    b1+-b2, 2b1+-b2, b1+-2b2.  (Minimal vectors are distinct mod 3, else two
+    differ by 3w with F(w) <= 2lam/3, so there are at most four pairs.)
     """
-    best = width_along(polygon, (1, 0))
-    best_xi = (1, 0)
-    w01 = width_along(polygon, (0, 1))
-    if w01 < best or (w01 == best and (0, 1) < best_xi):
-        best, best_xi = w01, (0, 1)
-    wsq = _euclidean_min_width_sq(polygon)
-    if wsq == 0:
-        raise ValueError("degenerate polygon")
-    q = 1
-    while Fraction(q * q) * wsq <= best * best:
-        p_limit = math.isqrt(int(best * best / wsq)) + 1
-        for p in range(-p_limit, p_limit + 1):
-            if math.gcd(abs(p), q) != 1:
-                continue
-            if Fraction(p * p + q * q) * wsq > best * best:
-                continue
-            w = width_along(polygon, (p, q))
-            if w < best or (w == best and (p, q) < best_xi):
-                best, best_xi = w, (p, q)
-        q += 1
-    return best, best_xi
+
+    norm = cache(partial(width_along, polygon))  # each direction is measured once
+
+    def reduce(b1, b2):  # b2 - mu*b1 at the least mu where F stops falling
+        def minus(mu: int) -> tuple[int, int]:
+            return b2[0] - mu * b1[0], b2[1] - mu * b1[1]
+
+        reach = 2 * norm(b2) // norm(b1)
+        mu = bisect.bisect_left(range(-reach, reach), 0,
+                                key=lambda m: norm(minus(m + 1)) - norm(minus(m))) - reach
+        return minus(mu)
+
+    b1, b2 = (1, 0), reduce((1, 0), (0, 1))
+    while norm(b2) < norm(b1):
+        b1, b2 = b2, reduce(b2, b1)
+    candidates = [(i * b1[0] + j * b2[0], i * b1[1] + j * b2[1]) for i, j in
+                  ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))]
+    return min((norm(v), v) for p, q in candidates  # in the upper half-plane
+               for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
 
 
 @dataclass(frozen=True)
@@ -198,8 +215,6 @@ class ViannaTriangle:
     u: int
 
     def __post_init__(self):
-        if self.h * self.ell != 1:
-            raise VerificationError(f"h*ell != 1 for {self.triple}")
         if self.polygon().signed_area() != Fraction(1, 2):
             raise VerificationError(f"area != 1/2 for {self.triple}")
         lengths = sorted(e.length for e in self.edge_data)

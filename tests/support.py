@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: interval evaluation
-goes through mpmath, the lattice-width oracle is an unpruned scan, and the
-unimodular sampler composes elementary shears directly.
+goes through mpmath, and the lattice-width oracle searches every primitive
+direction inside a Euclidean-width bound instead of reducing a basis.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath
 
-from mbl.lattice import LatticePolygon, UnimodularMap, width_along
+from mbl.lattice import LatticePolygon, width_along
 
 
 def quadratic_interval(value, digits: int = 200):
@@ -38,37 +38,46 @@ def interval_compare(x, y, digits: int = 200):
     return None
 
 
-def brute_lattice_width(polygon: LatticePolygon, reach: int = 50):
-    """Exhaustive scan over primitive directions with sup-norm <= reach."""
+def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
+    # the Euclidean width of a convex polygon is minimized at an edge normal
     best = None
-    best_xi = None
-    for q in range(0, reach + 1):
-        for p in range(-reach, reach + 1):
-            if q == 0 and p <= 0:
-                continue
+    for p, q in polygon.edges():
+        nx, ny = -(q.y - p.y), q.x - p.x
+        values = [v.x * nx + v.y * ny for v in polygon.vertices]
+        spread = max(values) - min(values)
+        wsq = spread * spread / (nx * nx + ny * ny)
+        if best is None or wsq < best:
+            best = wsq
+    return best
+
+
+def pruned_lattice_width(polygon: LatticePolygon):
+    """Exact lattice width and the lexicographically least minimizer.
+
+    Any direction xi satisfies width_along(xi) >= |xi| * W with W the minimal
+    Euclidean width, so directions with |xi|^2 W^2 > best^2 cannot improve on
+    the current best and the search over primitive xi in the upper half-plane
+    is finite.  Its cost grows with the square of the polygon's skew.
+    """
+    best = width_along(polygon, (1, 0))
+    best_xi = (1, 0)
+    w01 = width_along(polygon, (0, 1))
+    if w01 < best or (w01 == best and (0, 1) < best_xi):
+        best, best_xi = w01, (0, 1)
+    wsq = _euclidean_min_width_sq(polygon)
+    q = 1
+    while Fraction(q * q) * wsq <= best * best:
+        p_limit = math.isqrt(int(best * best / wsq)) + 1
+        for p in range(-p_limit, p_limit + 1):
             if math.gcd(abs(p), q) != 1:
                 continue
+            if Fraction(p * p + q * q) * wsq > best * best:
+                continue
             w = width_along(polygon, (p, q))
-            if best is None or w < best or (w == best and (p, q) < best_xi):
+            if w < best or (w == best and (p, q) < best_xi):
                 best, best_xi = w, (p, q)
+        q += 1
     return best, best_xi
-
-
-def random_unimodular(rng: random.Random) -> UnimodularMap:
-    m = (1, 0, 0, 1)
-    for _ in range(rng.randint(2, 6)):
-        k = rng.randint(-3, 3)
-        if rng.randint(0, 1):
-            m = (m[0], m[1] + k * m[0], m[2], m[3] + k * m[2])
-        else:
-            m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
-    if rng.randint(0, 1):
-        m = (m[1], m[0], m[3], m[2])
-    return UnimodularMap(
-        m[0], m[1], m[2], m[3],
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-    )
 
 
 def random_quadratic(rng: random.Random):

@@ -19,7 +19,7 @@ from mbl.capacity import (
     width,
 )
 from mbl.cli import main
-from mbl.lattice import lattice_width, vianna_triangle
+from mbl.lattice import lattice_width, random_unimodular, vianna_triangle
 from mbl.markov import (
     MarkovTriple,
     apex_for,
@@ -42,7 +42,7 @@ from mbl.ordering import (
     verify_chain_inequalities,
 )
 
-from support import interval_compare, random_quadratic, random_unimodular
+from support import interval_compare, random_quadratic
 
 T = MarkovTriple
 

@@ -123,8 +123,12 @@ _REPORT_DIGESTS = [
 ]
 
 
-# The single-row geometry tables; square.json is the unit square, written
-# to the working directory so that the JSON's polygon_file is the same each run.
+# The single-row geometry tables.  The polygon files are written to the
+# working directory so that the JSON's polygon_file is the same each run:
+# square.json is the unit square, skew.json a skewed unimodular image of the
+# (29,5,2) base triangle whose least minimizer is (-67,189), and tie.json a
+# polygon with four pairs of minimal directions (its text and csv equal the
+# square's).
 _GEOMETRY_DIGESTS = [
     ("triangle --triple 1,1,1", "text", 0,
      "5d86137e9d7f22614ccffdccb4eb9fc73debb659343c72ea92d72129c3a527c7"),
@@ -156,6 +160,14 @@ _GEOMETRY_DIGESTS = [
      "c34e156a4bac5771e35d35adde115253e8aa7a07ffc97fe9df63449ee164a972"),
     ("width --polygon square.json", "json", 0,
      "cdf4bb0e65b496332a281afe283027d8b8d84a84078fef42d4e16364a256d88e"),
+    ("width --polygon skew.json", "text", 0,
+     "113d8195c87e8206085fcffa3addc7f8932d16496767ba98c1e269d938d179cb"),
+    ("width --polygon skew.json", "csv", 0,
+     "602a9c92da76eec8cfdb83f313167423b05ab7128e917ddf9b37eec820a652bc"),
+    ("width --polygon skew.json", "json", 0,
+     "da7de9ef1600b1cee7581145ec457dbff95d5f51d1215f44c892b2c9cd7fb635"),
+    ("width --polygon tie.json", "json", 0,
+     "bcdd4237ed7ec1100932dec182fb2b1e661da6a4ec77e429adfd51b9b6e563cc"),
 ]
 
 _NAMED_DIGESTS = (_DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS
@@ -173,6 +185,10 @@ def test_row_table_bytes_are_pinned(capsys, monkeypatch, tmp_path,
     monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-files
     (tmp_path / "square.json").write_text(
         json.dumps([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]))
+    (tmp_path / "skew.json").write_text(
+        json.dumps([["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]))
+    (tmp_path / "tie.json").write_text(
+        json.dumps([["3/2", "-1"], ["2", "-2"], ["5/2", "-2"], ["2", "-1"]]))
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == exit_code

@@ -17,18 +17,26 @@ from mbl.lattice import (
     check_alg_lemma,
     inscribed_right_triangle,
     lattice_width,
+    random_unimodular,
     shear_normalize,
     vianna_triangle,
     width_along,
 )
 from mbl.markov import MarkovTriple, enumerate_triples
 
-from support import brute_lattice_width, random_unimodular
+from support import pruned_lattice_width
 
 T = MarkovTriple
 
 UNIT_TRIANGLE = LatticePolygon([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+# Four pairs of minimal directions, (1,0), (0,1), (1,1), (1,2), each of width 1.
+FOUR_PAIRS = LatticePolygon([(Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2)),
+                             (Fraction(-1, 2), 0), (Fraction(1, 2), Fraction(-1, 2))])
+# A unimodular image of FOUR_PAIRS on which the set {b1, b2, b1+b2, b1-b2} of
+# a reduced basis misses the least minimizer (0, 1).
+FOUR_PAIRS_IMAGE = LatticePolygon([(Fraction(3, 2), -1), (2, -2), (Fraction(5, 2), -2),
+                                   (2, -1)])
 
 
 class TestPolygonValidation:
@@ -91,6 +99,10 @@ class TestLatticeWidth:
             polygon = vianna_triangle(t).polygon()
             assert lattice_width(polygon) == (width(t), (0, 1))
 
+    def test_ties_go_to_the_least_direction(self):
+        assert lattice_width(FOUR_PAIRS) == (1, (0, 1))
+        assert lattice_width(FOUR_PAIRS_IMAGE) == (1, (0, 1))
+
     def test_brute_force_agreement(self):
         polygons = [
             UNIT_TRIANGLE,
@@ -98,11 +110,13 @@ class TestLatticeWidth:
             LatticePolygon([(0, 0), (4, 1), (5, 4), (1, 3)]),
             LatticePolygon([(Fraction(1, 2), 0), (3, Fraction(1, 3)), (2, 2)]),
             vianna_triangle(T(13, 5, 1)).polygon(),
+            FOUR_PAIRS,
+            FOUR_PAIRS_IMAGE,
         ]
+        rng = random.Random(4242)
+        polygons += [random_unimodular(rng).apply(FOUR_PAIRS) for _ in range(12)]
         for polygon in polygons:
-            value, xi = lattice_width(polygon)
-            brute_value, brute_xi = brute_lattice_width(polygon)
-            assert (value, xi) == (brute_value, brute_xi)
+            assert lattice_width(polygon) == pruned_lattice_width(polygon)
 
     def test_unimodular_invariance(self):
         rng = random.Random(777)
