@@ -40,29 +40,26 @@ def _rational_sqrt(r: Fraction) -> Fraction | None:
     return None
 
 
-def _sign_simple(q: Fraction, s: Fraction, r: Fraction) -> int:
-    """Sign of q + s*sqrt(r), assuming sqrt(r) irrational whenever s != 0."""
-    if s == 0:
-        return (q > 0) - (q < 0)
-    if q == 0:
-        return 1 if s > 0 else -1
-    if (q > 0) == (s > 0):
-        return 1 if q > 0 else -1
-    t = q * q - s * s * r  # opposite signs: squaring decides
+def _sign(x: int, y: int, z: int) -> int:
+    """Sign of x + y*sqrt(z) for integers x, y and z >= 0."""
+    if y == 0 or z == 0:
+        return (x > 0) - (x < 0)
+    if x == 0 or (x > 0) == (y > 0):
+        return 1 if y > 0 else -1
+    t = x * x - y * y * z  # opposite signs: squaring decides
     if t == 0:
         return 0
-    if q > 0:
-        return 1 if t > 0 else -1
-    return -1 if t > 0 else 1
+    return 1 if (t > 0) == (x > 0) else -1
 
 
 class QuadraticValue:
     """An exact number q + s*sqrt(r) with rational q, s and rational r >= 0.
 
     Canonical form folds a perfect-square radicand into the rational part, so
-    `s != 0` implies sqrt(r) is irrational.  Comparisons are sign-exact: a
-    comparison against a rational needs one squaring, one between two surds
-    with different radicands needs two, with explicit sign bookkeeping.
+    `s != 0` implies sqrt(r) is irrational.  Comparisons are sign-exact and
+    run on integers once the denominators are cleared: a comparison against a
+    rational needs one squaring, one between two surds with different
+    radicands needs two, with explicit sign bookkeeping.
     """
 
     __slots__ = ("_q", "_s", "_r")
@@ -108,26 +105,41 @@ class QuadraticValue:
             raise ValueError(f"{self} is irrational")
         return self._q
 
+    def _cleared(self) -> tuple[int, int, int, int]:
+        """Integers (A, B, R, D) with self = (A + B*sqrt(R))/D and D > 0."""
+        q, s, r = self._q, self._s, self._r
+        rd = r.denominator  # sqrt(r) = sqrt(r.num * r.den) / r.den
+        return (q.numerator * s.denominator * rd, s.numerator * q.denominator,
+                r.numerator * rd, q.denominator * s.denominator * rd)
+
     def sign(self) -> int:
-        return _sign_simple(self._q, self._s, self._r)
+        a, b, r, _ = self._cleared()
+        return _sign(a, b, r)
 
     def compare(self, other) -> int:
-        """Exact trichotomy against a rational or another QuadraticValue."""
-        if isinstance(other, _Rational):
-            other = QuadraticValue.from_rational(other)
-        d = self._q - other._q
-        su = _sign_simple(d, self._s, self._r)
-        sv = _sign_simple(Fraction(0), other._s, other._r)
+        """Exact trichotomy against a rational or another QuadraticValue.
+
+        With self = (a + b*sqrt(r))/d and other = (a2 + b2*sqrt(r2))/d2, the
+        sign of self - other is that of u - v, where u = x + y*sqrt(r) with
+        x = a*d2 - a2*d, y = b*d2, and v = z*sqrt(r2) with z = b2*d.
+        """
+        a, b, r, d = self._cleared()
+        if isinstance(other, QuadraticValue):
+            a2, b2, r2, d2 = other._cleared()
+        elif isinstance(other, _Rational):
+            a2, b2, r2, d2 = other.numerator, 0, 0, other.denominator
+        else:
+            raise TypeError(
+                f"cannot compare QuadraticValue with {type(other).__name__}")
+        x, y, z = a * d2 - a2 * d, b * d2, b2 * d
+        su = _sign(x, y, r)
+        sv = _sign(0, z, r2)
         if su != sv:
             return 1 if su > sv else -1
         if su == 0:
             return 0
         # same strict sign: u^2 - v^2 is again a simple surd
-        t = _sign_simple(
-            d * d + self._s * self._s * self._r - other._s * other._s * other._r,
-            2 * d * self._s,
-            self._r,
-        )
+        t = _sign(x * x + y * y * r - z * z * r2, 2 * x * y, r)
         return t if su > 0 else -t
 
     def __eq__(self, other):

@@ -532,7 +532,9 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
             normalized = shear_normalize(tri)
-            after, _ = lattice_width(normalized.polygon())
+            after = value  # the shear moves only (2,1,1)'s triangle
+            if normalized != tri:
+                after, _ = lattice_width(normalized.polygon())
             if value != after or not inscribed_right_triangle(
                 normalized, normalized.h / 8
             ):

@@ -108,23 +108,25 @@ class MarkovWalk:
     """
 
     def __init__(self):
-        self._heap = [MarkovTriple(1, 1, 1)]
+        # entries (maximum, triple): the heap orders them by comparing ints,
+        # not through the dataclass's generated __lt__
+        self._heap = [(1, MarkovTriple(1, 1, 1))]
         self._numbers: list[int] = []
         self._apexes: list[MarkovTriple] = []
 
     def _step(self) -> None:
-        t, twin = self._heap[0], min(self._heap[1:3], default=None)
-        # every triple with maximum t.a is queued by now (their parents'
+        (m, t), twin = self._heap[0], min(self._heap[1:3], default=None)
+        # every triple with maximum m is queued by now (their parents'
         # maxima are smaller), so a shared maximum shows in the next smallest
-        if twin is not None and twin.a == t.a:
-            raise VerificationError(f"{t} and {twin} share their maximum")
+        if twin is not None and twin[0] == m:
+            raise VerificationError(f"{t} and {twin[1]} share their maximum")
         heapq.heappop(self._heap)
-        self._numbers.append(t.a)
+        self._numbers.append(m)
         self._apexes.append(t)
         # the two children coincide only at (1,1,1) and (2,1,1)
         for child in {mutate(t, MutationKind.ELIMINATE_MID),
                       mutate(t, MutationKind.ELIMINATE_MIN)}:
-            heapq.heappush(self._heap, child)
+            heapq.heappush(self._heap, (child.a, child))
 
     def prefix(
         self, count: int, stop: Callable[[int], bool] | None = None
@@ -291,12 +293,14 @@ def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:
     """Independent enumeration: scan pairs (b, c) and solve for the third entry.
 
     Used as the oracle for `enumerate_triples`; it never applies mutations.
+    Only pairs with bc <= max_bound are scanned: a triple a >= b >= c has
+    3abc = a^2 + b^2 + c^2 <= 3a^2, so bc <= a <= max_bound.
     """
     if max_bound < 1:
         raise ValueError("max_bound must be >= 1")
     found = set()
     for c in range(1, max_bound + 1):
-        for b in range(c, max_bound + 1):
+        for b in range(c, max_bound // c + 1):
             disc = 9 * b * b * c * c - 4 * (b * b + c * c)
             if disc < 0:
                 continue

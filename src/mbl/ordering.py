@@ -91,7 +91,9 @@ def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
     m_n = numbers[n - 1]
     m_p = numbers[n_prime - 1]
     b_p = _b_value(apexes[n_prime - 1])
-    return Fraction(1, m_n * m_n) >= Fraction(1, m_p * m_p) + Fraction(1, b_p * b_p)
+    # 1/m_n^2 >= 1/m_p^2 + 1/b_p^2, times m_n^2 m_p^2 b_p^2 > 0
+    mm, bb = m_p * m_p, b_p * b_p
+    return mm * bb >= m_n * m_n * (mm + bb)
 
 
 def alternating_order(

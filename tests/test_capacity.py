@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbl.capacity import (
     QuadraticValue,
+    _sign,
     capacity_to_json,
     compare,
     convergence_trace,
@@ -18,11 +19,20 @@ from mbl.capacity import (
 )
 from mbl.errors import VerificationError
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
+from mbl.ordering import spectrum_rows
 
 from support import interval_compare, random_quadratic
 
 T = MarkovTriple
 QV = QuadraticValue
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# mostly non-integer radicands, with perfect squares folding to rationals
+_RADICANDS = st.one_of(
+    st.fractions(min_value=0, max_value=30, max_denominator=12),
+    st.fractions(min_value=0, max_value=6, max_denominator=6).map(lambda x: x * x),
+)
+_SURDS = st.builds(QV, _RATIONALS, st.one_of(st.just(0), _RATIONALS), _RADICANDS)
 
 
 class TestWidth:
@@ -138,6 +148,39 @@ class TestCompare:
                 assert compare(x, y) == 0
             else:
                 assert compare(x, y) == expected
+
+    @settings(deadline=None)
+    @given(_SURDS, _SURDS)
+    @example(QV.sqrt(8), QV(0, 2, 2))
+    @example(QV.sqrt(Fraction(9, 4)), QV.from_rational(Fraction(3, 2)))
+    def test_surds_against_interval_oracle(self, x, y):
+        expected = interval_compare(x, y)
+        assert compare(x, y) == (0 if expected is None else expected)
+        assert compare(y, x) == -compare(x, y)
+
+    def test_capacities_above_limits_near_ties(self):
+        # the smallest gap here is about 4e-237: 200 digits leave hundreds of
+        # these pairs unseparated, 600 digits separate every one
+        for row in spectrum_rows(850, 6):
+            for w in row.first_capacities:
+                assert interval_compare(QV.from_rational(w), row.limit, 600) == 1
+                assert compare(w, row.limit) == 1
+                assert row.limit.compare(w) == -1
+
+    def test_sign_exact_on_square_radicands(self):
+        # canonical values never reach _sign with a square radicand and
+        # y != 0, but the helper stays exact there, ties included
+        for x in range(-7, 8):
+            for y in range(-7, 8):
+                for root in range(5):
+                    v = x + y * root
+                    assert _sign(x, y, root * root) == (v > 0) - (v < 0)
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            QV.sqrt(2).compare(1.5)
+        with pytest.raises(TypeError):
+            QV.sqrt(2) < 1.5
 
     def test_total_order_on_samples(self):
         rng = random.Random(20991)

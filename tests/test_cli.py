@@ -123,6 +123,26 @@ _REPORT_DIGESTS = [
 ]
 
 
+# The order commands at the sizes where capacities and limits come within
+# 1e-236 of each other, with thresholds 1/3 + 2*10^-e.  At n_max 850 the
+# span-3 irregularity at (794, 797) refuses the certificate.
+_T44, _T29, _T30 = (str(Fraction(1, 3) + Fraction(2, 10 ** e)) for e in (44, 29, 30))
+_ORDER_SCALE_DIGESTS = [
+    ("limits --n 450", "json", 0,
+     "97c8fd9ffe6fbf1d96e0c94653ec8b641480e7c2b678755d8be14b72d0505305"),
+    (f"complete --threshold {_T44} --n-max 450", "text", 0,
+     "aed4768a94ef9b8ac5e7d0223a3251238eec6e4f302584fac713915ae5f07d75"),
+    (f"complete --threshold {_T44} --n-max 450", "json", 0,
+     "6bf4c292c1452b9fc381d1166898883d70ba09b06be6208dbe446e78b931d249"),
+    (f"complete --threshold {_T29} --n-max 759", "json", 0,
+     "a0d76c3c2a5626a97a8a9c8cefb231981b5664431011aa184d729f6052d992b8"),
+    ("irregularities --n-max 793", "json", 0,
+     "a7dde0648e8798551ab6beeafa64fe65190cd86f7d6bf9045082bccaae85c13f"),
+    (f"complete --threshold {_T30} --n-max 850", "json", 1,
+     "45fdaf03428a9fb2778af08467341416e292ebb24773d4e9e24485b9f3fafeea"),
+]
+
+
 # The single-row geometry tables.  The polygon files are written to the
 # working directory so that the JSON's polygon_file is the same each run:
 # square.json is the unit square, skew.json a skewed unimodular image of the
@@ -171,7 +191,7 @@ _GEOMETRY_DIGESTS = [
 ]
 
 _NAMED_DIGESTS = (_DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS
-                  + _GEOMETRY_DIGESTS)
+                  + _ORDER_SCALE_DIGESTS + _GEOMETRY_DIGESTS)
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,23 @@ class TestEnumerate:
             assert [t.as_tuple() for t in triples_up_to(bound)] == \
                 brute_force_triples(bound)
 
+    def test_pruned_scan_matches_full_pair_scan(self):
+        # every pair c <= b <= 300, each solved for both roots a >= b: the
+        # oracle's cut at bc <= bound must lose none of them at any bound
+        full = set()
+        for c in range(1, 301):
+            for b in range(c, 301):
+                disc = 9 * b * b * c * c - 4 * (b * b + c * c)
+                root = math.isqrt(max(disc, 0))
+                if root * root != disc:
+                    continue
+                for twice_a in (3 * b * c - root, 3 * b * c + root):
+                    if twice_a % 2 == 0 and twice_a // 2 >= b:
+                        full.add((twice_a // 2, b, c))
+        for bound in range(1, 301):
+            assert brute_force_triples(bound) == sorted(
+                t for t in full if t[0] <= bound)
+
     def test_paths_replay(self):
         # oracle: breadth-first over all three mutations, so the depth of a
         # triple is the length of its mutation path from (1,1,1)
@@ -218,7 +235,7 @@ class TestMarkovWalk:
 
     def test_repeated_maximum_raises(self):
         walk = MarkovWalk()
-        walk._heap.append(T(1, 1, 1))  # a second triple with maximum 1
+        walk._heap.append((1, T(1, 1, 1)))  # a second triple with maximum 1
         for _ in range(2):  # the failed step leaves the walk unchanged
             with pytest.raises(VerificationError):
                 walk.prefix(1)
@@ -322,7 +339,7 @@ class TestUniqueness:
 
     def test_shared_maximum_detected(self, monkeypatch):
         walk = MarkovWalk()
-        walk._heap.append(T(5, 2, 1))  # a second triple with maximum 5
+        walk._heap.append((5, T(5, 2, 1)))  # a second triple with maximum 5
         monkeypatch.setattr(mbl.markov, "_WALK", walk)
         assert uniqueness_check(2)
         assert not uniqueness_check(5)

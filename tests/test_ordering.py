@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from mbl.markov import (
 )
 from mbl.ordering import (
     IrregularityRecord,
+    _holds,
     alternating_order,
     check_nn_inequality,
     find_irregularities,
@@ -165,6 +167,33 @@ class TestSpectrumRows:
             assert row.first_capacities == expected
 
 
+def _scan_prefix(n_max: int):
+    # every scan window up to n_max closes at the first m^2 >= 2 m_{n_max}^2
+    m = markov_prefix(n_max)[0][-1]
+    return markov_prefix(n_max + 1, lambda m_end: m_end ** 2 >= 2 * m * m)
+
+
+def _fraction_violations(n_max: int) -> set[tuple[int, int]]:
+    """Pairs (n, n') in the scan windows up to n_max failing
+    1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2, decided on Fractions."""
+    numbers, apexes = _scan_prefix(n_max)
+    violated = set()
+    for n in range(1, n_max + 1):
+        for n_prime in scan_window(n, numbers):
+            apex = apexes[n_prime - 1]
+            b = 3 * apex.a * apex.c - apex.b
+            if not (Fraction(1, numbers[n - 1] ** 2)
+                    >= Fraction(1, numbers[n_prime - 1] ** 2) + Fraction(1, b * b)):
+                violated.add((n, n_prime))
+    return violated
+
+
+# The catalogue to n = 793, the last n_max below the span-3 irregularity.
+SPAN_1_TO_793 = [33, 37, 42, 104, 112, 118, 120, 214, 227, 309, 353, 382, 400,
+                 416, 450, 468, 481, 522, 541, 582, 630, 640, 662, 670, 702, 771]
+SPAN_2_TO_793 = [369, 433, 560, 747]
+
+
 class TestNNInequality:
     def test_three_four_exact(self):
         assert Fraction(1, 25) >= Fraction(1, 169) + Fraction(1, 1156)
@@ -182,6 +211,15 @@ class TestNNInequality:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             check_nn_inequality(4, 4)
+
+    def test_cross_multiplied_form_matches_fractions_to_850(self):
+        violated = _fraction_violations(850)
+        assert (794, 797) in violated
+        numbers, apexes = _scan_prefix(850)
+        for n in range(1, 851):
+            for n_prime in scan_window(n, numbers):
+                expected = (n, n_prime) not in violated
+                assert _holds(n, n_prime, numbers, apexes) == expected
 
 
 class TestIrregularities:
@@ -204,6 +242,20 @@ class TestIrregularities:
     def test_span_validation(self):
         with pytest.raises(ValueError):
             IrregularityRecord(10, 3, "impossible")
+
+    def test_catalogue_to_793_and_span_three_at_794(self):
+        records = find_irregularities(793)
+        assert [rec.n for rec in records if rec.span == 1] == SPAN_1_TO_793
+        assert [rec.n for rec in records if rec.span == 2] == SPAN_2_TO_793
+        lowest = {}
+        for n, n_prime in sorted(_fraction_violations(793)):
+            lowest.setdefault(n_prime, n)
+        assert sorted((rec.n, rec.n_prime) for rec in records) == \
+            sorted((n, n_prime) for n_prime, n in lowest.items())
+        message = ("irregularity at (n=794, n'=797) spans 3 sequences;"
+                   " outside the catalogued patterns")
+        with pytest.raises(VerificationError, match=re.escape(message)):
+            find_irregularities(794)
 
 
 class TestCompleteness:
