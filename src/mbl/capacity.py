@@ -77,10 +77,6 @@ class QuadraticValue:
         self._q, self._s, self._r = q, s, r
 
     @classmethod
-    def from_rational(cls, x) -> "QuadraticValue":
-        return cls(_fraction(x))
-
-    @classmethod
     def sqrt(cls, r) -> "QuadraticValue":
         return cls(0, 1, _fraction(r))
 
@@ -197,7 +193,7 @@ class QuadraticValue:
 def compare(x, y) -> int:
     """Exact three-way comparison of rationals and QuadraticValues."""
     if not isinstance(x, QuadraticValue):
-        x = QuadraticValue.from_rational(x)
+        x = QuadraticValue(x)
     return x.compare(y)
 
 

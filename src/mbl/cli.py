@@ -266,12 +266,11 @@ def cmd_irregularities(config: argparse.Namespace) -> int:
 def cmd_triangle(config: argparse.Namespace) -> int:
     tri = vianna_triangle(config.triple)
     center = central_point(tri)
-    polygon = tri.polygon()
-    value, xi = lattice_width(polygon)
+    value, xi = lattice_width(tri.polygon)
     payload = {
         "command": "triangle",
         "triple": config.triple.to_json(),
-        "vertices": polygon.to_json(),
+        "vertices": tri.polygon.to_json(),
         "ell": str(tri.ell),
         "h": str(tri.h),
         "t": str(tri.t),
@@ -303,7 +302,7 @@ def cmd_width(config: argparse.Namespace) -> int:
     if (config.triple is None) == (config.polygon is None):
         raise ValueError("width needs exactly one of --triple or --polygon")
     if config.triple is not None:
-        polygon = vianna_triangle(config.triple).polygon()
+        polygon = vianna_triangle(config.triple).polygon
         source = {"triple": config.triple.to_json()}
     else:
         try:
@@ -395,19 +394,13 @@ def cmd_ingest(config: argparse.Namespace) -> int:
     return _emit_rows(config, columns, items, {"command": "ingest"}, status=status)
 
 
-def _check(checks: list, name: str, passed: bool, witness: str = "") -> None:
-    checks.append({"name": name, "passed": bool(passed), "witness": witness})
-
-
-def _failure_checks(failures: dict[str, str], *names: str) -> list[dict]:
+def _failed(failures: dict[str, str], *names: str):
     """One check per name, failed with its witness if failures records one."""
-    checks: list[dict] = []
     for name in names:
-        _check(checks, name, name not in failures, failures.get(name, ""))
-    return checks
+        yield name, name not in failures, failures.get(name, "")
 
 
-def _suite_markov(config: argparse.Namespace) -> list[dict]:
+def _suite_markov(config: argparse.Namespace):
     bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
     for t in enumerate_triples(bound):
@@ -429,23 +422,16 @@ def _suite_markov(config: argparse.Namespace) -> list[dict]:
             failures["mutation-monotonicity"] = str(t)
         if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
             failures["pairwise-coprimality"] = str(t)
-    checks = _failure_checks(
-        failures,
-        "mutation-closure",
-        "mutation-involution",
-        "mutation-monotonicity",
-        "pairwise-coprimality",
-    )
+    yield from _failed(failures, "mutation-closure", "mutation-involution",
+                       "mutation-monotonicity", "pairwise-coprimality")
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
     walked = [t.as_tuple() for t in enumerate_triples(small)]
-    _check(checks, "brute-force-equivalence", brute == walked, f"bound {small}")
-    _check(checks, "uniqueness", uniqueness_check(config.max_bound),
-           f"bound {config.max_bound}")
-    return checks
+    yield "brute-force-equivalence", brute == walked, f"bound {small}"
+    yield "uniqueness", uniqueness_check(config.max_bound), f"bound {config.max_bound}"
 
 
-def _suite_capacity(config: argparse.Namespace) -> list[dict]:
+def _suite_capacity(config: argparse.Namespace):
     bound = min(config.max_bound, 10 ** 6)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
@@ -468,17 +454,16 @@ def _suite_capacity(config: argparse.Namespace) -> list[dict]:
             convergence_trace(MarkovTriple(5, 2, 1), 10, side)
     except VerificationError as exc:
         failures["limit-gaps"] = str(exc)
-    checks = _failure_checks(failures, "width-bounds", "surd-identity", "limit-gaps")
+    yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")
     sane = (
         compare(lagrange_number(2), QuadraticValue.sqrt(8)) == 0
         and compare(limit_point(1), QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
         and compare(limit_point(1), Fraction(1, 3)) > 0
     )
-    _check(checks, "spectrum-values", sane)
-    return checks
+    yield "spectrum-values", sane, ""
 
 
-def _suite_ordering(config: argparse.Namespace) -> list[dict]:
+def _suite_ordering(config: argparse.Namespace):
     apex_bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
     for t in enumerate_triples(apex_bound):
@@ -493,37 +478,31 @@ def _suite_ordering(config: argparse.Namespace) -> list[dict]:
             alternating_order(t, 8)
         except VerificationError as exc:
             failures["alternating-descent"] = str(exc)
-    checks = _failure_checks(
-        failures, "chain-interleaving", "chain-inequalities", "alternating-descent"
-    )
+    yield from _failed(failures, "chain-interleaving", "chain-inequalities",
+                       "alternating-descent")
     if config.n_max >= 34:
         rows = spectrum_rows(34)
-        anchors = (
-            rows[32].m == pell(15)
-            and rows[33].m == fibonacci(27)
-            and rows[32].b == pell(17)
-            and rows[33].b == fibonacci(29)
-        )
-        _check(checks, "row-anchors", anchors)
+        anchors = (rows[32].m, rows[33].m, rows[32].b, rows[33].b)
+        expected = (pell(15), fibonacci(27), pell(17), fibonacci(29))
+        yield "row-anchors", anchors == expected, ""
     records = find_irregularities(config.n_max)
     # a record keeps the lowest n of its violated pairs, so the pairs with
     # n <= 32 all hold exactly when no record has n <= 32
     for rec in records:
         if rec.n <= 32:
             failures["regular-prefix"] = f"(n,n')=({rec.n},{rec.n_prime})"
-    checks += _failure_checks(failures, "regular-prefix")
+    yield from _failed(failures, "regular-prefix")
     swaps_ok = all(verify_swap_pattern(rec) for rec in records)
-    _check(checks, "swap-patterns", swaps_ok, f"{len(records)} records")
-    return checks
+    yield "swap-patterns", swaps_ok, f"{len(records)} records"
 
 
-def _suite_lattice(config: argparse.Namespace) -> list[dict]:
+def _suite_lattice(config: argparse.Namespace):
     bound = min(config.max_bound, 10_000)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
     for t in enumerate_triples(bound):
         tri = vianna_triangle(t)  # construction re-checks the invariants
-        value, xi = lattice_width(tri.polygon())
+        value, xi = lattice_width(tri.polygon)
         # below the root the width also drops under the ambient width 1
         if (value, xi) != (width(t), (0, 1)) or (t != root and not value < 1):
             failures["lattice-width-equals-capacity"] = str(t)
@@ -534,7 +513,7 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
             normalized = shear_normalize(tri)
             after = value  # the shear moves only (2,1,1)'s triangle
             if normalized != tri:
-                after, _ = lattice_width(normalized.polygon())
+                after, _ = lattice_width(normalized.polygon)
             if value != after or not inscribed_right_triangle(
                 normalized, normalized.h / 8
             ):
@@ -543,38 +522,27 @@ def _suite_lattice(config: argparse.Namespace) -> list[dict]:
             failures["alg-lemma"] = str(t)
     rng = random.Random(20240813)
     for t in (MarkovTriple(5, 2, 1), MarkovTriple(29, 5, 2)):
-        polygon = vianna_triangle(t).polygon()
+        polygon = vianna_triangle(t).polygon
         base, _ = lattice_width(polygon)
         for _ in range(20):
             mapped = random_unimodular(rng).apply(polygon)
             got, _ = lattice_width(mapped)
             if got != base:
                 failures["unimodular-invariance"] = str(t)
-    return _failure_checks(
-        failures,
-        "lattice-width-equals-capacity",
-        "triangle-invariants",
-        "shear-and-inscribed",
-        "alg-lemma",
-        "unimodular-invariance",
-    )
+    yield from _failed(failures, "lattice-width-equals-capacity", "triangle-invariants",
+                       "shear-and-inscribed", "alg-lemma", "unimodular-invariance")
 
 
-def _suite_ingest(config: argparse.Namespace) -> list[dict]:
-    checks: list[dict] = []
+def _suite_ingest(config: argparse.Namespace):
     for kind, n in (("markov", 500), ("fibonacci", 1000), ("pell", 1000)):
         report = oeis.cross_check(kind, n, cache_dir=config.cache_dir)
-        _check(checks, f"cross-check-{kind}", report.ok,
+        yield (f"cross-check-{kind}", report.ok,
                "" if report.ok else str(report.first_mismatch))
-    markov_bfile = oeis.load_bfile("markov", cache_dir=config.cache_dir)
-    anchors = (
-        markov_bfile.entries[33] == pell(15)
-        and markov_bfile.entries[34] == fibonacci(27)
-    )
-    _check(checks, "pinned-anchors", anchors)
-    return checks
+    entries = oeis.load_bfile("markov", cache_dir=config.cache_dir).entries
+    yield "pinned-anchors", (entries[33], entries[34]) == (pell(15), fibonacci(27)), ""
 
 
+# each suite yields one (check name, passed, witness) per check
 _SUITES = {
     "markov": _suite_markov,
     "capacity": _suite_capacity,
@@ -591,18 +559,18 @@ def cmd_verify(config: argparse.Namespace) -> int:
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:
-        try:
-            checks = _SUITES[name](config)
+        try:  # a suite that raises is replaced by one failed check
+            results = list(_SUITES[name](config))
         except (ValueError, VerificationError) as exc:
-            checks = []
-            _check(checks, "completed", False, f"{type(exc).__name__}: {exc}")
-        passed = all(c["passed"] for c in checks)
+            results = [("completed", False, f"{type(exc).__name__}: {exc}")]
+        passed = all(ok for _, ok, _ in results)
+        checks = [{"name": check, "passed": ok, "witness": witness}
+                  for check, ok, witness in results]
         report["suites"][name] = {"passed": passed, "checks": checks}
         report["passed"] = report["passed"] and passed
-        for c in checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            suffix = f"  [{c['witness']}]" if c["witness"] and not c["passed"] else ""
-            lines.append(f"{status}  {name}:{c['name']}{suffix}")
+        for check, ok, witness in results:
+            suffix = f"  [{witness}]" if witness and not ok else ""
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {name}:{check}{suffix}")
     lines.append("all suites passed" if report["passed"] else "FAILURES above")
     status = EXIT_OK if report["passed"] else EXIT_VERIFICATION
     return _report(config, report, lambda: "\n".join(lines) + "\n", status)

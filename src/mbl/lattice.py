@@ -104,14 +104,10 @@ class UnimodularMap:
         if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
             raise ValueError("matrix must have determinant +-1")
 
-    def apply_point(self, p: RationalPoint) -> RationalPoint:
-        return RationalPoint(
-            self.m00 * p.x + self.m01 * p.y + self.tx,
-            self.m10 * p.x + self.m11 * p.y + self.ty,
-        )
-
     def apply(self, polygon: LatticePolygon) -> LatticePolygon:
-        pts = [self.apply_point(p) for p in polygon.vertices]
+        pts = [RationalPoint(self.m00 * p.x + self.m01 * p.y + self.tx,
+                             self.m10 * p.x + self.m11 * p.y + self.ty)
+               for p in polygon.vertices]
         if self.m00 * self.m11 - self.m01 * self.m10 < 0:
             pts.reverse()  # keep counterclockwise orientation
         return LatticePolygon(pts)
@@ -215,7 +211,7 @@ class ViannaTriangle:
     u: int
 
     def __post_init__(self):
-        if self.polygon().signed_area() != Fraction(1, 2):
+        if self.polygon.signed_area() != Fraction(1, 2):
             raise VerificationError(f"area != 1/2 for {self.triple}")
         lengths = sorted(e.length for e in self.edge_data)
         expected = sorted(self.lam * x * x for x in self.triple)
@@ -254,6 +250,7 @@ class ViannaTriangle:
             out.append(EdgeData((dx, dy), s))
         return tuple(out)
 
+    @cached_property
     def polygon(self) -> LatticePolygon:
         return LatticePolygon(self.vertices)
 

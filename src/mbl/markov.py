@@ -183,14 +183,6 @@ def is_markov_number(p: int) -> bool:
     return p >= 1 and _WALK.apex(p) is not None
 
 
-def apex_of_number(p: int) -> MarkovTriple:
-    """The triple in which p is the maximal entry (root of its subtree)."""
-    apex = _WALK.apex(p) if p >= 1 else None
-    if apex is None:
-        raise ValueError(f"{p} is not a Markov number")
-    return apex
-
-
 def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
     """Walk max-decreasing mutations until p is the maximal entry.
 
@@ -240,21 +232,6 @@ def wedge(apex: MarkovTriple, depth: int) -> list[MarkovTriple]:
     columns = chains(apex, depth)
     return [apex] + [MarkovTriple.from_values(xs[i], xs[i - 1], apex.a)
                      for i in range(1, depth + 1) for xs in columns]
-
-
-def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
-    """The first `depth` levels of subtree nodes whose minimal entry is p.
-
-    For p = 1 this is the whole branch from (1,1,1); for p = 2 the branch
-    from (29,5,2); for p >= 5 both branches from their second level on (two
-    triples per level).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    apex = apex_of_number(p)  # raises for non-Markov p
-    triples = wedge(apex, depth + 1)
-    columns = (len(triples) - 1) // (depth + 1)
-    return [t for t in triples if t.c == p][: depth * columns]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

@@ -32,6 +32,7 @@ _GENERATORS = {
 }
 
 ENV_CACHE_DIR = "MBL_CACHE_DIR"
+FETCH_TIMEOUT_S = 30.0  # seconds per b-file download of `ingest --fetch`
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def _cache_path(kind: str, cache_dir: str | None) -> Path | None:
     return Path(directory) / f"b{seq[1:]}.txt"
 
 
-def fetch_bfile(kind: str, cache_dir: str | None = None, timeout: float = 30.0) -> Path:
+def fetch_bfile(kind: str, cache_dir: str | None = None) -> Path:
     """Download a b-file into the cache directory (network use is explicit)."""
     target = _cache_path(kind, cache_dir)
     if target is None:
@@ -107,7 +108,7 @@ def fetch_bfile(kind: str, cache_dir: str | None = None, timeout: float = 30.0) 
     import urllib.request  # slow to import, and only `ingest --fetch` needs it
 
     try:
-        with urllib.request.urlopen(bfile_url(kind), timeout=timeout) as response:
+        with urllib.request.urlopen(bfile_url(kind), timeout=FETCH_TIMEOUT_S) as response:
             blob = response.read()
     except OSError as exc:
         raise OSError(f"network fetch of {bfile_url(kind)} failed: {exc}") from exc

@@ -147,8 +147,9 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[Capacity, ...]:
-    # the first k widths of essential_subtree(apex.a, k), built lazily from the
-    # chains: level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
+    # the first k widths of the essential subtree of a = apex.a (the nodes of
+    # wedge(apex, .) whose minimal entry is a), built lazily from the chains:
+    # level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
     a, columns = apex.a, chains(apex, k + 1)
     caps = [width(apex)] if apex.c == a else []  # only at (1,1,1)
     below = (Fraction(a * xs[i - 1], xs[i])
@@ -184,14 +185,6 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
             raise VerificationError(f"row {n}: limit not above 1/3")
         rows.append(SpectrumRow(n, m, apex, _b_value(apex), caps, limit))
     return rows
-
-
-def check_nn_inequality(n: int, n_prime: int) -> bool:
-    """Whether sequence n precedes all of sequence n' in the global order."""
-    if not 1 <= n < n_prime:
-        raise ValueError("need 1 <= n < n_prime")
-    numbers, apexes = markov_prefix(n_prime)
-    return _holds(n, n_prime, numbers, apexes)
 
 
 def scan_window(n: int, numbers) -> range:

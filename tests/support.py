@@ -1,8 +1,11 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: interval evaluation
-goes through mpmath, and the lattice-width oracle searches every primitive
-direction inside a Euclidean-width bound instead of reducing a basis.
+goes through mpmath, the lattice-width oracle searches every primitive
+direction inside a Euclidean-width bound instead of reducing a basis, the
+juxtaposition inequality is decided on Fractions rather than on
+cross-multiplied integers, and the essential subtrees are filtered from
+validated wedge triples rather than read off the raw chains.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from mbl.lattice import LatticePolygon, width_along
+from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
 
 
 def quadratic_interval(value, digits: int = 200):
@@ -87,3 +91,34 @@ def random_quadratic(rng: random.Random):
         return Fraction(rng.randint(-60, 60), rng.randint(1, 24))
 
     return QuadraticValue(rand_fraction(), rand_fraction(), abs(rand_fraction()))
+
+
+def nn_inequality_holds(n: int, n_prime: int) -> bool:
+    """1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2 on Fractions, b = 3ac - b of the apex."""
+    numbers, apexes = markov_prefix(n_prime)
+    a, b, c = apexes[n_prime - 1]
+    b_p = 3 * a * c - b
+    return (Fraction(1, numbers[n - 1] ** 2)
+            >= Fraction(1, numbers[n_prime - 1] ** 2) + Fraction(1, b_p * b_p))
+
+
+def apex_of_number(p: int) -> MarkovTriple:
+    """The triple in which p is the maximal entry (root of its subtree)."""
+    apexes = enumerate_triples(p)  # raises for p < 1
+    if apexes[-1].a != p:
+        raise ValueError(f"{p} is not a Markov number")
+    return apexes[-1]
+
+
+def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
+    """The first `depth` levels of subtree nodes whose minimal entry is p.
+
+    For p = 1 this is the whole branch from (1,1,1); for p = 2 the branch
+    from (29,5,2); for p >= 5 both branches from their second level on (two
+    triples per level).
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    triples = wedge(apex_of_number(p), depth + 1)  # raises for non-Markov p
+    columns = (len(triples) - 1) // (depth + 1)
+    return [t for t in triples if t.c == p][: depth * columns]

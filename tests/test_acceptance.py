@@ -34,7 +34,6 @@ from mbl.markov import (
 from mbl.oeis import cross_check, load_bfile
 from mbl.ordering import (
     alternating_order,
-    check_nn_inequality,
     find_irregularities,
     ordered_prefix_complete_above,
     scan_window,
@@ -42,7 +41,7 @@ from mbl.ordering import (
     verify_chain_inequalities,
 )
 
-from support import interval_compare, random_quadratic
+from support import interval_compare, nn_inequality_holds, random_quadratic
 
 T = MarkovTriple
 
@@ -92,7 +91,7 @@ def test_criterion_02_lattice_width_equals_capacity():
         triples = enumerate_triples(10 ** 4)
         assert len(triples) >= 21  # the actual census at this bound
         for t in triples:
-            polygon = vianna_triangle(t).polygon()
+            polygon = vianna_triangle(t).polygon
             assert lattice_width(polygon) == (width(t), (0, 1))
 
 
@@ -112,7 +111,7 @@ def test_criterion_04_regular_prefix():
         for n in range(1, 33):
             window = scan_window(n, numbers)
             for n_prime in window:
-                assert check_nn_inequality(n, n_prime)
+                assert nn_inequality_holds(n, n_prime)
 
 
 def test_criterion_05_alternating_descent():
@@ -184,7 +183,7 @@ def test_criterion_10_property_suites():
             brute_force_triples(2000)
         # unimodular invariance, 100 random maps
         rng = random.Random(8191)
-        polygon = vianna_triangle(T(29, 5, 2)).polygon()
+        polygon = vianna_triangle(T(29, 5, 2)).polygon
         base, _ = lattice_width(polygon)
         for _ in range(100):
             assert lattice_width(random_unimodular(rng).apply(polygon))[0] == base

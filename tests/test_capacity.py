@@ -152,7 +152,7 @@ class TestCompare:
     @settings(deadline=None)
     @given(_SURDS, _SURDS)
     @example(QV.sqrt(8), QV(0, 2, 2))
-    @example(QV.sqrt(Fraction(9, 4)), QV.from_rational(Fraction(3, 2)))
+    @example(QV.sqrt(Fraction(9, 4)), QV(Fraction(3, 2)))
     def test_surds_against_interval_oracle(self, x, y):
         expected = interval_compare(x, y)
         assert compare(x, y) == (0 if expected is None else expected)
@@ -163,7 +163,7 @@ class TestCompare:
         # these pairs unseparated, 600 digits separate every one
         for row in spectrum_rows(850, 6):
             for w in row.first_capacities:
-                assert interval_compare(QV.from_rational(w), row.limit, 600) == 1
+                assert interval_compare(QV(w), row.limit, 600) == 1
                 assert compare(w, row.limit) == 1
                 assert row.limit.compare(w) == -1
 
@@ -219,7 +219,7 @@ class TestQuadraticValue:
         assert QV.sqrt(5) <= Fraction(9, 4)
 
     def test_decimal_of_rational(self):
-        assert QV.from_rational(Fraction(1, 2)).decimal() == "0.5"
+        assert QV(Fraction(1, 2)).decimal() == "0.5"
 
     def test_json_roundtrip(self):
         assert limit_point(5).to_json() == {
@@ -229,7 +229,7 @@ class TestQuadraticValue:
         }
 
     def test_str_forms(self):
-        assert str(QV.from_rational(Fraction(2, 5))) == "2/5"
+        assert str(QV(Fraction(2, 5))) == "2/5"
         assert str(QV.sqrt(5)) == "sqrt(5)"
         assert str(limit_point(1)) == "3/2 - 1/2*sqrt(5)"
 
@@ -241,7 +241,7 @@ class TestQuadraticValue:
     )
     def test_sign_matches_interval(self, q, s, r):
         x = QV(q, s, r)
-        oracle = interval_compare(x, QV.from_rational(0))
+        oracle = interval_compare(x, QV(0))
         if oracle is None:
             assert x.sign() == 0
         else:

@@ -16,6 +16,7 @@ import mbl.cli
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.markov import MarkovTriple, MutationKind, markov_numbers
+from mbl.ordering import IrregularityRecord
 
 
 def fraction_of(pair):  # a rational in the reports' {"num", "den"} form
@@ -219,6 +220,16 @@ def test_import_leaves_the_network_stack_unloaded():
     # only `ingest --fetch` imports urllib.request, inside oeis.fetch_bfile
     probe = ("import sys, mbl.cli; "
              "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def test_import_mbl_loads_no_submodule():
+    # callers import the modules; the package namespace re-exports nothing
+    probe = ("import sys, mbl; "
+             "print(sorted(name for name in sys.modules if name.startswith('mbl.')))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -455,6 +466,21 @@ class TestVerifyAndComplete:
         assert suite == {"passed": False, "checks": [{
             "name": "completed", "passed": False,
             "witness": f"{error.__name__}: scan broke"}]}
+
+    def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
+        records = [IrregularityRecord(5, 1, "manufactured"),
+                   IrregularityRecord(7, 2, "manufactured")]
+        monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: records)
+        code, out, _ = run(capsys, "verify", "--suite", "ordering",
+                           "--max-bound", "30", "--n-max", "40", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["suites"]["ordering"]["checks"]}
+        failed = [name for name, c in checks.items() if not c["passed"]]
+        assert failed == ["regular-prefix"]
+        assert checks["regular-prefix"]["witness"] == "(n,n')=(7,9)"
+        # both pairs are regular, so the swap holds vacuously for each
+        assert checks["swap-patterns"] == {
+            "name": "swap-patterns", "passed": True, "witness": "2 records"}
 
     def test_removed_flags_are_usage_errors(self):
         # per-sequence b-files go through `ingest --bfile`, the stored

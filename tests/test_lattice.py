@@ -57,17 +57,17 @@ class TestPolygonValidation:
             LatticePolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_json_roundtrip(self):
-        polygon = vianna_triangle(T(5, 2, 1)).polygon()
+        polygon = vianna_triangle(T(5, 2, 1)).polygon
         assert LatticePolygon.from_json(polygon.to_json()) == polygon
 
 
 class TestWidthAlong:
     def test_horizontal(self):
-        tri = vianna_triangle(T(5, 2, 1)).polygon()
+        tri = vianna_triangle(T(5, 2, 1)).polygon
         assert width_along(tri, (1, 0)) == Fraction(5, 2)
 
     def test_vertical(self):
-        tri = vianna_triangle(T(5, 2, 1)).polygon()
+        tri = vianna_triangle(T(5, 2, 1)).polygon
         assert width_along(tri, (0, 1)) == Fraction(2, 5)
 
     def test_zero_rejected(self):
@@ -78,7 +78,7 @@ class TestWidthAlong:
     def test_sign_symmetry(self, x, y):
         if (x, y) == (0, 0):
             return
-        tri = vianna_triangle(T(29, 5, 2)).polygon()
+        tri = vianna_triangle(T(29, 5, 2)).polygon
         assert width_along(tri, (x, y)) == width_along(tri, (-x, -y))
 
 
@@ -91,12 +91,12 @@ class TestLatticeWidth:
         assert value == 1
 
     def test_base_triangle_5_2_1(self):
-        value, xi = lattice_width(vianna_triangle(T(5, 2, 1)).polygon())
+        value, xi = lattice_width(vianna_triangle(T(5, 2, 1)).polygon)
         assert value == Fraction(2, 5) and xi == (0, 1)
 
     def test_matches_capacity_below_thousand(self):
         for t in enumerate_triples(1000):
-            polygon = vianna_triangle(t).polygon()
+            polygon = vianna_triangle(t).polygon
             assert lattice_width(polygon) == (width(t), (0, 1))
 
     def test_ties_go_to_the_least_direction(self):
@@ -109,7 +109,7 @@ class TestLatticeWidth:
             UNIT_SQUARE,
             LatticePolygon([(0, 0), (4, 1), (5, 4), (1, 3)]),
             LatticePolygon([(Fraction(1, 2), 0), (3, Fraction(1, 3)), (2, 2)]),
-            vianna_triangle(T(13, 5, 1)).polygon(),
+            vianna_triangle(T(13, 5, 1)).polygon,
             FOUR_PAIRS,
             FOUR_PAIRS_IMAGE,
         ]
@@ -121,7 +121,7 @@ class TestLatticeWidth:
     def test_unimodular_invariance(self):
         rng = random.Random(777)
         for triple in ((5, 2, 1), (34, 13, 1)):
-            polygon = vianna_triangle(T(*triple)).polygon()
+            polygon = vianna_triangle(T(*triple)).polygon
             base, _ = lattice_width(polygon)
             for _ in range(25):
                 mapped = random_unimodular(rng).apply(polygon)
@@ -200,7 +200,7 @@ class TestCentralPoint:
     def test_five_two_one_distances(self):
         tri = vianna_triangle(T(5, 2, 1))
         center = central_point(tri)
-        polygon = tri.polygon()
+        polygon = tri.polygon
         for p, q in polygon.edges():
             direction = (q.x - p.x, q.y - p.y)
             normal = (-direction[1], direction[0])
@@ -255,7 +255,7 @@ class TestShearAndInscribed:
         for triple in ((2, 1, 1), (13, 5, 1), (433, 29, 5)):
             tri = vianna_triangle(T(*triple))
             normalized = shear_normalize(tri)
-            assert lattice_width(tri.polygon()) == lattice_width(normalized.polygon())
+            assert lattice_width(tri.polygon) == lattice_width(normalized.polygon)
 
     def test_root_rejected(self):
         with pytest.raises(ValueError):

