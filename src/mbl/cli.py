@@ -9,7 +9,6 @@ never feed back into any computation.
 from __future__ import annotations
 
 import argparse
-import csv
 import decimal
 import io
 import json
@@ -19,7 +18,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 
-from . import oeis, svg
+from . import oeis
 from .capacity import (
     QuadraticValue,
     capacity_to_json,
@@ -105,6 +104,7 @@ def _table(
 ) -> str:
     """The rows as CSV, or as aligned text columns followed by "# note" lines."""
     if fmt == "csv":
+        import csv  # imported here: only CSV output needs it
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
@@ -353,6 +353,7 @@ def cmd_limits(config: argparse.Namespace) -> int:
 
 
 def cmd_plot(config: argparse.Namespace) -> int:
+    from . import svg  # imported here: no other command draws
     if config.figure == "order5":
         triple = config.triple or MarkovTriple(5, 2, 1)
         data = svg.figure_subtree(triple, config.depth)

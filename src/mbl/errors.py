@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of the package's value classes."""
 
 
 class VerificationError(RuntimeError):
@@ -8,3 +8,48 @@ class VerificationError(RuntimeError):
     descent of capacities, existence of the central point, ...).  Seeing this
     exception means a bug, not bad input.
     """
+
+
+class _Record:
+    """An immutable value whose fields are the annotated names of its class.
+
+    Defaults, `__post_init__`, equality, hash, repr and refused assignment
+    follow the frozen dataclass; a `__dict__` stays for `cached_property`."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]  # the fields not given by position
+            given = {**vars(type(self)), **kwargs}  # class attributes are defaults
+            if (len(args) > len(fields) or not kwargs.keys() <= set(rest)
+                    or not given.keys() >= set(rest)):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            args = [*args, *(given[name] for name in rest)]
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__

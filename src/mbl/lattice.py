@@ -13,17 +13,15 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from fractions import Fraction
 
 from .capacity import Capacity
-from .errors import VerificationError
+from .errors import VerificationError, _Record
 from .markov import MarkovTriple
 
 
-@dataclass(frozen=True)
-class RationalPoint:
+class RationalPoint(_Record):
     x: Fraction
     y: Fraction
 
@@ -42,8 +40,7 @@ def _cross(o: RationalPoint, p: RationalPoint, q: RationalPoint) -> Fraction:
     return (p.x - o.x) * (q.y - o.y) - (q.x - o.x) * (p.y - o.y)
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(_Record):
     """Convex polygon with rational vertices, counterclockwise, no three
     collinear."""
 
@@ -89,8 +86,7 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(_Record):
     """x -> M x + v with M an integer matrix of determinant +-1."""
 
     m00: int
@@ -191,14 +187,12 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
                for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(_Record):
     direction: tuple[int, int]
     length: Fraction
 
 
-@dataclass(frozen=True)
-class ViannaTriangle:
+class ViannaTriangle(_Record):
     """Base triangle of a Markov triple in the normal form with its longest
     edge on the x-axis from (0,0) to (ell, 0) and apex at (t, h).
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import VerificationError
+from .errors import VerificationError, _Record
 
 
 class MutationKind(enum.Enum):
@@ -29,8 +29,8 @@ class MutationKind(enum.Enum):
         return f"MutationKind.{self.name}"
 
 
-@dataclass(frozen=True, order=True)
-class MarkovTriple:
+@functools.total_ordering
+class MarkovTriple(_Record):
     """A solution of a^2 + b^2 + c^2 = 3abc, stored with a >= b >= c >= 1."""
 
     a: int
@@ -50,6 +50,11 @@ class MarkovTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
+
+    def __lt__(self, other):  # as (a, b, c) tuples; never against a plain tuple
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_tuple() < other.as_tuple()
 
     def __iter__(self):
         return iter((self.a, self.b, self.c))
@@ -109,7 +114,7 @@ class MarkovWalk:
 
     def __init__(self):
         # entries (maximum, triple): the heap orders them by comparing ints,
-        # not through the dataclass's generated __lt__
+        # not through MarkovTriple.__lt__
         self._heap = [(1, MarkovTriple(1, 1, 1))]
         self._numbers: list[int] = []
         self._apexes: list[MarkovTriple] = []

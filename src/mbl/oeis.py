@@ -10,13 +10,12 @@ network fetching is opt-in only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .errors import _Record
 from .markov import markov_numbers, recurrence_prefix
 
 SEQUENCE_IDS = {
@@ -35,8 +34,7 @@ ENV_CACHE_DIR = "MBL_CACHE_DIR"
 FETCH_TIMEOUT_S = 30.0  # seconds per b-file download of `ingest --fetch`
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(_Record):
     sequence_id: str
     entries: dict[int, int]
     source: str
@@ -75,6 +73,7 @@ def parse_bfile(data: bytes | str, sequence_id: str = "?", source: str = "local"
 
 
 def _vendored_bytes(kind: str) -> bytes:
+    import hashlib  # imported here: no other path hashes anything
     seq = SEQUENCE_IDS[kind]
     name = f"b{seq[1:]}.txt"
     package = resources.files("mbl") / "data"
@@ -134,8 +133,7 @@ def load_bfile(
     return parse_bfile(_vendored_bytes(kind), seq, "vendored")
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(_Record):
     kind: str
     sequence_id: str
     n: int

@@ -16,28 +16,35 @@ integer or rational comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
-from .capacity import Capacity, QuadraticValue, capacity_to_json, limit_point, width
-from .errors import VerificationError
+from .capacity import Capacity, QuadraticValue, _sign, capacity_to_json, limit_point, width
+from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
-ONE_THIRD = Fraction(1, 3)
 DESCENT_DEPTH = 6
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    """Ordering data for one essential sequence."""
+class SpectrumRow(_Record):
+    """Ordering data for one essential sequence: `ratios` holds the first
+    capacities as (num, den) pairs; their Fractions and the limit are built
+    on first read."""
 
     n: int
     m: int
     apex: MarkovTriple
     b: int
-    first_capacities: tuple[Capacity, ...]
-    limit: QuadraticValue
+    ratios: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def first_capacities(self) -> tuple[Capacity, ...]:
+        return tuple(Fraction(num, den) for num, den in self.ratios)
+
+    @cached_property
+    def limit(self) -> QuadraticValue:
+        return limit_point(self.m)
 
     @property
     def degenerate(self) -> bool:
@@ -56,8 +63,7 @@ class SpectrumRow:
         }
 
 
-@dataclass(frozen=True)
-class IrregularityRecord:
+class IrregularityRecord(_Record):
     """A failure of the juxtaposition inequality, keyed by its lowest index."""
 
     n: int
@@ -146,13 +152,13 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
     return all(checks)
 
 
-def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[Capacity, ...]:
-    # the first k widths of the essential subtree of a = apex.a (the nodes of
-    # wedge(apex, .) whose minimal entry is a), built lazily from the chains:
-    # level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
+def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:
+    # the first k widths N/D of the essential subtree of a = apex.a (the nodes
+    # of wedge(apex, .) whose minimal entry is a), built lazily from the
+    # chains: level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
     a, columns = apex.a, chains(apex, k + 1)
-    caps = [width(apex)] if apex.c == a else []  # only at (1,1,1)
-    below = (Fraction(a * xs[i - 1], xs[i])
+    caps = [(apex.b * apex.c, a)] if apex.c == a else []  # only at (1,1,1)
+    below = ((a * xs[i - 1], xs[i])
              for i in range(1, k + 2) for xs in columns if xs[i - 1] >= a)
     caps.extend(islice(below, k - len(caps)))
     return tuple(caps)
@@ -161,8 +167,8 @@ def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[Capacity, ...]:
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     """Rows n = 1..n_max: apex, b_n, the first k capacities, and the limit.
 
-    Construction re-checks that the capacities strictly decrease, stay above
-    the row's limit, and that the limit exceeds 1/3.
+    Construction re-checks on integers that the capacities strictly decrease,
+    that the last (so every) one exceeds the limit, and that the limit exceeds 1/3.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -174,16 +180,16 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
         m = numbers[n - 1]
         apex = apexes[n - 1]
         caps = _essential_capacities(apex, k)
-        limit = limit_point(m)
-        for w0, w1 in zip(caps, caps[1:]):
-            if not w0 > w1:
+        for (num0, den0), (num1, den1) in zip(caps, caps[1:]):
+            if not num0 * den1 > num1 * den0:
                 raise VerificationError(f"row {n}: capacities fail to decrease")
-        for w in caps:
-            if limit.compare(w) >= 0:
-                raise VerificationError(f"row {n}: capacity {w} not above limit")
-        if limit.compare(ONE_THIRD) <= 0:
+        (num, den), mm, r = caps[-1], m * m, 9 * m * m - 4
+        # N/D > limit = (3m^2 - m sqrt(r))/2  <=>  2N - 3m^2 D + mD sqrt(r) > 0
+        if _sign(2 * num - 3 * mm * den, m * den, r) <= 0:
+            raise VerificationError(f"row {n}: capacity {num}/{den} not above limit")
+        if _sign(9 * mm - 2, -3 * m, r) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
             raise VerificationError(f"row {n}: limit not above 1/3")
-        rows.append(SpectrumRow(n, m, apex, _b_value(apex), caps, limit))
+        rows.append(SpectrumRow(n, m, apex, _b_value(apex), caps))
     return rows
 
 
@@ -270,8 +276,7 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(_Record):
     """Outcome of certifying the ordered prefix above a threshold."""
 
     threshold: Fraction
@@ -321,7 +326,7 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
        leading capacity to T (and m_n is increasing).
     """
     threshold = Fraction(threshold)
-    if threshold <= ONE_THIRD:
+    if threshold <= Fraction(1, 3):
         raise ValueError(
             "threshold must exceed 1/3: it is an accumulation point of the "
             "capacities, so no finite description exists at or below it"

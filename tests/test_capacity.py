@@ -17,7 +17,6 @@ from mbl.capacity import (
     width,
     width_as_surd,
 )
-from mbl.errors import VerificationError
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 from mbl.ordering import spectrum_rows
 

@@ -226,6 +226,20 @@ def test_import_leaves_the_network_stack_unloaded():
     assert result.stdout == "[]\n"
 
 
+def test_import_loads_no_unused_machinery():
+    # dataclasses (with inspect), csv, hashlib and svg serve few commands and
+    # load inside them; lattice and oeis load eagerly, because the bench
+    # tracer re-binds its traced functions only in modules already loaded
+    probe = ("import sys; before = set(sys.modules); import mbl.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.svg"} == set()
+    assert {"mbl.cli", "mbl.lattice", "mbl.oeis"} <= loaded
+
+
 def test_import_mbl_loads_no_submodule():
     # callers import the modules; the package namespace re-exports nothing
     probe = ("import sys, mbl; "

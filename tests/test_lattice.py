@@ -2,11 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mbl.capacity import width
-from mbl.errors import VerificationError
 from mbl.lattice import (
     EdgeData,
     LatticePolygon,

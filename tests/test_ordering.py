@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbl.capacity import QuadraticValue, compare, limit_point, width
+from mbl.capacity import QuadraticValue, compare, width
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,

@@ -1,0 +1,138 @@
+"""The value classes behave as the frozen dataclasses they replaced.
+
+Each class compares field-wise and only with its own class, hashes as the
+tuple of its fields, prints in the dataclass format and refuses assignment.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, UnimodularMap, vianna_triangle
+from mbl.markov import MarkovTriple
+from mbl.oeis import BFile, CrossCheckReport
+from mbl import ordering
+from mbl.ordering import CompletenessReport, IrregularityRecord, spectrum_rows
+
+T = MarkovTriple
+
+# (build a fresh instance, its field names, its repr)
+CASES = {
+    "MarkovTriple": (lambda: T(5, 2, 1), ("a", "b", "c"), "MarkovTriple(a=5, b=2, c=1)"),
+    "SpectrumRow": (
+        lambda: spectrum_rows(3, 2)[2], ("n", "m", "apex", "b", "ratios"),
+        "SpectrumRow(n=3, m=5, apex=MarkovTriple(a=5, b=2, c=1), b=13, "
+        "ratios=((65, 194), (145, 433)))"),
+    "IrregularityRecord": (
+        lambda: IrregularityRecord(33, 1, "swap"), ("n", "span", "kind"),
+        "IrregularityRecord(n=33, span=1, kind='swap')"),
+    "CompletenessReport": (
+        lambda: CompletenessReport(
+            threshold=Fraction(7, 20), n_max=1, certified=True, records=(),
+            swap_checks=((33, True),), active_sequences=0, tail_exact=(),
+            tail_bound_index=2, tail_bound_m=2, failures=(), conditions=("c",)),
+        ("threshold", "n_max", "certified", "records", "swap_checks", "active_sequences",
+         "tail_exact", "tail_bound_index", "tail_bound_m", "failures", "conditions"),
+        "CompletenessReport(threshold=Fraction(7, 20), n_max=1, certified=True, "
+        "records=(), swap_checks=((33, True),), active_sequences=0, tail_exact=(), "
+        "tail_bound_index=2, tail_bound_m=2, failures=(), conditions=('c',))"),
+    "RationalPoint": (
+        lambda: RationalPoint(1, Fraction(1, 2)), ("x", "y"),
+        "RationalPoint(x=Fraction(1, 1), y=Fraction(1, 2))"),
+    "LatticePolygon": (
+        lambda: LatticePolygon([(0, 0), (1, 0), (0, 1)]), ("vertices",),
+        "LatticePolygon(vertices=(RationalPoint(x=Fraction(0, 1), y=Fraction(0, 1)), "
+        "RationalPoint(x=Fraction(1, 1), y=Fraction(0, 1)), "
+        "RationalPoint(x=Fraction(0, 1), y=Fraction(1, 1))))"),
+    "UnimodularMap": (
+        lambda: UnimodularMap(1, 1, 0, 1), ("m00", "m01", "m10", "m11", "tx", "ty"),
+        "UnimodularMap(m00=1, m01=1, m10=0, m11=1, tx=Fraction(0, 1), ty=Fraction(0, 1))"),
+    "EdgeData": (
+        lambda: EdgeData((1, 0), Fraction(1, 2)), ("direction", "length"),
+        "EdgeData(direction=(1, 0), length=Fraction(1, 2))"),
+    "ViannaTriangle": (
+        lambda: vianna_triangle(T(5, 2, 1)), ("triple", "u"),
+        "ViannaTriangle(triple=MarkovTriple(a=5, b=2, c=1), u=1)"),
+    "BFile": (
+        lambda: BFile("A000045", {0: 0, 1: 1}, "local"), ("sequence_id", "entries", "source"),
+        "BFile(sequence_id='A000045', entries={0: 0, 1: 1}, source='local')"),
+    "CrossCheckReport": (
+        lambda: CrossCheckReport(kind="markov", sequence_id="A002559", n=5,
+                                 source="vendored", ok=False, first_mismatch=(3, 5, 6)),
+        ("kind", "sequence_id", "n", "source", "ok", "first_mismatch"),
+        "CrossCheckReport(kind='markov', sequence_id='A002559', n=5, source='vendored', "
+        "ok=False, first_mismatch=(3, 5, 6))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_semantics(name):
+    build, fields, text = CASES[name]
+    one, other = build(), build()
+    assert type(one).__name__ == name and one is not other
+    assert repr(one) == text
+    assert one == other and not one != other
+    assert one != tuple(getattr(one, field) for field in fields)
+    if name == "BFile":  # its entries are a dict, so it cannot hash
+        with pytest.raises(TypeError):
+            hash(one)
+    else:
+        assert hash(one) == hash(other) == hash(tuple(getattr(one, f) for f in fields))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(one, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(one, field)
+    assert one == other
+
+
+def test_unequal_fields_compare_unequal():
+    assert T(5, 2, 1) != T(13, 5, 1)
+    assert IrregularityRecord(33, 1, "swap") != IrregularityRecord(33, 2, "swap")
+    assert vianna_triangle(T(2, 1, 1)) != vianna_triangle(T(5, 2, 1))
+    assert len({T(5, 2, 1), T(5, 2, 1), T(13, 5, 1)}) == 2
+    # equal field tuples, different classes
+    assert RationalPoint(1, 2) != EdgeData(Fraction(1), Fraction(2))
+
+
+def test_markov_triple_orders_as_its_tuple():
+    triples = [T(13, 5, 1), T(1, 1, 1), T(5, 2, 1), T(2, 1, 1)]
+    assert sorted(triples) == [T(1, 1, 1), T(2, 1, 1), T(5, 2, 1), T(13, 5, 1)]
+    assert T(5, 2, 1) < T(13, 5, 1) and T(5, 2, 1) <= T(5, 2, 1)
+    assert T(29, 5, 2) > T(13, 5, 1) and T(29, 5, 2) >= T(29, 5, 2)
+    assert not T(5, 2, 1) < T(5, 2, 1)
+    assert T(5, 2, 1) != (5, 2, 1)
+    with pytest.raises(TypeError):
+        T(5, 2, 1) < (5, 2, 1)
+
+
+def test_fields_bind_by_position_keyword_and_default():
+    plain = UnimodularMap(1, 0, 0, 1)
+    assert (plain.tx, plain.ty) == (Fraction(0), Fraction(0))
+    assert plain == UnimodularMap(m00=1, m01=0, m10=0, m11=1, tx=Fraction(0), ty=0)
+    shifted = UnimodularMap(1, 0, 0, 1, ty=Fraction(1, 2))
+    assert (shifted.tx, shifted.ty) == (0, Fraction(1, 2)) and shifted != plain
+    assert T(5, c=1, b=2) == T(5, 2, 1)
+    for args, kwargs in [((5, 2), {}), ((5, 2, 1, 1), {}), ((5, 2, 1), {"d": 1}),
+                         ((5, 2), {"a": 5, "c": 1})]:
+        with pytest.raises(TypeError):
+            T(*args, **kwargs)
+    with pytest.raises(ValueError):  # __post_init__ still validates
+        UnimodularMap(2, 0, 0, 1)
+
+
+def test_lazy_row_fields_are_built_once():
+    row = spectrum_rows(3, 2)[2]
+    assert "limit" not in vars(row) and "first_capacities" not in vars(row)
+    assert row.first_capacities == (Fraction(65, 194), Fraction(145, 433))
+    assert row.first_capacities is row.first_capacities
+    assert row.limit is row.limit
+    assert row == spectrum_rows(3, 2)[2]  # cached values are not fields
+
+
+def test_completeness_builds_no_limit(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"limit_point({m}) built")
+
+    monkeypatch.setattr(ordering, "limit_point", refuse)
+    assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60).certified
