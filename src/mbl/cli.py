@@ -331,6 +331,7 @@ def cmd_limits(config: argparse.Namespace) -> int:
     items = []
     for row in spectrum_rows(config.n, k=4 if config.k is None else config.k):
         lam = lagrange_number(row.m)
+        preview = _preview(row.limit)
         items.append((
             [
                 str(row.n),
@@ -338,12 +339,12 @@ def cmd_limits(config: argparse.Namespace) -> int:
                 str(row.b) + ("*" if row.degenerate else ""),
                 str(lam),
                 str(row.limit),
-                _preview(row.limit),
+                preview,
             ],
             {
                 **row.to_json(),
                 "lagrange": lam.to_json(),
-                "preview": _preview(row.limit),
+                "preview": preview,
             },
         ))
     notes = ("* b for rows 1 and 2 follows the second-smallest-member "

@@ -5,7 +5,8 @@ directions xi of the spread max <x' - x, xi>.  For each Markov triple the
 associated base triangle has area 1/2, integral affine perimeter 3 (this is
 the Markov equation in disguise), edges of affine length a^2/(abc),
 b^2/(abc), c^2/(abc), and lattice width bc/a realized by xi = (0, 1) in the
-normal form used here.  All geometry is exact over Fraction.
+normal form used here.  All geometry is exact: a polygon clears its vertex
+denominators once, and widths, convexity and area run on that integer form.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class RationalPoint(_Record):
         return f"({self.x}, {self.y})"
 
 
-def _cross(o: RationalPoint, p: RationalPoint, q: RationalPoint) -> Fraction:
-    return (p.x - o.x) * (q.y - o.y) - (q.x - o.x) * (p.y - o.y)
-
-
 class LatticePolygon(_Record):
     """Convex polygon with rational vertices, counterclockwise, no three
     collinear."""
@@ -55,21 +52,28 @@ class LatticePolygon(_Record):
         n = len(pts)
         if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if len({(p.x, p.y) for p in pts}) != n:
+        _, scaled = self.scaled
+        if len(set(scaled)) != n:
             raise ValueError("duplicate vertices")
-        for i in range(n):
-            turn = _cross(pts[i], pts[(i + 1) % n], pts[(i + 2) % n])
-            if turn <= 0:
+        for (ox, oy), (px, py), (qx, qy) in zip(scaled, scaled[1:] + scaled[:1],
+                                                scaled[2:] + scaled[:2]):
+            if (px - ox) * (qy - oy) - (qx - ox) * (py - oy) <= 0:
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise"
                 )
 
-    def signed_area(self) -> Fraction:
-        return sum((p.x * q.y - q.x * p.y for p, q in self.edges()), Fraction(0)) / 2
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(D, the vertices times D), D the lcm of the vertex denominators."""
+        den = math.lcm(*(c.denominator for p in self.vertices for c in p))
+        return den, tuple((p.x.numerator * (den // p.x.denominator),
+                           p.y.numerator * (den // p.y.denominator))
+                          for p in self.vertices)
 
-    def edges(self) -> list[tuple[RationalPoint, RationalPoint]]:
-        pts = self.vertices
-        return [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+    def signed_area(self) -> Fraction:
+        den, pts = self.scaled
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+        return Fraction(twice, 2 * den * den)
 
     def to_json(self) -> list:
         return [[str(p.x), str(p.y)] for p in self.vertices]
@@ -137,23 +141,27 @@ def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
     return nx // g, ny // g, Fraction(g, den)
 
 
-def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> Capacity:
-    """Support-function spread max <x' - x, xi>; symmetric in xi -> -xi."""
+def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
+    """Support-function spread max <x' - x, xi> in units of 1/D, D the lcm
+    of the vertex denominators (`polygon.scaled`); symmetric in xi -> -xi."""
     if xi == (0, 0):
         raise ValueError("direction must be nonzero")
-    values = [p.x * xi[0] + p.y * xi[1] for p in polygon.vertices]
+    p, q = xi
+    values = [x * p + y * q for x, y in polygon.scaled[1]]
     return max(values) - min(values)
 
 
 def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
     """Exact lattice width and its lexicographically least minimizing direction.
 
-    F(xi) = width_along(polygon, xi) is a norm on Z^2 (the vertices are not
-    collinear) with values in (1/D)Z, D the lcm of the vertex denominators.
+    F(xi) = width_along(polygon, xi), the spread times D (the lcm of the
+    vertex denominators), is a norm on Z^2 (the vertices are not collinear)
+    with integer values; scaling by D > 0 keeps every comparison and floor
+    quotient below, so the search runs on ints and divides by D once.
     Generalized Gauss reduction (Kaib and Schnorr, J. Algorithms 21, 1996)
     starts from (1,0), (0,1), replaces b2 by b2 - mu*b1 for the mu that
     minimizes F(b2 - mu*b1), and swaps while F(b2) < F(b1), each swap
-    lowering F(b1) in (1/D)Z.  F(b2 - mu*b1) is convex in mu and at least
+    lowering F(b1) in Z.  F(b2 - mu*b1) is convex in mu and at least
     |mu|F(b1) - F(b2), so bisection over |mu| <= 2F(b2)/F(b1) finds mu.  At
     the end F(b1) <= F(b2) <= F(b2 + k*b1) for all integers k.
 
@@ -183,8 +191,9 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
         b1, b2 = b2, reduce(b2, b1)
     candidates = [(i * b1[0] + j * b2[0], i * b1[1] + j * b2[1]) for i, j in
                   ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))]
-    return min((norm(v), v) for p, q in candidates  # in the upper half-plane
-               for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
+    value, xi = min((norm(v), v) for p, q in candidates  # in the upper half-plane
+                    for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
+    return Fraction(value, polygon.scaled[0]), xi
 
 
 class EdgeData(_Record):

@@ -93,13 +93,20 @@ def _f1_value(apex: MarkovTriple) -> int:
     return 3 * apex.a * apex.b - apex.c
 
 
+def _reaches(m: int, x: int, y: int) -> bool:
+    # 1/m^2 >= 1/x^2 + 1/y^2, times m^2 x^2 y^2 > 0
+    xx, yy = x * x, y * y
+    return xx * yy >= m * m * (xx + yy)
+
+
+def _deficit_above(m: int, b: int, m2: int, b2: int) -> bool:
+    # 1/m^2 + 1/b^2 > 1/m2^2 + 1/b2^2, times m^2 b^2 m2^2 b2^2 > 0
+    mm, bb, mm2, bb2 = m * m, b * b, m2 * m2, b2 * b2
+    return (mm + bb) * mm2 * bb2 > (mm2 + bb2) * mm * bb
+
+
 def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
-    m_n = numbers[n - 1]
-    m_p = numbers[n_prime - 1]
-    b_p = _b_value(apexes[n_prime - 1])
-    # 1/m_n^2 >= 1/m_p^2 + 1/b_p^2, times m_n^2 m_p^2 b_p^2 > 0
-    mm, bb = m_p * m_p, b_p * b_p
-    return mm * bb >= m_n * m_n * (mm + bb)
+    return _reaches(numbers[n - 1], numbers[n_prime - 1], _b_value(apexes[n_prime - 1]))
 
 
 def alternating_order(
@@ -258,18 +265,14 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     m_p = numbers[n_prime - 1]
     b_p = _b_value(apexes[n_prime - 1])
     f1_p = _f1_value(apexes[n_prime - 1])
-    w1_deficit_p = Fraction(1, m_p * m_p) + Fraction(1, b_p * b_p)
-    w2_deficit_p = Fraction(1, m_p * m_p) + Fraction(1, f1_p * f1_p)
     for k in range(n, n_prime):
         if _holds(k, n_prime, numbers, apexes):
             return False
         m_k = numbers[k - 1]
-        b_k = _b_value(apexes[k - 1])
-        w1_deficit_k = Fraction(1, m_k * m_k) + Fraction(1, b_k * b_k)
-        # larger deficit inside the square root means larger capacity
-        if not w1_deficit_p > w1_deficit_k:
+        # larger deficit 1/m^2 + 1/b^2 inside the square root means larger capacity
+        if not _deficit_above(m_p, b_p, m_k, _b_value(apexes[k - 1])):
             return False
-        if not Fraction(1, m_k * m_k) >= w2_deficit_p:
+        if not _reaches(m_k, m_p, f1_p):  # w_2(n') below the infimum of k
             return False
     if n > 1 and not _holds(n - 1, n_prime, numbers, apexes):
         return False
@@ -332,9 +335,9 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
             "capacities, so no finite description exists at or below it"
         )
     failures: list[str] = []
-    # w_1(n) < T  <=>  1/m^2 + 1/b^2 < (3T-1)/T^2 ; limit_n >= T <=> 1/m^2 >= rhs
-    rhs = (3 * threshold - 1) / (threshold * threshold)
-    crude = 2 * threshold * threshold / (3 * threshold - 1)
+    # w_1(n) < T  <=>  1/m^2 + 1/b^2 < rhs = (3T-1)/T^2 ; limit_n >= T <=> 1/m^2 >= rhs
+    num, den = threshold.numerator, threshold.denominator
+    nn, lift = num * num, (3 * num - den) * den  # rhs = lift/N^2 for T = N/D
 
     try:
         records = tuple(find_irregularities(n_max))
@@ -353,17 +356,14 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
     except VerificationError as exc:
         rows = []
         failures.append(str(exc))
-    active = sum(
-        1 for row in rows if Fraction(1, row.m * row.m) >= rhs
-    )
+    active = sum(1 for row in rows if nn >= row.m * row.m * lift)
 
     tail_exact = []
     # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
-    numbers, apexes = markov_prefix(n_max + 1, lambda m: m * m >= crude)
+    numbers, apexes = markov_prefix(n_max + 1, lambda m: m * m * lift >= 2 * nn)
     for n in range(n_max + 1, len(numbers)):
-        m_n = numbers[n - 1]
-        b_n = _b_value(apexes[n - 1])
-        ok = Fraction(1, m_n * m_n) + Fraction(1, b_n * b_n) < rhs
+        mm, bb = numbers[n - 1] ** 2, _b_value(apexes[n - 1]) ** 2
+        ok = (mm + bb) * nn < mm * bb * lift
         tail_exact.append((n, ok))
         if not ok:
             failures.append(

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own code paths: interval evaluation
 goes through mpmath, the lattice-width oracle searches every primitive
-direction inside a Euclidean-width bound instead of reducing a basis, the
-juxtaposition inequality is decided on Fractions rather than on
-cross-multiplied integers, and the essential subtrees are filtered from
-validated wedge triples rather than read off the raw chains.
+direction inside a Euclidean-width bound instead of reducing a basis and
+takes its spreads over the Fraction vertices instead of the polygon's
+integer form, the juxtaposition inequality is decided on Fractions rather
+than on cross-multiplied integers, and the essential subtrees are filtered
+from validated wedge triples rather than read off the raw chains.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from mbl.lattice import LatticePolygon, width_along
+from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
 
 
@@ -42,13 +43,19 @@ def interval_compare(x, y, digits: int = 200):
     return None
 
 
+def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
+    """max <x' - x, (nx, ny)> over the vertices, on Fractions."""
+    values = [v.x * nx + v.y * ny for v in polygon.vertices]
+    return max(values) - min(values)
+
+
 def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
     # the Euclidean width of a convex polygon is minimized at an edge normal
     best = None
-    for p, q in polygon.edges():
+    pts = polygon.vertices
+    for p, q in zip(pts, pts[1:] + pts[:1]):
         nx, ny = -(q.y - p.y), q.x - p.x
-        values = [v.x * nx + v.y * ny for v in polygon.vertices]
-        spread = max(values) - min(values)
+        spread = fraction_spread(polygon, nx, ny)
         wsq = spread * spread / (nx * nx + ny * ny)
         if best is None or wsq < best:
             best = wsq
@@ -58,14 +65,14 @@ def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
 def pruned_lattice_width(polygon: LatticePolygon):
     """Exact lattice width and the lexicographically least minimizer.
 
-    Any direction xi satisfies width_along(xi) >= |xi| * W with W the minimal
+    Any direction xi has spread at least |xi| * W with W the minimal
     Euclidean width, so directions with |xi|^2 W^2 > best^2 cannot improve on
     the current best and the search over primitive xi in the upper half-plane
     is finite.  Its cost grows with the square of the polygon's skew.
     """
-    best = width_along(polygon, (1, 0))
+    best = fraction_spread(polygon, 1, 0)
     best_xi = (1, 0)
-    w01 = width_along(polygon, (0, 1))
+    w01 = fraction_spread(polygon, 0, 1)
     if w01 < best or (w01 == best and (0, 1) < best_xi):
         best, best_xi = w01, (0, 1)
     wsq = _euclidean_min_width_sq(polygon)
@@ -77,7 +84,7 @@ def pruned_lattice_width(polygon: LatticePolygon):
                 continue
             if Fraction(p * p + q * q) * wsq > best * best:
                 continue
-            w = width_along(polygon, (p, q))
+            w = fraction_spread(polygon, p, q)
             if w < best or (w == best and (p, q) < best_xi):
                 best, best_xi = w, (p, q)
         q += 1

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbl.capacity import width
@@ -23,7 +24,7 @@ from mbl.lattice import (
 )
 from mbl.markov import MarkovTriple, enumerate_triples
 
-from support import pruned_lattice_width
+from support import fraction_spread, pruned_lattice_width
 
 T = MarkovTriple
 
@@ -36,6 +37,15 @@ FOUR_PAIRS = LatticePolygon([(Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 
 # a reduced basis misses the least minimizer (0, 1).
 FOUR_PAIRS_IMAGE = LatticePolygon([(Fraction(3, 2), -1), (2, -2), (Fraction(5, 2), -2),
                                    (2, -1)])
+# Mixed denominators and negative coordinates, with a translate of it and a
+# mapped base triangle: their integer forms scale by D = 420, 2520 and 5220.
+SKEW = LatticePolygon([(Fraction(-7, 3), Fraction(-5, 4)), (Fraction(3, 2), Fraction(-2, 5)),
+                       (Fraction(5, 6), Fraction(9, 7)), (-3, Fraction(1, 2))])
+MIXED = (SKEW,
+         UnimodularMap(1, 0, 0, 1, Fraction(-11, 9), Fraction(13, 8)).apply(SKEW),
+         UnimodularMap(2, -3, -1, 2, Fraction(-4, 9), Fraction(7, 4)).apply(
+             vianna_triangle(T(29, 5, 2)).polygon))
+FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
 
 
 class TestPolygonValidation:
@@ -55,19 +65,65 @@ class TestPolygonValidation:
         with pytest.raises(ValueError):
             LatticePolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
+    def test_rejects_collinear_across_denominators(self):
+        with pytest.raises(ValueError, match="strictly convex counterclockwise"):
+            LatticePolygon([(0, 0), (Fraction(1, 3), Fraction(1, 6)),
+                            (Fraction(2, 3), Fraction(1, 3))])
+
+    def test_rejects_duplicates_written_apart(self):
+        with pytest.raises(ValueError, match="duplicate vertices"):
+            LatticePolygon.from_json([["0", "0"], ["1/2", "0"], ["2/4", "0"], ["0", "1"]])
+
+    def test_rejects_clockwise_fractions(self):
+        with pytest.raises(ValueError, match="strictly convex counterclockwise"):
+            LatticePolygon([(0, 0), (Fraction(1, 3), Fraction(2, 5)),
+                            (Fraction(2, 3), Fraction(1, 7))])
+
     def test_json_roundtrip(self):
         polygon = vianna_triangle(T(5, 2, 1)).polygon
         assert LatticePolygon.from_json(polygon.to_json()) == polygon
 
+    def test_integer_form(self):
+        assert SKEW.scaled == (420, ((-980, -525), (630, -168), (350, 540), (-1260, 210)))
+        assert [polygon.scaled[0] for polygon in MIXED] == [420, 2520, 5220]
+        for polygon in MIXED:
+            den, pts = polygon.scaled
+            assert den == math.lcm(*(c.denominator for v in polygon.vertices for c in v))
+            assert pts == tuple((v.x * den, v.y * den) for v in polygon.vertices)
+
+    def test_integer_form_is_not_a_field(self):
+        twin = LatticePolygon(SKEW.vertices)
+        assert SKEW._fields == ("vertices",)
+        assert SKEW == twin and hash(SKEW) == hash((SKEW.vertices,))
+        assert repr(SKEW) == f"LatticePolygon(vertices={SKEW.vertices!r})"
+        assert SKEW != LatticePolygon(SKEW.vertices[1:] + SKEW.vertices[:1])
+
+    def test_signed_area_matches_the_shoelace_over_fractions(self):
+        for polygon in (UNIT_TRIANGLE, FOUR_PAIRS_IMAGE, *MIXED):
+            pts = polygon.vertices
+            twice = sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
+            assert polygon.signed_area() == twice / 2
+
 
 class TestWidthAlong:
+    """width_along counts in units of 1/D, D = polygon.scaled[0]."""
+
     def test_horizontal(self):
         tri = vianna_triangle(T(5, 2, 1)).polygon
-        assert width_along(tri, (1, 0)) == Fraction(5, 2)
+        assert tri.scaled[0] == 10
+        assert width_along(tri, (1, 0)) == 10 * Fraction(5, 2)
 
     def test_vertical(self):
         tri = vianna_triangle(T(5, 2, 1)).polygon
-        assert width_along(tri, (0, 1)) == Fraction(2, 5)
+        assert width_along(tri, (0, 1)) == 10 * Fraction(2, 5)
+
+    def test_scales_the_fraction_spread_by_d(self):
+        for polygon in MIXED:
+            den = polygon.scaled[0]
+            for p in range(-6, 7):
+                for q in range(-6, 7):
+                    if (p, q) != (0, 0):
+                        assert width_along(polygon, (p, q)) == den * fraction_spread(polygon, p, q)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -116,6 +172,15 @@ class TestLatticeWidth:
         polygons += [random_unimodular(rng).apply(FOUR_PAIRS) for _ in range(12)]
         for polygon in polygons:
             assert lattice_width(polygon) == pruned_lattice_width(polygon)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FIRST_EIGHT), st.randoms(use_true_random=False))
+    def test_pruned_oracle_agrees_on_mapped_triangles(self, triple, rng):
+        m = random_unimodular(rng)
+        # the oracle's cost grows with the square of the skew
+        assume(max(abs(m.m00), abs(m.m01), abs(m.m10), abs(m.m11)) <= 64)
+        mapped = m.apply(vianna_triangle(triple).polygon)
+        assert lattice_width(mapped) == pruned_lattice_width(mapped)
 
     def test_unimodular_invariance(self):
         rng = random.Random(777)
@@ -200,7 +265,8 @@ class TestCentralPoint:
         tri = vianna_triangle(T(5, 2, 1))
         center = central_point(tri)
         polygon = tri.polygon
-        for p, q in polygon.edges():
+        pts = polygon.vertices
+        for p, q in zip(pts, pts[1:] + pts[:1]):
             direction = (q.x - p.x, q.y - p.y)
             normal = (-direction[1], direction[0])
             # normalize to the primitive integer normal by hand

@@ -16,7 +16,9 @@ from mbl.markov import (
 )
 from mbl.ordering import (
     IrregularityRecord,
+    _deficit_above,
     _holds,
+    _reaches,
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
@@ -210,6 +212,88 @@ class TestNNInequality:
             for n_prime in scan_window(n, numbers):
                 expected = (n, n_prime) not in violated
                 assert _holds(n, n_prime, numbers, apexes) == expected
+
+
+def _inv_sq(x: int) -> Fraction:
+    return Fraction(1, x * x)
+
+
+def _fraction_swap_pattern(n: int, n_prime: int) -> bool:
+    """verify_swap_pattern's conditions, decided on Fractions."""
+    if nn_inequality_holds(n, n_prime):
+        return True
+    numbers, apexes = markov_prefix(n_prime)
+    a, b, c = apexes[n_prime - 1]
+    m_p, b_p, f1_p = numbers[n_prime - 1], 3 * a * c - b, 3 * a * b - c
+    for k in range(n, n_prime):
+        a, b, c = apexes[k - 1]
+        m_k, b_k = numbers[k - 1], 3 * a * c - b
+        if (nn_inequality_holds(k, n_prime)
+                or not _inv_sq(m_p) + _inv_sq(b_p) > _inv_sq(m_k) + _inv_sq(b_k)
+                or not _inv_sq(m_k) >= _inv_sq(m_p) + _inv_sq(f1_p)):
+            return False
+    return n == 1 or nn_inequality_holds(n - 1, n_prime)
+
+
+class TestIntegerForms:
+    """The cross-multiplied ordering checks against their Fraction forms."""
+
+    def test_swap_deficits_match_fractions_to_850(self):
+        violated = _fraction_violations(850)
+        assert (794, 797) in violated
+        numbers, apexes = _scan_prefix(850)
+        pairs = {(k, n_prime) for n, n_prime in violated for k in range(n - 1, n_prime)}
+        window = {(n, n_prime) for n in range(1, 851) for n_prime in scan_window(n, numbers)}
+        pairs |= window | {(n_prime, n) for n, n_prime in window}  # reversed: both outcomes
+        seen = set()
+        for k, n_prime in sorted(pairs):
+            a, b, c = apexes[n_prime - 1]
+            m_p, b_p, f1_p = numbers[n_prime - 1], 3 * a * c - b, 3 * a * b - c
+            a, b, c = apexes[k - 1]
+            m_k, b_k = numbers[k - 1], 3 * a * c - b
+            above = _inv_sq(m_p) + _inv_sq(b_p) > _inv_sq(m_k) + _inv_sq(b_k)
+            reaches = _inv_sq(m_k) >= _inv_sq(m_p) + _inv_sq(f1_p)
+            assert _deficit_above(m_p, b_p, m_k, b_k) == above
+            assert _reaches(m_k, m_p, f1_p) == reaches
+            seen.add((above, reaches))
+        assert len(seen) == 4  # both outcomes of both checks occur
+
+    def test_swap_checks_at_exact_ties(self):
+        # 1/12^2 = 1/15^2 + 1/20^2: the reach holds at equality, the deficit does not exceed
+        assert _inv_sq(12) == _inv_sq(15) + _inv_sq(20)
+        assert _reaches(12, 15, 20) and _reaches(12, 20, 15)
+        assert not _deficit_above(15, 20, 20, 15)
+
+    def test_swap_pattern_matches_fractions_to_793(self):
+        records = find_irregularities(793)
+        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
+        for rec in records:
+            assert verify_swap_pattern(rec) == _fraction_swap_pattern(rec.n, rec.n_prime)
+        for n in range(1, 60):  # regular pairs and pairs one below a record
+            rec = IrregularityRecord(n, 1, "manufactured")
+            assert verify_swap_pattern(rec) == _fraction_swap_pattern(n, n + 1)
+
+    def test_threshold_checks_match_fractions_to_850(self):
+        rows = spectrum_rows(850, 1)
+        numbers, apexes = markov_prefix(1000)
+        for j in (1, 2, 33, 34, 400, 794, 797, 850):
+            row = rows[j - 1]
+            # the leading capacity of row j itself ties the tail check at n = j
+            for threshold in (row.first_capacities[0],
+                              Fraction(1, 3) + Fraction(1, 27 * row.m * row.m)):
+                rhs = (3 * threshold - 1) / (threshold * threshold)
+                report = ordered_prefix_complete_above(threshold, 850)
+                assert report.active_sequences == sum(_inv_sq(r.m) >= rhs for r in rows)
+                crude = 2 * threshold * threshold / (3 * threshold - 1)
+                end = next(n for n in range(2, 1000) if numbers[n - 1] ** 2 >= crude)
+                tail = []
+                for n in range(2, end):
+                    a, b, c = apexes[n - 1]
+                    tail.append((n, _inv_sq(numbers[n - 1]) + _inv_sq(3 * a * c - b) < rhs))
+                report = ordered_prefix_complete_above(threshold, 1)
+                assert report.tail_exact == tuple(tail)
+                assert report.tail_bound_index == end
+                assert (j, False) in tail or j == 1
 
 
 class TestIrregularities:
