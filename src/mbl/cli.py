@@ -17,6 +17,7 @@ import random
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote  # the C encoder
 
 from . import oeis
 from .capacity import (
@@ -132,36 +133,78 @@ def _emit(config: argparse.Namespace, data: str | bytes) -> None:
         sys.stdout.write(data)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The bytes of json.dumps(value, indent=2, sort_keys=True), sooner.
+
+    With indent set, json.dumps runs the pure-Python encoder.  This writer
+    covers only what payloads hold (dicts with str keys, lists, tuples, str,
+    int, bool, None: exactly these types, not subclasses) and raises
+    TypeError on anything else, floats included.  Strings go through the C
+    quoting of json.encoder, most of them without a call of their own.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            item = value[key]
+            items.append(_quote(key) + ": "
+                         + (_quote(item) if type(item) is str else _json_text(item, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_quote(item) if type(item) is str else _json_text(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _report(
     config: argparse.Namespace, payload: dict, render: Callable[[], str],
     status: int = EXIT_OK,
 ) -> int:
     """Write the payload as JSON under --format json, else render(); return status."""
-    if config.fmt == "json":
-        _emit(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(config, render())
+    _emit(config, _json_text(payload) + "\n" if config.fmt == "json" else render())
     return status
 
 
 def _emit_rows(
     config: argparse.Namespace,
     columns: list[str],
-    items: list[tuple[list[str], dict]],
+    records: list,
+    cells: Callable[..., list[str]],
+    json_row: Callable[..., dict],
     payload: dict,
     notes: tuple[str, ...] = (),
     status: int = EXIT_OK,
 ) -> int:
-    """Emit one table row per (cells, json_row) item and return status.
+    """Emit one table row per record and return status.
 
-    The cells fill the text and CSV rows; the JSON rows go under
-    payload["rows"].
+    Only the format asked for is rendered: cells(*record) fills the text and
+    CSV rows, json_row(*record) the JSON rows under payload["rows"].
     """
-    payload["rows"] = [json_row for _, json_row in items]
-    rows = [cells for cells, _ in items]
-    return _report(
-        config, payload, lambda: _table(config.fmt, columns, rows, notes), status
-    )
+    if config.fmt == "json":
+        payload["rows"] = [json_row(*record) for record in records]
+
+    def render() -> str:
+        return _table(config.fmt, columns, [cells(*record) for record in records], notes)
+
+    return _report(config, payload, render, status)
 
 
 def cmd_widths(config: argparse.Namespace) -> int:
@@ -170,55 +213,54 @@ def cmd_widths(config: argparse.Namespace) -> int:
         if config.triple is not None
         else [MarkovTriple(*t) for t in _PAPER_TABLE]
     )
-    items = []
-    for t in triples:
-        w = width(t)
-        items.append((
-            [str(t), str(w), _preview(w)],
-            {"triple": t.to_json(), "width": capacity_to_json(w), "preview": _preview(w)},
-        ))
-    return _emit_rows(config, ["triple", "width", "decimal"], items, {"command": "widths"})
+    return _emit_rows(
+        config, ["triple", "width", "decimal"], [(t, width(t)) for t in triples],
+        lambda t, w: [str(t), str(w), _preview(w)],
+        lambda t, w: {"triple": t.to_json(), "width": capacity_to_json(w),
+                      "preview": _preview(w)},
+        {"command": "widths"},
+    )
 
 
 def cmd_triples(config: argparse.Namespace) -> int:
-    items = []
-    for t in enumerate_triples(config.max_bound):
-        w, depth = width(t), tree_depth(t)
-        items.append((
-            [str(t), str(depth), str(w)],
-            {"triple": t.to_json(), "depth": depth, "width": capacity_to_json(w)},
-        ))
-    payload = {"command": "triples", "max_bound": str(config.max_bound)}
-    return _emit_rows(config, ["triple", "depth", "width"], items, payload)
+    records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
+    return _emit_rows(
+        config, ["triple", "depth", "width"], records,
+        lambda t, depth, w: [str(t), str(depth), str(w)],
+        lambda t, depth, w: {"triple": t.to_json(), "depth": depth,
+                             "width": capacity_to_json(w)},
+        {"command": "triples", "max_bound": str(config.max_bound)},
+    )
 
 
 def cmd_subtree(config: argparse.Namespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     apex = apex_for(preserved, config.triple)
-    items = []
-    for t in wedge(apex, config.depth):
-        w, depth = width(t), tree_depth(t)
-        items.append((
-            [str(depth), str(t), str(w), _preview(w)],
-            {"depth": depth, "triple": t.to_json(), "width": capacity_to_json(w)},
-        ))
+    records = [(tree_depth(t), t, width(t)) for t in wedge(apex, config.depth)]
     payload = {
         "command": "subtree",
         "preserved": str(apex.a),
         "apex": apex.to_json(),
     }
-    return _emit_rows(config, ["depth", "triple", "width", "decimal"], items, payload)
+    return _emit_rows(
+        config, ["depth", "triple", "width", "decimal"], records,
+        lambda depth, t, w: [str(depth), str(t), str(w), _preview(w)],
+        lambda depth, t, w: {"depth": depth, "triple": t.to_json(),
+                             "width": capacity_to_json(w)},
+        payload,
+    )
 
 
 def cmd_order(config: argparse.Namespace) -> int:
-    items = []
-    for rank, (t, w) in enumerate(alternating_order(config.triple, config.depth), start=1):
-        items.append((
-            [str(rank), str(t), str(w), _preview(w)],
-            {"rank": rank, "triple": t.to_json(), "width": capacity_to_json(w)},
-        ))
-    payload = {"command": "order", "apex": config.triple.to_json()}
-    return _emit_rows(config, ["rank", "triple", "width", "decimal"], items, payload)
+    records = [(rank, t, w) for rank, (t, w)
+               in enumerate(alternating_order(config.triple, config.depth), start=1)]
+    return _emit_rows(
+        config, ["rank", "triple", "width", "decimal"], records,
+        lambda rank, t, w: [str(rank), str(t), str(w), _preview(w)],
+        lambda rank, t, w: {"rank": rank, "triple": t.to_json(),
+                            "width": capacity_to_json(w)},
+        {"command": "order", "apex": config.triple.to_json()},
+    )
 
 
 def _fixture_match(records, n_max: int) -> bool:
@@ -240,27 +282,24 @@ def _fixture_match(records, n_max: int) -> bool:
 
 def cmd_irregularities(config: argparse.Namespace) -> int:
     records = find_irregularities(config.n_max)
-    items = []
-    for rec in records:
-        ok = verify_swap_pattern(rec)
-        items.append((
-            [str(rec.n), str(rec.span), str(rec.n_prime), "yes" if ok else "NO", rec.kind],
-            {**rec.to_json(), "swap_verified": ok},
-        ))
+    checked = [(rec, verify_swap_pattern(rec)) for rec in records]
     payload = {"command": "irregularities", "n_max": config.n_max}
     notes = ("b values for rows 1 and 2 use the second-smallest-member "
              "convention; those rows never violate the inequality",)
-    status = EXIT_OK
-    if not all(json_row["swap_verified"] for _, json_row in items):
-        status = EXIT_VERIFICATION
+    status = EXIT_OK if all(ok for _, ok in checked) else EXIT_VERIFICATION
     if config.fixture:
         match = _fixture_match(records, config.n_max)
         payload["fixture_match"] = match
         notes += (f"fixture match: {match}",)
         if not match:
             status = EXIT_VERIFICATION
-    columns = ["n", "span", "n_prime", "swap_verified", "kind"]
-    return _emit_rows(config, columns, items, payload, notes, status)
+    return _emit_rows(
+        config, ["n", "span", "n_prime", "swap_verified", "kind"], checked,
+        lambda rec, ok: [str(rec.n), str(rec.span), str(rec.n_prime),
+                         "yes" if ok else "NO", rec.kind],
+        lambda rec, ok: {**rec.to_json(), "swap_verified": ok},
+        payload, notes, status,
+    )
 
 
 def cmd_triangle(config: argparse.Namespace) -> int:
@@ -328,29 +367,27 @@ def cmd_width(config: argparse.Namespace) -> int:
 def cmd_limits(config: argparse.Namespace) -> int:
     if config.k is not None and config.fmt != "json":
         raise ValueError("--k shows only in the JSON rows; use it with --format json")
-    items = []
-    for row in spectrum_rows(config.n, k=4 if config.k is None else config.k):
-        lam = lagrange_number(row.m)
-        preview = _preview(row.limit)
-        items.append((
-            [
-                str(row.n),
-                str(row.m),
-                str(row.b) + ("*" if row.degenerate else ""),
-                str(lam),
-                str(row.limit),
-                preview,
-            ],
-            {
-                **row.to_json(),
-                "lagrange": lam.to_json(),
-                "preview": preview,
-            },
-        ))
+    rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
     notes = ("* b for rows 1 and 2 follows the second-smallest-member "
              "convention (values 2 and 5)",)
-    columns = ["n", "m", "b", "lagrange", "limit", "decimal"]
-    return _emit_rows(config, columns, items, {"command": "limits"}, notes)
+    return _emit_rows(
+        config, ["n", "m", "b", "lagrange", "limit", "decimal"],
+        [(row, lagrange_number(row.m)) for row in rows],
+        lambda row, lam: [
+            str(row.n),
+            str(row.m),
+            str(row.b) + ("*" if row.degenerate else ""),
+            str(lam),
+            str(row.limit),
+            _preview(row.limit),
+        ],
+        lambda row, lam: {
+            **row.to_json(),
+            "lagrange": lam.to_json(),
+            "preview": _preview(row.limit),
+        },
+        {"command": "limits"}, notes,
+    )
 
 
 def cmd_plot(config: argparse.Namespace) -> int:
@@ -375,25 +412,24 @@ def cmd_ingest(config: argparse.Namespace) -> int:
     if config.fetch:
         for kind in kinds:
             oeis.fetch_bfile(kind, cache_dir=config.cache_dir)
-    items = []
-    for kind in kinds:
-        report = oeis.cross_check(
-            kind, config.n, path=config.bfile, cache_dir=config.cache_dir
-        )
-        items.append((
-            [
-                kind,
-                report.sequence_id,
-                str(report.n),
-                report.source,
-                "ok" if report.ok else
-                f"MISMATCH at {report.first_mismatch[0]}",
-            ],
-            report.to_json(),
-        ))
-    status = EXIT_OK if all(row["ok"] for _, row in items) else EXIT_VERIFICATION
-    columns = ["kind", "sequence", "n", "source", "status"]
-    return _emit_rows(config, columns, items, {"command": "ingest"}, status=status)
+    reports = [
+        oeis.cross_check(kind, config.n, path=config.bfile, cache_dir=config.cache_dir)
+        for kind in kinds
+    ]
+    status = EXIT_OK if all(report.ok for report in reports) else EXIT_VERIFICATION
+    return _emit_rows(
+        config, ["kind", "sequence", "n", "source", "status"],
+        list(zip(kinds, reports)),
+        lambda kind, report: [
+            kind,
+            report.sequence_id,
+            str(report.n),
+            report.source,
+            "ok" if report.ok else f"MISMATCH at {report.first_mismatch[0]}",
+        ],
+        lambda kind, report: report.to_json(),
+        {"command": "ingest"}, status=status,
+    )
 
 
 def _failed(failures: dict[str, str], *names: str):

@@ -105,9 +105,17 @@ class UnimodularMap(_Record):
             raise ValueError("matrix must have determinant +-1")
 
     def apply(self, polygon: LatticePolygon) -> LatticePolygon:
-        pts = [RationalPoint(self.m00 * p.x + self.m01 * p.y + self.tx,
-                             self.m10 * p.x + self.m11 * p.y + self.ty)
-               for p in polygon.vertices]
+        # integer products on the polygon's integer form, over one common
+        # denominator of D and the translation
+        den, scaled = polygon.scaled
+        tx, ty = self.tx, self.ty  # Fractions or ints
+        common = math.lcm(den, tx.denominator, ty.denominator)
+        k = common // den
+        sx = tx.numerator * (common // tx.denominator)
+        sy = ty.numerator * (common // ty.denominator)
+        pts = [RationalPoint(Fraction((self.m00 * x + self.m01 * y) * k + sx, common),
+                             Fraction((self.m10 * x + self.m11 * y) * k + sy, common))
+               for x, y in scaled]
         if self.m00 * self.m11 - self.m01 * self.m10 < 0:
             pts.reverse()  # keep counterclockwise orientation
         return LatticePolygon(pts)

@@ -113,25 +113,35 @@ class MarkovWalk:
     """
 
     def __init__(self):
-        # entries (maximum, triple): the heap orders them by comparing ints,
-        # not through MarkovTriple.__lt__
-        self._heap = [(1, MarkovTriple(1, 1, 1))]
+        # sorted int tuples (a, b, c), each checked against the equation as
+        # it is pushed; the heap orders them by their maximum first
+        self._heap = [(1, 1, 1)]
         self._numbers: list[int] = []
         self._apexes: list[MarkovTriple] = []
 
     def _step(self) -> None:
-        (m, t), twin = self._heap[0], min(self._heap[1:3], default=None)
-        # every triple with maximum m is queued by now (their parents'
-        # maxima are smaller), so a shared maximum shows in the next smallest
-        if twin is not None and twin[0] == m:
-            raise VerificationError(f"{t} and {twin[1]} share their maximum")
-        heapq.heappop(self._heap)
-        self._numbers.append(m)
-        self._apexes.append(t)
-        # the two children coincide only at (1,1,1) and (2,1,1)
-        for child in {mutate(t, MutationKind.ELIMINATE_MID),
-                      mutate(t, MutationKind.ELIMINATE_MIN)}:
-            heapq.heappush(self._heap, (child.a, child))
+        heap = self._heap
+        top, twin = heap[0], min(heap[1:3], default=None)
+        # every triple with the top's maximum is queued by now (their
+        # parents' maxima are smaller), so a shared maximum shows in the next
+        # smallest entry
+        if twin is not None and twin[0] == top[0]:
+            raise VerificationError(
+                "({},{},{}) and ({},{},{}) share their maximum".format(*top, *twin))
+        apex = MarkovTriple(*top)  # re-checks order and equation
+        a, b, c = top
+        # the children (a, 3ac - b, c) and (a, b, 3ab - c), sorted; they
+        # coincide exactly when b == c, at (1,1,1) and (2,1,1)
+        children = ((3 * a * c - b, a, c), (3 * a * b - c, a, b))[:1 if b == c else 2]
+        for child in children:
+            if not is_markov(*child):
+                raise ValueError("({},{},{}) does not solve the Markov equation"
+                                 .format(*child))
+        heapq.heappop(heap)
+        self._numbers.append(a)
+        self._apexes.append(apex)
+        for child in children:
+            heapq.heappush(heap, child)
 
     def prefix(
         self, count: int, stop: Callable[[int], bool] | None = None

@@ -4,9 +4,10 @@ These deliberately avoid the library's own code paths: interval evaluation
 goes through mpmath, the lattice-width oracle searches every primitive
 direction inside a Euclidean-width bound instead of reducing a basis and
 takes its spreads over the Fraction vertices instead of the polygon's
-integer form, the juxtaposition inequality is decided on Fractions rather
-than on cross-multiplied integers, and the essential subtrees are filtered
-from validated wedge triples rather than read off the raw chains.
+integer form, unimodular images are mapped vertex by vertex on Fractions,
+the juxtaposition inequality is decided on Fractions rather than on
+cross-multiplied integers, and the essential subtrees are filtered from
+validated wedge triples rather than read off the raw chains.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
     """max <x' - x, (nx, ny)> over the vertices, on Fractions."""
     values = [v.x * nx + v.y * ny for v in polygon.vertices]
     return max(values) - min(values)
+
+
+def fraction_apply(m, polygon: LatticePolygon) -> LatticePolygon:
+    """The image of polygon under the UnimodularMap m, on Fraction vertices."""
+    pts = [(m.m00 * v.x + m.m01 * v.y + m.tx, m.m10 * v.x + m.m11 * v.y + m.ty)
+           for v in polygon.vertices]
+    if m.m00 * m.m11 - m.m01 * m.m10 < 0:
+        pts.reverse()  # keep counterclockwise orientation
+    return LatticePolygon(pts)
 
 
 def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:

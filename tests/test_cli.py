@@ -10,9 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mbl.capacity
 import mbl.cli
+import mbl.ordering
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.markov import MarkovTriple, MutationKind, markov_numbers
@@ -129,6 +132,10 @@ _REPORT_DIGESTS = [
 # span-3 irregularity at (794, 797) refuses the certificate.
 _T44, _T29, _T30 = (str(Fraction(1, 3) + Fraction(2, 10 ** e)) for e in (44, 29, 30))
 _ORDER_SCALE_DIGESTS = [
+    ("limits --n 450", "text", 0,
+     "0b08c30137780eb57b9ca889921d6655b912c313293b6812db4ae43371e8cde9"),
+    ("limits --n 450", "csv", 0,
+     "8a8170f4d02b05bd538d5c8e2a503312092e051104632df004bde215965e5a1d"),
     ("limits --n 450", "json", 0,
      "97c8fd9ffe6fbf1d96e0c94653ec8b641480e7c2b678755d8be14b72d0505305"),
     (f"complete --threshold {_T44} --n-max 450", "text", 0,
@@ -226,6 +233,25 @@ def test_import_leaves_the_network_stack_unloaded():
     assert result.stdout == "[]\n"
 
 
+# Every module a fresh `import mbl.cli` loads on Python 3.11 when nothing was
+# imported before it (python -S).  An interpreter whose site imports more at
+# start loads a subset of these.
+_IMPORT_CLOSURE = frozenset("""
+    __future__ _bisect _bz2 _collections _collections_abc _compression _decimal
+    _functools _heapq _json _lzma _operator _random _sha512 _sre _stat _typing
+    _weakrefset argparse bisect bz2 collections collections.abc contextlib copyreg
+    decimal enum errno fnmatch fractions functools genericpath gettext heapq
+    importlib importlib._bootstrap importlib._bootstrap_external importlib.resources
+    importlib.resources._adapters importlib.resources._common
+    importlib.resources._legacy importlib.resources.abc ipaddress itertools json
+    json.decoder json.encoder json.scanner keyword lzma math mbl mbl.capacity
+    mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering ntpath numbers
+    operator os os.path pathlib posixpath random re re._casefix re._compiler
+    re._constants re._parser reprlib shutil stat tempfile types typing typing.io
+    typing.re urllib urllib.parse warnings weakref zlib
+""".split())
+
+
 def test_import_loads_no_unused_machinery():
     # dataclasses (with inspect), csv, hashlib and svg serve few commands and
     # load inside them; lattice and oeis load eagerly, because the bench
@@ -238,6 +264,8 @@ def test_import_loads_no_unused_machinery():
     loaded = set(result.stdout.split())
     assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.svg"} == set()
     assert {"mbl.cli", "mbl.lattice", "mbl.oeis"} <= loaded
+    if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer reuses json.encoder
+        assert loaded <= _IMPORT_CLOSURE
 
 
 def test_import_mbl_loads_no_submodule():
@@ -388,6 +416,60 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "limits", "--n", "3", "--k", "5", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["rows"][2]["first_capacities"]) == 5
+
+
+class TestFormatOnlyRendering:
+    """Each row command renders only the format asked for."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("rendered for a format that was not asked for")
+
+    def test_json_formats_no_surd(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "limits", "--n", "40", "--format", "json")
+        monkeypatch.setattr(mbl.capacity.QuadraticValue, "__str__", self.refuse)
+        code, out, _ = run(capsys, "limits", "--n", "40", "--format", "json")
+        assert code == 0 and out == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):
+        _, expected, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
+        monkeypatch.setattr(mbl.ordering.SpectrumRow, "to_json", self.refuse)
+        code, out, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
+        assert code == 0 and out == expected
+
+
+_JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ["", "\"", "\\", "\n\t\r\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "a\"b\\c"])
+_JSON_SCALARS = (st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+                 | st.integers(-10 ** 300, 10 ** 300) | _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """The payload writer against json.dumps(indent=2, sort_keys=True)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert mbl.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_bools_next_to_their_ints(self):
+        value = {"b": [True, 1, False, 0], "a": {"": None, "z": [], "y": {}}, "c": ()}
+        assert mbl.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        1.5, [0.0], {"x": Fraction(1, 3)}, {1, 2}, {"a": [frozenset()]}, {1: "one"},
+        {"a": {2: 3}},
+    ])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            mbl.cli._json_text(value)
 
 
 class TestVerifyAndComplete:

@@ -24,7 +24,7 @@ from mbl.lattice import (
 )
 from mbl.markov import MarkovTriple, enumerate_triples
 
-from support import fraction_spread, pruned_lattice_width
+from support import fraction_apply, fraction_spread, pruned_lattice_width
 
 T = MarkovTriple
 
@@ -371,3 +371,15 @@ class TestUnimodularMap:
         flip = UnimodularMap(0, 1, 1, 0)
         mapped = flip.apply(UNIT_SQUARE)
         assert mapped.signed_area() == UNIT_SQUARE.signed_area()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([*MIXED, FOUR_PAIRS, UNIT_TRIANGLE,
+                            *(vianna_triangle(t).polygon for t in FIRST_EIGHT)]),
+           st.randoms(use_true_random=False))
+    def test_integer_images_match_fraction_images(self, polygon, rng):
+        m = random_unimodular(rng)
+        assert m.apply(polygon) == fraction_apply(m, polygon)
+
+    def test_integer_translations(self):
+        for m in (UnimodularMap(0, 1, 1, 0, 3, -2), UnimodularMap(1, 0, 0, 1)):
+            assert m.apply(SKEW) == fraction_apply(m, SKEW)

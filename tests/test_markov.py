@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import pytest
@@ -235,10 +236,20 @@ class TestMarkovWalk:
 
     def test_repeated_maximum_raises(self):
         walk = MarkovWalk()
-        walk._heap.append((1, T(1, 1, 1)))  # a second triple with maximum 1
+        walk._heap.append((1, 1, 1))  # a second triple with maximum 1
         for _ in range(2):  # the failed step leaves the walk unchanged
-            with pytest.raises(VerificationError):
+            with pytest.raises(VerificationError,
+                               match=re.escape("(1,1,1) and (1,1,1) share their maximum")):
                 walk.prefix(1)
+
+    def test_entry_off_the_equation_is_never_handed_out(self):
+        walk = MarkovWalk()
+        walk._heap.append((6, 2, 1))  # sorted, but 41 != 36
+        assert walk.prefix(3)[0] == (1, 2, 5)
+        for _ in range(2):  # the failed step leaves the walk unchanged
+            with pytest.raises(ValueError, match="does not solve the Markov equation"):
+                walk.apex(6)
+        assert walk.prefix(3) == MarkovWalk().prefix(3)
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -339,10 +350,13 @@ class TestUniqueness:
 
     def test_shared_maximum_detected(self, monkeypatch):
         walk = MarkovWalk()
-        walk._heap.append((5, T(5, 2, 1)))  # a second triple with maximum 5
+        walk._heap.append((5, 2, 1))  # a second triple with maximum 5
         monkeypatch.setattr(mbl.markov, "_WALK", walk)
         assert uniqueness_check(2)
         assert not uniqueness_check(5)
+        with pytest.raises(VerificationError,
+                           match=re.escape("(5,2,1) and (5,2,1) share their maximum")):
+            walk.upto(5)
 
 
 @settings(max_examples=30, deadline=None)
