@@ -56,7 +56,8 @@ class QuadraticValue:
     """An exact number q + s*sqrt(r) with rational q, s and rational r >= 0.
 
     Canonical form folds a perfect-square radicand into the rational part, so
-    `s != 0` implies sqrt(r) is irrational.  Comparisons are sign-exact and
+    `s != 0` implies sqrt(r) is irrational.  Values compare only through the
+    trichotomy `compare` and through `==`.  Comparisons are sign-exact and
     run on integers once the denominators are cleared: a comparison against a
     rational needs one squaring, one between two surds with different
     radicands needs two, with explicit sign bookkeeping.
@@ -95,11 +96,6 @@ class QuadraticValue:
     @property
     def is_rational(self) -> bool:
         return self._s == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self._q
 
     def _cleared(self) -> tuple[int, int, int, int]:
         """Integers (A, B, R, D) with self = (A + B*sqrt(R))/D and D > 0."""
@@ -143,18 +139,6 @@ class QuadraticValue:
             return self.compare(other) == 0
         return NotImplemented
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def decimal(self, digits: int = 12) -> str:
         """Correctly rounded decimal preview; display only, never re-used."""
         ctx = decimal.Context(prec=digits + 20)
@@ -184,17 +168,8 @@ class QuadraticValue:
         return f"QuadraticValue({self._q!r}, {self._s!r}, {self._r!r})"
 
     def to_json(self) -> dict:
-        def pair(x: Fraction) -> dict:
-            return {"num": str(x.numerator), "den": str(x.denominator)}
-
-        return {"q": pair(self._q), "s": pair(self._s), "r": pair(self._r)}
-
-
-def compare(x, y) -> int:
-    """Exact three-way comparison of rationals and QuadraticValues."""
-    if not isinstance(x, QuadraticValue):
-        x = QuadraticValue(x)
-    return x.compare(y)
+        return {"q": capacity_to_json(self._q), "s": capacity_to_json(self._s),
+                "r": capacity_to_json(self._r)}
 
 
 def capacity_to_json(x: Fraction) -> dict:

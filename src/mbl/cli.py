@@ -23,7 +23,6 @@ from . import oeis
 from .capacity import (
     QuadraticValue,
     capacity_to_json,
-    compare,
     convergence_trace,
     lagrange_number,
     limit_point,
@@ -330,7 +329,7 @@ def cmd_triangle(config: argparse.Namespace) -> int:
         ["apex abscissa t", str(tri.t)],
         ["lam", str(tri.lam)],
         ["edge lengths", " ".join(str(e.length) for e in tri.edge_data)],
-        ["central point", f"({center.x}, {center.y})"],
+        ["central point", str(center)],
         ["lattice width", f"{value} at xi={xi}"],
     ]
     columns = ["quantity", "value"]
@@ -347,7 +346,7 @@ def cmd_width(config: argparse.Namespace) -> int:
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
-        except (json.JSONDecodeError, TypeError, ZeroDivisionError) as exc:
+        except (json.JSONDecodeError, ZeroDivisionError) as exc:
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
@@ -494,9 +493,9 @@ def _suite_capacity(config: argparse.Namespace):
         failures["limit-gaps"] = str(exc)
     yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")
     sane = (
-        compare(lagrange_number(2), QuadraticValue.sqrt(8)) == 0
-        and compare(limit_point(1), QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
-        and compare(limit_point(1), Fraction(1, 3)) > 0
+        lagrange_number(2).compare(QuadraticValue.sqrt(8)) == 0
+        and limit_point(1).compare(QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
+        and limit_point(1).compare(Fraction(1, 3)) > 0
     )
     yield "spectrum-values", sane, ""
 

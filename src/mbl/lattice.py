@@ -80,7 +80,9 @@ class LatticePolygon(_Record):
 
     @classmethod
     def from_json(cls, obj) -> "LatticePolygon":
-        """[x, y] pairs of ints or rational strings; floats are inexact, refused."""
+        """A list of [x, y] pairs of ints or rational strings; no floats."""
+        if type(obj) is not list or any(type(v) is not list or len(v) != 2 for v in obj):
+            raise ValueError("a polygon file must be a JSON list of [x, y] pairs")
         return cls([RationalPoint(_exact(x), _exact(y)) for x, y in obj])
 
 

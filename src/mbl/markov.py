@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import functools
 import heapq
 import math
 from typing import Callable
@@ -25,11 +24,7 @@ class MutationKind(enum.Enum):
     ELIMINATE_MID = "mid"
     ELIMINATE_MAX = "max"
 
-    def __repr__(self) -> str:
-        return f"MutationKind.{self.name}"
 
-
-@functools.total_ordering
 class MarkovTriple(_Record):
     """A solution of a^2 + b^2 + c^2 = 3abc, stored with a >= b >= c >= 1."""
 
@@ -50,11 +45,6 @@ class MarkovTriple(_Record):
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-    def __lt__(self, other):  # as (a, b, c) tuples; never against a plain tuple
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.as_tuple() < other.as_tuple()
 
     def __iter__(self):
         return iter((self.a, self.b, self.c))

@@ -64,19 +64,30 @@ class SpectrumRow(_Record):
 
 
 class IrregularityRecord(_Record):
-    """A failure of the juxtaposition inequality, keyed by its lowest index."""
+    """A failure of the juxtaposition inequality, keyed by its lowest index.
+
+    The catalogued patterns span 1 or 2 sequences; any other span would be
+    a new kind of irregularity and raises VerificationError."""
 
     n: int
     span: int
-    kind: str
 
     def __post_init__(self):
         if self.span not in (1, 2):
-            raise ValueError(f"span must be 1 or 2, got {self.span}")
+            raise VerificationError(
+                f"irregularity at (n={self.n}, n'={self.n_prime}) spans {self.span}"
+                " sequences; outside the catalogued patterns"
+            )
 
     @property
     def n_prime(self) -> int:
         return self.n + self.span
+
+    @property
+    def kind(self) -> str:
+        if self.span == 1:
+            return "first capacity of sequence n+1 moves ahead of sequence n"
+        return "first capacity of sequence n+2 moves ahead of sequences n and n+1"
 
     def to_json(self) -> dict:
         return {"n": self.n, "span": self.span, "n_prime": self.n_prime,
@@ -217,8 +228,8 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     """All juxtaposition failures with lowest index <= n_max.
 
     Each offending sequence n' is recorded once, against the smallest n whose
-    sequence it overtakes; the span n' - n must be 1 or 2 (anything else
-    would be a new kind of irregularity and raises VerificationError).
+    sequence it overtakes; a span n' - n outside the catalogued patterns
+    raises VerificationError as its record is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -230,21 +241,8 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
         for n_prime in scan_window(n, numbers):
             if not _holds(n, n_prime, numbers, apexes):
                 lowest_n[n_prime] = min(lowest_n.get(n_prime, n), n)
-    records = []
-    for n_prime in sorted(lowest_n):
-        n = lowest_n[n_prime]
-        span = n_prime - n
-        if span > 2:
-            raise VerificationError(
-                f"irregularity at (n={n}, n'={n_prime}) spans {span} sequences;"
-                " outside the catalogued patterns"
-            )
-        kind = (
-            "first capacity of sequence n+1 moves ahead of sequence n"
-            if span == 1
-            else "first capacity of sequence n+2 moves ahead of sequences n and n+1"
-        )
-        records.append(IrregularityRecord(n, span, kind))
+    # built by increasing n', so an uncatalogued span fails at its first record
+    records = [IrregularityRecord(n, n_prime - n) for n_prime, n in sorted(lowest_n.items())]
     records.sort(key=lambda rec: rec.n)
     return records
 

@@ -70,7 +70,7 @@ def _document(width_px: int, height_px: int, body: list[str]) -> bytes:
     return ("\n".join([head, *body, "</svg>"]) + "\n").encode("utf-8")
 
 
-def figure_subtree(apex: MarkovTriple, depth: int = 3) -> bytes:
+def figure_subtree(apex: MarkovTriple, depth: int) -> bytes:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
     nodes = wedge(apex, depth)
@@ -110,13 +110,11 @@ def figure_subtree(apex: MarkovTriple, depth: int = 3) -> bytes:
 def _approx(value) -> Fraction:
     """Rational stand-in for layout only (40 correct digits)."""
     if isinstance(value, QuadraticValue):
-        if value.is_rational:
-            return value.as_fraction()
         return Fraction(decimal.Decimal(value.decimal(40)))
     return Fraction(value)
 
 
-def figure_numberline(n: int, k: int = 3) -> bytes:
+def figure_numberline(n: int, k: int) -> bytes:
     """Clustered capacity sequences around an irregularity at index n.
 
     Shows sequences n-1 .. n+span as ticks on one axis; the leading capacity
@@ -172,10 +170,9 @@ def figure_numberline(n: int, k: int = 3) -> bytes:
     return _document(width_px, height_px, body)
 
 
-def figure_triangle(triple: MarkovTriple, delta: Fraction = Fraction(1, 4)) -> bytes:
+def figure_triangle(triple: MarkovTriple, delta: Fraction) -> bytes:
     """Base triangle with cut segments from each vertex toward the central
     point and a cross at affine distance delta along each segment."""
-    delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 3):
         raise ValueError("delta must lie strictly between 0 and 1/3")
     tri = vianna_triangle(triple)
@@ -216,7 +213,7 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction = Fraction(1, 4)) -> b
                           STYLE["cross_stroke"], width_=2))
     cx, cy = place(center)
     body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#000000"/>')
-    body.append(_text(cx + 10, cy - 8, f"({center.x}, {center.y})",
+    body.append(_text(cx + 10, cy - 8, str(center),
                       anchor="start", size=11))
     body.append(_text(Fraction(width_px, 2), height_px - 18,
                       f"base triangle of {triple}, cut length delta = {delta}",

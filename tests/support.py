@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import mpmath
 
+from mbl.capacity import QuadraticValue
 from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
 
@@ -42,6 +43,17 @@ def interval_compare(x, y, digits: int = 200):
     if ix > iy:
         return 1
     return None
+
+
+def compare(x, y) -> int:
+    """Three-way comparison that also takes a rational on the left.
+
+    A convenience over QuadraticValue.compare, not an independent oracle:
+    the comparison itself is the library's.
+    """
+    if not isinstance(x, QuadraticValue):
+        x = QuadraticValue(x)
+    return x.compare(y)
 
 
 def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
@@ -102,8 +114,6 @@ def pruned_lattice_width(polygon: LatticePolygon):
 
 
 def random_quadratic(rng: random.Random):
-    from mbl.capacity import QuadraticValue
-
     def rand_fraction():
         return Fraction(rng.randint(-60, 60), rng.randint(1, 24))
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from mbl.capacity import (
     QuadraticValue,
-    compare,
     convergence_trace,
     lagrange_number,
     surd_identity_check,
@@ -41,7 +40,7 @@ from mbl.ordering import (
     verify_chain_inequalities,
 )
 
-from support import interval_compare, nn_inequality_holds, random_quadratic
+from support import compare, interval_compare, nn_inequality_holds, random_quadratic
 
 T = MarkovTriple
 

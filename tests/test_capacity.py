@@ -9,7 +9,6 @@ from mbl.capacity import (
     QuadraticValue,
     _sign,
     capacity_to_json,
-    compare,
     convergence_trace,
     lagrange_number,
     limit_point,
@@ -20,7 +19,7 @@ from mbl.capacity import (
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 from mbl.ordering import spectrum_rows
 
-from support import interval_compare, random_quadratic
+from support import compare, interval_compare, random_quadratic
 
 T = MarkovTriple
 QV = QuadraticValue
@@ -204,18 +203,21 @@ class _SortKey:
 class TestQuadraticValue:
     def test_perfect_square_folds(self):
         assert QV(0, 1, 9).is_rational
-        assert QV(0, 1, 9).as_fraction() == 3
-        assert QV(1, 2, Fraction(9, 4)).as_fraction() == 4
+        assert QV(0, 1, 9).q == 3
+        assert QV(1, 2, Fraction(9, 4)).is_rational
+        assert QV(1, 2, Fraction(9, 4)).q == 4
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             QV(0, 1, -5)
 
     def test_rich_comparisons(self):
-        assert QV.sqrt(2) < QV.sqrt(3)
+        assert QV.sqrt(2).compare(QV.sqrt(3)) < 0
         assert QV.sqrt(8) == QV(0, 2, 2)
-        assert QV.sqrt(5) > 2
-        assert QV.sqrt(5) <= Fraction(9, 4)
+        assert QV.sqrt(5).compare(2) > 0
+        assert QV.sqrt(5).compare(Fraction(9, 4)) <= 0
+        with pytest.raises(TypeError):  # values have no ordering operators
+            QV.sqrt(2) < QV.sqrt(3)
 
     def test_decimal_of_rational(self):
         assert QV(Fraction(1, 2)).decimal() == "0.5"

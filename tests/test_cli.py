@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ import mbl.cli
 import mbl.ordering
 from mbl.cli import main
 from mbl.errors import VerificationError
+from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, MutationKind, markov_numbers
 from mbl.ordering import IrregularityRecord
 
@@ -148,6 +150,10 @@ _ORDER_SCALE_DIGESTS = [
      "a7dde0648e8798551ab6beeafa64fe65190cd86f7d6bf9045082bccaae85c13f"),
     (f"complete --threshold {_T30} --n-max 850", "json", 1,
      "45fdaf03428a9fb2778af08467341416e292ebb24773d4e9e24485b9f3fafeea"),
+    ("irregularities --n-max 450 --fixture", "text", 0,
+     "c22167bda28ecd202662541160e7e3f3b159b97a8203dcc3141e5d32040ad1ae"),
+    ("irregularities --n-max 450 --fixture", "json", 0,
+     "860090db07a756806309116a39905a7dc8dcd433b6c86aff7a12e62d4df2ab46"),
 ]
 
 
@@ -221,6 +227,19 @@ def test_row_table_bytes_are_pinned(capsys, monkeypatch, tmp_path,
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, exit_code, err", [
+    ("irregularities --n-max 794", 1, "mbl: verification failure: irregularity at "
+     "(n=794, n'=797) spans 3 sequences; outside the catalogued patterns\n"),
+    ("widths --triple 5,2", 2, "mbl: --triple expects three entries, got '5,2'\n"),
+    ("widths --triple a,b,c", 2, "mbl: --triple expects integers a,b,c, got 'a,b,c'\n"),
+    ("complete --threshold 1/0", 2,
+     "mbl: expected an exact rational like 'p/q', got '1/0'\n"),
+    ("plot --figure triangle", 2, "mbl: plot --figure triangle needs --triple\n"),
+])
+def test_error_exits_write_one_line_to_stderr(capsys, command, exit_code, err):
+    assert run(capsys, *command.split()) == (exit_code, "", err)
 
 
 def test_import_leaves_the_network_stack_unloaded():
@@ -362,6 +381,12 @@ class TestIrregularities:
             capsys, "irregularities", "--n-max", "40", "--fixture")
         assert code == 2 and "450" in err
 
+    def test_fixture_mismatch_fails(self, capsys, monkeypatch):
+        real = mbl.cli.find_irregularities
+        monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: real(n_max)[1:])
+        code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--fixture")
+        assert code == 1 and "# fixture match: False" in out.splitlines()
+
 
 class TestGeometryCommands:
     def test_triangle(self, capsys):
@@ -382,12 +407,21 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "width", "--polygon", str(path))
         assert code == 0 and out.splitlines()[2].startswith("1")
 
-    @pytest.mark.parametrize("bad", [0.001, True, None, "1/0"])
-    def test_width_rejects_inexact_coordinates(self, capsys, tmp_path, bad):
+    @pytest.mark.parametrize("polygon, message", [
+        *(pytest.param([[0, 0], [1, 0], [0, bad]], "", id=str(bad))
+          for bad in (0.001, True, None, "1/0")),
+        # vertices that are not [x, y] pairs, which once unpacked into two
+        # coordinates (or crashed on a third)
+        pytest.param(["00", "10", "01"], "[x, y] pairs", id="string-vertices"),
+        pytest.param({"00": 0, "10": 0, "01": 0}, "[x, y] pairs", id="object"),
+        pytest.param([[0, 0], [1, 0], ["0", "1", "7"]], "[x, y] pairs",
+                     id="three-coordinates"),
+    ])
+    def test_width_rejects_inexact_coordinates(self, capsys, tmp_path, polygon, message):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps([[0, 0], [1, 0], [0, bad]]))
+        path.write_text(json.dumps(polygon))
         code, out, err = run(capsys, "width", "--polygon", str(path))
-        assert code == 2 and out == "" and err.startswith("mbl: ")
+        assert code == 2 and out == "" and err.startswith("mbl: ") and message in err
 
     def test_width_accepts_ints_and_rational_strings(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
@@ -472,6 +506,66 @@ class TestJsonText:
             mbl.cli._json_text(value)
 
 
+def _raise(exc):
+    raise exc
+
+
+def _short_root_base(real):
+    def build(t):  # the root's triangle, read as if its base were shorter than 1
+        tri = real(t)
+        if t == T(1, 1, 1):
+            tri.__dict__["ell"] = Fraction(1, 2)  # a cached property
+        return tri
+    return build
+
+
+def _doubling_map(rng):  # scales every polygon by 2, so its width doubles
+    return SimpleNamespace(apply=lambda polygon: LatticePolygon(
+        [(2 * v.x, 2 * v.y) for v in polygon.vertices]))
+
+
+T = MarkovTriple
+MIN, MAX = MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX
+
+# (suite, check, collaborator read from mbl.cli, its broken form given the
+# real one, the witness of the FAIL line); bounds --max-bound 30 --n-max 40
+_BROKEN_CHECKS = [
+    ("markov", "mutation-involution", "mutate",  # (2,1,1) never leads back to the root
+     lambda real: lambda t, kind: t if (t, kind) == (T(2, 1, 1), MAX) else real(t, kind),
+     "(1,1,1) ELIMINATE_MAX"),
+    ("markov", "mutation-monotonicity", "mutate",
+     lambda real: lambda t, kind: T(2, 1, 1) if (t, kind) == (T(5, 2, 1), MIN)
+     else real(t, kind),
+     "(5,2,1)"),
+    ("markov", "pairwise-coprimality", "math",
+     lambda real: SimpleNamespace(gcd=lambda x, y: 2 if (x, y) == (13, 5) else real.gcd(x, y)),
+     "(13,5,1)"),
+    ("capacity", "width-bounds", "width",
+     lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)"),
+    ("capacity", "limit-gaps", "convergence_trace",
+     lambda real: lambda *args: _raise(VerificationError("gap at (5,2,1) fails to decrease")),
+     "gap at (5,2,1) fails to decrease"),
+    ("ordering", "chain-interleaving", "chains",  # the right chain listed first
+     lambda real: lambda t, depth: real(t, depth)[::-1], "(29,5,2)"),
+    ("ordering", "chain-inequalities", "verify_chain_inequalities",
+     lambda real: lambda a, b, c, k: a != 13 and real(a, b, c, k), "(13,5,1)"),
+    ("ordering", "alternating-descent", "alternating_order",
+     lambda real: lambda t, depth: _raise(VerificationError(f"descent breaks at {t}"))
+     if t == T(5, 2, 1) else real(t, depth),
+     "descent breaks at (5,2,1)"),
+    ("lattice", "lattice-width-equals-capacity", "width",
+     lambda real: lambda t: real(t) + (t == T(13, 5, 1)), "(13,5,1)"),
+    ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)"),
+    ("lattice", "shear-and-inscribed", "inscribed_right_triangle",
+     lambda real: lambda tri, eps: tri.triple != T(13, 5, 1) and real(tri, eps),
+     "(13,5,1)"),
+    ("lattice", "alg-lemma", "check_alg_lemma",
+     lambda real: lambda t: t != T(13, 5, 1) and real(t), "(13,5,1)"),
+    ("lattice", "unimodular-invariance", "random_unimodular",
+     lambda real: _doubling_map, "(29,5,2)"),
+]
+
+
 class TestVerifyAndComplete:
     def test_markov_suite_trivial_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "markov",
@@ -525,6 +619,16 @@ class TestVerifyAndComplete:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d7f3b0c158c70a0677ba4e30b0bb0e494abd10acc5d23f9f4c9de3ca3d108ce")
 
+    @pytest.mark.parametrize("suite, check, name, broken, witness", _BROKEN_CHECKS,
+                             ids=[case[1] for case in _BROKEN_CHECKS])
+    def test_each_check_can_fail(self, capsys, monkeypatch, suite, check, name,
+                                 broken, witness):
+        monkeypatch.setattr(mbl.cli, name, broken(getattr(mbl.cli, name)))
+        code, out, _ = run(capsys, "verify", "--suite", suite,
+                           "--max-bound", "30", "--n-max", "40")
+        assert code == 1
+        assert f"FAIL  {suite}:{check}  [{witness}]" in out.splitlines()
+
     def test_repeated_suite_runs_once(self, capsys):
         code, once, _ = run(capsys, "verify", "--suite", "markov", "--max-bound", "30")
         twice_code, twice, _ = run(capsys, "verify", "--suite", "markov",
@@ -564,8 +668,7 @@ class TestVerifyAndComplete:
             "witness": f"{error.__name__}: scan broke"}]}
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
-        records = [IrregularityRecord(5, 1, "manufactured"),
-                   IrregularityRecord(7, 2, "manufactured")]
+        records = [IrregularityRecord(5, 1), IrregularityRecord(7, 2)]
         monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: records)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
@@ -622,6 +725,19 @@ class TestPlot:
         assert main(["plot", "--figure", "order5", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().startswith(b"<svg")
+
+    def test_stdout_gets_the_bytes_of_the_out_file(self, capsysbinary, tmp_path):
+        out = tmp_path / "order5.svg"
+        assert main(["plot", "--figure", "order5", "--out", str(out)]) == 0
+        assert main(["plot", "--figure", "order5"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_single_chain_subtree_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "chain.svg"  # (2,1,1) is degenerate: one chain below it
+        assert main(["plot", "--figure", "order5", "--triple", "2,1,1",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c43f3d5b5e5694ed319d664fb71b2bc2918305567cf0dbb33e7f9353f1eb314f")
 
     def test_triangle_figure(self, tmp_path):
         out = tmp_path / "tri.svg"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mbl.capacity import QuadraticValue, compare, width
+from mbl.capacity import QuadraticValue, width
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
@@ -28,7 +28,7 @@ from mbl.ordering import (
     verify_swap_pattern,
 )
 
-from support import essential_subtree, nn_inequality_holds
+from support import compare, essential_subtree, nn_inequality_holds
 
 T = MarkovTriple
 
@@ -270,8 +270,15 @@ class TestIntegerForms:
         for rec in records:
             assert verify_swap_pattern(rec) == _fraction_swap_pattern(rec.n, rec.n_prime)
         for n in range(1, 60):  # regular pairs and pairs one below a record
-            rec = IrregularityRecord(n, 1, "manufactured")
+            rec = IrregularityRecord(n, 1)
             assert verify_swap_pattern(rec) == _fraction_swap_pattern(n, n + 1)
+        # rejected records: sequences 371 and 435 also overtake 369 and 433, so
+        # those swaps reach sequence n - 1; in (4600, 2) and (5359, 1) the
+        # leading capacity of n' stays behind the first capacity of sequence n
+        for n, span in ((370, 1), (434, 1), (4600, 2), (5359, 1)):
+            rec = IrregularityRecord(n, span)
+            assert verify_swap_pattern(rec) is False
+            assert _fraction_swap_pattern(n, n + span) is False
 
     def test_threshold_checks_match_fractions_to_850(self):
         rows = spectrum_rows(850, 1)
@@ -310,12 +317,14 @@ class TestIrregularities:
         assert verify_swap_pattern(rec)
 
     def test_regular_pair_vacuous(self):
-        rec = IrregularityRecord(3, 1, "manufactured for a regular pair")
+        rec = IrregularityRecord(3, 1)  # manufactured for a regular pair
         assert verify_swap_pattern(rec)
 
     def test_span_validation(self):
-        with pytest.raises(ValueError):
-            IrregularityRecord(10, 3, "impossible")
+        with pytest.raises(VerificationError, match=re.escape(
+                "irregularity at (n=10, n'=13) spans 3 sequences; "
+                "outside the catalogued patterns")):
+            IrregularityRecord(10, 3)
 
     def test_catalogue_to_793_and_span_three_at_794(self):
         records = find_irregularities(793)
