@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Compare the `mbl` command line under two src/ trees, operation by operation.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--seed N ...]
+
+Takes the distinct `order` and `verify` operations of the benchmark's seeded
+lists (perfbench/workloads.py) for each seed (default 1 and 20261017), runs
+each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and
+MBL_CACHE_DIR unset, and compares exit code, stdout and stderr.  Prints the
+counts per seed and every differing command line; exits 1 if any differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
+    env = {key: value for key, value in os.environ.items() if key != "MBL_CACHE_DIR"}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
+                          capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seed", type=int, action="append", dest="seeds")
+    args = parser.parse_args(argv)
+    old, new = args.old_src.resolve(), args.new_src.resolve()
+    differing = 0
+    for seed in args.seeds or (1, 20261017):
+        commands = dict.fromkeys(op.argv for workload in ("order", "verify")
+                                 for op in workloads.generate(workload, seed))
+        differ = [command for command in commands
+                  if _run(old, command) != _run(new, command)]
+        for command in differ:
+            print("differs:", " ".join(command))
+        print(f"seed {seed}: {len(commands)} operations, {len(differ)} differ")
+        differing += len(differ)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

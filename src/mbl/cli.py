@@ -56,6 +56,7 @@ from .markov import (
     wedge,
 )
 from .ordering import (
+    SWAP_PATTERNS,
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
@@ -119,15 +120,10 @@ def _table(
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: argparse.Namespace, data: str | bytes) -> None:
+def _emit(config: argparse.Namespace, data: str) -> None:
     if config.out:
-        mode = "wb" if isinstance(data, bytes) else "w"
-        with open(config.out, mode) as handle:
+        with open(config.out, "w") as handle:
             handle.write(data)
-        return
-    if isinstance(data, bytes):
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(data)
 
@@ -275,7 +271,7 @@ def _fixture_match(records, n_max: int) -> bool:
         )
     return all(
         [rec.n for rec in records if rec.span == span] == fixture[f"span_{span}"]
-        for span in (1, 2)
+        for span in SWAP_PATTERNS
     )
 
 
@@ -412,7 +408,7 @@ def cmd_ingest(config: argparse.Namespace) -> int:
         for kind in kinds:
             oeis.fetch_bfile(kind, cache_dir=config.cache_dir)
     reports = [
-        oeis.cross_check(kind, config.n, path=config.bfile, cache_dir=config.cache_dir)
+        oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile, config.cache_dir))
         for kind in kinds
     ]
     status = EXIT_OK if all(report.ok for report in reports) else EXIT_VERIFICATION
@@ -454,7 +450,7 @@ def _suite_markov(config: argparse.Namespace):
             and mutate(t, MutationKind.ELIMINATE_MID).a > t.a
         ):
             failures["mutation-monotonicity"] = str(t)
-        degenerate = t.as_tuple() in ((1, 1, 1), (2, 1, 1))
+        degenerate = tuple(t) in ((1, 1, 1), (2, 1, 1))
         if not degenerate and not mutate(t, MutationKind.ELIMINATE_MAX).a < t.a:
             failures["mutation-monotonicity"] = str(t)
         if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
@@ -463,7 +459,7 @@ def _suite_markov(config: argparse.Namespace):
                        "mutation-monotonicity", "pairwise-coprimality")
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
-    walked = [t.as_tuple() for t in enumerate_triples(small)]
+    walked = [tuple(t) for t in enumerate_triples(small)]
     yield "brute-force-equivalence", brute == walked, f"bound {small}"
     yield "uniqueness", uniqueness_check(config.max_bound), f"bound {config.max_bound}"
 
@@ -571,11 +567,13 @@ def _suite_lattice(config: argparse.Namespace):
 
 
 def _suite_ingest(config: argparse.Namespace):
-    for kind, n in (("markov", 500), ("fibonacci", 1000), ("pell", 1000)):
-        report = oeis.cross_check(kind, n, cache_dir=config.cache_dir)
+    sizes = {"markov": 500, "fibonacci": 1000, "pell": 1000}
+    bfiles = {kind: oeis.load_bfile(kind, cache_dir=config.cache_dir) for kind in sizes}
+    for kind, n in sizes.items():
+        report = oeis.cross_check(kind, n, bfiles[kind])
         yield (f"cross-check-{kind}", report.ok,
                "" if report.ok else str(report.first_mismatch))
-    entries = oeis.load_bfile("markov", cache_dir=config.cache_dir).entries
+    entries = bfiles["markov"].entries
     yield "pinned-anchors", (entries[33], entries[34]) == (pell(15), fibonacci(27)), ""
 
 
@@ -615,12 +613,12 @@ def cmd_verify(config: argparse.Namespace) -> int:
 
 def cmd_complete(config: argparse.Namespace) -> int:
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
+    spans = ", ".join(f"span-{span} at {[r.n for r in report.records if r.span == span]}"
+                      for span in SWAP_PATTERNS)
     lines = [
         f"threshold = {report.threshold} (~{_preview(report.threshold, 6)})",
         f"n_max = {report.n_max}",
-        f"records: {len(report.records)} "
-        f"(span-1 at {[r.n for r in report.records if r.span == 1]}, "
-        f"span-2 at {[r.n for r in report.records if r.span == 2]})",
+        f"records: {len(report.records)} ({spans})",
         f"sequences with limit above threshold: {report.active_sequences}",
         f"tail: {len(report.tail_exact)} exact leading-capacity checks, "
         f"monotone bound from index {report.tail_bound_index} "

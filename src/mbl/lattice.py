@@ -17,18 +17,20 @@ import random
 from functools import cache, cached_property, partial
 from fractions import Fraction
 
-from .capacity import Capacity
+from .capacity import Capacity, _fraction
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple
 
 
 class RationalPoint(_Record):
+    """A point with exact coordinates: ints or Fractions, never floats."""
+
     x: Fraction
     y: Fraction
 
     def __init__(self, x, y):
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "x", _fraction(x))
+        object.__setattr__(self, "y", _fraction(y))
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -105,12 +107,14 @@ class UnimodularMap(_Record):
     def __post_init__(self):
         if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
             raise ValueError("matrix must have determinant +-1")
+        object.__setattr__(self, "tx", _fraction(self.tx))
+        object.__setattr__(self, "ty", _fraction(self.ty))
 
     def apply(self, polygon: LatticePolygon) -> LatticePolygon:
         # integer products on the polygon's integer form, over one common
         # denominator of D and the translation
         den, scaled = polygon.scaled
-        tx, ty = self.tx, self.ty  # Fractions or ints
+        tx, ty = self.tx, self.ty
         common = math.lcm(den, tx.denominator, ty.denominator)
         k = common // den
         sx = tx.numerator * (common // tx.denominator)

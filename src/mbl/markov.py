@@ -43,9 +43,6 @@ class MarkovTriple(_Record):
         a, b, c = sorted((x, y, z), reverse=True)
         return cls(a, b, c)
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
     def __iter__(self):
         return iter((self.a, self.b, self.c))
 

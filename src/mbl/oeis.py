@@ -160,20 +160,14 @@ class CrossCheckReport(_Record):
         }
 
 
-def cross_check(
-    kind: str,
-    n: int,
-    path: str | os.PathLike | None = None,
-    cache_dir: str | None = None,
-) -> CrossCheckReport:
-    """Compare the generated sequence prefix against the b-file prefix.
+def cross_check(kind: str, n: int, bfile: BFile) -> CrossCheckReport:
+    """Compare the generated sequence prefix against a loaded b-file's prefix.
 
     For "markov" the compared indices are 1..n; for the recurrences they are
     the first n+1 file indices starting at 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bfile = load_bfile(kind, path=path, cache_dir=cache_dir)
     generated = _GENERATORS[kind](n)
     if any(i not in bfile.entries for i in generated):
         raise ValueError(

@@ -63,17 +63,24 @@ class SpectrumRow(_Record):
         }
 
 
+#: The catalogued swap patterns: each span n' - n with the sentence naming it.
+SWAP_PATTERNS = {
+    1: "first capacity of sequence n+1 moves ahead of sequence n",
+    2: "first capacity of sequence n+2 moves ahead of sequences n and n+1",
+}
+
+
 class IrregularityRecord(_Record):
     """A failure of the juxtaposition inequality, keyed by its lowest index.
 
-    The catalogued patterns span 1 or 2 sequences; any other span would be
-    a new kind of irregularity and raises VerificationError."""
+    A span outside SWAP_PATTERNS would be a new kind of irregularity and
+    raises VerificationError."""
 
     n: int
     span: int
 
     def __post_init__(self):
-        if self.span not in (1, 2):
+        if self.span not in SWAP_PATTERNS:
             raise VerificationError(
                 f"irregularity at (n={self.n}, n'={self.n_prime}) spans {self.span}"
                 " sequences; outside the catalogued patterns"
@@ -85,9 +92,7 @@ class IrregularityRecord(_Record):
 
     @property
     def kind(self) -> str:
-        if self.span == 1:
-            return "first capacity of sequence n+1 moves ahead of sequence n"
-        return "first capacity of sequence n+2 moves ahead of sequences n and n+1"
+        return SWAP_PATTERNS[self.span]
 
     def to_json(self) -> dict:
         return {"n": self.n, "span": self.span, "n_prime": self.n_prime,
@@ -240,7 +245,7 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     for n in range(1, n_max + 1):
         for n_prime in scan_window(n, numbers):
             if not _holds(n, n_prime, numbers, apexes):
-                lowest_n[n_prime] = min(lowest_n.get(n_prime, n), n)
+                lowest_n.setdefault(n_prime, n)  # n only grows: the first is lowest
     # built by increasing n', so an uncatalogued span fails at its first record
     records = [IrregularityRecord(n, n_prime - n) for n_prime, n in sorted(lowest_n.items())]
     records.sort(key=lambda rec: rec.n)
@@ -250,11 +255,11 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
 def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     """Check that only the leading capacity of the higher sequence swaps.
 
-    For the record's pair (n, n') this means: every spanned pair is violated,
-    the leading capacity of sequence n' exceeds every capacity of each
-    spanned sequence, the second capacity of sequence n' stays below each
-    spanned sequence's infimum, and the swap reaches no further than n.
-    Vacuously true if the pair is not violated at all.
+    For the record's pair (n, n') this means: the leading capacity of
+    sequence n' exceeds every capacity of each spanned sequence, the second
+    capacity of sequence n' stays below each spanned sequence's infimum, and
+    the swap reaches no further than n.  Vacuously true if the pair is not
+    violated at all.
     """
     n, n_prime = rec.n, rec.n_prime
     numbers, apexes = markov_prefix(n_prime)
@@ -263,9 +268,8 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     m_p = numbers[n_prime - 1]
     b_p = _b_value(apexes[n_prime - 1])
     f1_p = _f1_value(apexes[n_prime - 1])
+    # each spanned (k, n') is violated too: 1/m_k^2 <= 1/m_n^2 < 1/m_n'^2 + 1/b_n'^2
     for k in range(n, n_prime):
-        if _holds(k, n_prime, numbers, apexes):
-            return False
         m_k = numbers[k - 1]
         # larger deficit 1/m^2 + 1/b^2 inside the square root means larger capacity
         if not _deficit_above(m_p, b_p, m_k, _b_value(apexes[k - 1])):

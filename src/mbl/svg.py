@@ -14,7 +14,7 @@ from fractions import Fraction
 from .capacity import QuadraticValue, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
 from .markov import MarkovTriple, wedge
-from .ordering import find_irregularities, spectrum_rows
+from .ordering import SWAP_PATTERNS, find_irregularities, spectrum_rows
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -61,16 +61,16 @@ def _line(x1, y1, x2, y2, stroke, dash=None, width_=1) -> str:
     )
 
 
-def _document(width_px: int, height_px: int, body: list[str]) -> bytes:
+def _document(width_px: int, height_px: int, body: list[str]) -> str:
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width_px}" height="{height_px}" '
         f'viewBox="0 0 {width_px} {height_px}" data-style-version="{STYLE["version"]}">'
     )
-    return ("\n".join([head, *body, "</svg>"]) + "\n").encode("utf-8")
+    return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def figure_subtree(apex: MarkovTriple, depth: int) -> bytes:
+def figure_subtree(apex: MarkovTriple, depth: int) -> str:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
     nodes = wedge(apex, depth)
@@ -114,13 +114,13 @@ def _approx(value) -> Fraction:
     return Fraction(value)
 
 
-def figure_numberline(n: int, k: int) -> bytes:
+def figure_numberline(n: int, k: int) -> str:
     """Clustered capacity sequences around an irregularity at index n.
 
     Shows sequences n-1 .. n+span as ticks on one axis; the leading capacity
     of the higher sequence (the swapped one) is highlighted.
     """
-    records = {rec.n: rec for rec in find_irregularities(n + 2)}
+    records = {rec.n: rec for rec in find_irregularities(n + max(SWAP_PATTERNS))}
     if n not in records:
         raise ValueError(f"no irregularity at n={n}")
     rec = records[n]
@@ -170,7 +170,7 @@ def figure_numberline(n: int, k: int) -> bytes:
     return _document(width_px, height_px, body)
 
 
-def figure_triangle(triple: MarkovTriple, delta: Fraction) -> bytes:
+def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     """Base triangle with cut segments from each vertex toward the central
     point and a cross at affine distance delta along each segment."""
     if not 0 < delta < Fraction(1, 3):

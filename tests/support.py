@@ -6,12 +6,15 @@ direction inside a Euclidean-width bound instead of reducing a basis and
 takes its spreads over the Fraction vertices instead of the polygon's
 integer form, unimodular images are mapped vertex by vertex on Fractions,
 the juxtaposition inequality is decided on Fractions rather than on
-cross-multiplied integers, and the essential subtrees are filtered from
-validated wedge triples rather than read off the raw chains.
+cross-multiplied integers, the essential subtrees are filtered from
+validated wedge triples rather than read off the raw chains, and the global
+order of the capacities is read off a plain sort of every triple below a
+bound, reached by Vieta jumps written here.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -149,3 +152,57 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     triples = wedge(apex_of_number(p), depth + 1)  # raises for non-Markov p
     columns = (len(triples) - 1) // (depth + 1)
     return [t for t in triples if t.c == p][: depth * columns]
+
+
+def _triples_upto(bound: int) -> list[tuple[int, int, int]]:
+    """Every Markov triple (a, b, c), a >= b >= c, with a <= bound.
+
+    Vieta jumps from (1, 1, 1): the two jumps of (a, b, c) that raise the
+    maximum give (3ab - c, a, b) and (3ac - b, a, c); they coincide only at
+    (1, 1, 1) and (2, 1, 1).
+    """
+    found, stack = [], [(1, 1, 1)]
+    while stack:
+        a, b, c = stack.pop()
+        found.append((a, b, c))
+        stack.extend(child for child in {(3 * a * b - c, a, b), (3 * a * c - b, a, c)}
+                     if child[0] <= bound)
+    return found
+
+
+def sorted_capacity_order(bound: int) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """The global order of the capacities bc/a read off one sort.
+
+    Every triple with maximum at most `bound` is labelled by the index n of
+    its minimal entry among the Markov numbers (sequence n), and all the
+    capacities Fraction(b*c, a) are sorted.  Returns (overtakes, moved):
+    overtakes maps each n' whose leading capacity lies ahead of a member of
+    an earlier sequence k to {k: j_k}, j_k the count of k's capacities ahead
+    of that leader; moved lists the n' whose second capacity lies ahead of
+    a member of an earlier sequence.
+
+    A pair (k, n') is decided only when sequence k has a member behind the
+    leader in the set.  Within a sequence, larger capacities sit at smaller
+    maxima, so a sequence's members enter the set in order and j_k is then
+    exact; a sequence whose members in the set all lie ahead of the leader
+    may still be overtaken beyond the bound, and is left out.
+    """
+    triples = _triples_upto(bound)
+    index = {m: n for n, m in enumerate(sorted({x for t in triples for x in t}), start=1)}
+    ranked = sorted(((Fraction(b * c, a), index[c]) for a, b, c in triples), reverse=True)
+    if len({w for w, _ in ranked}) != len(ranked):
+        raise AssertionError("two triples share a capacity")
+    ranks: dict[int, list[int]] = {}  # sequence -> positions in the sort
+    for position, (_, n) in enumerate(ranked):
+        ranks.setdefault(n, []).append(position)
+    overtakes, moved, last = {}, [], -1  # last: deepest position of earlier sequences
+    for n_prime in sorted(ranks):
+        lead, *rest = ranks[n_prime]
+        behind = {k: bisect.bisect(ranks[k], lead) for k in ranks
+                  if k < n_prime and ranks[k][-1] > lead}
+        if behind:
+            overtakes[n_prime] = behind
+        if rest and rest[0] < last:
+            moved.append(n_prime)
+        last = max(last, ranks[n_prime][-1])
+    return overtakes, moved

@@ -120,7 +120,7 @@ def test_criterion_05_alternating_descent():
             if t.a >= 5:
                 assert verify_chain_inequalities(t.a, t.b, t.c, 8)
         sequence = alternating_order(T(5, 2, 1), 3)
-        assert [x.as_tuple() for x, _ in sequence] == [
+        assert [tuple(x) for x, _ in sequence] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5),
             (433, 29, 5), (2897, 194, 5), (6466, 433, 5),
         ]
@@ -162,8 +162,9 @@ def test_criterion_08_surd_identity():
 
 def test_criterion_09_cross_checks():
     with _Timer(9, "sequence cross-checks and right-number identities", 10.0):
-        assert cross_check("markov", 500).ok
-        markov_entries = load_bfile("markov").entries
+        markov_bfile = load_bfile("markov")
+        assert cross_check("markov", 500, markov_bfile).ok
+        markov_entries = markov_bfile.entries
         assert markov_numbers(500) == [markov_entries[i] for i in range(1, 501)]
         # identities against the ingested sequences, then the recurrences
         fib_entries = load_bfile("fibonacci").entries
@@ -178,7 +179,7 @@ def test_criterion_09_cross_checks():
 def test_criterion_10_property_suites():
     with _Timer(10, "property suites (brute force, unimodular, order oracle)", 120.0):
         # tree enumeration vs quadratic-root scan
-        assert [t.as_tuple() for t in enumerate_triples(2000)] == \
+        assert [tuple(t) for t in enumerate_triples(2000)] == \
             brute_force_triples(2000)
         # unimodular invariance, 100 random maps
         rng = random.Random(8191)

@@ -270,7 +270,7 @@ class TestConvergenceTrace:
             for triple, w, _ in convergence_trace(apex, 5, side):
                 assert compare(w, lp) > 0
         left = [t for t, _, _ in convergence_trace(apex, 2, "left")]
-        assert [t.as_tuple() for t in left] == [(13, 5, 1), (194, 13, 5)]
+        assert [tuple(t) for t in left] == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):
         apex = apex_for(2, T(5, 2, 1))

@@ -388,6 +388,24 @@ class TestIrregularities:
         assert code == 1 and "# fixture match: False" in out.splitlines()
 
 
+class TestSwapPatternCatalogue:
+    """Every command reads the catalogued spans from ordering.SWAP_PATTERNS."""
+
+    SPAN_3 = "first capacity of sequence n+3 moves ahead of sequences n to n+2"
+
+    def test_a_catalogued_span_3_reaches_both_commands(self, capsys, monkeypatch):
+        monkeypatch.setitem(mbl.ordering.SWAP_PATTERNS, 3, self.SPAN_3)
+        threshold = str(Fraction(1, 3) + Fraction(2, 10 ** 44))
+        code, out, _ = run(capsys, "complete", "--threshold", threshold,
+                           "--n-max", "800")
+        assert code == 1  # verify_swap_pattern rejects 794 -> 797
+        assert "span-3 at [794])" in out.splitlines()[2]
+        code, out, _ = run(capsys, "irregularities", "--n-max", "800")
+        assert code == 1
+        assert ["794", "3", "797", "NO", self.SPAN_3] in \
+            [line.split(None, 4) for line in out.splitlines()]
+
+
 class TestGeometryCommands:
     def test_triangle(self, capsys):
         code, out, _ = run(capsys, "triangle", "--triple", "5,2,1",
@@ -583,6 +601,17 @@ class TestVerifyAndComplete:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
+
+    def test_ingest_suite_loads_each_bfile_once(self, capsys, monkeypatch):
+        real, kinds = mbl.cli.oeis.load_bfile, []
+
+        def counted(kind, *args, **kwargs):
+            kinds.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(mbl.cli.oeis, "load_bfile", counted)
+        code, _, _ = run(capsys, "verify", "--suite", "ingest")
+        assert code == 0 and sorted(kinds) == ["fibonacci", "markov", "pell"]
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

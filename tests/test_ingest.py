@@ -75,18 +75,18 @@ class TestVendored:
 
 class TestCrossCheck:
     def test_markov_500(self):
-        report = cross_check("markov", 500)
+        report = cross_check("markov", 500, load_bfile("markov"))
         assert report.ok and report.first_mismatch is None
 
     def test_fibonacci_entry_27(self):
         bfile = load_bfile("fibonacci")
         assert bfile.entries[27] == 196418
-        assert cross_check("fibonacci", 1000).ok
+        assert cross_check("fibonacci", 1000, bfile).ok
 
     def test_pell_entry_15(self):
         bfile = load_bfile("pell")
         assert bfile.entries[15] == 195025
-        assert cross_check("pell", 1000).ok
+        assert cross_check("pell", 1000, bfile).ok
 
     def test_identity_anchors(self):
         markov = load_bfile("markov").entries
@@ -99,7 +99,7 @@ class TestCrossCheck:
         lines = [f"{i + 1} {m}\n" for i, m in enumerate(numbers)]
         lines[4] = "5 30\n"  # true m_5 is 29
         doctored.write_text("".join(lines))
-        report = cross_check("markov", 20, path=doctored)
+        report = cross_check("markov", 20, load_bfile("markov", path=doctored))
         assert not report.ok
         assert report.first_mismatch == (5, 29, 30)
 
@@ -107,14 +107,14 @@ class TestCrossCheck:
         short = tmp_path / "short.txt"
         short.write_text("1 1\n2 2\n")
         with pytest.raises(ValueError, match="shorter"):
-            cross_check("markov", 10, path=short)
+            cross_check("markov", 10, load_bfile("markov", path=short))
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
-            cross_check("markov", 0)
+            cross_check("markov", 0, load_bfile("markov"))
 
     def test_report_json(self):
-        data = cross_check("markov", 10).to_json()
+        data = cross_check("markov", 10, load_bfile("markov")).to_json()
         assert data["ok"] is True
         assert data["sequence_id"] == "A002559"
         assert json.dumps(data)  # serializable

@@ -362,6 +362,29 @@ class TestAlgLemma:
             assert check_alg_lemma(t) == expected
 
 
+class TestExactCoordinates:
+    @pytest.mark.parametrize("x, y", [(0.1, 0), (0, 0.5)])
+    def test_point_refuses_floats(self, x, y):
+        with pytest.raises(TypeError):
+            RationalPoint(x, y)
+
+    def test_polygon_refuses_a_float_vertex(self):
+        with pytest.raises(TypeError):
+            LatticePolygon([(0, 0), (0.5, 0), (0, 1)])
+
+    @pytest.mark.parametrize("tx, ty", [(0.5, 0), (0, 0.5)])
+    def test_map_refuses_a_float_translation(self, tx, ty):
+        with pytest.raises(TypeError):
+            UnimodularMap(1, 0, 0, 1, tx, ty)
+
+    def test_ints_and_fractions_are_exact(self):
+        point = RationalPoint(1, Fraction(1, 2))
+        assert (type(point.x), type(point.y)) == (Fraction, Fraction)
+        moved = UnimodularMap(1, 0, 0, 1, 1, Fraction(1, 2)).apply(UNIT_TRIANGLE)
+        assert moved == LatticePolygon([(1, Fraction(1, 2)), (2, Fraction(1, 2)),
+                                        (1, Fraction(3, 2))])
+
+
 class TestUnimodularMap:
     def test_determinant_validated(self):
         with pytest.raises(ValueError):

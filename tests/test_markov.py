@@ -98,13 +98,13 @@ class TestMutate:
         for t in triples_up_to(10 ** 4):
             assert mutate(t, MutationKind.ELIMINATE_MIN).a > t.a
             assert mutate(t, MutationKind.ELIMINATE_MID).a > t.a
-            if t.as_tuple() not in degenerate:
+            if tuple(t) not in degenerate:
                 assert mutate(t, MutationKind.ELIMINATE_MAX).a < t.a
 
 
 class TestEnumerate:
     def test_small_bound(self):
-        assert [t.as_tuple() for t in triples_up_to(5)] == [
+        assert [tuple(t) for t in triples_up_to(5)] == [
             (1, 1, 1), (2, 1, 1), (5, 2, 1)]
 
     def test_eleven_triples_up_to_433(self):
@@ -116,13 +116,13 @@ class TestEnumerate:
                 call(0)
 
     def test_deterministic_order(self):
-        keys = [t.as_tuple() for t in triples_up_to(3000)]
+        keys = [tuple(t) for t in triples_up_to(3000)]
         assert keys == sorted(keys)
 
     def test_matches_quadratic_scan(self):
         # oracle solves the equation pairwise, never applies a mutation
         for bound in (5, 50, 600):
-            assert [t.as_tuple() for t in triples_up_to(bound)] == \
+            assert [tuple(t) for t in triples_up_to(bound)] == \
                 brute_force_triples(bound)
 
     def test_pruned_scan_matches_full_pair_scan(self):
@@ -284,17 +284,17 @@ class TestApexFor:
 class TestWedge:
     def test_order5_nodes(self):
         nodes = wedge(T(5, 2, 1), 2)
-        assert [t.as_tuple() for t in nodes] == [
+        assert [tuple(t) for t in nodes] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5), (433, 29, 5)]
 
     def test_fibonacci_chain(self):
         nodes = wedge(T(1, 1, 1), 3)
-        assert [t.as_tuple() for t in nodes] == [
+        assert [tuple(t) for t in nodes] == [
             (1, 1, 1), (2, 1, 1), (5, 2, 1), (13, 5, 1)]
 
     def test_pell_chain(self):
         nodes = wedge(T(2, 1, 1), 2)
-        assert [t.as_tuple() for t in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
+        assert [tuple(t) for t in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
 
     def test_nodes_are_preserving_mutations(self):
         # each node is a max-increasing mutation, keeping p, of the node above
@@ -314,7 +314,7 @@ class TestWedge:
 
 class TestEssentialSubtree:
     def test_five(self):
-        assert [t.as_tuple() for t in essential_subtree(5, 1)] == [
+        assert [tuple(t) for t in essential_subtree(5, 1)] == [
             (194, 13, 5), (433, 29, 5)]
 
     def test_two_starts_at_29(self):

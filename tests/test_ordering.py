@@ -28,7 +28,7 @@ from mbl.ordering import (
     verify_swap_pattern,
 )
 
-from support import compare, essential_subtree, nn_inequality_holds
+from support import compare, essential_subtree, nn_inequality_holds, sorted_capacity_order
 
 T = MarkovTriple
 
@@ -47,7 +47,7 @@ def rationalized(radicand: Fraction) -> QuadraticValue:
 class TestAlternatingOrder:
     def test_order5_triples(self):
         sequence = alternating_order(T(5, 2, 1), 3)
-        assert [t.as_tuple() for t, _ in sequence] == ORDER5
+        assert [tuple(t) for t, _ in sequence] == ORDER5
 
     def test_order5_widths(self):
         sequence = alternating_order(T(5, 2, 1), 3)
@@ -339,6 +339,22 @@ class TestIrregularities:
                    " outside the catalogued patterns")
         with pytest.raises(VerificationError, match=re.escape(message)):
             find_irregularities(794)
+
+
+class TestSortedCapacities:
+    """The global order against a plain sort of every capacity below 10^100."""
+
+    def test_order_below_ten_to_the_hundred(self):
+        overtakes, moved = sorted_capacity_order(10 ** 100)
+        records = find_irregularities(793)
+        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793) == 30
+        # each leader moves ahead of all capacities of exactly its spanned sequences
+        assert {n_prime: behind for n_prime, behind in overtakes.items()
+                if min(behind) <= 793} == \
+            {rec.n_prime: dict.fromkeys(range(rec.n, rec.n_prime), 0) for rec in records}
+        assert moved == []
+        # 794 -> 797: the leader of 797 stays behind the first capacity of 794
+        assert overtakes[797] == {794: 1, 795: 0, 796: 0}
 
 
 class TestCompleteness:
