@@ -4,16 +4,20 @@
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--seed N ...]
 
 Takes the distinct `order` and `verify` operations of the benchmark's seeded
-lists (perfbench/workloads.py) for each seed (default 1 and 20261017), runs
-each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and
-MBL_CACHE_DIR unset, and compares exit code, stdout and stderr.  Prints the
-counts per seed and every differing command line; exits 1 if any differs.
+lists (perfbench/workloads.py) for each seed (default 1 and 20261017), and
+the usage paths: no arguments, `-h`, `<command> -h` for every subcommand
+that OLD_SRC lists, an unknown command and an unknown flag.  Runs each as
+`python -m mbl.cli ...` with PYTHONPATH set to each tree and MBL_CACHE_DIR
+unset, and compares exit code, stdout and stderr.  Prints the counts per
+seed and for the usage paths, and every differing command line; exits 1 if
+any differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +35,21 @@ def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     return done.returncode, done.stdout, done.stderr
 
 
+def _usage_paths(src: Path) -> list[tuple[str, ...]]:
+    _, help_text, _ = _run(src, ("-h",))
+    commands = re.search(rb"\{([a-z,]+)\}", help_text).group(1).decode().split(",")
+    return [(), ("-h",), *((command, "-h") for command in commands),
+            ("bogus",), ("widths", "--bogus")]
+
+
+def _differing(old: Path, new: Path, commands) -> list[tuple[str, ...]]:
+    differ = [command for command in commands
+              if _run(old, command) != _run(new, command)]
+    for command in differ:
+        print("differs:", " ".join(command) or "(no arguments)")
+    return differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -38,14 +57,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", dest="seeds")
     args = parser.parse_args(argv)
     old, new = args.old_src.resolve(), args.new_src.resolve()
-    differing = 0
+    usage = _usage_paths(old)
+    differing = len(_differing(old, new, usage))
+    print(f"usage: {len(usage)} paths, {differing} differ")
     for seed in args.seeds or (1, 20261017):
         commands = dict.fromkeys(op.argv for workload in ("order", "verify")
                                  for op in workloads.generate(workload, seed))
-        differ = [command for command in commands
-                  if _run(old, command) != _run(new, command)]
-        for command in differ:
-            print("differs:", " ".join(command))
+        differ = _differing(old, new, commands)
         print(f"seed {seed}: {len(commands)} operations, {len(differ)} differ")
         differing += len(differ)
     return 1 if differing else 0

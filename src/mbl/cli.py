@@ -1,4 +1,4 @@
-"""Command-line front end: tables, verification suites, reports, figures.
+"""Command-line front end: tables, reports, figures and the verify runner.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All output is deterministic for a given invocation: exact rationals are
@@ -12,56 +12,22 @@ import argparse
 import decimal
 import io
 import json
-import math
-import random
 import sys
 from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote  # the C encoder
 
 from . import oeis
-from .capacity import (
-    QuadraticValue,
-    capacity_to_json,
-    convergence_trace,
-    lagrange_number,
-    limit_point,
-    surd_identity_check,
-    width,
-    width_as_surd,
-)
+from .capacity import QuadraticValue, capacity_to_json, lagrange_number, width
 from .errors import VerificationError
-from .lattice import (
-    LatticePolygon,
-    central_point,
-    check_alg_lemma,
-    inscribed_right_triangle,
-    lattice_width,
-    random_unimodular,
-    shear_normalize,
-    vianna_triangle,
-)
-from .markov import (
-    MarkovTriple,
-    MutationKind,
-    apex_for,
-    brute_force_triples,
-    chains,
-    enumerate_triples,
-    fibonacci,
-    mutate,
-    pell,
-    tree_depth,
-    uniqueness_check,
-    wedge,
-)
+from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
+from .markov import MarkovTriple, apex_for, enumerate_triples, tree_depth, wedge
 from .ordering import (
     SWAP_PATTERNS,
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
     spectrum_rows,
-    verify_chain_inequalities,
     verify_swap_pattern,
 )
 
@@ -427,175 +393,16 @@ def cmd_ingest(config: argparse.Namespace) -> int:
     )
 
 
-def _failed(failures: dict[str, str], *names: str):
-    """One check per name, failed with its witness if failures records one."""
-    for name in names:
-        yield name, name not in failures, failures.get(name, "")
-
-
-def _suite_markov(config: argparse.Namespace):
-    bound = min(config.max_bound, 10_000)
-    failures: dict[str, str] = {}
-    for t in enumerate_triples(bound):
-        for kind in MutationKind:
-            try:
-                child = mutate(t, kind)  # construction re-checks the equation
-            except ValueError:
-                failures["mutation-closure"] = f"{t} {kind.name}"
-                continue
-            if not any(mutate(child, back) == t for back in MutationKind):
-                failures["mutation-involution"] = f"{t} {kind.name}"
-        if not (
-            mutate(t, MutationKind.ELIMINATE_MIN).a > t.a
-            and mutate(t, MutationKind.ELIMINATE_MID).a > t.a
-        ):
-            failures["mutation-monotonicity"] = str(t)
-        degenerate = tuple(t) in ((1, 1, 1), (2, 1, 1))
-        if not degenerate and not mutate(t, MutationKind.ELIMINATE_MAX).a < t.a:
-            failures["mutation-monotonicity"] = str(t)
-        if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
-            failures["pairwise-coprimality"] = str(t)
-    yield from _failed(failures, "mutation-closure", "mutation-involution",
-                       "mutation-monotonicity", "pairwise-coprimality")
-    small = min(config.max_bound, 600)
-    brute = brute_force_triples(small)
-    walked = [tuple(t) for t in enumerate_triples(small)]
-    yield "brute-force-equivalence", brute == walked, f"bound {small}"
-    yield "uniqueness", uniqueness_check(config.max_bound), f"bound {config.max_bound}"
-
-
-def _suite_capacity(config: argparse.Namespace):
-    bound = min(config.max_bound, 10 ** 6)
-    root = MarkovTriple(1, 1, 1)
-    failures: dict[str, str] = {}
-    for t in enumerate_triples(bound):
-        w = width(t)
-        if t == root:
-            if w != 1 or surd_identity_check(t):
-                failures["width-bounds"] = str(t)
-            continue
-        if not (Fraction(1, 3) < w <= Fraction(1, 2)):
-            failures["width-bounds"] = str(t)
-        if t.a <= 10_000 and not (
-            surd_identity_check(t) and width_as_surd(t) == w
-        ):
-            failures["surd-identity"] = str(t)
-    try:
-        convergence_trace(root, 10)
-        convergence_trace(MarkovTriple(2, 1, 1), 10)
-        for side in ("left", "right", "alternating"):
-            convergence_trace(MarkovTriple(5, 2, 1), 10, side)
-    except VerificationError as exc:
-        failures["limit-gaps"] = str(exc)
-    yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")
-    sane = (
-        lagrange_number(2).compare(QuadraticValue.sqrt(8)) == 0
-        and limit_point(1).compare(QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
-        and limit_point(1).compare(Fraction(1, 3)) > 0
-    )
-    yield "spectrum-values", sane, ""
-
-
-def _suite_ordering(config: argparse.Namespace):
-    apex_bound = min(config.max_bound, 10_000)
-    failures: dict[str, str] = {}
-    for t in enumerate_triples(apex_bound):
-        if t.a >= 5:
-            g, f = (xs[1:] for xs in chains(t, 10))
-            merged = [x for pair in zip(g, f) for x in pair]
-            if any(x >= y for x, y in zip(merged, merged[1:])):
-                failures["chain-interleaving"] = str(t)
-            if not verify_chain_inequalities(t.a, t.b, t.c, 8):
-                failures["chain-inequalities"] = str(t)
-        try:
-            alternating_order(t, 8)
-        except VerificationError as exc:
-            failures["alternating-descent"] = str(exc)
-    yield from _failed(failures, "chain-interleaving", "chain-inequalities",
-                       "alternating-descent")
-    if config.n_max >= 34:
-        rows = spectrum_rows(34)
-        anchors = (rows[32].m, rows[33].m, rows[32].b, rows[33].b)
-        expected = (pell(15), fibonacci(27), pell(17), fibonacci(29))
-        yield "row-anchors", anchors == expected, ""
-    records = find_irregularities(config.n_max)
-    # a record keeps the lowest n of its violated pairs, so the pairs with
-    # n <= 32 all hold exactly when no record has n <= 32
-    for rec in records:
-        if rec.n <= 32:
-            failures["regular-prefix"] = f"(n,n')=({rec.n},{rec.n_prime})"
-    yield from _failed(failures, "regular-prefix")
-    swaps_ok = all(verify_swap_pattern(rec) for rec in records)
-    yield "swap-patterns", swaps_ok, f"{len(records)} records"
-
-
-def _suite_lattice(config: argparse.Namespace):
-    bound = min(config.max_bound, 10_000)
-    root = MarkovTriple(1, 1, 1)
-    failures: dict[str, str] = {}
-    for t in enumerate_triples(bound):
-        tri = vianna_triangle(t)  # construction re-checks the invariants
-        value, xi = lattice_width(tri.polygon)
-        # below the root the width also drops under the ambient width 1
-        if (value, xi) != (width(t), (0, 1)) or (t != root and not value < 1):
-            failures["lattice-width-equals-capacity"] = str(t)
-        if tri.ell < 1:
-            failures["triangle-invariants"] = str(t)
-        central_point(tri)  # raises if the 1/3-point fails
-        if t != root:
-            normalized = shear_normalize(tri)
-            after = value  # the shear moves only (2,1,1)'s triangle
-            if normalized != tri:
-                after, _ = lattice_width(normalized.polygon)
-            if value != after or not inscribed_right_triangle(
-                normalized, normalized.h / 8
-            ):
-                failures["shear-and-inscribed"] = str(t)
-        if check_alg_lemma(t) == (t == root):
-            failures["alg-lemma"] = str(t)
-    rng = random.Random(20240813)
-    for t in (MarkovTriple(5, 2, 1), MarkovTriple(29, 5, 2)):
-        polygon = vianna_triangle(t).polygon
-        base, _ = lattice_width(polygon)
-        for _ in range(20):
-            mapped = random_unimodular(rng).apply(polygon)
-            got, _ = lattice_width(mapped)
-            if got != base:
-                failures["unimodular-invariance"] = str(t)
-    yield from _failed(failures, "lattice-width-equals-capacity", "triangle-invariants",
-                       "shear-and-inscribed", "alg-lemma", "unimodular-invariance")
-
-
-def _suite_ingest(config: argparse.Namespace):
-    sizes = {"markov": 500, "fibonacci": 1000, "pell": 1000}
-    bfiles = {kind: oeis.load_bfile(kind, cache_dir=config.cache_dir) for kind in sizes}
-    for kind, n in sizes.items():
-        report = oeis.cross_check(kind, n, bfiles[kind])
-        yield (f"cross-check-{kind}", report.ok,
-               "" if report.ok else str(report.first_mismatch))
-    entries = bfiles["markov"].entries
-    yield "pinned-anchors", (entries[33], entries[34]) == (pell(15), fibonacci(27)), ""
-
-
-# each suite yields one (check name, passed, witness) per check
-_SUITES = {
-    "markov": _suite_markov,
-    "capacity": _suite_capacity,
-    "ordering": _suite_ordering,
-    "lattice": _suite_lattice,
-    "ingest": _suite_ingest,
-}
-
-
 def cmd_verify(config: argparse.Namespace) -> int:
-    names = dict.fromkeys(config.suites or _SUITES)  # once each, first-given order
+    from . import suites  # imported here: no other command runs the suites
+    names = dict.fromkeys(config.suites or suites.SUITES)  # once each, first-given order
     if config.n_max < 1 or config.max_bound < 1:
         raise ValueError("verify needs --n-max and --max-bound >= 1")
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:
         try:  # a suite that raises is replaced by one failed check
-            results = list(_SUITES[name](config))
+            results = list(suites.SUITES[name](config))
         except (ValueError, VerificationError) as exc:
             results = [("completed", False, f"{type(exc).__name__}: {exc}")]
         passed = all(ok for _, ok, _ in results)
@@ -631,7 +438,13 @@ def cmd_complete(config: argparse.Namespace) -> int:
     return _report(config, report.to_json(), lambda: "\n".join(lines) + "\n", status)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The `mbl` parser, with -h and arguments on the `command` subparser only.
+
+    Every subcommand keeps its name and help, so usage, help and error text
+    are those of the full parser; argparse builds a help formatter for each
+    argument it adds, and only the subparser that parses needs its own.
+    """
     parser = argparse.ArgumentParser(
         prog="mbl",
         description="Exact computations on Markov triples, their capacities, "
@@ -640,78 +453,91 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, handler: Callable[[argparse.Namespace], int],
-            formats: tuple[str, ...] = ("text", "json", "csv")) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
+            formats: tuple[str, ...] = ("text", "json", "csv"),
+            ) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=help_, add_help=name == command)
+        if name != command:
+            return None
         p.set_defaults(handler=handler)
         if formats:  # only the formats the command renders
             p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--out", default=None)
         return p
 
-    p = add("widths", "capacity table bc/a", cmd_widths)
-    p.add_argument("--triple", default=None)
+    if p := add("widths", "capacity table bc/a", cmd_widths):
+        p.add_argument("--triple", default=None)
 
-    p = add("triples", "enumerate triples up to a bound", cmd_triples)
-    p.add_argument("--max-bound", type=int, default=1000)
+    if p := add("triples", "enumerate triples up to a bound", cmd_triples):
+        p.add_argument("--max-bound", type=int, default=1000)
 
-    p = add("subtree", "bivalent subtree preserving one entry", cmd_subtree)
-    p.add_argument("--triple", required=True)
-    p.add_argument("--preserve", type=int, default=None)
-    p.add_argument("--depth", type=int, default=3)
+    if p := add("subtree", "bivalent subtree preserving one entry", cmd_subtree):
+        p.add_argument("--triple", required=True)
+        p.add_argument("--preserve", type=int, default=None)
+        p.add_argument("--depth", type=int, default=3)
 
-    p = add("order", "alternating decreasing capacity order below an apex", cmd_order)
-    p.add_argument("--triple", required=True)
-    p.add_argument("--depth", type=int, default=3)
+    if p := add("order", "alternating decreasing capacity order below an apex", cmd_order):
+        p.add_argument("--triple", required=True)
+        p.add_argument("--depth", type=int, default=3)
 
-    p = add("irregularities", "scan the juxtaposition inequality", cmd_irregularities)
-    p.add_argument("--n-max", type=int, default=450)
-    p.add_argument("--fixture", action="store_true")
+    if p := add("irregularities", "scan the juxtaposition inequality", cmd_irregularities):
+        p.add_argument("--n-max", type=int, default=450)
+        p.add_argument("--fixture", action="store_true")
 
-    p = add("triangle", "base triangle data for a triple", cmd_triangle)
-    p.add_argument("--triple", required=True)
+    if p := add("triangle", "base triangle data for a triple", cmd_triangle):
+        p.add_argument("--triple", required=True)
 
-    p = add("width", "lattice width of a triangle or polygon file", cmd_width)
-    p.add_argument("--triple", default=None)
-    p.add_argument("--polygon", default=None)
+    if p := add("width", "lattice width of a triangle or polygon file", cmd_width):
+        p.add_argument("--triple", default=None)
+        p.add_argument("--polygon", default=None)
 
-    p = add("limits", "per-sequence limits and Lagrange values", cmd_limits)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--k", type=int, default=None)
+    if p := add("limits", "per-sequence limits and Lagrange values", cmd_limits):
+        p.add_argument("--n", type=int, default=10)
+        p.add_argument("--k", type=int, default=None)
 
-    p = add("complete", "certify the ordered prefix above a threshold", cmd_complete,
-            ("text", "json"))
-    p.add_argument("--threshold", required=True)
-    p.add_argument("--n-max", type=int, default=450)
+    if p := add("complete", "certify the ordered prefix above a threshold", cmd_complete,
+                ("text", "json")):
+        p.add_argument("--threshold", required=True)
+        p.add_argument("--n-max", type=int, default=450)
 
-    p = add("verify", "run invariant suites", cmd_verify, ("text", "json"))
-    p.add_argument("--suite", action="append", default=None,
-                   choices=tuple(_SUITES), dest="suites")
-    p.add_argument("--max-bound", type=int, default=10_000)
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--cache-dir", default=None)
+    if p := add("verify", "run invariant suites", cmd_verify, ("text", "json")):
+        from . import suites  # imported here: only verify names the suites
+        p.add_argument("--suite", action="append", default=None,
+                       choices=tuple(suites.SUITES), dest="suites")
+        p.add_argument("--max-bound", type=int, default=10_000)
+        p.add_argument("--n-max", type=int, default=60)
+        p.add_argument("--cache-dir", default=None)
 
-    p = add("plot", "deterministic SVG figures", cmd_plot, ())
-    p.add_argument("--figure", required=True,
-                   choices=("order5", "numberline", "triangle"))
-    p.add_argument("--triple", default=None)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--n", type=int, default=33)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--delta", default="1/4")
+    if p := add("plot", "deterministic SVG figures", cmd_plot, ()):
+        p.add_argument("--figure", required=True,
+                       choices=("order5", "numberline", "triangle"))
+        p.add_argument("--triple", default=None)
+        p.add_argument("--depth", type=int, default=3)
+        p.add_argument("--n", type=int, default=33)
+        p.add_argument("--k", type=int, default=3)
+        p.add_argument("--delta", default="1/4")
 
-    p = add("ingest", "load and cross-check sequence b-files", cmd_ingest)
-    p.add_argument("--kind", default="all",
-                   choices=("all",) + tuple(oeis.SEQUENCE_IDS))
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--bfile", default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--fetch", action="store_true")
+    if p := add("ingest", "load and cross-check sequence b-files", cmd_ingest):
+        p.add_argument("--kind", default="all",
+                       choices=("all",) + tuple(oeis.SEQUENCE_IDS))
+        p.add_argument("--n", type=int, default=500)
+        p.add_argument("--bfile", default=None)
+        p.add_argument("--cache-dir", default=None)
+        p.add_argument("--fetch", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:  # the process itself: `python -m mbl.cli` or `mbl`
+        import gc  # imported here: only the process itself needs it
+        # the objects loaded so far live until exit: keep every collection,
+        # the one at exit included, from walking them again
+        gc.freeze()
+        argv = sys.argv[1:]
+    # argparse takes the first argument not starting with "-" as the command
+    # (the top-level parser has no option with a value); an argument it
+    # takes as positional although it starts with "-" names no command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         if getattr(args, "triple", None) is not None:
             args.triple = _parse_triple(args.triple)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .capacity import QuadraticValue, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
 from .markov import MarkovTriple, wedge
-from .ordering import SWAP_PATTERNS, find_irregularities, spectrum_rows
+from .ordering import find_irregularities, spectrum_rows
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -120,7 +120,7 @@ def figure_numberline(n: int, k: int) -> str:
     Shows sequences n-1 .. n+span as ticks on one axis; the leading capacity
     of the higher sequence (the swapped one) is highlighted.
     """
-    records = {rec.n: rec for rec in find_irregularities(n + max(SWAP_PATTERNS))}
+    records = {rec.n: rec for rec in find_irregularities(n)}
     if n not in records:
         raise ValueError(f"no irregularity at n={n}")
     rec = records[n]

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import mbl.capacity
 import mbl.cli
 import mbl.ordering
+import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.lattice import LatticePolygon
@@ -272,17 +274,20 @@ _IMPORT_CLOSURE = frozenset("""
 
 
 def test_import_loads_no_unused_machinery():
-    # dataclasses (with inspect), csv, hashlib and svg serve few commands and
-    # load inside them; lattice and oeis load eagerly, because the bench
-    # tracer re-binds its traced functions only in modules already loaded
+    # dataclasses (with inspect), csv, hashlib, svg and the verify suites serve
+    # few commands and load inside them; every traced owner, lattice and oeis
+    # included, loads eagerly, because the bench tracer (perfbench/tracer.py,
+    # install) re-binds its traced functions only in modules already loaded
     probe = ("import sys; before = set(sys.modules); import mbl.cli; "
              "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     loaded = set(result.stdout.split())
-    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.svg"} == set()
-    assert {"mbl.cli", "mbl.lattice", "mbl.oeis"} <= loaded
+    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.svg",
+                     "mbl.suites"} == set()
+    assert {"mbl.cli", "mbl.markov", "mbl.capacity", "mbl.ordering", "mbl.lattice",
+            "mbl.oeis"} <= loaded
     if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer reuses json.encoder
         assert loaded <= _IMPORT_CLOSURE
 
@@ -300,15 +305,94 @@ def test_import_mbl_loads_no_submodule():
 def test_subcommands_match_readme_and_have_handlers():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     documented = re.search(r"^mbl <([a-z|]+)> \[flags\]$", readme, re.M).group(1)
-    parser = mbl.cli.build_parser()
-    listed = re.search(r"\{([a-z,]+)\}", parser.format_usage()).group(1)
+    listed = re.search(r"\{([a-z,]+)\}", mbl.cli.build_parser(None).format_usage()).group(1)
     assert listed.split(",") == documented.split("|")
     required = {"subtree": ["--triple", "5,2,1"], "order": ["--triple", "5,2,1"],
                 "triangle": ["--triple", "5,2,1"], "complete": ["--threshold", "7/20"],
                 "plot": ["--figure", "order5"]}
     for name in listed.split(","):
+        parser = mbl.cli.build_parser(name)
         handler = parser.parse_args([name, *required.get(name, [])]).handler
         assert callable(handler) and handler.__name__ == f"cmd_{name}"
+
+
+# The usage paths at 80 columns: argv, exit code, sha256 of stdout and of
+# stderr.  build_parser gives only the subparser that runs its arguments, so
+# these pin that every help and usage text is the full parser's.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_USAGE_DIGESTS = [
+    ("", 2,
+     _EMPTY,
+     "9b37972b10d6a13ef17bda45d5e814d8f3ee50a493ad28860c5a19b6effdae33"),
+    ("-h", 0,
+     "10e6b32ecc04b616518db1d1a444bd52e361ca41051dcffdb4218ac596fcd722",
+     _EMPTY),
+    ("bogus", 2,
+     _EMPTY,
+     "2860948a06d26b2b0a5adb2e45bb455cbd3f4f3fd833f7a5c987d08f3d2389f7"),
+    ("widths -h", 0,
+     "56fa35406bd796cf6d176960fc437560048d6b9aec04848e976e0527baccccea",
+     _EMPTY),
+    ("triples -h", 0,
+     "a870f8e8155a33420aae0d8082f8ec03de673cc9d48443f222ab6f58ef5bb31c",
+     _EMPTY),
+    ("subtree -h", 0,
+     "ac9987343176f79fc5bcaeb5bc508aa83861b2085bdee221e5cdcfdf67dd6cf8",
+     _EMPTY),
+    ("order -h", 0,
+     "91156e9cfc30ffa314e52ccfe829060a91391ed4618d2b17755cafce9ad44c38",
+     _EMPTY),
+    ("irregularities -h", 0,
+     "c9d12e9ce3f5ec96a42286ca31b13719dd2f4d4695ce5e25ada4a9f41605e7dc",
+     _EMPTY),
+    ("triangle -h", 0,
+     "277b990e44a1969575179f4039e19d3be2514149635643a9afb292565b43a2f7",
+     _EMPTY),
+    ("width -h", 0,
+     "04923ee199df511fd30286115edf19a0b7e6a5b5e2e53e89785ee10740be8ee9",
+     _EMPTY),
+    ("limits -h", 0,
+     "7505b719947dabe8bd44cce7ad7fcd463e4988b9cae109f7c7639b43e5f87c2d",
+     _EMPTY),
+    ("complete -h", 0,
+     "2b87ffc0f98aaf6613009e4a8d9f188709aaae8e954a4cc66da55f3309f20004",
+     _EMPTY),
+    ("verify -h", 0,
+     "012e2c8a5eb5439a24a67db8c25d657c27f382c7ca7363262b9a1dabffca5a49",
+     _EMPTY),
+    ("plot -h", 0,
+     "8f4dce4793cbc155ac9f4fc3a0c1b47e2967ce609cba6180871998eb43b052da",
+     _EMPTY),
+    ("ingest -h", 0,
+     "b343198d644c127ecf61a26d2707a7634e8080f34f354655b45e4fe53dd3b4f1",
+     _EMPTY),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words its help differently in other versions")
+@pytest.mark.parametrize("argv, code, out_digest, err_digest", _USAGE_DIGESTS,
+                         ids=[case[0] or "no-arguments" for case in _USAGE_DIGESTS])
+def test_usage_text_is_pinned(capsys, monkeypatch, argv, code, out_digest, err_digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert excinfo.value.code == code
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+
+def test_only_the_process_freezes_the_gc(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "widths")[0] == 0  # an explicit argv: an in-process caller
+    assert gc.get_freeze_count() == frozen
+    probe = ("import gc, sys, mbl.cli; sys.argv = ['mbl', 'widths']; "
+             "code = mbl.cli.main(); print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stderr == "0 True\n"
 
 
 class TestWidths:
@@ -545,7 +629,7 @@ def _doubling_map(rng):  # scales every polygon by 2, so its width doubles
 T = MarkovTriple
 MIN, MAX = MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX
 
-# (suite, check, collaborator read from mbl.cli, its broken form given the
+# (suite, check, collaborator read from mbl.suites, its broken form given the
 # real one, the witness of the FAIL line); bounds --max-bound 30 --n-max 40
 _BROKEN_CHECKS = [
     ("markov", "mutation-involution", "mutate",  # (2,1,1) never leads back to the root
@@ -603,13 +687,13 @@ class TestVerifyAndComplete:
         assert payload["passed"] is True
 
     def test_ingest_suite_loads_each_bfile_once(self, capsys, monkeypatch):
-        real, kinds = mbl.cli.oeis.load_bfile, []
+        real, kinds = mbl.suites.oeis.load_bfile, []
 
         def counted(kind, *args, **kwargs):
             kinds.append(kind)
             return real(kind, *args, **kwargs)
 
-        monkeypatch.setattr(mbl.cli.oeis, "load_bfile", counted)
+        monkeypatch.setattr(mbl.suites.oeis, "load_bfile", counted)
         code, _, _ = run(capsys, "verify", "--suite", "ingest")
         assert code == 0 and sorted(kinds) == ["fibonacci", "markov", "pell"]
 
@@ -625,14 +709,14 @@ class TestVerifyAndComplete:
             assert excinfo.value.code == 2
 
     def test_mutation_closure_can_fail(self, capsys, monkeypatch):
-        real = mbl.cli.mutate
+        real = mbl.suites.mutate
 
         def broken(t, kind):
             if t == MarkovTriple(1, 1, 1) and kind is MutationKind.ELIMINATE_MAX:
                 raise ValueError("mutation left the solution set")
             return real(t, kind)
 
-        monkeypatch.setattr(mbl.cli, "mutate", broken)
+        monkeypatch.setattr(mbl.suites, "mutate", broken)
         code, out, _ = run(capsys, "verify", "--suite", "markov",
                            "--max-bound", "30", "--format", "json")
         assert code == 1
@@ -652,7 +736,7 @@ class TestVerifyAndComplete:
                              ids=[case[1] for case in _BROKEN_CHECKS])
     def test_each_check_can_fail(self, capsys, monkeypatch, suite, check, name,
                                  broken, witness):
-        monkeypatch.setattr(mbl.cli, name, broken(getattr(mbl.cli, name)))
+        monkeypatch.setattr(mbl.suites, name, broken(getattr(mbl.suites, name)))
         code, out, _ = run(capsys, "verify", "--suite", suite,
                            "--max-bound", "30", "--n-max", "40")
         assert code == 1
@@ -673,7 +757,7 @@ class TestVerifyAndComplete:
             return real(t) + off
 
         monkeypatch.setattr(mbl.capacity, "width", skewed)
-        monkeypatch.setattr(mbl.cli, "width", skewed)
+        monkeypatch.setattr(mbl.suites, "width", skewed)
         code, out, _ = run(capsys, "verify", "--suite", "capacity",
                            "--max-bound", "1000")
         assert code == 1
@@ -687,7 +771,7 @@ class TestVerifyAndComplete:
         def raising(n_max):
             raise error("scan broke")
 
-        monkeypatch.setattr(mbl.cli, "find_irregularities", raising)
+        monkeypatch.setattr(mbl.suites, "find_irregularities", raising)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
         assert code == 1
@@ -698,7 +782,7 @@ class TestVerifyAndComplete:
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
         records = [IrregularityRecord(5, 1), IrregularityRecord(7, 2)]
-        monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: records)
+        monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: records)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
         assert code == 1
@@ -798,8 +882,9 @@ class TestPlot:
         assert "swapped" in out.read_text()
 
     def test_numberline_regular_index_rejected(self, capsys):
-        code, _, err = run(capsys, "plot", "--figure", "numberline", "--n", "10")
-        assert code == 2
+        for n in (10, 792):  # a scan to 792 + 3 meets the span-3 refusal at 794
+            code, _, err = run(capsys, "plot", "--figure", "numberline", "--n", str(n))
+            assert code == 2 and err == f"mbl: no irregularity at n={n}\n"
 
     def test_unknown_figure(self):
         with pytest.raises(SystemExit) as excinfo:
