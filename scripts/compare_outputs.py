@@ -6,11 +6,12 @@
 Takes the distinct `order` and `verify` operations of the benchmark's seeded
 lists (perfbench/workloads.py) for each seed (default 1 and 20261017), and
 the usage paths: no arguments, `-h`, `<command> -h` for every subcommand
-that OLD_SRC lists, an unknown command and an unknown flag.  Runs each as
-`python -m mbl.cli ...` with PYTHONPATH set to each tree and MBL_CACHE_DIR
-unset, and compares exit code, stdout and stderr.  Prints the counts per
-seed and for the usage paths, and every differing command line; exits 1 if
-any differs.
+that OLD_SRC lists, an unknown command and an unknown flag; and FIXED, the
+invocations outside the benchmark that reach the ordering layer in every
+format it renders.  Runs each as `python -m mbl.cli ...` with PYTHONPATH set
+to each tree and MBL_CACHE_DIR unset, and compares exit code, stdout and
+stderr.  Prints the counts for the usage paths, for FIXED and per seed, and
+every differing command line; exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ from pathlib import Path
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+
+FIXED = [
+    *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
+      for triple in ("5,2,1", "1,1,1") for fmt in ("text", "json", "csv")),
+    ("limits", "--n", "850", "--k", "7", "--format", "json"),
+    *(("limits", "--n", "450", "--format", fmt) for fmt in ("text", "csv")),
+    *(("irregularities", "--n-max", "793", "--format", fmt) for fmt in ("text", "csv")),
+    ("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "450"),
+    ("verify", "--suite", "ordering", "--n-max", "793"),
+    ("plot", "--figure", "numberline", "--n", "369"),
+]
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
@@ -60,6 +72,9 @@ def main(argv=None) -> int:
     usage = _usage_paths(old)
     differing = len(_differing(old, new, usage))
     print(f"usage: {len(usage)} paths, {differing} differ")
+    differ = len(_differing(old, new, FIXED))
+    print(f"fixed: {len(FIXED)} invocations, {differ} differ")
+    differing += differ
     for seed in args.seeds or (1, 20261017):
         commands = dict.fromkeys(op.argv for workload in ("order", "verify")
                                  for op in workloads.generate(workload, seed))

@@ -10,15 +10,23 @@ the global decreasing order, except where the juxtaposition inequality
     1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2
 
 fails; each failure forces the leading capacity of sequence n' to be swapped
-in front of the sequences it overtakes.  Everything here is decided by exact
-integer or rational comparisons.
+in front of the sequences it overtakes.
+
+Every decision is an exact comparison of deficits.  A capacity is
+2/(3 + sqrt(9 - 4 delta)), which grows with delta, where
+
+    delta = 1/b^2 + 1/c^2    for the capacity bc/a of a triple (a, b, c),
+    delta = 1/m^2            for the limit of sequence m,
+    delta = (3T - 1)/T^2     for a threshold T > 1/3.
+
+Capacities and deficits are (num, den) integer pairs, `_deficit` builds the
+deficits, and `_exceeds` decides every comparison between two of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
 from .capacity import Capacity, QuadraticValue, _sign, capacity_to_json, limit_point, width
 from .errors import VerificationError, _Record
@@ -109,20 +117,35 @@ def _f1_value(apex: MarkovTriple) -> int:
     return 3 * apex.a * apex.b - apex.c
 
 
-def _reaches(m: int, x: int, y: int) -> bool:
-    # 1/m^2 >= 1/x^2 + 1/y^2, times m^2 x^2 y^2 > 0
+def _exceeds(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    # p > q for (num, den) pairs with den > 0
+    return p[0] * q[1] > q[0] * p[1]
+
+
+def _deficit(x: int, y: int | None = None) -> tuple[int, int]:
+    # 1/x^2, or 1/x^2 + 1/y^2
+    if y is None:
+        return 1, x * x
     xx, yy = x * x, y * y
-    return xx * yy >= m * m * (xx + yy)
+    return xx + yy, xx * yy
 
 
-def _deficit_above(m: int, b: int, m2: int, b2: int) -> bool:
-    # 1/m^2 + 1/b^2 > 1/m2^2 + 1/b2^2, times m^2 b^2 m2^2 b2^2 > 0
-    mm, bb, mm2, bb2 = m * m, b * b, m2 * m2, b2 * b2
-    return (mm + bb) * mm2 * bb2 > (mm2 + bb2) * mm * bb
+def _descends(caps) -> bool:
+    return all(map(_exceeds, caps, caps[1:]))
+
+
+def _chain_capacities(apex: MarkovTriple, depth: int) -> list[tuple[int, int]]:
+    # the width of each node of wedge(apex, depth), in wedge order: bc/a at the
+    # apex, then a x_{i-1}/x_i at the level-i node (x_i, x_{i-1}, a)
+    a, columns = apex.a, chains(apex, depth)
+    return [(apex.b * apex.c, a)] + [(a * xs[i - 1], xs[i])
+                                     for i in range(1, depth + 1) for xs in columns]
 
 
 def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
-    return _reaches(numbers[n - 1], numbers[n_prime - 1], _b_value(apexes[n_prime - 1]))
+    # the juxtaposition inequality: w_1(n') does not exceed the limit of n
+    lead = _deficit(numbers[n_prime - 1], _b_value(apexes[n_prime - 1]))
+    return not _exceeds(lead, _deficit(numbers[n - 1]))
 
 
 def alternating_order(
@@ -149,42 +172,25 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
 
     Covers the apex-to-child step, the five-term opening chain
     ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3, and the two inductive-step
-    inequalities for each j <= k.
+    inequalities a g_j/g_{j+1} > a f_j/f_{j+1} > a g_{j+1}/g_{j+2} for each
+    j <= k: strict descent of the first 2k + 4 capacities in wedge order
+    (k = 0 checks the opening chain alone, as k = 1 does).
     """
     apex = MarkovTriple(a, b, c)
     if a < 5:
         raise ValueError("chain inequalities need a >= 5 (so a > b > c)")
-    g, f = (xs[1:] for xs in chains(apex, k + 2))
-
-    def cap_f(j: int) -> Fraction:  # 1-indexed middle f_j
-        return Fraction(a * f[j - 1], f[j])
-
-    def cap_g(j: int) -> Fraction:
-        return Fraction(a * g[j - 1], g[j])
-
-    checks = [
-        Fraction(b * c, a) > Fraction(a * c, g[0]),
-        Fraction(a * c, g[0]) > Fraction(a * b, f[0]),
-        Fraction(a * b, f[0]) > cap_g(1),
-        cap_g(1) > cap_f(1),
-        cap_f(1) > cap_g(2),
-    ]
-    for j in range(1, k + 1):
-        checks.append(cap_f(j) < cap_g(j))
-        checks.append(cap_g(j + 1) < cap_f(j))
-    return all(checks)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    k = max(k, 1)
+    return _descends(_chain_capacities(apex, k + 2)[:2 * k + 4])
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:
-    # the first k widths N/D of the essential subtree of a = apex.a (the nodes
-    # of wedge(apex, .) whose minimal entry is a), built lazily from the
-    # chains: level i is (x_i, x_{i-1}, a), whose minimum is a iff x_{i-1} >= a
-    a, columns = apex.a, chains(apex, k + 1)
-    caps = [(apex.b * apex.c, a)] if apex.c == a else []  # only at (1,1,1)
-    below = ((a * xs[i - 1], xs[i])
-             for i in range(1, k + 2) for xs in columns if xs[i - 1] >= a)
-    caps.extend(islice(below, k - len(caps)))
-    return tuple(caps)
+    # the first k widths of the essential subtree of a = apex.a: the nodes of
+    # wedge(apex, k + 1) whose minimal entry is a, which are those whose width
+    # has numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a)
+    aa = apex.a * apex.a
+    return tuple([cap for cap in _chain_capacities(apex, k + 1) if cap[0] >= aa][:k])
 
 
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
@@ -200,12 +206,10 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     numbers, apexes = markov_prefix(n_max)
     rows = []
     for n in range(1, n_max + 1):
-        m = numbers[n - 1]
-        apex = apexes[n - 1]
+        m, apex = numbers[n - 1], apexes[n - 1]
         caps = _essential_capacities(apex, k)
-        for (num0, den0), (num1, den1) in zip(caps, caps[1:]):
-            if not num0 * den1 > num1 * den0:
-                raise VerificationError(f"row {n}: capacities fail to decrease")
+        if not _descends(caps):
+            raise VerificationError(f"row {n}: capacities fail to decrease")
         (num, den), mm, r = caps[-1], m * m, 9 * m * m - 4
         # N/D > limit = (3m^2 - m sqrt(r))/2  <=>  2N - 3m^2 D + mD sqrt(r) > 0
         if _sign(2 * num - 3 * mm * den, m * den, r) <= 0:
@@ -219,12 +223,11 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
 def scan_window(n: int, numbers) -> range:
     """Indices n' that could violate the inequality against n.
 
-    Since b_{n'} > m_{n'}, a violation needs 1/m_n^2 < 2/m_{n'}^2, so only
+    Since b_{n'} > m_{n'}, a violation needs 2/m_{n'}^2 > 1/m_n^2, so only
     n' with m_{n'}^2 < 2 m_n^2 can offend; the window is therefore finite.
     """
-    m_n = numbers[n - 1]
-    end = n + 1
-    while end <= len(numbers) and numbers[end - 1] ** 2 < 2 * m_n * m_n:
+    limit, end = _deficit(numbers[n - 1]), n + 1
+    while end <= len(numbers) and _exceeds(_deficit(m := numbers[end - 1], m), limit):
         end += 1
     return range(n + 1, end)
 
@@ -238,13 +241,15 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    m = markov_prefix(n_max)[0][-1]
+    last = _deficit(markov_prefix(n_max)[0][-1])
     # every scan window up to n_max closes at the first m_end^2 >= 2 m_{n_max}^2
-    numbers, apexes = markov_prefix(n_max + 1, lambda m_end: m_end**2 >= 2 * m * m)
+    numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), last))
+    leads = [_deficit(m, _b_value(apex)) for m, apex in zip(numbers, apexes)]
     lowest_n: dict[int, int] = {}
     for n in range(1, n_max + 1):
+        limit = _deficit(numbers[n - 1])
         for n_prime in scan_window(n, numbers):
-            if not _holds(n, n_prime, numbers, apexes):
+            if _exceeds(leads[n_prime - 1], limit):  # the juxtaposition inequality fails
                 lowest_n.setdefault(n_prime, n)  # n only grows: the first is lowest
     # built by increasing n', so an uncatalogued span fails at its first record
     records = [IrregularityRecord(n, n_prime - n) for n_prime, n in sorted(lowest_n.items())]
@@ -265,20 +270,16 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     numbers, apexes = markov_prefix(n_prime)
     if _holds(n, n_prime, numbers, apexes):
         return True
-    m_p = numbers[n_prime - 1]
-    b_p = _b_value(apexes[n_prime - 1])
-    f1_p = _f1_value(apexes[n_prime - 1])
+    m_p, apex_p = numbers[n_prime - 1], apexes[n_prime - 1]
+    lead, second = _deficit(m_p, _b_value(apex_p)), _deficit(m_p, _f1_value(apex_p))
     # each spanned (k, n') is violated too: 1/m_k^2 <= 1/m_n^2 < 1/m_n'^2 + 1/b_n'^2
     for k in range(n, n_prime):
         m_k = numbers[k - 1]
-        # larger deficit 1/m^2 + 1/b^2 inside the square root means larger capacity
-        if not _deficit_above(m_p, b_p, m_k, _b_value(apexes[k - 1])):
+        if not _exceeds(lead, _deficit(m_k, _b_value(apexes[k - 1]))):
             return False
-        if not _reaches(m_k, m_p, f1_p):  # w_2(n') below the infimum of k
+        if _exceeds(second, _deficit(m_k)):  # w_2(n') below the infimum of k
             return False
-    if n > 1 and not _holds(n - 1, n_prime, numbers, apexes):
-        return False
-    return True
+    return n <= 1 or _holds(n - 1, n_prime, numbers, apexes)
 
 
 class CompletenessReport(_Record):
@@ -337,9 +338,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
             "capacities, so no finite description exists at or below it"
         )
     failures: list[str] = []
-    # w_1(n) < T  <=>  1/m^2 + 1/b^2 < rhs = (3T-1)/T^2 ; limit_n >= T <=> 1/m^2 >= rhs
     num, den = threshold.numerator, threshold.denominator
-    nn, lift = num * num, (3 * num - den) * den  # rhs = lift/N^2 for T = N/D
+    bar = ((3 * num - den) * den, num * num)  # (3T - 1)/T^2 for T = N/D
 
     try:
         records = tuple(find_irregularities(n_max))
@@ -358,14 +358,13 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
     except VerificationError as exc:
         rows = []
         failures.append(str(exc))
-    active = sum(1 for row in rows if nn >= row.m * row.m * lift)
+    active = sum(1 for row in rows if not _exceeds(bar, _deficit(row.m)))
 
     tail_exact = []
     # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
-    numbers, apexes = markov_prefix(n_max + 1, lambda m: m * m * lift >= 2 * nn)
+    numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
     for n in range(n_max + 1, len(numbers)):
-        mm, bb = numbers[n - 1] ** 2, _b_value(apexes[n - 1]) ** 2
-        ok = (mm + bb) * nn < mm * bb * lift
+        ok = _exceeds(bar, _deficit(numbers[n - 1], _b_value(apexes[n - 1])))
         tail_exact.append((n, ok))
         if not ok:
             failures.append(

@@ -13,12 +13,14 @@ from mbl.markov import (
     is_markov,
     markov_prefix,
     pell,
+    wedge,
 )
 from mbl.ordering import (
     IrregularityRecord,
-    _deficit_above,
+    _chain_capacities,
+    _deficit,
+    _exceeds,
     _holds,
-    _reaches,
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
@@ -96,9 +98,17 @@ class TestChains:
             merged = [x for pair in zip(g, f) for x in pair]
             assert all(x < y for x, y in zip(merged, merged[1:]))
 
-    def test_five_term_chain(self):
+    def test_five_term_chain(self, monkeypatch):
         assert verify_chain_inequalities(5, 2, 1, 2)
         assert verify_chain_inequalities(13, 5, 1, 2)
+        assert verify_chain_inequalities(5, 2, 1, 0)
+        # k = 0 checks the opening chain bc/a > ac/g1 > ... > a g2/g3, as k = 1 does
+        checked = []
+        monkeypatch.setattr("mbl.ordering._descends", checked.append)
+        for k in (0, 1):
+            verify_chain_inequalities(5, 2, 1, k)
+        assert checked[0] == checked[1] == [(2, 5), (5, 13), (10, 29), (65, 194),
+                                            (145, 433), (970, 2897)]
 
     def test_all_apexes_to_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
@@ -108,8 +118,17 @@ class TestChains:
     def test_small_apex_rejected(self):
         with pytest.raises(ValueError):
             verify_chain_inequalities(2, 1, 1, 2)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            verify_chain_inequalities(5, 2, 1, -1)
         with pytest.raises(ValueError):
             chains(T(5, 2, 1), -1)
+
+    def test_chain_capacities_are_the_wedge_widths(self):
+        # degenerate apexes included: (1,1,1) and (2,1,1) have a single chain
+        for t in enumerate_triples(10 ** 4):
+            for depth in range(9):
+                caps = [Fraction(num, den) for num, den in _chain_capacities(t, depth)]
+                assert caps == [width(x) for x in wedge(t, depth)]
 
 
 class TestSpectrumRows:
@@ -253,16 +272,33 @@ class TestIntegerForms:
             m_k, b_k = numbers[k - 1], 3 * a * c - b
             above = _inv_sq(m_p) + _inv_sq(b_p) > _inv_sq(m_k) + _inv_sq(b_k)
             reaches = _inv_sq(m_k) >= _inv_sq(m_p) + _inv_sq(f1_p)
-            assert _deficit_above(m_p, b_p, m_k, b_k) == above
-            assert _reaches(m_k, m_p, f1_p) == reaches
+            assert Fraction(*_deficit(m_p, b_p)) == _inv_sq(m_p) + _inv_sq(b_p)
+            assert Fraction(*_deficit(m_k)) == _inv_sq(m_k)
+            assert _exceeds(_deficit(m_p, b_p), _deficit(m_k, b_k)) == above
+            assert _exceeds(_deficit(m_p, f1_p), _deficit(m_k)) != reaches
             seen.add((above, reaches))
         assert len(seen) == 4  # both outcomes of both checks occur
 
     def test_swap_checks_at_exact_ties(self):
         # 1/12^2 = 1/15^2 + 1/20^2: the reach holds at equality, the deficit does not exceed
         assert _inv_sq(12) == _inv_sq(15) + _inv_sq(20)
-        assert _reaches(12, 15, 20) and _reaches(12, 20, 15)
-        assert not _deficit_above(15, 20, 20, 15)
+        assert not _exceeds(_deficit(15, 20), _deficit(12))
+        assert not _exceeds(_deficit(20, 15), _deficit(12))
+        assert not _exceeds(_deficit(12), _deficit(15, 20))
+        assert not _exceeds(_deficit(15, 20), _deficit(20, 15))
+
+    def test_no_ordering_decision_builds_a_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"an ordering decision built Fraction{args}")
+
+        monkeypatch.setattr("mbl.ordering.Fraction", refuse)
+        for t in enumerate_triples(10 ** 4):
+            if t.a >= 5:
+                assert verify_chain_inequalities(t.a, t.b, t.c, 8)
+        assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
+        records = find_irregularities(793)
+        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
+        assert all(verify_swap_pattern(rec) for rec in records)
 
     def test_swap_pattern_matches_fractions_to_793(self):
         records = find_irregularities(793)
