@@ -30,7 +30,8 @@ import workloads  # noqa: E402
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
       for triple in ("5,2,1", "1,1,1") for fmt in ("text", "json", "csv")),
-    ("limits", "--n", "850", "--k", "7", "--format", "json"),
+    *(("limits", "--n", "850", "--k", k, "--format", "json") for k in ("1", "7", "8")),
+    ("limits", "--n", "2", "--format", "json"),
     *(("limits", "--n", "450", "--format", fmt) for fmt in ("text", "csv")),
     *(("irregularities", "--n-max", "793", "--format", fmt) for fmt in ("text", "csv")),
     ("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "450"),

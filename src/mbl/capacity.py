@@ -141,18 +141,8 @@ class QuadraticValue:
 
     def decimal(self, digits: int = 12) -> str:
         """Correctly rounded decimal preview; display only, never re-used."""
-        ctx = decimal.Context(prec=digits + 20)
-        val = ctx.divide(decimal.Decimal(self._q.numerator),
-                         decimal.Decimal(self._q.denominator))
-        if self._s != 0:
-            root = ctx.sqrt(
-                ctx.divide(decimal.Decimal(self._r.numerator),
-                           decimal.Decimal(self._r.denominator))
-            )
-            srat = ctx.divide(decimal.Decimal(self._s.numerator),
-                              decimal.Decimal(self._s.denominator))
-            val = ctx.add(val, ctx.multiply(srat, root))
-        return str(decimal.Context(prec=digits).plus(val))
+        return surd_decimal([(x.numerator, x.denominator)
+                             for x in (self._q, self._s, self._r)], digits)
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -167,13 +157,30 @@ class QuadraticValue:
     def __repr__(self) -> str:
         return f"QuadraticValue({self._q!r}, {self._s!r}, {self._r!r})"
 
-    def to_json(self) -> dict:
-        return {"q": capacity_to_json(self._q), "s": capacity_to_json(self._s),
-                "r": capacity_to_json(self._r)}
-
 
 def capacity_to_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return ratio_to_json(x.numerator, x.denominator)
+
+
+def ratio_to_json(num: int, den: int) -> dict:
+    return {"num": str(num), "den": str(den)}
+
+
+def surd_to_json(parts) -> dict:
+    """The JSON of q + s*sqrt(r) given as the (num, den) pairs of q, s and r."""
+    q, s, r = parts
+    return {"q": ratio_to_json(*q), "s": ratio_to_json(*s), "r": ratio_to_json(*r)}
+
+
+def surd_decimal(parts, digits: int = 12) -> str:
+    """The decimal preview of q + s*sqrt(r) given as (num, den) pairs."""
+    (qn, qd), (sn, sd), (rn, rd) = parts
+    ctx, dec = decimal.Context(prec=digits + 20), decimal.Decimal
+    val = ctx.divide(dec(qn), dec(qd))
+    if sn:
+        root = ctx.sqrt(ctx.divide(dec(rn), dec(rd)))
+        val = ctx.add(val, ctx.multiply(ctx.divide(dec(sn), dec(sd)), root))
+    return str(decimal.Context(prec=digits).plus(val))
 
 
 def width(t: MarkovTriple) -> Capacity:
@@ -218,10 +225,18 @@ def _require_markov_number(a: int) -> None:
         raise ValueError(f"{a} is not a Markov number")
 
 
+def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The limit point (3m^2 - m*sqrt(r))/2 and the Lagrange number sqrt(r)/m,
+    r = 9m^2 - 4, each as the reduced (num, den) pairs of q, s and r in
+    q + s*sqrt(r); canonical as they stand, since (3m - 1)^2 < r < (3m)^2."""
+    d, r = 1 + m % 2, (9 * m * m - 4, 1)  # the 2 of the limit cancels for even m
+    return ((3 * m * m * d // 2, d), (-m * d // 2, d), r), ((0, 1), (1, m), r)
+
+
 def lagrange_number(a: int) -> QuadraticValue:
     """sqrt(9 - 4/a^2) for a Markov number a, normalized to sqrt(9a^2-4)/a."""
     _require_markov_number(a)
-    return QuadraticValue(0, Fraction(1, a), 9 * a * a - 4)
+    return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[1]))
 
 
 def limit_point(a: int) -> QuadraticValue:
@@ -231,7 +246,7 @@ def limit_point(a: int) -> QuadraticValue:
     preserving a; it lies strictly between 1/3 and 1/2.
     """
     _require_markov_number(a)
-    return QuadraticValue(Fraction(3 * a * a, 2), Fraction(-a, 2), 9 * a * a - 4)
+    return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[0]))
 
 
 def convergence_trace(

@@ -333,20 +333,10 @@ def cmd_limits(config: argparse.Namespace) -> int:
              "convention (values 2 and 5)",)
     return _emit_rows(
         config, ["n", "m", "b", "lagrange", "limit", "decimal"],
-        [(row, lagrange_number(row.m)) for row in rows],
-        lambda row, lam: [
-            str(row.n),
-            str(row.m),
-            str(row.b) + ("*" if row.degenerate else ""),
-            str(lam),
-            str(row.limit),
-            _preview(row.limit),
-        ],
-        lambda row, lam: {
-            **row.to_json(),
-            "lagrange": lam.to_json(),
-            "preview": _preview(row.limit),
-        },
+        [(row,) for row in rows],
+        lambda row: [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
+                     str(lagrange_number(row.m)), str(row.limit), _preview(row.limit)],
+        lambda row: row.to_json(),
         {"command": "limits"}, notes,
     )
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .capacity import Capacity, QuadraticValue, _sign, capacity_to_json, limit_point, width
+from .capacity import (Capacity, QuadraticValue, _sign, capacity_to_json, closed_forms,
+                       limit_point, ratio_to_json, surd_decimal, surd_to_json, width)
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -60,13 +61,18 @@ class SpectrumRow(_Record):
         return self.m in (1, 2)
 
     def to_json(self) -> dict:
+        """The row from its integers: each pair of `ratios` is in lowest terms,
+        since the entries of a Markov triple are pairwise coprime."""
+        limit, lagrange = closed_forms(self.m)
         return {
             "n": self.n,
             "m": str(self.m),
             "apex": self.apex.to_json(),
             "b": str(self.b),
-            "first_capacities": [capacity_to_json(w) for w in self.first_capacities],
-            "limit": self.limit.to_json(),
+            "first_capacities": [ratio_to_json(num, den) for num, den in self.ratios],
+            "limit": surd_to_json(limit),
+            "lagrange": surd_to_json(lagrange),
+            "preview": surd_decimal(limit),
             "degenerate_b": self.degenerate,
         }
 
@@ -186,11 +192,13 @@ def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:
-    # the first k widths of the essential subtree of a = apex.a: the nodes of
-    # wedge(apex, k + 1) whose minimal entry is a, which are those whose width
-    # has numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a)
-    aa = apex.a * apex.a
-    return tuple([cap for cap in _chain_capacities(apex, k + 1) if cap[0] >= aa][:k])
+    # the first k widths of the essential subtree of a = apex.a: the wedge
+    # nodes whose minimal entry is a, which are those whose width has
+    # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a); for
+    # a >= 5 level 1 holds none and each level below it two, one per chain
+    a = apex.a
+    depth = k + 1 if a < 5 else (k + 1) // 2 + 1
+    return tuple([cap for cap in _chain_capacities(apex, depth) if cap[0] >= a * a][:k])
 
 
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:

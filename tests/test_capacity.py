@@ -9,10 +9,12 @@ from mbl.capacity import (
     QuadraticValue,
     _sign,
     capacity_to_json,
+    closed_forms,
     convergence_trace,
     lagrange_number,
     limit_point,
     surd_identity_check,
+    surd_to_json,
     width,
     width_as_surd,
 )
@@ -223,11 +225,16 @@ class TestQuadraticValue:
         assert QV(Fraction(1, 2)).decimal() == "0.5"
 
     def test_json_roundtrip(self):
-        assert limit_point(5).to_json() == {
+        assert surd_to_json(closed_forms(5)[0]) == {
             "q": {"num": "75", "den": "2"},
             "s": {"num": "-5", "den": "2"},
             "r": {"num": "221", "den": "1"},
         }
+        # the closed-form parts are already reduced, for odd and even m alike
+        for m in markov_numbers(30):
+            for parts, value in zip(closed_forms(m), (limit_point(m), lagrange_number(m))):
+                assert parts == tuple((x.numerator, x.denominator)
+                                      for x in (value.q, value.s, value.r))
 
     def test_str_forms(self):
         assert str(QV(Fraction(2, 5))) == "2/5"

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -229,6 +230,37 @@ def test_row_table_bytes_are_pinned(capsys, monkeypatch, tmp_path,
     code, out, _ = run(capsys, *command.split(), "--format", fmt)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _scaled_bounds(q, s, r, bits):
+    # lo <= (q + s*sqrt(r)) * 2^bits <= hi for an integer radicand r
+    root = math.isqrt(r * 4 ** bits)  # root <= sqrt(r) * 2^bits < root + 1
+    ends = sorted([s * root, s * (root + 1)])
+    return q * 2 ** bits + ends[0], q * 2 ** bits + ends[1]
+
+
+def test_limits_rows_satisfy_the_paper_map(capsys):
+    # limit * (3 + L) = 2 on every printed row, read back from the integers:
+    # with limit = q1 + s1*sqrt(r) and L = s2*sqrt(r), the rational part is
+    # 3 q1 + s1 s2 r and the surd part 3 s1 + q1 s2
+    code, out, _ = run(capsys, "limits", "--n", "850", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == list(range(1, 851))
+    previous = None
+    for row in rows:
+        q1, s1, r = (fraction_of(row["limit"][key]) for key in "qsr")
+        q2, s2, r2 = (fraction_of(row["lagrange"][key]) for key in "qsr")
+        assert q2 == 0 and r2 == r and r.denominator == 1
+        assert 3 * q1 + s1 * s2 * r == 2
+        assert 3 * s1 + q1 * s2 == 0
+        r = r.numerator
+        if previous is not None:  # L strictly rises, so the limit strictly falls
+            p_q1, p_s1, p_s2, p_r = previous
+            assert s2 > 0 and p_s2 ** 2 * p_r < s2 ** 2 * r
+            bits = 4 * max(r, p_r).bit_length() + 64
+            assert _scaled_bounds(q1, s1, r, bits)[1] < _scaled_bounds(p_q1, p_s1, p_r, bits)[0]
+        previous = q1, s1, s2, r
 
 
 @pytest.mark.parametrize("command, exit_code, err", [
@@ -566,6 +598,21 @@ class TestFormatOnlyRendering:
         monkeypatch.setattr(mbl.capacity.QuadraticValue, "__str__", self.refuse)
         code, out, _ = run(capsys, "limits", "--n", "40", "--format", "json")
         assert code == 0 and out == expected
+
+    def test_json_builds_no_value_objects(self, capsys, monkeypatch):
+        # the JSON rows come from the integers: no surd, limit or Lagrange
+        # value and no Fraction is built for them
+        monkeypatch.setattr(mbl.capacity.QuadraticValue, "__init__", self.refuse)
+        monkeypatch.setattr(mbl.ordering, "Fraction", self.refuse)
+        for module in (mbl.capacity, mbl.ordering, mbl.cli):
+            for name in ("limit_point", "lagrange_number"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, self.refuse)
+        digest = next(digest for command, fmt, _, digest in _ORDER_SCALE_DIGESTS
+                      if (command, fmt) == ("limits --n 450", "json"))
+        code, out, _ = run(capsys, "limits", "--n", "450", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):

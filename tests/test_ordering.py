@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from mbl.ordering import (
     IrregularityRecord,
     _chain_capacities,
     _deficit,
+    _essential_capacities,
     _exceeds,
     _holds,
     alternating_order,
@@ -174,6 +176,22 @@ class TestSpectrumRows:
         for row in spectrum_rows(10)[2:]:
             rad = Fraction(9) - Fraction(4, row.m ** 2) - Fraction(4, row.b ** 2)
             assert compare(row.first_capacities[0], rationalized(rad)) == 0
+
+    def test_trimmed_depth_matches_full_depth(self):
+        # the essential capacities read within (k + 1)//2 + 1 levels for
+        # a >= 5 are those the filter over wedge(apex, k + 1) keeps
+        _, apexes = markov_prefix(850)
+        for apex in apexes:
+            for k in range(1, 9):
+                full = [cap for cap in _chain_capacities(apex, k + 1)
+                        if cap[0] >= apex.a * apex.a][:k]
+                assert _essential_capacities(apex, k) == tuple(full)
+
+    def test_ratios_are_in_lowest_terms(self):
+        # the premise of the JSON rows, which print the pairs as they stand
+        for row in spectrum_rows(850, 8):
+            assert len(row.ratios) == 8
+            assert all(math.gcd(num, den) == 1 for num, den in row.ratios)
 
     def test_essential_capacities_of_row_three(self):
         row = spectrum_rows(3, k=4)[2]
