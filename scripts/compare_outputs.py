@@ -8,8 +8,10 @@ lists (perfbench/workloads.py) for each seed (default 1 and 20261017), and
 the usage paths: no arguments, `-h`, `<command> -h` for every subcommand
 that OLD_SRC lists, an unknown command and an unknown flag; and FIXED, the
 invocations outside the benchmark that reach the ordering layer in every
-format it renders.  Runs each as `python -m mbl.cli ...` with PYTHONPATH set
-to each tree and MBL_CACHE_DIR unset, and compares exit code, stdout and
+format it renders, and every other command in each format it renders.  Runs
+each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
+MBL_CACHE_DIR unset and a temporary directory holding the polygon file
+`skew.json` as the working directory, and compares exit code, stdout and
 stderr.  Prints the counts for the usage paths, for FIXED and per seed, and
 every differing command line; exits 1 if any differs.
 """
@@ -17,10 +19,12 @@ every differing command line; exits 1 if any differs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
@@ -37,7 +41,25 @@ FIXED = [
     ("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "450"),
     ("verify", "--suite", "ordering", "--n-max", "793"),
     ("plot", "--figure", "numberline", "--n", "369"),
+    *((*command, "--format", fmt) for fmt in ("text", "json", "csv") for command in (
+        ("widths",),
+        ("widths", "--triple", "433,29,5"),
+        ("triples", "--max-bound", "10000"),
+        ("subtree", "--triple", "29,5,2", "--preserve", "5", "--depth", "3"),
+        ("order", "--triple", "13,5,1", "--depth", "4"),
+        ("triangle", "--triple", "194,13,5"),
+        ("width", "--triple", "433,29,5"),
+        ("width", "--polygon", "skew.json"),
+        ("ingest",),
+    )),
+    ("plot", "--figure", "order5"),
+    ("plot", "--figure", "numberline", "--n", "33"),
+    ("plot", "--figure", "triangle", "--triple", "29,5,2"),
+    *(("verify", "--suite", suite)
+      for suite in ("markov", "capacity", "ordering", "lattice", "ingest")),
 ]
+#: A unimodular image of a base triangle, read by `width --polygon skew.json`.
+SKEW = [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
@@ -70,13 +92,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append", dest="seeds")
     args = parser.parse_args(argv)
     old, new = args.old_src.resolve(), args.new_src.resolve()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # every run reads skew.json from here
+        Path("skew.json").write_text(json.dumps(SKEW))
+        return _compare(old, new, args.seeds or (1, 20261017))
+
+
+def _compare(old: Path, new: Path, seeds) -> int:
     usage = _usage_paths(old)
     differing = len(_differing(old, new, usage))
     print(f"usage: {len(usage)} paths, {differing} differ")
     differ = len(_differing(old, new, FIXED))
     print(f"fixed: {len(FIXED)} invocations, {differ} differ")
     differing += differ
-    for seed in args.seeds or (1, 20261017):
+    for seed in seeds:
         commands = dict.fromkeys(op.argv for workload in ("order", "verify")
                                  for op in workloads.generate(workload, seed))
         differ = _differing(old, new, commands)

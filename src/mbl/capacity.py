@@ -14,8 +14,7 @@ import decimal
 import math
 from fractions import Fraction
 
-from .errors import VerificationError
-from .markov import MarkovTriple, is_markov_number, wedge
+from .markov import MarkovTriple, is_markov_number
 
 #: Capacities are plain rationals; the alias marks intent in signatures.
 Capacity = Fraction
@@ -166,12 +165,6 @@ def ratio_to_json(num: int, den: int) -> dict:
     return {"num": str(num), "den": str(den)}
 
 
-def surd_to_json(parts) -> dict:
-    """The JSON of q + s*sqrt(r) given as the (num, den) pairs of q, s and r."""
-    q, s, r = parts
-    return {"q": ratio_to_json(*q), "s": ratio_to_json(*s), "r": ratio_to_json(*r)}
-
-
 def surd_decimal(parts, digits: int = 12) -> str:
     """The decimal preview of q + s*sqrt(r) given as (num, den) pairs."""
     (qn, qd), (sn, sd), (rn, rd) = parts
@@ -186,38 +179,6 @@ def surd_decimal(parts, digits: int = 12) -> str:
 def width(t: MarkovTriple) -> Capacity:
     """bc/a for the sorted triple; equals 1 only at (1,1,1)."""
     return Fraction(t.b * t.c, t.a)
-
-
-def surd_identity_check(t: MarkovTriple) -> bool:
-    """Integer form of bc/a = 2/(3 + sqrt(9 - 4/c^2 - 4/b^2)).
-
-    Holds iff (2a - 3bc)^2 = 9 b^2 c^2 - 4 b^2 - 4 c^2 and 2a >= 3bc; the
-    squared identity follows from the Markov equation alone, so the sign
-    condition (a is the larger root) carries the content.  It fails exactly
-    at (1,1,1).
-    """
-    a, b, c = t
-    lhs = (2 * a - 3 * b * c) ** 2
-    rhs = 9 * b * b * c * c - 4 * b * b - 4 * c * c
-    return lhs == rhs and 2 * a >= 3 * b * c
-
-
-def width_as_surd(t: MarkovTriple) -> QuadraticValue:
-    """2/(3 + sqrt(9 - 4/c^2 - 4/b^2)), rationalized; the caller compares it
-    with width(t).
-
-    Rejects (1,1,1): its maximal entry is the smaller quadratic root, which
-    breaks the squaring step behind the identity (2a - 3bc = -1 < 0 there).
-    """
-    if t == MarkovTriple(1, 1, 1):
-        raise ValueError(
-            "(1,1,1) is excluded: 2a - 3bc = -1 < 0, so the closed form "
-            "2/(3+sqrt(9-4/c^2-4/b^2)) picks the wrong root"
-        )
-    b, c = t.b, t.c
-    rad = Fraction(9) - Fraction(4, c * c) - Fraction(4, b * b)
-    den = Fraction(9) - rad  # = 4/c^2 + 4/b^2 > 0
-    return QuadraticValue(Fraction(6) / den, Fraction(-2) / den, rad)
 
 
 def _require_markov_number(a: int) -> None:
@@ -247,39 +208,3 @@ def limit_point(a: int) -> QuadraticValue:
     """
     _require_markov_number(a)
     return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[0]))
-
-
-def convergence_trace(
-    apex: MarkovTriple, count: int, side: str = "alternating"
-) -> list[tuple[MarkovTriple, Capacity, QuadraticValue]]:
-    """Capacities and exact gaps along a decreasing sequence of the subtree
-    preserving the apex maximum a.
-
-    `side` picks the sequence: "alternating" interleaves the two branches in
-    tree order from the apex on, "left"/"right" follow a single branch (the
-    same one for the degenerate apexes).  Gaps are width - limit_point(a);
-    they must come out positive and strictly decreasing, which is re-checked
-    here exactly.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    limit = limit_point(apex.a)
-    triples = wedge(apex, count)
-    columns = (len(triples) - 1) // count
-    slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
-    if side not in slices:
-        raise ValueError(f"unknown side {side!r}")
-    start, step = slices[side]
-    chosen = triples[start : start + step * count : step]
-    trace = []
-    previous_gap = None
-    for triple in chosen:
-        w = width(triple)
-        gap = QuadraticValue(w - limit.q, -limit.s, limit.r)
-        if gap.sign() <= 0:
-            raise VerificationError(f"gap at {triple} is not positive")
-        if previous_gap is not None and gap.compare(previous_gap) >= 0:
-            raise VerificationError(f"gap at {triple} fails to decrease")
-        trace.append((triple, w, gap))
-        previous_gap = gap
-    return trace

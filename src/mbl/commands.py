@@ -1,0 +1,165 @@
+"""The handlers of `widths`, `triples`, `subtree`, `order`, `triangle`,
+`width` and `ingest`.
+
+`mbl.cli` imports this module only when one of these commands runs, so the
+ordering commands (`irregularities`, `limits`, `complete`) never compile it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from . import oeis
+from .capacity import capacity_to_json, width
+from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
+from .markov import MarkovTriple, apex_for, enumerate_triples, tree_depth, wedge
+from .ordering import alternating_order
+from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _preview, _report, _table
+
+_PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
+
+
+def cmd_widths(config: argparse.Namespace) -> int:
+    triples = (
+        [config.triple]
+        if config.triple is not None
+        else [MarkovTriple(*t) for t in _PAPER_TABLE]
+    )
+    return _emit_rows(
+        config, ["triple", "width", "decimal"], [(t, width(t)) for t in triples],
+        lambda t, w: [str(t), str(w), _preview(w)],
+        lambda t, w: {"triple": t.to_json(), "width": capacity_to_json(w),
+                      "preview": _preview(w)},
+        {"command": "widths"},
+    )
+
+
+def cmd_triples(config: argparse.Namespace) -> int:
+    records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
+    return _emit_rows(
+        config, ["triple", "depth", "width"], records,
+        lambda t, depth, w: [str(t), str(depth), str(w)],
+        lambda t, depth, w: {"triple": t.to_json(), "depth": depth,
+                             "width": capacity_to_json(w)},
+        {"command": "triples", "max_bound": str(config.max_bound)},
+    )
+
+
+def cmd_subtree(config: argparse.Namespace) -> int:
+    preserved = config.preserve if config.preserve is not None else config.triple.a
+    apex = apex_for(preserved, config.triple)
+    records = [(tree_depth(t), t, width(t)) for t in wedge(apex, config.depth)]
+    payload = {
+        "command": "subtree",
+        "preserved": str(apex.a),
+        "apex": apex.to_json(),
+    }
+    return _emit_rows(
+        config, ["depth", "triple", "width", "decimal"], records,
+        lambda depth, t, w: [str(depth), str(t), str(w), _preview(w)],
+        lambda depth, t, w: {"depth": depth, "triple": t.to_json(),
+                             "width": capacity_to_json(w)},
+        payload,
+    )
+
+
+def cmd_order(config: argparse.Namespace) -> int:
+    records = [(rank, t, w) for rank, (t, w)
+               in enumerate(alternating_order(config.triple, config.depth), start=1)]
+    return _emit_rows(
+        config, ["rank", "triple", "width", "decimal"], records,
+        lambda rank, t, w: [str(rank), str(t), str(w), _preview(w)],
+        lambda rank, t, w: {"rank": rank, "triple": t.to_json(),
+                            "width": capacity_to_json(w)},
+        {"command": "order", "apex": config.triple.to_json()},
+    )
+
+
+def cmd_triangle(config: argparse.Namespace) -> int:
+    tri = vianna_triangle(config.triple)
+    center = central_point(tri)
+    value, xi = lattice_width(tri.polygon)
+    payload = {
+        "command": "triangle",
+        "triple": config.triple.to_json(),
+        "vertices": tri.polygon.to_json(),
+        "ell": str(tri.ell),
+        "h": str(tri.h),
+        "t": str(tri.t),
+        "lam": str(tri.lam),
+        "u": tri.u,
+        "edges": [
+            {"direction": list(e.direction), "affine_length": str(e.length)}
+            for e in tri.edge_data
+        ],
+        "central_point": [str(center.x), str(center.y)],
+        "lattice_width": capacity_to_json(value),
+        "minimizer": list(xi),
+    }
+    rows = [
+        ["vertices", " ".join(f"({p.x},{p.y})" for p in tri.vertices)],
+        ["ell", str(tri.ell)],
+        ["h", str(tri.h)],
+        ["apex abscissa t", str(tri.t)],
+        ["lam", str(tri.lam)],
+        ["edge lengths", " ".join(str(e.length) for e in tri.edge_data)],
+        ["central point", str(center)],
+        ["lattice width", f"{value} at xi={xi}"],
+    ]
+    columns = ["quantity", "value"]
+    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
+
+
+def cmd_width(config: argparse.Namespace) -> int:
+    if (config.triple is None) == (config.polygon is None):
+        raise ValueError("width needs exactly one of --triple or --polygon")
+    if config.triple is not None:
+        polygon = vianna_triangle(config.triple).polygon
+        source = {"triple": config.triple.to_json()}
+    else:
+        try:
+            with open(config.polygon, "r") as handle:
+                polygon = LatticePolygon.from_json(json.load(handle))
+        except (json.JSONDecodeError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
+        source = {"polygon_file": config.polygon}
+    value, xi = lattice_width(polygon)
+    payload = {
+        "command": "width",
+        **source,
+        "vertices": polygon.to_json(),
+        "lattice_width": capacity_to_json(value),
+        "minimizer": list(xi),
+        "preview": _preview(value),
+    }
+    rows = [[str(value), f"({xi[0]},{xi[1]})", _preview(value)]]
+    columns = ["lattice_width", "minimizer", "decimal"]
+    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
+
+
+def cmd_ingest(config: argparse.Namespace) -> int:
+    if config.bfile is not None and config.kind == "all":
+        raise ValueError("--bfile holds one sequence; name it with --kind")
+    kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
+    if config.fetch:
+        for kind in kinds:
+            oeis.fetch_bfile(kind, cache_dir=config.cache_dir)
+    reports = [
+        oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile, config.cache_dir))
+        for kind in kinds
+    ]
+    status = EXIT_OK if all(report.ok for report in reports) else EXIT_VERIFICATION
+    return _emit_rows(
+        config, ["kind", "sequence", "n", "source", "status"],
+        list(zip(kinds, reports)),
+        lambda kind, report: [
+            kind,
+            report.sequence_id,
+            str(report.n),
+            report.source,
+            "ok" if report.ok else f"MISMATCH at {report.first_mismatch[0]}",
+        ],
+        lambda kind, report: report.to_json(),
+        {"command": "ingest"}, status=status,
+    )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from functools import cache, cached_property, partial
 from fractions import Fraction
 
@@ -92,56 +91,6 @@ def _exact(value) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
     return Fraction(value)
-
-
-class UnimodularMap(_Record):
-    """x -> M x + v with M an integer matrix of determinant +-1."""
-
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-    tx: Fraction = Fraction(0)
-    ty: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
-            raise ValueError("matrix must have determinant +-1")
-        object.__setattr__(self, "tx", _fraction(self.tx))
-        object.__setattr__(self, "ty", _fraction(self.ty))
-
-    def apply(self, polygon: LatticePolygon) -> LatticePolygon:
-        # integer products on the polygon's integer form, over one common
-        # denominator of D and the translation
-        den, scaled = polygon.scaled
-        tx, ty = self.tx, self.ty
-        common = math.lcm(den, tx.denominator, ty.denominator)
-        k = common // den
-        sx = tx.numerator * (common // tx.denominator)
-        sy = ty.numerator * (common // ty.denominator)
-        pts = [RationalPoint(Fraction((self.m00 * x + self.m01 * y) * k + sx, common),
-                             Fraction((self.m10 * x + self.m11 * y) * k + sy, common))
-               for x, y in scaled]
-        if self.m00 * self.m11 - self.m01 * self.m10 < 0:
-            pts.reverse()  # keep counterclockwise orientation
-        return LatticePolygon(pts)
-
-
-def random_unimodular(rng: random.Random) -> UnimodularMap:
-    m = (1, 0, 0, 1)
-    for _ in range(rng.randint(2, 6)):
-        k = rng.randint(-3, 3)
-        if rng.randint(0, 1):
-            m = (m[0], m[1] + k * m[0], m[2], m[3] + k * m[2])
-        else:
-            m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
-    if rng.randint(0, 1):
-        m = (m[1], m[0], m[3], m[2])
-    return UnimodularMap(
-        m[0], m[1], m[2], m[3],
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-    )
 
 
 def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
@@ -317,57 +266,3 @@ def central_point(tri: ViannaTriangle) -> RationalPoint:
             f"no point at affine distance 1/3 from all edges of {tri.triple}"
         )
     return RationalPoint(x, y)
-
-
-def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
-    """Shear the apex strictly over the base; the lattice width is unchanged.
-
-    The normal form has 0 <= u < b^2, so 0 <= t = uc/(ab) < bc/a = h.  Below
-    the root h < ell, since ell/h = a^2/(bc)^2 > 2 (check_alg_lemma), so the
-    apex already lies over the base unless t = 0.  That means u = 0, and
-    u*c^2 = a^2 (mod b^2) with gcd(a, b) = 1 then forces b = 1: the triple
-    is (2,1,1), which the shear (x, y) -> (x + y, y), u -> u + b^2, moves to
-    the apex (1/2, 1/2).  Rejects (1,1,1), whose apex can never move strictly
-    inside (its width equals its base).
-    """
-    if tri.triple == MarkovTriple(1, 1, 1):
-        raise ValueError("(1,1,1) cannot be shear-normalized")
-    b = tri.triple.b
-    sheared = tri if tri.t > 0 else ViannaTriangle(tri.triple, tri.u + b * b)
-    if not 0 < sheared.t < sheared.ell:
-        raise VerificationError(f"no shear normalizes {tri.triple}")
-    return sheared
-
-
-def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
-    """Whether an axis-aligned isoceles right triangle with legs h - eps/2
-    fits strictly inside a shear-normalized base triangle.
-
-    The horizontal leg sits on y = eps/4 starting at the foot of the apex,
-    extending away from the nearer base corner (mirrored when the apex lies
-    over the right half); containment is decided by exact half-plane tests.
-    """
-    eps = Fraction(eps)
-    if not 0 < tri.t < tri.ell:
-        raise ValueError("triangle must be shear-normalized first")
-    if not 0 < eps < tri.h:
-        raise ValueError("need 0 < eps < h")
-    leg = tri.h - eps / 2
-    y0 = eps / 4
-    sign = 1 if tri.t <= tri.ell / 2 else -1
-    corners = (
-        RationalPoint(tri.t, y0),
-        RationalPoint(tri.t + sign * leg, y0),
-        RationalPoint(tri.t, y0 + leg),
-    )
-    normals = _inner_normals(tri)
-    return all(
-        nx * p.x + ny * p.y > s for (nx, ny, s) in normals for p in corners
-    )
-
-
-def check_alg_lemma(t: MarkovTriple) -> bool:
-    """Exact form of ell > 2h for the base triangle: a^2 > 2 b^2 c^2.
-
-    False exactly at (1,1,1)."""
-    return t.a * t.a > 2 * t.b * t.b * t.c * t.c

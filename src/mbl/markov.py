@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
-import math
 from typing import Callable
 
 from .errors import VerificationError, _Record
@@ -244,49 +243,3 @@ def recurrence_prefix(k: int, n: int) -> list[int]:
     for _ in range(n - 1):
         values.append(k * values[-1] + values[-2])
     return values[: n + 1]
-
-
-def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1."""
-    return recurrence_prefix(1, n)[n]
-
-
-def pell(n: int) -> int:
-    """P_n with P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + P_{n-1}."""
-    return recurrence_prefix(2, n)[n]
-
-
-def uniqueness_check(max_bound: int) -> bool:
-    """Whether no two triples with max <= max_bound share a maximal entry.
-
-    The walk raises VerificationError on reaching a shared maximum.
-    """
-    try:
-        _WALK.upto(max_bound)
-    except VerificationError:
-        return False
-    return True
-
-
-def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:
-    """Independent enumeration: scan pairs (b, c) and solve for the third entry.
-
-    Used as the oracle for `enumerate_triples`; it never applies mutations.
-    Only pairs with bc <= max_bound are scanned: a triple a >= b >= c has
-    3abc = a^2 + b^2 + c^2 <= 3a^2, so bc <= a <= max_bound.
-    """
-    if max_bound < 1:
-        raise ValueError("max_bound must be >= 1")
-    found = set()
-    for c in range(1, max_bound + 1):
-        for b in range(c, max_bound // c + 1):
-            disc = 9 * b * b * c * c - 4 * (b * b + c * c)
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            for a2 in (3 * b * c - s, 3 * b * c + s):
-                if a2 % 2 == 0 and b <= a2 // 2 <= max_bound:
-                    found.add((a2 // 2, b, c))
-    return sorted(found)

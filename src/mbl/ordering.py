@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .capacity import (Capacity, QuadraticValue, _sign, capacity_to_json, closed_forms,
-                       limit_point, ratio_to_json, surd_decimal, surd_to_json, width)
+                       limit_point, surd_decimal, width)
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -60,21 +60,44 @@ class SpectrumRow(_Record):
         """Rows 1 and 2 take b from the second-smallest-member convention."""
         return self.m in (1, 2)
 
-    def to_json(self) -> dict:
-        """The row from its integers: each pair of `ratios` is in lowest terms,
-        since the entries of a Markov triple are pairwise coprime."""
+    def json_text(self, newline: str = "\n") -> str:
+        """The bytes `report._json_text` writes for the row's JSON object at
+        the indent `newline` opens, written from the row's integers.
+
+        Each pair of `ratios` is in lowest terms, since the entries of a
+        Markov triple are pairwise coprime; the limit, its preview and the
+        Lagrange number come from `closed_forms(m)`.  Every string is an
+        integer or a decimal preview, so none needs escaping.
+        """
+        i1 = newline + "  "
+        i2 = i1 + "  "
         limit, lagrange = closed_forms(self.m)
-        return {
-            "n": self.n,
-            "m": str(self.m),
-            "apex": self.apex.to_json(),
-            "b": str(self.b),
-            "first_capacities": [ratio_to_json(num, den) for num, den in self.ratios],
-            "limit": surd_to_json(limit),
-            "lagrange": surd_to_json(lagrange),
-            "preview": surd_decimal(limit),
-            "degenerate_b": self.degenerate,
-        }
+        a, b, c = self.apex
+        caps = ("[" + i2 + ("," + i2).join(_ratio_text(*pair, i2) for pair in self.ratios)
+                + i1 + "]") if self.ratios else "[]"
+        return (f'{{{i1}"apex": {{{i2}"a": "{a}",{i2}"b": "{b}",{i2}"c": "{c}"{i1}}},'
+                f'{i1}"b": "{self.b}",'
+                f'{i1}"degenerate_b": {"true" if self.degenerate else "false"},'
+                f'{i1}"first_capacities": {caps},'
+                f'{i1}"lagrange": {_surd_text(lagrange, i1)},'
+                f'{i1}"limit": {_surd_text(limit, i1)},'
+                f'{i1}"m": "{self.m}",{i1}"n": {self.n},'
+                f'{i1}"preview": "{surd_decimal(limit)}"{newline}}}')
+
+
+def _ratio_text(num: int, den: int, newline: str) -> str:
+    # {"num": str(num), "den": str(den)} as the JSON writer indents it
+    inner = newline + "  "
+    return f'{{{inner}"den": "{den}",{inner}"num": "{num}"{newline}}}'
+
+
+def _surd_text(parts, newline: str) -> str:
+    # q + s*sqrt(r) given as the (num, den) pairs of q, s and r, in the JSON
+    # writer's form of {"q": ..., "s": ..., "r": ...}
+    q, s, r = parts
+    inner = newline + "  "
+    return (f'{{{inner}"q": {_ratio_text(*q, inner)},{inner}"r": {_ratio_text(*r, inner)},'
+            f'{inner}"s": {_ratio_text(*s, inner)}{newline}}}')
 
 
 #: The catalogued swap patterns: each span n' - n with the sentence naming it.
@@ -171,24 +194,6 @@ def alternating_order(
                 f"capacity descent fails between {t0} (w={w0}) and {t1} (w={w1})"
             )
     return sequence
-
-
-def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
-    """Exact check of the capacity inequalities along both chains of an apex.
-
-    Covers the apex-to-child step, the five-term opening chain
-    ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3, and the two inductive-step
-    inequalities a g_j/g_{j+1} > a f_j/f_{j+1} > a g_{j+1}/g_{j+2} for each
-    j <= k: strict descent of the first 2k + 4 capacities in wedge order
-    (k = 0 checks the opening chain alone, as k = 1 does).
-    """
-    apex = MarkovTriple(a, b, c)
-    if a < 5:
-        raise ValueError("chain inequalities need a >= 5 (so a > b > c)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    k = max(k, 1)
-    return _descends(_chain_capacities(apex, k + 2)[:2 * k + 4])
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:

@@ -1,8 +1,11 @@
-"""The invariant suites that `mbl verify` runs.
+"""The invariant suites that `mbl verify` runs, and the checks only they use.
 
 Each suite takes the parsed `verify` arguments and yields one
-(check name, passed, witness) per check; SUITES names them in run order.
-Only `verify` reads this module, so the command line loads it on demand.
+(check name, passed, witness) per check; SUITES names them in run order and
+`cmd_verify` runs them.  Only `verify` reads this module, so the command
+line loads it on demand, and the checks below that no other command needs
+(independent enumerations, closed forms, unimodular maps, shears and the
+chain inequalities) are compiled only then.
 """
 
 from __future__ import annotations
@@ -14,42 +17,278 @@ from fractions import Fraction
 
 from . import oeis
 from .capacity import (
+    Capacity,
     QuadraticValue,
-    convergence_trace,
+    _fraction,
     lagrange_number,
     limit_point,
-    surd_identity_check,
     width,
-    width_as_surd,
 )
-from .errors import VerificationError
+from .errors import VerificationError, _Record
 from .lattice import (
+    LatticePolygon,
+    RationalPoint,
+    ViannaTriangle,
+    _inner_normals,
     central_point,
-    check_alg_lemma,
-    inscribed_right_triangle,
     lattice_width,
-    random_unimodular,
-    shear_normalize,
     vianna_triangle,
 )
 from .markov import (
+    _WALK,
     MarkovTriple,
     MutationKind,
-    brute_force_triples,
     chains,
     enumerate_triples,
-    fibonacci,
     mutate,
-    pell,
-    uniqueness_check,
+    recurrence_prefix,
+    wedge,
 )
 from .ordering import (
+    _chain_capacities,
+    _descends,
     alternating_order,
     find_irregularities,
     spectrum_rows,
-    verify_chain_inequalities,
     verify_swap_pattern,
 )
+from .report import EXIT_OK, EXIT_VERIFICATION, _report
+
+
+def fibonacci(n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1."""
+    return recurrence_prefix(1, n)[n]
+
+
+def pell(n: int) -> int:
+    """P_n with P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + P_{n-1}."""
+    return recurrence_prefix(2, n)[n]
+
+
+def uniqueness_check(max_bound: int) -> bool:
+    """Whether no two triples with max <= max_bound share a maximal entry.
+
+    The walk raises VerificationError on reaching a shared maximum.
+    """
+    try:
+        _WALK.upto(max_bound)
+    except VerificationError:
+        return False
+    return True
+
+
+def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:
+    """Independent enumeration: scan pairs (b, c) and solve for the third entry.
+
+    Used as the oracle for `enumerate_triples`; it never applies mutations.
+    Only pairs with bc <= max_bound are scanned: a triple a >= b >= c has
+    3abc = a^2 + b^2 + c^2 <= 3a^2, so bc <= a <= max_bound.
+    """
+    if max_bound < 1:
+        raise ValueError("max_bound must be >= 1")
+    found = set()
+    for c in range(1, max_bound + 1):
+        for b in range(c, max_bound // c + 1):
+            disc = 9 * b * b * c * c - 4 * (b * b + c * c)
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            for a2 in (3 * b * c - s, 3 * b * c + s):
+                if a2 % 2 == 0 and b <= a2 // 2 <= max_bound:
+                    found.add((a2 // 2, b, c))
+    return sorted(found)
+
+
+def surd_identity_check(t: MarkovTriple) -> bool:
+    """Integer form of bc/a = 2/(3 + sqrt(9 - 4/c^2 - 4/b^2)).
+
+    Holds iff (2a - 3bc)^2 = 9 b^2 c^2 - 4 b^2 - 4 c^2 and 2a >= 3bc; the
+    squared identity follows from the Markov equation alone, so the sign
+    condition (a is the larger root) carries the content.  It fails exactly
+    at (1,1,1).
+    """
+    a, b, c = t
+    lhs = (2 * a - 3 * b * c) ** 2
+    rhs = 9 * b * b * c * c - 4 * b * b - 4 * c * c
+    return lhs == rhs and 2 * a >= 3 * b * c
+
+
+def width_as_surd(t: MarkovTriple) -> QuadraticValue:
+    """2/(3 + sqrt(9 - 4/c^2 - 4/b^2)), rationalized; the caller compares it
+    with width(t).
+
+    Rejects (1,1,1): its maximal entry is the smaller quadratic root, which
+    breaks the squaring step behind the identity (2a - 3bc = -1 < 0 there).
+    """
+    if t == MarkovTriple(1, 1, 1):
+        raise ValueError(
+            "(1,1,1) is excluded: 2a - 3bc = -1 < 0, so the closed form "
+            "2/(3+sqrt(9-4/c^2-4/b^2)) picks the wrong root"
+        )
+    b, c = t.b, t.c
+    rad = Fraction(9) - Fraction(4, c * c) - Fraction(4, b * b)
+    den = Fraction(9) - rad  # = 4/c^2 + 4/b^2 > 0
+    return QuadraticValue(Fraction(6) / den, Fraction(-2) / den, rad)
+
+
+def convergence_trace(
+    apex: MarkovTriple, count: int, side: str = "alternating"
+) -> list[tuple[MarkovTriple, Capacity, QuadraticValue]]:
+    """Capacities and exact gaps along a decreasing sequence of the subtree
+    preserving the apex maximum a.
+
+    `side` picks the sequence: "alternating" interleaves the two branches in
+    tree order from the apex on, "left"/"right" follow a single branch (the
+    same one for the degenerate apexes).  Gaps are width - limit_point(a);
+    they must come out positive and strictly decreasing, which is re-checked
+    here exactly.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    limit = limit_point(apex.a)
+    triples = wedge(apex, count)
+    columns = (len(triples) - 1) // count
+    slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
+    if side not in slices:
+        raise ValueError(f"unknown side {side!r}")
+    start, step = slices[side]
+    chosen = triples[start : start + step * count : step]
+    trace = []
+    previous_gap = None
+    for triple in chosen:
+        w = width(triple)
+        gap = QuadraticValue(w - limit.q, -limit.s, limit.r)
+        if gap.sign() <= 0:
+            raise VerificationError(f"gap at {triple} is not positive")
+        if previous_gap is not None and gap.compare(previous_gap) >= 0:
+            raise VerificationError(f"gap at {triple} fails to decrease")
+        trace.append((triple, w, gap))
+        previous_gap = gap
+    return trace
+
+
+class UnimodularMap(_Record):
+    """x -> M x + v with M an integer matrix of determinant +-1."""
+
+    m00: int
+    m01: int
+    m10: int
+    m11: int
+    tx: Fraction = Fraction(0)
+    ty: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
+            raise ValueError("matrix must have determinant +-1")
+        object.__setattr__(self, "tx", _fraction(self.tx))
+        object.__setattr__(self, "ty", _fraction(self.ty))
+
+    def apply(self, polygon: LatticePolygon) -> LatticePolygon:
+        # integer products on the polygon's integer form, over one common
+        # denominator of D and the translation
+        den, scaled = polygon.scaled
+        tx, ty = self.tx, self.ty
+        common = math.lcm(den, tx.denominator, ty.denominator)
+        k = common // den
+        sx = tx.numerator * (common // tx.denominator)
+        sy = ty.numerator * (common // ty.denominator)
+        pts = [RationalPoint(Fraction((self.m00 * x + self.m01 * y) * k + sx, common),
+                             Fraction((self.m10 * x + self.m11 * y) * k + sy, common))
+               for x, y in scaled]
+        if self.m00 * self.m11 - self.m01 * self.m10 < 0:
+            pts.reverse()  # keep counterclockwise orientation
+        return LatticePolygon(pts)
+
+
+def random_unimodular(rng: random.Random) -> UnimodularMap:
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(2, 6)):
+        k = rng.randint(-3, 3)
+        if rng.randint(0, 1):
+            m = (m[0], m[1] + k * m[0], m[2], m[3] + k * m[2])
+        else:
+            m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
+    if rng.randint(0, 1):
+        m = (m[1], m[0], m[3], m[2])
+    return UnimodularMap(
+        m[0], m[1], m[2], m[3],
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+
+
+def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
+    """Shear the apex strictly over the base; the lattice width is unchanged.
+
+    The normal form has 0 <= u < b^2, so 0 <= t = uc/(ab) < bc/a = h.  Below
+    the root h < ell, since ell/h = a^2/(bc)^2 > 2 (check_alg_lemma), so the
+    apex already lies over the base unless t = 0.  That means u = 0, and
+    u*c^2 = a^2 (mod b^2) with gcd(a, b) = 1 then forces b = 1: the triple
+    is (2,1,1), which the shear (x, y) -> (x + y, y), u -> u + b^2, moves to
+    the apex (1/2, 1/2).  Rejects (1,1,1), whose apex can never move strictly
+    inside (its width equals its base).
+    """
+    if tri.triple == MarkovTriple(1, 1, 1):
+        raise ValueError("(1,1,1) cannot be shear-normalized")
+    b = tri.triple.b
+    sheared = tri if tri.t > 0 else ViannaTriangle(tri.triple, tri.u + b * b)
+    if not 0 < sheared.t < sheared.ell:
+        raise VerificationError(f"no shear normalizes {tri.triple}")
+    return sheared
+
+
+def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
+    """Whether an axis-aligned isoceles right triangle with legs h - eps/2
+    fits strictly inside a shear-normalized base triangle.
+
+    The horizontal leg sits on y = eps/4 starting at the foot of the apex,
+    extending away from the nearer base corner (mirrored when the apex lies
+    over the right half); containment is decided by exact half-plane tests.
+    """
+    eps = Fraction(eps)
+    if not 0 < tri.t < tri.ell:
+        raise ValueError("triangle must be shear-normalized first")
+    if not 0 < eps < tri.h:
+        raise ValueError("need 0 < eps < h")
+    leg = tri.h - eps / 2
+    y0 = eps / 4
+    sign = 1 if tri.t <= tri.ell / 2 else -1
+    corners = (
+        RationalPoint(tri.t, y0),
+        RationalPoint(tri.t + sign * leg, y0),
+        RationalPoint(tri.t, y0 + leg),
+    )
+    normals = _inner_normals(tri)
+    return all(
+        nx * p.x + ny * p.y > s for (nx, ny, s) in normals for p in corners
+    )
+
+
+def check_alg_lemma(t: MarkovTriple) -> bool:
+    """Exact form of ell > 2h for the base triangle: a^2 > 2 b^2 c^2.
+
+    False exactly at (1,1,1)."""
+    return t.a * t.a > 2 * t.b * t.b * t.c * t.c
+
+
+def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
+    """Exact check of the capacity inequalities along both chains of an apex.
+
+    Covers the apex-to-child step, the five-term opening chain
+    ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3, and the two inductive-step
+    inequalities a g_j/g_{j+1} > a f_j/f_{j+1} > a g_{j+1}/g_{j+2} for each
+    j <= k: strict descent of the first 2k + 4 capacities in wedge order
+    (k = 0 checks the opening chain alone, as k = 1 does).
+    """
+    apex = MarkovTriple(a, b, c)
+    if a < 5:
+        raise ValueError("chain inequalities need a >= 5 (so a > b > c)")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    k = max(k, 1)
+    return _descends(_chain_capacities(apex, k + 2)[:2 * k + 4])
 
 
 def _failed(failures: dict[str, str], *names: str):
@@ -209,3 +448,27 @@ SUITES = {
     "lattice": _suite_lattice,
     "ingest": _suite_ingest,
 }
+
+
+def cmd_verify(config: argparse.Namespace) -> int:
+    names = dict.fromkeys(config.suites or SUITES)  # once each, first-given order
+    if config.n_max < 1 or config.max_bound < 1:
+        raise ValueError("verify needs --n-max and --max-bound >= 1")
+    report = {"command": "verify", "suites": {}, "passed": True}
+    lines = []
+    for name in names:
+        try:  # a suite that raises is replaced by one failed check
+            results = list(SUITES[name](config))
+        except (ValueError, VerificationError) as exc:
+            results = [("completed", False, f"{type(exc).__name__}: {exc}")]
+        passed = all(ok for _, ok, _ in results)
+        checks = [{"name": check, "passed": ok, "witness": witness}
+                  for check, ok, witness in results]
+        report["suites"][name] = {"passed": passed, "checks": checks}
+        report["passed"] = report["passed"] and passed
+        for check, ok, witness in results:
+            suffix = f"  [{witness}]" if witness and not ok else ""
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {name}:{check}{suffix}")
+    lines.append("all suites passed" if report["passed"] else "FAILURES above")
+    status = EXIT_OK if report["passed"] else EXIT_VERIFICATION
+    return _report(config, report, lambda: "\n".join(lines) + "\n", status)

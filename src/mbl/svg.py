@@ -3,11 +3,13 @@ triangles.
 
 Geometry scales affinely from exact rational data; coordinates are emitted
 with fixed-point integer rounding so identical inputs give identical bytes.
-No timestamps, no dict-iteration nondeterminism.
+No timestamps, no dict-iteration nondeterminism.  `cmd_plot` is the
+handler of `mbl plot`; only that command loads this module.
 """
 
 from __future__ import annotations
 
+import argparse
 import decimal
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from .capacity import QuadraticValue, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
+from .report import EXIT_OK, _emit
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -219,3 +222,17 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
                       f"base triangle of {triple}, cut length delta = {delta}",
                       size=13))
     return _document(width_px, height_px, body)
+
+
+def cmd_plot(config: argparse.Namespace) -> int:
+    if config.figure == "order5":
+        triple = config.triple or MarkovTriple(5, 2, 1)
+        data = figure_subtree(triple, config.depth)
+    elif config.figure == "numberline":
+        data = figure_numberline(config.n, k=config.k)
+    elif config.triple is None:
+        raise ValueError("plot --figure triangle needs --triple")
+    else:
+        data = figure_triangle(config.triple, config.delta)
+    _emit(config, data)
+    return EXIT_OK

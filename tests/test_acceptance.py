@@ -10,25 +10,15 @@ import random
 import time
 from fractions import Fraction
 
-from mbl.capacity import (
-    QuadraticValue,
-    convergence_trace,
-    lagrange_number,
-    surd_identity_check,
-    width,
-)
+from mbl.capacity import QuadraticValue, lagrange_number, width
 from mbl.cli import main
-from mbl.lattice import lattice_width, random_unimodular, vianna_triangle
+from mbl.lattice import lattice_width, vianna_triangle
 from mbl.markov import (
     MarkovTriple,
     apex_for,
-    brute_force_triples,
     enumerate_triples,
-    fibonacci,
     markov_numbers,
     markov_prefix,
-    pell,
-    uniqueness_check,
 )
 from mbl.oeis import cross_check, load_bfile
 from mbl.ordering import (
@@ -37,6 +27,15 @@ from mbl.ordering import (
     ordered_prefix_complete_above,
     scan_window,
     spectrum_rows,
+)
+from mbl.suites import (
+    brute_force_triples,
+    convergence_trace,
+    fibonacci,
+    pell,
+    random_unimodular,
+    surd_identity_check,
+    uniqueness_check,
     verify_chain_inequalities,
 )
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,16 +11,13 @@ from mbl.capacity import (
     _sign,
     capacity_to_json,
     closed_forms,
-    convergence_trace,
     lagrange_number,
     limit_point,
-    surd_identity_check,
-    surd_to_json,
     width,
-    width_as_surd,
 )
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 from mbl.ordering import spectrum_rows
+from mbl.suites import convergence_trace, surd_identity_check, width_as_surd
 
 from support import compare, interval_compare, random_quadratic
 
@@ -225,7 +223,8 @@ class TestQuadraticValue:
         assert QV(Fraction(1, 2)).decimal() == "0.5"
 
     def test_json_roundtrip(self):
-        assert surd_to_json(closed_forms(5)[0]) == {
+        row = spectrum_rows(3)[2]  # m = 5; the row writes its limit from closed_forms(5)
+        assert json.loads(row.json_text())["limit"] == {
             "q": {"num": "75", "den": "2"},
             "s": {"num": "-5", "den": "2"},
             "r": {"num": "221", "den": "1"},

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import mbl.capacity
 import mbl.cli
 import mbl.ordering
+import mbl.report
 import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
@@ -143,6 +144,8 @@ _ORDER_SCALE_DIGESTS = [
      "8a8170f4d02b05bd538d5c8e2a503312092e051104632df004bde215965e5a1d"),
     ("limits --n 450", "json", 0,
      "97c8fd9ffe6fbf1d96e0c94653ec8b641480e7c2b678755d8be14b72d0505305"),
+    ("limits --n 850 --k 7", "json", 0,
+     "8e3e6c1ad87f431249daaca17d2dcdb45778ab1e668688ad878a548474d08825"),
     (f"complete --threshold {_T44} --n-max 450", "text", 0,
      "aed4768a94ef9b8ac5e7d0223a3251238eec6e4f302584fac713915ae5f07d75"),
     (f"complete --threshold {_T44} --n-max 450", "json", 0,
@@ -263,6 +266,15 @@ def test_limits_rows_satisfy_the_paper_map(capsys):
         previous = q1, s1, s2, r
 
 
+@pytest.mark.parametrize("n", [1, 2, 40, 850])
+@pytest.mark.parametrize("k", [1, 4, 7, 8])
+def test_limits_json_is_canonical(capsys, n, k):
+    # each row writes its own JSON text: it must be what json.dumps writes
+    code, out, _ = run(capsys, "limits", "--n", str(n), "--k", str(k), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("command, exit_code, err", [
     ("irregularities --n-max 794", 1, "mbl: verification failure: irregularity at "
      "(n=794, n'=797) spans 3 sequences; outside the catalogued patterns\n"),
@@ -298,7 +310,8 @@ _IMPORT_CLOSURE = frozenset("""
     importlib.resources._adapters importlib.resources._common
     importlib.resources._legacy importlib.resources.abc ipaddress itertools json
     json.decoder json.encoder json.scanner keyword lzma math mbl mbl.capacity
-    mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering ntpath numbers
+    mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering mbl.report
+    ntpath numbers
     operator os os.path pathlib posixpath random re re._casefix re._compiler
     re._constants re._parser reprlib shutil stat tempfile types typing typing.io
     typing.re urllib urllib.parse warnings weakref zlib
@@ -306,18 +319,19 @@ _IMPORT_CLOSURE = frozenset("""
 
 
 def test_import_loads_no_unused_machinery():
-    # dataclasses (with inspect), csv, hashlib, svg and the verify suites serve
-    # few commands and load inside them; every traced owner, lattice and oeis
-    # included, loads eagerly, because the bench tracer (perfbench/tracer.py,
-    # install) re-binds its traced functions only in modules already loaded
+    # dataclasses (with inspect), csv, hashlib and every handler module
+    # outside mbl.cli (commands, suites, svg) serve few commands and load
+    # inside them; every traced owner, lattice and oeis included, loads
+    # eagerly, because the bench tracer (perfbench/tracer.py, install)
+    # re-binds its traced functions only in modules already loaded
     probe = ("import sys; before = set(sys.modules); import mbl.cli; "
              "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     loaded = set(result.stdout.split())
-    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.svg",
-                     "mbl.suites"} == set()
+    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.commands",
+                     "mbl.suites", "mbl.svg"} == set()
     assert {"mbl.cli", "mbl.markov", "mbl.capacity", "mbl.ordering", "mbl.lattice",
             "mbl.oeis"} <= loaded
     if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer reuses json.encoder
@@ -617,7 +631,7 @@ class TestFormatOnlyRendering:
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):
         _, expected, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
-        monkeypatch.setattr(mbl.ordering.SpectrumRow, "to_json", self.refuse)
+        monkeypatch.setattr(mbl.ordering.SpectrumRow, "json_text", self.refuse)
         code, out, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
         assert code == 0 and out == expected
 
@@ -640,11 +654,19 @@ class TestJsonText:
     @settings(max_examples=300, deadline=None)
     @given(_JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert mbl.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert mbl.report._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_bools_next_to_their_ints(self):
         value = {"b": [True, 1, False, 0], "a": {"": None, "z": [], "y": {}}, "c": ()}
-        assert mbl.cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert mbl.report._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_values_that_write_themselves(self):
+        # a row writes the bytes of its JSON object at the indent it is given
+        rows = mbl.ordering.spectrum_rows(3, k=2)
+        value = {"rows": rows, "deeper": [[rows[0]]]}
+        plain = {"rows": [json.loads(row.json_text()) for row in rows],
+                 "deeper": [[json.loads(rows[0].json_text())]]}
+        assert mbl.report._json_text(value) == json.dumps(plain, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [
         1.5, [0.0], {"x": Fraction(1, 3)}, {1, 2}, {"a": [frozenset()]}, {1: "one"},
@@ -652,7 +674,7 @@ class TestJsonText:
     ])
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
-            mbl.cli._json_text(value)
+            mbl.report._json_text(value)
 
 
 def _raise(exc):
@@ -687,7 +709,8 @@ _BROKEN_CHECKS = [
      else real(t, kind),
      "(5,2,1)"),
     ("markov", "pairwise-coprimality", "math",
-     lambda real: SimpleNamespace(gcd=lambda x, y: 2 if (x, y) == (13, 5) else real.gcd(x, y)),
+     lambda real: SimpleNamespace(gcd=lambda x, y: 2 if (x, y) == (13, 5) else real.gcd(x, y),
+                                 isqrt=real.isqrt),
      "(13,5,1)"),
     ("capacity", "width-bounds", "width",
      lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)"),

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from mbl.markov import fibonacci, markov_numbers, pell
+from mbl.markov import markov_numbers
 from mbl.oeis import SEQUENCE_IDS, cross_check, load_bfile, parse_bfile
+from mbl.suites import fibonacci, pell
 
 
 class TestParse:

@@ -11,18 +11,20 @@ from mbl.lattice import (
     EdgeData,
     LatticePolygon,
     RationalPoint,
-    UnimodularMap,
     _primitive,
     central_point,
-    check_alg_lemma,
-    inscribed_right_triangle,
     lattice_width,
-    random_unimodular,
-    shear_normalize,
     vianna_triangle,
     width_along,
 )
 from mbl.markov import MarkovTriple, enumerate_triples
+from mbl.suites import (
+    UnimodularMap,
+    check_alg_lemma,
+    inscribed_right_triangle,
+    random_unimodular,
+    shear_normalize,
+)
 
 from support import fraction_apply, fraction_spread, pruned_lattice_width
 

@@ -6,26 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mbl.markov
+import mbl.suites
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
     MarkovWalk,
     MutationKind,
     apex_for,
-    brute_force_triples,
     enumerate_triples,
-    fibonacci,
     is_markov,
     is_markov_number,
     markov_numbers,
     markov_prefix,
     mutate,
-    pell,
     tree_depth,
-    uniqueness_check,
     wedge,
 )
+from mbl.suites import brute_force_triples, fibonacci, pell, uniqueness_check
 
 from support import apex_of_number, essential_subtree
 
@@ -351,7 +348,7 @@ class TestUniqueness:
     def test_shared_maximum_detected(self, monkeypatch):
         walk = MarkovWalk()
         walk._heap.append((5, 2, 1))  # a second triple with maximum 5
-        monkeypatch.setattr(mbl.markov, "_WALK", walk)
+        monkeypatch.setattr(mbl.suites, "_WALK", walk)  # the walk uniqueness_check reads
         assert uniqueness_check(2)
         assert not uniqueness_check(5)
         with pytest.raises(VerificationError,

@@ -10,10 +10,8 @@ from mbl.markov import (
     MarkovTriple,
     chains,
     enumerate_triples,
-    fibonacci,
     is_markov,
     markov_prefix,
-    pell,
     wedge,
 )
 from mbl.ordering import (
@@ -28,9 +26,9 @@ from mbl.ordering import (
     ordered_prefix_complete_above,
     scan_window,
     spectrum_rows,
-    verify_chain_inequalities,
     verify_swap_pattern,
 )
+from mbl.suites import fibonacci, pell, verify_chain_inequalities
 
 from support import compare, essential_subtree, nn_inequality_holds, sorted_capacity_order
 
@@ -106,7 +104,7 @@ class TestChains:
         assert verify_chain_inequalities(5, 2, 1, 0)
         # k = 0 checks the opening chain bc/a > ac/g1 > ... > a g2/g3, as k = 1 does
         checked = []
-        monkeypatch.setattr("mbl.ordering._descends", checked.append)
+        monkeypatch.setattr("mbl.suites._descends", checked.append)
         for k in (0, 1):
             verify_chain_inequalities(5, 2, 1, k)
         assert checked[0] == checked[1] == [(2, 5), (5, 13), (10, 29), (65, 194),

@@ -6,11 +6,15 @@ outside its own definition, or be wrapped by the bench tracer
 as an attribute of that name somewhere in `src/` outside its own body.  Code
 that only the tests call is cost in `src/`: an oracle of that kind belongs
 in `tests/support.py`.  Dunder methods are out of scope: an operator use
-is not a name read.
+is not a name read.  What every process loads (`import mbl.cli`) holds only
+what some module of that set reads, and no module imports `mbl.cli`.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -71,3 +75,48 @@ def test_public_methods_and_properties_are_read_in_src():
         if reads[method.name] <= own:
             unread.append(qualname)
     assert unread == []
+
+
+def _imported_modules(stem: str, module: ast.Module) -> set[str]:
+    """The `mbl` modules an import anywhere in the module names, by stem."""
+    found = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("mbl.") for alias in node.names
+                      if alias.name.startswith("mbl.")}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and base != "mbl" and not base.startswith("mbl."):
+                continue
+            base = base.removeprefix("mbl").lstrip(".")
+            found |= {base} if base else {alias.name for alias in node.names}
+    return found
+
+
+def test_no_module_imports_cli():
+    importers = [stem for stem, module in _modules() if "cli" in _imported_modules(stem, module)]
+    assert importers == [], (
+        "under `python -m mbl.cli` the running module is __main__, not mbl.cli, "
+        "so importing mbl.cli compiles and runs cli.py a second time")
+
+
+def test_what_every_process_loads_serves_more_than_verify():
+    # every top-level function and class of a module that `import mbl.cli`
+    # loads is read outside its own definition by some module other than
+    # the verify suites, or wrapped by the bench tracer: what only `verify`
+    # runs belongs in mbl/suites.py, which only that command loads
+    probe = "import sys, mbl.cli; print(*sorted(n for n in sys.modules if n.startswith('mbl.')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded = {name.removeprefix("mbl.") for name in result.stdout.split()}
+    modules = dict(_modules())
+    assert loaded <= modules.keys() and "suites" not in loaded
+    statements = [(stmt, _read_names(stmt)) for stem, module in modules.items()
+                  if stem != "suites" for stmt in module.body]
+    unread = [
+        f"{stem}.{stmt.name}" for stem in sorted(loaded) for stmt in modules[stem].body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not any(stmt.name in names for other, names in statements if other is not stmt)
+    ]
+    assert sorted(set(unread) - _traced()) == []

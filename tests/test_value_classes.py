@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, UnimodularMap, vianna_triangle
+from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, vianna_triangle
 from mbl.markov import MarkovTriple
 from mbl.oeis import BFile, CrossCheckReport
 from mbl import ordering
 from mbl.ordering import CompletenessReport, IrregularityRecord, spectrum_rows
+from mbl.suites import UnimodularMap
 
 T = MarkovTriple
 
