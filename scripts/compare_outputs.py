@@ -36,7 +36,7 @@ FIXED = [
       for triple in ("5,2,1", "1,1,1") for fmt in ("text", "json", "csv")),
     *(("limits", "--n", "850", "--k", k, "--format", "json") for k in ("1", "7", "8")),
     ("limits", "--n", "2", "--format", "json"),
-    *(("limits", "--n", "450", "--format", fmt) for fmt in ("text", "csv")),
+    *(("limits", "--n", n, "--format", fmt) for n in ("450", "850") for fmt in ("text", "csv")),
     *(("irregularities", "--n-max", "793", "--format", fmt) for fmt in ("text", "csv")),
     ("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "450"),
     ("verify", "--suite", "ordering", "--n-max", "793"),

@@ -11,6 +11,7 @@ decision, only human-readable previews.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from fractions import Fraction
 
@@ -165,15 +166,30 @@ def ratio_to_json(num: int, den: int) -> dict:
     return {"num": str(num), "den": str(den)}
 
 
+@functools.cache
+def _contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:
+    return decimal.Context(prec=digits + 20), decimal.Context(prec=digits)
+
+
 def surd_decimal(parts, digits: int = 12) -> str:
-    """The decimal preview of q + s*sqrt(r) given as (num, den) pairs."""
+    """The decimal preview of q + s*sqrt(r) given as (num, den) pairs.
+
+    When q and s*sqrt(r) have opposite signs their sum cancels (a limit
+    point is about 1.5 m^2 - 1.5 m^2), so it is written as the exact
+    rational q^2 - s^2 r over q - s*sqrt(r), where nothing cancels.
+    """
     (qn, qd), (sn, sd), (rn, rd) = parts
-    ctx, dec = decimal.Context(prec=digits + 20), decimal.Decimal
+    (ctx, out), dec = _contexts(digits), decimal.Decimal
     val = ctx.divide(dec(qn), dec(qd))
     if sn:
-        root = ctx.sqrt(ctx.divide(dec(rn), dec(rd)))
-        val = ctx.add(val, ctx.multiply(ctx.divide(dec(sn), dec(sd)), root))
-    return str(decimal.Context(prec=digits).plus(val))
+        surd = ctx.multiply(ctx.divide(dec(sn), dec(sd)), ctx.sqrt(ctx.divide(dec(rn), dec(rd))))
+        if qn and (qn > 0) != (sn > 0):
+            num = ctx.divide(dec(qn * qn * sd * sd * rd - sn * sn * qd * qd * rn),
+                             dec(qd * qd * sd * sd * rd))
+            val = ctx.divide(num, ctx.subtract(val, surd))
+        else:
+            val = ctx.add(val, surd)
+    return str(out.plus(val))
 
 
 def width(t: MarkovTriple) -> Capacity:

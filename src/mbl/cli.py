@@ -10,7 +10,7 @@ command runs: `mbl.commands` (the other table commands), `mbl.suites`
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from fractions import Fraction
 
@@ -60,6 +60,7 @@ def _parse_rational(text: str) -> Fraction:
 
 def _fixture_match(records, n_max: int) -> bool:
     """Whether the records found up to n_max match the stored catalogue."""
+    import json
     from importlib import resources
 
     blob = (resources.files("mbl") / "data" / "irregularities_450.json").read_text()
@@ -270,5 +271,21 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The `mbl` process: main(), a flush, then exit without interpreter teardown.
+
+    A flush that fails (stdout closed) is an i/o error; a SystemExit or an
+    uncaught exception from main takes Python's own exit path.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        print(f"mbl: i/o error: {exc}", file=sys.stderr, flush=True)
+        status = EXIT_IO
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,7 +10,6 @@ network fetching is opt-in only.
 
 from __future__ import annotations
 
-import json
 import os
 from importlib import resources
 from pathlib import Path
@@ -74,6 +73,7 @@ def parse_bfile(data: bytes | str, sequence_id: str = "?", source: str = "local"
 
 def _vendored_bytes(kind: str) -> bytes:
     import hashlib  # imported here: no other path hashes anything
+    import json  # nor reads JSON
     seq = SEQUENCE_IDS[kind]
     name = f"b{seq[1:]}.txt"
     package = resources.files("mbl") / "data"

@@ -70,34 +70,23 @@ class SpectrumRow(_Record):
         integer or a decimal preview, so none needs escaping.
         """
         i1 = newline + "  "
-        i2 = i1 + "  "
+        i2, i3 = i1 + "  ", i1 + "    "
+        pair = f'{{{i3}"den": "%d",{i3}"num": "%d"{i2}}}'  # {"num": ..., "den": ...}
+        surd = f'{{{i2}"q": {pair},{i2}"r": {pair},{i2}"s": {pair}{i1}}}'
         limit, lagrange = closed_forms(self.m)
+        (qn, qd), (sn, sd), (r, rd) = limit
+        (lqn, lqd), (lsn, lsd), _ = lagrange  # r as in the limit
         a, b, c = self.apex
-        caps = ("[" + i2 + ("," + i2).join(_ratio_text(*pair, i2) for pair in self.ratios)
+        caps = ("[" + i2 + ("," + i2).join([pair % (den, num) for num, den in self.ratios])
                 + i1 + "]") if self.ratios else "[]"
         return (f'{{{i1}"apex": {{{i2}"a": "{a}",{i2}"b": "{b}",{i2}"c": "{c}"{i1}}},'
                 f'{i1}"b": "{self.b}",'
                 f'{i1}"degenerate_b": {"true" if self.degenerate else "false"},'
                 f'{i1}"first_capacities": {caps},'
-                f'{i1}"lagrange": {_surd_text(lagrange, i1)},'
-                f'{i1}"limit": {_surd_text(limit, i1)},'
+                f'{i1}"lagrange": {surd % (lqd, lqn, rd, r, lsd, lsn)},'
+                f'{i1}"limit": {surd % (qd, qn, rd, r, sd, sn)},'
                 f'{i1}"m": "{self.m}",{i1}"n": {self.n},'
                 f'{i1}"preview": "{surd_decimal(limit)}"{newline}}}')
-
-
-def _ratio_text(num: int, den: int, newline: str) -> str:
-    # {"num": str(num), "den": str(den)} as the JSON writer indents it
-    inner = newline + "  "
-    return f'{{{inner}"den": "{den}",{inner}"num": "{num}"{newline}}}'
-
-
-def _surd_text(parts, newline: str) -> str:
-    # q + s*sqrt(r) given as the (num, den) pairs of q, s and r, in the JSON
-    # writer's form of {"q": ..., "s": ..., "r": ...}
-    q, s, r = parts
-    inner = newline + "  "
-    return (f'{{{inner}"q": {_ratio_text(*q, inner)},{inner}"r": {_ratio_text(*r, inner)},'
-            f'{inner}"s": {_ratio_text(*s, inner)}{newline}}}')
 
 
 #: The catalogued swap patterns: each span n' - n with the sentence naming it.
@@ -202,8 +191,11 @@ def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], 
     # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a); for
     # a >= 5 level 1 holds none and each level below it two, one per chain
     a = apex.a
-    depth = k + 1 if a < 5 else (k + 1) // 2 + 1
-    return tuple([cap for cap in _chain_capacities(apex, depth) if cap[0] >= a * a][:k])
+    if a < 5:
+        return tuple([cap for cap in _chain_capacities(apex, k + 1) if cap[0] >= a * a][:k])
+    columns = chains(apex, (k + 1) // 2 + 1)
+    return tuple([(a * xs[i - 1], xs[i]) for i in range(2, len(columns[0]))
+                  for xs in columns][:k])
 
 
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
@@ -233,16 +225,21 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     return rows
 
 
-def scan_window(n: int, numbers) -> range:
-    """Indices n' that could violate the inequality against n.
+def scan_windows(numbers, n_max: int):
+    """(n, window) for n = 1..n_max: the indices n' that could violate the
+    inequality against n.
 
     Since b_{n'} > m_{n'}, a violation needs 2/m_{n'}^2 > 1/m_n^2, so only
-    n' with m_{n'}^2 < 2 m_n^2 can offend; the window is therefore finite.
+    n' with m_{n'}^2 < 2 m_n^2 can offend; the window is therefore finite,
+    and its end never moves back, since m_n increases with n.
     """
-    limit, end = _deficit(numbers[n - 1]), n + 1
-    while end <= len(numbers) and _exceeds(_deficit(m := numbers[end - 1], m), limit):
-        end += 1
-    return range(n + 1, end)
+    squares = [m * m for m in numbers]
+    end = 0  # squares[end] is the first square >= 2 m_n^2
+    for n in range(1, n_max + 1):
+        bound = 2 * squares[n - 1]
+        while end < len(squares) and squares[end] < bound:
+            end += 1
+        yield n, range(n + 1, end + 1)
 
 
 def find_irregularities(n_max: int) -> list[IrregularityRecord]:
@@ -259,9 +256,9 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), last))
     leads = [_deficit(m, _b_value(apex)) for m, apex in zip(numbers, apexes)]
     lowest_n: dict[int, int] = {}
-    for n in range(1, n_max + 1):
+    for n, window in scan_windows(numbers, n_max):
         limit = _deficit(numbers[n - 1])
-        for n_prime in scan_window(n, numbers):
+        for n_prime in window:
             if _exceeds(leads[n_prime - 1], limit):  # the juxtaposition inequality fails
                 lowest_n.setdefault(n_prime, n)  # n only grows: the first is lowest
     # built by increasing n', so an uncatalogued span fails at its first record

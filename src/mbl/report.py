@@ -14,7 +14,10 @@ import io
 import sys
 from collections.abc import Callable
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote  # the C encoder
+try:  # the C quoter of json.encoder, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .capacity import QuadraticValue
 
@@ -69,7 +72,7 @@ def _json_text(value, newline: str = "\n") -> str:
     covers only what payloads hold (dicts with str keys, lists, tuples, str,
     int, bool, None: exactly these types, not subclasses) and raises
     TypeError on anything else, floats included.  Strings go through the C
-    quoting of json.encoder, most of them without a call of their own.  A
+    quoting json.encoder uses, most of them without a call of their own.  A
     value of any other class that defines `json_text(newline)` writes itself:
     that method returns the bytes this writer gives its JSON form at the
     indent `newline` opens.

@@ -25,7 +25,7 @@ from mbl.ordering import (
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
-    scan_window,
+    scan_windows,
     spectrum_rows,
 )
 from mbl.suites import (
@@ -106,8 +106,7 @@ def test_criterion_03_irregularity_catalogue():
 def test_criterion_04_regular_prefix():
     with _Timer(4, "juxtaposition inequality holds for all n <= 32", 30.0):
         numbers, _ = markov_prefix(48)
-        for n in range(1, 33):
-            window = scan_window(n, numbers)
+        for n, window in scan_windows(numbers, 32):
             for n_prime in window:
                 assert nn_inequality_holds(n, n_prime)
 

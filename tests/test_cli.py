@@ -139,13 +139,13 @@ _REPORT_DIGESTS = [
 _T44, _T29, _T30 = (str(Fraction(1, 3) + Fraction(2, 10 ** e)) for e in (44, 29, 30))
 _ORDER_SCALE_DIGESTS = [
     ("limits --n 450", "text", 0,
-     "0b08c30137780eb57b9ca889921d6655b912c313293b6812db4ae43371e8cde9"),
+     "40efccaedd840dee473f592bc0665cf7cb31cd3332909fa230ef443e11777a9c"),
     ("limits --n 450", "csv", 0,
-     "8a8170f4d02b05bd538d5c8e2a503312092e051104632df004bde215965e5a1d"),
+     "2d64cbc3c70dbeb82ca0c589679bb37642cecb1f7bcf94673ba8d75c839a3dca"),
     ("limits --n 450", "json", 0,
-     "97c8fd9ffe6fbf1d96e0c94653ec8b641480e7c2b678755d8be14b72d0505305"),
+     "7628697ecb708ebb4b457289f9c3a5ef80647bb6b379687481e29628ecdcec90"),
     ("limits --n 850 --k 7", "json", 0,
-     "8e3e6c1ad87f431249daaca17d2dcdb45778ab1e668688ad878a548474d08825"),
+     "4694f0b1cedb2319a979993f07dd877a274940ddacbc3391e71e4661352c2070"),
     (f"complete --threshold {_T44} --n-max 450", "text", 0,
      "aed4768a94ef9b8ac5e7d0223a3251238eec6e4f302584fac713915ae5f07d75"),
     (f"complete --threshold {_T44} --n-max 450", "json", 0,
@@ -308,8 +308,8 @@ _IMPORT_CLOSURE = frozenset("""
     decimal enum errno fnmatch fractions functools genericpath gettext heapq
     importlib importlib._bootstrap importlib._bootstrap_external importlib.resources
     importlib.resources._adapters importlib.resources._common
-    importlib.resources._legacy importlib.resources.abc ipaddress itertools json
-    json.decoder json.encoder json.scanner keyword lzma math mbl mbl.capacity
+    importlib.resources._legacy importlib.resources.abc ipaddress itertools
+    keyword lzma math mbl mbl.capacity
     mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering mbl.report
     ntpath numbers
     operator os os.path pathlib posixpath random re re._casefix re._compiler
@@ -319,22 +319,23 @@ _IMPORT_CLOSURE = frozenset("""
 
 
 def test_import_loads_no_unused_machinery():
-    # dataclasses (with inspect), csv, hashlib and every handler module
-    # outside mbl.cli (commands, suites, svg) serve few commands and load
-    # inside them; every traced owner, lattice and oeis included, loads
-    # eagerly, because the bench tracer (perfbench/tracer.py, install)
-    # re-binds its traced functions only in modules already loaded
+    # dataclasses (with inspect), csv, hashlib, the json package and every
+    # handler module outside mbl.cli (commands, suites, svg) serve few
+    # commands and load inside them; every traced owner, lattice and oeis
+    # included, loads eagerly, because the bench tracer (perfbench/tracer.py,
+    # install) re-binds its traced functions only in modules already loaded
     probe = ("import sys; before = set(sys.modules); import mbl.cli; "
              "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     loaded = set(result.stdout.split())
-    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "mbl.commands",
-                     "mbl.suites", "mbl.svg"} == set()
+    assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "json", "json.decoder",
+                     "json.encoder", "json.scanner", "mbl.commands", "mbl.suites",
+                     "mbl.svg"} == set()
     assert {"mbl.cli", "mbl.markov", "mbl.capacity", "mbl.ordering", "mbl.lattice",
             "mbl.oeis"} <= loaded
-    if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer reuses json.encoder
+    if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer quotes with _json
         assert loaded <= _IMPORT_CLOSURE
 
 
@@ -439,6 +440,79 @@ def test_only_the_process_freezes_the_gc(capsys):
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stderr == "0 True\n"
+
+
+def _process(*argv, unbuffered=False, stdout=subprocess.PIPE):
+    # `python -m mbl.cli argv` on this tree in a fresh interpreter, its stdout
+    # block-buffered unless asked otherwise
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(mbl.cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("command, code", [("limits --n 3", 0),
+                                           ("limits --n 40 --format json", 0),
+                                           ("irregularities --n-max 800", 1)])
+def test_the_process_ends_as_main_returns(capsys, tmp_path, command, code):
+    # the process exits through a flush and os._exit: the bytes and status of
+    # an in-process main(argv), and with --out a complete file
+    argv = command.split()
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    done = _process(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    paths = tmp_path / "main.out", tmp_path / "process.out"
+    assert run(capsys, *argv, "--out", str(paths[0])) == (code, "", expected[2])
+    done = _process(*argv, "--out", str(paths[1]))
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", expected[2])
+    assert [path.read_text() if path.exists() else None
+            for path in paths] == [expected[1] or None] * 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_is_an_io_error(unbuffered):
+    # unbuffered, the write finds the pipe closed; buffered, the final flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _process("limits", "--n", "3", unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (3, "mbl: i/o error: [Errno 32] Broken pipe\n")
+
+
+def _rounded_limit(m: int, digits: int = 12) -> str:
+    """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m correctly rounded to
+    `digits` significant digits, from integers and isqrt alone."""
+    d, scale = 9 * m * m - 4, 10 ** (digits + 30)
+    p = 4 * m * 10 ** digits  # p/(3m + sqrt(d)) is twice the limit times 10^digits
+    t = p * scale // (3 * m * scale + math.isqrt(d * scale * scale) + 1)
+    while (t + 1) * 3 * m <= p and (t + 1) ** 2 * d <= (p - (t + 1) * 3 * m) ** 2:
+        t += 1  # t + 1 still fits: t(3m + sqrt(d)) <= p
+    return f"0.{(t + 1) // 2}"  # the limit lies in (1/3, 1/2)
+
+
+def test_limit_previews_are_correctly_rounded(capsys):
+    # the preview of a limit q + s*sqrt(r) with q near -s*sqrt(r) ~ 1.5 m^2
+    code, out, _ = run(capsys, "limits", "--n", "850", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    previews = [row["preview"] for row in rows]
+    assert previews == [_rounded_limit(int(row["m"])) for row in rows]
+    code, out, _ = run(capsys, "limits", "--n", "850")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[-1] for line in lines[2:852]] == previews
+    assert lines[852].startswith("# ")
+
+
+def test_limit_decimals_hold_40_correct_digits():
+    # the numberline figure places its limit ticks by these
+    for row in mbl.ordering.spectrum_rows(850, 1):
+        assert row.limit.decimal(40) == _rounded_limit(row.m, 40)
 
 
 class TestWidths:
