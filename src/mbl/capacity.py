@@ -93,10 +93,6 @@ class QuadraticValue:
     def r(self) -> Fraction:
         return self._r
 
-    @property
-    def is_rational(self) -> bool:
-        return self._s == 0
-
     def _cleared(self) -> tuple[int, int, int, int]:
         """Integers (A, B, R, D) with self = (A + B*sqrt(R))/D and D > 0."""
         q, s, r = self._q, self._s, self._r
@@ -139,31 +135,29 @@ class QuadraticValue:
             return self.compare(other) == 0
         return NotImplemented
 
-    def decimal(self, digits: int = 12) -> str:
-        """Correctly rounded decimal preview; display only, never re-used."""
-        return surd_decimal([(x.numerator, x.denominator)
-                             for x in (self._q, self._s, self._r)], digits)
-
-    def __str__(self) -> str:
-        if self.is_rational:
-            return str(self._q)
-        mag = abs(self._s)
-        surd = f"sqrt({self._r})" if mag == 1 else f"{mag}*sqrt({self._r})"
-        if self._q == 0:
-            return surd if self._s > 0 else f"-{surd}"
-        op = "+" if self._s > 0 else "-"
-        return f"{self._q} {op} {surd}"
-
     def __repr__(self) -> str:
         return f"QuadraticValue({self._q!r}, {self._s!r}, {self._r!r})"
 
 
 def capacity_to_json(x: Fraction) -> dict:
-    return ratio_to_json(x.numerator, x.denominator)
+    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def ratio_to_json(num: int, den: int) -> dict:
-    return {"num": str(num), "den": str(den)}
+def _ratio_text(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def surd_text(parts) -> str:
+    """q + s*sqrt(r) given as reduced (num, den) pairs, s != 0 and r not a
+    square, with each part written as str(Fraction) writes it:
+    "3/2 - 1/2*sqrt(5)", "1/2*sqrt(32)", "-sqrt(5)"."""
+    (qn, qd), (sn, sd), r = parts
+    surd = f"sqrt({_ratio_text(*r)})"
+    if (abs(sn), sd) != (1, 1):
+        surd = f"{_ratio_text(abs(sn), sd)}*{surd}"
+    if qn == 0:
+        return surd if sn > 0 else "-" + surd
+    return f"{_ratio_text(qn, qd)} {'+' if sn > 0 else '-'} {surd}"
 
 
 @functools.cache
@@ -215,12 +209,3 @@ def lagrange_number(a: int) -> QuadraticValue:
     _require_markov_number(a)
     return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[1]))
 
-
-def limit_point(a: int) -> QuadraticValue:
-    """2/(3 + sqrt(9 - 4/a^2)), rationalized: (3a^2 - a*sqrt(9a^2-4))/2.
-
-    This is the accumulation point of the capacities along any branch
-    preserving a; it lies strictly between 1/3 and 1/2.
-    """
-    _require_markov_number(a)
-    return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[0]))

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import lattice, oeis
-from .capacity import lagrange_number
+from .capacity import closed_forms, surd_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import (
@@ -30,6 +30,7 @@ from .report import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    _at_least_one,
     _emit_rows,
     _preview,
     _report,
@@ -77,6 +78,7 @@ def _fixture_match(records, n_max: int) -> bool:
 
 
 def cmd_irregularities(config: argparse.Namespace) -> int:
+    _at_least_one(config, "--n-max")
     records = find_irregularities(config.n_max)
     checked = [(rec, verify_swap_pattern(rec)) for rec in records]
     payload = {"command": "irregularities", "n_max": config.n_max}
@@ -101,20 +103,26 @@ def cmd_irregularities(config: argparse.Namespace) -> int:
 def cmd_limits(config: argparse.Namespace) -> int:
     if config.k is not None and config.fmt != "json":
         raise ValueError("--k shows only in the JSON rows; use it with --format json")
+    _at_least_one(config, "--n", "--k")
     rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
     notes = ("* b for rows 1 and 2 follows the second-smallest-member "
              "convention (values 2 and 5)",)
+
+    def cells(row):
+        limit, lagrange = closed_forms(row.m)
+        return [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
+                surd_text(lagrange), surd_text(limit), surd_decimal(limit)]
+
     return _emit_rows(
         config, ["n", "m", "b", "lagrange", "limit", "decimal"],
-        [(row,) for row in rows],
-        lambda row: [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
-                     str(lagrange_number(row.m)), str(row.limit), _preview(row.limit)],
+        [(row,) for row in rows], cells,
         lambda row: row,  # a row writes its own JSON text
         {"command": "limits"}, notes,
     )
 
 
 def cmd_complete(config: argparse.Namespace) -> int:
+    _at_least_one(config, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
     spans = ", ".join(f"span-{span} at {[r.n for r in report.records if r.span == span]}"
                       for span in SWAP_PATTERNS)
@@ -274,13 +282,15 @@ def main(argv=None) -> int:
 def run() -> None:
     """The `mbl` process: main(), a flush, then exit without interpreter teardown.
 
-    A flush that fails (stdout closed) is an i/o error; a SystemExit or an
-    uncaught exception from main takes Python's own exit path.
+    A flush that fails (stdout closed) is an i/o error; a stream whose file
+    descriptor was closed at start-up is None and is not flushed; a
+    SystemExit or an uncaught exception from main takes Python's own exit path.
     """
     status = main()
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
     except OSError as exc:
         print(f"mbl: i/o error: {exc}", file=sys.stderr, flush=True)
         status = EXIT_IO

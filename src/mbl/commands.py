@@ -15,7 +15,8 @@ from .capacity import capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import MarkovTriple, apex_for, enumerate_triples, tree_depth, wedge
 from .ordering import alternating_order
-from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _preview, _report, _table
+from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least_one, _emit_rows, _preview,
+                     _report, _table)
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
 
@@ -36,6 +37,7 @@ def cmd_widths(config: argparse.Namespace) -> int:
 
 
 def cmd_triples(config: argparse.Namespace) -> int:
+    _at_least_one(config, "--max-bound")
     records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
     return _emit_rows(
         config, ["triple", "depth", "width"], records,
@@ -141,6 +143,7 @@ def cmd_width(config: argparse.Namespace) -> int:
 def cmd_ingest(config: argparse.Namespace) -> int:
     if config.bfile is not None and config.kind == "all":
         raise ValueError("--bfile holds one sequence; name it with --kind")
+    _at_least_one(config, "--n")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
     if config.fetch:
         for kind in kinds:

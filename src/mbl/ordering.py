@@ -26,10 +26,8 @@ deficits, and `_exceeds` decides every comparison between two of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
-from .capacity import (Capacity, QuadraticValue, _sign, capacity_to_json, closed_forms,
-                       limit_point, surd_decimal, width)
+from .capacity import Capacity, _sign, capacity_to_json, closed_forms, surd_decimal, width
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -38,22 +36,14 @@ DESCENT_DEPTH = 6
 
 class SpectrumRow(_Record):
     """Ordering data for one essential sequence: `ratios` holds the first
-    capacities as (num, den) pairs; their Fractions and the limit are built
-    on first read."""
+    capacities as (num, den) pairs; the limit and the Lagrange number are
+    `closed_forms(m)`."""
 
     n: int
     m: int
     apex: MarkovTriple
     b: int
     ratios: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def first_capacities(self) -> tuple[Capacity, ...]:
-        return tuple(Fraction(num, den) for num, den in self.ratios)
-
-    @cached_property
-    def limit(self) -> QuadraticValue:
-        return limit_point(self.m)
 
     @property
     def degenerate(self) -> bool:

@@ -19,8 +19,6 @@ try:  # the C quoter of json.encoder, without loading the json package
 except ImportError:
     from json.encoder import encode_basestring_ascii as _quote
 
-from .capacity import QuadraticValue
-
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
@@ -28,13 +26,19 @@ EXIT_IO = 3
 
 
 def _preview(value, digits: int = 12) -> str:
-    if isinstance(value, QuadraticValue):
-        return value.decimal(digits)
     value = Fraction(value)
     ctx = decimal.Context(prec=digits)
     return str(
         ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
     )
+
+
+def _at_least_one(config: argparse.Namespace, *flags: str) -> None:
+    """Raise the usage error naming the first of the flags ("--n-max") set below 1."""
+    for flag in flags:
+        value = getattr(config, flag[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1")
 
 
 def _table(
@@ -61,6 +65,8 @@ def _emit(config: argparse.Namespace, data: str) -> None:
     if config.out:
         with open(config.out, "w") as handle:
             handle.write(data)
+    elif sys.stdout is None:  # Python's stdout when file descriptor 1 is closed
+        raise OSError("stdout is closed")
     else:
         sys.stdout.write(data)
 

@@ -20,8 +20,9 @@ from .capacity import (
     Capacity,
     QuadraticValue,
     _fraction,
+    _require_markov_number,
+    closed_forms,
     lagrange_number,
-    limit_point,
     width,
 )
 from .errors import VerificationError, _Record
@@ -113,6 +114,16 @@ def surd_identity_check(t: MarkovTriple) -> bool:
     lhs = (2 * a - 3 * b * c) ** 2
     rhs = 9 * b * b * c * c - 4 * b * b - 4 * c * c
     return lhs == rhs and 2 * a >= 3 * b * c
+
+
+def limit_point(a: int) -> QuadraticValue:
+    """2/(3 + sqrt(9 - 4/a^2)), rationalized: (3a^2 - a*sqrt(9a^2-4))/2.
+
+    This is the accumulation point of the capacities along any branch
+    preserving a; it lies strictly between 1/3 and 1/2.
+    """
+    _require_markov_number(a)
+    return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[0]))
 
 
 def width_as_surd(t: MarkovTriple) -> QuadraticValue:

@@ -10,14 +10,13 @@ handler of `mbl plot`; only that command loads this module.
 from __future__ import annotations
 
 import argparse
-import decimal
 from fractions import Fraction
 
-from .capacity import QuadraticValue, width
+from .capacity import closed_forms, surd_decimal, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
-from .report import EXIT_OK, _emit
+from .report import EXIT_OK, _at_least_one, _emit
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -110,13 +109,6 @@ def figure_subtree(apex: MarkovTriple, depth: int) -> str:
     return _document(width_px, height_px, body)
 
 
-def _approx(value) -> Fraction:
-    """Rational stand-in for layout only (40 correct digits)."""
-    if isinstance(value, QuadraticValue):
-        return Fraction(decimal.Decimal(value.decimal(40)))
-    return Fraction(value)
-
-
 def figure_numberline(n: int, k: int) -> str:
     """Clustered capacity sequences around an irregularity at index n.
 
@@ -130,10 +122,10 @@ def figure_numberline(n: int, k: int) -> str:
     indices = list(range(n - 1, n + rec.span + 1))
     rows = {row.n: row for row in spectrum_rows(n + rec.span, k)}
     seqs = [rows[i] for i in indices]
-    values: list[Fraction] = []
-    for row in seqs:
-        values.extend(_approx(w) for w in row.first_capacities)
-        values.append(_approx(row.limit))
+    # the capacities exactly; each limit, for layout only, to 40 correct digits
+    caps = [[Fraction(*ratio) for ratio in row.ratios] for row in seqs]
+    limits = [Fraction(surd_decimal(closed_forms(row.m)[0], 40)) for row in seqs]
+    values = [*limits, *(w for ws in caps for w in ws)]
     lo, hi = min(values), max(values)
     pad = (hi - lo) / 12
     lo, hi = lo - pad, hi + pad
@@ -159,8 +151,8 @@ def figure_numberline(n: int, k: int) -> str:
         label_y = axis_y + 40 + 18 * color_idx
         body.append(_text(margin, label_y, f"w(ess {row.n}), m = {row.m}",
                           anchor="start", size=11, fill=color))
-        for j, w in enumerate(row.first_capacities):
-            x = xpos(_approx(w))
+        for j, w in enumerate(caps[color_idx]):
+            x = xpos(w)
             swapped = row.n == rec.n_prime and j == 0
             tick = 26 if swapped else 16
             body.append(_line(x, axis_y - tick, x, axis_y, color,
@@ -168,7 +160,7 @@ def figure_numberline(n: int, k: int) -> str:
             if swapped:
                 body.append(_text(x, axis_y - tick - 6, f"w1({row.n}) swapped",
                                   size=11, fill=STYLE["order_stroke"]))
-        x = xpos(_approx(row.limit))
+        x = xpos(limits[color_idx])
         body.append(_line(x, axis_y, x, axis_y + 10, color, dash="2,2"))
     return _document(width_px, height_px, body)
 
@@ -229,6 +221,7 @@ def cmd_plot(config: argparse.Namespace) -> int:
         triple = config.triple or MarkovTriple(5, 2, 1)
         data = figure_subtree(triple, config.depth)
     elif config.figure == "numberline":
+        _at_least_one(config, "--n", "--k")
         data = figure_numberline(config.n, k=config.k)
     elif config.triple is None:
         raise ValueError("plot --figure triangle needs --triple")

@@ -12,12 +12,13 @@ from mbl.capacity import (
     capacity_to_json,
     closed_forms,
     lagrange_number,
-    limit_point,
+    surd_decimal,
+    surd_text,
     width,
 )
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 from mbl.ordering import spectrum_rows
-from mbl.suites import convergence_trace, surd_identity_check, width_as_surd
+from mbl.suites import convergence_trace, limit_point, surd_identity_check, width_as_surd
 
 from support import compare, interval_compare, random_quadratic
 
@@ -103,7 +104,7 @@ class TestSpectrumValues:
     def test_limit_point_one(self):
         lp = limit_point(1)
         assert (lp.q, lp.s, lp.r) == (Fraction(3, 2), Fraction(-1, 2), 5)
-        assert lp.decimal().startswith("0.38196601125")
+        assert surd_decimal(closed_forms(1)[0]).startswith("0.38196601125")
 
     def test_limit_point_two(self):
         # 2/(3 + sqrt(8)) rationalizes to 6 - 4*sqrt(2)
@@ -160,10 +161,11 @@ class TestCompare:
         # the smallest gap here is about 4e-237: 200 digits leave hundreds of
         # these pairs unseparated, 600 digits separate every one
         for row in spectrum_rows(850, 6):
-            for w in row.first_capacities:
-                assert interval_compare(QV(w), row.limit, 600) == 1
-                assert compare(w, row.limit) == 1
-                assert row.limit.compare(w) == -1
+            limit = limit_point(row.m)
+            for w in (Fraction(*ratio) for ratio in row.ratios):
+                assert interval_compare(QV(w), limit, 600) == 1
+                assert compare(w, limit) == 1
+                assert limit.compare(w) == -1
 
     def test_sign_exact_on_square_radicands(self):
         # canonical values never reach _sign with a square radicand and
@@ -202,10 +204,8 @@ class _SortKey:
 
 class TestQuadraticValue:
     def test_perfect_square_folds(self):
-        assert QV(0, 1, 9).is_rational
-        assert QV(0, 1, 9).q == 3
-        assert QV(1, 2, Fraction(9, 4)).is_rational
-        assert QV(1, 2, Fraction(9, 4)).q == 4
+        for value, q in ((QV(0, 1, 9), 3), (QV(1, 2, Fraction(9, 4)), 4)):
+            assert (value.q, value.s, value.r) == (q, 0, 0)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ class TestQuadraticValue:
             QV.sqrt(2) < QV.sqrt(3)
 
     def test_decimal_of_rational(self):
-        assert QV(Fraction(1, 2)).decimal() == "0.5"
+        assert surd_decimal(((1, 2), (0, 1), (0, 1))) == "0.5"
 
     def test_json_roundtrip(self):
         row = spectrum_rows(3)[2]  # m = 5; the row writes its limit from closed_forms(5)
@@ -236,9 +236,23 @@ class TestQuadraticValue:
                                       for x in (value.q, value.s, value.r))
 
     def test_str_forms(self):
-        assert str(QV(Fraction(2, 5))) == "2/5"
-        assert str(QV.sqrt(5)) == "sqrt(5)"
-        assert str(limit_point(1)) == "3/2 - 1/2*sqrt(5)"
+        assert surd_text(((0, 1), (1, 1), (5, 1))) == "sqrt(5)"
+        assert surd_text(((0, 1), (-2, 3), (5, 7))) == "-2/3*sqrt(5/7)"
+        assert surd_text(((1, 1), (1, 1), (2, 1))) == "1 + sqrt(2)"
+        assert surd_text(closed_forms(1)[0]) == "3/2 - 1/2*sqrt(5)"
+        assert [surd_text(parts) for parts in closed_forms(2)] == ["6 - sqrt(32)",
+                                                                   "1/2*sqrt(32)"]
+
+    def test_text_reads_back_as_the_closed_forms(self):
+        def read(text):  # "q - s*sqrt(r)" or "s*sqrt(r)", a factor 1 left out
+            q, minus, surd = text.rpartition(" - ")
+            s, r = surd.removesuffix(")").split("sqrt(")
+            s = Fraction(s.removesuffix("*") or 1)
+            return Fraction(q or 0), -s if minus else s, Fraction(r)
+
+        for m in markov_numbers(900):
+            for parts in closed_forms(m):
+                assert read(surd_text(parts)) == tuple(Fraction(*part) for part in parts)
 
     @settings(deadline=None)
     @given(

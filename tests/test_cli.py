@@ -283,6 +283,15 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("complete --threshold 1/0", 2,
      "mbl: expected an exact rational like 'p/q', got '1/0'\n"),
     ("plot --figure triangle", 2, "mbl: plot --figure triangle needs --triple\n"),
+    # a bound below 1 is named by the flag that set it
+    ("limits --n 0", 2, "mbl: --n must be >= 1\n"),
+    ("limits --n 3 --k 0 --format json", 2, "mbl: --k must be >= 1\n"),
+    ("plot --figure numberline --n 0", 2, "mbl: --n must be >= 1\n"),
+    ("plot --figure numberline --n 33 --k 0", 2, "mbl: --k must be >= 1\n"),
+    ("irregularities --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
+    ("complete --threshold 7/20 --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
+    ("triples --max-bound 0", 2, "mbl: --max-bound must be >= 1\n"),
+    ("ingest --n 0", 2, "mbl: --n must be >= 1\n"),
 ])
 def test_error_exits_write_one_line_to_stderr(capsys, command, exit_code, err):
     assert run(capsys, *command.split()) == (exit_code, "", err)
@@ -442,7 +451,7 @@ def test_only_the_process_freezes_the_gc(capsys):
     assert result.stderr == "0 True\n"
 
 
-def _process(*argv, unbuffered=False, stdout=subprocess.PIPE):
+def _process(*argv, unbuffered=False, stdout=subprocess.PIPE, **popen):
     # `python -m mbl.cli argv` on this tree in a fresh interpreter, its stdout
     # block-buffered unless asked otherwise
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -450,7 +459,7 @@ def _process(*argv, unbuffered=False, stdout=subprocess.PIPE):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, **popen)
 
 
 @pytest.mark.parametrize("command, code", [("limits --n 3", 0),
@@ -484,6 +493,21 @@ def test_a_closed_stdout_is_an_io_error(unbuffered):
     assert (done.returncode, done.stderr) == (3, "mbl: i/o error: [Errno 32] Broken pipe\n")
 
 
+def test_a_stdout_closed_at_start_is_an_io_error(capsys, tmp_path):
+    # with file descriptor 1 closed Python's sys.stdout is None: the table
+    # cannot be written there, while --out writes the whole file and exits 0
+    def close_stdout():
+        os.close(1)
+
+    done = _process("limits", "--n", "3", stdout=None, preexec_fn=close_stdout)
+    assert (done.returncode, done.stderr) == (3, "mbl: i/o error: stdout is closed\n")
+    path = tmp_path / "limits.txt"
+    done = _process("limits", "--n", "3", "--out", str(path), stdout=None,
+                    preexec_fn=close_stdout)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert path.read_text() == run(capsys, "limits", "--n", "3")[1]
+
+
 def _rounded_limit(m: int, digits: int = 12) -> str:
     """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m correctly rounded to
     `digits` significant digits, from integers and isqrt alone."""
@@ -511,8 +535,9 @@ def test_limit_previews_are_correctly_rounded(capsys):
 
 def test_limit_decimals_hold_40_correct_digits():
     # the numberline figure places its limit ticks by these
-    for row in mbl.ordering.spectrum_rows(850, 1):
-        assert row.limit.decimal(40) == _rounded_limit(row.m, 40)
+    for m in markov_numbers(850):
+        limit = mbl.capacity.closed_forms(m)[0]
+        assert mbl.capacity.surd_decimal(limit, 40) == _rounded_limit(m, 40)
 
 
 class TestWidths:
@@ -687,20 +712,28 @@ class TestFormatOnlyRendering:
         code, out, _ = run(capsys, "limits", "--n", "40", "--format", "json")
         assert code == 0 and out == expected
 
-    def test_json_builds_no_value_objects(self, capsys, monkeypatch):
-        # the JSON rows come from the integers: no surd, limit or Lagrange
-        # value and no Fraction is built for them
+    def _limits_450_from_integers(self, capsys, monkeypatch, fmt):
+        # no surd, limit or Lagrange value and no Fraction is built for the
+        # rows, and the bytes are the pinned ones
         monkeypatch.setattr(mbl.capacity.QuadraticValue, "__init__", self.refuse)
         monkeypatch.setattr(mbl.ordering, "Fraction", self.refuse)
-        for module in (mbl.capacity, mbl.ordering, mbl.cli):
+        for module in (mbl.capacity, mbl.ordering, mbl.cli, mbl.suites):
             for name in ("limit_point", "lagrange_number"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, self.refuse)
-        digest = next(digest for command, fmt, _, digest in _ORDER_SCALE_DIGESTS
-                      if (command, fmt) == ("limits --n 450", "json"))
-        code, out, _ = run(capsys, "limits", "--n", "450", "--format", "json")
+        digest = next(digest for command, fmt_, _, digest in _ORDER_SCALE_DIGESTS
+                      if (command, fmt_) == ("limits --n 450", fmt))
+        code, out, _ = run(capsys, "limits", "--n", "450", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_builds_no_value_objects(self, capsys, monkeypatch):
+        self._limits_450_from_integers(capsys, monkeypatch, "json")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_text_and_csv_build_no_value_objects(self, capsys, monkeypatch, fmt):
+        # the cells come from the closed forms, as the JSON rows do
+        self._limits_450_from_integers(capsys, monkeypatch, fmt)
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):
@@ -1024,6 +1057,16 @@ class TestPlot:
         assert main(["plot", "--figure", "numberline", "--n", "33",
                      "--out", str(out)]) == 0
         assert "swapped" in out.read_text()
+
+    @pytest.mark.parametrize("n, digest", [
+        (33, "84afe8f82fbfc4b34e9d6547e81561a01dcbd26f505ef156745574877d73160e"),
+        (369, "fde030ccf8b964c45785d92ddb1780f11e40a2988b9808b88c05d01b707559da"),
+    ])
+    def test_numberline_figure_bytes_are_pinned(self, tmp_path, n, digest):
+        out = tmp_path / "numberline.svg"
+        assert main(["plot", "--figure", "numberline", "--n", str(n),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_numberline_regular_index_rejected(self, capsys):
         for n in (10, 792):  # a scan to 792 + 3 meets the span-3 refusal at 794

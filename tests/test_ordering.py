@@ -28,7 +28,7 @@ from mbl.ordering import (
     spectrum_rows,
     verify_swap_pattern,
 )
-from mbl.suites import fibonacci, pell, verify_chain_inequalities
+from mbl.suites import fibonacci, limit_point, pell, verify_chain_inequalities
 
 from support import compare, essential_subtree, nn_inequality_holds, sorted_capacity_order
 
@@ -163,17 +163,17 @@ class TestSpectrumRows:
 
     def test_capacities_above_limit_and_decreasing(self):
         for row in spectrum_rows(12, k=6):
-            caps = row.first_capacities
+            caps, limit = [Fraction(*ratio) for ratio in row.ratios], limit_point(row.m)
             assert len(caps) == 6
             assert all(x > y for x, y in zip(caps, caps[1:]))
-            assert all(compare(w, row.limit) > 0 for w in caps)
-            assert compare(row.limit, Fraction(1, 3)) > 0
+            assert all(compare(w, limit) > 0 for w in caps)
+            assert compare(limit, Fraction(1, 3)) > 0
 
     def test_first_capacity_formula(self):
         # w_1(n) = 2/(3 + sqrt(9 - 4/m^2 - 4/b^2))
         for row in spectrum_rows(10)[2:]:
             rad = Fraction(9) - Fraction(4, row.m ** 2) - Fraction(4, row.b ** 2)
-            assert compare(row.first_capacities[0], rationalized(rad)) == 0
+            assert compare(Fraction(*row.ratios[0]), rationalized(rad)) == 0
 
     def test_trimmed_depth_matches_full_depth(self):
         # the essential capacities read within (k + 1)//2 + 1 levels for
@@ -193,15 +193,12 @@ class TestSpectrumRows:
 
     def test_essential_capacities_of_row_three(self):
         row = spectrum_rows(3, k=4)[2]
-        assert row.first_capacities == (
-            Fraction(65, 194), Fraction(145, 433),
-            Fraction(970, 2897), Fraction(2165, 6466),
-        )
+        assert row.ratios == ((65, 194), (145, 433), (970, 2897), (2165, 6466))
         # the raw-chain capacities against the validated essential triples,
         # including the degenerate rows 1 and 2
         for row in spectrum_rows(200, k=7):
             expected = tuple(width(t) for t in essential_subtree(row.m, 7)[:7])
-            assert row.first_capacities == expected
+            assert tuple(Fraction(*ratio) for ratio in row.ratios) == expected
 
 
 def _scan_prefix(n_max: int):
@@ -349,7 +346,7 @@ class TestIntegerForms:
         for j in (1, 2, 33, 34, 400, 794, 797, 850):
             row = rows[j - 1]
             # the leading capacity of row j itself ties the tail check at n = j
-            for threshold in (row.first_capacities[0],
+            for threshold in (Fraction(*row.ratios[0]),
                               Fraction(1, 3) + Fraction(1, 27 * row.m * row.m)):
                 rhs = (3 * threshold - 1) / (threshold * threshold)
                 report = ordered_prefix_complete_above(threshold, 850)

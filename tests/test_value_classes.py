@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from mbl.capacity import QuadraticValue
 from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, vianna_triangle
 from mbl.markov import MarkovTriple
 from mbl.oeis import BFile, CrossCheckReport
-from mbl import ordering
+from mbl import ordering, suites
 from mbl.ordering import CompletenessReport, IrregularityRecord, spectrum_rows
 from mbl.suites import UnimodularMap
 
@@ -111,18 +112,10 @@ def test_fields_bind_by_position_keyword_and_default():
         UnimodularMap(2, 0, 0, 1)
 
 
-def test_lazy_row_fields_are_built_once():
-    row = spectrum_rows(3, 2)[2]
-    assert "limit" not in vars(row) and "first_capacities" not in vars(row)
-    assert row.first_capacities == (Fraction(65, 194), Fraction(145, 433))
-    assert row.first_capacities is row.first_capacities
-    assert row.limit is row.limit
-    assert row == spectrum_rows(3, 2)[2]  # cached values are not fields
-
-
 def test_completeness_builds_no_limit(monkeypatch):
-    def refuse(m):
-        raise AssertionError(f"limit_point({m}) built")
+    def refuse(*args):
+        raise AssertionError("a surd value built")
 
-    monkeypatch.setattr(ordering, "limit_point", refuse)
+    monkeypatch.setattr(suites, "limit_point", refuse)
+    monkeypatch.setattr(QuadraticValue, "__init__", refuse)
     assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60).certified
