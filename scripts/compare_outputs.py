@@ -33,7 +33,7 @@ import workloads  # noqa: E402
 
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
-      for triple in ("5,2,1", "1,1,1") for fmt in ("text", "json", "csv")),
+      for triple in ("5,2,1", "1,1,1", "2,1,1") for fmt in ("text", "json", "csv")),
     *(("limits", "--n", "850", "--k", k, "--format", "json") for k in ("1", "7", "8")),
     ("limits", "--n", "2", "--format", "json"),
     *(("limits", "--n", n, "--format", fmt) for n in ("450", "850") for fmt in ("text", "csv")),

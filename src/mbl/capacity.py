@@ -55,12 +55,12 @@ def _sign(x: int, y: int, z: int) -> int:
 class QuadraticValue:
     """An exact number q + s*sqrt(r) with rational q, s and rational r >= 0.
 
-    Canonical form folds a perfect-square radicand into the rational part, so
-    `s != 0` implies sqrt(r) is irrational.  Values compare only through the
-    trichotomy `compare` and through `==`.  Comparisons are sign-exact and
-    run on integers once the denominators are cleared: a comparison against a
-    rational needs one squaring, one between two surds with different
-    radicands needs two, with explicit sign bookkeeping.
+    No decision in `mbl` uses one: every decision runs on the integer closed
+    forms and `_sign`.  The class and `lagrange_number`, which builds one,
+    stay only as names the bench tracer wraps.  Canonical form folds a
+    perfect-square radicand into the rational part; values compare only
+    through the trichotomy `compare` and through `==`, sign-exact on the
+    integers left once the denominators are cleared.
     """
 
     __slots__ = ("_q", "_s", "_r")
@@ -77,32 +77,12 @@ class QuadraticValue:
                 q, s, r = q + s * root, Fraction(0), Fraction(0)
         self._q, self._s, self._r = q, s, r
 
-    @classmethod
-    def sqrt(cls, r) -> "QuadraticValue":
-        return cls(0, 1, _fraction(r))
-
-    @property
-    def q(self) -> Fraction:
-        return self._q
-
-    @property
-    def s(self) -> Fraction:
-        return self._s
-
-    @property
-    def r(self) -> Fraction:
-        return self._r
-
     def _cleared(self) -> tuple[int, int, int, int]:
         """Integers (A, B, R, D) with self = (A + B*sqrt(R))/D and D > 0."""
         q, s, r = self._q, self._s, self._r
         rd = r.denominator  # sqrt(r) = sqrt(r.num * r.den) / r.den
         return (q.numerator * s.denominator * rd, s.numerator * q.denominator,
                 r.numerator * rd, q.denominator * s.denominator * rd)
-
-    def sign(self) -> int:
-        a, b, r, _ = self._cleared()
-        return _sign(a, b, r)
 
     def compare(self, other) -> int:
         """Exact trichotomy against a rational or another QuadraticValue.
@@ -191,11 +171,6 @@ def width(t: MarkovTriple) -> Capacity:
     return Fraction(t.b * t.c, t.a)
 
 
-def _require_markov_number(a: int) -> None:
-    if not is_markov_number(a):
-        raise ValueError(f"{a} is not a Markov number")
-
-
 def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The limit point (3m^2 - m*sqrt(r))/2 and the Lagrange number sqrt(r)/m,
     r = 9m^2 - 4, each as the reduced (num, den) pairs of q, s and r in
@@ -206,6 +181,7 @@ def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def lagrange_number(a: int) -> QuadraticValue:
     """sqrt(9 - 4/a^2) for a Markov number a, normalized to sqrt(9a^2-4)/a."""
-    _require_markov_number(a)
+    if not is_markov_number(a):
+        raise ValueError(f"{a} is not a Markov number")
     return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[1]))
 

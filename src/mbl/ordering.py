@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .capacity import Capacity, _sign, capacity_to_json, closed_forms, surd_decimal, width
+from .capacity import Capacity, _fraction, _sign, capacity_to_json, closed_forms, surd_decimal
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -150,6 +150,12 @@ def _chain_capacities(apex: MarkovTriple, depth: int) -> list[tuple[int, int]]:
                                      for i in range(1, depth + 1) for xs in columns]
 
 
+def _above_limit(num: int, den: int, m: int) -> bool:
+    # num/den > (3m^2 - m sqrt(r))/2, r = 9m^2 - 4  <=>  2 num - 3m^2 den + m den sqrt(r) > 0
+    mm = m * m
+    return _sign(2 * num - 3 * mm * den, m * den, 9 * mm - 4) > 0
+
+
 def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
     # the juxtaposition inequality: w_1(n') does not exceed the limit of n
     lead = _deficit(numbers[n_prime - 1], _b_value(apexes[n_prime - 1]))
@@ -164,11 +170,14 @@ def alternating_order(
 
     This is the order of strictly decreasing capacities on the subtree
     preserving the apex maximum: go down left, right, down left, right, ...
-    along increasing maximal entries.
+    along increasing maximal entries.  Descent is decided on the integer
+    pairs; the Fractions are only what the caller gets back.
     """
-    sequence = [(t, width(t)) for t in wedge(apex, depth)]
-    for (t0, w0), (t1, w1) in zip(sequence, sequence[1:]):
-        if not w0 > w1:
+    caps = _chain_capacities(apex, depth)
+    sequence = [(t, Fraction(*cap)) for t, cap in zip(wedge(apex, depth), caps)]
+    for i in range(len(caps) - 1):
+        if not _exceeds(caps[i], caps[i + 1]):
+            (t0, w0), (t1, w1) = sequence[i : i + 2]
             raise VerificationError(
                 f"capacity descent fails between {t0} (w={w0}) and {t1} (w={w1})"
             )
@@ -205,11 +214,10 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
         caps = _essential_capacities(apex, k)
         if not _descends(caps):
             raise VerificationError(f"row {n}: capacities fail to decrease")
-        (num, den), mm, r = caps[-1], m * m, 9 * m * m - 4
-        # N/D > limit = (3m^2 - m sqrt(r))/2  <=>  2N - 3m^2 D + mD sqrt(r) > 0
-        if _sign(2 * num - 3 * mm * den, m * den, r) <= 0:
+        (num, den), mm = caps[-1], m * m
+        if not _above_limit(num, den, m):
             raise VerificationError(f"row {n}: capacity {num}/{den} not above limit")
-        if _sign(9 * mm - 2, -3 * m, r) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
+        if _sign(9 * mm - 2, -3 * m, 9 * mm - 4) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
             raise VerificationError(f"row {n}: limit not above 1/3")
         rows.append(SpectrumRow(n, m, apex, _b_value(apex), caps))
     return rows
@@ -331,14 +339,14 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
        m_n^2 >= 2 T^2/(3T - 1), beyond which even b = m cannot lift the
        leading capacity to T (and m_n is increasing).
     """
-    threshold = Fraction(threshold)
-    if threshold <= Fraction(1, 3):
+    threshold = _fraction(threshold)
+    num, den = threshold.numerator, threshold.denominator
+    if 3 * num <= den:
         raise ValueError(
             "threshold must exceed 1/3: it is an accumulation point of the "
             "capacities, so no finite description exists at or below it"
         )
     failures: list[str] = []
-    num, den = threshold.numerator, threshold.denominator
     bar = ((3 * num - den) * den, num * num)  # (3T - 1)/T^2 for T = N/D
 
     try:

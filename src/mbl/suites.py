@@ -16,15 +16,7 @@ import random
 from fractions import Fraction
 
 from . import oeis
-from .capacity import (
-    Capacity,
-    QuadraticValue,
-    _fraction,
-    _require_markov_number,
-    closed_forms,
-    lagrange_number,
-    width,
-)
+from .capacity import Capacity, _fraction, _sign, closed_forms, width
 from .errors import VerificationError, _Record
 from .lattice import (
     LatticePolygon,
@@ -43,9 +35,9 @@ from .markov import (
     enumerate_triples,
     mutate,
     recurrence_prefix,
-    wedge,
 )
 from .ordering import (
+    _above_limit,
     _chain_capacities,
     _descends,
     alternating_order,
@@ -53,7 +45,7 @@ from .ordering import (
     spectrum_rows,
     verify_swap_pattern,
 )
-from .report import EXIT_OK, EXIT_VERIFICATION, _report
+from .report import EXIT_OK, EXIT_VERIFICATION, _at_least_one, _report
 
 
 def fibonacci(n: int) -> int:
@@ -116,67 +108,46 @@ def surd_identity_check(t: MarkovTriple) -> bool:
     return lhs == rhs and 2 * a >= 3 * b * c
 
 
-def limit_point(a: int) -> QuadraticValue:
-    """2/(3 + sqrt(9 - 4/a^2)), rationalized: (3a^2 - a*sqrt(9a^2-4))/2.
-
-    This is the accumulation point of the capacities along any branch
-    preserving a; it lies strictly between 1/3 and 1/2.
-    """
-    _require_markov_number(a)
-    return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[0]))
-
-
-def width_as_surd(t: MarkovTriple) -> QuadraticValue:
-    """2/(3 + sqrt(9 - 4/c^2 - 4/b^2)), rationalized; the caller compares it
-    with width(t).
-
-    Rejects (1,1,1): its maximal entry is the smaller quadratic root, which
-    breaks the squaring step behind the identity (2a - 3bc = -1 < 0 there).
-    """
-    if t == MarkovTriple(1, 1, 1):
-        raise ValueError(
-            "(1,1,1) is excluded: 2a - 3bc = -1 < 0, so the closed form "
-            "2/(3+sqrt(9-4/c^2-4/b^2)) picks the wrong root"
-        )
-    b, c = t.b, t.c
-    rad = Fraction(9) - Fraction(4, c * c) - Fraction(4, b * b)
-    den = Fraction(9) - rad  # = 4/c^2 + 4/b^2 > 0
-    return QuadraticValue(Fraction(6) / den, Fraction(-2) / den, rad)
+def spectrum_values_check() -> bool:
+    """L(1) = sqrt(5) and L(2) = sqrt(8), and each limit q + s*sqrt(r) of
+    `closed_forms` is 2/(3 + L) and lies above 1/3, decided on integers."""
+    for m, square in ((1, 5), (2, 8)):
+        ((qn, qd), (sn, sd), (r, _)), (_, (ln, ld), _) = closed_forms(m)
+        # with L = ln*sqrt(r)/ld, (q + s*sqrt(r))(3 + L) = 2 holds if its
+        # rational and its surd part do
+        if not (ln > 0 and ln * ln * r == square * ld * ld
+                and 3 * qn * sd * ld + sn * ln * r * qd == 2 * qd * sd * ld
+                and qn * ln * sd + 3 * sn * qd * ld == 0
+                and _sign((3 * qn - qd) * sd, 3 * sn * qd, r) > 0):  # 3q - 1 + 3s*sqrt(r)
+            return False
+    return True
 
 
 def convergence_trace(
     apex: MarkovTriple, count: int, side: str = "alternating"
-) -> list[tuple[MarkovTriple, Capacity, QuadraticValue]]:
-    """Capacities and exact gaps along a decreasing sequence of the subtree
-    preserving the apex maximum a.
+) -> list[tuple[MarkovTriple, Capacity]]:
+    """Capacities along a decreasing sequence of the subtree preserving the
+    apex maximum a, with exact gaps to the limit point of a.
 
     `side` picks the sequence: "alternating" interleaves the two branches in
     tree order from the apex on, "left"/"right" follow a single branch (the
-    same one for the degenerate apexes).  Gaps are width - limit_point(a);
-    they must come out positive and strictly decreasing, which is re-checked
-    here exactly.
+    same one for the degenerate apexes).  The gaps width - limit must come
+    out positive and strictly decreasing: two gaps differ by the difference
+    of their widths, so `alternating_order` decides the descent, and each
+    width is checked above the limit on integers.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    limit = limit_point(apex.a)
-    triples = wedge(apex, count)
-    columns = (len(triples) - 1) // count
+    sequence = alternating_order(apex, count)
+    columns = (len(sequence) - 1) // count
     slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
     if side not in slices:
         raise ValueError(f"unknown side {side!r}")
     start, step = slices[side]
-    chosen = triples[start : start + step * count : step]
-    trace = []
-    previous_gap = None
-    for triple in chosen:
-        w = width(triple)
-        gap = QuadraticValue(w - limit.q, -limit.s, limit.r)
-        if gap.sign() <= 0:
+    trace = sequence[start : start + step * count : step]
+    for triple, w in trace:
+        if not _above_limit(w.numerator, w.denominator, apex.a):
             raise VerificationError(f"gap at {triple} is not positive")
-        if previous_gap is not None and gap.compare(previous_gap) >= 0:
-            raise VerificationError(f"gap at {triple} fails to decrease")
-        trace.append((triple, w, gap))
-        previous_gap = gap
     return trace
 
 
@@ -258,7 +229,7 @@ def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
     extending away from the nearer base corner (mirrored when the apex lies
     over the right half); containment is decided by exact half-plane tests.
     """
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     if not 0 < tri.t < tri.ell:
         raise ValueError("triangle must be shear-normalized first")
     if not 0 < eps < tri.h:
@@ -351,9 +322,7 @@ def _suite_capacity(config: argparse.Namespace):
             continue
         if not (Fraction(1, 3) < w <= Fraction(1, 2)):
             failures["width-bounds"] = str(t)
-        if t.a <= 10_000 and not (
-            surd_identity_check(t) and width_as_surd(t) == w
-        ):
+        if t.a <= 10_000 and not surd_identity_check(t):
             failures["surd-identity"] = str(t)
     try:
         convergence_trace(root, 10)
@@ -363,12 +332,7 @@ def _suite_capacity(config: argparse.Namespace):
     except VerificationError as exc:
         failures["limit-gaps"] = str(exc)
     yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")
-    sane = (
-        lagrange_number(2).compare(QuadraticValue.sqrt(8)) == 0
-        and limit_point(1).compare(QuadraticValue(Fraction(3, 2), Fraction(-1, 2), 5)) == 0
-        and limit_point(1).compare(Fraction(1, 3)) > 0
-    )
-    yield "spectrum-values", sane, ""
+    yield "spectrum-values", spectrum_values_check(), ""
 
 
 def _suite_ordering(config: argparse.Namespace):
@@ -463,8 +427,7 @@ SUITES = {
 
 def cmd_verify(config: argparse.Namespace) -> int:
     names = dict.fromkeys(config.suites or SUITES)  # once each, first-given order
-    if config.n_max < 1 or config.max_bound < 1:
-        raise ValueError("verify needs --n-max and --max-bound >= 1")
+    _at_least_one(config, "--max-bound", "--n-max")
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:

@@ -1,10 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: interval evaluation
-goes through mpmath, the lattice-width oracle searches every primitive
-direction inside a Euclidean-width bound instead of reducing a basis and
-takes its spreads over the Fraction vertices instead of the polygon's
-integer form, unimodular images are mapped vertex by vertex on Fractions,
+goes through mpmath on integer parts, the lattice-width oracle searches
+every primitive direction inside a Euclidean-width bound instead of reducing
+a basis and takes its spreads over the Fraction vertices instead of the
+polygon's integer form, unimodular images are mapped vertex by vertex on Fractions,
 the juxtaposition inequality is decided on Fractions rather than on
 cross-multiplied integers, the essential subtrees are filtered from
 validated wedge triples rather than read off the raw chains, and the global
@@ -21,26 +21,27 @@ from fractions import Fraction
 
 import mpmath
 
-from mbl.capacity import QuadraticValue
+from mbl.capacity import QuadraticValue, closed_forms
 from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
 
 
-def quadratic_interval(value, digits: int = 200):
-    """Enclosing interval of q + s*sqrt(r) at ~`digits` decimal digits."""
+def quadratic_interval(a: int, b: int, r: int, d: int = 1, digits: int = 200):
+    """Enclosing interval of (a + b*sqrt(r))/d, for integers with r >= 0 and
+    d > 0, at ~`digits` decimal digits."""
     iv = mpmath.iv
     iv.prec = int(digits * 3.33) + 40
-
-    def frac(x: Fraction):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-    return frac(value.q) + frac(value.s) * iv.sqrt(frac(value.r))
+    return (iv.mpf(a) + iv.mpf(b) * iv.sqrt(iv.mpf(r))) / iv.mpf(d)
 
 
 def interval_compare(x, y, digits: int = 200):
-    """-1/0/1 when the intervals separate, None when they overlap."""
-    ix = quadratic_interval(x, digits)
-    iy = quadratic_interval(y, digits)
+    """-1/0/1 when the intervals separate, None when they overlap.
+
+    x and y are rationals or QuadraticValues, read as the integers
+    (A, B, R, D) of (A + B*sqrt(R))/D."""
+    ix, iy = (quadratic_interval(*(v._cleared() if isinstance(v, QuadraticValue)
+                                   else (v.numerator, 0, 0, v.denominator)), digits=digits)
+              for v in (x, y))
     if ix < iy:
         return -1
     if ix > iy:
@@ -57,6 +58,12 @@ def compare(x, y) -> int:
     if not isinstance(x, QuadraticValue):
         x = QuadraticValue(x)
     return x.compare(y)
+
+
+def limit_point(m: int) -> QuadraticValue:
+    """The limit point (3m^2 - m*sqrt(9m^2 - 4))/2 of sequence m, built from
+    the integer parts of `closed_forms(m)`."""
+    return QuadraticValue(*(Fraction(*part) for part in closed_forms(m)[0]))
 
 
 def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
@@ -116,11 +123,16 @@ def pruned_lattice_width(polygon: LatticePolygon):
     return best, best_xi
 
 
-def random_quadratic(rng: random.Random):
+def random_parts(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
+    """Random rationals q, s and r >= 0 of a value q + s*sqrt(r)."""
     def rand_fraction():
         return Fraction(rng.randint(-60, 60), rng.randint(1, 24))
 
-    return QuadraticValue(rand_fraction(), rand_fraction(), abs(rand_fraction()))
+    return rand_fraction(), rand_fraction(), abs(rand_fraction())
+
+
+def random_quadratic(rng: random.Random) -> QuadraticValue:
+    return QuadraticValue(*random_parts(rng))
 
 
 def nn_inequality_holds(n: int, n_prime: int) -> bool:

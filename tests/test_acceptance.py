@@ -39,7 +39,13 @@ from mbl.suites import (
     verify_chain_inequalities,
 )
 
-from support import compare, interval_compare, nn_inequality_holds, random_quadratic
+from support import (
+    compare,
+    interval_compare,
+    nn_inequality_holds,
+    random_parts,
+    random_quadratic,
+)
 
 T = MarkovTriple
 
@@ -135,10 +141,10 @@ def test_criterion_06_limit_points():
         ):
             trace = convergence_trace(apex, 25, side)  # raises unless positive
             assert len(trace) == 25                    # and strictly decreasing
-        assert compare(lagrange_number(1), QuadraticValue.sqrt(5)) == 0
-        assert compare(lagrange_number(2), QuadraticValue.sqrt(8)) == 0
-        lam5 = lagrange_number(5)
-        assert (lam5.q, lam5.s, lam5.r) == (0, Fraction(1, 5), 221)
+        assert compare(lagrange_number(1), QuadraticValue(0, 1, 5)) == 0
+        assert compare(lagrange_number(2), QuadraticValue(0, 1, 8)) == 0
+        assert repr(lagrange_number(5)) == (
+            "QuadraticValue(Fraction(0, 1), Fraction(1, 5), Fraction(221, 1))")
 
 
 def test_criterion_07_completeness_threshold():
@@ -188,10 +194,11 @@ def test_criterion_10_property_suites():
         # exact order vs 200-digit interval evaluation, 1000 samples
         rng = random.Random(65537)
         for _ in range(1000):
-            x, y = random_quadratic(rng), random_quadratic(rng)
+            (q, s, r), y = random_parts(rng), random_quadratic(rng)
+            x = QuadraticValue(q, s, r)
             if rng.random() < 0.1:
                 k = rng.randint(1, 4)
-                y = QuadraticValue(x.q, x.s / k, x.r * k * k)
+                y = QuadraticValue(q, s / k, r * k * k)
             oracle = interval_compare(x, y)
             if oracle is None:
                 assert compare(x, y) == 0

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,9 +19,15 @@ from mbl.capacity import (
 )
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
 from mbl.ordering import spectrum_rows
-from mbl.suites import convergence_trace, limit_point, surd_identity_check, width_as_surd
+from mbl.suites import convergence_trace, spectrum_values_check, surd_identity_check
 
-from support import compare, interval_compare, random_quadratic
+from support import (
+    compare,
+    interval_compare,
+    limit_point,
+    quadratic_interval,
+    random_quadratic,
+)
 
 T = MarkovTriple
 QV = QuadraticValue
@@ -77,33 +84,37 @@ class TestSurdIdentity:
             expected = t != T(1, 1, 1)
             assert surd_identity_check(t) == expected
 
-    def test_width_as_surd_folds(self):
-        assert width_as_surd(T(5, 2, 1)) == Fraction(2, 5)
-        assert width_as_surd(T(29, 5, 2)) == Fraction(10, 29)
-
-    def test_width_as_surd_rejects_root(self):
-        with pytest.raises(ValueError):
-            width_as_surd(T(1, 1, 1))
-
 
 class TestSpectrumValues:
     def test_lagrange_one_is_sqrt5(self):
-        assert compare(lagrange_number(1), QV.sqrt(5)) == 0
+        assert compare(lagrange_number(1), QV(0, 1, 5)) == 0
 
     def test_lagrange_two_is_sqrt8(self):
-        assert compare(lagrange_number(2), QV.sqrt(8)) == 0
+        assert compare(lagrange_number(2), QV(0, 1, 8)) == 0
 
     def test_lagrange_five_fields(self):
-        lam = lagrange_number(5)
-        assert (lam.q, lam.s, lam.r) == (0, Fraction(1, 5), 221)
+        assert repr(lagrange_number(5)) == (
+            "QuadraticValue(Fraction(0, 1), Fraction(1, 5), Fraction(221, 1))")
+
+    def test_check_refuses_the_other_root(self, monkeypatch):
+        # (3m^2 + m*sqrt(r))/2 lies above 1/3 too, but is not 2/(3 + L)
+        assert spectrum_values_check()
+        real = closed_forms
+
+        def other_root(m):
+            (q, (sn, sd), r), lagrange = real(m)
+            return (q, (-sn, sd), r), lagrange
+
+        monkeypatch.setattr("mbl.suites.closed_forms", other_root)
+        assert not spectrum_values_check()
 
     def test_lagrange_rejects_non_markov(self):
         with pytest.raises(ValueError):
             lagrange_number(3)
 
     def test_limit_point_one(self):
-        lp = limit_point(1)
-        assert (lp.q, lp.s, lp.r) == (Fraction(3, 2), Fraction(-1, 2), 5)
+        assert repr(limit_point(1)) == (
+            "QuadraticValue(Fraction(3, 2), Fraction(-1, 2), Fraction(5, 1))")
         assert surd_decimal(closed_forms(1)[0]).startswith("0.38196601125")
 
     def test_limit_point_two(self):
@@ -150,8 +161,8 @@ class TestCompare:
 
     @settings(deadline=None)
     @given(_SURDS, _SURDS)
-    @example(QV.sqrt(8), QV(0, 2, 2))
-    @example(QV.sqrt(Fraction(9, 4)), QV(Fraction(3, 2)))
+    @example(QV(0, 1, 8), QV(0, 2, 2))
+    @example(QV(0, 1, Fraction(9, 4)), QV(Fraction(3, 2)))
     def test_surds_against_interval_oracle(self, x, y):
         expected = interval_compare(x, y)
         assert compare(x, y) == (0 if expected is None else expected)
@@ -176,11 +187,23 @@ class TestCompare:
                     v = x + y * root
                     assert _sign(x, y, root * root) == (v > 0) - (v < 0)
 
+    @settings(deadline=None)
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+           st.one_of(st.integers(0, 10 ** 6), st.integers(0, 1000).map(lambda x: x * x)))
+    @example(-6, 2, 9)
+    @example(6, -2, 9)
+    @example(7, 0, 0)
+    def test_sign_matches_interval(self, x, y, z):
+        # only a tie, on a square radicand, leaves the 200-digit interval at 0
+        interval = quadratic_interval(x, y, z)
+        oracle = 1 if interval > 0 else -1 if interval < 0 else 0
+        assert _sign(x, y, z) == oracle
+
     def test_floats_are_refused(self):
         with pytest.raises(TypeError):
-            QV.sqrt(2).compare(1.5)
+            QV(0, 1, 2).compare(1.5)
         with pytest.raises(TypeError):
-            QV.sqrt(2) < 1.5
+            QV(0, 1, 2) < 1.5
 
     def test_total_order_on_samples(self):
         rng = random.Random(20991)
@@ -205,19 +228,34 @@ class _SortKey:
 class TestQuadraticValue:
     def test_perfect_square_folds(self):
         for value, q in ((QV(0, 1, 9), 3), (QV(1, 2, Fraction(9, 4)), 4)):
-            assert (value.q, value.s, value.r) == (q, 0, 0)
+            assert repr(value) == (
+                f"QuadraticValue(Fraction({q}, 1), Fraction(0, 1), Fraction(0, 1))")
+
+    @settings(deadline=None)
+    @given(_RATIONALS, _RATIONALS, _RADICANDS)
+    def test_cleared_parts_are_the_value(self, q, s, r):
+        # the oracle reads (A + B*sqrt(R))/D; evaluated from q, s and r
+        # directly, the enclosures of one value overlap
+        iv = mpmath.iv
+        iv.prec = 700
+        root = iv.sqrt(iv.mpf(r.numerator) / r.denominator)
+        direct = iv.mpf(q.numerator) / q.denominator + iv.mpf(s.numerator) / s.denominator * root
+        a, b, rad, d = QV(q, s, r)._cleared()
+        cleared = quadratic_interval(a, b, rad, d)
+        assert d > 0 and rad >= 0
+        assert not (direct < cleared) and not (direct > cleared)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             QV(0, 1, -5)
 
     def test_rich_comparisons(self):
-        assert QV.sqrt(2).compare(QV.sqrt(3)) < 0
-        assert QV.sqrt(8) == QV(0, 2, 2)
-        assert QV.sqrt(5).compare(2) > 0
-        assert QV.sqrt(5).compare(Fraction(9, 4)) <= 0
+        assert QV(0, 1, 2).compare(QV(0, 1, 3)) < 0
+        assert QV(0, 1, 8) == QV(0, 2, 2)
+        assert QV(0, 1, 5).compare(2) > 0
+        assert QV(0, 1, 5).compare(Fraction(9, 4)) <= 0
         with pytest.raises(TypeError):  # values have no ordering operators
-            QV.sqrt(2) < QV.sqrt(3)
+            QV(0, 1, 2) < QV(0, 1, 3)
 
     def test_decimal_of_rational(self):
         assert surd_decimal(((1, 2), (0, 1), (0, 1))) == "0.5"
@@ -231,9 +269,9 @@ class TestQuadraticValue:
         }
         # the closed-form parts are already reduced, for odd and even m alike
         for m in markov_numbers(30):
-            for parts, value in zip(closed_forms(m), (limit_point(m), lagrange_number(m))):
+            for parts in closed_forms(m):
                 assert parts == tuple((x.numerator, x.denominator)
-                                      for x in (value.q, value.s, value.r))
+                                      for x in (Fraction(*part) for part in parts))
 
     def test_str_forms(self):
         assert surd_text(((0, 1), (1, 1), (5, 1))) == "sqrt(5)"
@@ -254,28 +292,15 @@ class TestQuadraticValue:
             for parts in closed_forms(m):
                 assert read(surd_text(parts)) == tuple(Fraction(*part) for part in parts)
 
-    @settings(deadline=None)
-    @given(
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-        st.fractions(min_value=0, max_value=30, max_denominator=12),
-    )
-    def test_sign_matches_interval(self, q, s, r):
-        x = QV(q, s, r)
-        oracle = interval_compare(x, QV(0))
-        if oracle is None:
-            assert x.sign() == 0
-        else:
-            assert x.sign() == oracle
-
 
 class TestConvergenceTrace:
     def test_fibonacci_gaps_decrease(self):
         apex = apex_for(1, T(2, 1, 1))
         trace = convergence_trace(apex, 3)
         assert len(trace) == 3
-        gaps = [gap for _, _, gap in trace]
-        assert all(gap.sign() > 0 for gap in gaps)
+        q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
+        gaps = [QV(w - q, -s, r) for _, w in trace]  # width - limit
+        assert all(compare(gap, 0) > 0 for gap in gaps)
         assert compare(gaps[0], gaps[1]) > 0 and compare(gaps[1], gaps[2]) > 0
         # below the degenerate apexes both sides follow the single branch
         for apex, child in ((T(1, 1, 1), T(2, 1, 1)), (T(2, 1, 1), T(5, 2, 1))):
@@ -287,9 +312,9 @@ class TestConvergenceTrace:
         apex = apex_for(5, T(13, 5, 1))
         lp = limit_point(5)
         for side in ("left", "right"):
-            for triple, w, _ in convergence_trace(apex, 5, side):
+            for triple, w in convergence_trace(apex, 5, side):
                 assert compare(w, lp) > 0
-        left = [t for t, _, _ in convergence_trace(apex, 2, "left")]
+        left = [t for t, _ in convergence_trace(apex, 2, "left")]
         assert [tuple(t) for t in left] == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):

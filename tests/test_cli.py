@@ -291,6 +291,8 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("irregularities --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
     ("complete --threshold 7/20 --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
     ("triples --max-bound 0", 2, "mbl: --max-bound must be >= 1\n"),
+    ("verify --max-bound 0", 2, "mbl: --max-bound must be >= 1\n"),
+    ("verify --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
     ("ingest --n 0", 2, "mbl: --n must be >= 1\n"),
 ])
 def test_error_exits_write_one_line_to_stderr(capsys, command, exit_code, err):
@@ -874,6 +876,22 @@ class TestVerifyAndComplete:
         code, _, _ = run(capsys, "verify", "--suite", "ingest")
         assert code == 0 and sorted(kinds) == ["fibonacci", "markov", "pell"]
 
+    def test_capacity_and_ordering_build_no_surd_values(self, capsys, monkeypatch):
+        # both suites decide on integers: the class and lagrange_number are
+        # left only for the bench tracer
+        argv = ("verify", "--suite", "capacity", "--suite", "ordering", "--n-max", "40")
+        _, expected, _ = run(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("a surd value built")
+
+        monkeypatch.setattr(mbl.capacity.QuadraticValue, "__init__", refuse)
+        for module in (mbl.capacity, mbl.ordering, mbl.suites):
+            if hasattr(module, "lagrange_number"):
+                monkeypatch.setattr(module, "lagrange_number", refuse)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == expected
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "bogus"])
@@ -927,14 +945,12 @@ class TestVerifyAndComplete:
         assert twice == once
 
     def test_surd_identity_failure_is_named(self, capsys, monkeypatch):
-        real = mbl.capacity.width
+        real = mbl.suites.surd_identity_check
 
-        def skewed(t):  # still inside (1/3, 1/2], so only the surd form disagrees
-            off = Fraction(1, 10 ** 6) if t == MarkovTriple(433, 29, 5) else 0
-            return real(t) + off
+        def broken(t):  # the identity fails at (433,29,5) alone
+            return t != MarkovTriple(433, 29, 5) and real(t)
 
-        monkeypatch.setattr(mbl.capacity, "width", skewed)
-        monkeypatch.setattr(mbl.suites, "width", skewed)
+        monkeypatch.setattr(mbl.suites, "surd_identity_check", broken)
         code, out, _ = run(capsys, "verify", "--suite", "capacity",
                            "--max-bound", "1000")
         assert code == 1

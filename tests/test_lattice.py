@@ -379,6 +379,11 @@ class TestExactCoordinates:
         with pytest.raises(TypeError):
             UnimodularMap(1, 0, 0, 1, tx, ty)
 
+    def test_inscribed_refuses_a_float_eps(self):
+        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
+        with pytest.raises(TypeError):
+            inscribed_right_triangle(normalized, 0.05)
+
     def test_ints_and_fractions_are_exact(self):
         point = RationalPoint(1, Fraction(1, 2))
         assert (type(point.x), type(point.y)) == (Fraction, Fraction)

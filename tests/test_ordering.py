@@ -28,9 +28,15 @@ from mbl.ordering import (
     spectrum_rows,
     verify_swap_pattern,
 )
-from mbl.suites import fibonacci, limit_point, pell, verify_chain_inequalities
+from mbl.suites import fibonacci, pell, verify_chain_inequalities
 
-from support import compare, essential_subtree, nn_inequality_holds, sorted_capacity_order
+from support import (
+    compare,
+    essential_subtree,
+    limit_point,
+    nn_inequality_holds,
+    sorted_capacity_order,
+)
 
 T = MarkovTriple
 
@@ -71,6 +77,19 @@ class TestAlternatingOrder:
     def test_no_descent_violation_below_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
             alternating_order(t, 8)
+
+    def test_descent_failure_names_both_nodes(self, monkeypatch):
+        real = _chain_capacities
+
+        def swapped(apex, depth):  # the second and third widths out of order
+            caps = real(apex, depth)
+            caps[1], caps[2] = caps[2], caps[1]
+            return caps
+
+        monkeypatch.setattr("mbl.ordering._chain_capacities", swapped)
+        with pytest.raises(VerificationError, match=re.escape(
+                "between (13,5,1) (w=10/29) and (29,5,2) (w=5/13)")):
+            alternating_order(T(5, 2, 1), 3)
 
 
 class TestChains:
@@ -440,3 +459,8 @@ class TestCompleteness:
     def test_threshold_below_one_third_rejected(self):
         with pytest.raises(ValueError):
             ordered_prefix_complete_above(Fraction(1, 4), 10)
+
+    def test_float_threshold_refused(self):
+        # 0.34 would otherwise certify its binary expansion 6124895493223875/2^54
+        with pytest.raises(TypeError):
+            ordered_prefix_complete_above(0.34, 10)

@@ -12,7 +12,7 @@ from mbl.capacity import QuadraticValue
 from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, vianna_triangle
 from mbl.markov import MarkovTriple
 from mbl.oeis import BFile, CrossCheckReport
-from mbl import ordering, suites
+from mbl import capacity, ordering
 from mbl.ordering import CompletenessReport, IrregularityRecord, spectrum_rows
 from mbl.suites import UnimodularMap
 
@@ -116,6 +116,6 @@ def test_completeness_builds_no_limit(monkeypatch):
     def refuse(*args):
         raise AssertionError("a surd value built")
 
-    monkeypatch.setattr(suites, "limit_point", refuse)
+    monkeypatch.setattr(capacity, "lagrange_number", refuse)
     monkeypatch.setattr(QuadraticValue, "__init__", refuse)
     assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60).certified
