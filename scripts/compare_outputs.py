@@ -38,7 +38,12 @@ FIXED = [
     ("limits", "--n", "2", "--format", "json"),
     *(("limits", "--n", n, "--format", fmt) for n in ("450", "850") for fmt in ("text", "csv")),
     *(("irregularities", "--n-max", "793", "--format", fmt) for fmt in ("text", "csv")),
+    # the scan's edges: the regular prefix, the first records, the first span 2, the last n_max
+    *(("irregularities", "--n-max", n, "--format", "json")
+      for n in ("1", "32", "33", "34", "369", "793")),
     ("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "450"),
+    *(("complete", "--threshold", str(workloads.threshold(44)), "--n-max", "793",
+       "--format", fmt) for fmt in ("text", "json")),
     ("verify", "--suite", "ordering", "--n-max", "793"),
     ("plot", "--figure", "numberline", "--n", "369"),
     *((*command, "--format", fmt) for fmt in ("text", "json", "csv") for command in (

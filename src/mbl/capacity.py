@@ -145,25 +145,11 @@ def _contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:
     return decimal.Context(prec=digits + 20), decimal.Context(prec=digits)
 
 
-def surd_decimal(parts, digits: int = 12) -> str:
-    """The decimal preview of q + s*sqrt(r) given as (num, den) pairs.
-
-    When q and s*sqrt(r) have opposite signs their sum cancels (a limit
-    point is about 1.5 m^2 - 1.5 m^2), so it is written as the exact
-    rational q^2 - s^2 r over q - s*sqrt(r), where nothing cancels.
-    """
-    (qn, qd), (sn, sd), (rn, rd) = parts
-    (ctx, out), dec = _contexts(digits), decimal.Decimal
-    val = ctx.divide(dec(qn), dec(qd))
-    if sn:
-        surd = ctx.multiply(ctx.divide(dec(sn), dec(sd)), ctx.sqrt(ctx.divide(dec(rn), dec(rd))))
-        if qn and (qn > 0) != (sn > 0):
-            num = ctx.divide(dec(qn * qn * sd * sd * rd - sn * sn * qd * qd * rn),
-                             dec(qd * qd * sd * sd * rd))
-            val = ctx.divide(num, ctx.subtract(val, surd))
-        else:
-            val = ctx.add(val, surd)
-    return str(out.plus(val))
+def limit_decimal(m: int, digits: int = 12) -> str:
+    """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m to `digits` significant
+    digits, rounded from `digits + 20`; the denominator adds two positives."""
+    ctx, out = _contexts(digits)
+    return str(out.plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
 
 
 def width(t: MarkovTriple) -> Capacity:

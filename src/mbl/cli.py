@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import lattice, oeis
-from .capacity import closed_forms, surd_decimal, surd_text
+from .capacity import closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import (
@@ -30,7 +30,7 @@ from .report import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
-    _at_least_one,
+    _at_least,
     _emit_rows,
     _preview,
     _report,
@@ -78,7 +78,7 @@ def _fixture_match(records, n_max: int) -> bool:
 
 
 def cmd_irregularities(config: argparse.Namespace) -> int:
-    _at_least_one(config, "--n-max")
+    _at_least(config, 1, "--n-max")
     records = find_irregularities(config.n_max)
     checked = [(rec, verify_swap_pattern(rec)) for rec in records]
     payload = {"command": "irregularities", "n_max": config.n_max}
@@ -103,7 +103,7 @@ def cmd_irregularities(config: argparse.Namespace) -> int:
 def cmd_limits(config: argparse.Namespace) -> int:
     if config.k is not None and config.fmt != "json":
         raise ValueError("--k shows only in the JSON rows; use it with --format json")
-    _at_least_one(config, "--n", "--k")
+    _at_least(config, 1, "--n", "--k")
     rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
     notes = ("* b for rows 1 and 2 follows the second-smallest-member "
              "convention (values 2 and 5)",)
@@ -111,7 +111,7 @@ def cmd_limits(config: argparse.Namespace) -> int:
     def cells(row):
         limit, lagrange = closed_forms(row.m)
         return [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
-                surd_text(lagrange), surd_text(limit), surd_decimal(limit)]
+                surd_text(lagrange), surd_text(limit), limit_decimal(row.m)]
 
     return _emit_rows(
         config, ["n", "m", "b", "lagrange", "limit", "decimal"],
@@ -122,7 +122,7 @@ def cmd_limits(config: argparse.Namespace) -> int:
 
 
 def cmd_complete(config: argparse.Namespace) -> int:
-    _at_least_one(config, "--n-max")
+    _at_least(config, 1, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
     spans = ", ".join(f"span-{span} at {[r.n for r in report.records if r.span == span]}"
                       for span in SWAP_PATTERNS)

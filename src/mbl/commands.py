@@ -15,7 +15,7 @@ from .capacity import capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import MarkovTriple, apex_for, enumerate_triples, tree_depth, wedge
 from .ordering import alternating_order
-from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least_one, _emit_rows, _preview,
+from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _preview,
                      _report, _table)
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
@@ -37,7 +37,7 @@ def cmd_widths(config: argparse.Namespace) -> int:
 
 
 def cmd_triples(config: argparse.Namespace) -> int:
-    _at_least_one(config, "--max-bound")
+    _at_least(config, 1, "--max-bound")
     records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
     return _emit_rows(
         config, ["triple", "depth", "width"], records,
@@ -51,6 +51,7 @@ def cmd_triples(config: argparse.Namespace) -> int:
 def cmd_subtree(config: argparse.Namespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     apex = apex_for(preserved, config.triple)
+    _at_least(config, 0, "--depth")
     records = [(tree_depth(t), t, width(t)) for t in wedge(apex, config.depth)]
     payload = {
         "command": "subtree",
@@ -67,6 +68,7 @@ def cmd_subtree(config: argparse.Namespace) -> int:
 
 
 def cmd_order(config: argparse.Namespace) -> int:
+    _at_least(config, 0, "--depth")
     records = [(rank, t, w) for rank, (t, w)
                in enumerate(alternating_order(config.triple, config.depth), start=1)]
     return _emit_rows(
@@ -123,7 +125,7 @@ def cmd_width(config: argparse.Namespace) -> int:
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
-        except (json.JSONDecodeError, ZeroDivisionError) as exc:
+        except json.JSONDecodeError as exc:
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
@@ -143,7 +145,7 @@ def cmd_width(config: argparse.Namespace) -> int:
 def cmd_ingest(config: argparse.Namespace) -> int:
     if config.bfile is not None and config.kind == "all":
         raise ValueError("--bfile holds one sequence; name it with --kind")
-    _at_least_one(config, "--n")
+    _at_least(config, 1, "--n")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
     if config.fetch:
         for kind in kinds:

@@ -12,6 +12,7 @@ denominators once, and widths, convexity and area run on that integer form.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from functools import cache, cached_property, partial
 from fractions import Fraction
@@ -88,9 +89,10 @@ class LatticePolygon(_Record):
 
 
 def _exact(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
-    return Fraction(value)
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        with contextlib.suppress(ValueError, ZeroDivisionError):  # "x", "1/0"
+            return Fraction(value)
+    raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
 
 
 def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:

@@ -20,14 +20,16 @@ Every decision is an exact comparison of deficits.  A capacity is
     delta = (3T - 1)/T^2     for a threshold T > 1/3.
 
 Capacities and deficits are (num, den) integer pairs, `_deficit` builds the
-deficits, and `_exceeds` decides every comparison between two of them.
+deficits, and `_exceeds` decides every comparison between two of them, save
+the scan's num/den > 1/m_n^2, which `find_irregularities` bisects as m_n^2 > den // num.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 
-from .capacity import Capacity, _fraction, _sign, capacity_to_json, closed_forms, surd_decimal
+from .capacity import Capacity, _fraction, _sign, capacity_to_json, closed_forms, limit_decimal
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -76,7 +78,7 @@ class SpectrumRow(_Record):
                 f'{i1}"lagrange": {surd % (lqd, lqn, rd, r, lsd, lsn)},'
                 f'{i1}"limit": {surd % (qd, qn, rd, r, sd, sn)},'
                 f'{i1}"m": "{self.m}",{i1}"n": {self.n},'
-                f'{i1}"preview": "{surd_decimal(limit)}"{newline}}}')
+                f'{i1}"preview": "{limit_decimal(self.m)}"{newline}}}')
 
 
 #: The catalogued swap patterns: each span n' - n with the sentence naming it.
@@ -223,23 +225,6 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     return rows
 
 
-def scan_windows(numbers, n_max: int):
-    """(n, window) for n = 1..n_max: the indices n' that could violate the
-    inequality against n.
-
-    Since b_{n'} > m_{n'}, a violation needs 2/m_{n'}^2 > 1/m_n^2, so only
-    n' with m_{n'}^2 < 2 m_n^2 can offend; the window is therefore finite,
-    and its end never moves back, since m_n increases with n.
-    """
-    squares = [m * m for m in numbers]
-    end = 0  # squares[end] is the first square >= 2 m_n^2
-    for n in range(1, n_max + 1):
-        bound = 2 * squares[n - 1]
-        while end < len(squares) and squares[end] < bound:
-            end += 1
-        yield n, range(n + 1, end + 1)
-
-
 def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     """All juxtaposition failures with lowest index <= n_max.
 
@@ -250,17 +235,16 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     last = _deficit(markov_prefix(n_max)[0][-1])
-    # every scan window up to n_max closes at the first m_end^2 >= 2 m_{n_max}^2
+    # n' overtakes no n <= n_max past the first m_{n'}^2 >= 2 m_{n_max}^2, since b > m
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), last))
-    leads = [_deficit(m, _b_value(apex)) for m, apex in zip(numbers, apexes)]
-    lowest_n: dict[int, int] = {}
-    for n, window in scan_windows(numbers, n_max):
-        limit = _deficit(numbers[n - 1])
-        for n_prime in window:
-            if _exceeds(leads[n_prime - 1], limit):  # the juxtaposition inequality fails
-                lowest_n.setdefault(n_prime, n)  # n only grows: the first is lowest
-    # built by increasing n', so an uncatalogued span fails at its first record
-    records = [IrregularityRecord(n, n_prime - n) for n_prime, n in sorted(lowest_n.items())]
+    squares = [m * m for m in numbers]
+    records = []  # by increasing n', so an uncatalogued span fails at its first record
+    for n_prime, (m, apex) in enumerate(zip(numbers, apexes), start=1):
+        num, den = _deficit(m, _b_value(apex))
+        # the lowest n with num/den > 1/m_n^2, that is m_n^2 > den // num
+        n = bisect.bisect_right(squares, den // num, 0, n_prime - 1) + 1
+        if n <= min(n_prime - 1, n_max):
+            records.append(IrregularityRecord(n, n_prime - n))
     records.sort(key=lambda rec: rec.n)
     return records
 

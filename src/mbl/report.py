@@ -33,12 +33,12 @@ def _preview(value, digits: int = 12) -> str:
     )
 
 
-def _at_least_one(config: argparse.Namespace, *flags: str) -> None:
-    """Raise the usage error naming the first of the flags ("--n-max") set below 1."""
+def _at_least(config: argparse.Namespace, least: int, *flags: str) -> None:
+    """Raise the usage error naming the first of the flags ("--n-max") set below `least`."""
     for flag in flags:
         value = getattr(config, flag[2:].replace("-", "_"))
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be >= 1")
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
 
 
 def _table(

@@ -45,7 +45,7 @@ from .ordering import (
     spectrum_rows,
     verify_swap_pattern,
 )
-from .report import EXIT_OK, EXIT_VERIFICATION, _at_least_one, _report
+from .report import EXIT_OK, EXIT_VERIFICATION, _at_least, _report
 
 
 def fibonacci(n: int) -> int:
@@ -427,7 +427,7 @@ SUITES = {
 
 def cmd_verify(config: argparse.Namespace) -> int:
     names = dict.fromkeys(config.suites or SUITES)  # once each, first-given order
-    _at_least_one(config, "--max-bound", "--n-max")
+    _at_least(config, 1, "--max-bound", "--n-max")
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from .capacity import closed_forms, surd_decimal, width
+from .capacity import limit_decimal, width
 from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
-from .report import EXIT_OK, _at_least_one, _emit
+from .report import EXIT_OK, _at_least, _emit
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -124,7 +124,7 @@ def figure_numberline(n: int, k: int) -> str:
     seqs = [rows[i] for i in indices]
     # the capacities exactly; each limit, for layout only, to 40 correct digits
     caps = [[Fraction(*ratio) for ratio in row.ratios] for row in seqs]
-    limits = [Fraction(surd_decimal(closed_forms(row.m)[0], 40)) for row in seqs]
+    limits = [Fraction(limit_decimal(row.m, 40)) for row in seqs]
     values = [*limits, *(w for ws in caps for w in ws)]
     lo, hi = min(values), max(values)
     pad = (hi - lo) / 12
@@ -169,7 +169,7 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     """Base triangle with cut segments from each vertex toward the central
     point and a cross at affine distance delta along each segment."""
     if not 0 < delta < Fraction(1, 3):
-        raise ValueError("delta must lie strictly between 0 and 1/3")
+        raise ValueError("--delta must lie strictly between 0 and 1/3")
     tri = vianna_triangle(triple)
     center = central_point(tri)
     pts = list(tri.vertices)
@@ -218,10 +218,11 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
 
 def cmd_plot(config: argparse.Namespace) -> int:
     if config.figure == "order5":
+        _at_least(config, 0, "--depth")
         triple = config.triple or MarkovTriple(5, 2, 1)
         data = figure_subtree(triple, config.depth)
     elif config.figure == "numberline":
-        _at_least_one(config, "--n", "--k")
+        _at_least(config, 1, "--n", "--k")
         data = figure_numberline(config.n, k=config.k)
     elif config.triple is None:
         raise ValueError("plot --figure triangle needs --triple")

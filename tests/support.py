@@ -6,7 +6,8 @@ every primitive direction inside a Euclidean-width bound instead of reducing
 a basis and takes its spreads over the Fraction vertices instead of the
 polygon's integer form, unimodular images are mapped vertex by vertex on Fractions,
 the juxtaposition inequality is decided on Fractions rather than on
-cross-multiplied integers, the essential subtrees are filtered from
+cross-multiplied integers over every pair of a plain double loop rather than
+by bisection, the essential subtrees are filtered from
 validated wedge triples rather than read off the raw chains, and the global
 order of the capacities is read off a plain sort of every triple below a
 bound, reached by Vieta jumps written here.
@@ -64,6 +65,17 @@ def limit_point(m: int) -> QuadraticValue:
     """The limit point (3m^2 - m*sqrt(9m^2 - 4))/2 of sequence m, built from
     the integer parts of `closed_forms(m)`."""
     return QuadraticValue(*(Fraction(*part) for part in closed_forms(m)[0]))
+
+
+def rounded_limit(m: int, digits: int = 12) -> str:
+    """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m correctly rounded to
+    `digits` significant digits, from integers and isqrt alone."""
+    d, scale = 9 * m * m - 4, 10 ** (digits + 30)
+    p = 4 * m * 10 ** digits  # p/(3m + sqrt(d)) is twice the limit times 10^digits
+    t = p * scale // (3 * m * scale + math.isqrt(d * scale * scale) + 1)
+    while (t + 1) * 3 * m <= p and (t + 1) ** 2 * d <= (p - (t + 1) * 3 * m) ** 2:
+        t += 1  # t + 1 still fits: t(3m + sqrt(d)) <= p
+    return f"0.{(t + 1) // 2}"  # the limit lies in (1/3, 1/2)
 
 
 def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
@@ -142,6 +154,18 @@ def nn_inequality_holds(n: int, n_prime: int) -> bool:
     b_p = 3 * a * c - b
     return (Fraction(1, numbers[n - 1] ** 2)
             >= Fraction(1, numbers[n_prime - 1] ** 2) + Fraction(1, b_p * b_p))
+
+
+def window_pairs(numbers, n_max: int) -> list[tuple[int, int]]:
+    """Every (n, n') with n <= n_max, n < n' <= len(numbers) and
+    m_{n'}^2 < 2 m_n^2, by increasing n, then n'.
+
+    Only these pairs can fail the juxtaposition inequality, since a failure
+    needs 1/m_n^2 < 1/m_{n'}^2 + 1/b_{n'}^2 < 2/m_{n'}^2."""
+    squares = [m * m for m in numbers]
+    return [(n, n_prime) for n in range(1, n_max + 1)
+            for n_prime in range(n + 1, len(numbers) + 1)
+            if squares[n_prime - 1] < 2 * squares[n - 1]]
 
 
 def apex_of_number(p: int) -> MarkovTriple:

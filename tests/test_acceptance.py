@@ -25,7 +25,6 @@ from mbl.ordering import (
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
-    scan_windows,
     spectrum_rows,
 )
 from mbl.suites import (
@@ -45,6 +44,7 @@ from support import (
     nn_inequality_holds,
     random_parts,
     random_quadratic,
+    window_pairs,
 )
 
 T = MarkovTriple
@@ -112,9 +112,8 @@ def test_criterion_03_irregularity_catalogue():
 def test_criterion_04_regular_prefix():
     with _Timer(4, "juxtaposition inequality holds for all n <= 32", 30.0):
         numbers, _ = markov_prefix(48)
-        for n, window in scan_windows(numbers, 32):
-            for n_prime in window:
-                assert nn_inequality_holds(n, n_prime)
+        for n, n_prime in window_pairs(numbers, 32):
+            assert nn_inequality_holds(n, n_prime)
 
 
 def test_criterion_05_alternating_descent():

@@ -13,7 +13,7 @@ from mbl.capacity import (
     capacity_to_json,
     closed_forms,
     lagrange_number,
-    surd_decimal,
+    limit_decimal,
     surd_text,
     width,
 )
@@ -27,6 +27,7 @@ from support import (
     limit_point,
     quadratic_interval,
     random_quadratic,
+    rounded_limit,
 )
 
 T = MarkovTriple
@@ -115,7 +116,8 @@ class TestSpectrumValues:
     def test_limit_point_one(self):
         assert repr(limit_point(1)) == (
             "QuadraticValue(Fraction(3, 2), Fraction(-1, 2), Fraction(5, 1))")
-        assert surd_decimal(closed_forms(1)[0]).startswith("0.38196601125")
+        assert limit_decimal(1) == rounded_limit(1) == "0.381966011250"
+        assert limit_decimal(1, 40) == rounded_limit(1, 40)
 
     def test_limit_point_two(self):
         # 2/(3 + sqrt(8)) rationalizes to 6 - 4*sqrt(2)
@@ -256,9 +258,6 @@ class TestQuadraticValue:
         assert QV(0, 1, 5).compare(Fraction(9, 4)) <= 0
         with pytest.raises(TypeError):  # values have no ordering operators
             QV(0, 1, 2) < QV(0, 1, 3)
-
-    def test_decimal_of_rational(self):
-        assert surd_decimal(((1, 2), (0, 1), (0, 1))) == "0.5"
 
     def test_json_roundtrip(self):
         row = spectrum_rows(3)[2]  # m = 5; the row writes its limit from closed_forms(5)

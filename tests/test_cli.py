@@ -27,6 +27,8 @@ from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, MutationKind, markov_numbers
 from mbl.ordering import IrregularityRecord
 
+from support import rounded_limit
+
 
 def fraction_of(pair):  # a rational in the reports' {"num", "den"} form
     return Fraction(int(pair["num"]), int(pair["den"]))
@@ -294,9 +296,21 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("verify --max-bound 0", 2, "mbl: --max-bound must be >= 1\n"),
     ("verify --n-max 0", 2, "mbl: --n-max must be >= 1\n"),
     ("ingest --n 0", 2, "mbl: --n must be >= 1\n"),
+    # and a depth below 0, or a delta outside (0, 1/3), by theirs
+    ("order --triple 5,2,1 --depth -1", 2, "mbl: --depth must be >= 0\n"),
+    ("subtree --triple 5,2,1 --depth -1", 2, "mbl: --depth must be >= 0\n"),
+    ("plot --figure order5 --depth -1", 2, "mbl: --depth must be >= 0\n"),
+    ("plot --figure triangle --triple 5,2,1 --delta 1/2", 2,
+     "mbl: --delta must lie strictly between 0 and 1/3\n"),
 ])
 def test_error_exits_write_one_line_to_stderr(capsys, command, exit_code, err):
     assert run(capsys, *command.split()) == (exit_code, "", err)
+
+
+def test_depth_is_checked_only_where_it_is_read(capsys):
+    # the numberline figure takes no depth
+    assert run(capsys, "plot", "--figure", "numberline", "--depth", "-1") == \
+        run(capsys, "plot", "--figure", "numberline")
 
 
 def test_import_leaves_the_network_stack_unloaded():
@@ -510,24 +524,13 @@ def test_a_stdout_closed_at_start_is_an_io_error(capsys, tmp_path):
     assert path.read_text() == run(capsys, "limits", "--n", "3")[1]
 
 
-def _rounded_limit(m: int, digits: int = 12) -> str:
-    """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m correctly rounded to
-    `digits` significant digits, from integers and isqrt alone."""
-    d, scale = 9 * m * m - 4, 10 ** (digits + 30)
-    p = 4 * m * 10 ** digits  # p/(3m + sqrt(d)) is twice the limit times 10^digits
-    t = p * scale // (3 * m * scale + math.isqrt(d * scale * scale) + 1)
-    while (t + 1) * 3 * m <= p and (t + 1) ** 2 * d <= (p - (t + 1) * 3 * m) ** 2:
-        t += 1  # t + 1 still fits: t(3m + sqrt(d)) <= p
-    return f"0.{(t + 1) // 2}"  # the limit lies in (1/3, 1/2)
-
-
 def test_limit_previews_are_correctly_rounded(capsys):
-    # the preview of a limit q + s*sqrt(r) with q near -s*sqrt(r) ~ 1.5 m^2
+    # every preview, rounded from 2m/(3m + sqrt(9m^2 - 4)) at 12 digits
     code, out, _ = run(capsys, "limits", "--n", "850", "--format", "json")
     assert code == 0
     rows = json.loads(out)["rows"]
     previews = [row["preview"] for row in rows]
-    assert previews == [_rounded_limit(int(row["m"])) for row in rows]
+    assert previews == [rounded_limit(int(row["m"])) for row in rows]
     code, out, _ = run(capsys, "limits", "--n", "850")
     assert code == 0
     lines = out.splitlines()
@@ -538,8 +541,7 @@ def test_limit_previews_are_correctly_rounded(capsys):
 def test_limit_decimals_hold_40_correct_digits():
     # the numberline figure places its limit ticks by these
     for m in markov_numbers(850):
-        limit = mbl.capacity.closed_forms(m)[0]
-        assert mbl.capacity.surd_decimal(limit, 40) == _rounded_limit(m, 40)
+        assert mbl.capacity.limit_decimal(m, 40) == rounded_limit(m, 40)
 
 
 class TestWidths:
@@ -657,8 +659,10 @@ class TestGeometryCommands:
         assert code == 0 and out.splitlines()[2].startswith("1")
 
     @pytest.mark.parametrize("polygon, message", [
-        *(pytest.param([[0, 0], [1, 0], [0, bad]], "", id=str(bad))
-          for bad in (0.001, True, None, "1/0")),
+        *(pytest.param([[0, 0], [1, 0], [0, bad]],
+                       f"coordinates must be ints or rational strings, got {bad!r}",
+                       id=str(bad))
+          for bad in (0.001, True, None, "1/0", "x")),
         # vertices that are not [x, y] pairs, which once unpacked into two
         # coordinates (or crashed on a third)
         pytest.param(["00", "10", "01"], "[x, y] pairs", id="string-vertices"),

@@ -24,7 +24,6 @@ from mbl.ordering import (
     alternating_order,
     find_irregularities,
     ordered_prefix_complete_above,
-    scan_windows,
     spectrum_rows,
     verify_swap_pattern,
 )
@@ -36,6 +35,7 @@ from support import (
     limit_point,
     nn_inequality_holds,
     sorted_capacity_order,
+    window_pairs,
 )
 
 T = MarkovTriple
@@ -230,9 +230,7 @@ def _fraction_violations(n_max: int) -> set[tuple[int, int]]:
     """Pairs (n, n') in the scan windows up to n_max failing
     1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2, decided on Fractions."""
     numbers, _ = _scan_prefix(n_max)
-    return {(n, n_prime) for n, window in scan_windows(numbers, n_max)
-            for n_prime in window
-            if not nn_inequality_holds(n, n_prime)}
+    return {pair for pair in window_pairs(numbers, n_max) if not nn_inequality_holds(*pair)}
 
 
 # The catalogue to n = 793, the last n_max below the span-3 irregularity.
@@ -249,31 +247,18 @@ class TestNNInequality:
     def test_first_violation(self):
         assert not nn_inequality_holds(33, 34)
 
-    def test_scan_windows_hold_every_offending_candidate(self):
-        # window n is every n' > n of the prefix with m_{n'}^2 < 2 m_n^2
-        numbers, _ = _scan_prefix(850)
-        windows = list(scan_windows(numbers, 850))
-        assert [n for n, _ in windows] == list(range(1, 851))
-        for n, window in windows:
-            bound = 2 * numbers[n - 1] ** 2
-            assert list(window) == [n_prime for n_prime in range(n + 1, len(numbers) + 1)
-                                    if numbers[n_prime - 1] ** 2 < bound]
-        assert windows[-1][1].stop == len(numbers)  # the prefix ends past the last window
-
     def test_prefix_regular_through_32(self):
         numbers, _ = markov_prefix(48)
-        for n, window in scan_windows(numbers, 32):
-            for n_prime in window:
-                assert nn_inequality_holds(n, n_prime)
+        for n, n_prime in window_pairs(numbers, 32):
+            assert nn_inequality_holds(n, n_prime)
 
     def test_cross_multiplied_form_matches_fractions_to_850(self):
         violated = _fraction_violations(850)
         assert (794, 797) in violated
         numbers, apexes = _scan_prefix(850)
-        for n, window in scan_windows(numbers, 850):
-            for n_prime in window:
-                expected = (n, n_prime) not in violated
-                assert _holds(n, n_prime, numbers, apexes) == expected
+        for n, n_prime in window_pairs(numbers, 850):
+            expected = (n, n_prime) not in violated
+            assert _holds(n, n_prime, numbers, apexes) == expected
 
 
 def _inv_sq(x: int) -> Fraction:
@@ -305,7 +290,7 @@ class TestIntegerForms:
         assert (794, 797) in violated
         numbers, apexes = _scan_prefix(850)
         pairs = {(k, n_prime) for n, n_prime in violated for k in range(n - 1, n_prime)}
-        window = {(n, n_prime) for n, span in scan_windows(numbers, 850) for n_prime in span}
+        window = set(window_pairs(numbers, 850))
         pairs |= window | {(n_prime, n) for n, n_prime in window}  # reversed: both outcomes
         seen = set()
         for k, n_prime in sorted(pairs):
@@ -418,6 +403,17 @@ class TestIrregularities:
                    " outside the catalogued patterns")
         with pytest.raises(VerificationError, match=re.escape(message)):
             find_irregularities(794)
+
+    def test_every_n_max_to_793_against_fractions(self):
+        # each n' against its lowest violated n on Fractions, kept while n <= n_max
+        lowest = {}
+        for n, n_prime in sorted(_fraction_violations(793)):
+            lowest.setdefault(n_prime, n)
+        catalogue = sorted((n, n_prime - n) for n_prime, n in lowest.items())
+        assert len(catalogue) == 30
+        for n_max in range(1, 794):
+            assert [(rec.n, rec.span) for rec in find_irregularities(n_max)] == \
+                [(n, span) for n, span in catalogue if n <= n_max]
 
 
 class TestSortedCapacities:
