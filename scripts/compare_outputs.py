@@ -11,9 +11,10 @@ invocations outside the benchmark that reach the ordering layer in every
 format it renders, and every other command in each format it renders.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
 MBL_CACHE_DIR unset and a temporary directory holding the polygon file
-`skew.json` as the working directory, and compares exit code, stdout and
-stderr.  Prints the counts for the usage paths, for FIXED and per seed, and
-every differing command line; exits 1 if any differs.
+`skew.json` and the b-files `doctored.txt` and `short.txt` as the working
+directory, and compares exit code, stdout and stderr.  Prints the counts for
+the usage paths, for FIXED and per seed, and every differing command line;
+exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ FIXED = [
         ("width", "--triple", "433,29,5"),
         ("width", "--polygon", "skew.json"),
         ("ingest",),
+        ("ingest", "--kind", "markov", "--n", "8", "--bfile", "doctored.txt"),
+        ("ingest", "--kind", "markov", "--n", "8", "--bfile", "short.txt"),
+        ("ingest", "--kind", "pell", "--n", "5"),
     )),
+    *(("complete", "--threshold", str(workloads.threshold(60)), "--n-max", "450",
+       "--format", fmt) for fmt in ("text", "json")),
     ("plot", "--figure", "order5"),
     ("plot", "--figure", "numberline", "--n", "33"),
     ("plot", "--figure", "triangle", "--triple", "29,5,2"),
@@ -65,6 +71,9 @@ FIXED = [
 ]
 #: A unimodular image of a base triangle, read by `width --polygon skew.json`.
 SKEW = [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]
+#: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
+BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
+          "short.txt": "1 1\n2 2\n"}
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
@@ -100,6 +109,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # every run reads skew.json from here
         Path("skew.json").write_text(json.dumps(SKEW))
+        for name, text in BFILES.items():
+            Path(name).write_text(text)
         return _compare(old, new, args.seeds or (1, 20261017))
 
 

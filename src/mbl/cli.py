@@ -124,22 +124,23 @@ def cmd_limits(config: argparse.Namespace) -> int:
 def cmd_complete(config: argparse.Namespace) -> int:
     _at_least(config, 1, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
-    spans = ", ".join(f"span-{span} at {[r.n for r in report.records if r.span == span]}"
+    records = report["records"]
+    spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
                       for span in SWAP_PATTERNS)
     lines = [
-        f"threshold = {report.threshold} (~{_preview(report.threshold, 6)})",
-        f"n_max = {report.n_max}",
-        f"records: {len(report.records)} ({spans})",
-        f"sequences with limit above threshold: {report.active_sequences}",
-        f"tail: {len(report.tail_exact)} exact leading-capacity checks, "
-        f"monotone bound from index {report.tail_bound_index} "
-        f"(m = {report.tail_bound_m})",
-        f"certified: {report.certified}",
+        f"threshold = {config.threshold} (~{_preview(config.threshold, 6)})",
+        f"n_max = {config.n_max}",
+        f"records: {len(records)} ({spans})",
+        f"sequences with limit above threshold: {report['active_sequences']}",
+        f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "
+        f"monotone bound from index {report['tail_bound_index']} "
+        f"(m = {report['tail_bound_m']})",
+        f"certified: {report['certified']}",
+        *(f"condition: {c}" for c in report["conditions"]),
+        *(f"FAILURE: {f}" for f in report["failures"]),
     ]
-    lines.extend(f"condition: {c}" for c in report.conditions)
-    lines.extend(f"FAILURE: {f}" for f in report.failures)
-    status = EXIT_OK if report.certified else EXIT_VERIFICATION
-    return _report(config, report.to_json(), lambda: "\n".join(lines) + "\n", status)
+    status = EXIT_OK if report["certified"] else EXIT_VERIFICATION
+    return _report(config, report, lambda: "\n".join(lines) + "\n", status)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:

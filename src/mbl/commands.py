@@ -125,7 +125,7 @@ def cmd_width(config: argparse.Namespace) -> int:
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
@@ -150,21 +150,22 @@ def cmd_ingest(config: argparse.Namespace) -> int:
     if config.fetch:
         for kind in kinds:
             oeis.fetch_bfile(kind, cache_dir=config.cache_dir)
-    reports = [
-        oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile, config.cache_dir))
-        for kind in kinds
-    ]
-    status = EXIT_OK if all(report.ok for report in reports) else EXIT_VERIFICATION
+    checks = []
+    for kind in kinds:
+        bfile = oeis.load_bfile(kind, config.bfile, config.cache_dir)
+        checks.append((kind, bfile, oeis.cross_check(kind, config.n, bfile)))
+    status = EXIT_OK if all(mismatch is None for *_, mismatch in checks) else EXIT_VERIFICATION
     return _emit_rows(
-        config, ["kind", "sequence", "n", "source", "status"],
-        list(zip(kinds, reports)),
-        lambda kind, report: [
-            kind,
-            report.sequence_id,
-            str(report.n),
-            report.source,
-            "ok" if report.ok else f"MISMATCH at {report.first_mismatch[0]}",
+        config, ["kind", "sequence", "n", "source", "status"], checks,
+        lambda kind, bfile, mismatch: [
+            kind, bfile.sequence_id, str(config.n), bfile.source,
+            "ok" if mismatch is None else f"MISMATCH at {mismatch[0]}",
         ],
-        lambda kind, report: report.to_json(),
+        lambda kind, bfile, mismatch: {
+            "kind": kind, "sequence_id": bfile.sequence_id, "n": config.n,
+            "source": bfile.source, "ok": mismatch is None,
+            "first_mismatch": None if mismatch is None else {
+                "index": mismatch[0], "generated": str(mismatch[1]), "file": str(mismatch[2])},
+        },
         {"command": "ingest"}, status=status,
     )

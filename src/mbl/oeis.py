@@ -133,35 +133,9 @@ def load_bfile(
     return parse_bfile(_vendored_bytes(kind), seq, "vendored")
 
 
-class CrossCheckReport(_Record):
-    kind: str
-    sequence_id: str
-    n: int
-    source: str
-    ok: bool
-    first_mismatch: tuple[int, int, int] | None  # (index, generated, file)
-
-    def to_json(self) -> dict:
-        mismatch = None
-        if self.first_mismatch is not None:
-            index, generated, filed = self.first_mismatch
-            mismatch = {
-                "index": index,
-                "generated": str(generated),
-                "file": str(filed),
-            }
-        return {
-            "kind": self.kind,
-            "sequence_id": self.sequence_id,
-            "n": self.n,
-            "source": self.source,
-            "ok": self.ok,
-            "first_mismatch": mismatch,
-        }
-
-
-def cross_check(kind: str, n: int, bfile: BFile) -> CrossCheckReport:
-    """Compare the generated sequence prefix against a loaded b-file's prefix.
+def cross_check(kind: str, n: int, bfile: BFile) -> tuple[int, int, int] | None:
+    """The first (index, generated, file) where the generated sequence prefix
+    and a loaded b-file's prefix differ, or None where they agree.
 
     For "markov" the compared indices are 1..n; for the recurrences they are
     the first n+1 file indices starting at 0.
@@ -173,16 +147,7 @@ def cross_check(kind: str, n: int, bfile: BFile) -> CrossCheckReport:
         raise ValueError(
             f"b-file for {kind} ({bfile.source}) is shorter than n={n}"
         )
-    mismatch = None
     for index, value in generated.items():
         if bfile.entries[index] != value:
-            mismatch = (index, value, bfile.entries[index])
-            break
-    return CrossCheckReport(
-        kind=kind,
-        sequence_id=bfile.sequence_id,
-        n=n,
-        source=bfile.source,
-        ok=mismatch is None,
-        first_mismatch=mismatch,
-    )
+            return index, value, bfile.entries[index]
+    return None

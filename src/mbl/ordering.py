@@ -274,41 +274,10 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     return n <= 1 or _holds(n - 1, n_prime, numbers, apexes)
 
 
-class CompletenessReport(_Record):
-    """Outcome of certifying the ordered prefix above a threshold."""
-
-    threshold: Fraction
-    n_max: int
-    certified: bool
-    records: tuple[IrregularityRecord, ...]
-    swap_checks: tuple[tuple[int, bool], ...]
-    active_sequences: int
-    tail_exact: tuple[tuple[int, bool], ...]
-    tail_bound_index: int
-    tail_bound_m: int
-    failures: tuple[str, ...]
-    conditions: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "threshold": capacity_to_json(self.threshold),
-            "n_max": self.n_max,
-            "certified": self.certified,
-            "records": [rec.to_json() for rec in self.records],
-            "swap_checks": [{"n": n, "ok": ok} for n, ok in self.swap_checks],
-            "active_sequences": self.active_sequences,
-            "descent_depth": DESCENT_DEPTH,
-            "tail_exact": [{"n": n, "ok": ok} for n, ok in self.tail_exact],
-            "tail_bound_index": self.tail_bound_index,
-            "tail_bound_m": str(self.tail_bound_m),
-            "failures": list(self.failures),
-            "conditions": list(self.conditions),
-        }
-
-
-def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> CompletenessReport:
+def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     """Certify that the juxtaposed-with-swaps order accounts for every
-    capacity >= threshold.
+    capacity >= threshold; return the certificate `complete --format json`
+    writes.
 
     Exact sufficient conditions, all re-checked here:
 
@@ -334,14 +303,14 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
     bar = ((3 * num - den) * den, num * num)  # (3T - 1)/T^2 for T = N/D
 
     try:
-        records = tuple(find_irregularities(n_max))
+        records = find_irregularities(n_max)
     except VerificationError as exc:
-        records = ()
+        records = []
         failures.append(str(exc))
     swap_checks = []
     for rec in records:
         ok = verify_swap_pattern(rec)
-        swap_checks.append((rec.n, ok))
+        swap_checks.append({"n": rec.n, "ok": ok})
         if not ok:
             failures.append(f"swap pattern at n={rec.n} (span {rec.span}) fails")
 
@@ -350,43 +319,39 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> Completene
     except VerificationError as exc:
         rows = []
         failures.append(str(exc))
-    active = sum(1 for row in rows if not _exceeds(bar, _deficit(row.m)))
 
     tail_exact = []
     # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
     for n in range(n_max + 1, len(numbers)):
         ok = _exceeds(bar, _deficit(numbers[n - 1], _b_value(apexes[n - 1])))
-        tail_exact.append((n, ok))
+        tail_exact.append({"n": n, "ok": ok})
         if not ok:
-            failures.append(
-                f"sequence {n} beyond n_max still reaches the threshold"
-            )
-    tail_bound_index = len(numbers)
-    tail_bound_m = numbers[-1]
+            failures.append(f"sequence {n} beyond n_max still reaches the threshold")
+    end = len(numbers)
 
-    conditions = (
-        "pairwise juxtaposition checked for every n <= n_max over the full "
-        "finite scan window m_{n'}^2 < 2 m_n^2 (sufficient since b > m)",
-        "each violation is a catalogued record whose swap pattern verified: "
-        "only the leading capacity of the higher sequence moves, directly in "
-        "front of the lowest spanned sequence",
-        f"within-sequence strict descent above the limit verified exactly "
-        f"for the first {DESCENT_DEPTH} capacities of every sequence",
-        f"tail exclusion: leading capacities checked exactly for "
-        f"n_max < n < {tail_bound_index}; from index {tail_bound_index} on, "
-        f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",
-    )
-    return CompletenessReport(
-        threshold=threshold,
-        n_max=n_max,
-        certified=not failures,
-        records=records,
-        swap_checks=tuple(swap_checks),
-        active_sequences=active,
-        tail_exact=tuple(tail_exact),
-        tail_bound_index=tail_bound_index,
-        tail_bound_m=tail_bound_m,
-        failures=tuple(failures),
-        conditions=conditions,
-    )
+    return {
+        "threshold": capacity_to_json(threshold),
+        "n_max": n_max,
+        "certified": not failures,
+        "records": [rec.to_json() for rec in records],
+        "swap_checks": swap_checks,
+        "active_sequences": sum(1 for row in rows if not _exceeds(bar, _deficit(row.m))),
+        "descent_depth": DESCENT_DEPTH,
+        "tail_exact": tail_exact,
+        "tail_bound_index": end,
+        "tail_bound_m": str(numbers[-1]),
+        "failures": failures,
+        "conditions": [
+            "pairwise juxtaposition checked for every n <= n_max over the full "
+            "finite scan window m_{n'}^2 < 2 m_n^2 (sufficient since b > m)",
+            "each violation is a catalogued record whose swap pattern verified: "
+            "only the leading capacity of the higher sequence moves, directly in "
+            "front of the lowest spanned sequence",
+            f"within-sequence strict descent above the limit verified exactly "
+            f"for the first {DESCENT_DEPTH} capacities of every sequence",
+            f"tail exclusion: leading capacities checked exactly for "
+            f"n_max < n < {end}; from index {end} on, "
+            f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",
+        ],
+    }

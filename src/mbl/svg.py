@@ -23,8 +23,6 @@ STYLE = {
     "version": "1",
     "font": "ui-monospace, monospace",
     "font_size": 12,
-    "node_fill": "#f5f5f5",
-    "node_stroke": "#333333",
     "edge_stroke": "#555555",
     "order_stroke": "#b22222",
     "tick_colors": ("#1f6fb2", "#b22222", "#2e8540"),
@@ -76,24 +74,17 @@ def figure_subtree(apex: MarkovTriple, depth: int) -> str:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
     nodes = wedge(apex, depth)
-    chain = len(nodes) == depth + 1
+    k = 1 if len(nodes) == depth + 1 else 2  # one chain, or two side by side
+    offsets = (0,) if k == 1 else (-190, 190)
     width_px, level_h, top = 920, 90, 60
     mid_x = Fraction(width_px, 2)
     positions = [(mid_x, Fraction(top))]
-    for i, node in enumerate(nodes[1:]):
-        level = i // 2 + 1 if not chain else i + 1
-        if chain:
-            x = mid_x
-        else:
-            x = mid_x - 190 if i % 2 == 0 else mid_x + 190
-        positions.append((x, Fraction(top + level_h * level)))
     body = []
-    for i in range(1, len(nodes)):
-        if chain:
-            parent = i - 1
-        else:
-            parent = 0 if i <= 2 else i - 2
-        body.append(_line(*positions[parent], *positions[i], STYLE["edge_stroke"]))
+    for i in range(len(nodes) - 1):  # node i + 1, below node max(i + 1 - k, 0)
+        positions.append((mid_x + offsets[i % k],
+                          Fraction(top + level_h * (i // k + 1))))
+        body.append(_line(*positions[max(i + 1 - k, 0)], *positions[i + 1],
+                          STYLE["edge_stroke"]))
     for i in range(len(nodes) - 1):
         (x1, y1), (x2, y2) = positions[i], positions[i + 1]
         body.append(

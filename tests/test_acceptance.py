@@ -150,10 +150,10 @@ def test_criterion_07_completeness_threshold():
     with _Timer(7, "ordered prefix complete above 1/3 + 2e-44", 120.0):
         threshold = Fraction(1, 3) + Fraction(2, 10 ** 44)
         report = ordered_prefix_complete_above(threshold, 450)
-        assert report.certified
-        assert not report.failures
-        assert all(ok for _, ok in report.tail_exact)
-        assert all(ok for _, ok in report.swap_checks)
+        assert report["certified"] is True
+        assert not report["failures"]
+        assert all(check["ok"] for check in report["tail_exact"])
+        assert all(check["ok"] for check in report["swap_checks"])
 
 
 def test_criterion_08_surd_identity():
@@ -166,7 +166,7 @@ def test_criterion_08_surd_identity():
 def test_criterion_09_cross_checks():
     with _Timer(9, "sequence cross-checks and right-number identities", 10.0):
         markov_bfile = load_bfile("markov")
-        assert cross_check("markov", 500, markov_bfile).ok
+        assert cross_check("markov", 500, markov_bfile) is None
         markov_entries = markov_bfile.entries
         assert markov_numbers(500) == [markov_entries[i] for i in range(1, 501)]
         # identities against the ingested sequences, then the recurrences

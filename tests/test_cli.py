@@ -302,8 +302,17 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("plot --figure order5 --depth -1", 2, "mbl: --depth must be >= 0\n"),
     ("plot --figure triangle --triple 5,2,1 --delta 1/2", 2,
      "mbl: --delta must lie strictly between 0 and 1/3\n"),
+    # a polygon file too deeply nested to parse, or not UTF-8, is a bad file
+    ("width --polygon deep.json", 2, "mbl: bad polygon file deep.json: maximum recursion "
+     "depth exceeded while decoding a JSON array from a unicode string\n"),
+    ("width --polygon latin1.json", 2, "mbl: bad polygon file latin1.json: 'utf-8' codec "
+     "can't decode byte 0xe9 in position 3: invalid continuation byte\n"),
 ])
-def test_error_exits_write_one_line_to_stderr(capsys, command, exit_code, err):
+def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
+                                              command, exit_code, err):
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "latin1.json").write_bytes('[["\u00e9", 1]]'.encode("latin-1"))
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *command.split()) == (exit_code, "", err)
 
 
@@ -1020,6 +1029,14 @@ class TestVerifyAndComplete:
         code, out, _ = run(capsys, "complete", "--threshold", "7/20",
                            "--n-max", "10")
         assert code == 0 and "certified: True" in out
+
+    # at 17/50 with n_max 1, sequence 2 (m = 2), beyond n_max, still reaches the threshold
+    @pytest.mark.parametrize("threshold, n_max, code", [("7/20", "10", 0), ("17/50", "1", 1)])
+    def test_complete_writes_the_certificate_it_is_given(self, capsys, threshold, n_max, code):
+        certificate = mbl.ordering.ordered_prefix_complete_above(Fraction(threshold), int(n_max))
+        assert certificate["certified"] is (code == 0)
+        assert run(capsys, "complete", "--threshold", threshold, "--n-max", n_max,
+                   "--format", "json") == (code, mbl.report._json_text(certificate) + "\n", "")
 
     def test_complete_rejects_one_third(self, capsys):
         code, _, err = run(capsys, "complete", "--threshold", "1/3",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mbl.cli import main
 from mbl.markov import markov_numbers
 from mbl.oeis import SEQUENCE_IDS, cross_check, load_bfile, parse_bfile
 from mbl.suites import fibonacci, pell
@@ -76,18 +77,17 @@ class TestVendored:
 
 class TestCrossCheck:
     def test_markov_500(self):
-        report = cross_check("markov", 500, load_bfile("markov"))
-        assert report.ok and report.first_mismatch is None
+        assert cross_check("markov", 500, load_bfile("markov")) is None
 
     def test_fibonacci_entry_27(self):
         bfile = load_bfile("fibonacci")
         assert bfile.entries[27] == 196418
-        assert cross_check("fibonacci", 1000, bfile).ok
+        assert cross_check("fibonacci", 1000, bfile) is None
 
     def test_pell_entry_15(self):
         bfile = load_bfile("pell")
         assert bfile.entries[15] == 195025
-        assert cross_check("pell", 1000, bfile).ok
+        assert cross_check("pell", 1000, bfile) is None
 
     def test_identity_anchors(self):
         markov = load_bfile("markov").entries
@@ -100,9 +100,7 @@ class TestCrossCheck:
         lines = [f"{i + 1} {m}\n" for i, m in enumerate(numbers)]
         lines[4] = "5 30\n"  # true m_5 is 29
         doctored.write_text("".join(lines))
-        report = cross_check("markov", 20, load_bfile("markov", path=doctored))
-        assert not report.ok
-        assert report.first_mismatch == (5, 29, 30)
+        assert cross_check("markov", 20, load_bfile("markov", path=doctored)) == (5, 29, 30)
 
     def test_short_file_rejected(self, tmp_path):
         short = tmp_path / "short.txt"
@@ -114,11 +112,20 @@ class TestCrossCheck:
         with pytest.raises(ValueError):
             cross_check("markov", 0, load_bfile("markov"))
 
-    def test_report_json(self):
-        data = cross_check("markov", 10, load_bfile("markov")).to_json()
-        assert data["ok"] is True
-        assert data["sequence_id"] == "A002559"
-        assert json.dumps(data)  # serializable
+    def test_report_json(self, capsys, monkeypatch, tmp_path):
+        # `ingest` writes each cross-check as a JSON row
+        monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
+        assert main(["ingest", "--kind", "markov", "--n", "10", "--format", "json"]) == 0
+        [data] = json.loads(capsys.readouterr().out)["rows"]
+        assert data == {"kind": "markov", "sequence_id": "A002559", "n": 10,
+                        "source": "vendored", "ok": True, "first_mismatch": None}
+        doctored = tmp_path / "b002559.txt"
+        doctored.write_text("1 1\n2 2\n3 6\n")
+        assert main(["ingest", "--kind", "markov", "--n", "3", "--bfile", str(doctored),
+                     "--format", "json"]) == 1
+        [data] = json.loads(capsys.readouterr().out)["rows"]
+        assert (data["ok"], data["source"]) == (False, str(doctored))
+        assert data["first_mismatch"] == {"index": 3, "generated": "5", "file": "6"}
 
 
 class TestCachePrecedence:

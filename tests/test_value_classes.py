@@ -11,9 +11,9 @@ import pytest
 from mbl.capacity import QuadraticValue
 from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, vianna_triangle
 from mbl.markov import MarkovTriple
-from mbl.oeis import BFile, CrossCheckReport
+from mbl.oeis import BFile
 from mbl import capacity, ordering
-from mbl.ordering import CompletenessReport, IrregularityRecord, spectrum_rows
+from mbl.ordering import IrregularityRecord, spectrum_rows
 from mbl.suites import UnimodularMap
 
 T = MarkovTriple
@@ -28,16 +28,6 @@ CASES = {
     "IrregularityRecord": (
         lambda: IrregularityRecord(33, 1), ("n", "span"),
         "IrregularityRecord(n=33, span=1)"),
-    "CompletenessReport": (
-        lambda: CompletenessReport(
-            threshold=Fraction(7, 20), n_max=1, certified=True, records=(),
-            swap_checks=((33, True),), active_sequences=0, tail_exact=(),
-            tail_bound_index=2, tail_bound_m=2, failures=(), conditions=("c",)),
-        ("threshold", "n_max", "certified", "records", "swap_checks", "active_sequences",
-         "tail_exact", "tail_bound_index", "tail_bound_m", "failures", "conditions"),
-        "CompletenessReport(threshold=Fraction(7, 20), n_max=1, certified=True, "
-        "records=(), swap_checks=((33, True),), active_sequences=0, tail_exact=(), "
-        "tail_bound_index=2, tail_bound_m=2, failures=(), conditions=('c',))"),
     "RationalPoint": (
         lambda: RationalPoint(1, Fraction(1, 2)), ("x", "y"),
         "RationalPoint(x=Fraction(1, 1), y=Fraction(1, 2))"),
@@ -58,12 +48,6 @@ CASES = {
     "BFile": (
         lambda: BFile("A000045", {0: 0, 1: 1}, "local"), ("sequence_id", "entries", "source"),
         "BFile(sequence_id='A000045', entries={0: 0, 1: 1}, source='local')"),
-    "CrossCheckReport": (
-        lambda: CrossCheckReport(kind="markov", sequence_id="A002559", n=5,
-                                 source="vendored", ok=False, first_mismatch=(3, 5, 6)),
-        ("kind", "sequence_id", "n", "source", "ok", "first_mismatch"),
-        "CrossCheckReport(kind='markov', sequence_id='A002559', n=5, source='vendored', "
-        "ok=False, first_mismatch=(3, 5, 6))"),
 }
 
 
@@ -118,4 +102,4 @@ def test_completeness_builds_no_limit(monkeypatch):
 
     monkeypatch.setattr(capacity, "lagrange_number", refuse)
     monkeypatch.setattr(QuadraticValue, "__init__", refuse)
-    assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60).certified
+    assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60)["certified"] is True
