@@ -63,6 +63,12 @@ FIXED = [
     )),
     *(("complete", "--threshold", str(workloads.threshold(60)), "--n-max", "450",
        "--format", fmt) for fmt in ("text", "json")),
+    # the descent certificate: the span-3 refusal next to the active count, and
+    # the active counts 1 and 0; the apex alone, at depth 0
+    *(("complete", "--threshold", str(workloads.threshold(30)), "--n-max", "850",
+       "--format", fmt) for fmt in ("text", "json")),
+    *(("complete", "--threshold", t, "--n-max", "1") for t in ("7/20", "1/2")),
+    ("order", "--triple", "29,5,2", "--depth", "0"),
     ("plot", "--figure", "order5"),
     ("plot", "--figure", "numberline", "--n", "33"),
     ("plot", "--figure", "triangle", "--triple", "29,5,2"),

@@ -22,6 +22,8 @@ Every decision is an exact comparison of deficits.  A capacity is
 Capacities and deficits are (num, den) integer pairs, `_deficit` builds the
 deficits, and `_exceeds` decides every comparison between two of them, save
 the scan's num/den > 1/m_n^2, which `find_irregularities` bisects as m_n^2 > den // num.
+Descent within a sequence, at every depth, is decided by the four integers
+of `descent_integers` for its apex.
 """
 
 from __future__ import annotations
@@ -140,10 +142,6 @@ def _deficit(x: int, y: int | None = None) -> tuple[int, int]:
     return xx + yy, xx * yy
 
 
-def _descends(caps) -> bool:
-    return all(map(_exceeds, caps, caps[1:]))
-
-
 def _chain_capacities(apex: MarkovTriple, depth: int) -> list[tuple[int, int]]:
     # the width of each node of wedge(apex, depth), in wedge order: bc/a at the
     # apex, then a x_{i-1}/x_i at the level-i node (x_i, x_{i-1}, a)
@@ -152,10 +150,24 @@ def _chain_capacities(apex: MarkovTriple, depth: int) -> list[tuple[int, int]]:
                                      for i in range(1, depth + 1) for xs in columns]
 
 
-def _above_limit(num: int, den: int, m: int) -> bool:
-    # num/den > (3m^2 - m sqrt(r))/2, r = 9m^2 - 4  <=>  2 num - 3m^2 den + m den sqrt(r) > 0
-    mm = m * m
-    return _sign(2 * num - 3 * mm * den, m * den, 9 * mm - 4) > 0
+def descent_integers(apex: MarkovTriple) -> tuple[int, int, int, int]:
+    """(a^2, b^2 - c^2, c(3ac - 2b), c^2): the constants that decide the
+    descent of the wedge widths bc/a, a x_{i-1}/x_i at every depth.
+
+    With L and R the chains of `chains` from (c, 3ac - b) and (b, 3ab - c),
+    at every level i: x_{i-1} x_{i+1} - x_i^2 = a^2 on each chain,
+    L_{i-1} R_i - R_{i-1} L_i = b^2 - c^2, R_{i-1} L_{i+1} - R_i L_i =
+    c(3ac - 2b), and b L_1 - a^2 = c^2 (constant Casoratians of the chain
+    recurrence).  So the widths strictly decrease, and L_i < R_i < L_{i+1},
+    exactly when b > c and 3ac > 2b; decreasing to the limit, they stay
+    above it.  Raises VerificationError naming the apex otherwise; the
+    one-chain apexes (1,1,1) and (2,1,1) need only a^2 and c^2.
+    """
+    a, b, c = apex
+    if not (b > c or a < 5) or 3 * a * c <= 2 * b:
+        raise VerificationError(
+            f"capacity descent fails below {apex}: needs b > c and 3ac > 2b")
+    return a * a, b * b - c * c, c * (3 * a * c - 2 * b), c * c
 
 
 def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
@@ -172,18 +184,12 @@ def alternating_order(
 
     This is the order of strictly decreasing capacities on the subtree
     preserving the apex maximum: go down left, right, down left, right, ...
-    along increasing maximal entries.  Descent is decided on the integer
-    pairs; the Fractions are only what the caller gets back.
+    along increasing maximal entries.  `descent_integers` decides the
+    descent at every depth; the Fractions are only what the caller gets back.
     """
-    caps = _chain_capacities(apex, depth)
-    sequence = [(t, Fraction(*cap)) for t, cap in zip(wedge(apex, depth), caps)]
-    for i in range(len(caps) - 1):
-        if not _exceeds(caps[i], caps[i + 1]):
-            (t0, w0), (t1, w1) = sequence[i : i + 2]
-            raise VerificationError(
-                f"capacity descent fails between {t0} (w={w0}) and {t1} (w={w1})"
-            )
-    return sequence
+    descent_integers(apex)
+    return [(t, Fraction(*cap))
+            for t, cap in zip(wedge(apex, depth), _chain_capacities(apex, depth))]
 
 
 def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:
@@ -202,8 +208,9 @@ def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], 
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     """Rows n = 1..n_max: apex, b_n, the first k capacities, and the limit.
 
-    Construction re-checks on integers that the capacities strictly decrease,
-    that the last (so every) one exceeds the limit, and that the limit exceeds 1/3.
+    Construction re-checks on integers that the limit exceeds 1/3, and
+    through `descent_integers` that the capacities of each sequence strictly
+    decrease at every depth, so every one stays above the limit.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -213,15 +220,11 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     rows = []
     for n in range(1, n_max + 1):
         m, apex = numbers[n - 1], apexes[n - 1]
-        caps = _essential_capacities(apex, k)
-        if not _descends(caps):
-            raise VerificationError(f"row {n}: capacities fail to decrease")
-        (num, den), mm = caps[-1], m * m
-        if not _above_limit(num, den, m):
-            raise VerificationError(f"row {n}: capacity {num}/{den} not above limit")
+        descent_integers(apex)
+        mm = m * m
         if _sign(9 * mm - 2, -3 * m, 9 * mm - 4) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
             raise VerificationError(f"row {n}: limit not above 1/3")
-        rows.append(SpectrumRow(n, m, apex, _b_value(apex), caps))
+        rows.append(SpectrumRow(n, m, apex, _b_value(apex), _essential_capacities(apex, k)))
     return rows
 
 
@@ -284,9 +287,9 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     1. every pair (n, n') with n <= n_max inside the finite scan window
        either satisfies the juxtaposition inequality or belongs to a
        catalogued record whose swap pattern verifies;
-    2. within each sequence the first DESCENT_DEPTH capacities strictly
-       decrease and stay above the sequence limit (deeper capacities only
-       ever decrease further along the verified chain recursions);
+    2. within each sequence n <= n_max the capacities strictly decrease at
+       every depth, so stay above the sequence limit: `descent_integers`
+       checks the four chain constants of each apex;
     3. sequences beyond n_max contribute nothing: their leading capacity is
        checked exactly to stay below the threshold until the index where
        m_n^2 >= 2 T^2/(3T - 1), beyond which even b = m cannot lift the
@@ -314,11 +317,13 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         if not ok:
             failures.append(f"swap pattern at n={rec.n} (span {rec.span}) fails")
 
+    numbers, apexes = markov_prefix(n_max)
     try:
-        rows = spectrum_rows(n_max, DESCENT_DEPTH)
+        for apex in apexes:
+            descent_integers(apex)
     except VerificationError as exc:
-        rows = []
         failures.append(str(exc))
+    active = sum(1 for m in numbers if not _exceeds(bar, _deficit(m)))
 
     tail_exact = []
     # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
@@ -336,7 +341,7 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         "certified": not failures,
         "records": [rec.to_json() for rec in records],
         "swap_checks": swap_checks,
-        "active_sequences": sum(1 for row in rows if not _exceeds(bar, _deficit(row.m))),
+        "active_sequences": active,
         "descent_depth": DESCENT_DEPTH,
         "tail_exact": tail_exact,
         "tail_bound_index": end,

@@ -4,8 +4,10 @@ Each suite takes the parsed `verify` arguments and yields one
 (check name, passed, witness) per check; SUITES names them in run order and
 `cmd_verify` runs them.  Only `verify` reads this module, so the command
 line loads it on demand, and the checks below that no other command needs
-(independent enumerations, closed forms, unimodular maps, shears and the
-chain inequalities) are compiled only then.
+(independent enumerations, closed forms, convergence traces, unimodular maps
+and shears) are compiled only then.  The three descent checks of the
+ordering suite read the four integers of `ordering.descent_integers` per
+apex, which decide the descent at every depth.
 """
 
 from __future__ import annotations
@@ -31,16 +33,13 @@ from .markov import (
     _WALK,
     MarkovTriple,
     MutationKind,
-    chains,
     enumerate_triples,
     mutate,
     recurrence_prefix,
 )
 from .ordering import (
-    _above_limit,
-    _chain_capacities,
-    _descends,
     alternating_order,
+    descent_integers,
     find_irregularities,
     spectrum_rows,
     verify_swap_pattern,
@@ -123,6 +122,12 @@ def spectrum_values_check() -> bool:
     return True
 
 
+def _above_limit(num: int, den: int, m: int) -> bool:
+    # num/den > (3m^2 - m sqrt(r))/2, r = 9m^2 - 4  <=>  2 num - 3m^2 den + m den sqrt(r) > 0
+    mm = m * m
+    return _sign(2 * num - 3 * mm * den, m * den, 9 * mm - 4) > 0
+
+
 def convergence_trace(
     apex: MarkovTriple, count: int, side: str = "alternating"
 ) -> list[tuple[MarkovTriple, Capacity]]:
@@ -133,7 +138,8 @@ def convergence_trace(
     tree order from the apex on, "left"/"right" follow a single branch (the
     same one for the degenerate apexes).  The gaps width - limit must come
     out positive and strictly decreasing: two gaps differ by the difference
-    of their widths, so `alternating_order` decides the descent, and each
+    of their widths, so the four integers of `descent_integers`, which
+    `alternating_order` reads, decide the descent at every depth, and each
     width is checked above the limit on integers.
     """
     if count < 1:
@@ -255,24 +261,6 @@ def check_alg_lemma(t: MarkovTriple) -> bool:
     return t.a * t.a > 2 * t.b * t.b * t.c * t.c
 
 
-def verify_chain_inequalities(a: int, b: int, c: int, k: int) -> bool:
-    """Exact check of the capacity inequalities along both chains of an apex.
-
-    Covers the apex-to-child step, the five-term opening chain
-    ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3, and the two inductive-step
-    inequalities a g_j/g_{j+1} > a f_j/f_{j+1} > a g_{j+1}/g_{j+2} for each
-    j <= k: strict descent of the first 2k + 4 capacities in wedge order
-    (k = 0 checks the opening chain alone, as k = 1 does).
-    """
-    apex = MarkovTriple(a, b, c)
-    if a < 5:
-        raise ValueError("chain inequalities need a >= 5 (so a > b > c)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    k = max(k, 1)
-    return _descends(_chain_capacities(apex, k + 2)[:2 * k + 4])
-
-
 def _failed(failures: dict[str, str], *names: str):
     """One check per name, failed with its witness if failures records one."""
     for name in names:
@@ -339,17 +327,11 @@ def _suite_ordering(config: argparse.Namespace):
     apex_bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
     for t in enumerate_triples(apex_bound):
-        if t.a >= 5:
-            g, f = (xs[1:] for xs in chains(t, 10))
-            merged = [x for pair in zip(g, f) for x in pair]
-            if any(x >= y for x, y in zip(merged, merged[1:])):
-                failures["chain-interleaving"] = str(t)
-            if not verify_chain_inequalities(t.a, t.b, t.c, 8):
-                failures["chain-inequalities"] = str(t)
-        try:
-            alternating_order(t, 8)
+        try:  # b > c and 3ac > 2b: L_i < R_i < L_{i+1}, and descent at every depth
+            descent_integers(t)
         except VerificationError as exc:
-            failures["alternating-descent"] = str(exc)
+            failures.update({"chain-interleaving": str(t), "chain-inequalities": str(t),
+                             "alternating-descent": str(exc)})
     yield from _failed(failures, "chain-interleaving", "chain-inequalities",
                        "alternating-descent")
     if config.n_max >= 34:

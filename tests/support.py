@@ -8,9 +8,11 @@ polygon's integer form, unimodular images are mapped vertex by vertex on Fractio
 the juxtaposition inequality is decided on Fractions rather than on
 cross-multiplied integers over every pair of a plain double loop rather than
 by bisection, the essential subtrees are filtered from
-validated wedge triples rather than read off the raw chains, and the global
+validated wedge triples rather than read off the raw chains, the global
 order of the capacities is read off a plain sort of every triple below a
-bound, reached by Vieta jumps written here.
+bound, reached by Vieta jumps written here, and the descent below an apex
+is read off Fraction widths of nodes reached by mutations written here
+rather than off the chain constants.
 """
 
 from __future__ import annotations
@@ -242,3 +244,23 @@ def sorted_capacity_order(bound: int) -> tuple[dict[int, dict[int, int]], list[i
             moved.append(n_prime)
         last = max(last, ranks[n_prime][-1])
     return overtakes, moved
+
+
+def wedge_descends(apex, depth: int = 30) -> bool:
+    """Whether the widths Fraction(b*c, a) strictly decrease along the
+    subtree preserving the apex maximum a, to `depth` levels below the apex.
+
+    The nodes are reached by the max-increasing mutations that keep a: the
+    apex (a, b, c) has the children (3ac - b, a, c) and (3ab - c, a, b), one
+    for the degenerate apexes, where they coincide; a node (x, y, z) holding
+    a below its maximum x moves on to (3ax - o, x, a), o its entry other
+    than x and a.  The order is the apex, then level by level the node with
+    the smaller maximum first.
+    """
+    a, b, c = apex
+    level = sorted({(3 * a * c - b, a, c), (3 * a * b - c, a, b)})
+    widths = [Fraction(b * c, a)]
+    for _ in range(depth):
+        widths += [Fraction(y * z, x) for x, y, z in level]
+        level = [(3 * a * x - (y + z - a), x, a) for x, y, z in level]
+    return all(w > v for w, v in zip(widths, widths[1:]))

@@ -23,6 +23,7 @@ from mbl.markov import (
 from mbl.oeis import cross_check, load_bfile
 from mbl.ordering import (
     alternating_order,
+    descent_integers,
     find_irregularities,
     ordered_prefix_complete_above,
     spectrum_rows,
@@ -35,7 +36,6 @@ from mbl.suites import (
     random_unimodular,
     surd_identity_check,
     uniqueness_check,
-    verify_chain_inequalities,
 )
 
 from support import (
@@ -44,6 +44,7 @@ from support import (
     nn_inequality_holds,
     random_parts,
     random_quadratic,
+    wedge_descends,
     window_pairs,
 )
 
@@ -119,9 +120,11 @@ def test_criterion_04_regular_prefix():
 def test_criterion_05_alternating_descent():
     with _Timer(5, "alternating descent and chain inequalities, max <= 1e4", 60.0):
         for t in enumerate_triples(10 ** 4):
-            alternating_order(t, 8)  # raises on any descent violation
+            widths = [w for _, w in alternating_order(t, 8)]  # raises on any descent violation
+            assert all(w > v for w, v in zip(widths, widths[1:]))
             if t.a >= 5:
-                assert verify_chain_inequalities(t.a, t.b, t.c, 8)
+                assert min(descent_integers(t)) > 0  # b^2 - c^2 and c(3ac - 2b) too
+            assert wedge_descends(t, 30)
         sequence = alternating_order(T(5, 2, 1), 3)
         assert [tuple(x) for x, _ in sequence] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5),

@@ -817,6 +817,13 @@ def _doubling_map(rng):  # scales every polygon by 2, so its width doubles
         [(2 * v.x, 2 * v.y) for v in polygon.vertices]))
 
 
+_DESCENT_FAILURE = "capacity descent fails below (13,5,1): needs b > c and 3ac > 2b"
+
+
+def _descent_fails_at_13_5_1(real):  # the helper refusing one apex, in its own words
+    return lambda t: _raise(VerificationError(_DESCENT_FAILURE)) if t == T(13, 5, 1) else real(t)
+
+
 T = MarkovTriple
 MIN, MAX = MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX
 
@@ -839,14 +846,12 @@ _BROKEN_CHECKS = [
     ("capacity", "limit-gaps", "convergence_trace",
      lambda real: lambda *args: _raise(VerificationError("gap at (5,2,1) fails to decrease")),
      "gap at (5,2,1) fails to decrease"),
-    ("ordering", "chain-interleaving", "chains",  # the right chain listed first
-     lambda real: lambda t, depth: real(t, depth)[::-1], "(29,5,2)"),
-    ("ordering", "chain-inequalities", "verify_chain_inequalities",
-     lambda real: lambda a, b, c, k: a != 13 and real(a, b, c, k), "(13,5,1)"),
-    ("ordering", "alternating-descent", "alternating_order",
-     lambda real: lambda t, depth: _raise(VerificationError(f"descent breaks at {t}"))
-     if t == T(5, 2, 1) else real(t, depth),
-     "descent breaks at (5,2,1)"),
+    ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at_13_5_1,
+     "(13,5,1)"),
+    ("ordering", "chain-inequalities", "descent_integers", _descent_fails_at_13_5_1,
+     "(13,5,1)"),
+    ("ordering", "alternating-descent", "descent_integers", _descent_fails_at_13_5_1,
+     _DESCENT_FAILURE),
     ("lattice", "lattice-width-equals-capacity", "width",
      lambda real: lambda t: real(t) + (t == T(13, 5, 1)), "(13,5,1)"),
     ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)"),
@@ -949,6 +954,30 @@ class TestVerifyAndComplete:
                            "--max-bound", "30", "--n-max", "40")
         assert code == 1
         assert f"FAIL  {suite}:{check}  [{witness}]" in out.splitlines()
+
+    def test_descent_failure_path(self, capsys, monkeypatch):
+        # one apex refused by the descent helper, as each command reports it;
+        # the suite reads its own binding, the ordering commands that of mbl.ordering
+        monkeypatch.setattr(mbl.suites, "descent_integers",
+                            _descent_fails_at_13_5_1(mbl.suites.descent_integers))
+        code, out, _ = run(capsys, "verify", "--suite", "ordering",
+                           "--max-bound", "30", "--n-max", "40")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+        assert code == 1 and failed == [
+            "FAIL  ordering:chain-interleaving  [(13,5,1)]",
+            "FAIL  ordering:chain-inequalities  [(13,5,1)]",
+            f"FAIL  ordering:alternating-descent  [{_DESCENT_FAILURE}]",
+        ]
+        monkeypatch.setattr(mbl.ordering, "descent_integers",
+                            _descent_fails_at_13_5_1(mbl.ordering.descent_integers))
+        code, out, err = run(capsys, "order", "--triple", "13,5,1", "--depth", "2")
+        assert (code, out) == (1, "")
+        assert err == f"mbl: verification failure: {_DESCENT_FAILURE}\n"
+        code, out, _ = run(capsys, "complete", "--threshold", "7/20", "--n-max", "40")
+        lines = out.splitlines()
+        assert code == 1 and "certified: False" in lines
+        assert [line for line in lines if line.startswith("FAILURE:")] == [
+            f"FAILURE: {_DESCENT_FAILURE}"]
 
     def test_repeated_suite_runs_once(self, capsys):
         code, once, _ = run(capsys, "verify", "--suite", "markov", "--max-bound", "30")

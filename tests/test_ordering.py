@@ -22,12 +22,13 @@ from mbl.ordering import (
     _exceeds,
     _holds,
     alternating_order,
+    descent_integers,
     find_irregularities,
     ordered_prefix_complete_above,
     spectrum_rows,
     verify_swap_pattern,
 )
-from mbl.suites import fibonacci, pell, verify_chain_inequalities
+from mbl.suites import fibonacci, pell
 
 from support import (
     compare,
@@ -35,6 +36,7 @@ from support import (
     limit_point,
     nn_inequality_holds,
     sorted_capacity_order,
+    wedge_descends,
     window_pairs,
 )
 
@@ -78,18 +80,14 @@ class TestAlternatingOrder:
         for t in enumerate_triples(10 ** 4):
             alternating_order(t, 8)
 
-    def test_descent_failure_names_both_nodes(self, monkeypatch):
-        real = _chain_capacities
-
-        def swapped(apex, depth):  # the second and third widths out of order
-            caps = real(apex, depth)
-            caps[1], caps[2] = caps[2], caps[1]
-            return caps
-
-        monkeypatch.setattr("mbl.ordering._chain_capacities", swapped)
-        with pytest.raises(VerificationError, match=re.escape(
-                "between (13,5,1) (w=10/29) and (29,5,2) (w=5/13)")):
-            alternating_order(T(5, 2, 1), 3)
+    def test_descent_failure_names_the_apex(self):
+        # entries that fail b > c, or 3ac > 2b, read as if they were a triple
+        for a, b, c in ((5, 2, 2), (5, 11, 1)):
+            apex = object.__new__(T)
+            vars(apex).update(a=a, b=b, c=c)
+            with pytest.raises(VerificationError, match=re.escape(
+                    f"capacity descent fails below ({a},{b},{c}): needs b > c and 3ac > 2b")):
+                alternating_order(apex, 3)
 
 
 class TestChains:
@@ -110,37 +108,66 @@ class TestChains:
                 assert high > low and is_markov(high, low, 13)
 
     def test_interleaving(self):
+        # the helper's b > c and 3ac > 2b give L_i < R_i < L_{i+1}
         for t in enumerate_triples(10 ** 4):
             if t.a < 5:
                 continue
+            _, left_right, right_left, _ = descent_integers(t)
+            assert left_right > 0 and right_left > 0
             g, f = (xs[1:] for xs in chains(t, 10))
             merged = [x for pair in zip(g, f) for x in pair]
             assert all(x < y for x, y in zip(merged, merged[1:]))
 
-    def test_five_term_chain(self, monkeypatch):
-        assert verify_chain_inequalities(5, 2, 1, 2)
-        assert verify_chain_inequalities(13, 5, 1, 2)
-        assert verify_chain_inequalities(5, 2, 1, 0)
-        # k = 0 checks the opening chain bc/a > ac/g1 > ... > a g2/g3, as k = 1 does
-        checked = []
-        monkeypatch.setattr("mbl.suites._descends", checked.append)
-        for k in (0, 1):
-            verify_chain_inequalities(5, 2, 1, k)
-        assert checked[0] == checked[1] == [(2, 5), (5, 13), (10, 29), (65, 194),
-                                            (145, 433), (970, 2897)]
+    def test_five_term_chain(self):
+        # the opening chain bc/a > ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3:
+        # each cross-multiplication is c times c^2 (the apex step), then a
+        # times b^2 - c^2 and c(3ac - 2b) in turn
+        assert descent_integers(T(5, 2, 1)) == (25, 3, 11, 1)
+        assert descent_integers(T(13, 5, 1)) == (169, 24, 29, 1)
+        caps = _chain_capacities(T(5, 2, 1), 3)[:6]
+        assert caps == [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897)]
+        assert [p[0] * q[1] - q[0] * p[1] for p, q in zip(caps, caps[1:])] == [
+            1, 5 * 3, 5 * 11, 5 * 3, 5 * 11]
 
     def test_all_apexes_to_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
             if t.a >= 5:
-                assert verify_chain_inequalities(t.a, t.b, t.c, 8)
+                assert min(descent_integers(t)) > 0
 
     def test_small_apex_rejected(self):
-        with pytest.raises(ValueError):
-            verify_chain_inequalities(2, 1, 1, 2)
-        with pytest.raises(ValueError, match="k must be >= 0"):
-            verify_chain_inequalities(5, 2, 1, -1)
+        # the one-chain apexes have b = c, so only a^2 and c^2 decide them;
+        # any other apex with b = c is rejected
+        assert descent_integers(T(1, 1, 1)) == (1, 0, 1, 1)
+        assert descent_integers(T(2, 1, 1)) == (4, 0, 4, 1)
+        apex = object.__new__(T)
+        vars(apex).update(a=5, b=2, c=2)
+        with pytest.raises(VerificationError, match=re.escape("(5,2,2)")):
+            descent_integers(apex)
         with pytest.raises(ValueError):
             chains(T(5, 2, 1), -1)
+
+    def test_descent_integers_are_the_chain_determinants(self):
+        # degenerate apexes included: their single chain gives a^2 and c^2
+        _, apexes = markov_prefix(200)
+        for apex in apexes:
+            a, b, c = apex
+            a2, left_right, right_left, c2 = descent_integers(apex)
+            columns = chains(apex, 12)
+            assert b * columns[0][1] - a * a == c2
+            for i in range(1, 12):
+                for xs in columns:
+                    assert xs[i - 1] * xs[i + 1] - xs[i] ** 2 == a2
+                if len(columns) == 2:
+                    ls, rs = columns
+                    assert ls[i - 1] * rs[i] - rs[i - 1] * ls[i] == left_right
+                    assert rs[i - 1] * ls[i + 1] - rs[i] * ls[i] == right_left
+
+    def test_descent_to_depth_thirty_against_fractions(self):
+        # the independent oracle agrees with the helper on every apex
+        _, apexes = markov_prefix(200)
+        for apex in apexes:
+            descent_integers(apex)
+            assert wedge_descends(apex, 30)
 
     def test_chain_capacities_are_the_wedge_widths(self):
         # degenerate apexes included: (1,1,1) and (2,1,1) have a single chain
@@ -187,6 +214,13 @@ class TestSpectrumRows:
             assert all(x > y for x, y in zip(caps, caps[1:]))
             assert all(compare(w, limit) > 0 for w in caps)
             assert compare(limit, Fraction(1, 3)) > 0
+
+    def test_rows_read_the_descent_helper(self, monkeypatch):
+        real, seen = descent_integers, []
+        monkeypatch.setattr("mbl.ordering.descent_integers",
+                            lambda apex: seen.append(apex) or real(apex))
+        rows = spectrum_rows(10, k=2)
+        assert seen == [row.apex for row in rows]
 
     def test_first_capacity_formula(self):
         # w_1(n) = 2/(3 + sqrt(9 - 4/m^2 - 4/b^2))
@@ -322,8 +356,10 @@ class TestIntegerForms:
         monkeypatch.setattr("mbl.ordering.Fraction", refuse)
         for t in enumerate_triples(10 ** 4):
             if t.a >= 5:
-                assert verify_chain_inequalities(t.a, t.b, t.c, 8)
+                assert min(descent_integers(t)) > 0
         assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
+        report = ordered_prefix_complete_above(Fraction(7, 20), 793)
+        assert report["certified"] and report["failures"] == []
         records = find_irregularities(793)
         assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
         assert all(verify_swap_pattern(rec) for rec in records)
