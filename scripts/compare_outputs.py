@@ -53,8 +53,9 @@ FIXED = [
         ("triples", "--max-bound", "10000"),
         ("subtree", "--triple", "29,5,2", "--preserve", "5", "--depth", "3"),
         ("order", "--triple", "13,5,1", "--depth", "4"),
-        ("triangle", "--triple", "194,13,5"),
-        ("width", "--triple", "433,29,5"),
+        *(("triangle", "--triple", triple)
+          for triple in ("1,1,1", "2,1,1", "5,2,1", "194,13,5", "433,29,5")),
+        *(("width", "--triple", triple) for triple in ("1,1,1", "2,1,1", "433,29,5")),
         ("width", "--polygon", "skew.json"),
         ("ingest",),
         ("ingest", "--kind", "markov", "--n", "8", "--bfile", "doctored.txt"),
@@ -71,7 +72,8 @@ FIXED = [
     ("order", "--triple", "29,5,2", "--depth", "0"),
     ("plot", "--figure", "order5"),
     ("plot", "--figure", "numberline", "--n", "33"),
-    ("plot", "--figure", "triangle", "--triple", "29,5,2"),
+    *(("plot", "--figure", "triangle", "--triple", triple)
+      for triple in ("1,1,1", "2,1,1", "29,5,2")),
     *(("verify", "--suite", suite)
       for suite in ("markov", "capacity", "ordering", "lattice", "ingest")),
 ]

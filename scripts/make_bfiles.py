@@ -11,12 +11,16 @@ re-verified two ways before anything is written:
   * pinned anchor values (entries 33/34 of the Markov sequence and the
     Fibonacci/Pell entries they coincide with) must match exactly.
 
-Fibonacci and Pell come from their two-term recurrences.
+Fibonacci and Pell come from their two-term recurrences.  The BLAKE2b-256
+digest of each file goes to B2SUMS in the format of `b2sum -l 256`, so
+
+    cd src/mbl/data && b2sum -c B2SUMS
+
+re-checks them; `mbl` checks a vendored file against it before parsing it.
 """
 
 import hashlib
 import heapq
-import json
 import math
 from pathlib import Path
 
@@ -112,18 +116,16 @@ def main():
         "fibonacci": "b000045.txt",
         "pell": "b000129.txt",
     }
-    manifest = {}
-    for kind, name in names.items():
+    sums = []
+    for kind, name in sorted(names.items(), key=lambda item: item[1]):
         path = DATA_DIR / name
         text = "".join(f"{i} {v}\n" for i, v in sequences[kind].items())
         path.write_text(text, encoding="ascii")
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        manifest[name] = {"sha256": digest, "entries": len(sequences[kind])}
-        print(f"wrote {name} ({len(sequences[kind])} entries) sha256={digest[:16]}...")
-    (DATA_DIR / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
-    print("wrote manifest.json")
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=32).hexdigest()
+        sums.append(f"{digest}  {name}\n")
+        print(f"wrote {name} ({len(sequences[kind])} entries) blake2b-256={digest[:16]}...")
+    (DATA_DIR / "B2SUMS").write_text("".join(sums), encoding="ascii")
+    print("wrote B2SUMS")
 
 
 if __name__ == "__main__":

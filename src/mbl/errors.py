@@ -46,7 +46,7 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):

@@ -6,7 +6,8 @@ associated base triangle has area 1/2, integral affine perimeter 3 (this is
 the Markov equation in disguise), edges of affine length a^2/(abc),
 b^2/(abc), c^2/(abc), and lattice width bc/a realized by xi = (0, 1) in the
 normal form used here.  All geometry is exact: a polygon clears its vertex
-denominators once, and widths, convexity and area run on that integer form.
+denominators once, and widths and convexity run on that integer form; a
+base triangle is built in integer form and checked there.
 """
 
 from __future__ import annotations
@@ -51,10 +52,25 @@ class LatticePolygon(_Record):
             for v in vertices
         )
         object.__setattr__(self, "vertices", pts)
-        n = len(pts)
+        den = math.lcm(*(c.denominator for p in pts for c in p))
+        self._set_scaled(den, [(int(p.x * den), int(p.y * den)) for p in pts])
+
+    @classmethod
+    def _from_scaled(cls, den: int, points) -> "LatticePolygon":
+        """The polygon with the integer vertices `points` divided by den > 0;
+        its Fraction vertices are built only when read."""
+        polygon = cls.__new__(cls)
+        polygon._set_scaled(den, points)
+        return polygon
+
+    def _set_scaled(self, den: int, points) -> None:
+        """Validate, and keep `scaled`: (D, the vertices times D), D the lcm
+        of the vertex denominators, from integer vertices over any den."""
+        g = math.gcd(den, *(c for p in points for c in p))
+        scaled = tuple((x // g, y // g) for x, y in points)
+        n = len(scaled)
         if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        _, scaled = self.scaled
         if len(set(scaled)) != n:
             raise ValueError("duplicate vertices")
         for (ox, oy), (px, py), (qx, qy) in zip(scaled, scaled[1:] + scaled[:1],
@@ -63,19 +79,15 @@ class LatticePolygon(_Record):
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise"
                 )
+        object.__setattr__(self, "scaled", (den // g, scaled))
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(D, the vertices times D), D the lcm of the vertex denominators."""
-        den = math.lcm(*(c.denominator for p in self.vertices for c in p))
-        return den, tuple((p.x.numerator * (den // p.x.denominator),
-                           p.y.numerator * (den // p.y.denominator))
-                          for p in self.vertices)
-
-    def signed_area(self) -> Fraction:
+    def vertices(self) -> tuple[RationalPoint, ...]:  # read by _key; __init__ sets it
         den, pts = self.scaled
-        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-        return Fraction(twice, 2 * den * den)
+        return tuple(RationalPoint(Fraction(x, den), Fraction(y, den)) for x, y in pts)
+
+    def _key(self) -> tuple:
+        return (self.vertices,)
 
     def to_json(self) -> list:
         return [[str(p.x), str(p.y)] for p in self.vertices]
@@ -93,17 +105,6 @@ def _exact(value) -> Fraction:
         with contextlib.suppress(ValueError, ZeroDivisionError):  # "x", "1/0"
             return Fraction(value)
     raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
-
-
-def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
-    """Write (vx, vy) = s * d with d a primitive integer vector, s > 0."""
-    den = math.lcm(vx.denominator, vy.denominator)
-    nx = int(vx * den)
-    ny = int(vy * den)
-    g = math.gcd(abs(nx), abs(ny))
-    if g == 0:
-        raise ValueError("zero segment has no direction")
-    return nx // g, ny // g, Fraction(g, den)
 
 
 def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
@@ -172,55 +173,67 @@ class ViannaTriangle(_Record):
 
     The triple (a, b, c) and the integer u fix it: ell = a/(bc), h = bc/a and
     t = uc/(ab).  Always has area 1/2, affine perimeter 3, h * ell = 1, and
-    edge lengths lam*a^2, lam*b^2, lam*c^2 with lam = 1/(abc).
+    edge lengths lam*a^2, lam*b^2, lam*c^2 with lam = 1/(abc).  Its integer
+    form scales by D = abc, the lcm of the vertex denominators:
+    (0,0), (a^2, 0), (uc^2, b^2c^2).  So the checks below run on ints: twice
+    the area is D^2, the edge gcds are a^2, b^2, c^2 in some order, and
+    their sum is 3D.
     """
 
     triple: MarkovTriple
     u: int
 
     def __post_init__(self):
-        if self.polygon.signed_area() != Fraction(1, 2):
+        den, (_, (x1, y1), (x2, y2)) = self.polygon.scaled
+        if x1 * y2 - x2 * y1 != den * den:
             raise VerificationError(f"area != 1/2 for {self.triple}")
-        lengths = sorted(e.length for e in self.edge_data)
-        expected = sorted(self.lam * x * x for x in self.triple)
-        if lengths != expected:
+        lengths = sorted(g for *_, g in self._edges)
+        if lengths != sorted(x * x for x in self.triple):
             raise VerificationError(f"edge lengths off for {self.triple}")
-        if sum(lengths) != 3:
+        if sum(lengths) != 3 * den:
             raise VerificationError(f"perimeter != 3 for {self.triple}")
 
     @cached_property
-    def ell(self) -> Fraction:
-        return Fraction(self.triple.a, self.triple.b * self.triple.c)
+    def polygon(self) -> LatticePolygon:
+        a, b, c = self.triple
+        return LatticePolygon._from_scaled(
+            a * b * c, ((0, 0), (a * a, 0), (self.u * c * c, b * b * c * c)))
 
     @cached_property
-    def h(self) -> Fraction:
-        return Fraction(self.triple.b * self.triple.c, self.triple.a)
+    def _edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(dx, dy, g) per edge: the primitive direction and g = D times the
+        affine length, from the integer form."""
+        pts = self.polygon.scaled[1]
+        out = []
+        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+            g = math.gcd(qx - px, qy - py)
+            out.append(((qx - px) // g, (qy - py) // g, g))
+        return tuple(out)
 
-    @cached_property
-    def t(self) -> Fraction:
-        return Fraction(self.u * self.triple.c, self.triple.a * self.triple.b)
-
-    @cached_property
-    def lam(self) -> Fraction:
-        return Fraction(1, self.triple.a * self.triple.b * self.triple.c)
-
-    @cached_property
+    @property
     def vertices(self) -> tuple[RationalPoint, RationalPoint, RationalPoint]:
-        return (RationalPoint(0, 0), RationalPoint(self.ell, 0),
-                RationalPoint(self.t, self.h))
+        return self.polygon.vertices  # (0, 0), (ell, 0), (t, h)
+
+    @property
+    def ell(self) -> Fraction:
+        return self.vertices[1].x
+
+    @property
+    def h(self) -> Fraction:
+        return self.vertices[2].y
+
+    @property
+    def t(self) -> Fraction:
+        return self.vertices[2].x
+
+    @property
+    def lam(self) -> Fraction:
+        return Fraction(1, self.polygon.scaled[0])
 
     @cached_property
     def edge_data(self) -> tuple[EdgeData, EdgeData, EdgeData]:
-        out = []
-        pts = self.vertices
-        for p, q in zip(pts, pts[1:] + pts[:1]):
-            dx, dy, s = _primitive(q.x - p.x, q.y - p.y)
-            out.append(EdgeData((dx, dy), s))
-        return tuple(out)
-
-    @cached_property
-    def polygon(self) -> LatticePolygon:
-        return LatticePolygon(self.vertices)
+        den = self.polygon.scaled[0]
+        return tuple(EdgeData((dx, dy), Fraction(g, den)) for dx, dy, g in self._edges)
 
 
 def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
@@ -235,18 +248,16 @@ def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
     return ViannaTriangle(triple, a * a * pow(c, -2, b * b) % (b * b))
 
 
-def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, Fraction]]:
-    """Primitive inner normal n and support value min <n, .> per edge.
+def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, int]]:
+    """Primitive inner normal n and D times the support value min <n, .>
+    per edge, D = abc the scale of the integer form.
 
     Edge i leaves vertex p along the primitive direction (dx, dy); the
     triangle is counterclockwise, so n = (-dy, dx) points inward and the
     minimum of <n, .> is taken at p itself.
     """
-    out = []
-    for p, edge in zip(tri.vertices, tri.edge_data):
-        dx, dy = edge.direction
-        out.append((-dy, dx, dx * p.y - dy * p.x))
-    return out
+    return [(-dy, dx, dx * py - dy * px)
+            for (px, py), (dx, dy, _) in zip(tri.polygon.scaled[1], tri._edges)]
 
 
 def central_point(tri: ViannaTriangle) -> RationalPoint:
@@ -255,16 +266,17 @@ def central_point(tri: ViannaTriangle) -> RationalPoint:
     Affine distance to an edge is <n, x> - min <n, .> for the primitive
     inner normal n.  Two edges determine the point; the third equation is
     verified by substitution and can never fail for a valid base triangle.
+    Scaled by 3D, the equations read <n, 3D x> = 3s + D, s the scaled
+    support value, so the point is solved and checked on ints.
     """
-    normals = _inner_normals(tri)
-    third = Fraction(1, 3)
-    (a0, b0, s0), (a1, b1, s1), (a2, b2, s2) = normals
+    den = tri.polygon.scaled[0]
+    (a0, b0, s0), (a1, b1, s1), (a2, b2, s2) = _inner_normals(tri)
     det = a0 * b1 - a1 * b0
-    r0, r1 = s0 + third, s1 + third
-    x = Fraction(r0 * b1 - r1 * b0, det)
-    y = Fraction(a0 * r1 - a1 * r0, det)
-    if a2 * x + b2 * y - s2 != third:
+    r0, r1 = 3 * s0 + den, 3 * s1 + den
+    x = r0 * b1 - r1 * b0  # 3D det times the coordinates
+    y = a0 * r1 - a1 * r0
+    if a2 * x + b2 * y != (3 * s2 + den) * det:
         raise VerificationError(
             f"no point at affine distance 1/3 from all edges of {tri.triple}"
         )
-    return RationalPoint(x, y)
+    return RationalPoint(Fraction(x, 3 * den * det), Fraction(y, 3 * den * det))

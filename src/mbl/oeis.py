@@ -3,9 +3,9 @@
 Sequence files use the b-file wire format: ASCII lines "<index> <value>",
 '#' comments and blank lines ignored, LF or CRLF.  The package vendors
 prefixes for the Markov numbers (A002559), Fibonacci numbers (A000045) and
-Pell numbers (A000129) under mbl/data with a checksum manifest; a cache
-directory (flag or MBL_CACHE_DIR) and explicit paths take precedence, and
-network fetching is opt-in only.
+Pell numbers (A000129) under mbl/data with their BLAKE2b-256 digests; a cache
+directory (flag or MBL_CACHE_DIR) and explicit paths take precedence.
+Network fetching is opt-in only, and lives with `ingest` in `mbl.commands`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ _GENERATORS = {
 }
 
 ENV_CACHE_DIR = "MBL_CACHE_DIR"
-FETCH_TIMEOUT_S = 30.0  # seconds per b-file download of `ingest --fetch`
 
 
 class BFile(_Record):
@@ -72,22 +71,20 @@ def parse_bfile(data: bytes | str, sequence_id: str = "?", source: str = "local"
 
 
 def _vendored_bytes(kind: str) -> bytes:
-    import hashlib  # imported here: no other path hashes anything
-    import json  # nor reads JSON
+    """A vendored b-file, once its BLAKE2b-256 digest matches its line in
+    the `b2sum` file data/B2SUMS ("<hex digest>  <file name>")."""
+    try:  # the C module behind hashlib.blake2b, without loading OpenSSL
+        from _blake2 import blake2b
+    except ImportError:
+        from hashlib import blake2b
     seq = SEQUENCE_IDS[kind]
     name = f"b{seq[1:]}.txt"
     package = resources.files("mbl") / "data"
     blob = (package / name).read_bytes()
-    manifest = json.loads((package / "manifest.json").read_text())
-    digest = hashlib.sha256(blob).hexdigest()
-    if manifest[name]["sha256"] != digest:
-        raise OSError(f"vendored {name} fails its checksum")
+    line = f"{blake2b(blob, digest_size=32).hexdigest()}  {name}".encode()
+    if line not in (package / "B2SUMS").read_bytes().splitlines():
+        raise OSError(f"vendored {name} fails its checksum: no matching line in B2SUMS")
     return blob
-
-
-def bfile_url(kind: str) -> str:
-    seq = SEQUENCE_IDS[kind]
-    return f"https://oeis.org/{seq}/b{seq[1:]}.txt"
 
 
 def _cache_path(kind: str, cache_dir: str | None) -> Path | None:
@@ -96,24 +93,6 @@ def _cache_path(kind: str, cache_dir: str | None) -> Path | None:
         return None
     seq = SEQUENCE_IDS[kind]
     return Path(directory) / f"b{seq[1:]}.txt"
-
-
-def fetch_bfile(kind: str, cache_dir: str | None = None) -> Path:
-    """Download a b-file into the cache directory (network use is explicit)."""
-    target = _cache_path(kind, cache_dir)
-    if target is None:
-        raise ValueError("no cache directory configured (flag or MBL_CACHE_DIR)")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    import urllib.request  # slow to import, and only `ingest --fetch` needs it
-
-    try:
-        with urllib.request.urlopen(bfile_url(kind), timeout=FETCH_TIMEOUT_S) as response:
-            blob = response.read()
-    except OSError as exc:
-        raise OSError(f"network fetch of {bfile_url(kind)} failed: {exc}") from exc
-    parse_bfile(blob, SEQUENCE_IDS[kind], "remote")  # validate before caching
-    target.write_bytes(blob)
-    return target
 
 
 def load_bfile(

@@ -22,7 +22,6 @@ from .capacity import Capacity, _fraction, _sign, closed_forms, width
 from .errors import VerificationError, _Record
 from .lattice import (
     LatticePolygon,
-    RationalPoint,
     ViannaTriangle,
     _inner_normals,
     central_point,
@@ -182,12 +181,11 @@ class UnimodularMap(_Record):
         k = common // den
         sx = tx.numerator * (common // tx.denominator)
         sy = ty.numerator * (common // ty.denominator)
-        pts = [RationalPoint(Fraction((self.m00 * x + self.m01 * y) * k + sx, common),
-                             Fraction((self.m10 * x + self.m11 * y) * k + sy, common))
+        pts = [((self.m00 * x + self.m01 * y) * k + sx, (self.m10 * x + self.m11 * y) * k + sy)
                for x, y in scaled]
         if self.m00 * self.m11 - self.m01 * self.m10 < 0:
             pts.reverse()  # keep counterclockwise orientation
-        return LatticePolygon(pts)
+        return LatticePolygon._from_scaled(common, pts)
 
 
 def random_unimodular(rng: random.Random) -> UnimodularMap:
@@ -221,8 +219,9 @@ def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
     if tri.triple == MarkovTriple(1, 1, 1):
         raise ValueError("(1,1,1) cannot be shear-normalized")
     b = tri.triple.b
-    sheared = tri if tri.t > 0 else ViannaTriangle(tri.triple, tri.u + b * b)
-    if not 0 < sheared.t < sheared.ell:
+    sheared = tri if tri.u > 0 else ViannaTriangle(tri.triple, tri.u + b * b)  # t > 0 iff u > 0
+    _, (_, (ell, _), (t, _)) = sheared.polygon.scaled
+    if not 0 < t < ell:
         raise VerificationError(f"no shear normalizes {tri.triple}")
     return sheared
 
@@ -233,24 +232,23 @@ def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
 
     The horizontal leg sits on y = eps/4 starting at the foot of the apex,
     extending away from the nearer base corner (mirrored when the apex lies
-    over the right half); containment is decided by exact half-plane tests.
+    over the right half); containment is decided by exact half-plane tests,
+    on ints: with eps = p/q, every coordinate is scaled by 4qD, D = abc the
+    scale of the triangle's integer form (0,0), (ell, 0), (t, h).
     """
     eps = _fraction(eps)
-    if not 0 < tri.t < tri.ell:
+    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    if not 0 < t < ell:
         raise ValueError("triangle must be shear-normalized first")
-    if not 0 < eps < tri.h:
+    p, q = eps.numerator, eps.denominator
+    if not 0 < p * den < q * h:
         raise ValueError("need 0 < eps < h")
-    leg = tri.h - eps / 2
-    y0 = eps / 4
-    sign = 1 if tri.t <= tri.ell / 2 else -1
-    corners = (
-        RationalPoint(tri.t, y0),
-        RationalPoint(tri.t + sign * leg, y0),
-        RationalPoint(tri.t, y0 + leg),
-    )
-    normals = _inner_normals(tri)
+    leg = 4 * q * h - 2 * p * den
+    x0, y0 = 4 * q * t, p * den
+    sign = 1 if 2 * t <= ell else -1
+    corners = ((x0, y0), (x0 + sign * leg, y0), (x0, y0 + leg))
     return all(
-        nx * p.x + ny * p.y > s for (nx, ny, s) in normals for p in corners
+        nx * x + ny * y > 4 * q * s for (nx, ny, s) in _inner_normals(tri) for x, y in corners
     )
 
 
@@ -360,7 +358,8 @@ def _suite_lattice(config: argparse.Namespace):
         # below the root the width also drops under the ambient width 1
         if (value, xi) != (width(t), (0, 1)) or (t != root and not value < 1):
             failures["lattice-width-equals-capacity"] = str(t)
-        if tri.ell < 1:
+        den, (_, (ell, _), _) = tri.polygon.scaled
+        if ell < den:  # ell < 1
             failures["triangle-invariants"] = str(t)
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
@@ -369,7 +368,7 @@ def _suite_lattice(config: argparse.Namespace):
             if normalized != tri:
                 after, _ = lattice_width(normalized.polygon)
             if value != after or not inscribed_right_triangle(
-                normalized, normalized.h / 8
+                normalized, Fraction(t.b * t.c, 8 * t.a)  # h/8
             ):
                 failures["shear-and-inscribed"] = str(t)
         if check_alg_lemma(t) == (t == root):

@@ -10,10 +10,11 @@ handler of `mbl plot`; only that command loads this module.
 from __future__ import annotations
 
 import argparse
+import math
 from fractions import Fraction
 
 from .capacity import limit_decimal, width
-from .lattice import RationalPoint, central_point, vianna_triangle, _primitive
+from .lattice import RationalPoint, central_point, vianna_triangle
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
 from .report import EXIT_OK, _at_least, _emit
@@ -154,6 +155,17 @@ def figure_numberline(n: int, k: int) -> str:
         x = xpos(limits[color_idx])
         body.append(_line(x, axis_y, x, axis_y + 10, color, dash="2,2"))
     return _document(width_px, height_px, body)
+
+
+def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
+    """Write (vx, vy) = s * d with d a primitive integer vector, s > 0."""
+    den = math.lcm(vx.denominator, vy.denominator)
+    nx = int(vx * den)
+    ny = int(vy * den)
+    g = math.gcd(abs(nx), abs(ny))
+    if g == 0:
+        raise ValueError("zero segment has no direction")
+    return nx // g, ny // g, Fraction(g, den)
 
 
 def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:

@@ -10,9 +10,12 @@ cross-multiplied integers over every pair of a plain double loop rather than
 by bisection, the essential subtrees are filtered from
 validated wedge triples rather than read off the raw chains, the global
 order of the capacities is read off a plain sort of every triple below a
-bound, reached by Vieta jumps written here, and the descent below an apex
+bound, reached by Vieta jumps written here, the descent below an apex
 is read off Fraction widths of nodes reached by mutations written here
-rather than off the chain constants.
+rather than off the chain constants, and a base triangle is built from
+its Fraction vertices, with affine lengths as rational gcds, its central
+point from barycentric weights and containment from cross products
+rather than from the integer form and its inner normals.
 """
 
 from __future__ import annotations
@@ -93,6 +96,65 @@ def fraction_apply(m, polygon: LatticePolygon) -> LatticePolygon:
     if m.m00 * m.m11 - m.m01 * m.m10 < 0:
         pts.reverse()  # keep counterclockwise orientation
     return LatticePolygon(pts)
+
+
+def fraction_triangle(a: int, b: int, c: int, u: int) -> list[tuple[Fraction, Fraction]]:
+    """The base triangle (0, 0), (a/(bc), 0), (uc/(ab), bc/a), on Fractions."""
+    return [(Fraction(0), Fraction(0)), (Fraction(a, b * c), Fraction(0)),
+            (Fraction(u * c, a * b), Fraction(b * c, a))]
+
+
+def _ring(points):
+    return zip(points, points[1:] + points[:1])
+
+
+def fraction_area(points) -> Fraction:
+    """Signed shoelace area of a list of (x, y) Fractions."""
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in _ring(points)) / 2
+
+
+def fraction_edges(points) -> list[tuple[tuple[int, int], Fraction]]:
+    """Primitive direction and affine length of each edge p -> q.
+
+    The length is the rational gcd of the coordinates of q - p:
+    gcd(n1/d1, n2/d2) = gcd(n1 d2, n2 d1)/(d1 d2)."""
+    out = []
+    for (px, py), (qx, qy) in _ring(points):
+        vx, vy = qx - px, qy - py
+        length = Fraction(math.gcd(vx.numerator * vy.denominator, vy.numerator * vx.denominator),
+                          vx.denominator * vy.denominator)
+        out.append(((int(vx / length), int(vy / length)), length))
+    return out
+
+
+def fraction_central_point(points) -> tuple[Fraction, Fraction] | None:
+    """The point at affine distance 1/3 from every edge of a triangle, or None.
+
+    The affine distance of x to edge i is twice the area of (edge i, x) over
+    the edge's affine length, that is 2A w_i / l_i for the barycentric weight
+    w_i of the opposite vertex and the triangle's area A.  Distance 1/3 from
+    every edge asks for w_i = l_i/(6A), which are weights when they sum to 1.
+    """
+    area = fraction_area(points)
+    weights = [length / (6 * area) for _, length in fraction_edges(points)]
+    if sum(weights) != 1:
+        return None
+    opposite = points[2:] + points[:2]  # edge i runs from vertex i to i + 1
+    return (sum(w * x for w, (x, _) in zip(weights, opposite)),
+            sum(w * y for w, (_, y) in zip(weights, opposite)))
+
+
+def fraction_inscribed(points, eps: Fraction) -> bool:
+    """Whether the right isosceles triangle with legs h - eps/2, its right
+    angle at (t, eps/4) and its horizontal leg pointing away from the nearer
+    base corner, lies strictly inside the counterclockwise triangle
+    (0, 0), (ell, 0), (t, h): each corner strictly left of each edge."""
+    _, (ell, _), (t, h) = points
+    leg = h - eps / 2
+    step = leg if 2 * t <= ell else -leg
+    corners = [(t, eps / 4), (t + step, eps / 4), (t, eps / 4 + leg)]
+    return all((qx - px) * (y - py) - (qy - py) * (x - px) > 0
+               for (px, py), (qx, qy) in _ring(points) for x, y in corners)
 
 
 def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import mbl.capacity
 import mbl.cli
+import mbl.oeis
 import mbl.ordering
 import mbl.report
 import mbl.suites
@@ -307,11 +308,24 @@ def test_limits_json_is_canonical(capsys, n, k):
      "depth exceeded while decoding a JSON array from a unicode string\n"),
     ("width --polygon latin1.json", 2, "mbl: bad polygon file latin1.json: 'utf-8' codec "
      "can't decode byte 0xe9 in position 3: invalid continuation byte\n"),
+    # a digest file that lacks the line of a vendored b-file is an i/o error
+    *((command, 3, "mbl: i/o error: vendored b002559.txt fails its checksum: "
+       "no matching line in B2SUMS\n")
+      for command in ("ingest --kind markov", "verify --suite ingest")),
 ])
 def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
                                               command, exit_code, err):
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "latin1.json").write_bytes('[["\u00e9", 1]]'.encode("latin-1"))
+    data = tmp_path / "data"  # vendored data whose B2SUMS lost the Markov line
+    data.mkdir()
+    vendored = Path(mbl.oeis.__file__).parent / "data"
+    (data / "b002559.txt").write_bytes((vendored / "b002559.txt").read_bytes())
+    (data / "B2SUMS").write_text("".join(
+        line + "\n" for line in (vendored / "B2SUMS").read_text().splitlines()
+        if not line.endswith("b002559.txt")))
+    monkeypatch.setattr(mbl.oeis, "resources", SimpleNamespace(files={"mbl": tmp_path}.get))
+    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *command.split()) == (exit_code, "", err)
 
@@ -323,7 +337,7 @@ def test_depth_is_checked_only_where_it_is_read(capsys):
 
 
 def test_import_leaves_the_network_stack_unloaded():
-    # only `ingest --fetch` imports urllib.request, inside oeis.fetch_bfile
+    # only `ingest --fetch` imports urllib.request, inside commands.fetch_bfile
     probe = ("import sys, mbl.cli; "
              "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
@@ -804,10 +818,14 @@ def _raise(exc):
 
 
 def _short_root_base(real):
-    def build(t):  # the root's triangle, read as if its base were shorter than 1
+    def build(t):  # the root's triangle under (x, y) -> (-y, x + y): still of
+        # width 1 along (0, 1), but the vertex read as (ell, 0) is (0, 1), so
+        # its base reads as shorter than 1
         tri = real(t)
         if t == T(1, 1, 1):
-            tri.__dict__["ell"] = Fraction(1, 2)  # a cached property
+            moved = mbl.suites.UnimodularMap(0, -1, 1, 1).apply(tri.polygon)
+            tri.__dict__["polygon"] = moved  # a cached property
+            del tri.__dict__["_edges"]  # cached from the polygon
         return tri
     return build
 

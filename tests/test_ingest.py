@@ -1,7 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import mbl.cli
 from mbl.cli import main
 from mbl.markov import markov_numbers
 from mbl.oeis import SEQUENCE_IDS, cross_check, load_bfile, parse_bfile
@@ -56,19 +64,42 @@ class TestVendored:
         data = tmp_path / "data"
         data.mkdir()
         (data / "b002559.txt").write_text("1 1\n")
-        (data / "manifest.json").write_text(
-            json.dumps({"b002559.txt": {"sha256": "0" * 64, "entries": 1}})
-        )
-
-        class FakeResources:
-            @staticmethod
-            def files(package):
-                assert package == "mbl"
-                return tmp_path
-
-        monkeypatch.setattr(module, "resources", FakeResources)
-        with pytest.raises(OSError, match="checksum"):
+        (data / "B2SUMS").write_text(f"{'0' * 64}  b002559.txt\n")
+        monkeypatch.setattr(module, "resources", SimpleNamespace(files={"mbl": tmp_path}.get))
+        with pytest.raises(OSError, match="b002559.txt fails its checksum"):
             load_bfile("markov")
+        for sums in ("", "# no entry\n", f"{'0' * 64}  b000045.txt\n"):  # entry missing
+            (data / "B2SUMS").write_text(sums)
+            with pytest.raises(OSError, match="b002559.txt fails its checksum"):
+                load_bfile("markov")
+        digest = hashlib.blake2b(b"1 1\n", digest_size=32).hexdigest()
+        blake2b_512 = hashlib.blake2b(b"1 1\n").hexdigest()  # b2sum's default length
+        for line in (f"{digest} b002559.txt", f"{digest[:-1]}  b002559.txt",  # malformed
+                     f"{blake2b_512}  b002559.txt"):
+            (data / "B2SUMS").write_text(line + "\n")
+            with pytest.raises(OSError, match="b002559.txt fails its checksum"):
+                load_bfile("markov")
+        (data / "B2SUMS").write_text(f"{digest}  b002559.txt\n")
+        assert load_bfile("markov").entries == {1: 1}
+
+    def test_digests_are_blake2b_256_of_the_vendored_files(self):
+        data = resources.files("mbl") / "data"
+        lines = (data / "B2SUMS").read_text(encoding="ascii").splitlines()
+        names = sorted(f"b{seq[1:]}.txt" for seq in SEQUENCE_IDS.values())
+        assert lines == [
+            f"{hashlib.blake2b((data / name).read_bytes(), digest_size=32).hexdigest()}  {name}"
+            for name in names]
+
+    def test_verify_checks_digests_without_hashlib_or_json(self):
+        # the digest comes from _blake2, the C module behind hashlib.blake2b,
+        # so neither OpenSSL's hashlib nor the json package loads
+        probe = ("import sys, mbl.cli; code = mbl.cli.main(['verify', '--suite', 'ingest']); "
+                 "print(code, sorted({'hashlib', '_hashlib', 'json'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+        env.pop("MBL_CACHE_DIR", None)
+        result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.endswith("all suites passed\n0 []\n")
 
     def test_markov_file_prefix(self):
         entries = load_bfile("markov").entries

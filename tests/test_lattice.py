@@ -11,13 +11,14 @@ from mbl.lattice import (
     EdgeData,
     LatticePolygon,
     RationalPoint,
-    _primitive,
+    ViannaTriangle,
     central_point,
     lattice_width,
     vianna_triangle,
     width_along,
 )
-from mbl.markov import MarkovTriple, enumerate_triples
+from mbl.errors import VerificationError
+from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix
 from mbl.suites import (
     UnimodularMap,
     check_alg_lemma,
@@ -25,8 +26,18 @@ from mbl.suites import (
     random_unimodular,
     shear_normalize,
 )
+from mbl.svg import _primitive
 
-from support import fraction_apply, fraction_spread, pruned_lattice_width
+from support import (
+    fraction_apply,
+    fraction_area,
+    fraction_central_point,
+    fraction_edges,
+    fraction_inscribed,
+    fraction_spread,
+    fraction_triangle,
+    pruned_lattice_width,
+)
 
 T = MarkovTriple
 
@@ -48,6 +59,7 @@ MIXED = (SKEW,
          UnimodularMap(2, -3, -1, 2, Fraction(-4, 9), Fraction(7, 4)).apply(
              vianna_triangle(T(29, 5, 2)).polygon))
 FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
+_, APEXES = markov_prefix(200)  # the apexes of the first 200 Markov numbers
 
 
 class TestPolygonValidation:
@@ -99,12 +111,6 @@ class TestPolygonValidation:
         assert SKEW == twin and hash(SKEW) == hash((SKEW.vertices,))
         assert repr(SKEW) == f"LatticePolygon(vertices={SKEW.vertices!r})"
         assert SKEW != LatticePolygon(SKEW.vertices[1:] + SKEW.vertices[:1])
-
-    def test_signed_area_matches_the_shoelace_over_fractions(self):
-        for polygon in (UNIT_TRIANGLE, FOUR_PAIRS_IMAGE, *MIXED):
-            pts = polygon.vertices
-            twice = sum(p.x * q.y - q.x * p.y for p, q in zip(pts, pts[1:] + pts[:1]))
-            assert polygon.signed_area() == twice / 2
 
 
 class TestWidthAlong:
@@ -221,6 +227,59 @@ class TestViannaTriangle:
             assert tri.ell >= 1
             assert tri.h * tri.ell == 1
             assert sum(e.length for e in tri.edge_data) == 3
+
+
+class TestIntegerTriangles:
+    """The base triangles, built and checked in integer form, against the
+    Fraction oracle of tests/support.py."""
+
+    def test_vertices_area_and_edges(self):
+        for t in APEXES:
+            tri = vianna_triangle(t)
+            points = fraction_triangle(*t, tri.u)
+            assert [tuple(p) for p in tri.vertices] == points
+            assert (tri.ell, tri.t, tri.h) == (points[1][0], *points[2])
+            assert tri.lam == Fraction(1, t.a * t.b * t.c)
+            assert fraction_area(points) == Fraction(1, 2)
+            assert [(e.direction, e.length) for e in tri.edge_data] == fraction_edges(points)
+            assert sum(length for _, length in fraction_edges(points)) == 3
+
+    def test_central_point(self):
+        for t in APEXES:
+            tri = vianna_triangle(t)
+            assert tuple(central_point(tri)) == fraction_central_point(
+                fraction_triangle(*t, tri.u))
+
+    def test_inscribed(self):
+        for t in APEXES[1:]:  # (1,1,1) has no shear-normalized form
+            normalized = shear_normalize(vianna_triangle(t))
+            points = fraction_triangle(*t, normalized.u)
+            for eps in (normalized.h / 8, normalized.h / 64, Fraction(1, 10)):
+                assert inscribed_right_triangle(normalized, eps) == \
+                    fraction_inscribed(points, eps)
+
+    def test_inscribed_decides_both_ways(self):
+        # every base triangle holds its right triangle; (2,1,1)'s with its
+        # polygon swapped for the taller (0,0), (1,0), (1/4, 1) does so only
+        # for large eps, where the horizontal leg (1 - eps/2) stays short
+        tri = shear_normalize(vianna_triangle(T(2, 1, 1)))
+        tri.__dict__["polygon"] = LatticePolygon([(0, 0), (1, 0), (Fraction(1, 4), 1)])
+        del tri.__dict__["_edges"]  # cached from the polygon
+        points = [tuple(p) for p in tri.polygon.vertices]
+        decisions = [(inscribed_right_triangle(tri, eps), fraction_inscribed(points, eps))
+                     for eps in (Fraction(1, 8), Fraction(1, 2), Fraction(9, 10))]
+        assert decisions == [(False, False), (False, False), (True, True)]
+
+    def test_wrong_residue_is_refused(self):
+        # (5,2,1) scales to (0,0), (25,0), (u, 4), with edge gcds 25,
+        # gcd(u - 25, 4) and gcd(u, 4): 25, 1, 4 in some order for u = 0, 1, 5,
+        # but 25, 1, 2 for u = 2
+        with pytest.raises(VerificationError, match="edge lengths off"):
+            ViannaTriangle(T(5, 2, 1), 2)
+        for u in (0, 1, 5):
+            tri = ViannaTriangle(T(5, 2, 1), u)
+            assert sorted(e.length for e in tri.edge_data) == [
+                Fraction(1, 10), Fraction(2, 5), Fraction(5, 2)]
 
 
 class TestAffineLength:
@@ -400,7 +459,7 @@ class TestUnimodularMap:
     def test_orientation_flip_keeps_polygon_valid(self):
         flip = UnimodularMap(0, 1, 1, 0)
         mapped = flip.apply(UNIT_SQUARE)
-        assert mapped.signed_area() == UNIT_SQUARE.signed_area()
+        assert fraction_area(mapped.vertices) == fraction_area(UNIT_SQUARE.vertices) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([*MIXED, FOUR_PAIRS, UNIT_TRIANGLE,
