@@ -8,7 +8,8 @@ lists (perfbench/workloads.py) for each seed (default 1 and 20261017), and
 the usage paths: no arguments, `-h`, `<command> -h` for every subcommand
 that OLD_SRC lists, an unknown command and an unknown flag; and FIXED, the
 invocations outside the benchmark that reach the ordering layer in every
-format it renders, and every other command in each format it renders.  Runs
+format it renders, every other command in each format it renders, and the
+argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
 MBL_CACHE_DIR unset and a temporary directory holding the polygon file
 `skew.json` and the b-files `doctored.txt` and `short.txt` as the working
@@ -76,6 +77,14 @@ FIXED = [
       for triple in ("1,1,1", "2,1,1", "29,5,2")),
     *(("verify", "--suite", suite)
       for suite in ("markov", "capacity", "ordering", "lattice", "ingest")),
+    # argv that mbl.cli's plain parse leaves to argparse: an abbreviated or
+    # unknown flag, --flag=value, a repeated flag, a value starting with "-",
+    # a flag missing its value, a stray token and -h after a flag
+    *((*base, *shape) for base in (("limits",), ("irregularities",),
+                                   ("complete", "--threshold", "7/20"), ("verify",))
+      for shape in (("--n-max", "5"), ("--format=json",), ("--n", "5", "--n", "6"),
+                    ("--n", "-1"), ("--n",), ("--suite", "markov", "--suite", "markov"),
+                    ("--fixture", "x"), ("--n", "5", "-h"))),
 ]
 #: A unimodular image of a base triangle, read by `width --polygon skew.json`.
 SKEW = [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]

@@ -1,18 +1,26 @@
-"""Command-line front end: the parser, `main`, and the ordering commands.
+"""Command-line front end: the command table, the parser, `main`, and the
+ordering commands.
 
-`irregularities`, `limits` and `complete` run here.  `build_parser(command)`
-imports the module holding any other command's handler only when that
-command runs: `mbl.commands` (the other table commands), `mbl.suites`
-(`verify`) or `mbl.svg` (`plot`).  Exit codes and output helpers live in
+`irregularities`, `limits` and `complete` run here.  `_COMMANDS` declares
+every command's flags once.  `main` parses an argv of the plain shape
+`<command> (--flag value | --switch)*` from it directly; argparse (with
+gettext and locale) loads only for help, usage errors and the argv that
+parse declines, through `build_parser`, which builds the same parser from
+the same table.  The module holding a handler outside this one is imported
+only when its command runs: `mbl.commands` (the other table commands),
+`mbl.suites` (`verify`) or `mbl.svg` (`plot`).  The Markov walk behind the
+ordering commands hands out int triples, and `json` loads only for
+`--fixture` and `width --polygon`.  Exit codes and output helpers live in
 `mbl.report`.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import lattice, oeis
 from .capacity import closed_forms, limit_decimal, surd_text
@@ -77,7 +85,7 @@ def _fixture_match(records, n_max: int) -> bool:
     )
 
 
-def cmd_irregularities(config: argparse.Namespace) -> int:
+def cmd_irregularities(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--n-max")
     records = find_irregularities(config.n_max)
     checked = [(rec, verify_swap_pattern(rec)) for rec in records]
@@ -100,7 +108,7 @@ def cmd_irregularities(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_limits(config: argparse.Namespace) -> int:
+def cmd_limits(config: SimpleNamespace) -> int:
     if config.k is not None and config.fmt != "json":
         raise ValueError("--k shows only in the JSON rows; use it with --format json")
     _at_least(config, 1, "--n", "--k")
@@ -121,7 +129,7 @@ def cmd_limits(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_complete(config: argparse.Namespace) -> int:
+def cmd_complete(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
     records = report["records"]
@@ -143,6 +151,91 @@ def cmd_complete(config: argparse.Namespace) -> int:
     return _report(config, report, lambda: "\n".join(lines) + "\n", status)
 
 
+def _module(name: str):
+    """The `mbl` module `name`, imported on first use."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+_FORMATS = ("text", "json", "csv")
+#: Every command, in the order `mbl -h` lists them: its help, the formats it
+#: renders (the choices of its `--format`, which `plot` lacks), its handler
+#: (a function that imports the module holding it) and its flags.  A flag is
+#: its name and the keywords of argparse's `add_argument`: dest, type,
+#: default, choices, action, required.
+_COMMANDS = {
+    "widths": ("capacity table bc/a", _FORMATS,
+               lambda: _module("commands").cmd_widths, (
+                   ("--triple", {}),)),
+    "triples": ("enumerate triples up to a bound", _FORMATS,
+                lambda: _module("commands").cmd_triples, (
+                    ("--max-bound", {"type": int, "default": 1000}),)),
+    "subtree": ("bivalent subtree preserving one entry", _FORMATS,
+                lambda: _module("commands").cmd_subtree, (
+                    ("--triple", {"required": True}),
+                    ("--preserve", {"type": int}),
+                    ("--depth", {"type": int, "default": 3}))),
+    "order": ("alternating decreasing capacity order below an apex", _FORMATS,
+              lambda: _module("commands").cmd_order, (
+                  ("--triple", {"required": True}),
+                  ("--depth", {"type": int, "default": 3}))),
+    "irregularities": ("scan the juxtaposition inequality", _FORMATS,
+                       lambda: cmd_irregularities, (
+                           ("--n-max", {"type": int, "default": 450}),
+                           ("--fixture", {"action": "store_true"}))),
+    "triangle": ("base triangle data for a triple", _FORMATS,
+                 lambda: _module("commands").cmd_triangle, (
+                     ("--triple", {"required": True}),)),
+    "width": ("lattice width of a triangle or polygon file", _FORMATS,
+              lambda: _module("commands").cmd_width, (
+                  ("--triple", {}),
+                  ("--polygon", {}))),
+    "limits": ("per-sequence limits and Lagrange values", _FORMATS,
+               lambda: cmd_limits, (
+                   ("--n", {"type": int, "default": 10}),
+                   ("--k", {"type": int}))),
+    "complete": ("certify the ordered prefix above a threshold", ("text", "json"),
+                 lambda: cmd_complete, (
+                     ("--threshold", {"required": True}),
+                     ("--n-max", {"type": int, "default": 450}))),
+    "verify": ("run invariant suites", ("text", "json"),
+               lambda: _module("suites").cmd_verify, (
+                   # the names of suites.SUITES, in its order
+                   ("--suite", {"action": "append", "dest": "suites",
+                                "choices": ("markov", "capacity", "ordering",
+                                            "lattice", "ingest")}),
+                   ("--max-bound", {"type": int, "default": 10_000}),
+                   ("--n-max", {"type": int, "default": 60}),
+                   ("--cache-dir", {}))),
+    "plot": ("deterministic SVG figures", (),
+             lambda: _module("svg").cmd_plot, (
+                 ("--figure", {"required": True,
+                               "choices": ("order5", "numberline", "triangle")}),
+                 ("--triple", {}),
+                 ("--depth", {"type": int, "default": 3}),
+                 ("--n", {"type": int, "default": 33}),
+                 ("--k", {"type": int, "default": 3}),
+                 ("--delta", {"default": "1/4"}))),
+    "ingest": ("load and cross-check sequence b-files", _FORMATS,
+               lambda: _module("commands").cmd_ingest, (
+                   ("--kind", {"default": "all",
+                               "choices": ("all",) + tuple(oeis.SEQUENCE_IDS)}),
+                   ("--n", {"type": int, "default": 500}),
+                   ("--bfile", {}),
+                   ("--cache-dir", {}),
+                   ("--fetch", {"action": "store_true"}))),
+}
+
+
+def _flags(command: str) -> dict[str, dict]:
+    """The flags of `command` in the order its help lists them, `--format`
+    (where it renders formats) and `--out` first, each with its dest
+    (argparse's own default unless the table names one)."""
+    _, formats, _, flags = _COMMANDS[command]
+    fmt = [("--format", {"dest": "fmt", "default": "text", "choices": formats})] if formats else []
+    return {flag: {"dest": flag[2:].replace("-", "_"), **options}
+            for flag, options in [*fmt, ("--out", {}), *flags]}
+
+
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The `mbl` parser, with -h and arguments on the `command` subparser only.
 
@@ -150,103 +243,65 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     are those of the full parser; argparse builds a help formatter for each
     argument it adds, and only the subparser that parses needs its own.
     """
+    import argparse  # only help, usage errors and argv _plain_parse declines need it
+
     parser = argparse.ArgumentParser(
         prog="mbl",
         description="Exact computations on Markov triples, their capacities, "
         "and the associated base triangles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, formats: tuple[str, ...] = ("text", "json", "csv"),
-            ) -> argparse.ArgumentParser | None:
+    for name, (help_, _, handler, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_, add_help=name == command)
-        if name != command:
-            return None
-        if formats:  # only the formats the command renders
-            p.add_argument("--format", dest="fmt", default="text", choices=formats)
-        p.add_argument("--out", default=None)
-        return p
-
-    # a handler outside this module is imported only for the command that runs
-    if p := add("widths", "capacity table bc/a"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_widths)
-        p.add_argument("--triple", default=None)
-
-    if p := add("triples", "enumerate triples up to a bound"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_triples)
-        p.add_argument("--max-bound", type=int, default=1000)
-
-    if p := add("subtree", "bivalent subtree preserving one entry"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_subtree)
-        p.add_argument("--triple", required=True)
-        p.add_argument("--preserve", type=int, default=None)
-        p.add_argument("--depth", type=int, default=3)
-
-    if p := add("order", "alternating decreasing capacity order below an apex"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_order)
-        p.add_argument("--triple", required=True)
-        p.add_argument("--depth", type=int, default=3)
-
-    if p := add("irregularities", "scan the juxtaposition inequality"):
-        p.set_defaults(handler=cmd_irregularities)
-        p.add_argument("--n-max", type=int, default=450)
-        p.add_argument("--fixture", action="store_true")
-
-    if p := add("triangle", "base triangle data for a triple"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_triangle)
-        p.add_argument("--triple", required=True)
-
-    if p := add("width", "lattice width of a triangle or polygon file"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_width)
-        p.add_argument("--triple", default=None)
-        p.add_argument("--polygon", default=None)
-
-    if p := add("limits", "per-sequence limits and Lagrange values"):
-        p.set_defaults(handler=cmd_limits)
-        p.add_argument("--n", type=int, default=10)
-        p.add_argument("--k", type=int, default=None)
-
-    if p := add("complete", "certify the ordered prefix above a threshold", ("text", "json")):
-        p.set_defaults(handler=cmd_complete)
-        p.add_argument("--threshold", required=True)
-        p.add_argument("--n-max", type=int, default=450)
-
-    if p := add("verify", "run invariant suites", ("text", "json")):
-        from . import suites
-        p.set_defaults(handler=suites.cmd_verify)
-        p.add_argument("--suite", action="append", default=None,
-                       choices=tuple(suites.SUITES), dest="suites")
-        p.add_argument("--max-bound", type=int, default=10_000)
-        p.add_argument("--n-max", type=int, default=60)
-        p.add_argument("--cache-dir", default=None)
-
-    if p := add("plot", "deterministic SVG figures", ()):
-        from . import svg
-        p.set_defaults(handler=svg.cmd_plot)
-        p.add_argument("--figure", required=True,
-                       choices=("order5", "numberline", "triangle"))
-        p.add_argument("--triple", default=None)
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--n", type=int, default=33)
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--delta", default="1/4")
-
-    if p := add("ingest", "load and cross-check sequence b-files"):
-        from . import commands
-        p.set_defaults(handler=commands.cmd_ingest)
-        p.add_argument("--kind", default="all",
-                       choices=("all",) + tuple(oeis.SEQUENCE_IDS))
-        p.add_argument("--n", type=int, default=500)
-        p.add_argument("--bfile", default=None)
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--fetch", action="store_true")
+        if name == command:  # a handler's module is imported only for its command
+            p.set_defaults(handler=handler())
+            for flag, options in _flags(name).items():
+                p.add_argument(flag, **options)
     return parser
+
+
+def _plain_parse(argv) -> dict | None:
+    """`vars(build_parser(argv[0]).parse_args(argv))` for argv of the shape
+    `<command> (--flag value | --switch)*`, or None for any other argv.
+
+    Flags must be named exactly and each at most once, values must not
+    start with "-", ints and choices must be valid and every required flag
+    given; argparse takes the rest: help, abbreviations, `--flag=value`,
+    repeated flags and every usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, flags = argv[0], _flags(argv[0])
+    values = {"command": command}
+    for options in flags.values():
+        switch = options.get("action") == "store_true"
+        values[options["dest"]] = options.get("default", False if switch else None)
+    given = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = flags.get(flag)
+        if options is None or flag in given:
+            return None
+        given.add(flag)
+        action = options.get("action")
+        if action == "store_true":
+            values[options["dest"]] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[options["dest"]] = [value] if action == "append" else value
+    if any(options.get("required") and flag not in given for flag, options in flags.items()):
+        return None
+    values["handler"] = _COMMANDS[command][2]()
+    return values
 
 
 def main(argv=None) -> int:
@@ -256,11 +311,15 @@ def main(argv=None) -> int:
         # the one at exit included, from walking them again
         gc.freeze()
         argv = sys.argv[1:]
-    # argparse takes the first argument not starting with "-" as the command
-    # (the top-level parser has no option with a value); an argument it
-    # takes as positional although it starts with "-" names no command
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    values = _plain_parse(argv)
+    if values is None:
+        # argparse takes the first argument not starting with "-" as the
+        # command (the top-level parser has no option with a value); an
+        # argument it takes as positional although it starts with "-" names
+        # no command
+        command = next((arg for arg in argv if not arg.startswith("-")), None)
+        values = vars(build_parser(command).parse_args(argv))
+    args = SimpleNamespace(**values)
     try:
         if getattr(args, "triple", None) is not None:
             args.triple = _parse_triple(args.triple)

@@ -7,9 +7,8 @@ ordering commands (`irregularities`, `limits`, `complete`) never compile it.
 
 from __future__ import annotations
 
-import argparse
-import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import oeis
 from .capacity import capacity_to_json, width
@@ -23,7 +22,7 @@ _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
 FETCH_TIMEOUT_S = 30.0  # seconds per b-file download of `ingest --fetch`
 
 
-def cmd_widths(config: argparse.Namespace) -> int:
+def cmd_widths(config: SimpleNamespace) -> int:
     triples = (
         [config.triple]
         if config.triple is not None
@@ -38,7 +37,7 @@ def cmd_widths(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_triples(config: argparse.Namespace) -> int:
+def cmd_triples(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--max-bound")
     records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
     return _emit_rows(
@@ -50,7 +49,7 @@ def cmd_triples(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_subtree(config: argparse.Namespace) -> int:
+def cmd_subtree(config: SimpleNamespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     apex = apex_for(preserved, config.triple)
     _at_least(config, 0, "--depth")
@@ -69,7 +68,7 @@ def cmd_subtree(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_order(config: argparse.Namespace) -> int:
+def cmd_order(config: SimpleNamespace) -> int:
     _at_least(config, 0, "--depth")
     records = [(rank, t, w) for rank, (t, w)
                in enumerate(alternating_order(config.triple, config.depth), start=1)]
@@ -82,7 +81,7 @@ def cmd_order(config: argparse.Namespace) -> int:
     )
 
 
-def cmd_triangle(config: argparse.Namespace) -> int:
+def cmd_triangle(config: SimpleNamespace) -> int:
     tri = vianna_triangle(config.triple)
     center = central_point(tri)
     value, xi = lattice_width(tri.polygon)
@@ -117,13 +116,14 @@ def cmd_triangle(config: argparse.Namespace) -> int:
     return _report(config, payload, lambda: _table(config.fmt, columns, rows))
 
 
-def cmd_width(config: argparse.Namespace) -> int:
+def cmd_width(config: SimpleNamespace) -> int:
     if (config.triple is None) == (config.polygon is None):
         raise ValueError("width needs exactly one of --triple or --polygon")
     if config.triple is not None:
         polygon = vianna_triangle(config.triple).polygon
         source = {"triple": config.triple.to_json()}
     else:
+        import json  # only a polygon file is read as JSON
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
@@ -164,7 +164,7 @@ def fetch_bfile(kind: str, cache_dir: str | None = None) -> Path:
     return target
 
 
-def cmd_ingest(config: argparse.Namespace) -> int:
+def cmd_ingest(config: SimpleNamespace) -> int:
     if config.bfile is not None and config.kind == "all":
         raise ValueError("--bfile holds one sequence; name it with --kind")
     _at_least(config, 1, "--n")

@@ -96,42 +96,45 @@ class MarkovWalk:
     walk only appends, so what it returns depends only on how far it has
     been extended; it returns tuples, never its own lists.  A maximal entry
     shared by two triples raises VerificationError once it is reached.
+    Apexes are sorted int triples (a, b, c); `apex` and `upto` build a
+    MarkovTriple of each they return.
     """
 
     def __init__(self):
-        # sorted int tuples (a, b, c), each checked against the equation as
-        # it is pushed; the heap orders them by their maximum first
+        # sorted int triples, the heap ordering them by their maximum first
         self._heap = [(1, 1, 1)]
         self._numbers: list[int] = []
-        self._apexes: list[MarkovTriple] = []
+        self._apexes: list[tuple[int, int, int]] = []
 
     def _step(self) -> None:
+        # the checks of MarkovTriple, on ints: the top is sorted, positive and
+        # on the equation, and so is each child it pushes
         heap = self._heap
-        top, twin = heap[0], min(heap[1:3], default=None)
+        top = heap[0]
+        a, b, c = top
         # every triple with the top's maximum is queued by now (their
         # parents' maxima are smaller), so a shared maximum shows in the next
         # smallest entry
-        if twin is not None and twin[0] == top[0]:
-            raise VerificationError(
-                "({},{},{}) and ({},{},{}) share their maximum".format(*top, *twin))
-        apex = MarkovTriple(*top)  # re-checks order and equation
-        a, b, c = top
+        if len(heap) > 1 and min(heap[1:3])[0] == a:
+            raise VerificationError("({},{},{}) and ({},{},{}) share their maximum"
+                                    .format(*top, *min(heap[1:3])))
+        if not a >= b >= c >= 1:
+            raise ValueError("triple must be sorted and positive: ({},{},{})".format(*top))
         # the children (a, 3ac - b, c) and (a, b, 3ab - c), sorted; they
         # coincide exactly when b == c, at (1,1,1) and (2,1,1)
-        children = ((3 * a * c - b, a, c), (3 * a * b - c, a, b))[:1 if b == c else 2]
-        for child in children:
-            if not is_markov(*child):
-                raise ValueError("({},{},{}) does not solve the Markov equation"
-                                 .format(*child))
-        heapq.heappop(heap)
+        left, right = (3 * a * c - b, a, c), (3 * a * b - c, a, b)
+        for x, y, z in (top, left, right):
+            if x * x + y * y + z * z != 3 * x * y * z:
+                raise ValueError(f"({x},{y},{z}) does not solve the Markov equation")
         self._numbers.append(a)
-        self._apexes.append(apex)
-        for child in children:
-            heapq.heappush(heap, child)
+        self._apexes.append(top)
+        heapq.heapreplace(heap, left)  # pops the top
+        if b != c:
+            heapq.heappush(heap, right)
 
     def prefix(
         self, count: int, stop: Callable[[int], bool] | None = None
-    ) -> tuple[tuple[int, ...], tuple[MarkovTriple, ...]]:
+    ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
         """The first `count` Markov numbers and the apex triple of each.
 
         With `stop`, the prefix runs on to the first number m at or past
@@ -146,19 +149,24 @@ class MarkovWalk:
                 return tuple(self._numbers[:count]), tuple(self._apexes[:count])
             count += 1
 
-    def apex(self, p: int) -> MarkovTriple | None:
-        """The apex of p if p is a Markov number, else None."""
+    def _reach(self, p: int) -> int:
+        """The index of the first number >= p, walking on until there is one."""
         while not self._numbers or self._numbers[-1] < p:
             self._step()
-        i = bisect.bisect_left(self._numbers, p)
-        return self._apexes[i] if self._numbers[i] == p else None
+        return bisect.bisect_left(self._numbers, p)
+
+    def apex(self, p: int) -> MarkovTriple | None:
+        """The apex of p if p is a Markov number, else None."""
+        i = self._reach(p)
+        return MarkovTriple(*self._apexes[i]) if self._numbers[i] == p else None
 
     def upto(self, max_bound: int) -> tuple[MarkovTriple, ...]:
         """Every apex with maximal entry <= max_bound, by increasing maximum."""
         if max_bound < 1:
             raise ValueError("max_bound must be >= 1")
-        self.apex(max_bound)
-        return tuple(self._apexes[:bisect.bisect_right(self._numbers, max_bound)])
+        self._reach(max_bound)
+        end = bisect.bisect_right(self._numbers, max_bound)
+        return tuple([MarkovTriple(*t) for t in self._apexes[:end]])
 
 
 _WALK = MarkovWalk()  # shared by every Markov-number path of the package

@@ -119,14 +119,16 @@ class IrregularityRecord(_Record):
                 "kind": self.kind}
 
 
-def _b_value(apex: MarkovTriple) -> int:
+def _b_value(apex) -> int:
     # 3ac - b: the smallest middle entry below the apex; for the degenerate
     # rows 1 and 2 it coincides with the second-smallest member convention
-    return 3 * apex.a * apex.c - apex.b
+    a, b, c = apex
+    return 3 * a * c - b
 
 
-def _f1_value(apex: MarkovTriple) -> int:
-    return 3 * apex.a * apex.b - apex.c
+def _f1_value(apex) -> int:
+    a, b, c = apex
+    return 3 * a * b - c
 
 
 def _exceeds(p: tuple[int, int], q: tuple[int, int]) -> bool:
@@ -142,15 +144,15 @@ def _deficit(x: int, y: int | None = None) -> tuple[int, int]:
     return xx + yy, xx * yy
 
 
-def _chain_capacities(apex: MarkovTriple, depth: int) -> list[tuple[int, int]]:
+def _chain_capacities(apex, depth: int) -> list[tuple[int, int]]:
     # the width of each node of wedge(apex, depth), in wedge order: bc/a at the
     # apex, then a x_{i-1}/x_i at the level-i node (x_i, x_{i-1}, a)
-    a, columns = apex.a, chains(apex, depth)
-    return [(apex.b * apex.c, a)] + [(a * xs[i - 1], xs[i])
-                                     for i in range(1, depth + 1) for xs in columns]
+    (a, b, c), columns = apex, chains(apex, depth)
+    return [(b * c, a)] + [(a * xs[i - 1], xs[i])
+                           for i in range(1, depth + 1) for xs in columns]
 
 
-def descent_integers(apex: MarkovTriple) -> tuple[int, int, int, int]:
+def descent_integers(apex) -> tuple[int, int, int, int]:
     """(a^2, b^2 - c^2, c(3ac - 2b), c^2): the constants that decide the
     descent of the wedge widths bc/a, a x_{i-1}/x_i at every depth.
 
@@ -166,7 +168,7 @@ def descent_integers(apex: MarkovTriple) -> tuple[int, int, int, int]:
     a, b, c = apex
     if not (b > c or a < 5) or 3 * a * c <= 2 * b:
         raise VerificationError(
-            f"capacity descent fails below {apex}: needs b > c and 3ac > 2b")
+            f"capacity descent fails below ({a},{b},{c}): needs b > c and 3ac > 2b")
     return a * a, b * b - c * c, c * (3 * a * c - 2 * b), c * c
 
 
@@ -192,12 +194,12 @@ def alternating_order(
             for t, cap in zip(wedge(apex, depth), _chain_capacities(apex, depth))]
 
 
-def _essential_capacities(apex: MarkovTriple, k: int) -> tuple[tuple[int, int], ...]:
-    # the first k widths of the essential subtree of a = apex.a: the wedge
-    # nodes whose minimal entry is a, which are those whose width has
+def _essential_capacities(apex, k: int) -> tuple[tuple[int, int], ...]:
+    # the first k widths of the essential subtree of the apex maximum a: the
+    # wedge nodes whose minimal entry is a, which are those whose width has
     # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a); for
     # a >= 5 level 1 holds none and each level below it two, one per chain
-    a = apex.a
+    a, _, _ = apex
     if a < 5:
         return tuple([cap for cap in _chain_capacities(apex, k + 1) if cap[0] >= a * a][:k])
     columns = chains(apex, (k + 1) // 2 + 1)
@@ -224,7 +226,8 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
         mm = m * m
         if _sign(9 * mm - 2, -3 * m, 9 * mm - 4) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
             raise VerificationError(f"row {n}: limit not above 1/3")
-        rows.append(SpectrumRow(n, m, apex, _b_value(apex), _essential_capacities(apex, k)))
+        rows.append(SpectrumRow(n, m, MarkovTriple(*apex), _b_value(apex),
+                                _essential_capacities(apex, k)))
     return rows
 
 

@@ -8,12 +8,12 @@ never feed back into any computation.
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import io
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from types import SimpleNamespace
 try:  # the C quoter of json.encoder, without loading the json package
     from _json import encode_basestring_ascii as _quote
 except ImportError:
@@ -33,7 +33,7 @@ def _preview(value, digits: int = 12) -> str:
     )
 
 
-def _at_least(config: argparse.Namespace, least: int, *flags: str) -> None:
+def _at_least(config: SimpleNamespace, least: int, *flags: str) -> None:
     """Raise the usage error naming the first of the flags ("--n-max") set below `least`."""
     for flag in flags:
         value = getattr(config, flag[2:].replace("-", "_"))
@@ -61,7 +61,7 @@ def _table(
     return "\n".join(lines) + "\n"
 
 
-def _emit(config: argparse.Namespace, data: str) -> None:
+def _emit(config: SimpleNamespace, data: str) -> None:
     if config.out:
         with open(config.out, "w") as handle:
             handle.write(data)
@@ -118,7 +118,7 @@ def _json_text(value, newline: str = "\n") -> str:
 
 
 def _report(
-    config: argparse.Namespace, payload: dict, render: Callable[[], str],
+    config: SimpleNamespace, payload: dict, render: Callable[[], str],
     status: int = EXIT_OK,
 ) -> int:
     """Write the payload as JSON under --format json, else render(); return status."""
@@ -127,7 +127,7 @@ def _report(
 
 
 def _emit_rows(
-    config: argparse.Namespace,
+    config: SimpleNamespace,
     columns: list[str],
     records: list,
     cells: Callable[..., list[str]],

@@ -12,10 +12,10 @@ apex, which decide the descent at every depth.
 
 from __future__ import annotations
 
-import argparse
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import oeis
 from .capacity import Capacity, _fraction, _sign, closed_forms, width
@@ -265,7 +265,7 @@ def _failed(failures: dict[str, str], *names: str):
         yield name, name not in failures, failures.get(name, "")
 
 
-def _suite_markov(config: argparse.Namespace):
+def _suite_markov(config: SimpleNamespace):
     bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
     for t in enumerate_triples(bound):
@@ -296,7 +296,7 @@ def _suite_markov(config: argparse.Namespace):
     yield "uniqueness", uniqueness_check(config.max_bound), f"bound {config.max_bound}"
 
 
-def _suite_capacity(config: argparse.Namespace):
+def _suite_capacity(config: SimpleNamespace):
     bound = min(config.max_bound, 10 ** 6)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
@@ -321,7 +321,7 @@ def _suite_capacity(config: argparse.Namespace):
     yield "spectrum-values", spectrum_values_check(), ""
 
 
-def _suite_ordering(config: argparse.Namespace):
+def _suite_ordering(config: SimpleNamespace):
     apex_bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
     for t in enumerate_triples(apex_bound):
@@ -348,7 +348,7 @@ def _suite_ordering(config: argparse.Namespace):
     yield "swap-patterns", swaps_ok, f"{len(records)} records"
 
 
-def _suite_lattice(config: argparse.Namespace):
+def _suite_lattice(config: SimpleNamespace):
     bound = min(config.max_bound, 10_000)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
@@ -386,7 +386,7 @@ def _suite_lattice(config: argparse.Namespace):
                        "shear-and-inscribed", "alg-lemma", "unimodular-invariance")
 
 
-def _suite_ingest(config: argparse.Namespace):
+def _suite_ingest(config: SimpleNamespace):
     sizes = {"markov": 500, "fibonacci": 1000, "pell": 1000}
     bfiles = {kind: oeis.load_bfile(kind, cache_dir=config.cache_dir) for kind in sizes}
     for kind, n in sizes.items():
@@ -405,7 +405,7 @@ SUITES = {
 }
 
 
-def cmd_verify(config: argparse.Namespace) -> int:
+def cmd_verify(config: SimpleNamespace) -> int:
     names = dict.fromkeys(config.suites or SUITES)  # once each, first-given order
     _at_least(config, 1, "--max-bound", "--n-max")
     report = {"command": "verify", "suites": {}, "passed": True}

@@ -9,9 +9,9 @@ handler of `mbl plot`; only that command loads this module.
 
 from __future__ import annotations
 
-import argparse
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .capacity import limit_decimal, width
 from .lattice import RationalPoint, central_point, vianna_triangle
@@ -219,7 +219,7 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     return _document(width_px, height_px, body)
 
 
-def cmd_plot(config: argparse.Namespace) -> int:
+def cmd_plot(config: SimpleNamespace) -> int:
     if config.figure == "order5":
         _at_least(config, 0, "--depth")
         triple = config.triple or MarkovTriple(5, 2, 1)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import hashlib
@@ -352,8 +353,8 @@ def test_import_leaves_the_network_stack_unloaded():
 _IMPORT_CLOSURE = frozenset("""
     __future__ _bisect _bz2 _collections _collections_abc _compression _decimal
     _functools _heapq _json _lzma _operator _random _sha512 _sre _stat _typing
-    _weakrefset argparse bisect bz2 collections collections.abc contextlib copyreg
-    decimal enum errno fnmatch fractions functools genericpath gettext heapq
+    _weakrefset bisect bz2 collections collections.abc contextlib copyreg
+    decimal enum errno fnmatch fractions functools genericpath heapq
     importlib importlib._bootstrap importlib._bootstrap_external importlib.resources
     importlib.resources._adapters importlib.resources._common
     importlib.resources._legacy importlib.resources.abc ipaddress itertools
@@ -367,11 +368,13 @@ _IMPORT_CLOSURE = frozenset("""
 
 
 def test_import_loads_no_unused_machinery():
-    # dataclasses (with inspect), csv, hashlib, the json package and every
-    # handler module outside mbl.cli (commands, suites, svg) serve few
-    # commands and load inside them; every traced owner, lattice and oeis
-    # included, loads eagerly, because the bench tracer (perfbench/tracer.py,
-    # install) re-binds its traced functions only in modules already loaded
+    # dataclasses (with inspect), csv, hashlib, the json package, argparse
+    # (with gettext and locale) and every handler module outside mbl.cli
+    # (commands, suites, svg) serve few commands and load inside them;
+    # argparse only for help, usage errors and argv the plain parse declines.
+    # Every traced owner, lattice and oeis included, loads eagerly, because
+    # the bench tracer (perfbench/tracer.py, install) re-binds its traced
+    # functions only in modules already loaded
     probe = ("import sys; before = set(sys.modules); import mbl.cli; "
              "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
@@ -379,8 +382,8 @@ def test_import_loads_no_unused_machinery():
                             capture_output=True, text=True, check=True)
     loaded = set(result.stdout.split())
     assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "json", "json.decoder",
-                     "json.encoder", "json.scanner", "mbl.commands", "mbl.suites",
-                     "mbl.svg"} == set()
+                     "json.encoder", "json.scanner", "argparse", "gettext", "locale",
+                     "mbl.commands", "mbl.suites", "mbl.svg"} == set()
     assert {"mbl.cli", "mbl.markov", "mbl.capacity", "mbl.ordering", "mbl.lattice",
             "mbl.oeis"} <= loaded
     if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer quotes with _json
@@ -395,6 +398,145 @@ def test_import_mbl_loads_no_submodule():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def _imported_by_process(*argv):
+    # every module a `python -m mbl.cli` process imports by an import
+    # statement, from -X importtime (which does not log importlib.import_module;
+    # argparse, gettext and locale load by import statements)
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    env.pop("MBL_CACHE_DIR", None)
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "mbl.cli", *argv],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.mark.parametrize("argv", [
+    ("limits", "--n", "3", "--format", "json"),
+    ("verify", "--suite", "capacity", "--format", "json"),
+])
+def test_well_formed_runs_load_no_argparse(argv):
+    imported = _imported_by_process(*argv)
+    assert "mbl.ordering" in imported  # the probe sees the process's imports
+    assert imported & {"argparse", "gettext", "locale"} == set()
+
+
+def test_only_a_polygon_file_loads_json():
+    # mbl.commands serves widths, triples, subtree, order, triangle, width
+    # and ingest; of these only `width --polygon` reads JSON
+    probe = ("import sys, mbl.commands; "
+             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'json'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def test_suite_choices_are_the_suites():
+    options = mbl.cli._flags("verify")["--suite"]
+    assert options["choices"] == tuple(mbl.suites.SUITES)
+
+
+# Well-formed argv, the benchmark's shapes among them: each parses without argparse.
+_PLAIN_ARGV = [
+    "limits --n 450 --format json",
+    "irregularities --n-max 450 --fixture --format json",
+    "complete --threshold 1/3 --n-max 793 --format json",
+    "verify --max-bound 3000 --n-max 40 --format json",
+    "verify --suite ingest --n-max 1",
+    "ingest --kind pell --n 5 --fetch --cache-dir c --bfile b --out o --format csv",
+    "plot --figure triangle --triple 5,2,1 --delta 1/8",
+    "subtree --triple 29,5,2 --preserve 5",
+    "width --polygon p.json",
+    "widths",
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGV)
+def test_plain_argv_parse_as_argparse_would(argv):
+    argv = argv.split()
+    assert mbl.cli._plain_parse(argv) == vars(mbl.cli.build_parser(argv[0]).parse_args(argv))
+
+
+# Shapes the plain parse leaves to argparse, some of which argparse accepts.
+_DECLINED_ARGV = [
+    "limits --n-max 5", "verify --n 5", "limits --format=json", "limits --n 5 --n 6",
+    "verify --suite markov --suite markov", "limits --n -1", "limits --n",
+    "irregularities --fixture x", "limits --n 5 -h", "limits --format JSON",
+    "verify --suite bogus", "complete --n-max 5", "-h limits", "bogus", "",
+]
+
+
+@pytest.mark.parametrize("argv", _DECLINED_ARGV)
+def test_other_argv_are_left_to_argparse(argv):
+    assert mbl.cli._plain_parse(argv.split()) is None
+
+
+def _drawn_argv(draw):
+    # a command with its flags, each once (the required ones most of the
+    # time), mostly with well-formed values, else negative, non-int, empty
+    # or wrong-choice ones; then up to three hostile tokens at drawn places:
+    # repeated, abbreviated, unknown or `--x=y` flags, flags left without a
+    # value, stray tokens and -h
+    command = draw(st.sampled_from(sorted(mbl.cli._COMMANDS)))
+    flags = mbl.cli._flags(command)
+    names = sorted(flags)
+
+    def good(options):
+        if "choices" in options:
+            return st.sampled_from(options["choices"])
+        if "type" in options:
+            return st.integers(0, 10_000).map(str)
+        return st.sampled_from(["5,2,1", "1/4", "7/20", "x", "", "p.json"])
+
+    def bad(options):  # a value the plain parse declines; argparse refuses most
+        if "choices" in options:
+            return st.sampled_from(["bogus", "svg", "", options["choices"][0].upper()])
+        if "type" in options:
+            return st.sampled_from(["-1", "-7", "x", "", "2.5", "1e3"])
+        return st.sampled_from(["-1", "-x", "-h", "--n", "-", "--"])
+
+    def item(name):
+        if flags[name].get("action") == "store_true":
+            return [name]
+        return [name, draw(bad(flags[name]) if draw(st.integers(0, 4)) == 4 else good(flags[name]))]
+
+    required = [name for name in names if flags[name].get("required")]
+    chosen = draw(st.permutations(draw(st.lists(st.sampled_from(names), unique=True))))
+    if draw(st.integers(0, 9)) < 9:  # else the required flags may go missing
+        chosen += [name for name in required if name not in chosen]
+    tokens = [part for name in chosen for part in item(name)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        name = draw(st.sampled_from(names))
+        hostile = draw(st.sampled_from([
+            item(name),  # repeated, or one more flag
+            [name],  # a switch, or a flag missing its value
+            [name[:draw(st.integers(3, max(3, len(name) - 1)))]],  # abbreviated
+            [f"{name}={draw(good(flags[name]))}"],
+            [draw(st.sampled_from(["-h", "--help", "--bogus", "stray", "-x", "--", command]))],
+        ]))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = hostile
+    return [command, *tokens]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_plain_parse_is_argparse_or_declines(data):
+    # argparse on an argv the plain parse accepted would give the same
+    # values, handler included; wherever argparse exits, it declined
+    argv = _drawn_argv(data.draw)
+    plain = mbl.cli._plain_parse(argv)
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            expected = vars(mbl.cli.build_parser(argv[0]).parse_args(argv))
+    except SystemExit:
+        assert plain is None
+    else:
+        assert plain is None or plain == expected
 
 
 def test_subcommands_match_readme_and_have_handlers():
@@ -839,7 +981,9 @@ _DESCENT_FAILURE = "capacity descent fails below (13,5,1): needs b > c and 3ac >
 
 
 def _descent_fails_at_13_5_1(real):  # the helper refusing one apex, in its own words
-    return lambda t: _raise(VerificationError(_DESCENT_FAILURE)) if t == T(13, 5, 1) else real(t)
+    # by its entries: the ordering layer passes the walk's int triples
+    return lambda t: (_raise(VerificationError(_DESCENT_FAILURE)) if tuple(t) == (13, 5, 1)
+                      else real(t))
 
 
 T = MarkovTriple

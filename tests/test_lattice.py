@@ -59,7 +59,8 @@ MIXED = (SKEW,
          UnimodularMap(2, -3, -1, 2, Fraction(-4, 9), Fraction(7, 4)).apply(
              vianna_triangle(T(29, 5, 2)).polygon))
 FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
-_, APEXES = markov_prefix(200)  # the apexes of the first 200 Markov numbers
+# the apexes of the first 200 Markov numbers
+APEXES = tuple(T(*t) for t in markov_prefix(200)[1])
 
 
 class TestPolygonValidation:

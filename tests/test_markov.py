@@ -202,7 +202,7 @@ class TestMarkovWalk:
     def test_prefix_matches_brute_force(self, brute_apexes):
         numbers, apexes = MarkovWalk().prefix(len(brute_apexes))
         assert numbers == tuple(sorted(brute_apexes))
-        assert apexes == tuple(brute_apexes[m] for m in numbers)
+        assert apexes == tuple(tuple(brute_apexes[m]) for m in numbers)  # int triples
 
     def test_out_of_order_requests(self):
         walk = MarkovWalk()
@@ -217,7 +217,7 @@ class TestMarkovWalk:
         walk = MarkovWalk()
         numbers, apexes = walk.prefix(5, lambda m: m >= 100)
         assert numbers == (1, 2, 5, 13, 29, 34, 89, 169)
-        assert apexes[-1] == T(169, 29, 2)
+        assert apexes[-1] == (169, 29, 2)
         walk.prefix(50)  # already extended past the match: same answer
         assert walk.prefix(5, lambda m: m >= 100)[0] == numbers
         assert walk.prefix(3, lambda m: True)[0] == (1, 2, 5)
@@ -246,6 +246,17 @@ class TestMarkovWalk:
         for _ in range(2):  # the failed step leaves the walk unchanged
             with pytest.raises(ValueError, match="does not solve the Markov equation"):
                 walk.apex(6)
+        assert walk.prefix(3) == MarkovWalk().prefix(3)
+
+    def test_unsorted_entry_is_never_handed_out(self):
+        walk = MarkovWalk()
+        walk.prefix(2)  # past (2,1,1), which would share the leading 2
+        walk._heap.append((2, 5, 1))  # on the equation (30 = 30), but unsorted
+        assert walk.prefix(3)[0] == (1, 2, 5)
+        for _ in range(2):  # next to leave the heap: the failed step leaves the walk unchanged
+            with pytest.raises(ValueError,
+                               match=re.escape("triple must be sorted and positive: (2,5,1)")):
+                walk.prefix(4)
         assert walk.prefix(3) == MarkovWalk().prefix(3)
 
     def test_count_validated(self):

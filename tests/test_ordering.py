@@ -220,7 +220,7 @@ class TestSpectrumRows:
         monkeypatch.setattr("mbl.ordering.descent_integers",
                             lambda apex: seen.append(apex) or real(apex))
         rows = spectrum_rows(10, k=2)
-        assert seen == [row.apex for row in rows]
+        assert seen == [tuple(row.apex) for row in rows]  # the walk's int triples
 
     def test_first_capacity_formula(self):
         # w_1(n) = 2/(3 + sqrt(9 - 4/m^2 - 4/b^2))
@@ -235,7 +235,7 @@ class TestSpectrumRows:
         for apex in apexes:
             for k in range(1, 9):
                 full = [cap for cap in _chain_capacities(apex, k + 1)
-                        if cap[0] >= apex.a * apex.a][:k]
+                        if cap[0] >= apex[0] * apex[0]][:k]
                 assert _essential_capacities(apex, k) == tuple(full)
 
     def test_ratios_are_in_lowest_terms(self):
