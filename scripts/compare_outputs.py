@@ -11,8 +11,8 @@ invocations outside the benchmark that reach the ordering layer in every
 format it renders, every other command in each format it renders, and the
 argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
-MBL_CACHE_DIR unset and a temporary directory holding the polygon file
-`skew.json` and the b-files `doctored.txt` and `short.txt` as the working
+MBL_CACHE_DIR unset and a temporary directory holding the polygon files
+of POLYGONS and the b-files `doctored.txt` and `short.txt` as the working
 directory, and compares exit code, stdout and stderr.  Prints the counts for
 the usage paths, for FIXED and per seed, and every differing command line;
 exits 1 if any differs.
@@ -33,6 +33,19 @@ sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+#: The polygon files `width --polygon` reads: a unimodular image of a base
+#: triangle, unreduced fractions mixed with ints, and the five refusals of a
+#: polygon file (clockwise, collinear, one vertex written twice as 1/2 and
+#: 2/4, a float and a bool coordinate).
+POLYGONS = {
+    "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
+    "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
+    "clockwise.json": [[0, 0], [0, 1], [1, 0]],
+    "collinear.json": [[0, 0], ["1/3", "1/6"], ["2/3", "1/3"]],
+    "duplicate.json": [["0", "0"], ["1/2", "0"], ["2/4", "0"], ["0", "1"]],
+    "float.json": [[0, 0], [0.5, 0], [0, 1]],
+    "bool.json": [[0, 0], [True, 0], [0, 1]],
+}
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
       for triple in ("5,2,1", "1,1,1", "2,1,1") for fmt in ("text", "json", "csv")),
@@ -57,7 +70,7 @@ FIXED = [
         *(("triangle", "--triple", triple)
           for triple in ("1,1,1", "2,1,1", "5,2,1", "194,13,5", "433,29,5")),
         *(("width", "--triple", triple) for triple in ("1,1,1", "2,1,1", "433,29,5")),
-        ("width", "--polygon", "skew.json"),
+        *(("width", "--polygon", name) for name in POLYGONS),
         ("ingest",),
         ("ingest", "--kind", "markov", "--n", "8", "--bfile", "doctored.txt"),
         ("ingest", "--kind", "markov", "--n", "8", "--bfile", "short.txt"),
@@ -86,8 +99,6 @@ FIXED = [
                     ("--n", "-1"), ("--n",), ("--suite", "markov", "--suite", "markov"),
                     ("--fixture", "x"), ("--n", "5", "-h"))),
 ]
-#: A unimodular image of a base triangle, read by `width --polygon skew.json`.
-SKEW = [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
           "short.txt": "1 1\n2 2\n"}
@@ -124,8 +135,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     old, new = args.old_src.resolve(), args.new_src.resolve()
     with tempfile.TemporaryDirectory() as workdir:
-        os.chdir(workdir)  # every run reads skew.json from here
-        Path("skew.json").write_text(json.dumps(SKEW))
+        os.chdir(workdir)  # every run reads its polygon file and b-file from here
+        for name, polygon in POLYGONS.items():
+            Path(name).write_text(json.dumps(polygon))
         for name, text in BFILES.items():
             Path(name).write_text(text)
         return _compare(old, new, args.seeds or (1, 20261017))

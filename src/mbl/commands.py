@@ -7,6 +7,7 @@ ordering commands (`irregularities`, `limits`, `complete`) never compile it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -83,33 +84,34 @@ def cmd_order(config: SimpleNamespace) -> int:
 
 def cmd_triangle(config: SimpleNamespace) -> int:
     tri = vianna_triangle(config.triple)
-    center = central_point(tri)
+    cx, cy = central_point(tri)
     value, xi = lattice_width(tri.polygon)
+    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    ell, h, t, lam = (str(Fraction(x, den)) for x in (ell, h, t, 1))
+    lengths = [str(Fraction(g, den)) for *_, g in tri.edges]
     payload = {
         "command": "triangle",
         "triple": config.triple.to_json(),
         "vertices": tri.polygon.to_json(),
-        "ell": str(tri.ell),
-        "h": str(tri.h),
-        "t": str(tri.t),
-        "lam": str(tri.lam),
+        "ell": ell,
+        "h": h,
+        "t": t,
+        "lam": lam,
         "u": tri.u,
-        "edges": [
-            {"direction": list(e.direction), "affine_length": str(e.length)}
-            for e in tri.edge_data
-        ],
-        "central_point": [str(center.x), str(center.y)],
+        "edges": [{"direction": [dx, dy], "affine_length": length}
+                  for (dx, dy, _), length in zip(tri.edges, lengths)],
+        "central_point": [str(cx), str(cy)],
         "lattice_width": capacity_to_json(value),
         "minimizer": list(xi),
     }
     rows = [
-        ["vertices", " ".join(f"({p.x},{p.y})" for p in tri.vertices)],
-        ["ell", str(tri.ell)],
-        ["h", str(tri.h)],
-        ["apex abscissa t", str(tri.t)],
-        ["lam", str(tri.lam)],
-        ["edge lengths", " ".join(str(e.length) for e in tri.edge_data)],
-        ["central point", str(center)],
+        ["vertices", " ".join(f"({x},{y})" for x, y in tri.polygon.vertices)],
+        ["ell", ell],
+        ["h", h],
+        ["apex abscissa t", t],
+        ["lam", lam],
+        ["edge lengths", " ".join(lengths)],
+        ["central point", f"({cx}, {cy})"],
         ["lattice width", f"{value} at xi={xi}"],
     ]
     columns = ["quantity", "value"]

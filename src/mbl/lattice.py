@@ -5,9 +5,11 @@ directions xi of the spread max <x' - x, xi>.  For each Markov triple the
 associated base triangle has area 1/2, integral affine perimeter 3 (this is
 the Markov equation in disguise), edges of affine length a^2/(abc),
 b^2/(abc), c^2/(abc), and lattice width bc/a realized by xi = (0, 1) in the
-normal form used here.  All geometry is exact: a polygon clears its vertex
-denominators once, and widths and convexity run on that integer form; a
-base triangle is built in integer form and checked there.
+normal form used here.  All geometry is exact and has one form: a polygon
+is built from and held as (D, its vertices times D), D the lcm of the vertex
+denominators, and widths, convexity and the base-triangle checks run on
+those ints.  `LatticePolygon.vertices` is the one `Fraction` view, read only
+to print; `from_json` clears the denominators of the file it parses.
 """
 
 from __future__ import annotations
@@ -18,54 +20,25 @@ import math
 from functools import cache, cached_property, partial
 from fractions import Fraction
 
-from .capacity import Capacity, _fraction
+from .capacity import Capacity
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple
 
 
-class RationalPoint(_Record):
-    """A point with exact coordinates: ints or Fractions, never floats."""
-
-    x: Fraction
-    y: Fraction
-
-    def __init__(self, x, y):
-        object.__setattr__(self, "x", _fraction(x))
-        object.__setattr__(self, "y", _fraction(y))
-
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-    def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
-
-
 class LatticePolygon(_Record):
     """Convex polygon with rational vertices, counterclockwise, no three
-    collinear."""
+    collinear, held in integer form: `scaled` is (D, the vertices times D),
+    D the lcm of the vertex denominators.  This form is canonical, so it
+    alone decides equality and the hash."""
 
-    vertices: tuple[RationalPoint, ...]
+    scaled: tuple[int, tuple[tuple[int, int], ...]]
 
-    def __init__(self, vertices):
-        pts = tuple(
-            v if isinstance(v, RationalPoint) else RationalPoint(*v)
-            for v in vertices
-        )
-        object.__setattr__(self, "vertices", pts)
-        den = math.lcm(*(c.denominator for p in pts for c in p))
-        self._set_scaled(den, [(int(p.x * den), int(p.y * den)) for p in pts])
-
-    @classmethod
-    def _from_scaled(cls, den: int, points) -> "LatticePolygon":
+    def __init__(self, den: int, points):
         """The polygon with the integer vertices `points` divided by den > 0;
-        its Fraction vertices are built only when read."""
-        polygon = cls.__new__(cls)
-        polygon._set_scaled(den, points)
-        return polygon
-
-    def _set_scaled(self, den: int, points) -> None:
-        """Validate, and keep `scaled`: (D, the vertices times D), D the lcm
-        of the vertex denominators, from integer vertices over any den."""
+        the common gcd is divided out and the vertices checked on ints, so a
+        float or a Fraction coordinate raises TypeError."""
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
         g = math.gcd(den, *(c for p in points for c in p))
         scaled = tuple((x // g, y // g) for x, y in points)
         n = len(scaled)
@@ -79,25 +52,25 @@ class LatticePolygon(_Record):
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise"
                 )
-        object.__setattr__(self, "scaled", (den // g, scaled))
+        self.__dict__["scaled"] = (den // g, scaled)
 
-    @cached_property
-    def vertices(self) -> tuple[RationalPoint, ...]:  # read by _key; __init__ sets it
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         den, pts = self.scaled
-        return tuple(RationalPoint(Fraction(x, den), Fraction(y, den)) for x, y in pts)
-
-    def _key(self) -> tuple:
-        return (self.vertices,)
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts)
 
     def to_json(self) -> list:
-        return [[str(p.x), str(p.y)] for p in self.vertices]
+        return [[str(x), str(y)] for x, y in self.vertices]
 
     @classmethod
     def from_json(cls, obj) -> "LatticePolygon":
         """A list of [x, y] pairs of ints or rational strings; no floats."""
         if type(obj) is not list or any(type(v) is not list or len(v) != 2 for v in obj):
             raise ValueError("a polygon file must be a JSON list of [x, y] pairs")
-        return cls([RationalPoint(_exact(x), _exact(y)) for x, y in obj])
+        coords = [_exact(c) for v in obj for c in v]
+        den = math.lcm(*(c.denominator for c in coords))
+        ints = [c.numerator * (den // c.denominator) for c in coords]
+        return cls(den, list(zip(ints[::2], ints[1::2])))
 
 
 def _exact(value) -> Fraction:
@@ -162,11 +135,6 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
     return Fraction(value, polygon.scaled[0]), xi
 
 
-class EdgeData(_Record):
-    direction: tuple[int, int]
-    length: Fraction
-
-
 class ViannaTriangle(_Record):
     """Base triangle of a Markov triple in the normal form with its longest
     edge on the x-axis from (0,0) to (ell, 0) and apex at (t, h).
@@ -187,7 +155,7 @@ class ViannaTriangle(_Record):
         den, (_, (x1, y1), (x2, y2)) = self.polygon.scaled
         if x1 * y2 - x2 * y1 != den * den:
             raise VerificationError(f"area != 1/2 for {self.triple}")
-        lengths = sorted(g for *_, g in self._edges)
+        lengths = sorted(g for *_, g in self.edges)
         if lengths != sorted(x * x for x in self.triple):
             raise VerificationError(f"edge lengths off for {self.triple}")
         if sum(lengths) != 3 * den:
@@ -196,11 +164,10 @@ class ViannaTriangle(_Record):
     @cached_property
     def polygon(self) -> LatticePolygon:
         a, b, c = self.triple
-        return LatticePolygon._from_scaled(
-            a * b * c, ((0, 0), (a * a, 0), (self.u * c * c, b * b * c * c)))
+        return LatticePolygon(a * b * c, ((0, 0), (a * a, 0), (self.u * c * c, b * b * c * c)))
 
     @cached_property
-    def _edges(self) -> tuple[tuple[int, int, int], ...]:
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(dx, dy, g) per edge: the primitive direction and g = D times the
         affine length, from the integer form."""
         pts = self.polygon.scaled[1]
@@ -209,31 +176,6 @@ class ViannaTriangle(_Record):
             g = math.gcd(qx - px, qy - py)
             out.append(((qx - px) // g, (qy - py) // g, g))
         return tuple(out)
-
-    @property
-    def vertices(self) -> tuple[RationalPoint, RationalPoint, RationalPoint]:
-        return self.polygon.vertices  # (0, 0), (ell, 0), (t, h)
-
-    @property
-    def ell(self) -> Fraction:
-        return self.vertices[1].x
-
-    @property
-    def h(self) -> Fraction:
-        return self.vertices[2].y
-
-    @property
-    def t(self) -> Fraction:
-        return self.vertices[2].x
-
-    @property
-    def lam(self) -> Fraction:
-        return Fraction(1, self.polygon.scaled[0])
-
-    @cached_property
-    def edge_data(self) -> tuple[EdgeData, EdgeData, EdgeData]:
-        den = self.polygon.scaled[0]
-        return tuple(EdgeData((dx, dy), Fraction(g, den)) for dx, dy, g in self._edges)
 
 
 def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
@@ -257,10 +199,10 @@ def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, int]]:
     minimum of <n, .> is taken at p itself.
     """
     return [(-dy, dx, dx * py - dy * px)
-            for (px, py), (dx, dy, _) in zip(tri.polygon.scaled[1], tri._edges)]
+            for (px, py), (dx, dy, _) in zip(tri.polygon.scaled[1], tri.edges)]
 
 
-def central_point(tri: ViannaTriangle) -> RationalPoint:
+def central_point(tri: ViannaTriangle) -> tuple[Fraction, Fraction]:
     """The point at integral affine distance 1/3 from all three edges.
 
     Affine distance to an edge is <n, x> - min <n, .> for the primitive
@@ -279,4 +221,4 @@ def central_point(tri: ViannaTriangle) -> RationalPoint:
         raise VerificationError(
             f"no point at affine distance 1/3 from all edges of {tri.triple}"
         )
-    return RationalPoint(Fraction(x, 3 * den * det), Fraction(y, 3 * den * det))
+    return Fraction(x, 3 * den * det), Fraction(y, 3 * den * det)

@@ -35,8 +35,6 @@ from .capacity import Capacity, _fraction, _sign, capacity_to_json, closed_forms
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
-DESCENT_DEPTH = 6
-
 
 class SpectrumRow(_Record):
     """Ordering data for one essential sequence: `ratios` holds the first
@@ -345,7 +343,6 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         "records": [rec.to_json() for rec in records],
         "swap_checks": swap_checks,
         "active_sequences": active,
-        "descent_depth": DESCENT_DEPTH,
         "tail_exact": tail_exact,
         "tail_bound_index": end,
         "tail_bound_m": str(numbers[-1]),
@@ -356,8 +353,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
             "each violation is a catalogued record whose swap pattern verified: "
             "only the leading capacity of the higher sequence moves, directly in "
             "front of the lowest spanned sequence",
-            f"within-sequence strict descent above the limit verified exactly "
-            f"for the first {DESCENT_DEPTH} capacities of every sequence",
+            "within-sequence strict descent above the limit verified exactly at "
+            "every depth of every sequence, from the four descent integers of its apex",
             f"tail exclusion: leading capacities checked exactly for "
             f"n_max < n < {end}; from index {end} on, "
             f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",

@@ -185,7 +185,7 @@ class UnimodularMap(_Record):
                for x, y in scaled]
         if self.m00 * self.m11 - self.m01 * self.m10 < 0:
             pts.reverse()  # keep counterclockwise orientation
-        return LatticePolygon._from_scaled(common, pts)
+        return LatticePolygon(common, pts)
 
 
 def random_unimodular(rng: random.Random) -> UnimodularMap:
@@ -226,30 +226,31 @@ def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
     return sheared
 
 
-def inscribed_right_triangle(tri: ViannaTriangle, eps: Fraction) -> bool:
-    """Whether an axis-aligned isoceles right triangle with legs h - eps/2
-    fits strictly inside a shear-normalized base triangle.
+def inscribed_right_triangle(tri: ViannaTriangle) -> bool:
+    """Whether, for every eps in (0, h), an axis-aligned isoceles right
+    triangle with legs h - eps/2 fits strictly inside a shear-normalized
+    base triangle.
 
     The horizontal leg sits on y = eps/4 starting at the foot of the apex,
     extending away from the nearer base corner (mirrored when the apex lies
-    over the right half); containment is decided by exact half-plane tests,
-    on ints: with eps = p/q, every coordinate is scaled by 4qD, D = abc the
-    scale of the triangle's integer form (0,0), (ell, 0), (t, h).
+    over the right half).  Scaled by 4D, D = abc the scale of the
+    triangle's integer form (0,0), (ell, 0), (t, h), each of the 9
+    half-plane tests is an integer affine in e = D eps, so it holds on the
+    open interval 0 < e < h exactly when its values at e = 0 and e = h are
+    both >= 0 and not both 0.
     """
-    eps = _fraction(eps)
-    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    _, (_, (ell, _), (t, h)) = tri.polygon.scaled
     if not 0 < t < ell:
         raise ValueError("triangle must be shear-normalized first")
-    p, q = eps.numerator, eps.denominator
-    if not 0 < p * den < q * h:
-        raise ValueError("need 0 < eps < h")
-    leg = 4 * q * h - 2 * p * den
-    x0, y0 = 4 * q * t, p * den
     sign = 1 if 2 * t <= ell else -1
-    corners = ((x0, y0), (x0 + sign * leg, y0), (x0, y0 + leg))
-    return all(
-        nx * x + ny * y > 4 * q * s for (nx, ny, s) in _inner_normals(tri) for x, y in corners
-    )
+    normals = _inner_normals(tri)
+
+    def values(e: int) -> list[int]:
+        leg = 4 * h - 2 * e
+        corners = ((4 * t, e), (4 * t + sign * leg, e), (4 * t, e + leg))
+        return [nx * x + ny * y - 4 * s for nx, ny, s in normals for x, y in corners]
+
+    return all(lo >= 0 and hi >= 0 and (lo or hi) for lo, hi in zip(values(0), values(h)))
 
 
 def check_alg_lemma(t: MarkovTriple) -> bool:
@@ -367,9 +368,7 @@ def _suite_lattice(config: SimpleNamespace):
             after = value  # the shear moves only (2,1,1)'s triangle
             if normalized != tri:
                 after, _ = lattice_width(normalized.polygon)
-            if value != after or not inscribed_right_triangle(
-                normalized, Fraction(t.b * t.c, 8 * t.a)  # h/8
-            ):
+            if value != after or not inscribed_right_triangle(normalized):
                 failures["shear-and-inscribed"] = str(t)
         if check_alg_lemma(t) == (t == root):
             failures["alg-lemma"] = str(t)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .capacity import limit_decimal, width
-from .lattice import RationalPoint, central_point, vianna_triangle
+from .lattice import central_point, vianna_triangle
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
 from .report import EXIT_OK, _at_least, _emit
@@ -175,9 +175,8 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
         raise ValueError("--delta must lie strictly between 0 and 1/3")
     tri = vianna_triangle(triple)
     center = central_point(tri)
-    pts = list(tri.vertices)
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    pts = list(tri.polygon.vertices)
+    xs, ys = zip(*pts)
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     width_px, height_px, margin = 720, 420, 60
@@ -188,30 +187,26 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
         Fraction(height_px - 2 * margin) / span_y,
     )
 
-    def place(p: RationalPoint) -> tuple[Fraction, Fraction]:
-        return (
-            margin + (p.x - lo_x) * scale,
-            height_px - margin - (p.y - lo_y) * scale,
-        )
+    def place(x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+        return margin + (x - lo_x) * scale, height_px - margin - (y - lo_y) * scale
 
     body = []
     ring = pts + [pts[0]]
     for p, q in zip(ring, ring[1:]):
-        body.append(_line(*place(p), *place(q), "#000000", width_=2))
-    for vertex in pts:
-        body.append(_line(*place(vertex), *place(center), STYLE["cut_stroke"],
+        body.append(_line(*place(*p), *place(*q), "#000000", width_=2))
+    for vx, vy in pts:
+        body.append(_line(*place(vx, vy), *place(*center), STYLE["cut_stroke"],
                           dash="6,5"))
-        dx, dy, _ = _primitive(center.x - vertex.x, center.y - vertex.y)
-        cross = RationalPoint(vertex.x + delta * dx, vertex.y + delta * dy)
-        cx, cy = place(cross)
+        dx, dy, _ = _primitive(center[0] - vx, center[1] - vy)
+        cx, cy = place(vx + delta * dx, vy + delta * dy)
         arm = 5
         body.append(_line(cx - arm, cy - arm, cx + arm, cy + arm,
                           STYLE["cross_stroke"], width_=2))
         body.append(_line(cx - arm, cy + arm, cx + arm, cy - arm,
                           STYLE["cross_stroke"], width_=2))
-    cx, cy = place(center)
+    cx, cy = place(*center)
     body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="#000000"/>')
-    body.append(_text(cx + 10, cy - 8, str(center),
+    body.append(_text(cx + 10, cy - 8, "({}, {})".format(*center),
                       anchor="start", size=11))
     body.append(_text(Fraction(width_px, 2), height_px - 18,
                       f"base triangle of {triple}, cut length delta = {delta}",

@@ -15,7 +15,10 @@ is read off Fraction widths of nodes reached by mutations written here
 rather than off the chain constants, and a base triangle is built from
 its Fraction vertices, with affine lengths as rational gcds, its central
 point from barycentric weights and containment from cross products
-rather than from the integer form and its inner normals.
+rather than from the integer form and its inner normals.  The inscribed
+right triangle is decided one eps at a time, on Fractions by
+`fraction_inscribed` and on ints by `inscribed_at`, where the library
+decides every eps at once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 import mpmath
 
 from mbl.capacity import QuadraticValue, closed_forms
-from mbl.lattice import LatticePolygon
+from mbl.lattice import LatticePolygon, _inner_normals
 from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
 
 
@@ -85,17 +88,25 @@ def rounded_limit(m: int, digits: int = 12) -> str:
 
 def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
     """max <x' - x, (nx, ny)> over the vertices, on Fractions."""
-    values = [v.x * nx + v.y * ny for v in polygon.vertices]
+    values = [x * nx + y * ny for x, y in polygon.vertices]
     return max(values) - min(values)
 
 
 def fraction_apply(m, polygon: LatticePolygon) -> LatticePolygon:
     """The image of polygon under the UnimodularMap m, on Fraction vertices."""
-    pts = [(m.m00 * v.x + m.m01 * v.y + m.tx, m.m10 * v.x + m.m11 * v.y + m.ty)
-           for v in polygon.vertices]
+    pts = [(m.m00 * x + m.m01 * y + m.tx, m.m10 * x + m.m11 * y + m.ty)
+           for x, y in polygon.vertices]
     if m.m00 * m.m11 - m.m01 * m.m10 < 0:
         pts.reverse()  # keep counterclockwise orientation
-    return LatticePolygon(pts)
+    return fraction_polygon(pts)
+
+
+def fraction_polygon(points) -> LatticePolygon:
+    """The polygon with these int or Fraction vertices, its denominators
+    cleared here on Fractions."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    return LatticePolygon(den, [(int(x * den), int(y * den)) for x, y in pts])
 
 
 def fraction_triangle(a: int, b: int, c: int, u: int) -> list[tuple[Fraction, Fraction]]:
@@ -157,12 +168,33 @@ def fraction_inscribed(points, eps: Fraction) -> bool:
                for (px, py), (qx, qy) in _ring(points) for x, y in corners)
 
 
+def inscribed_at(tri, eps: Fraction) -> bool:
+    """The right triangle of `fraction_inscribed` for one eps = p/q in
+    (0, h), decided on ints: every coordinate of the shear-normalized base
+    triangle `tri` is scaled by 4qD, D = abc, and each corner is tested
+    against the library's inner normals; `suites.inscribed_right_triangle`
+    decides every eps at once."""
+    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    if not 0 < t < ell:
+        raise ValueError("triangle must be shear-normalized first")
+    p, q = eps.numerator, eps.denominator
+    if not 0 < p * den < q * h:
+        raise ValueError("need 0 < eps < h")
+    leg = 4 * q * h - 2 * p * den
+    x0, y0 = 4 * q * t, p * den
+    sign = 1 if 2 * t <= ell else -1
+    corners = ((x0, y0), (x0 + sign * leg, y0), (x0, y0 + leg))
+    return all(
+        nx * x + ny * y > 4 * q * s for (nx, ny, s) in _inner_normals(tri) for x, y in corners
+    )
+
+
 def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
     # the Euclidean width of a convex polygon is minimized at an edge normal
     best = None
     pts = polygon.vertices
-    for p, q in zip(pts, pts[1:] + pts[:1]):
-        nx, ny = -(q.y - p.y), q.x - p.x
+    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+        nx, ny = -(qy - py), qx - px
         spread = fraction_spread(polygon, nx, ny)
         wsq = spread * spread / (nx * nx + ny * ny)
         if best is None or wsq < best:

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from mbl.capacity import width
 from mbl.lattice import (
-    EdgeData,
     LatticePolygon,
-    RationalPoint,
     ViannaTriangle,
     central_point,
     lattice_width,
@@ -34,26 +32,26 @@ from support import (
     fraction_central_point,
     fraction_edges,
     fraction_inscribed,
+    fraction_polygon,
     fraction_spread,
     fraction_triangle,
+    inscribed_at,
     pruned_lattice_width,
 )
 
 T = MarkovTriple
 
-UNIT_TRIANGLE = LatticePolygon([(0, 0), (1, 0), (0, 1)])
-UNIT_SQUARE = LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+UNIT_TRIANGLE = LatticePolygon(1, [(0, 0), (1, 0), (0, 1)])
+UNIT_SQUARE = LatticePolygon(1, [(0, 0), (1, 0), (1, 1), (0, 1)])
 # Four pairs of minimal directions, (1,0), (0,1), (1,1), (1,2), each of width 1.
-FOUR_PAIRS = LatticePolygon([(Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2)),
-                             (Fraction(-1, 2), 0), (Fraction(1, 2), Fraction(-1, 2))])
+FOUR_PAIRS = LatticePolygon(2, [(1, 0), (-1, 1), (-1, 0), (1, -1)])
 # A unimodular image of FOUR_PAIRS on which the set {b1, b2, b1+b2, b1-b2} of
 # a reduced basis misses the least minimizer (0, 1).
-FOUR_PAIRS_IMAGE = LatticePolygon([(Fraction(3, 2), -1), (2, -2), (Fraction(5, 2), -2),
-                                   (2, -1)])
+FOUR_PAIRS_IMAGE = LatticePolygon(2, [(3, -2), (4, -4), (5, -4), (4, -2)])
 # Mixed denominators and negative coordinates, with a translate of it and a
 # mapped base triangle: their integer forms scale by D = 420, 2520 and 5220.
-SKEW = LatticePolygon([(Fraction(-7, 3), Fraction(-5, 4)), (Fraction(3, 2), Fraction(-2, 5)),
-                       (Fraction(5, 6), Fraction(9, 7)), (-3, Fraction(1, 2))])
+SKEW = LatticePolygon.from_json([["-7/3", "-5/4"], ["3/2", "-2/5"], ["5/6", "9/7"],
+                                 [-3, "1/2"]])
 MIXED = (SKEW,
          UnimodularMap(1, 0, 0, 1, Fraction(-11, 9), Fraction(13, 8)).apply(SKEW),
          UnimodularMap(2, -3, -1, 2, Fraction(-4, 9), Fraction(7, 4)).apply(
@@ -63,27 +61,41 @@ FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
 APEXES = tuple(T(*t) for t in markov_prefix(200)[1])
 
 
+def edge_lengths(tri: ViannaTriangle) -> list[Fraction]:
+    """The affine edge lengths of a base triangle, from its integer form."""
+    den = tri.polygon.scaled[0]
+    return [Fraction(g, den) for *_, g in tri.edges]
+
+
+def _swapped_polygon(triple, polygon):
+    """The shear-normalized base triangle of `triple` with its polygon
+    swapped for `polygon`, which its construction checks would refuse."""
+    tri = shear_normalize(vianna_triangle(triple))
+    tri.__dict__["polygon"] = polygon  # a cached property
+    del tri.__dict__["edges"]  # cached from the polygon
+    return tri
+
+
 class TestPolygonValidation:
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
-            LatticePolygon([(0, 0), (1, 0)])
+            LatticePolygon(1, [(0, 0), (1, 0)])
 
     def test_rejects_collinear(self):
         with pytest.raises(ValueError):
-            LatticePolygon([(0, 0), (1, 0), (2, 0), (0, 1)])
+            LatticePolygon(1, [(0, 0), (1, 0), (2, 0), (0, 1)])
 
     def test_rejects_clockwise(self):
         with pytest.raises(ValueError):
-            LatticePolygon([(0, 0), (0, 1), (1, 0)])
+            LatticePolygon(1, [(0, 0), (0, 1), (1, 0)])
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            LatticePolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
+            LatticePolygon(1, [(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_rejects_collinear_across_denominators(self):
         with pytest.raises(ValueError, match="strictly convex counterclockwise"):
-            LatticePolygon([(0, 0), (Fraction(1, 3), Fraction(1, 6)),
-                            (Fraction(2, 3), Fraction(1, 3))])
+            LatticePolygon.from_json([[0, 0], ["1/3", "1/6"], ["2/3", "1/3"]])
 
     def test_rejects_duplicates_written_apart(self):
         with pytest.raises(ValueError, match="duplicate vertices"):
@@ -91,12 +103,37 @@ class TestPolygonValidation:
 
     def test_rejects_clockwise_fractions(self):
         with pytest.raises(ValueError, match="strictly convex counterclockwise"):
-            LatticePolygon([(0, 0), (Fraction(1, 3), Fraction(2, 5)),
-                            (Fraction(2, 3), Fraction(1, 7))])
+            LatticePolygon.from_json([[0, 0], ["1/3", "2/5"], ["2/3", "1/7"]])
+
+    def test_rejects_a_denominator_below_one(self):
+        for den in (0, -1):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                LatticePolygon(den, [(0, 0), (1, 0), (0, 1)])
 
     def test_json_roundtrip(self):
         polygon = vianna_triangle(T(5, 2, 1)).polygon
         assert LatticePolygon.from_json(polygon.to_json()) == polygon
+
+    def test_json_roundtrip_of_mapped_triangles(self):
+        # the unimodular images the lattice suite of `verify` draws
+        rng = random.Random(20240813)
+        for t in (T(5, 2, 1), T(29, 5, 2)):
+            polygon = vianna_triangle(t).polygon
+            for _ in range(20):
+                mapped = random_unimodular(rng).apply(polygon)
+                assert LatticePolygon.from_json(mapped.to_json()) == mapped
+
+    def test_from_json_clears_unreduced_denominators(self):
+        polygon = LatticePolygon.from_json([["0", "0"], ["6/4", "0"], [0, "3/3"]])
+        assert polygon.scaled == (2, ((0, 0), (3, 0), (0, 2)))
+        assert polygon.to_json() == [["0", "0"], ["3/2", "0"], ["0", "1"]]
+
+    def test_canonical_form(self):
+        doubled = LatticePolygon(2, [(0, 0), (2, 0), (0, 2)])
+        assert doubled == UNIT_TRIANGLE and hash(doubled) == hash(UNIT_TRIANGLE)
+        assert doubled.scaled == UNIT_TRIANGLE.scaled == (1, ((0, 0), (1, 0), (0, 1)))
+        assert LatticePolygon(6, [(0, 0), (3, 0), (0, 3)]) == LatticePolygon(
+            2, [(0, 0), (1, 0), (0, 1)])
 
     def test_integer_form(self):
         assert SKEW.scaled == (420, ((-980, -525), (630, -168), (350, 540), (-1260, 210)))
@@ -104,14 +141,16 @@ class TestPolygonValidation:
         for polygon in MIXED:
             den, pts = polygon.scaled
             assert den == math.lcm(*(c.denominator for v in polygon.vertices for c in v))
-            assert pts == tuple((v.x * den, v.y * den) for v in polygon.vertices)
+            assert pts == tuple((x * den, y * den) for x, y in polygon.vertices)
+            assert polygon == fraction_polygon(polygon.vertices)
 
-    def test_integer_form_is_not_a_field(self):
-        twin = LatticePolygon(SKEW.vertices)
-        assert SKEW._fields == ("vertices",)
-        assert SKEW == twin and hash(SKEW) == hash((SKEW.vertices,))
-        assert repr(SKEW) == f"LatticePolygon(vertices={SKEW.vertices!r})"
-        assert SKEW != LatticePolygon(SKEW.vertices[1:] + SKEW.vertices[:1])
+    def test_integer_form_is_the_field(self):
+        den, pts = SKEW.scaled
+        twin = LatticePolygon(den, pts)
+        assert SKEW._fields == ("scaled",)
+        assert SKEW == twin and hash(SKEW) == hash((SKEW.scaled,))
+        assert repr(SKEW) == f"LatticePolygon(scaled={SKEW.scaled!r})"
+        assert SKEW != LatticePolygon(den, pts[1:] + pts[:1])
 
 
 class TestWidthAlong:
@@ -171,8 +210,8 @@ class TestLatticeWidth:
         polygons = [
             UNIT_TRIANGLE,
             UNIT_SQUARE,
-            LatticePolygon([(0, 0), (4, 1), (5, 4), (1, 3)]),
-            LatticePolygon([(Fraction(1, 2), 0), (3, Fraction(1, 3)), (2, 2)]),
+            LatticePolygon(1, [(0, 0), (4, 1), (5, 4), (1, 3)]),
+            LatticePolygon(6, [(3, 0), (18, 2), (12, 12)]),
             vianna_triangle(T(13, 5, 1)).polygon,
             FOUR_PAIRS,
             FOUR_PAIRS_IMAGE,
@@ -204,30 +243,30 @@ class TestLatticeWidth:
 class TestViannaTriangle:
     def test_root_triangle(self):
         tri = vianna_triangle(T(1, 1, 1))
-        assert [tuple(p) for p in tri.vertices] == [(0, 0), (1, 0), (0, 1)]
+        assert tri.polygon.vertices == ((0, 0), (1, 0), (0, 1))
 
     def test_two_one_one(self):
         tri = vianna_triangle(T(2, 1, 1))
-        assert [tuple(p) for p in tri.vertices] == [
-            (0, 0), (2, 0), (0, Fraction(1, 2))]
-        assert sorted(e.length for e in tri.edge_data) == [
-            Fraction(1, 2), Fraction(1, 2), 2]
-        directions = {e.direction for e in tri.edge_data}
+        assert tri.polygon.vertices == ((0, 0), (2, 0), (0, Fraction(1, 2)))
+        assert sorted(edge_lengths(tri)) == [Fraction(1, 2), Fraction(1, 2), 2]
+        directions = {(dx, dy) for dx, dy, _ in tri.edges}
         assert (4, -1) in directions or (-4, 1) in directions
 
     def test_five_two_one(self):
         tri = vianna_triangle(T(5, 2, 1))
         assert tri.u == 1  # 25 mod 4
-        assert tuple(tri.vertices[2]) == (Fraction(1, 10), Fraction(2, 5))
-        assert tri.edge_data[2] == EdgeData((-1, -4), Fraction(1, 10))
-        assert tri.edge_data[1] == EdgeData((-6, 1), Fraction(2, 5))
+        assert tri.polygon.vertices[2] == (Fraction(1, 10), Fraction(2, 5))
+        assert tri.polygon.scaled[0] == 10
+        assert tri.edges[2] == (-1, -4, 1)  # affine length 1/10
+        assert tri.edges[1] == (-6, 1, 4)  # affine length 2/5
 
     def test_invariants_below_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
             tri = vianna_triangle(t)  # constructor re-checks
-            assert tri.ell >= 1
-            assert tri.h * tri.ell == 1
-            assert sum(e.length for e in tri.edge_data) == 3
+            _, (ell, _), (_, h) = tri.polygon.vertices
+            assert ell >= 1
+            assert h * ell == 1
+            assert sum(edge_lengths(tri)) == 3
 
 
 class TestIntegerTriangles:
@@ -238,38 +277,48 @@ class TestIntegerTriangles:
         for t in APEXES:
             tri = vianna_triangle(t)
             points = fraction_triangle(*t, tri.u)
-            assert [tuple(p) for p in tri.vertices] == points
-            assert (tri.ell, tri.t, tri.h) == (points[1][0], *points[2])
-            assert tri.lam == Fraction(1, t.a * t.b * t.c)
+            assert list(tri.polygon.vertices) == points
+            assert tri.polygon.scaled[0] == t.a * t.b * t.c
             assert fraction_area(points) == Fraction(1, 2)
-            assert [(e.direction, e.length) for e in tri.edge_data] == fraction_edges(points)
+            assert [((dx, dy), length) for (dx, dy, _), length
+                    in zip(tri.edges, edge_lengths(tri))] == fraction_edges(points)
             assert sum(length for _, length in fraction_edges(points)) == 3
 
     def test_central_point(self):
         for t in APEXES:
             tri = vianna_triangle(t)
-            assert tuple(central_point(tri)) == fraction_central_point(
+            assert central_point(tri) == fraction_central_point(
                 fraction_triangle(*t, tri.u))
 
     def test_inscribed(self):
         for t in APEXES[1:]:  # (1,1,1) has no shear-normalized form
             normalized = shear_normalize(vianna_triangle(t))
             points = fraction_triangle(*t, normalized.u)
-            for eps in (normalized.h / 8, normalized.h / 64, Fraction(1, 10)):
-                assert inscribed_right_triangle(normalized, eps) == \
-                    fraction_inscribed(points, eps)
+            h = points[2][1]
+            assert inscribed_right_triangle(normalized)
+            for eps in (h / 8, h / 64, Fraction(1, 10)):
+                assert inscribed_at(normalized, eps) and fraction_inscribed(points, eps)
 
     def test_inscribed_decides_both_ways(self):
         # every base triangle holds its right triangle; (2,1,1)'s with its
         # polygon swapped for the taller (0,0), (1,0), (1/4, 1) does so only
         # for large eps, where the horizontal leg (1 - eps/2) stays short
-        tri = shear_normalize(vianna_triangle(T(2, 1, 1)))
-        tri.__dict__["polygon"] = LatticePolygon([(0, 0), (1, 0), (Fraction(1, 4), 1)])
-        del tri.__dict__["_edges"]  # cached from the polygon
-        points = [tuple(p) for p in tri.polygon.vertices]
-        decisions = [(inscribed_right_triangle(tri, eps), fraction_inscribed(points, eps))
+        tri = _swapped_polygon(T(2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), (1, 4)]))
+        points = list(tri.polygon.vertices)
+        decisions = [(inscribed_at(tri, eps), fraction_inscribed(points, eps))
                      for eps in (Fraction(1, 8), Fraction(1, 2), Fraction(9, 10))]
         assert decisions == [(False, False), (False, False), (True, True)]
+        assert not inscribed_right_triangle(tri)
+        assert inscribed_right_triangle(shear_normalize(vianna_triangle(T(2, 1, 1))))
+
+    @pytest.mark.parametrize("apex", [(1, 4), (3, 4)])
+    def test_apex_beyond_ell_minus_h_does_not_fit(self, apex):
+        # ell = h = 1: a leg near h reaches past the far edge for small eps,
+        # whichever half of the base the apex lies over
+        tri = _swapped_polygon(T(2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), apex]))
+        points = list(tri.polygon.vertices)
+        assert not inscribed_right_triangle(tri)
+        assert not all(fraction_inscribed(points, Fraction(k, 64)) for k in range(1, 64))
 
     def test_wrong_residue_is_refused(self):
         # (5,2,1) scales to (0,0), (25,0), (u, 4), with edge gcds 25,
@@ -279,29 +328,24 @@ class TestIntegerTriangles:
             ViannaTriangle(T(5, 2, 1), 2)
         for u in (0, 1, 5):
             tri = ViannaTriangle(T(5, 2, 1), u)
-            assert sorted(e.length for e in tri.edge_data) == [
-                Fraction(1, 10), Fraction(2, 5), Fraction(5, 2)]
+            assert sorted(edge_lengths(tri)) == [Fraction(1, 10), Fraction(2, 5), Fraction(5, 2)]
 
 
 class TestAffineLength:
     # the affine length of a segment p -> q is the scale factor _primitive
     # returns for q - p against the primitive integer vector in its direction
     def test_horizontal(self):
-        p, q = RationalPoint(0, 0), RationalPoint(Fraction(5, 2), 0)
-        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(5, 2)
+        assert _primitive(Fraction(5, 2), Fraction(0))[2] == Fraction(5, 2)
 
     def test_slant(self):
-        p, q = RationalPoint(0, 0), RationalPoint(Fraction(1, 10), Fraction(2, 5))
-        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(1, 10)
+        assert _primitive(Fraction(1, 10), Fraction(2, 5))[2] == Fraction(1, 10)
 
     def test_diagonal(self):
-        p, q = RationalPoint(0, 0), RationalPoint(3, 3)
-        assert _primitive(q.x - p.x, q.y - p.y)[2] == 3
+        assert _primitive(Fraction(3), Fraction(3))[2] == 3
 
     def test_zero_segment(self):
-        p = q = RationalPoint(1, 2)
         with pytest.raises(ValueError):
-            _primitive(q.x - p.x, q.y - p.y)
+            _primitive(Fraction(0), Fraction(0))
 
     @given(st.integers(1, 60), st.integers(-7, 7), st.integers(1, 7))
     def test_scales_with_primitive_direction(self, k, dx, dy):
@@ -309,27 +353,25 @@ class TestAffineLength:
 
         if gcd(abs(dx), dy) != 1:
             return
-        p = RationalPoint(2, 3)
-        q = RationalPoint(2 + Fraction(k, 5) * dx, 3 + Fraction(k, 5) * dy)
-        assert _primitive(q.x - p.x, q.y - p.y)[2] == Fraction(k, 5)
+        p = (Fraction(2), Fraction(3))
+        q = (2 + Fraction(k, 5) * dx, 3 + Fraction(k, 5) * dy)
+        assert _primitive(q[0] - p[0], q[1] - p[1])[2] == Fraction(k, 5)
 
 
 class TestCentralPoint:
     def test_root(self):
-        assert tuple(central_point(vianna_triangle(T(1, 1, 1)))) == \
-            (Fraction(1, 3), Fraction(1, 3))
+        assert central_point(vianna_triangle(T(1, 1, 1))) == (Fraction(1, 3), Fraction(1, 3))
 
     def test_two_one_one(self):
-        assert tuple(central_point(vianna_triangle(T(2, 1, 1)))) == \
-            (Fraction(1, 3), Fraction(1, 3))
+        assert central_point(vianna_triangle(T(2, 1, 1))) == (Fraction(1, 3), Fraction(1, 3))
 
     def test_five_two_one_distances(self):
         tri = vianna_triangle(T(5, 2, 1))
-        center = central_point(tri)
+        cx, cy = central_point(tri)
         polygon = tri.polygon
         pts = polygon.vertices
         for p, q in zip(pts, pts[1:] + pts[:1]):
-            direction = (q.x - p.x, q.y - p.y)
+            direction = (q[0] - p[0], q[1] - p[1])
             normal = (-direction[1], direction[0])
             # normalize to the primitive integer normal by hand
             from math import gcd
@@ -340,15 +382,15 @@ class TestCentralPoint:
             nx, ny = int(normal[0] * den), int(normal[1] * den)
             g = gcd(abs(nx), abs(ny))
             nx, ny = nx // g, ny // g
-            support = min(v.x * nx + v.y * ny for v in polygon.vertices)
-            assert center.x * nx + center.y * ny - support == Fraction(1, 3)
+            support = min(x * nx + y * ny for x, y in polygon.vertices)
+            assert cx * nx + cy * ny - support == Fraction(1, 3)
 
     def test_exists_below_ten_thousand(self):
         third = Fraction(1, 3)
         for t in enumerate_triples(10 ** 4):
             tri = vianna_triangle(t)
-            center = central_point(tri)
-            assert 0 < center.y < tri.h  # interior height range
+            _, cy = central_point(tri)
+            assert 0 < cy < tri.polygon.vertices[2][1]  # interior height range
 
 
 class TestShearAndInscribed:
@@ -356,7 +398,7 @@ class TestShearAndInscribed:
         tri = vianna_triangle(T(2, 1, 1))
         normalized = shear_normalize(tri)
         assert normalized.u - tri.u == 1
-        assert tuple(normalized.vertices[2]) == (Fraction(1, 2), Fraction(1, 2))
+        assert normalized.polygon.vertices[2] == (Fraction(1, 2), Fraction(1, 2))
 
     def test_five_two_one_already_interior(self):
         tri = vianna_triangle(T(5, 2, 1))
@@ -370,11 +412,12 @@ class TestShearAndInscribed:
             if t == T(1, 1, 1):
                 continue
             tri = vianna_triangle(t)
-            assert 0 <= tri.t < tri.h < tri.ell
+            _, (_, (ell, _), (t_, h)) = tri.polygon.scaled  # all three times D
+            assert 0 <= t_ < h < ell
             normalized = shear_normalize(tri)
             if t == T(2, 1, 1):
                 assert normalized.u == 1
-                assert tuple(normalized.vertices[2]) == (Fraction(1, 2), Fraction(1, 2))
+                assert normalized.polygon.vertices[2] == (Fraction(1, 2), Fraction(1, 2))
             else:
                 assert normalized == tri
 
@@ -390,25 +433,33 @@ class TestShearAndInscribed:
 
     def test_inscribed_examples(self):
         normalized = shear_normalize(vianna_triangle(T(2, 1, 1)))
-        assert inscribed_right_triangle(normalized, Fraction(1, 10))
+        assert inscribed_right_triangle(normalized)
+        assert inscribed_at(normalized, Fraction(1, 10))
         normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
-        assert inscribed_right_triangle(normalized, Fraction(1, 25))
+        assert inscribed_right_triangle(normalized)
+        assert inscribed_at(normalized, Fraction(1, 25))
 
     def test_inscribed_needs_normal_form(self):
         with pytest.raises(ValueError):
-            inscribed_right_triangle(vianna_triangle(T(2, 1, 1)), Fraction(1, 10))
+            inscribed_right_triangle(vianna_triangle(T(2, 1, 1)))
 
     def test_inscribed_eps_range(self):
-        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
-        with pytest.raises(ValueError):
-            inscribed_right_triangle(normalized, Fraction(1))
+        # the decision covers the open range (0, h) up to both of its ends
+        for t in (T(2, 1, 1), T(5, 2, 1), T(433, 29, 5)):
+            normalized = shear_normalize(vianna_triangle(t))
+            points = list(normalized.polygon.vertices)
+            h = points[2][1]
+            assert inscribed_right_triangle(normalized)
+            for eps in (h / 10 ** 9, h * (1 - Fraction(1, 10 ** 9))):
+                assert inscribed_at(normalized, eps) and fraction_inscribed(points, eps)
 
     def test_inscribed_small_eps_below_thousand(self):
         for t in enumerate_triples(1000):
             if t == T(1, 1, 1):
                 continue
             normalized = shear_normalize(vianna_triangle(t))
-            assert inscribed_right_triangle(normalized, normalized.h / 64)
+            assert inscribed_right_triangle(normalized)
+            assert inscribed_at(normalized, normalized.polygon.vertices[2][1] / 64)
 
 
 class TestAlgLemma:
@@ -425,31 +476,14 @@ class TestAlgLemma:
 
 
 class TestExactCoordinates:
-    @pytest.mark.parametrize("x, y", [(0.1, 0), (0, 0.5)])
-    def test_point_refuses_floats(self, x, y):
-        with pytest.raises(TypeError):
-            RationalPoint(x, y)
-
     def test_polygon_refuses_a_float_vertex(self):
         with pytest.raises(TypeError):
-            LatticePolygon([(0, 0), (0.5, 0), (0, 1)])
+            LatticePolygon(1, [(0, 0), (0.5, 0), (0, 1)])
 
     @pytest.mark.parametrize("tx, ty", [(0.5, 0), (0, 0.5)])
     def test_map_refuses_a_float_translation(self, tx, ty):
         with pytest.raises(TypeError):
             UnimodularMap(1, 0, 0, 1, tx, ty)
-
-    def test_inscribed_refuses_a_float_eps(self):
-        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
-        with pytest.raises(TypeError):
-            inscribed_right_triangle(normalized, 0.05)
-
-    def test_ints_and_fractions_are_exact(self):
-        point = RationalPoint(1, Fraction(1, 2))
-        assert (type(point.x), type(point.y)) == (Fraction, Fraction)
-        moved = UnimodularMap(1, 0, 0, 1, 1, Fraction(1, 2)).apply(UNIT_TRIANGLE)
-        assert moved == LatticePolygon([(1, Fraction(1, 2)), (2, Fraction(1, 2)),
-                                        (1, Fraction(3, 2))])
 
 
 class TestUnimodularMap:

@@ -483,6 +483,15 @@ class TestCompleteness:
         assert data["certified"] is True
         assert data["threshold"] == {"num": "7", "den": "20"}
 
+    def test_descent_condition_states_every_depth(self):
+        # descent_integers decides descent at every depth, so the certificate
+        # names no depth
+        data = ordered_prefix_complete_above(Fraction(7, 20), 10)
+        assert "descent_depth" not in data
+        assert data["conditions"][2] == (
+            "within-sequence strict descent above the limit verified exactly at "
+            "every depth of every sequence, from the four descent integers of its apex")
+
     def test_threshold_at_one_third_rejected(self):
         with pytest.raises(ValueError):
             ordered_prefix_complete_above(Fraction(1, 3), 10)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from mbl.capacity import QuadraticValue
-from mbl.lattice import EdgeData, LatticePolygon, RationalPoint, vianna_triangle
+from mbl.errors import _Record
+from mbl.lattice import LatticePolygon, vianna_triangle
 from mbl.markov import MarkovTriple
 from mbl.oeis import BFile
 from mbl import capacity, ordering
@@ -28,20 +29,12 @@ CASES = {
     "IrregularityRecord": (
         lambda: IrregularityRecord(33, 1), ("n", "span"),
         "IrregularityRecord(n=33, span=1)"),
-    "RationalPoint": (
-        lambda: RationalPoint(1, Fraction(1, 2)), ("x", "y"),
-        "RationalPoint(x=Fraction(1, 1), y=Fraction(1, 2))"),
     "LatticePolygon": (
-        lambda: LatticePolygon([(0, 0), (1, 0), (0, 1)]), ("vertices",),
-        "LatticePolygon(vertices=(RationalPoint(x=Fraction(0, 1), y=Fraction(0, 1)), "
-        "RationalPoint(x=Fraction(1, 1), y=Fraction(0, 1)), "
-        "RationalPoint(x=Fraction(0, 1), y=Fraction(1, 1))))"),
+        lambda: LatticePolygon(2, [(0, 0), (2, 0), (0, 2)]), ("scaled",),
+        "LatticePolygon(scaled=(1, ((0, 0), (1, 0), (0, 1))))"),
     "UnimodularMap": (
         lambda: UnimodularMap(1, 1, 0, 1), ("m00", "m01", "m10", "m11", "tx", "ty"),
         "UnimodularMap(m00=1, m01=1, m10=0, m11=1, tx=Fraction(0, 1), ty=Fraction(0, 1))"),
-    "EdgeData": (
-        lambda: EdgeData((1, 0), Fraction(1, 2)), ("direction", "length"),
-        "EdgeData(direction=(1, 0), length=Fraction(1, 2))"),
     "ViannaTriangle": (
         lambda: vianna_triangle(T(5, 2, 1)), ("triple", "u"),
         "ViannaTriangle(triple=MarkovTriple(a=5, b=2, c=1), u=1)"),
@@ -78,7 +71,11 @@ def test_unequal_fields_compare_unequal():
     assert vianna_triangle(T(2, 1, 1)) != vianna_triangle(T(5, 2, 1))
     assert len({T(5, 2, 1), T(5, 2, 1), T(13, 5, 1)}) == 2
     # equal field tuples, different classes
-    assert RationalPoint(1, 2) != EdgeData(Fraction(1), Fraction(2))
+    class Pair(_Record):
+        n: int
+        span: int
+
+    assert IrregularityRecord(33, 1) != Pair(33, 1)
 
 
 def test_fields_bind_by_position_keyword_and_default():
