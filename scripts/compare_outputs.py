@@ -33,13 +33,27 @@ sys.dont_write_bytecode = True  # leave perfbench/ as it is
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)  # to write LONG_TRIPLE
+#: A Markov triple whose largest entry has 4,431 digits, past the int/str
+#: conversion limit of 4,300 that Python 3.11 sets by default.
+LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
 #: The polygon files `width --polygon` reads: a unimodular image of a base
-#: triangle, unreduced fractions mixed with ints, and the five refusals of a
-#: polygon file (clockwise, collinear, one vertex written twice as 1/2 and
-#: 2/4, a float and a bool coordinate).
+#: triangle, unreduced fractions mixed with ints, a triangle of base 2^61 and
+#: height 1, and the five refusals of a polygon file (clockwise, collinear,
+#: one vertex written twice as 1/2 and 2/4, a float and a bool coordinate).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
+    "thin.json": [[0, 0], [2 ** 61, 0], [0, 1]],
     "clockwise.json": [[0, 0], [0, 1], [1, 0]],
     "collinear.json": [[0, 0], ["1/3", "1/6"], ["2/3", "1/3"]],
     "duplicate.json": [["0", "0"], ["1/2", "0"], ["2/4", "0"], ["0", "1"]],
@@ -64,6 +78,7 @@ FIXED = [
     *((*command, "--format", fmt) for fmt in ("text", "json", "csv") for command in (
         ("widths",),
         ("widths", "--triple", "433,29,5"),
+        ("widths", "--triple", LONG_TRIPLE),
         ("triples", "--max-bound", "10000"),
         ("subtree", "--triple", "29,5,2", "--preserve", "5", "--depth", "3"),
         ("order", "--triple", "13,5,1", "--depth", "4"),

@@ -17,9 +17,6 @@ from fractions import Fraction
 
 from .markov import MarkovTriple, is_markov_number
 
-#: Capacities are plain rationals; the alias marks intent in signatures.
-Capacity = Fraction
-
 _Rational = (int, Fraction)
 
 
@@ -152,7 +149,7 @@ def limit_decimal(m: int, digits: int = 12) -> str:
     return str(out.plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
 
 
-def width(t: MarkovTriple) -> Capacity:
+def width(t: MarkovTriple) -> Fraction:
     """bc/a for the sorted triple; equals 1 only at (1,1,1)."""
     return Fraction(t.b * t.c, t.a)
 

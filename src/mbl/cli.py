@@ -310,6 +310,9 @@ def main(argv=None) -> int:
         # the objects loaded so far live until exit: keep every collection,
         # the one at exit included, from walking them again
         gc.freeze()
+        # exact integers at any length: mbl parses only its user's own input
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
         argv = sys.argv[1:]
     values = _plain_parse(argv)
     if values is None:

@@ -11,24 +11,17 @@ class VerificationError(RuntimeError):
 
 
 class _Record:
-    """An immutable value whose fields are the annotated names of its class.
-
-    Defaults, `__post_init__`, equality, hash, repr and refused assignment
+    """An immutable value whose positional fields are the annotated names of
+    its class; `__post_init__`, equality, hash, repr and refused assignment
     follow the frozen dataclass; a `__dict__` stays for `cached_property`."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            rest = fields[len(args):]  # the fields not given by position
-            given = {**vars(type(self)), **kwargs}  # class attributes are defaults
-            if (len(args) > len(fields) or not kwargs.keys() <= set(rest)
-                    or not given.keys() >= set(rest)):
-                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
-            args = [*args, *(given[name] for name in rest)]
-        self.__dict__.update(zip(fields, args))
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        self.__dict__.update(zip(self._fields, args))
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -14,13 +14,11 @@ to print; `from_json` clears the denominators of the file it parses.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 from functools import cache, cached_property, partial
 from fractions import Fraction
 
-from .capacity import Capacity
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple
 
@@ -90,7 +88,7 @@ def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
     return max(values) - min(values)
 
 
-def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
+def lattice_width(polygon: LatticePolygon) -> tuple[Fraction, tuple[int, int]]:
     """Exact lattice width and its lexicographically least minimizing direction.
 
     F(xi) = width_along(polygon, xi), the spread times D (the lcm of the
@@ -101,8 +99,8 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
     starts from (1,0), (0,1), replaces b2 by b2 - mu*b1 for the mu that
     minimizes F(b2 - mu*b1), and swaps while F(b2) < F(b1), each swap
     lowering F(b1) in Z.  F(b2 - mu*b1) is convex in mu and at least
-    |mu|F(b1) - F(b2), so bisection over |mu| <= 2F(b2)/F(b1) finds mu.  At
-    the end F(b1) <= F(b2) <= F(b2 + k*b1) for all integers k.
+    |mu|F(b1) - F(b2), so bisection on the ints |mu| <= 2F(b2)/F(b1) finds
+    mu.  At the end F(b1) <= F(b2) <= F(b2 + k*b1) for all integers k.
 
     Let lam = F(b1) and v = x*b1 + y*b2.  For |y| >= 2 and k nearest x/y,
     v = y(b2 + k*b1) + (x - k*y)b1 gives lam <= F(b2 + k*b1) <= F(v)/|y| +
@@ -120,10 +118,15 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Capacity, tuple[int, int]]:
         def minus(mu: int) -> tuple[int, int]:
             return b2[0] - mu * b1[0], b2[1] - mu * b1[1]
 
-        reach = 2 * norm(b2) // norm(b1)
-        mu = bisect.bisect_left(range(-reach, reach), 0,
-                                key=lambda m: norm(minus(m + 1)) - norm(minus(m))) - reach
-        return minus(mu)
+        hi = 2 * norm(b2) // norm(b1)
+        lo = -hi
+        while lo < hi:
+            mu = (lo + hi) // 2
+            if norm(minus(mu + 1)) < norm(minus(mu)):
+                lo = mu + 1
+            else:
+                hi = mu
+        return minus(lo)
 
     b1, b2 = (1, 0), reduce((1, 0), (0, 1))
     while norm(b2) < norm(b1):

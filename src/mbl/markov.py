@@ -155,11 +155,6 @@ class MarkovWalk:
             self._step()
         return bisect.bisect_left(self._numbers, p)
 
-    def apex(self, p: int) -> MarkovTriple | None:
-        """The apex of p if p is a Markov number, else None."""
-        i = self._reach(p)
-        return MarkovTriple(*self._apexes[i]) if self._numbers[i] == p else None
-
     def upto(self, max_bound: int) -> tuple[MarkovTriple, ...]:
         """Every apex with maximal entry <= max_bound, by increasing maximum."""
         if max_bound < 1:
@@ -189,7 +184,7 @@ def markov_numbers(n: int) -> list[int]:
 
 
 def is_markov_number(p: int) -> bool:
-    return p >= 1 and _WALK.apex(p) is not None
+    return p >= 1 and _WALK._numbers[_WALK._reach(p)] == p
 
 
 def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:

@@ -38,17 +38,15 @@ class BFile(_Record):
     source: str
 
 
-def parse_bfile(data: bytes | str, sequence_id: str = "?", source: str = "local") -> BFile:
-    """Parse b-file text into an index -> value map.
+def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
+    """Parse b-file bytes (UTF-8) into an index -> value map.
 
     Indices must be strictly increasing; malformed lines report their line
     number.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     entries: dict[int, int] = {}
     last_index = None
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

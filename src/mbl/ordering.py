@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
-from .capacity import Capacity, _fraction, _sign, capacity_to_json, closed_forms, limit_decimal
+from .capacity import _fraction, _sign, capacity_to_json, closed_forms, limit_decimal
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -52,7 +52,7 @@ class SpectrumRow(_Record):
         """Rows 1 and 2 take b from the second-smallest-member convention."""
         return self.m in (1, 2)
 
-    def json_text(self, newline: str = "\n") -> str:
+    def json_text(self, newline: str) -> str:
         """The bytes `report._json_text` writes for the row's JSON object at
         the indent `newline` opens, written from the row's integers.
 
@@ -178,7 +178,7 @@ def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
 
 def alternating_order(
     apex: MarkovTriple, depth: int
-) -> list[tuple[MarkovTriple, Capacity]]:
+) -> list[tuple[MarkovTriple, Fraction]]:
     """Apex, then left/right children by level, with capacities verified
     strictly decreasing.
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import oeis
-from .capacity import Capacity, _fraction, _sign, closed_forms, width
+from .capacity import _fraction, _sign, closed_forms, width
 from .errors import VerificationError, _Record
 from .lattice import (
     LatticePolygon,
@@ -129,7 +129,7 @@ def _above_limit(num: int, den: int, m: int) -> bool:
 
 def convergence_trace(
     apex: MarkovTriple, count: int, side: str = "alternating"
-) -> list[tuple[MarkovTriple, Capacity]]:
+) -> list[tuple[MarkovTriple, Fraction]]:
     """Capacities along a decreasing sequence of the subtree preserving the
     apex maximum a, with exact gaps to the limit point of a.
 
@@ -163,8 +163,8 @@ class UnimodularMap(_Record):
     m01: int
     m10: int
     m11: int
-    tx: Fraction = Fraction(0)
-    ty: Fraction = Fraction(0)
+    tx: Fraction
+    ty: Fraction
 
     def __post_init__(self):
         if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:

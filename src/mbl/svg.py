@@ -157,15 +157,15 @@ def figure_numberline(n: int, k: int) -> str:
     return _document(width_px, height_px, body)
 
 
-def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int, Fraction]:
-    """Write (vx, vy) = s * d with d a primitive integer vector, s > 0."""
+def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int]:
+    """The primitive integer vector d with (vx, vy) = s * d for some s > 0."""
     den = math.lcm(vx.denominator, vy.denominator)
     nx = int(vx * den)
     ny = int(vy * den)
     g = math.gcd(abs(nx), abs(ny))
     if g == 0:
         raise ValueError("zero segment has no direction")
-    return nx // g, ny // g, Fraction(g, den)
+    return nx // g, ny // g
 
 
 def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
@@ -197,7 +197,7 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     for vx, vy in pts:
         body.append(_line(*place(vx, vy), *place(*center), STYLE["cut_stroke"],
                           dash="6,5"))
-        dx, dy, _ = _primitive(center[0] - vx, center[1] - vy)
+        dx, dy = _primitive(center[0] - vx, center[1] - vy)
         cx, cy = place(vx + delta * dx, vy + delta * dy)
         arm = 5
         body.append(_line(cx - arm, cy - arm, cx + arm, cy + arm,

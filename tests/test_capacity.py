@@ -261,7 +261,7 @@ class TestQuadraticValue:
 
     def test_json_roundtrip(self):
         row = spectrum_rows(3)[2]  # m = 5; the row writes its limit from closed_forms(5)
-        assert json.loads(row.json_text())["limit"] == {
+        assert json.loads(row.json_text("\n"))["limit"] == {
             "q": {"num": "75", "den": "2"},
             "s": {"num": "-5", "den": "2"},
             "r": {"num": "221", "den": "1"},

@@ -632,6 +632,27 @@ def test_only_the_process_freezes_the_gc(capsys):
     assert result.stderr == "0 True\n"
 
 
+def test_the_process_converts_integers_of_any_length(capsys):
+    # (F_21203, F_21201, 1) solves the Markov equation; its largest entry has
+    # 4,431 digits, past the int/str conversion limit of 4,300 that Python
+    # 3.11 sets by default; an in-process caller keeps its own limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert run(capsys, "widths", "--triple", "5,2,1")[0] == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    f_21201, f_21202 = 0, 1
+    for _ in range(21201):
+        f_21201, f_21202 = f_21202, f_21201 + f_21202
+    lift = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    lift(0)
+    try:
+        a, b = str(f_21201 + f_21202), str(f_21201)  # F_21203, F_21201
+        done = _process("widths", "--triple", f"{a},{b},1", "--format", "json")
+    finally:
+        lift(limit)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["rows"][0]["width"] == {"num": b, "den": a}
+
+
 def _process(*argv, unbuffered=False, stdout=subprocess.PIPE, **popen):
     # `python -m mbl.cli argv` on this tree in a fresh interpreter, its stdout
     # block-buffered unless asked otherwise
@@ -942,8 +963,8 @@ class TestJsonText:
         # a row writes the bytes of its JSON object at the indent it is given
         rows = mbl.ordering.spectrum_rows(3, k=2)
         value = {"rows": rows, "deeper": [[rows[0]]]}
-        plain = {"rows": [json.loads(row.json_text()) for row in rows],
-                 "deeper": [[json.loads(rows[0].json_text())]]}
+        plain = {"rows": [json.loads(row.json_text("\n")) for row in rows],
+                 "deeper": [[json.loads(rows[0].json_text("\n"))]]}
         assert mbl.report._json_text(value) == json.dumps(plain, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [
@@ -965,7 +986,7 @@ def _short_root_base(real):
         # its base reads as shorter than 1
         tri = real(t)
         if t == T(1, 1, 1):
-            moved = mbl.suites.UnimodularMap(0, -1, 1, 1).apply(tri.polygon)
+            moved = mbl.suites.UnimodularMap(0, -1, 1, 1, 0, 0).apply(tri.polygon)
             tri.__dict__["polygon"] = moved  # a cached property
             del tri.__dict__["edges"]  # cached from the polygon
         return tri

@@ -12,39 +12,40 @@ import pytest
 import mbl.cli
 from mbl.cli import main
 from mbl.markov import markov_numbers
-from mbl.oeis import SEQUENCE_IDS, cross_check, load_bfile, parse_bfile
+from mbl.oeis import SEQUENCE_IDS, BFile, cross_check, load_bfile, parse_bfile
 from mbl.suites import fibonacci, pell
 
 
 class TestParse:
     def test_basic(self):
-        assert parse_bfile("1 1\n2 2\n3 5\n").entries == {1: 1, 2: 2, 3: 5}
+        bfile = parse_bfile(b"1 1\n2 2\n3 5\n", "A000045", "test")
+        assert bfile == BFile("A000045", {1: 1, 2: 2, 3: 5}, "test")
 
     def test_comments_and_blanks(self):
-        assert parse_bfile("# comment\n\n1 1\n").entries == {1: 1}
+        assert parse_bfile(b"# comment\n\n1 1\n", "A000045", "test").entries == {1: 1}
 
     def test_malformed_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_bfile("1 x\n")
+            parse_bfile(b"1 x\n", "A000045", "test")
 
     def test_extra_fields_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_bfile("1 1\n2 2 3\n")
+            parse_bfile(b"1 1\n2 2 3\n", "A000045", "test")
 
     def test_crlf_accepted(self):
-        assert parse_bfile(b"0 0\r\n1 1\r\n").entries == {0: 0, 1: 1}
+        assert parse_bfile(b"0 0\r\n1 1\r\n", "A000045", "test").entries == {0: 0, 1: 1}
 
     def test_indices_must_increase(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_bfile("5 1\n5 2\n")
+            parse_bfile(b"5 1\n5 2\n", "A000045", "test")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            parse_bfile("# nothing\n")
+            parse_bfile(b"# nothing\n", "A000045", "test")
 
     def test_deterministic(self):
-        blob = b"1 1\n2 2\n3 5\n"
-        assert parse_bfile(blob).entries == parse_bfile(blob).entries
+        args = (b"1 1\n2 2\n3 5\n", "A000045", "test")
+        assert parse_bfile(*args).entries == parse_bfile(*args).entries
 
 
 class TestVendored:

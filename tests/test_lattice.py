@@ -202,6 +202,11 @@ class TestLatticeWidth:
             polygon = vianna_triangle(t).polygon
             assert lattice_width(polygon) == (width(t), (0, 1))
 
+    def test_thin_triangles(self):
+        # the bisection bound 2F(b2)/F(b1) is 2w here, past a C ssize_t for w = 2^61
+        for w in (2 ** 61, 10 ** 400):
+            assert lattice_width(LatticePolygon(1, [(0, 0), (w, 0), (0, 1)])) == (Fraction(1), (0, 1))
+
     def test_ties_go_to_the_least_direction(self):
         assert lattice_width(FOUR_PAIRS) == (1, (0, 1))
         assert lattice_width(FOUR_PAIRS_IMAGE) == (1, (0, 1))
@@ -332,16 +337,16 @@ class TestIntegerTriangles:
 
 
 class TestAffineLength:
-    # the affine length of a segment p -> q is the scale factor _primitive
-    # returns for q - p against the primitive integer vector in its direction
+    # the affine length of a segment p -> q is the s > 0 with
+    # q - p = s * _primitive(q - p), the primitive integer vector in its direction
     def test_horizontal(self):
-        assert _primitive(Fraction(5, 2), Fraction(0))[2] == Fraction(5, 2)
+        assert _primitive(Fraction(5, 2), Fraction(0)) == (1, 0)  # length 5/2
 
     def test_slant(self):
-        assert _primitive(Fraction(1, 10), Fraction(2, 5))[2] == Fraction(1, 10)
+        assert _primitive(Fraction(1, 10), Fraction(2, 5)) == (1, 4)  # length 1/10
 
     def test_diagonal(self):
-        assert _primitive(Fraction(3), Fraction(3))[2] == 3
+        assert _primitive(Fraction(3), Fraction(3)) == (1, 1)  # length 3
 
     def test_zero_segment(self):
         with pytest.raises(ValueError):
@@ -355,7 +360,7 @@ class TestAffineLength:
             return
         p = (Fraction(2), Fraction(3))
         q = (2 + Fraction(k, 5) * dx, 3 + Fraction(k, 5) * dy)
-        assert _primitive(q[0] - p[0], q[1] - p[1])[2] == Fraction(k, 5)
+        assert _primitive(q[0] - p[0], q[1] - p[1]) == (dx, dy)  # length k/5
 
 
 class TestCentralPoint:
@@ -489,10 +494,10 @@ class TestExactCoordinates:
 class TestUnimodularMap:
     def test_determinant_validated(self):
         with pytest.raises(ValueError):
-            UnimodularMap(2, 0, 0, 1)
+            UnimodularMap(2, 0, 0, 1, 0, 0)
 
     def test_orientation_flip_keeps_polygon_valid(self):
-        flip = UnimodularMap(0, 1, 1, 0)
+        flip = UnimodularMap(0, 1, 1, 0, 0, 0)
         mapped = flip.apply(UNIT_SQUARE)
         assert fraction_area(mapped.vertices) == fraction_area(UNIT_SQUARE.vertices) == 1
 
@@ -505,5 +510,5 @@ class TestUnimodularMap:
         assert m.apply(polygon) == fraction_apply(m, polygon)
 
     def test_integer_translations(self):
-        for m in (UnimodularMap(0, 1, 1, 0, 3, -2), UnimodularMap(1, 0, 0, 1)):
+        for m in (UnimodularMap(0, 1, 1, 0, 3, -2), UnimodularMap(1, 0, 0, 1, 0, 0)):
             assert m.apply(SKEW) == fraction_apply(m, SKEW)

@@ -206,7 +206,7 @@ class TestMarkovWalk:
 
     def test_out_of_order_requests(self):
         walk = MarkovWalk()
-        assert walk.apex(10 ** 12) is None
+        assert all(max(t) != 10 ** 12 for t in walk.upto(10 ** 12))  # no Markov number
         large = walk.prefix(300)
         small = walk.prefix(40)
         fresh = MarkovWalk().prefix(300)
@@ -245,7 +245,7 @@ class TestMarkovWalk:
         assert walk.prefix(3)[0] == (1, 2, 5)
         for _ in range(2):  # the failed step leaves the walk unchanged
             with pytest.raises(ValueError, match="does not solve the Markov equation"):
-                walk.apex(6)
+                walk.upto(6)
         assert walk.prefix(3) == MarkovWalk().prefix(3)
 
     def test_unsorted_entry_is_never_handed_out(self):

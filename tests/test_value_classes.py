@@ -4,9 +4,13 @@ Each class compares field-wise and only with its own class, hashes as the
 tuple of its fields, prints in the dataclass format and refuses assignment.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
+
+import mbl
 
 from mbl.capacity import QuadraticValue
 from mbl.errors import _Record
@@ -33,7 +37,7 @@ CASES = {
         lambda: LatticePolygon(2, [(0, 0), (2, 0), (0, 2)]), ("scaled",),
         "LatticePolygon(scaled=(1, ((0, 0), (1, 0), (0, 1))))"),
     "UnimodularMap": (
-        lambda: UnimodularMap(1, 1, 0, 1), ("m00", "m01", "m10", "m11", "tx", "ty"),
+        lambda: UnimodularMap(1, 1, 0, 1, 0, 0), ("m00", "m01", "m10", "m11", "tx", "ty"),
         "UnimodularMap(m00=1, m01=1, m10=0, m11=1, tx=Fraction(0, 1), ty=Fraction(0, 1))"),
     "ViannaTriangle": (
         lambda: vianna_triangle(T(5, 2, 1)), ("triple", "u"),
@@ -78,19 +82,28 @@ def test_unequal_fields_compare_unequal():
     assert IrregularityRecord(33, 1) != Pair(33, 1)
 
 
-def test_fields_bind_by_position_keyword_and_default():
-    plain = UnimodularMap(1, 0, 0, 1)
-    assert (plain.tx, plain.ty) == (Fraction(0), Fraction(0))
-    assert plain == UnimodularMap(m00=1, m01=0, m10=0, m11=1, tx=Fraction(0), ty=0)
-    shifted = UnimodularMap(1, 0, 0, 1, ty=Fraction(1, 2))
-    assert (shifted.tx, shifted.ty) == (0, Fraction(1, 2)) and shifted != plain
-    assert T(5, c=1, b=2) == T(5, 2, 1)
+def test_fields_bind_by_position_only():
+    shifted = UnimodularMap(1, 0, 0, 1, 0, Fraction(1, 2))
+    assert (shifted.tx, shifted.ty) == (Fraction(0), Fraction(1, 2))
+    assert type(shifted.tx) is Fraction  # coerced by __post_init__
     for args, kwargs in [((5, 2), {}), ((5, 2, 1, 1), {}), ((5, 2, 1), {"d": 1}),
-                         ((5, 2), {"a": 5, "c": 1})]:
+                         ((5, 2), {"a": 5, "c": 1}), ((5,), {"c": 1, "b": 2})]:
         with pytest.raises(TypeError):
             T(*args, **kwargs)
+    with pytest.raises(TypeError):  # no field has a default
+        UnimodularMap(1, 0, 0, 1)
     with pytest.raises(ValueError):  # __post_init__ still validates
-        UnimodularMap(2, 0, 0, 1)
+        UnimodularMap(2, 0, 0, 1, 0, 0)
+
+
+def test_no_field_has_a_class_level_value():
+    # every field is given by position, so such a value would be silently unused
+    for module in pkgutil.iter_modules(mbl.__path__):
+        importlib.import_module(f"mbl.{module.name}")
+    records = _Record.__subclasses__()
+    assert {cls.__name__ for cls in records} >= set(CASES)
+    for cls in records:
+        assert not vars(cls).keys() & set(cls._fields), cls
 
 
 def test_completeness_builds_no_limit(monkeypatch):
