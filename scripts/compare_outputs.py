@@ -11,8 +11,10 @@ invocations outside the benchmark that reach the ordering layer in every
 format it renders, every other command in each format it renders, and the
 argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
-MBL_CACHE_DIR unset and a temporary directory holding the polygon files
-of POLYGONS and the b-files `doctored.txt` and `short.txt` as the working
+MBL_CACHE_DIR unset (trees older than the removal of `--cache-dir` read
+their b-files from the directory it names, and download into it on
+`ingest --fetch`) and a temporary directory holding the polygon files of
+POLYGONS and the b-files `doctored.txt` and `short.txt` as the working
 directory, and compares exit code, stdout and stderr.  Prints the counts for
 the usage paths, for FIXED and per seed, and every differing command line;
 exits 1 if any differs.
@@ -113,6 +115,10 @@ FIXED = [
       for shape in (("--n-max", "5"), ("--format=json",), ("--n", "5", "--n", "6"),
                     ("--n", "-1"), ("--n",), ("--suite", "markov", "--suite", "markov"),
                     ("--fixture", "x"), ("--n", "5", "-h"))),
+    # the flags of the b-file cache and its download, removed: usage errors
+    ("ingest", "--fetch"),
+    ("ingest", "--kind", "markov", "--cache-dir", "d"),
+    ("verify", "--suite", "ingest", "--cache-dir", "d"),
 ]
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",

@@ -70,10 +70,8 @@ def _parse_rational(text: str) -> Fraction:
 def _fixture_match(records, n_max: int) -> bool:
     """Whether the records found up to n_max match the stored catalogue."""
     import json
-    from importlib import resources
 
-    blob = (resources.files("mbl") / "data" / "irregularities_450.json").read_text()
-    fixture = json.loads(blob)
+    fixture = json.loads(oeis._package_data("irregularities_450.json"))
     if n_max != fixture["n_max"]:
         raise ValueError(
             f"--fixture catalogue covers n_max={fixture['n_max']}, "
@@ -204,8 +202,7 @@ _COMMANDS = {
                                 "choices": ("markov", "capacity", "ordering",
                                             "lattice", "ingest")}),
                    ("--max-bound", {"type": int, "default": 10_000}),
-                   ("--n-max", {"type": int, "default": 60}),
-                   ("--cache-dir", {}))),
+                   ("--n-max", {"type": int, "default": 60}))),
     "plot": ("deterministic SVG figures", (),
              lambda: _module("svg").cmd_plot, (
                  ("--figure", {"required": True,
@@ -220,9 +217,7 @@ _COMMANDS = {
                    ("--kind", {"default": "all",
                                "choices": ("all",) + tuple(oeis.SEQUENCE_IDS)}),
                    ("--n", {"type": int, "default": 500}),
-                   ("--bfile", {}),
-                   ("--cache-dir", {}),
-                   ("--fetch", {"action": "store_true"}))),
+                   ("--bfile", {}))),
 }
 
 

@@ -1,5 +1,5 @@
 """The handlers of `widths`, `triples`, `subtree`, `order`, `triangle`,
-`width` and `ingest`, and the b-file download of `ingest --fetch`.
+`width` and `ingest`.
 
 `mbl.cli` imports this module only when one of these commands runs, so the
 ordering commands (`irregularities`, `limits`, `complete`) never compile it.
@@ -8,7 +8,6 @@ ordering commands (`irregularities`, `limits`, `complete`) never compile it.
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import oeis
@@ -20,7 +19,6 @@ from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _preview
                      _report, _table)
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
-FETCH_TIMEOUT_S = 30.0  # seconds per b-file download of `ingest --fetch`
 
 
 def cmd_widths(config: SimpleNamespace) -> int:
@@ -146,37 +144,14 @@ def cmd_width(config: SimpleNamespace) -> int:
     return _report(config, payload, lambda: _table(config.fmt, columns, rows))
 
 
-def fetch_bfile(kind: str, cache_dir: str | None = None) -> Path:
-    """Download a b-file into the cache directory (network use is explicit)."""
-    target = oeis._cache_path(kind, cache_dir)
-    if target is None:
-        raise ValueError("no cache directory configured (flag or MBL_CACHE_DIR)")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    import urllib.request  # slow to import, and only `ingest --fetch` needs it
-
-    seq = oeis.SEQUENCE_IDS[kind]
-    url = f"https://oeis.org/{seq}/b{seq[1:]}.txt"
-    try:
-        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
-            blob = response.read()
-    except OSError as exc:
-        raise OSError(f"network fetch of {url} failed: {exc}") from exc
-    oeis.parse_bfile(blob, seq, "remote")  # validate before caching
-    target.write_bytes(blob)
-    return target
-
-
 def cmd_ingest(config: SimpleNamespace) -> int:
     if config.bfile is not None and config.kind == "all":
         raise ValueError("--bfile holds one sequence; name it with --kind")
     _at_least(config, 1, "--n")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
-    if config.fetch:
-        for kind in kinds:
-            fetch_bfile(kind, cache_dir=config.cache_dir)
     checks = []
     for kind in kinds:
-        bfile = oeis.load_bfile(kind, config.bfile, config.cache_dir)
+        bfile = oeis.load_bfile(kind, config.bfile)
         checks.append((kind, bfile, oeis.cross_check(kind, config.n, bfile)))
     status = EXIT_OK if all(mismatch is None for *_, mismatch in checks) else EXIT_VERIFICATION
     return _emit_rows(

@@ -3,16 +3,14 @@
 Sequence files use the b-file wire format: ASCII lines "<index> <value>",
 '#' comments and blank lines ignored, LF or CRLF.  The package vendors
 prefixes for the Markov numbers (A002559), Fibonacci numbers (A000045) and
-Pell numbers (A000129) under mbl/data with their BLAKE2b-256 digests; a cache
-directory (flag or MBL_CACHE_DIR) and explicit paths take precedence.
-Network fetching is opt-in only, and lives with `ingest` in `mbl.commands`.
+Pell numbers (A000129) under mbl/data with their BLAKE2b-256 digests; only
+an explicit path (`ingest --bfile`) is read in place of a vendored file.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from importlib import resources
-from pathlib import Path
 
 from .errors import _Record
 from .markov import markov_numbers, recurrence_prefix
@@ -29,7 +27,8 @@ _GENERATORS = {
     "pell": lambda n: dict(enumerate(recurrence_prefix(2, n))),
 }
 
-ENV_CACHE_DIR = "MBL_CACHE_DIR"
+#: The vendored b-files, their B2SUMS and the `irregularities --fixture` catalogue.
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 class BFile(_Record):
@@ -39,11 +38,8 @@ class BFile(_Record):
 
 
 def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
-    """Parse b-file bytes (UTF-8) into an index -> value map.
-
-    Indices must be strictly increasing; malformed lines report their line
-    number.
-    """
+    """Parse b-file bytes (UTF-8) into an index -> value map; indices must
+    strictly increase, and a malformed line reports its number."""
     entries: dict[int, int] = {}
     last_index = None
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
@@ -56,9 +52,7 @@ def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(
-                f"line {lineno}: non-integer field in {raw!r}"
-            ) from None
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if last_index is not None and index <= last_index:
             raise ValueError(f"line {lineno}: indices must strictly increase")
         entries[index] = value
@@ -68,6 +62,22 @@ def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
     return BFile(sequence_id, entries, source)
 
 
+def _read(path: str | os.PathLike) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _package_data(name: str) -> bytes:
+    """The bytes of the package data file data/<name>."""
+    return _read(os.path.join(_DATA_DIR, name))
+
+
+@functools.cache
+def _digest_lines(data_dir: str) -> frozenset[bytes]:
+    """The lines of <data_dir>/B2SUMS, read once per process."""
+    return frozenset(_read(os.path.join(data_dir, "B2SUMS")).splitlines())
+
+
 def _vendored_bytes(kind: str) -> bytes:
     """A vendored b-file, once its BLAKE2b-256 digest matches its line in
     the `b2sum` file data/B2SUMS ("<hex digest>  <file name>")."""
@@ -75,39 +85,22 @@ def _vendored_bytes(kind: str) -> bytes:
         from _blake2 import blake2b
     except ImportError:
         from hashlib import blake2b
-    seq = SEQUENCE_IDS[kind]
-    name = f"b{seq[1:]}.txt"
-    package = resources.files("mbl") / "data"
-    blob = (package / name).read_bytes()
+    name = f"b{SEQUENCE_IDS[kind][1:]}.txt"
+    blob = _package_data(name)
     line = f"{blake2b(blob, digest_size=32).hexdigest()}  {name}".encode()
-    if line not in (package / "B2SUMS").read_bytes().splitlines():
+    if line not in _digest_lines(_DATA_DIR):
         raise OSError(f"vendored {name} fails its checksum: no matching line in B2SUMS")
     return blob
 
 
-def _cache_path(kind: str, cache_dir: str | None) -> Path | None:
-    directory = cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if not directory:
-        return None
-    seq = SEQUENCE_IDS[kind]
-    return Path(directory) / f"b{seq[1:]}.txt"
-
-
-def load_bfile(
-    kind: str,
-    path: str | os.PathLike | None = None,
-    cache_dir: str | None = None,
-) -> BFile:
-    """Load a b-file: explicit path, then cache, then the vendored copy."""
+def load_bfile(kind: str, path: str | os.PathLike | None = None) -> BFile:
+    """Load a b-file: the file at `path` if one is given, else the vendored copy."""
     if kind not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
     seq = SEQUENCE_IDS[kind]
-    if path is not None:
-        return parse_bfile(Path(path).read_bytes(), seq, str(path))
-    cached = _cache_path(kind, cache_dir)
-    if cached is not None and cached.exists():
-        return parse_bfile(cached.read_bytes(), seq, str(cached))
-    return parse_bfile(_vendored_bytes(kind), seq, "vendored")
+    if path is None:
+        return parse_bfile(_vendored_bytes(kind), seq, "vendored")
+    return parse_bfile(_read(path), seq, str(path))
 
 
 def cross_check(kind: str, n: int, bfile: BFile) -> tuple[int, int, int] | None:
@@ -121,9 +114,7 @@ def cross_check(kind: str, n: int, bfile: BFile) -> tuple[int, int, int] | None:
         raise ValueError("n must be >= 1")
     generated = _GENERATORS[kind](n)
     if any(i not in bfile.entries for i in generated):
-        raise ValueError(
-            f"b-file for {kind} ({bfile.source}) is shorter than n={n}"
-        )
+        raise ValueError(f"b-file for {kind} ({bfile.source}) is shorter than n={n}")
     for index, value in generated.items():
         if bfile.entries[index] != value:
             return index, value, bfile.entries[index]

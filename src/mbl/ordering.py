@@ -92,12 +92,14 @@ class IrregularityRecord(_Record):
     """A failure of the juxtaposition inequality, keyed by its lowest index.
 
     A span outside SWAP_PATTERNS would be a new kind of irregularity and
-    raises VerificationError."""
+    raises VerificationError; an index n below 1 raises ValueError."""
 
     n: int
     span: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"irregularity index n must be >= 1, got {self.n}")
         if self.span not in SWAP_PATTERNS:
             raise VerificationError(
                 f"irregularity at (n={self.n}, n'={self.n_prime}) spans {self.span}"

@@ -387,7 +387,7 @@ def _suite_lattice(config: SimpleNamespace):
 
 def _suite_ingest(config: SimpleNamespace):
     sizes = {"markov": 500, "fibonacci": 1000, "pell": 1000}
-    bfiles = {kind: oeis.load_bfile(kind, cache_dir=config.cache_dir) for kind in sizes}
+    bfiles = {kind: oeis.load_bfile(kind) for kind in sizes}
     for kind, n in sizes.items():
         mismatch = oeis.cross_check(kind, n, bfiles[kind])
         yield f"cross-check-{kind}", mismatch is None, "" if mismatch is None else str(mismatch)

@@ -226,7 +226,6 @@ _NAMED_DIGESTS = (_DEGENERATE_DIGESTS + _ESSENTIAL_DIGESTS + _REPORT_DIGESTS
 )
 def test_row_table_bytes_are_pinned(capsys, monkeypatch, tmp_path,
                                     command, fmt, exit_code, digest):
-    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)  # ingest reads the vendored b-files
     (tmp_path / "square.json").write_text(
         json.dumps([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]))
     (tmp_path / "skew.json").write_text(
@@ -325,8 +324,7 @@ def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
     (data / "B2SUMS").write_text("".join(
         line + "\n" for line in (vendored / "B2SUMS").read_text().splitlines()
         if not line.endswith("b002559.txt")))
-    monkeypatch.setattr(mbl.oeis, "resources", SimpleNamespace(files={"mbl": tmp_path}.get))
-    monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
+    monkeypatch.setattr(mbl.oeis, "_DATA_DIR", str(data))
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *command.split()) == (exit_code, "", err)
 
@@ -338,7 +336,7 @@ def test_depth_is_checked_only_where_it_is_read(capsys):
 
 
 def test_import_leaves_the_network_stack_unloaded():
-    # only `ingest --fetch` imports urllib.request, inside commands.fetch_bfile
+    # no command reaches the network: every b-file is vendored or named by --bfile
     probe = ("import sys, mbl.cli; "
              "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
@@ -351,19 +349,14 @@ def test_import_leaves_the_network_stack_unloaded():
 # imported before it (python -S).  An interpreter whose site imports more at
 # start loads a subset of these.
 _IMPORT_CLOSURE = frozenset("""
-    __future__ _bisect _bz2 _collections _collections_abc _compression _decimal
-    _functools _heapq _json _lzma _operator _random _sha512 _sre _stat _typing
-    _weakrefset bisect bz2 collections collections.abc contextlib copyreg
-    decimal enum errno fnmatch fractions functools genericpath heapq
-    importlib importlib._bootstrap importlib._bootstrap_external importlib.resources
-    importlib.resources._adapters importlib.resources._common
-    importlib.resources._legacy importlib.resources.abc ipaddress itertools
-    keyword lzma math mbl mbl.capacity
-    mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering mbl.report
-    ntpath numbers
-    operator os os.path pathlib posixpath random re re._casefix re._compiler
-    re._constants re._parser reprlib shutil stat tempfile types typing typing.io
-    typing.re urllib urllib.parse warnings weakref zlib
+    __future__ _bisect _collections _collections_abc _decimal _functools _heapq
+    _json _operator _sre _stat _typing bisect collections collections.abc
+    contextlib copyreg decimal enum fractions functools genericpath heapq
+    importlib importlib._bootstrap importlib._bootstrap_external itertools
+    keyword math mbl mbl.capacity mbl.cli mbl.errors mbl.lattice mbl.markov
+    mbl.oeis mbl.ordering mbl.report numbers operator os os.path posixpath re
+    re._casefix re._compiler re._constants re._parser reprlib stat types typing
+    typing.io typing.re warnings
 """.split())
 
 
@@ -390,6 +383,22 @@ def test_import_loads_no_unused_machinery():
         assert loaded <= _IMPORT_CLOSURE
 
 
+def test_package_data_loads_neither_importlib_resources_nor_pathlib():
+    # mbl.oeis reads the vendored b-files, B2SUMS and the --fixture catalogue
+    # with open(), so no site preload is needed to keep these out (python -S)
+    probe = ("import sys, mbl.cli\n"
+             "seen = lambda: sorted({'importlib.resources', 'pathlib'} & set(sys.modules))\n"
+             "print(seen())\n"
+             "codes = [mbl.cli.main(argv.split()) for argv in "
+             "('irregularities --fixture', 'verify --suite ingest')]\n"
+             "print(codes, seen())")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[0, 0] []")
+
+
 def test_import_mbl_loads_no_submodule():
     # callers import the modules; the package namespace re-exports nothing
     probe = ("import sys, mbl; "
@@ -405,7 +414,6 @@ def _imported_by_process(*argv):
     # statement, from -X importtime (which does not log importlib.import_module;
     # argparse, gettext and locale load by import statements)
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
-    env.pop("MBL_CACHE_DIR", None)
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "mbl.cli", *argv],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -446,7 +454,7 @@ _PLAIN_ARGV = [
     "complete --threshold 1/3 --n-max 793 --format json",
     "verify --max-bound 3000 --n-max 40 --format json",
     "verify --suite ingest --n-max 1",
-    "ingest --kind pell --n 5 --fetch --cache-dir c --bfile b --out o --format csv",
+    "ingest --kind pell --n 5 --bfile b --out o --format csv",
     "plot --figure triangle --triple 5,2,1 --delta 1/8",
     "subtree --triple 29,5,2 --preserve 5",
     "width --polygon p.json",
@@ -595,13 +603,13 @@ _USAGE_DIGESTS = [
      "2b87ffc0f98aaf6613009e4a8d9f188709aaae8e954a4cc66da55f3309f20004",
      _EMPTY),
     ("verify -h", 0,
-     "012e2c8a5eb5439a24a67db8c25d657c27f382c7ca7363262b9a1dabffca5a49",
+     "201613cd36bc11598fbafdb6ab366347b0ccf5dad6f5c6c443d42ca858bd1b17",
      _EMPTY),
     ("plot -h", 0,
      "8f4dce4793cbc155ac9f4fc3a0c1b47e2967ce609cba6180871998eb43b052da",
      _EMPTY),
     ("ingest -h", 0,
-     "b343198d644c127ecf61a26d2707a7634e8080f34f354655b45e4fe53dd3b4f1",
+     "f4b57dbe65f5ea11acbe0cd885cef2ed324f008c16c840edb54f328aa08ec54a",
      _EMPTY),
 ]
 
@@ -1337,11 +1345,14 @@ class TestIngestCommand:
         code, out, _ = run(capsys, "ingest", "--n", "100")
         assert code == 0 and "vendored" in out
 
-    def test_fetch_needs_cache_dir(self, capsys, monkeypatch):
-        monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
-        code, out, err = run(capsys, "ingest", "--fetch")
-        assert code == 2 and out == ""
-        assert err == "mbl: no cache directory configured (flag or MBL_CACHE_DIR)\n"
+    @pytest.mark.parametrize("argv", ["ingest --fetch", "ingest --kind markov --cache-dir d",
+                                      "verify --cache-dir d"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        # the vendored b-files and --bfile are the only sources
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_doctored_bfile_fails(self, capsys, tmp_path):
         doctored = tmp_path / "bad.txt"

@@ -3,13 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import mbl.cli
+import mbl.oeis
 from mbl.cli import main
 from mbl.markov import markov_numbers
 from mbl.oeis import SEQUENCE_IDS, BFile, cross_check, load_bfile, parse_bfile
@@ -60,31 +59,27 @@ class TestVendored:
             load_bfile("lucas")
 
     def test_checksums_detect_tampering(self, tmp_path, monkeypatch):
-        import mbl.oeis as module
-
-        data = tmp_path / "data"
-        data.mkdir()
-        (data / "b002559.txt").write_text("1 1\n")
-        (data / "B2SUMS").write_text(f"{'0' * 64}  b002559.txt\n")
-        monkeypatch.setattr(module, "resources", SimpleNamespace(files={"mbl": tmp_path}.get))
-        with pytest.raises(OSError, match="b002559.txt fails its checksum"):
-            load_bfile("markov")
-        for sums in ("", "# no entry\n", f"{'0' * 64}  b000045.txt\n"):  # entry missing
+        def data_with_sums(sums):  # each in its own directory: B2SUMS is read once per directory
+            data = tmp_path / str(len(list(tmp_path.iterdir())))
+            data.mkdir()
+            (data / "b002559.txt").write_text("1 1\n")
             (data / "B2SUMS").write_text(sums)
-            with pytest.raises(OSError, match="b002559.txt fails its checksum"):
-                load_bfile("markov")
+            monkeypatch.setattr(mbl.oeis, "_DATA_DIR", str(data))
+
         digest = hashlib.blake2b(b"1 1\n", digest_size=32).hexdigest()
         blake2b_512 = hashlib.blake2b(b"1 1\n").hexdigest()  # b2sum's default length
-        for line in (f"{digest} b002559.txt", f"{digest[:-1]}  b002559.txt",  # malformed
-                     f"{blake2b_512}  b002559.txt"):
-            (data / "B2SUMS").write_text(line + "\n")
+        for sums in (f"{'0' * 64}  b002559.txt\n",  # a wrong digest
+                     "", "# no entry\n", f"{'0' * 64}  b000045.txt\n",  # entry missing
+                     f"{digest} b002559.txt\n", f"{digest[:-1]}  b002559.txt\n",  # malformed
+                     f"{blake2b_512}  b002559.txt\n"):
+            data_with_sums(sums)
             with pytest.raises(OSError, match="b002559.txt fails its checksum"):
                 load_bfile("markov")
-        (data / "B2SUMS").write_text(f"{digest}  b002559.txt\n")
+        data_with_sums(f"{digest}  b002559.txt\n")
         assert load_bfile("markov").entries == {1: 1}
 
     def test_digests_are_blake2b_256_of_the_vendored_files(self):
-        data = resources.files("mbl") / "data"
+        data = Path(mbl.oeis.__file__).parent / "data"
         lines = (data / "B2SUMS").read_text(encoding="ascii").splitlines()
         names = sorted(f"b{seq[1:]}.txt" for seq in SEQUENCE_IDS.values())
         assert lines == [
@@ -97,7 +92,6 @@ class TestVendored:
         probe = ("import sys, mbl.cli; code = mbl.cli.main(['verify', '--suite', 'ingest']); "
                  "print(code, sorted({'hashlib', '_hashlib', 'json'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
-        env.pop("MBL_CACHE_DIR", None)
         result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.endswith("all suites passed\n0 []\n")
@@ -146,7 +140,6 @@ class TestCrossCheck:
 
     def test_report_json(self, capsys, monkeypatch, tmp_path):
         # `ingest` writes each cross-check as a JSON row
-        monkeypatch.delenv("MBL_CACHE_DIR", raising=False)
         assert main(["ingest", "--kind", "markov", "--n", "10", "--format", "json"]) == 0
         [data] = json.loads(capsys.readouterr().out)["rows"]
         assert data == {"kind": "markov", "sequence_id": "A002559", "n": 10,
@@ -161,23 +154,37 @@ class TestCrossCheck:
 
 
 class TestCachePrecedence:
-    def test_cache_dir_wins_over_vendored(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "b002559.txt").write_text("1 41\n")
-        bfile = load_bfile("markov", cache_dir=str(cache))
-        assert bfile.entries == {1: 41}
-        assert bfile.source.endswith("b002559.txt")
+    """A b-file comes from an explicit path, else the vendored copy: there is
+    no cache directory, and MBL_CACHE_DIR is not read."""
 
-    def test_env_var_cache(self, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        cache.mkdir()
-        (cache / "b000129.txt").write_text("0 0\n1 1\n")
-        monkeypatch.setenv("MBL_CACHE_DIR", str(cache))
-        assert load_bfile("pell").entries == {0: 0, 1: 1}
+    def test_env_var_is_ignored(self, tmp_path, monkeypatch):
+        (tmp_path / "b000129.txt").write_text("0 0\n1 1\n")
+        monkeypatch.setenv("MBL_CACHE_DIR", str(tmp_path))
+        bfile = load_bfile("pell")
+        assert bfile.source == "vendored" and len(bfile.entries) >= 1000
 
-    def test_explicit_path_wins(self, tmp_path):
-        path = tmp_path / "custom.txt"
-        path.write_text("1 1\n")
-        bfile = load_bfile("markov", path=path, cache_dir="/nonexistent")
-        assert bfile.entries == {1: 1}
+    def test_explicit_path_wins(self, tmp_path, monkeypatch):
+        path = tmp_path / "b002559.txt"
+        path.write_text("1 41\n")
+        monkeypatch.setenv("MBL_CACHE_DIR", str(tmp_path))
+        assert load_bfile("markov", path=path) == BFile("A002559", {1: 41}, str(path))
+        assert load_bfile("markov").source == "vendored"
+
+
+def test_verify_and_ingest_ignore_mbl_cache_dir(tmp_path):
+    # a directory that once took the place of the vendored b-files: a Markov
+    # file that agrees on the compared prefix and then goes wrong, and a
+    # Fibonacci file too short for the cross-check
+    vendored = Path(mbl.oeis.__file__).parent / "data" / "b002559.txt"
+    head = vendored.read_text().splitlines(keepends=True)[:600]
+    (tmp_path / "b002559.txt").write_text("".join(head) + "999999 1\n")
+    (tmp_path / "b000045.txt").write_text("0 0\n1 1\n2 1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    env.pop("MBL_CACHE_DIR", None)
+    for argv in (["verify", "--suite", "ingest"], ["ingest"]):
+        runs = [subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=cache_env,
+                               capture_output=True)
+                for cache_env in (env, dict(env, MBL_CACHE_DIR=str(tmp_path)))]
+        assert runs[0].returncode == 0
+        assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == \
+            (runs[1].returncode, runs[1].stdout, runs[1].stderr)

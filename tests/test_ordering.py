@@ -426,6 +426,13 @@ class TestIrregularities:
                 "outside the catalogued patterns")):
             IrregularityRecord(10, 3)
 
+    @pytest.mark.parametrize("n", [0, -1, -33])
+    def test_index_below_one_is_refused(self, n):
+        # an index below 1 would read numbers[-1] in the swap check, not refuse
+        for span in (1, 2):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                IrregularityRecord(n, span)
+
     def test_catalogue_to_793_and_span_three_at_794(self):
         records = find_irregularities(793)
         assert [rec.n for rec in records if rec.span == 1] == SPAN_1_TO_793

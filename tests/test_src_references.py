@@ -120,3 +120,17 @@ def test_what_every_process_loads_serves_more_than_verify():
         and not any(stmt.name in names for other, names in statements if other is not stmt)
     ]
     assert sorted(set(unread) - _traced()) == []
+
+
+def test_no_module_reads_the_environment():
+    # what `verify` vouches for follows from argv and the vendored data alone:
+    # no environment variable can swap a data source or a bound in
+    names = {"environ", "environb", "getenv", "getenvb", "putenv"}
+    reads = [
+        f"{stem}:{node.lineno}" for stem, module in _modules() for node in ast.walk(module)
+        if (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in names for alias in node.names))
+    ]
+    assert reads == []
