@@ -119,6 +119,11 @@ FIXED = [
     ("ingest", "--fetch"),
     ("ingest", "--kind", "markov", "--cache-dir", "d"),
     ("verify", "--suite", "ingest", "--cache-dir", "d"),
+    # refused before any work: a catalogue covering another n_max, and an n
+    # past the vendored Pell b-file; every limit-gaps node at the smallest bound
+    ("irregularities", "--n-max", "800", "--fixture"),
+    ("ingest", "--kind", "pell", "--n", "2000"),
+    ("verify", "--suite", "capacity", "--max-bound", "1"),
 ]
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",

@@ -67,8 +67,8 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"expected an exact rational like 'p/q', got {text!r}") from None
 
 
-def _fixture_match(records, n_max: int) -> bool:
-    """Whether the records found up to n_max match the stored catalogue."""
+def _fixture(n_max: int) -> dict:
+    """The stored catalogue of records, which covers n_max = 450 only."""
     import json
 
     fixture = json.loads(oeis._package_data("irregularities_450.json"))
@@ -77,22 +77,21 @@ def _fixture_match(records, n_max: int) -> bool:
             f"--fixture catalogue covers n_max={fixture['n_max']}, "
             f"got --n-max {n_max}"
         )
-    return all(
-        [rec.n for rec in records if rec.span == span] == fixture[f"span_{span}"]
-        for span in SWAP_PATTERNS
-    )
+    return fixture
 
 
 def cmd_irregularities(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--n-max")
+    fixture = _fixture(config.n_max) if config.fixture else None  # before the scan
     records = find_irregularities(config.n_max)
     checked = [(rec, verify_swap_pattern(rec)) for rec in records]
     payload = {"command": "irregularities", "n_max": config.n_max}
     notes = ("b values for rows 1 and 2 use the second-smallest-member "
              "convention; those rows never violate the inequality",)
     status = EXIT_OK if all(ok for _, ok in checked) else EXIT_VERIFICATION
-    if config.fixture:
-        match = _fixture_match(records, config.n_max)
+    if fixture is not None:
+        match = all([rec.n for rec in records if rec.span == span] == fixture[f"span_{span}"]
+                    for span in SWAP_PATTERNS)
         payload["fixture_match"] = match
         notes += (f"fixture match: {match}",)
         if not match:

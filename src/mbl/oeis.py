@@ -9,7 +9,6 @@ an explicit path (`ingest --bfile`) is read in place of a vendored file.
 
 from __future__ import annotations
 
-import functools
 import os
 
 from .errors import _Record
@@ -21,10 +20,12 @@ SEQUENCE_IDS = {
     "pell": "A000129",
 }
 
+#: Each kind's first index and the generator of its values from there to index
+#: n; each looks its function up when called, as the bench tracer re-binds it.
 _GENERATORS = {
-    "markov": lambda n: {i + 1: m for i, m in enumerate(markov_numbers(n))},
-    "fibonacci": lambda n: dict(enumerate(recurrence_prefix(1, n))),
-    "pell": lambda n: dict(enumerate(recurrence_prefix(2, n))),
+    "markov": (1, lambda n: markov_numbers(n)),
+    "fibonacci": (0, lambda n: recurrence_prefix(1, n)),
+    "pell": (0, lambda n: recurrence_prefix(2, n)),
 }
 
 #: The vendored b-files, their B2SUMS and the `irregularities --fixture` catalogue.
@@ -72,12 +73,6 @@ def _package_data(name: str) -> bytes:
     return _read(os.path.join(_DATA_DIR, name))
 
 
-@functools.cache
-def _digest_lines(data_dir: str) -> frozenset[bytes]:
-    """The lines of <data_dir>/B2SUMS, read once per process."""
-    return frozenset(_read(os.path.join(data_dir, "B2SUMS")).splitlines())
-
-
 def _vendored_bytes(kind: str) -> bytes:
     """A vendored b-file, once its BLAKE2b-256 digest matches its line in
     the `b2sum` file data/B2SUMS ("<hex digest>  <file name>")."""
@@ -88,7 +83,7 @@ def _vendored_bytes(kind: str) -> bytes:
     name = f"b{SEQUENCE_IDS[kind][1:]}.txt"
     blob = _package_data(name)
     line = f"{blake2b(blob, digest_size=32).hexdigest()}  {name}".encode()
-    if line not in _digest_lines(_DATA_DIR):
+    if line not in _package_data("B2SUMS").splitlines():
         raise OSError(f"vendored {name} fails its checksum: no matching line in B2SUMS")
     return blob
 
@@ -112,10 +107,11 @@ def cross_check(kind: str, n: int, bfile: BFile) -> tuple[int, int, int] | None:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    generated = _GENERATORS[kind](n)
-    if any(i not in bfile.entries for i in generated):
+    first, generate = _GENERATORS[kind]
+    # the index range first..n is checked before any value is generated
+    if any(i not in bfile.entries for i in range(first, n + 1)):
         raise ValueError(f"b-file for {kind} ({bfile.source}) is shorter than n={n}")
-    for index, value in generated.items():
+    for index, value in enumerate(generate(n), start=first):
         if bfile.entries[index] != value:
             return index, value, bfile.entries[index]
     return None

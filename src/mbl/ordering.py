@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
-from .capacity import _fraction, _sign, capacity_to_json, closed_forms, limit_decimal
+from .capacity import _fraction, _sign, capacity_to_json, closed_forms, limit_decimal, width
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
 
@@ -144,14 +144,6 @@ def _deficit(x: int, y: int | None = None) -> tuple[int, int]:
     return xx + yy, xx * yy
 
 
-def _chain_capacities(apex, depth: int) -> list[tuple[int, int]]:
-    # the width of each node of wedge(apex, depth), in wedge order: bc/a at the
-    # apex, then a x_{i-1}/x_i at the level-i node (x_i, x_{i-1}, a)
-    (a, b, c), columns = apex, chains(apex, depth)
-    return [(b * c, a)] + [(a * xs[i - 1], xs[i])
-                           for i in range(1, depth + 1) for xs in columns]
-
-
 def descent_integers(apex) -> tuple[int, int, int, int]:
     """(a^2, b^2 - c^2, c(3ac - 2b), c^2): the constants that decide the
     descent of the wedge widths bc/a, a x_{i-1}/x_i at every depth.
@@ -187,21 +179,23 @@ def alternating_order(
     This is the order of strictly decreasing capacities on the subtree
     preserving the apex maximum: go down left, right, down left, right, ...
     along increasing maximal entries.  `descent_integers` decides the
-    descent at every depth; the Fractions are only what the caller gets back.
+    descent at every depth; the widths are only what the caller gets back.
     """
     descent_integers(apex)
-    return [(t, Fraction(*cap))
-            for t, cap in zip(wedge(apex, depth), _chain_capacities(apex, depth))]
+    return [(t, width(t)) for t in wedge(apex, depth)]
 
 
 def _essential_capacities(apex, k: int) -> tuple[tuple[int, int], ...]:
     # the first k widths of the essential subtree of the apex maximum a: the
     # wedge nodes whose minimal entry is a, which are those whose width has
-    # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a); for
+    # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a; each
+    # width is in lowest terms, the entries being pairwise coprime); for
     # a >= 5 level 1 holds none and each level below it two, one per chain
     a, _, _ = apex
     if a < 5:
-        return tuple([cap for cap in _chain_capacities(apex, k + 1) if cap[0] >= a * a][:k])
+        return tuple([(w.numerator, w.denominator)
+                      for _, w in alternating_order(MarkovTriple(*apex), k + 1)
+                      if w.numerator >= a * a][:k])
     columns = chains(apex, (k + 1) // 2 + 1)
     return tuple([(a * xs[i - 1], xs[i]) for i in range(2, len(columns[0]))
                   for xs in columns][:k])

@@ -4,8 +4,8 @@ Each suite takes the parsed `verify` arguments and yields one
 (check name, passed, witness) per check; SUITES names them in run order and
 `cmd_verify` runs them.  Only `verify` reads this module, so the command
 line loads it on demand, and the checks below that no other command needs
-(independent enumerations, closed forms, convergence traces, unimodular maps
-and shears) are compiled only then.  The three descent checks of the
+(independent enumerations, closed forms, limit gaps, unimodular maps and
+shears) are compiled only then.  The three descent checks of the
 ordering suite read the four integers of `ordering.descent_integers` per
 apex, which decide the descent at every depth.
 """
@@ -125,35 +125,6 @@ def _above_limit(num: int, den: int, m: int) -> bool:
     # num/den > (3m^2 - m sqrt(r))/2, r = 9m^2 - 4  <=>  2 num - 3m^2 den + m den sqrt(r) > 0
     mm = m * m
     return _sign(2 * num - 3 * mm * den, m * den, 9 * mm - 4) > 0
-
-
-def convergence_trace(
-    apex: MarkovTriple, count: int, side: str = "alternating"
-) -> list[tuple[MarkovTriple, Fraction]]:
-    """Capacities along a decreasing sequence of the subtree preserving the
-    apex maximum a, with exact gaps to the limit point of a.
-
-    `side` picks the sequence: "alternating" interleaves the two branches in
-    tree order from the apex on, "left"/"right" follow a single branch (the
-    same one for the degenerate apexes).  The gaps width - limit must come
-    out positive and strictly decreasing: two gaps differ by the difference
-    of their widths, so the four integers of `descent_integers`, which
-    `alternating_order` reads, decide the descent at every depth, and each
-    width is checked above the limit on integers.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    sequence = alternating_order(apex, count)
-    columns = (len(sequence) - 1) // count
-    slices = {"alternating": (0, 1), "left": (1, columns), "right": (columns, columns)}
-    if side not in slices:
-        raise ValueError(f"unknown side {side!r}")
-    start, step = slices[side]
-    trace = sequence[start : start + step * count : step]
-    for triple, w in trace:
-        if not _above_limit(w.numerator, w.denominator, apex.a):
-            raise VerificationError(f"gap at {triple} is not positive")
-    return trace
 
 
 class UnimodularMap(_Record):
@@ -311,11 +282,13 @@ def _suite_capacity(config: SimpleNamespace):
             failures["width-bounds"] = str(t)
         if t.a <= 10_000 and not surd_identity_check(t):
             failures["surd-identity"] = str(t)
+    # every node to depth 10 lies above the limit of its apex maximum; the
+    # gaps to it decrease with the widths, which `alternating_order` checks
     try:
-        convergence_trace(root, 10)
-        convergence_trace(MarkovTriple(2, 1, 1), 10)
-        for side in ("left", "right", "alternating"):
-            convergence_trace(MarkovTriple(5, 2, 1), 10, side)
+        for apex in (root, MarkovTriple(2, 1, 1), MarkovTriple(5, 2, 1)):
+            for t, w in alternating_order(apex, 10):
+                if not _above_limit(w.numerator, w.denominator, apex.a):
+                    raise VerificationError(f"gap at {t} is not positive")
     except VerificationError as exc:
         failures["limit-gaps"] = str(exc)
     yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")

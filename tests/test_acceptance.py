@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from mbl.capacity import QuadraticValue, lagrange_number, width
+from mbl.capacity import QuadraticValue, closed_forms, lagrange_number, width
 from mbl.cli import main
 from mbl.lattice import lattice_width, vianna_triangle
 from mbl.markov import (
@@ -30,7 +30,6 @@ from mbl.ordering import (
 )
 from mbl.suites import (
     brute_force_triples,
-    convergence_trace,
     fibonacci,
     pell,
     random_unimodular,
@@ -41,6 +40,7 @@ from mbl.suites import (
 from support import (
     compare,
     interval_compare,
+    limit_point,
     nn_inequality_holds,
     random_parts,
     random_quadratic,
@@ -137,12 +137,13 @@ def test_criterion_06_limit_points():
         fib = apex_for(1, T(2, 1, 1))
         pel = apex_for(2, T(5, 2, 1))
         five = apex_for(5, T(13, 5, 1))
-        for apex, side in (
-            (fib, "alternating"), (pel, "alternating"),
-            (five, "left"), (five, "right"),
-        ):
-            trace = convergence_trace(apex, 25, side)  # raises unless positive
-            assert len(trace) == 25                    # and strictly decreasing
+        for apex in (fib, pel, five):
+            sequence = alternating_order(apex, 25)  # every node below the apex
+            assert len(sequence) == (26 if apex.a < 5 else 51)
+            assert all(compare(w, limit_point(apex.a)) > 0 for _, w in sequence)
+            q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
+            gaps = [QuadraticValue(w - q, -s, r) for _, w in sequence]  # width - limit
+            assert all(compare(x, y) > 0 for x, y in zip(gaps, gaps[1:]))
         assert compare(lagrange_number(1), QuadraticValue(0, 1, 5)) == 0
         assert compare(lagrange_number(2), QuadraticValue(0, 1, 8)) == 0
         assert repr(lagrange_number(5)) == (

@@ -18,8 +18,8 @@ from mbl.capacity import (
     width,
 )
 from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
-from mbl.ordering import spectrum_rows
-from mbl.suites import convergence_trace, spectrum_values_check, surd_identity_check
+from mbl.ordering import alternating_order, spectrum_rows
+from mbl.suites import spectrum_values_check, surd_identity_check
 
 from support import (
     compare,
@@ -293,36 +293,39 @@ class TestQuadraticValue:
 
 
 class TestConvergenceTrace:
+    """Every node of `alternating_order` lies above the limit of its apex
+    maximum, with gaps to it strictly decreasing."""
+
+    @staticmethod
+    def gaps(apex, depth):
+        q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
+        sequence = alternating_order(apex, depth)
+        assert all(compare(w, limit_point(apex.a)) > 0 for _, w in sequence)
+        return [QV(w - q, -s, r) for _, w in sequence]  # width - limit
+
     def test_fibonacci_gaps_decrease(self):
         apex = apex_for(1, T(2, 1, 1))
-        trace = convergence_trace(apex, 3)
-        assert len(trace) == 3
-        q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
-        gaps = [QV(w - q, -s, r) for _, w in trace]  # width - limit
-        assert all(compare(gap, 0) > 0 for gap in gaps)
+        gaps = self.gaps(apex, 2)
+        assert len(gaps) == 3
         assert compare(gaps[0], gaps[1]) > 0 and compare(gaps[1], gaps[2]) > 0
-        # below the degenerate apexes both sides follow the single branch
+        # below the degenerate apexes a single branch: one node per level
         for apex, child in ((T(1, 1, 1), T(2, 1, 1)), (T(2, 1, 1), T(5, 2, 1))):
-            left = convergence_trace(apex, 6, "left")
-            assert left == convergence_trace(apex, 6, "right")
-            assert len(left) == 6 and left[0][0] == child
+            sequence = alternating_order(apex, 6)
+            assert len(sequence) == 7 and sequence[1][0] == child
 
     def test_left_and_right_of_five(self):
         apex = apex_for(5, T(13, 5, 1))
-        lp = limit_point(5)
-        for side in ("left", "right"):
-            for triple, w in convergence_trace(apex, 5, side):
-                assert compare(w, lp) > 0
-        left = [t for t, _ in convergence_trace(apex, 2, "left")]
+        gaps = self.gaps(apex, 5)
+        assert len(gaps) == 11
+        assert all(compare(x, y) > 0 for x, y in zip(gaps, gaps[1:]))
+        left = [t for t, _ in alternating_order(apex, 2)[1::2]]
         assert [tuple(t) for t in left] == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):
         apex = apex_for(2, T(5, 2, 1))
-        assert len(convergence_trace(apex, 1)) == 1
+        assert alternating_order(apex, 0) == [(T(2, 1, 1), Fraction(1, 2))]
 
     def test_count_validation(self):
         apex = apex_for(1, T(1, 1, 1))
         with pytest.raises(ValueError):
-            convergence_trace(apex, 0)
-        with pytest.raises(ValueError):
-            convergence_trace(apex, 2, side="down")
+            alternating_order(apex, -1)

@@ -804,9 +804,12 @@ class TestIrregularities:
         assert all(r["swap_verified"] for r in payload["rows"])
 
     def test_fixture_needs_450(self, capsys):
-        code, _, err = run(
-            capsys, "irregularities", "--n-max", "40", "--fixture")
-        assert code == 2 and "450" in err
+        # checked before the scan, which refuses --n-max 800 (a span-3 record)
+        for n_max in ("40", "800"):
+            code, _, err = run(
+                capsys, "irregularities", "--n-max", n_max, "--fixture")
+            assert code == 2
+            assert err == f"mbl: --fixture catalogue covers n_max=450, got --n-max {n_max}\n"
 
     def test_fixture_mismatch_fails(self, capsys, monkeypatch):
         real = mbl.cli.find_irregularities
@@ -1034,9 +1037,9 @@ _BROKEN_CHECKS = [
      "(13,5,1)"),
     ("capacity", "width-bounds", "width",
      lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)"),
-    ("capacity", "limit-gaps", "convergence_trace",
-     lambda real: lambda *args: _raise(VerificationError("gap at (5,2,1) fails to decrease")),
-     "gap at (5,2,1) fails to decrease"),
+    ("capacity", "limit-gaps", "_above_limit",  # 2/5 read against the limit of 1
+     lambda real: lambda num, den, m: (num, den, m) != (2, 5, 1) and real(num, den, m),
+     "gap at (5,2,1) is not positive"),
     ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at_13_5_1,
      "(13,5,1)"),
     ("ordering", "chain-inequalities", "descent_integers", _descent_fails_at_13_5_1,
@@ -1145,6 +1148,15 @@ class TestVerifyAndComplete:
                            "--max-bound", "30", "--n-max", "40")
         assert code == 1
         assert f"FAIL  {suite}:{check}  [{witness}]" in out.splitlines()
+
+    def test_limit_gaps_reach_depth_ten_below_the_root(self, capsys, monkeypatch):
+        # (10946,4181,1), the root's level-10 node, is the only node refused
+        real = mbl.suites._above_limit
+        monkeypatch.setattr(mbl.suites, "_above_limit", lambda num, den, m:
+                            (num, den, m) != (4181, 10946, 1) and real(num, den, m))
+        code, out, _ = run(capsys, "verify", "--suite", "capacity")
+        assert code == 1
+        assert "FAIL  capacity:limit-gaps  [gap at (10946,4181,1) is not positive]" in out
 
     def test_descent_failure_path(self, capsys, monkeypatch):
         # one apex refused by the descent helper, as each command reports it;
@@ -1353,6 +1365,17 @@ class TestIngestCommand:
             main(argv.split())
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_n_past_the_bfile_is_refused_before_generating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generated before the b-file's length was checked")
+
+        monkeypatch.setattr(mbl.oeis, "markov_numbers", refuse)
+        monkeypatch.setattr(mbl.oeis, "recurrence_prefix", refuse)
+        for kind, n in (("markov", 100000), ("fibonacci", 5000), ("pell", 40000)):
+            code, out, err = run(capsys, "ingest", "--kind", kind, "--n", str(n))
+            assert (code, out) == (2, "")
+            assert err == f"mbl: b-file for {kind} (vendored) is shorter than n={n}\n"
 
     def test_doctored_bfile_fails(self, capsys, tmp_path):
         doctored = tmp_path / "bad.txt"

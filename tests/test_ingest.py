@@ -59,7 +59,7 @@ class TestVendored:
             load_bfile("lucas")
 
     def test_checksums_detect_tampering(self, tmp_path, monkeypatch):
-        def data_with_sums(sums):  # each in its own directory: B2SUMS is read once per directory
+        def data_with_sums(sums):  # each in its own directory, read at every load
             data = tmp_path / str(len(list(tmp_path.iterdir())))
             data.mkdir()
             (data / "b002559.txt").write_text("1 1\n")

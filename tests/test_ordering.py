@@ -12,11 +12,9 @@ from mbl.markov import (
     enumerate_triples,
     is_markov,
     markov_prefix,
-    wedge,
 )
 from mbl.ordering import (
     IrregularityRecord,
-    _chain_capacities,
     _deficit,
     _essential_capacities,
     _exceeds,
@@ -124,7 +122,7 @@ class TestChains:
         # times b^2 - c^2 and c(3ac - 2b) in turn
         assert descent_integers(T(5, 2, 1)) == (25, 3, 11, 1)
         assert descent_integers(T(13, 5, 1)) == (169, 24, 29, 1)
-        caps = _chain_capacities(T(5, 2, 1), 3)[:6]
+        caps = [(w.numerator, w.denominator) for _, w in alternating_order(T(5, 2, 1), 3)[:6]]
         assert caps == [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897)]
         assert [p[0] * q[1] - q[0] * p[1] for p, q in zip(caps, caps[1:])] == [
             1, 5 * 3, 5 * 11, 5 * 3, 5 * 11]
@@ -170,11 +168,14 @@ class TestChains:
             assert wedge_descends(apex, 30)
 
     def test_chain_capacities_are_the_wedge_widths(self):
-        # degenerate apexes included: (1,1,1) and (2,1,1) have a single chain
+        # bc/a at the apex, then a x_{i-1}/x_i at the level-i node, as the
+        # essential capacities of a >= 5 read them off the chains; degenerate
+        # apexes included: (1,1,1) and (2,1,1) have a single chain
         for t in enumerate_triples(10 ** 4):
             for depth in range(9):
-                caps = [Fraction(num, den) for num, den in _chain_capacities(t, depth)]
-                assert caps == [width(x) for x in wedge(t, depth)]
+                caps = [width(t)] + [Fraction(t.a * xs[i - 1], xs[i])
+                                     for i in range(1, depth + 1) for xs in chains(t, depth)]
+                assert caps == [w for _, w in alternating_order(t, depth)]
 
 
 class TestSpectrumRows:
@@ -220,7 +221,10 @@ class TestSpectrumRows:
         monkeypatch.setattr("mbl.ordering.descent_integers",
                             lambda apex: seen.append(apex) or real(apex))
         rows = spectrum_rows(10, k=2)
-        assert seen == [tuple(row.apex) for row in rows]  # the walk's int triples
+        # the walk's int triples; rows 1 and 2 read their widths through
+        # alternating_order, which checks the descent of the MarkovTriple again
+        assert seen == [tuple(rows[0].apex), rows[0].apex, tuple(rows[1].apex), rows[1].apex,
+                        *[tuple(row.apex) for row in rows[2:]]]
 
     def test_first_capacity_formula(self):
         # w_1(n) = 2/(3 + sqrt(9 - 4/m^2 - 4/b^2))
@@ -234,8 +238,8 @@ class TestSpectrumRows:
         _, apexes = markov_prefix(850)
         for apex in apexes:
             for k in range(1, 9):
-                full = [cap for cap in _chain_capacities(apex, k + 1)
-                        if cap[0] >= apex[0] * apex[0]][:k]
+                full = [(w.numerator, w.denominator) for _, w in alternating_order(T(*apex), k + 1)
+                        if w.numerator >= apex[0] * apex[0]][:k]
                 assert _essential_capacities(apex, k) == tuple(full)
 
     def test_ratios_are_in_lowest_terms(self):
