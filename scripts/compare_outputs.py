@@ -124,6 +124,11 @@ FIXED = [
     ("irregularities", "--n-max", "800", "--fixture"),
     ("ingest", "--kind", "pell", "--n", "2000"),
     ("verify", "--suite", "capacity", "--max-bound", "1"),
+    # deep subtrees in each format: the depth column of every node
+    ("subtree", "--triple", "5,2,1", "--depth", "150"),
+    ("subtree", "--triple", "433,29,5", "--preserve", "5", "--depth", "40", "--format", "json"),
+    ("subtree", "--triple", "2,1,1", "--depth", "60", "--format", "csv"),
+    ("subtree", "--triple", "1,1,1", "--depth", "30"),
 ]
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",

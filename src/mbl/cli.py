@@ -6,8 +6,9 @@ every command's flags once.  `main` parses an argv of the plain shape
 `<command> (--flag value | --switch)*` from it directly; argparse (with
 gettext and locale) loads only for help, usage errors and the argv that
 parse declines, through `build_parser`, which builds the same parser from
-the same table.  The module holding a handler outside this one is imported
-only when its command runs: `mbl.commands` (the other table commands),
+the same table.  Either way `main` looks the handler up in the table, and
+the module holding a handler outside this one is imported only when its
+command runs: `mbl.commands` (the other table commands),
 `mbl.suites` (`verify`) or `mbl.svg` (`plot`).  The Markov walk behind the
 ordering commands hands out int triples, and `json` loads only for
 `--fixture` and `width --polygon`.  Exit codes and output helpers live in
@@ -230,13 +231,8 @@ def _flags(command: str) -> dict[str, dict]:
             for flag, options in [*fmt, ("--out", {}), *flags]}
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The `mbl` parser, with -h and arguments on the `command` subparser only.
-
-    Every subcommand keeps its name and help, so usage, help and error text
-    are those of the full parser; argparse builds a help formatter for each
-    argument it adds, and only the subparser that parses needs its own.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The `mbl` parser, one subparser per command of `_COMMANDS`."""
     import argparse  # only help, usage errors and argv _plain_parse declines need it
 
     parser = argparse.ArgumentParser(
@@ -245,17 +241,15 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         "and the associated base triangles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, _, handler, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_, add_help=name == command)
-        if name == command:  # a handler's module is imported only for its command
-            p.set_defaults(handler=handler())
-            for flag, options in _flags(name).items():
-                p.add_argument(flag, **options)
+    for name, (help_, *_) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, options in _flags(name).items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def _plain_parse(argv) -> dict | None:
-    """`vars(build_parser(argv[0]).parse_args(argv))` for argv of the shape
+    """`vars(build_parser().parse_args(argv))` for argv of the shape
     `<command> (--flag value | --switch)*`, or None for any other argv.
 
     Flags must be named exactly and each at most once, values must not
@@ -294,7 +288,6 @@ def _plain_parse(argv) -> dict | None:
         values[options["dest"]] = [value] if action == "append" else value
     if any(options.get("required") and flag not in given for flag, options in flags.items()):
         return None
-    values["handler"] = _COMMANDS[command][2]()
     return values
 
 
@@ -310,13 +303,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     values = _plain_parse(argv)
     if values is None:
-        # argparse takes the first argument not starting with "-" as the
-        # command (the top-level parser has no option with a value); an
-        # argument it takes as positional although it starts with "-" names
-        # no command
-        command = next((arg for arg in argv if not arg.startswith("-")), None)
-        values = vars(build_parser(command).parse_args(argv))
+        values = vars(build_parser().parse_args(argv))
     args = SimpleNamespace(**values)
+    handler = _COMMANDS[args.command][2]()  # imports the module holding it
     try:
         if getattr(args, "triple", None) is not None:
             args.triple = _parse_triple(args.triple)
@@ -324,7 +313,7 @@ def main(argv=None) -> int:
             args.threshold = _parse_rational(args.threshold)
         if getattr(args, "delta", None) is not None:
             args.delta = _parse_rational(args.delta)
-        return args.handler(args)
+        return handler(args)
     except ValueError as exc:
         print(f"mbl: {exc}", file=sys.stderr)
         return EXIT_USAGE

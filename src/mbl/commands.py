@@ -52,7 +52,9 @@ def cmd_subtree(config: SimpleNamespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
     apex = apex_for(preserved, config.triple)
     _at_least(config, 0, "--depth")
-    records = [(tree_depth(t), t, width(t)) for t in wedge(apex, config.depth)]
+    nodes, top = wedge(apex, config.depth), tree_depth(apex)
+    k = 1 if len(nodes) == config.depth + 1 else 2  # chains; node j is (j + k - 1)//k levels down
+    records = [(top + (j + k - 1) // k, t, width(t)) for j, t in enumerate(nodes)]
     payload = {
         "command": "subtree",
         "preserved": str(apex.a),

@@ -8,7 +8,6 @@ degenerate at its first two levels (where a triple repeats, it is kept once).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 from typing import Callable
@@ -96,8 +95,7 @@ class MarkovWalk:
     walk only appends, so what it returns depends only on how far it has
     been extended; it returns tuples, never its own lists.  A maximal entry
     shared by two triples raises VerificationError once it is reached.
-    Apexes are sorted int triples (a, b, c); `apex` and `upto` build a
-    MarkovTriple of each they return.
+    Apexes are sorted int triples (a, b, c), handed out as they are.
     """
 
     def __init__(self):
@@ -149,20 +147,6 @@ class MarkovWalk:
                 return tuple(self._numbers[:count]), tuple(self._apexes[:count])
             count += 1
 
-    def _reach(self, p: int) -> int:
-        """The index of the first number >= p, walking on until there is one."""
-        while not self._numbers or self._numbers[-1] < p:
-            self._step()
-        return bisect.bisect_left(self._numbers, p)
-
-    def upto(self, max_bound: int) -> tuple[MarkovTriple, ...]:
-        """Every apex with maximal entry <= max_bound, by increasing maximum."""
-        if max_bound < 1:
-            raise ValueError("max_bound must be >= 1")
-        self._reach(max_bound)
-        end = bisect.bisect_right(self._numbers, max_bound)
-        return tuple([MarkovTriple(*t) for t in self._apexes[:end]])
-
 
 _WALK = MarkovWalk()  # shared by every Markov-number path of the package
 markov_prefix = _WALK.prefix
@@ -173,9 +157,15 @@ def enumerate_triples(max_bound: int) -> tuple[MarkovTriple, ...]:
 
     These are the shared walk's apexes up to the bound: no two triples share
     a maximal entry (the walk raises if they do), so ordering by the maximum
-    is ordering by (max, mid, min).
+    is ordering by (max, mid, min).  The walk stops at the first number at
+    or past the bound, so a shared maximum above it is never reached.
     """
-    return _WALK.upto(max_bound)
+    if max_bound < 1:
+        raise ValueError("max_bound must be >= 1")
+    numbers, apexes = markov_prefix(1, lambda m: m >= max_bound)
+    if numbers[-1] > max_bound:
+        apexes = apexes[:-1]
+    return tuple([MarkovTriple(*t) for t in apexes])
 
 
 def markov_numbers(n: int) -> list[int]:
@@ -184,7 +174,7 @@ def markov_numbers(n: int) -> list[int]:
 
 
 def is_markov_number(p: int) -> bool:
-    return p >= 1 and _WALK._numbers[_WALK._reach(p)] == p
+    return p >= 1 and markov_prefix(1, lambda m: m >= p)[0][-1] == p
 
 
 def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:

@@ -43,7 +43,7 @@ class SpectrumRow(_Record):
 
     n: int
     m: int
-    apex: MarkovTriple
+    apex: tuple[int, int, int]
     b: int
     ratios: tuple[tuple[int, int], ...]
 
@@ -189,16 +189,13 @@ def _essential_capacities(apex, k: int) -> tuple[tuple[int, int], ...]:
     # the first k widths of the essential subtree of the apex maximum a: the
     # wedge nodes whose minimal entry is a, which are those whose width has
     # numerator >= a^2 (bc only at (1,1,1), a x_{i-1} iff x_{i-1} >= a; each
-    # width is in lowest terms, the entries being pairwise coprime); for
-    # a >= 5 level 1 holds none and each level below it two, one per chain
-    a, _, _ = apex
-    if a < 5:
-        return tuple([(w.numerator, w.denominator)
-                      for _, w in alternating_order(MarkovTriple(*apex), k + 1)
-                      if w.numerator >= a * a][:k])
-    columns = chains(apex, (k + 1) // 2 + 1)
-    return tuple([(a * xs[i - 1], xs[i]) for i in range(2, len(columns[0]))
-                  for xs in columns][:k])
+    # width is in lowest terms, the entries being pairwise coprime); one chain
+    # gives at most one per level, two none at level 1 and two per level below
+    a, b, c = apex
+    columns = chains(apex, k + 1 if b == c else (k + 1) // 2 + 1)
+    widths = [(b * c, a)] + [(a * xs[i - 1], xs[i]) for i in range(1, len(columns[0]))
+                             for xs in columns]
+    return tuple([w for w in widths if w[0] >= a * a][:k])
 
 
 def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
@@ -220,8 +217,7 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
         mm = m * m
         if _sign(9 * mm - 2, -3 * m, 9 * mm - 4) <= 0:  # limit > 1/3 <=> 9m^2 - 2 > 3m sqrt(r)
             raise VerificationError(f"row {n}: limit not above 1/3")
-        rows.append(SpectrumRow(n, m, MarkovTriple(*apex), _b_value(apex),
-                                _essential_capacities(apex, k)))
+        rows.append(SpectrumRow(n, m, apex, _b_value(apex), _essential_capacities(apex, k)))
     return rows
 
 

@@ -29,7 +29,6 @@ from .lattice import (
     vianna_triangle,
 )
 from .markov import (
-    _WALK,
     MarkovTriple,
     MutationKind,
     enumerate_triples,
@@ -62,7 +61,7 @@ def uniqueness_check(max_bound: int) -> bool:
     The walk raises VerificationError on reaching a shared maximum.
     """
     try:
-        _WALK.upto(max_bound)
+        enumerate_triples(max_bound)
     except VerificationError:
         return False
     return True

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import mbl.capacity
 import mbl.cli
+import mbl.commands
 import mbl.oeis
 import mbl.ordering
 import mbl.report
@@ -465,7 +466,7 @@ _PLAIN_ARGV = [
 @pytest.mark.parametrize("argv", _PLAIN_ARGV)
 def test_plain_argv_parse_as_argparse_would(argv):
     argv = argv.split()
-    assert mbl.cli._plain_parse(argv) == vars(mbl.cli.build_parser(argv[0]).parse_args(argv))
+    assert mbl.cli._plain_parse(argv) == vars(mbl.cli.build_parser().parse_args(argv))
 
 
 # Shapes the plain parse leaves to argparse, some of which argparse accepts.
@@ -534,13 +535,13 @@ def _drawn_argv(draw):
 @given(st.data())
 def test_plain_parse_is_argparse_or_declines(data):
     # argparse on an argv the plain parse accepted would give the same
-    # values, handler included; wherever argparse exits, it declined
+    # values; wherever argparse exits, it declined
     argv = _drawn_argv(data.draw)
     plain = mbl.cli._plain_parse(argv)
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            expected = vars(mbl.cli.build_parser(argv[0]).parse_args(argv))
+            expected = vars(mbl.cli.build_parser().parse_args(argv))
     except SystemExit:
         assert plain is None
     else:
@@ -550,20 +551,16 @@ def test_plain_parse_is_argparse_or_declines(data):
 def test_subcommands_match_readme_and_have_handlers():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     documented = re.search(r"^mbl <([a-z|]+)> \[flags\]$", readme, re.M).group(1)
-    listed = re.search(r"\{([a-z,]+)\}", mbl.cli.build_parser(None).format_usage()).group(1)
+    listed = re.search(r"\{([a-z,]+)\}", mbl.cli.build_parser().format_usage()).group(1)
     assert listed.split(",") == documented.split("|")
-    required = {"subtree": ["--triple", "5,2,1"], "order": ["--triple", "5,2,1"],
-                "triangle": ["--triple", "5,2,1"], "complete": ["--threshold", "7/20"],
-                "plot": ["--figure", "order5"]}
     for name in listed.split(","):
-        parser = mbl.cli.build_parser(name)
-        handler = parser.parse_args([name, *required.get(name, [])]).handler
+        handler = mbl.cli._COMMANDS[name][2]()
         assert callable(handler) and handler.__name__ == f"cmd_{name}"
 
 
 # The usage paths at 80 columns: argv, exit code, sha256 of stdout and of
-# stderr.  build_parser gives only the subparser that runs its arguments, so
-# these pin that every help and usage text is the full parser's.
+# stderr.  They pin every help and usage text of the parser that
+# build_parser makes from the command table.
 _EMPTY = hashlib.sha256(b"").hexdigest()
 _USAGE_DIGESTS = [
     ("", 2,
@@ -793,6 +790,21 @@ class TestTriplesAndSubtree:
         assert code == 0
         assert "(6466,433,5)" in out and "2165/6466" in out
 
+    @pytest.mark.parametrize("triple, preserve", [("5,2,1", "5"), ("433,29,5", "5"),
+                                                  ("2,1,1", "2"), ("1,1,1", "1")])
+    def test_subtree_walks_back_to_the_root_once(self, capsys, monkeypatch, triple, preserve):
+        # the apex's depth plus each node's level, which is its own depth
+        real, seen = mbl.commands.tree_depth, []
+        monkeypatch.setattr(mbl.commands, "tree_depth", lambda t: seen.append(t) or real(t))
+        code, out, _ = run(capsys, "subtree", "--triple", triple, "--preserve", preserve,
+                           "--depth", "9", "--format", "json")
+        assert code == 0 and len(seen) == 1 and seen[0].a == int(preserve)
+        rows = json.loads(out)["rows"]
+        assert len(rows) in (10, 19)
+        for row in rows:
+            t = MarkovTriple(*(int(row["triple"][key]) for key in "abc"))
+            assert row["depth"] == real(t)
+
 
 class TestIrregularities:
     def test_scan_to_40(self, capsys):
@@ -937,6 +949,14 @@ class TestFormatOnlyRendering:
     def test_text_and_csv_build_no_value_objects(self, capsys, monkeypatch, fmt):
         # the cells come from the closed forms, as the JSON rows do
         self._limits_450_from_integers(capsys, monkeypatch, fmt)
+
+    def test_ordering_commands_build_no_markov_triple(self, capsys, monkeypatch):
+        # the walk's int triples serve the rows, the scan and the certificate
+        monkeypatch.setattr(MarkovTriple, "__post_init__", self.refuse)
+        for argv in (["limits", "--n", "450", "--format", "json"],
+                     ["complete", "--threshold", "7/20", "--n-max", "450"],
+                     ["irregularities", "--n-max", "450", "--fixture"]):
+            assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbl.markov
 import mbl.suites
 from mbl.errors import VerificationError
 from mbl.markov import (
@@ -206,7 +207,7 @@ class TestMarkovWalk:
 
     def test_out_of_order_requests(self):
         walk = MarkovWalk()
-        assert all(max(t) != 10 ** 12 for t in walk.upto(10 ** 12))  # no Markov number
+        assert walk.prefix(1, lambda m: m >= 10 ** 12)[0][-1] != 10 ** 12  # no Markov number
         large = walk.prefix(300)
         small = walk.prefix(40)
         fresh = MarkovWalk().prefix(300)
@@ -245,7 +246,7 @@ class TestMarkovWalk:
         assert walk.prefix(3)[0] == (1, 2, 5)
         for _ in range(2):  # the failed step leaves the walk unchanged
             with pytest.raises(ValueError, match="does not solve the Markov equation"):
-                walk.upto(6)
+                walk.prefix(1, lambda m: m >= 6)
         assert walk.prefix(3) == MarkovWalk().prefix(3)
 
     def test_unsorted_entry_is_never_handed_out(self):
@@ -359,12 +360,12 @@ class TestUniqueness:
     def test_shared_maximum_detected(self, monkeypatch):
         walk = MarkovWalk()
         walk._heap.append((5, 2, 1))  # a second triple with maximum 5
-        monkeypatch.setattr(mbl.suites, "_WALK", walk)  # the walk uniqueness_check reads
+        monkeypatch.setattr(mbl.markov, "markov_prefix", walk.prefix)  # the walk it reads
         assert uniqueness_check(2)
         assert not uniqueness_check(5)
         with pytest.raises(VerificationError,
                            match=re.escape("(5,2,1) and (5,2,1) share their maximum")):
-            walk.upto(5)
+            walk.prefix(3)
 
 
 @settings(max_examples=30, deadline=None)

@@ -221,10 +221,9 @@ class TestSpectrumRows:
         monkeypatch.setattr("mbl.ordering.descent_integers",
                             lambda apex: seen.append(apex) or real(apex))
         rows = spectrum_rows(10, k=2)
-        # the walk's int triples; rows 1 and 2 read their widths through
-        # alternating_order, which checks the descent of the MarkovTriple again
-        assert seen == [tuple(rows[0].apex), rows[0].apex, tuple(rows[1].apex), rows[1].apex,
-                        *[tuple(row.apex) for row in rows[2:]]]
+        # once per row, on the walk's int triple
+        assert seen == [row.apex for row in rows]
+        assert all(type(apex) is tuple for apex in seen)
 
     def test_first_capacity_formula(self):
         # w_1(n) = 2/(3 + sqrt(9 - 4/m^2 - 4/b^2))

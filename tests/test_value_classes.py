@@ -28,7 +28,7 @@ CASES = {
     "MarkovTriple": (lambda: T(5, 2, 1), ("a", "b", "c"), "MarkovTriple(a=5, b=2, c=1)"),
     "SpectrumRow": (
         lambda: spectrum_rows(3, 2)[2], ("n", "m", "apex", "b", "ratios"),
-        "SpectrumRow(n=3, m=5, apex=MarkovTriple(a=5, b=2, c=1), b=13, "
+        "SpectrumRow(n=3, m=5, apex=(5, 2, 1), b=13, "
         "ratios=((65, 194), (145, 433)))"),
     "IrregularityRecord": (
         lambda: IrregularityRecord(33, 1), ("n", "span"),
