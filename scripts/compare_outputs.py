@@ -129,6 +129,12 @@ FIXED = [
     ("subtree", "--triple", "433,29,5", "--preserve", "5", "--depth", "40", "--format", "json"),
     ("subtree", "--triple", "2,1,1", "--depth", "60", "--format", "csv"),
     ("subtree", "--triple", "1,1,1", "--depth", "30"),
+    # the depth column of 3,502 rows; apexes above, at and off the given triple
+    ("triples", "--max-bound", str(10 ** 60), "--format", "csv"),
+    ("subtree", "--triple", "433,29,5", "--preserve", "29", "--depth", "5"),
+    ("subtree", "--triple", "194,13,5", "--preserve", "1", "--depth", "4", "--format", "json"),
+    ("subtree", "--triple", "2,1,1", "--preserve", "1", "--depth", "3", "--format", "csv"),
+    ("subtree", "--triple", "5,2,1", "--preserve", "7"),
 ]
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",

@@ -3,6 +3,8 @@
 
 `mbl.cli` imports this module only when one of these commands runs, so the
 ordering commands (`irregularities`, `limits`, `complete`) never compile it.
+Depths are read on ints: `triples` gives each row its parent's depth plus
+one, and `subtree` finds its apex and its depth in one `ancestors` climb.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from types import SimpleNamespace
 from . import oeis
 from .capacity import capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
-from .markov import MarkovTriple, apex_for, enumerate_triples, tree_depth, wedge
+from .markov import MarkovTriple, ancestors, enumerate_triples, wedge
 from .ordering import alternating_order
 from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _preview,
                      _report, _table)
@@ -38,7 +40,11 @@ def cmd_widths(config: SimpleNamespace) -> int:
 
 def cmd_triples(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--max-bound")
-    records = [(t, tree_depth(t), width(t)) for t in enumerate_triples(config.max_bound)]
+    triples = enumerate_triples(config.max_bound)
+    depths = {1: 0}  # by maximum; the parent of (a, b, c) is the triple with maximum b
+    for t in triples[1:]:
+        depths[t.a] = depths[t.b] + 1
+    records = [(t, depths[t.a], width(t)) for t in triples]
     return _emit_rows(
         config, ["triple", "depth", "width"], records,
         lambda t, depth, w: [str(t), str(depth), str(w)],
@@ -50,9 +56,13 @@ def cmd_triples(config: SimpleNamespace) -> int:
 
 def cmd_subtree(config: SimpleNamespace) -> int:
     preserved = config.preserve if config.preserve is not None else config.triple.a
-    apex = apex_for(preserved, config.triple)
+    if preserved not in config.triple:
+        raise ValueError(f"{preserved} does not appear in {config.triple}")
+    # an entry stays in each ancestor until it is maximal, and the maxima decrease
+    path = [t for t in ancestors(config.triple) if t[0] <= preserved]
+    apex, top = MarkovTriple(*path[0]), len(path) - 1
     _at_least(config, 0, "--depth")
-    nodes, top = wedge(apex, config.depth), tree_depth(apex)
+    nodes = wedge(apex, config.depth)
     k = 1 if len(nodes) == config.depth + 1 else 2  # chains; node j is (j + k - 1)//k levels down
     records = [(top + (j + k - 1) // k, t, width(t)) for j, t in enumerate(nodes)]
     payload = {

@@ -1,26 +1,19 @@
-"""Markov triples: the equation a^2 + b^2 + c^2 = 3abc, its mutations and tree.
+"""Markov triples: the equation a^2 + b^2 + c^2 = 3abc and its tree.
 
 Triples are kept sorted (a >= b >= c >= 1).  Fixing two entries turns the
 equation into a quadratic in the third, so each triple has three neighbours
 ("mutations"); all solutions form a trivalent tree rooted at (1,1,1), which is
 degenerate at its first two levels (where a triple repeats, it is kept once).
+`ancestors` goes back to the root along the mutation lowering the maximum;
+the `verify` markov suite (`mbl.suites`) holds all three and checks them.
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 from typing import Callable
 
 from .errors import VerificationError, _Record
-
-
-class MutationKind(enum.Enum):
-    """Which entry of the sorted triple gets replaced by the other root."""
-
-    ELIMINATE_MIN = "min"
-    ELIMINATE_MID = "mid"
-    ELIMINATE_MAX = "max"
 
 
 class MarkovTriple(_Record):
@@ -62,27 +55,20 @@ def is_markov(a: int, b: int, c: int) -> bool:
     return a * a + b * b + c * c == 3 * a * b * c
 
 
-def mutate(t: MarkovTriple, kind: MutationKind) -> MarkovTriple:
-    """Replace one entry by the other root of the induced quadratic.
+def ancestors(t) -> list[tuple[int, int, int]]:
+    """The sorted int triples from the Markov triple t up to (1,1,1), t first.
 
-    Slots refer to positions of the sorted triple; for the degenerate triples
-    (1,1,1) and (2,1,1) equal entries are resolved by position.
+    Each step replaces the maximum a by the other root 3bc - a = (b^2 + c^2)/a
+    <= b of its quadratic: the parent's maximum is b, so the maxima strictly
+    decrease and t's depth in the tree is the length less one.
     """
     a, b, c = t
-    if kind is MutationKind.ELIMINATE_MAX:
-        return MarkovTriple.from_values(3 * b * c - a, b, c)
-    if kind is MutationKind.ELIMINATE_MID:
-        return MarkovTriple.from_values(a, 3 * a * c - b, c)
-    return MarkovTriple.from_values(a, b, 3 * a * b - c)
-
-
-def tree_depth(t: MarkovTriple) -> int:
-    """The number of max-decreasing mutations from t back to (1,1,1)."""
-    depth = 0
-    while t.a != 1:
-        t = mutate(t, MutationKind.ELIMINATE_MAX)
-        depth += 1
-    return depth
+    path = [(a, b, c)]
+    while a != 1:
+        x = 3 * b * c - a
+        a, b, c = (b, c, x) if x <= c else (b, x, c)
+        path.append((a, b, c))
+    return path
 
 
 class MarkovWalk:
@@ -175,21 +161,6 @@ def markov_numbers(n: int) -> list[int]:
 
 def is_markov_number(p: int) -> bool:
     return p >= 1 and markov_prefix(1, lambda m: m >= p)[0][-1] == p
-
-
-def apex_for(p: int, triple: MarkovTriple) -> MarkovTriple:
-    """Walk max-decreasing mutations until p is the maximal entry.
-
-    This is well defined: eliminating the maximum strictly decreases it
-    (except at the root levels, where p is already maximal), and the other
-    two mutations strictly increase it.
-    """
-    if p not in triple:
-        raise ValueError(f"{p} does not appear in {triple}")
-    t = triple
-    while t.a != p:
-        t = mutate(t, MutationKind.ELIMINATE_MAX)
-    return t
 
 
 def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:

@@ -4,14 +4,16 @@ Each suite takes the parsed `verify` arguments and yields one
 (check name, passed, witness) per check; SUITES names them in run order and
 `cmd_verify` runs them.  Only `verify` reads this module, so the command
 line loads it on demand, and the checks below that no other command needs
-(independent enumerations, closed forms, limit gaps, unimodular maps and
-shears) are compiled only then.  The three descent checks of the
-ordering suite read the four integers of `ordering.descent_integers` per
-apex, which decide the descent at every depth.
+(the three mutations, independent enumerations, closed forms, limit gaps,
+unimodular maps and shears) are compiled only then.  The three descent
+checks of the ordering suite read the four integers of
+`ordering.descent_integers` per apex, which decide the descent at every
+depth.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 import random
 from fractions import Fraction
@@ -28,13 +30,7 @@ from .lattice import (
     lattice_width,
     vianna_triangle,
 )
-from .markov import (
-    MarkovTriple,
-    MutationKind,
-    enumerate_triples,
-    mutate,
-    recurrence_prefix,
-)
+from .markov import MarkovTriple, enumerate_triples, recurrence_prefix
 from .ordering import (
     alternating_order,
     descent_integers,
@@ -43,6 +39,28 @@ from .ordering import (
     verify_swap_pattern,
 )
 from .report import EXIT_OK, EXIT_VERIFICATION, _at_least, _report
+
+
+class MutationKind(enum.Enum):
+    """Which entry of the sorted triple gets replaced by the other root."""
+
+    ELIMINATE_MIN = "min"
+    ELIMINATE_MID = "mid"
+    ELIMINATE_MAX = "max"
+
+
+def mutate(t: MarkovTriple, kind: MutationKind) -> MarkovTriple:
+    """Replace one entry by the other root of the induced quadratic.
+
+    Slots refer to positions of the sorted triple; for the degenerate triples
+    (1,1,1) and (2,1,1) equal entries are resolved by position.
+    """
+    a, b, c = t
+    if kind is MutationKind.ELIMINATE_MAX:
+        return MarkovTriple.from_values(3 * b * c - a, b, c)
+    if kind is MutationKind.ELIMINATE_MID:
+        return MarkovTriple.from_values(a, 3 * a * c - b, c)
+    return MarkovTriple.from_values(a, b, 3 * a * b - c)
 
 
 def fibonacci(n: int) -> int:

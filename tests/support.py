@@ -10,7 +10,9 @@ cross-multiplied integers over every pair of a plain double loop rather than
 by bisection, the essential subtrees are filtered from
 validated wedge triples rather than read off the raw chains, the global
 order of the capacities is read off a plain sort of every triple below a
-bound, reached by Vieta jumps written here, the descent below an apex
+bound, reached by Vieta jumps written here (`vieta_neighbours` gives
+all three, so depths in the tree are breadth-first distances rather than
+climbs back along the parent rule), the descent below an apex
 is read off Fraction widths of nodes reached by mutations written here
 rather than off the chain constants, and a base triangle is built from
 its Fraction vertices, with affine lengths as rational gcds, its central
@@ -284,6 +286,13 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     triples = wedge(apex_of_number(p), depth + 1)  # raises for non-Markov p
     columns = (len(triples) - 1) // (depth + 1)
     return [t for t in triples if t.c == p][: depth * columns]
+
+
+def vieta_neighbours(a: int, b: int, c: int) -> set[tuple[int, int, int]]:
+    """The sorted triples one Vieta jump from (a, b, c): each entry replaced
+    by the other root of the quadratic the equation makes of it."""
+    jumps = ((3 * b * c - a, b, c), (a, 3 * a * c - b, c), (a, b, 3 * a * b - c))
+    return {tuple(sorted(t, reverse=True)) for t in jumps}
 
 
 def _triples_upto(bound: int) -> list[tuple[int, int, int]]:

@@ -15,7 +15,6 @@ from mbl.cli import main
 from mbl.lattice import lattice_width, vianna_triangle
 from mbl.markov import (
     MarkovTriple,
-    apex_for,
     enumerate_triples,
     markov_numbers,
     markov_prefix,
@@ -38,6 +37,7 @@ from mbl.suites import (
 )
 
 from support import (
+    apex_of_number,
     compare,
     interval_compare,
     limit_point,
@@ -134,9 +134,7 @@ def test_criterion_05_alternating_descent():
 
 def test_criterion_06_limit_points():
     with _Timer(6, "gaps decrease to the limit points; spectrum values match", 30.0):
-        fib = apex_for(1, T(2, 1, 1))
-        pel = apex_for(2, T(5, 2, 1))
-        five = apex_for(5, T(13, 5, 1))
+        fib, pel, five = (apex_of_number(p) for p in (1, 2, 5))
         for apex in (fib, pel, five):
             sequence = alternating_order(apex, 25)  # every node below the apex
             assert len(sequence) == (26 if apex.a < 5 else 51)

@@ -17,11 +17,12 @@ from mbl.capacity import (
     surd_text,
     width,
 )
-from mbl.markov import MarkovTriple, apex_for, enumerate_triples, markov_numbers
+from mbl.markov import MarkovTriple, enumerate_triples, markov_numbers
 from mbl.ordering import alternating_order, spectrum_rows
 from mbl.suites import spectrum_values_check, surd_identity_check
 
 from support import (
+    apex_of_number,
     compare,
     interval_compare,
     limit_point,
@@ -304,7 +305,7 @@ class TestConvergenceTrace:
         return [QV(w - q, -s, r) for _, w in sequence]  # width - limit
 
     def test_fibonacci_gaps_decrease(self):
-        apex = apex_for(1, T(2, 1, 1))
+        apex = apex_of_number(1)
         gaps = self.gaps(apex, 2)
         assert len(gaps) == 3
         assert compare(gaps[0], gaps[1]) > 0 and compare(gaps[1], gaps[2]) > 0
@@ -314,7 +315,7 @@ class TestConvergenceTrace:
             assert len(sequence) == 7 and sequence[1][0] == child
 
     def test_left_and_right_of_five(self):
-        apex = apex_for(5, T(13, 5, 1))
+        apex = apex_of_number(5)
         gaps = self.gaps(apex, 5)
         assert len(gaps) == 11
         assert all(compare(x, y) > 0 for x, y in zip(gaps, gaps[1:]))
@@ -322,10 +323,10 @@ class TestConvergenceTrace:
         assert [tuple(t) for t in left] == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):
-        apex = apex_for(2, T(5, 2, 1))
+        apex = apex_of_number(2)
         assert alternating_order(apex, 0) == [(T(2, 1, 1), Fraction(1, 2))]
 
     def test_count_validation(self):
-        apex = apex_for(1, T(1, 1, 1))
+        apex = apex_of_number(1)
         with pytest.raises(ValueError):
             alternating_order(apex, -1)

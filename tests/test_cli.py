@@ -27,8 +27,9 @@ import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.lattice import LatticePolygon
-from mbl.markov import MarkovTriple, MutationKind, markov_numbers
+from mbl.markov import MarkovTriple, ancestors, markov_numbers
 from mbl.ordering import IrregularityRecord
+from mbl.suites import MutationKind, fibonacci
 
 from support import rounded_limit
 
@@ -793,17 +794,35 @@ class TestTriplesAndSubtree:
     @pytest.mark.parametrize("triple, preserve", [("5,2,1", "5"), ("433,29,5", "5"),
                                                   ("2,1,1", "2"), ("1,1,1", "1")])
     def test_subtree_walks_back_to_the_root_once(self, capsys, monkeypatch, triple, preserve):
-        # the apex's depth plus each node's level, which is its own depth
-        real, seen = mbl.commands.tree_depth, []
-        monkeypatch.setattr(mbl.commands, "tree_depth", lambda t: seen.append(t) or real(t))
+        # one climb from the given triple gives the apex and its depth; each
+        # node adds its level below the apex
+        seen = []
+        monkeypatch.setattr(mbl.commands, "ancestors", lambda t: seen.append(t) or ancestors(t))
         code, out, _ = run(capsys, "subtree", "--triple", triple, "--preserve", preserve,
                            "--depth", "9", "--format", "json")
-        assert code == 0 and len(seen) == 1 and seen[0].a == int(preserve)
+        assert code == 0 and seen == [MarkovTriple.from_values(*map(int, triple.split(",")))]
         rows = json.loads(out)["rows"]
         assert len(rows) in (10, 19)
+        assert rows[0]["triple"]["a"] == preserve
         for row in rows:
             t = MarkovTriple(*(int(row["triple"][key]) for key in "abc"))
-            assert row["depth"] == real(t)
+            assert row["depth"] == len(ancestors(t)) - 1
+
+    def test_depths_build_no_triples(self, capsys, monkeypatch):
+        # `triples` reads each depth off its parent's row, and `subtree`
+        # climbs on ints: one MarkovTriple per row listed, and for a triple
+        # 100 levels down only the parsed one and the apex
+        built = []
+        real = MarkovTriple.__post_init__
+        monkeypatch.setattr(MarkovTriple, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        code, out, _ = run(capsys, "triples", "--max-bound", str(10 ** 30), "--format", "csv")
+        assert code == 0 and len(built) == out.count("\n") - 1 == 893
+        built.clear()
+        deep = f"{fibonacci(201)},{fibonacci(199)},1"
+        code, out, _ = run(capsys, "subtree", "--triple", deep, "--depth", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["rows"][0]["depth"] == 100
+        assert len(built) == 2 and built[0] == built[1]
 
 
 class TestIrregularities:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from collections import deque
@@ -8,24 +9,29 @@ from hypothesis import strategies as st
 
 import mbl.markov
 import mbl.suites
+from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
     MarkovWalk,
-    MutationKind,
-    apex_for,
+    ancestors,
     enumerate_triples,
     is_markov,
     is_markov_number,
     markov_numbers,
     markov_prefix,
-    mutate,
-    tree_depth,
     wedge,
 )
-from mbl.suites import brute_force_triples, fibonacci, pell, uniqueness_check
+from mbl.suites import (
+    MutationKind,
+    brute_force_triples,
+    fibonacci,
+    mutate,
+    pell,
+    uniqueness_check,
+)
 
-from support import apex_of_number, essential_subtree
+from support import apex_of_number, essential_subtree, vieta_neighbours
 
 T = MarkovTriple
 
@@ -140,20 +146,26 @@ class TestEnumerate:
             assert brute_force_triples(bound) == sorted(
                 t for t in full if t[0] <= bound)
 
-    def test_paths_replay(self):
-        # oracle: breadth-first over all three mutations, so the depth of a
-        # triple is the length of its mutation path from (1,1,1)
+    def test_paths_replay(self, capsys):
+        # oracle: breadth-first over the three Vieta jumps of tests/support,
+        # so the depth of a triple is the length of its jump path from
+        # (1,1,1); the climb back and the depth column of `triples` (each
+        # row one below the row of its middle entry) must both read it
         bound = 10 ** 4
-        depths = {T(1, 1, 1): 0}
+        depths = {(1, 1, 1): 0}
         queue = deque(depths)
         while queue:
             t = queue.popleft()
-            for kind in MutationKind:
-                child = mutate(t, kind)
-                if child.a <= bound and child not in depths:
+            for child in vieta_neighbours(*t):
+                if child[0] <= bound and child not in depths:
                     depths[child] = depths[t] + 1
                     queue.append(child)
-        assert {t: tree_depth(t) for t in enumerate_triples(bound)} == depths
+        assert {tuple(t): len(ancestors(t)) - 1 for t in enumerate_triples(bound)} == depths
+        assert main(["triples", "--max-bound", str(bound), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert {tuple(int(row["triple"][k]) for k in "abc"): row["depth"]
+                for row in rows} == depths
+        assert len(rows) == len(depths)
 
     def test_pairwise_coprime(self):
         for t in triples_up_to(2000):
@@ -265,29 +277,55 @@ class TestMarkovWalk:
             markov_prefix(0)
 
 
+def apex_on_path(p, t):  # the first ancestor of t with maximum p, as `subtree` reads it
+    return next(x for x in ancestors(t) if x[0] == p)
+
+
+class TestAncestors:
+    def test_root_levels(self):
+        assert ancestors(T(1, 1, 1)) == [(1, 1, 1)]
+        assert ancestors(T(2, 1, 1)) == [(2, 1, 1), (1, 1, 1)]
+
+    def test_from_433(self):
+        assert ancestors(T(433, 29, 5)) == [
+            (433, 29, 5), (29, 5, 2), (5, 2, 1), (2, 1, 1), (1, 1, 1)]
+
+    def test_each_step_is_a_jump_down_to_the_middle_entry(self):
+        # every consecutive pair is one of the oracle's Vieta jumps, and the
+        # parent's maximum is the child's middle entry
+        for t in enumerate_triples(10 ** 4):
+            path = ancestors(t)
+            assert path[0] == tuple(t) and path[-1] == (1, 1, 1)
+            for child, parent in zip(path, path[1:]):
+                assert parent in vieta_neighbours(*child)
+                assert parent[0] == child[1] < child[0]
+
+
 class TestApexFor:
     def test_one_step(self):
-        assert apex_for(5, T(29, 5, 2)) == T(5, 2, 1)
+        assert apex_on_path(5, T(29, 5, 2)) == (5, 2, 1)
 
     def test_from_194(self):
-        assert apex_for(13, T(194, 13, 5)) == T(13, 5, 1)
+        assert apex_on_path(13, T(194, 13, 5)) == (13, 5, 1)
 
     def test_already_apex(self):
-        assert apex_for(5, T(5, 2, 1)) == T(5, 2, 1)
+        assert apex_on_path(5, T(5, 2, 1)) == (5, 2, 1)
 
-    def test_absent_entry(self):
-        with pytest.raises(ValueError):
-            apex_for(7, T(5, 2, 1))
+    def test_absent_entry(self, capsys):
+        # 2 is the maximum of an ancestor of (13,5,1), but not one of its entries
+        for triple, p in (("5,2,1", "7"), ("13,5,1", "2")):
+            assert main(["subtree", "--triple", triple, "--preserve", p]) == 2
+            assert capsys.readouterr().err == f"mbl: {p} does not appear in ({triple})\n"
 
     def test_idempotent_and_path_independent(self):
         # two steps: (433,29,5) -> (29,5,2) -> (5,2,1)
-        assert apex_for(5, T(433, 29, 5)) == T(5, 2, 1)
+        assert apex_on_path(5, T(433, 29, 5)) == (5, 2, 1)
         # same apex from every node of the preserving subtree
         for p in markov_numbers(12):
             apex = apex_of_number(p)
             for t in wedge(apex, 4):
-                assert apex_for(p, t) == apex
-            assert apex_for(p, apex) == apex
+                assert apex_on_path(p, t) == tuple(apex)
+            assert apex_on_path(p, apex) == tuple(apex)
 
 
 class TestWedge:
@@ -316,7 +354,7 @@ class TestWedge:
                 chain = nodes[:1] + nodes[1 + column::width]
                 for above, node in zip(chain, chain[1:]):
                     assert p in node and node.a > above.a
-                    assert tree_depth(node) == tree_depth(above) + 1
+                    assert ancestors(node)[1] == tuple(above)
                     assert any(mutate(above, kind) == node
                                for kind in MutationKind)
 
@@ -377,4 +415,5 @@ def test_wedge_levels_counted_from_apex(depth_seed, p_index):
     nodes = wedge(apex, depth)
     expected = depth + 1 if p in (1, 2) else 1 + 2 * depth
     assert len(nodes) == expected
-    assert all(tree_depth(t) - tree_depth(nodes[0]) <= depth for t in nodes)
+    top = len(ancestors(nodes[0]))
+    assert all(len(ancestors(t)) - top <= depth for t in nodes)
