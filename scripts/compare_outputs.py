@@ -15,9 +15,10 @@ MBL_CACHE_DIR unset (trees older than the removal of `--cache-dir` read
 their b-files from the directory it names, and download into it on
 `ingest --fetch`) and a temporary directory holding the polygon files of
 POLYGONS and the b-files `doctored.txt` and `short.txt` as the working
-directory, and compares exit code, stdout and stderr.  Prints the counts for
-the usage paths, for FIXED and per seed, and every differing command line;
-exits 1 if any differs.
+directory, and compares exit code, stdout and stderr; a run still going
+after TIMEOUT_S seconds is stopped and differs from every finished one.
+Prints the counts for the usage paths, for FIXED and per seed, and every
+differing command line; exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -135,17 +136,29 @@ FIXED = [
     ("subtree", "--triple", "194,13,5", "--preserve", "1", "--depth", "4", "--format", "json"),
     ("subtree", "--triple", "2,1,1", "--preserve", "1", "--depth", "3", "--format", "csv"),
     ("subtree", "--triple", "5,2,1", "--preserve", "7"),
+    # thresholds from 2/3 on, which no capacity beyond n_max reaches; the
+    # uniqueness check read off the walk up to 10^9
+    *(("complete", "--threshold", t, "--n-max", "10", "--format", fmt)
+      for t in ("2/3", "1", "2", "10", "1e100") for fmt in ("text", "json")),
+    ("complete", "--threshold", "1e99999", "--n-max", "10"),
+    ("verify", "--suite", "markov", "--max-bound", str(10 ** 9)),
 ]
+#: Seconds a run may take before it counts as timed out: older trees walk on
+#: toward thresholds far above 2/3 without end.
+TIMEOUT_S = 60
 #: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
 BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
           "short.txt": "1 1\n2 2\n"}
 
 
-def _run(src: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
+def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes]:
     env = {key: value for key, value in os.environ.items() if key != "MBL_CACHE_DIR"}
     env["PYTHONPATH"] = str(src)
-    done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
-                          capture_output=True)
+    try:
+        done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
+                              capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, b"", b"timed out"  # unequal to every finished run
     return done.returncode, done.stdout, done.stderr
 
 

@@ -294,8 +294,8 @@ def _plain_parse(argv) -> dict | None:
 def main(argv=None) -> int:
     if argv is None:  # the process itself: `python -m mbl.cli` or `mbl`
         import gc  # imported here: only the process itself needs it
-        # the objects loaded so far live until exit: keep every collection,
-        # the one at exit included, from walking them again
+        # the objects loaded so far live until exit, and `run` ends in
+        # os._exit: keep every collection from walking them again
         gc.freeze()
         # exact integers at any length: mbl parses only its user's own input
         if hasattr(sys, "set_int_max_str_digits"):

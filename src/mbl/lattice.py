@@ -14,7 +14,6 @@ to print; `from_json` clears the denominators of the file it parses.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from functools import cache, cached_property, partial
 from fractions import Fraction
@@ -73,8 +72,10 @@ class LatticePolygon(_Record):
 
 def _exact(value) -> Fraction:
     if not isinstance(value, bool) and isinstance(value, (int, str)):
-        with contextlib.suppress(ValueError, ZeroDivisionError):  # "x", "1/0"
+        try:
             return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # "x", "1/0"
+            pass
     raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
 
 

@@ -6,12 +6,14 @@ equation into a quadratic in the third, so each triple has three neighbours
 degenerate at its first two levels (where a triple repeats, it is kept once).
 `ancestors` goes back to the root along the mutation lowering the maximum;
 the `verify` markov suite (`mbl.suites`) holds all three and checks them.
+`_check` is the one test of a triple: `MarkovTriple` runs it on
+construction, and the walk on each triple it hands out.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import VerificationError, _Record
 
@@ -24,10 +26,7 @@ class MarkovTriple(_Record):
     c: int
 
     def __post_init__(self):
-        if not (self.a >= self.b >= self.c >= 1):
-            raise ValueError(f"triple must be sorted and positive: {self}")
-        if not is_markov(self.a, self.b, self.c):
-            raise ValueError(f"{self} does not solve the Markov equation")
+        _check(self.a, self.b, self.c)
 
     @classmethod
     def from_values(cls, x: int, y: int, z: int) -> "MarkovTriple":
@@ -48,11 +47,12 @@ class MarkovTriple(_Record):
         return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
 
 
-def is_markov(a: int, b: int, c: int) -> bool:
-    """Whether (a, b, c) solves the Markov equation.  Entries must be >= 1."""
-    if a < 1 or b < 1 or c < 1:
-        raise ValueError(f"entries must be positive, got ({a},{b},{c})")
-    return a * a + b * b + c * c == 3 * a * b * c
+def _check(a: int, b: int, c: int) -> None:
+    """Raise ValueError unless a >= b >= c >= 1 and a^2 + b^2 + c^2 = 3abc."""
+    if not a >= b >= c >= 1:
+        raise ValueError(f"triple must be sorted and positive: ({a},{b},{c})")
+    if a * a + b * b + c * c != 3 * a * b * c:
+        raise ValueError(f"({a},{b},{c}) does not solve the Markov equation")
 
 
 def ancestors(t) -> list[tuple[int, int, int]]:
@@ -81,7 +81,8 @@ class MarkovWalk:
     walk only appends, so what it returns depends only on how far it has
     been extended; it returns tuples, never its own lists.  A maximal entry
     shared by two triples raises VerificationError once it is reached.
-    Apexes are sorted int triples (a, b, c), handed out as they are.
+    Apexes are sorted int triples (a, b, c), each passing `_check` as it
+    leaves the heap, and are handed out as they are.
     """
 
     def __init__(self):
@@ -91,8 +92,6 @@ class MarkovWalk:
         self._apexes: list[tuple[int, int, int]] = []
 
     def _step(self) -> None:
-        # the checks of MarkovTriple, on ints: the top is sorted, positive and
-        # on the equation, and so is each child it pushes
         heap = self._heap
         top = heap[0]
         a, b, c = top
@@ -102,14 +101,12 @@ class MarkovWalk:
         if len(heap) > 1 and min(heap[1:3])[0] == a:
             raise VerificationError("({},{},{}) and ({},{},{}) share their maximum"
                                     .format(*top, *min(heap[1:3])))
-        if not a >= b >= c >= 1:
-            raise ValueError("triple must be sorted and positive: ({},{},{})".format(*top))
+        # the triple handed out is checked; each child it queues is checked
+        # in turn when it leaves the heap
+        _check(a, b, c)
         # the children (a, 3ac - b, c) and (a, b, 3ab - c), sorted; they
         # coincide exactly when b == c, at (1,1,1) and (2,1,1)
         left, right = (3 * a * c - b, a, c), (3 * a * b - c, a, b)
-        for x, y, z in (top, left, right):
-            if x * x + y * y + z * z != 3 * x * y * z:
-                raise ValueError(f"({x},{y},{z}) does not solve the Markov equation")
         self._numbers.append(a)
         self._apexes.append(top)
         heapq.heapreplace(heap, left)  # pops the top

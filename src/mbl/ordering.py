@@ -17,7 +17,9 @@ Every decision is an exact comparison of deficits.  A capacity is
 
     delta = 1/b^2 + 1/c^2    for the capacity bc/a of a triple (a, b, c),
     delta = 1/m^2            for the limit of sequence m,
-    delta = (3T - 1)/T^2     for a threshold T > 1/3.
+    delta = (3T - 1)/T^2     for a threshold 1/3 < T <= 2/3, peaking at 9/4,
+    delta = 9/4              for T > 2/3: no capacity but the width 1 of
+                             (1,1,1) reaches 2/3, as no deficit reaches 9/4.
 
 Capacities and deficits are (num, den) integer pairs, `_deficit` builds the
 deficits, and `_exceeds` decides every comparison between two of them, save
@@ -286,7 +288,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     3. sequences beyond n_max contribute nothing: their leading capacity is
        checked exactly to stay below the threshold until the index where
        m_n^2 >= 2 T^2/(3T - 1), beyond which even b = m cannot lift the
-       leading capacity to T (and m_n is increasing).
+       leading capacity to T (and m_n is increasing).  Above T = 2/3 that
+       index is n_max + 1: no capacity beyond n_max exceeds 1/2.
     """
     threshold = _fraction(threshold)
     num, den = threshold.numerator, threshold.denominator
@@ -296,7 +299,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
             "capacities, so no finite description exists at or below it"
         )
     failures: list[str] = []
-    bar = ((3 * num - den) * den, num * num)  # (3T - 1)/T^2 for T = N/D
+    above = 3 * num > 2 * den  # T > 2/3
+    bar = (9, 4) if above else ((3 * num - den) * den, num * num)  # (3T - 1)/T^2, T = N/D
 
     try:
         records = find_irregularities(n_max)
@@ -347,6 +351,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
             "front of the lowest spanned sequence",
             "within-sequence strict descent above the limit verified exactly at "
             "every depth of every sequence, from the four descent integers of its apex",
+            f"tail exclusion: T > 2/3, and every capacity but the width 1 of (1,1,1) "
+            f"(sequence 1) is at most 1/2: no sequence from index {end} on reaches T" if above else
             f"tail exclusion: leading capacities checked exactly for "
             f"n_max < n < {end}; from index {end} on, "
             f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",

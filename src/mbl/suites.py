@@ -30,7 +30,7 @@ from .lattice import (
     lattice_width,
     vianna_triangle,
 )
-from .markov import MarkovTriple, enumerate_triples, recurrence_prefix
+from .markov import MarkovTriple, enumerate_triples, markov_prefix, recurrence_prefix
 from .ordering import (
     alternating_order,
     descent_integers,
@@ -71,18 +71,6 @@ def fibonacci(n: int) -> int:
 def pell(n: int) -> int:
     """P_n with P_0 = 0, P_1 = 1, P_{n+1} = 2 P_n + P_{n-1}."""
     return recurrence_prefix(2, n)[n]
-
-
-def uniqueness_check(max_bound: int) -> bool:
-    """Whether no two triples with max <= max_bound share a maximal entry.
-
-    The walk raises VerificationError on reaching a shared maximum.
-    """
-    try:
-        enumerate_triples(max_bound)
-    except VerificationError:
-        return False
-    return True
 
 
 def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:
@@ -282,7 +270,12 @@ def _suite_markov(config: SimpleNamespace):
     brute = brute_force_triples(small)
     walked = [tuple(t) for t in enumerate_triples(small)]
     yield "brute-force-equivalence", brute == walked, f"bound {small}"
-    yield "uniqueness", uniqueness_check(config.max_bound), f"bound {config.max_bound}"
+    unique = True
+    try:  # the walk refuses a shared maximum once it reaches it
+        markov_prefix(1, lambda m: m >= config.max_bound)
+    except VerificationError:
+        unique = False
+    yield "uniqueness", unique, f"bound {config.max_bound}"
 
 
 def _suite_capacity(config: SimpleNamespace):

@@ -352,13 +352,12 @@ def test_import_leaves_the_network_stack_unloaded():
 # start loads a subset of these.
 _IMPORT_CLOSURE = frozenset("""
     __future__ _bisect _collections _collections_abc _decimal _functools _heapq
-    _json _operator _sre _stat _typing bisect collections collections.abc
-    contextlib copyreg decimal enum fractions functools genericpath heapq
-    importlib importlib._bootstrap importlib._bootstrap_external itertools
-    keyword math mbl mbl.capacity mbl.cli mbl.errors mbl.lattice mbl.markov
-    mbl.oeis mbl.ordering mbl.report numbers operator os os.path posixpath re
-    re._casefix re._compiler re._constants re._parser reprlib stat types typing
-    typing.io typing.re warnings
+    _json _operator _sre _stat bisect collections collections.abc copyreg
+    decimal enum fractions functools genericpath heapq importlib
+    importlib._bootstrap importlib._bootstrap_external itertools keyword math
+    mbl mbl.capacity mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis
+    mbl.ordering mbl.report numbers operator os os.path posixpath re re._casefix
+    re._compiler re._constants re._parser reprlib stat types warnings
 """.split())
 
 
@@ -383,6 +382,20 @@ def test_import_loads_no_unused_machinery():
             "mbl.oeis"} <= loaded
     if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer quotes with _json
         assert loaded <= _IMPORT_CLOSURE
+
+
+def test_import_without_site_loads_neither_typing_nor_contextlib():
+    # site may preload both, so only python -S shows what mbl.cli itself loads
+    probe = ("import sys; before = set(sys.modules); import mbl.cli\n"
+             "print(*sorted(set(sys.modules) - before))\n"
+             "print(sorted({'typing', 'contextlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    loaded, unused = result.stdout.splitlines()
+    assert unused == "[]"
+    if sys.version_info[:2] == (3, 11):
+        assert set(loaded.split()) <= _IMPORT_CLOSURE
 
 
 def test_package_data_loads_neither_importlib_resources_nor_pathlib():
@@ -668,6 +681,18 @@ def _process(*argv, unbuffered=False, stdout=subprocess.PIPE, **popen):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, **popen)
+
+
+@pytest.mark.parametrize("threshold", ["10", "1e100", "1e99999"])
+def test_complete_above_two_thirds_certifies_at_n_max(threshold):
+    # the tail ends at n_max + 1 however large the threshold: no capacity
+    # beyond n_max reaches 2/3, so no walk runs on toward 2T^2/(3T - 1)
+    done = _process("complete", "--threshold", threshold, "--n-max", "10", "--format", "json",
+                    timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(done.stdout)
+    assert (report["certified"], report["active_sequences"], report["tail_exact"],
+            report["tail_bound_index"], report["tail_bound_m"]) == (True, 0, [], 11, "433")
 
 
 @pytest.mark.parametrize("command, code", [("limits --n 3", 0),

@@ -16,7 +16,6 @@ from mbl.markov import (
     MarkovWalk,
     ancestors,
     enumerate_triples,
-    is_markov,
     is_markov_number,
     markov_numbers,
     markov_prefix,
@@ -28,7 +27,6 @@ from mbl.suites import (
     fibonacci,
     mutate,
     pell,
-    uniqueness_check,
 )
 
 from support import apex_of_number, essential_subtree, vieta_neighbours
@@ -41,23 +39,32 @@ def triples_up_to(bound):
 
 
 class TestIsMarkov:
+    """Whether a triple is Markov, as construction decides it."""
+
     def test_root(self):
-        assert is_markov(1, 1, 1)
+        assert tuple(T(1, 1, 1)) == (1, 1, 1)
 
     def test_tree_member(self):
-        assert is_markov(433, 29, 5)
+        assert tuple(T(433, 29, 5)) == (433, 29, 5)
 
     def test_non_solution(self):
-        assert not is_markov(3, 1, 1)  # 9+1+1 = 11 != 9
+        with pytest.raises(ValueError, match=re.escape("(3,1,1) does not solve")):
+            T(3, 1, 1)  # 9+1+1 = 11 != 9
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (-2, 1, 1)])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            is_markov(*bad)
+        with pytest.raises(ValueError, match="triple must be sorted and positive"):
+            T.from_values(*bad)
 
     @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
     def test_matches_direct_equation(self, a, b, c):
-        assert is_markov(a, b, c) == (a * a + b * b + c * c == 3 * a * b * c)
+        try:
+            T.from_values(a, b, c)
+        except ValueError:
+            built = False
+        else:
+            built = True
+        assert built == (a * a + b * b + c * c == 3 * a * b * c)
 
 
 class TestTriple:
@@ -114,10 +121,11 @@ class TestEnumerate:
     def test_eleven_triples_up_to_433(self):
         assert len(triples_up_to(433)) == 11
 
-    def test_bound_zero_rejected(self):
-        for call in (enumerate_triples, uniqueness_check):
-            with pytest.raises(ValueError):
-                call(0)
+    def test_bound_zero_rejected(self, capsys):
+        with pytest.raises(ValueError):
+            enumerate_triples(0)
+        assert main(["verify", "--suite", "markov", "--max-bound", "0"]) == 2
+        assert capsys.readouterr().err == "mbl: --max-bound must be >= 1\n"
 
     def test_deterministic_order(self):
         keys = [tuple(t) for t in triples_up_to(3000)]
@@ -276,6 +284,14 @@ class TestMarkovWalk:
         with pytest.raises(ValueError):
             markov_prefix(0)
 
+    def test_each_triple_handed_out_is_checked_once(self, monkeypatch):
+        # the children a step queues are checked when they leave the heap
+        calls = []
+        check = mbl.markov._check
+        monkeypatch.setattr(mbl.markov, "_check", lambda *t: calls.append(t) or check(*t))
+        _, apexes = MarkovWalk().prefix(850)
+        assert calls == list(apexes)
+
 
 def apex_on_path(p, t):  # the first ancestor of t with maximum p, as `subtree` reads it
     return next(x for x in ancestors(t) if x[0] == p)
@@ -387,23 +403,42 @@ class TestRecurrences:
         assert pell(n + 2) == 2 * pell(n + 1) + pell(n)
 
 
+def _uniqueness(capsys, bound):
+    # the uniqueness check of `verify --suite markov --max-bound bound`
+    main(["verify", "--suite", "markov", "--max-bound", str(bound), "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["suites"]["markov"]["checks"]
+    return next(check for check in checks if check["name"] == "uniqueness")
+
+
 class TestUniqueness:
-    def test_small(self):
-        assert uniqueness_check(1)
-        assert uniqueness_check(433)
+    def test_small(self, capsys):
+        for bound in (1, 433):
+            assert _uniqueness(capsys, bound) == {
+                "name": "uniqueness", "passed": True, "witness": f"bound {bound}"}
 
-    def test_medium(self):
-        assert uniqueness_check(10 ** 6)
+    def test_medium(self, capsys):
+        assert _uniqueness(capsys, 10 ** 6)["passed"] is True
 
-    def test_shared_maximum_detected(self, monkeypatch):
+    def test_shared_maximum_detected(self, capsys, monkeypatch):
         walk = MarkovWalk()
         walk._heap.append((5, 2, 1))  # a second triple with maximum 5
-        monkeypatch.setattr(mbl.markov, "markov_prefix", walk.prefix)  # the walk it reads
-        assert uniqueness_check(2)
-        assert not uniqueness_check(5)
+        monkeypatch.setattr(mbl.suites, "markov_prefix", walk.prefix)  # the walk it reads
+        assert _uniqueness(capsys, 2)["passed"] is True
+        assert _uniqueness(capsys, 5) == {
+            "name": "uniqueness", "passed": False, "witness": "bound 5"}
         with pytest.raises(VerificationError,
                            match=re.escape("(5,2,1) and (5,2,1) share their maximum")):
             walk.prefix(3)
+
+    def test_one_run_enumerates_twice(self, capsys, monkeypatch):
+        # the closure checks and the brute-force comparison enumerate; the
+        # uniqueness check reads the walk itself
+        calls = []
+        monkeypatch.setattr(mbl.suites, "enumerate_triples",
+                            lambda bound: calls.append(bound) or enumerate_triples(bound))
+        assert main(["verify", "--suite", "markov"]) == 0
+        assert "PASS  markov:uniqueness" in capsys.readouterr().out
+        assert calls == [10_000, 600]
 
 
 @settings(max_examples=30, deadline=None)

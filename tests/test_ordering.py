@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import mbl.ordering
 from mbl.capacity import QuadraticValue, width
 from mbl.errors import VerificationError
 from mbl.markov import (
     MarkovTriple,
+    MarkovWalk,
     chains,
     enumerate_triples,
-    is_markov,
     markov_prefix,
 )
 from mbl.ordering import (
@@ -103,7 +104,7 @@ class TestChains:
             # from x_1 on every chain value exceeds 13, the minimal entry of each node
             assert all(x > 13 for x in xs[1:])
             for low, high in zip(xs, xs[1:]):
-                assert high > low and is_markov(high, low, 13)
+                assert high > low and high ** 2 + low ** 2 + 13 ** 2 == 3 * high * low * 13
 
     def test_interleaving(self):
         # the helper's b > c and 3ac > 2b give L_i < R_i < L_{i+1}
@@ -501,6 +502,19 @@ class TestCompleteness:
         assert data["conditions"][2] == (
             "within-sequence strict descent above the limit verified exactly at "
             "every depth of every sequence, from the four descent integers of its apex")
+
+    @pytest.mark.parametrize("threshold", [Fraction(2, 3), 1, 10, 10 ** 100],
+                             ids=["2/3", "1", "10", "1e100"])
+    def test_nothing_is_active_from_two_thirds_on(self, monkeypatch, threshold):
+        # no capacity but the width 1 of (1,1,1) reaches 2/3: no sequence is
+        # active and no tail check runs; at n_max 10 the scan window also ends
+        # at m_11 = 433, so the walk stops there
+        walk = MarkovWalk()
+        monkeypatch.setattr(mbl.ordering, "markov_prefix", walk.prefix)
+        report = ordered_prefix_complete_above(threshold, 10)
+        assert (report["certified"], report["active_sequences"], report["tail_exact"],
+                report["tail_bound_index"], report["failures"]) == (True, 0, [], 11, [])
+        assert len(walk._numbers) == 11
 
     def test_threshold_at_one_third_rejected(self):
         with pytest.raises(ValueError):
