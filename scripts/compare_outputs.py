@@ -50,13 +50,19 @@ if hasattr(sys, "set_int_max_str_digits"):
 #: conversion limit of 4,300 that Python 3.11 sets by default.
 LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
 #: The polygon files `width --polygon` reads: a unimodular image of a base
-#: triangle, unreduced fractions mixed with ints, a triangle of base 2^61 and
-#: height 1, and the five refusals of a polygon file (clockwise, collinear,
-#: one vertex written twice as 1/2 and 2/4, a float and a bool coordinate).
+#: triangle, unreduced fractions mixed with ints, triangles of height 1 and
+#: base 2^61 or 10^999, the image of a thin triangle under (x, y) ->
+#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and the five
+#: refusals of a polygon file (clockwise, collinear, one vertex written
+#: twice as 1/2 and 2/4, a float and a bool coordinate).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
     "thin.json": [[0, 0], [2 ** 61, 0], [0, 1]],
+    "thin999.json": [[0, 0], [10 ** 999, 0], [0, 1]],
+    "thin_image.json": [[0, 0], [5 * 10 ** 40, 3 * 10 ** 40], [3, 2]],
+    "hexagon.json": [[0, 0], ["7/2", "19/6"], [6, "15/2"], ["11/2", "19/2"], [2, "13/2"],
+                     ["-3/4", "7/4"]],
     "clockwise.json": [[0, 0], [0, 1], [1, 0]],
     "collinear.json": [[0, 0], ["1/3", "1/6"], ["2/3", "1/3"]],
     "duplicate.json": [["0", "0"], ["1/2", "0"], ["2/4", "0"], ["0", "1"]],

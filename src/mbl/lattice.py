@@ -14,6 +14,7 @@ to print; `from_json` clears the denominators of the file it parses.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cache, cached_property, partial
 from fractions import Fraction
@@ -43,9 +44,9 @@ class LatticePolygon(_Record):
             raise ValueError("a polygon needs at least 3 vertices")
         if len(set(scaled)) != n:
             raise ValueError("duplicate vertices")
-        for (ox, oy), (px, py), (qx, qy) in zip(scaled, scaled[1:] + scaled[:1],
-                                                scaled[2:] + scaled[:2]):
-            if (px - ox) * (qy - oy) - (qx - ox) * (py - oy) <= 0:
+        edges = _edge_vectors(scaled)
+        for (ax, ay), (bx, by) in zip(edges, edges[1:] + edges[:1]):
+            if ax * by - ay * bx <= 0:
                 raise ValueError(
                     "vertices must be strictly convex counterclockwise"
                 )
@@ -68,6 +69,11 @@ class LatticePolygon(_Record):
         den = math.lcm(*(c.denominator for c in coords))
         ints = [c.numerator * (den // c.denominator) for c in coords]
         return cls(den, list(zip(ints[::2], ints[1::2])))
+
+
+def _edge_vectors(points) -> list[tuple[int, int]]:
+    """q - p for each edge p -> q of the closed polygon through `points`."""
+    return [(qx - px, qy - py) for (px, py), (qx, qy) in zip(points, points[1:] + points[:1])]
 
 
 def _exact(value) -> Fraction:
@@ -99,9 +105,12 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Fraction, tuple[int, int]]:
     Generalized Gauss reduction (Kaib and Schnorr, J. Algorithms 21, 1996)
     starts from (1,0), (0,1), replaces b2 by b2 - mu*b1 for the mu that
     minimizes F(b2 - mu*b1), and swaps while F(b2) < F(b1), each swap
-    lowering F(b1) in Z.  F(b2 - mu*b1) is convex in mu and at least
-    |mu|F(b1) - F(b2), so bisection on the ints |mu| <= 2F(b2)/F(b1) finds
-    mu.  At the end F(b1) <= F(b2) <= F(b2 + k*b1) for all integers k.
+    lowering F(b1) in Z.  In real mu, F(b2 - mu*b1) is convex and piecewise
+    linear, bending only at mu_e = <e, b2>/<e, b1> for the edges e, so its
+    least integer minimizer is floor(mu_e) or floor(mu_e) + 1 for some e
+    (ceil(L), else floor(L) or ceil(R), for the real minimizers [L, R]).  F
+    falls strictly along these sorted candidates up to it and never after,
+    so one bisection finds mu; then F(b1) <= F(b2) <= F(b2 + k*b1), k in Z.
 
     Let lam = F(b1) and v = x*b1 + y*b2.  For |y| >= 2 and k nearest x/y,
     v = y(b2 + k*b1) + (x - k*y)b1 gives lam <= F(b2 + k*b1) <= F(v)/|y| +
@@ -114,20 +123,14 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Fraction, tuple[int, int]]:
     """
 
     norm = cache(partial(width_along, polygon))  # each direction is measured once
+    edges = _edge_vectors(polygon.scaled[1])
 
-    def reduce(b1, b2):  # b2 - mu*b1 at the least mu where F stops falling
-        def minus(mu: int) -> tuple[int, int]:
-            return b2[0] - mu * b1[0], b2[1] - mu * b1[1]
-
-        hi = 2 * norm(b2) // norm(b1)
-        lo = -hi
-        while lo < hi:
-            mu = (lo + hi) // 2
-            if norm(minus(mu + 1)) < norm(minus(mu)):
-                lo = mu + 1
-            else:
-                hi = mu
-        return minus(lo)
+    def reduce(b1, b2):  # b2 - mu*b1 at the least mu that minimizes F(b2 - mu*b1)
+        mus = sorted({(ex * b2[0] + ey * b2[1]) // d + k for ex, ey in edges
+                      if (d := ex * b1[0] + ey * b1[1]) for k in (0, 1)})
+        vs = [(b2[0] - mu * b1[0], b2[1] - mu * b1[1]) for mu in mus]
+        return vs[bisect.bisect_left(range(len(vs) - 1), True,
+                                     key=lambda i: norm(vs[i + 1]) >= norm(vs[i]))]
 
     b1, b2 = (1, 0), reduce((1, 0), (0, 1))
     while norm(b2) < norm(b1):
@@ -174,12 +177,8 @@ class ViannaTriangle(_Record):
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """(dx, dy, g) per edge: the primitive direction and g = D times the
         affine length, from the integer form."""
-        pts = self.polygon.scaled[1]
-        out = []
-        for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
-            g = math.gcd(qx - px, qy - py)
-            out.append(((qx - px) // g, (qy - py) // g, g))
-        return tuple(out)
+        return tuple((dx // g, dy // g, g) for dx, dy in _edge_vectors(self.polygon.scaled[1])
+                     for g in [math.gcd(dx, dy)])
 
 
 def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:

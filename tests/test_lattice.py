@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import mbl.lattice
 from mbl.capacity import width
 from mbl.lattice import (
     LatticePolygon,
@@ -65,6 +66,22 @@ def edge_lengths(tri: ViannaTriangle) -> list[Fraction]:
     """The affine edge lengths of a base triangle, from its integer form."""
     den = tri.polygon.scaled[0]
     return [Fraction(g, den) for *_, g in tri.edges]
+
+
+def _convex_hull(points) -> list[tuple[int, int]]:
+    """The vertices of the convex hull, counterclockwise, none collinear
+    (Andrew's monotone chain)."""
+    points = sorted(set(points))
+    chains = []
+    for sweep in (points, points[::-1]):
+        chain = []
+        for x, y in sweep:
+            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                                       - (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])) <= 0:
+                chain.pop()
+            chain.append((x, y))
+        chains += chain[:-1]
+    return chains
 
 
 def _swapped_polygon(triple, polygon):
@@ -203,9 +220,21 @@ class TestLatticeWidth:
             assert lattice_width(polygon) == (width(t), (0, 1))
 
     def test_thin_triangles(self):
-        # the bisection bound 2F(b2)/F(b1) is 2w here, past a C ssize_t for w = 2^61
+        # the second reduction step takes mu = -w, an int past a C ssize_t for w = 2^61
         for w in (2 ** 61, 10 ** 400):
             assert lattice_width(LatticePolygon(1, [(0, 0), (w, 0), (0, 1)])) == (Fraction(1), (0, 1))
+
+    def test_thin_triangles_measure_a_bounded_number_of_directions(self, monkeypatch):
+        # each Gauss step measures a few breakpoints of the three edges, however
+        # long the base: two steps and the eight final candidates measure 11
+        calls = []
+        monkeypatch.setattr(mbl.lattice, "width_along",
+                            lambda polygon, xi: calls.append(xi) or width_along(polygon, xi))
+        for k in (999, 99_999):
+            calls.clear()
+            thin = LatticePolygon(1, [(0, 0), (10 ** k, 0), (0, 1)])
+            assert lattice_width(thin) == (Fraction(1), (0, 1))
+            assert len(calls) <= 11
 
     def test_ties_go_to_the_least_direction(self):
         assert lattice_width(FOUR_PAIRS) == (1, (0, 1))
@@ -223,6 +252,12 @@ class TestLatticeWidth:
         ]
         rng = random.Random(4242)
         polygons += [random_unimodular(rng).apply(FOUR_PAIRS) for _ in range(12)]
+        while len(polygons) < 50:  # convex hulls of 5-12 vertices, sheared
+            shear = rng.randint(-3, 3)
+            hull = _convex_hull([(x + shear * y, y) for x, y in (
+                (rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(8, 40)))])
+            if 5 <= len(hull) <= 12:
+                polygons.append(LatticePolygon(rng.randint(1, 4), hull))
         for polygon in polygons:
             assert lattice_width(polygon) == pruned_lattice_width(polygon)
 

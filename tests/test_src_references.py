@@ -7,7 +7,10 @@ as an attribute of that name somewhere in `src/` outside its own body.  Code
 that only the tests call is cost in `src/`: an oracle of that kind belongs
 in `tests/support.py`.  Dunder methods are out of scope: an operator use
 is not a name read.  What every process loads (`import mbl.cli`) holds only
-what some module of that set reads, and no module imports `mbl.cli`.
+what some module of that set reads, and no module imports `mbl.cli`.  No
+float can enter a decision: `src/` holds no float or complex literal, no
+`float()`, `round()` or `complex()` call, no `math` name but `gcd`, `lcm`
+and `isqrt`, and no true division outside the SVG layout.
 """
 
 import ast
@@ -134,3 +137,36 @@ def test_no_module_reads_the_environment():
             and any(alias.name in names for alias in node.names))
     ]
     assert reads == []
+
+
+EXACT_MATH = {"gcd", "lcm", "isqrt"}
+
+
+def _inexact_sites(stem: str, module: ast.Module) -> list[str]:
+    """Where a float could enter: a float or complex literal, a call that
+    makes or rounds one, a `math` name that computes one, and a true
+    division outside `svg` (whose `/` lays out Fractions)."""
+    return [
+        f"{stem}:{node.lineno}" for node in ast.walk(module)
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"float", "round", "complex"})
+        or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr not in EXACT_MATH)
+        or (isinstance(node, ast.ImportFrom) and node.module == "math"
+            and any(alias.name not in EXACT_MATH for alias in node.names))
+        or (stem != "svg" and isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div))
+    ]
+
+
+def test_no_float_enters_src():
+    assert [site for stem, module in _modules() for site in _inexact_sites(stem, module)] == []
+
+
+def test_each_way_in_for_a_float_is_found():
+    probes = ["x = 0.5", "x = 2j", "float(x)", "round(x)", "complex(x)", "math.sqrt(x)",
+              "math.pi", "from math import log", "x = y / 2", "x /= 2"]
+    assert all(_inexact_sites("lattice", ast.parse(probe)) for probe in probes)
+    assert _inexact_sites("svg", ast.parse("x = y / 2\nx /= 2")) == []
+    assert _inexact_sites("lattice", ast.parse("math.gcd(x, math.lcm(y, math.isqrt(z)))")) == []
