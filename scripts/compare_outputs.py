@@ -142,6 +142,12 @@ FIXED = [
     ("subtree", "--triple", "194,13,5", "--preserve", "1", "--depth", "4", "--format", "json"),
     ("subtree", "--triple", "2,1,1", "--preserve", "1", "--depth", "3", "--format", "csv"),
     ("subtree", "--triple", "5,2,1", "--preserve", "7"),
+    # the wedge's levels: a two-chain apex alone at depth 0, one chain to depth 6;
+    # a b-file too short for n, its refusal naming the file
+    ("plot", "--figure", "order5", "--triple", "29,5,2", "--depth", "0"),
+    ("plot", "--figure", "order5", "--triple", "1,1,1", "--depth", "6"),
+    ("subtree", "--triple", "29,5,2", "--depth", "0", "--format", "json"),
+    ("ingest", "--kind", "fibonacci", "--n", "30", "--bfile", "doctored.txt"),
     # thresholds from 2/3 on, which no capacity beyond n_max reaches; the
     # uniqueness check read off the walk up to 10^9
     *(("complete", "--threshold", t, "--n-max", "10", "--format", fmt)

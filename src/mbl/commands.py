@@ -62,9 +62,8 @@ def cmd_subtree(config: SimpleNamespace) -> int:
     path = [t for t in ancestors(config.triple) if t[0] <= preserved]
     apex, top = MarkovTriple(*path[0]), len(path) - 1
     _at_least(config, 0, "--depth")
-    nodes = wedge(apex, config.depth)
-    k = 1 if len(nodes) == config.depth + 1 else 2  # chains; node j is (j + k - 1)//k levels down
-    records = [(top + (j + k - 1) // k, t, width(t)) for j, t in enumerate(nodes)]
+    records = [(top + i, t, width(t))
+               for i, level in enumerate(wedge(apex, config.depth)) for t in level]
     payload = {
         "command": "subtree",
         "preserved": str(apex.a),
@@ -161,20 +160,19 @@ def cmd_ingest(config: SimpleNamespace) -> int:
         raise ValueError("--bfile holds one sequence; name it with --kind")
     _at_least(config, 1, "--n")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
-    checks = []
-    for kind in kinds:
-        bfile = oeis.load_bfile(kind, config.bfile)
-        checks.append((kind, bfile, oeis.cross_check(kind, config.n, bfile)))
-    status = EXIT_OK if all(mismatch is None for *_, mismatch in checks) else EXIT_VERIFICATION
+    source = "vendored" if config.bfile is None else str(config.bfile)
+    checks = [(kind, oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile),
+                                      source)) for kind in kinds]
+    status = EXIT_OK if all(mismatch is None for _, mismatch in checks) else EXIT_VERIFICATION
     return _emit_rows(
         config, ["kind", "sequence", "n", "source", "status"], checks,
-        lambda kind, bfile, mismatch: [
-            kind, bfile.sequence_id, str(config.n), bfile.source,
+        lambda kind, mismatch: [
+            kind, oeis.SEQUENCE_IDS[kind], str(config.n), source,
             "ok" if mismatch is None else f"MISMATCH at {mismatch[0]}",
         ],
-        lambda kind, bfile, mismatch: {
-            "kind": kind, "sequence_id": bfile.sequence_id, "n": config.n,
-            "source": bfile.source, "ok": mismatch is None,
+        lambda kind, mismatch: {
+            "kind": kind, "sequence_id": oeis.SEQUENCE_IDS[kind], "n": config.n,
+            "source": source, "ok": mismatch is None,
             "first_mismatch": None if mismatch is None else {
                 "index": mismatch[0], "generated": str(mismatch[1]), "file": str(mismatch[2])},
         },

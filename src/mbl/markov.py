@@ -184,16 +184,18 @@ def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:
     return columns
 
 
-def wedge(apex: MarkovTriple, depth: int) -> list[MarkovTriple]:
-    """The bivalent subtree preserving the apex maximum, to the given depth.
+def wedge(apex: MarkovTriple, depth: int) -> list[tuple[MarkovTriple, ...]]:
+    """The levels of the bivalent subtree preserving the apex maximum, to the
+    given depth.
 
-    Level 0 is the apex; level i holds (x_i, x_{i-1}, a) for each branch of
-    `chains`, left before right, so the degenerate apexes give one triple per
-    level.  A level-i triple lies i levels below the apex in the tree.
+    Level 0 is (apex,); level i holds (x_i, x_{i-1}, a) for each branch of
+    `chains`, left before right: one triple below the degenerate apexes and
+    a (left, right) pair below every other.  A level-i triple lies i levels
+    below the apex in the tree.
     """
     columns = chains(apex, depth)
-    return [apex] + [MarkovTriple.from_values(xs[i], xs[i - 1], apex.a)
-                     for i in range(1, depth + 1) for xs in columns]
+    return [(apex,)] + [tuple(MarkovTriple.from_values(xs[i], xs[i - 1], apex.a)
+                              for xs in columns) for i in range(1, depth + 1)]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 
-from .errors import _Record
 from .markov import markov_numbers, recurrence_prefix
 
 SEQUENCE_IDS = {
@@ -32,13 +31,7 @@ _GENERATORS = {
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-class BFile(_Record):
-    sequence_id: str
-    entries: dict[int, int]
-    source: str
-
-
-def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
+def parse_bfile(data: bytes) -> dict[int, int]:
     """Parse b-file bytes (UTF-8) into an index -> value map; indices must
     strictly increase, and a malformed line reports its number."""
     entries: dict[int, int] = {}
@@ -60,7 +53,7 @@ def parse_bfile(data: bytes, sequence_id: str, source: str) -> BFile:
         last_index = index
     if not entries:
         raise ValueError("empty b-file")
-    return BFile(sequence_id, entries, source)
+    return entries
 
 
 def _read(path: str | os.PathLike) -> bytes:
@@ -88,30 +81,30 @@ def _vendored_bytes(kind: str) -> bytes:
     return blob
 
 
-def load_bfile(kind: str, path: str | os.PathLike | None = None) -> BFile:
-    """Load a b-file: the file at `path` if one is given, else the vendored copy."""
+def load_bfile(kind: str, path: str | os.PathLike | None = None) -> dict[int, int]:
+    """The index -> value map of a b-file: the file at `path` if one is
+    given, else the vendored copy."""
     if kind not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
-    seq = SEQUENCE_IDS[kind]
-    if path is None:
-        return parse_bfile(_vendored_bytes(kind), seq, "vendored")
-    return parse_bfile(_read(path), seq, str(path))
+    return parse_bfile(_vendored_bytes(kind) if path is None else _read(path))
 
 
-def cross_check(kind: str, n: int, bfile: BFile) -> tuple[int, int, int] | None:
+def cross_check(kind: str, n: int, entries: dict[int, int],
+                source: str) -> tuple[int, int, int] | None:
     """The first (index, generated, file) where the generated sequence prefix
-    and a loaded b-file's prefix differ, or None where they agree.
+    and a b-file's entries differ, or None where they agree.
 
     For "markov" the compared indices are 1..n; for the recurrences they are
-    the first n+1 file indices starting at 0.
+    the first n+1 file indices starting at 0.  `source` names the file in
+    the refusal of one too short for n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     first, generate = _GENERATORS[kind]
     # the index range first..n is checked before any value is generated
-    if any(i not in bfile.entries for i in range(first, n + 1)):
-        raise ValueError(f"b-file for {kind} ({bfile.source}) is shorter than n={n}")
+    if any(i not in entries for i in range(first, n + 1)):
+        raise ValueError(f"b-file for {kind} ({source}) is shorter than n={n}")
     for index, value in enumerate(generate(n), start=first):
-        if bfile.entries[index] != value:
-            return index, value, bfile.entries[index]
+        if entries[index] != value:
+            return index, value, entries[index]
     return None

@@ -175,8 +175,8 @@ def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
 def alternating_order(
     apex: MarkovTriple, depth: int
 ) -> list[tuple[MarkovTriple, Fraction]]:
-    """Apex, then left/right children by level, with capacities verified
-    strictly decreasing.
+    """The levels of `wedge`, flattened: the apex, then the left/right
+    children by level, with capacities verified strictly decreasing.
 
     This is the order of strictly decreasing capacities on the subtree
     preserving the apex maximum: go down left, right, down left, right, ...
@@ -184,7 +184,7 @@ def alternating_order(
     descent at every depth; the widths are only what the caller gets back.
     """
     descent_integers(apex)
-    return [(t, width(t)) for t in wedge(apex, depth)]
+    return [(t, width(t)) for level in wedge(apex, depth) for t in level]
 
 
 def _essential_capacities(apex, k: int) -> tuple[tuple[int, int], ...]:

@@ -74,18 +74,19 @@ def _document(width_px: int, height_px: int, body: list[str]) -> str:
 def figure_subtree(apex: MarkovTriple, depth: int) -> str:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
-    nodes = wedge(apex, depth)
-    k = 1 if len(nodes) == depth + 1 else 2  # one chain, or two side by side
-    offsets = (0,) if k == 1 else (-190, 190)
+    levels = wedge(apex, depth)
     width_px, level_h, top = 920, 90, 60
     mid_x = Fraction(width_px, 2)
-    positions = [(mid_x, Fraction(top))]
+    rows = [[(mid_x, Fraction(top))]]  # each level's positions, one chain or two side by side
     body = []
-    for i in range(len(nodes) - 1):  # node i + 1, below node max(i + 1 - k, 0)
-        positions.append((mid_x + offsets[i % k],
-                          Fraction(top + level_h * (i // k + 1))))
-        body.append(_line(*positions[max(i + 1 - k, 0)], *positions[i + 1],
-                          STYLE["edge_stroke"]))
+    for i, level in enumerate(levels[1:], start=1):
+        offsets = (0,) if len(level) == 1 else (-190, 190)
+        rows.append([(mid_x + dx, Fraction(top + level_h * i)) for dx in offsets])
+        for side, point in enumerate(rows[i]):  # from the apex, then from its own side
+            body.append(_line(*rows[i - 1][side if i > 1 else 0], *point,
+                              STYLE["edge_stroke"]))
+    positions = [p for row in rows for p in row]
+    nodes = [t for level in levels for t in level]
     for i in range(len(nodes) - 1):
         (x1, y1), (x2, y2) = positions[i], positions[i + 1]
         body.append(

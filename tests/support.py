@@ -7,12 +7,13 @@ a basis and takes its spreads over the Fraction vertices instead of the
 polygon's integer form, unimodular images are mapped vertex by vertex on Fractions,
 the juxtaposition inequality is decided on Fractions rather than on
 cross-multiplied integers over every pair of a plain double loop rather than
-by bisection, the essential subtrees are filtered from
-validated wedge triples rather than read off the raw chains, the global
-order of the capacities is read off a plain sort of every triple below a
-bound, reached by Vieta jumps written here (`vieta_neighbours` gives
-all three, so depths in the tree are breadth-first distances rather than
-climbs back along the parent rule), the descent below an apex
+by bisection, the essential subtrees are filtered from levels reached by
+Vieta jumps written here (`vieta_levels`) rather than read off `wedge` or
+the raw chains, the global order of the capacities is read off a plain
+sort of every triple below a bound, reached by Vieta jumps written here
+(`vieta_neighbours` gives all three, so depths in the tree are
+breadth-first distances rather than climbs back along the parent rule),
+the descent below an apex
 is read off Fraction widths of nodes reached by mutations written here
 rather than off the chain constants, and a base triangle is built from
 its Fraction vertices, with affine lengths as rational gcds, its central
@@ -34,7 +35,7 @@ import mpmath
 
 from mbl.capacity import QuadraticValue, closed_forms
 from mbl.lattice import LatticePolygon, _inner_normals
-from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix, wedge
+from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix
 
 
 def quadratic_interval(a: int, b: int, r: int, d: int = 1, digits: int = 200):
@@ -275,7 +276,8 @@ def apex_of_number(p: int) -> MarkovTriple:
 
 
 def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
-    """The first `depth` levels of subtree nodes whose minimal entry is p.
+    """The nodes with minimal entry p in the first `depth` levels of the
+    subtree preserving p that hold any, level by level from `vieta_levels`.
 
     For p = 1 this is the whole branch from (1,1,1); for p = 2 the branch
     from (29,5,2); for p >= 5 both branches from their second level on (two
@@ -283,9 +285,13 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    triples = wedge(apex_of_number(p), depth + 1)  # raises for non-Markov p
-    columns = (len(triples) - 1) // (depth + 1)
-    return [t for t in triples if t.c == p][: depth * columns]
+    apex = apex_of_number(p)  # raises for non-Markov p
+    found, levels = [], vieta_levels(apex)
+    while len(found) < depth:
+        kept = [MarkovTriple(*t) for t in next(levels) if t[2] == p]
+        if kept:
+            found.append(kept)
+    return [t for kept in found for t in kept]
 
 
 def vieta_neighbours(a: int, b: int, c: int) -> set[tuple[int, int, int]]:
@@ -349,21 +355,28 @@ def sorted_capacity_order(bound: int) -> tuple[dict[int, dict[int, int]], list[i
     return overtakes, moved
 
 
-def wedge_descends(apex, depth: int = 30) -> bool:
-    """Whether the widths Fraction(b*c, a) strictly decrease along the
-    subtree preserving the apex maximum a, to `depth` levels below the apex.
+def vieta_levels(apex):
+    """The levels of the subtree preserving the apex maximum a, as sorted
+    int triples: the apex, then each level below it, without end.
 
     The nodes are reached by the max-increasing mutations that keep a: the
     apex (a, b, c) has the children (3ac - b, a, c) and (3ab - c, a, b), one
     for the degenerate apexes, where they coincide; a node (x, y, z) holding
     a below its maximum x moves on to (3ax - o, x, a), o its entry other
-    than x and a.  The order is the apex, then level by level the node with
-    the smaller maximum first.
+    than x and a.  Each level lists the node with the smaller maximum first.
     """
     a, b, c = apex
+    yield [(a, b, c)]
     level = sorted({(3 * a * c - b, a, c), (3 * a * b - c, a, b)})
-    widths = [Fraction(b * c, a)]
-    for _ in range(depth):
-        widths += [Fraction(y * z, x) for x, y, z in level]
+    while True:
+        yield level
         level = [(3 * a * x - (y + z - a), x, a) for x, y, z in level]
+
+
+def wedge_descends(apex, depth: int = 30) -> bool:
+    """Whether the widths Fraction(b*c, a) strictly decrease along the
+    subtree preserving the apex maximum a, to `depth` levels below the
+    apex, in the order of `vieta_levels`: the apex, then level by level."""
+    levels = vieta_levels(apex)
+    widths = [Fraction(y * z, x) for _ in range(depth + 1) for x, y, z in next(levels)]
     return all(w > v for w, v in zip(widths, widths[1:]))

@@ -166,13 +166,12 @@ def test_criterion_08_surd_identity():
 
 def test_criterion_09_cross_checks():
     with _Timer(9, "sequence cross-checks and right-number identities", 10.0):
-        markov_bfile = load_bfile("markov")
-        assert cross_check("markov", 500, markov_bfile) is None
-        markov_entries = markov_bfile.entries
+        markov_entries = load_bfile("markov")
+        assert cross_check("markov", 500, markov_entries, "vendored") is None
         assert markov_numbers(500) == [markov_entries[i] for i in range(1, 501)]
         # identities against the ingested sequences, then the recurrences
-        fib_entries = load_bfile("fibonacci").entries
-        pell_entries = load_bfile("pell").entries
+        fib_entries = load_bfile("fibonacci")
+        pell_entries = load_bfile("pell")
         rows = spectrum_rows(34)
         assert rows[32].m == pell_entries[15] == pell(15)
         assert rows[33].m == fib_entries[27] == fibonacci(27)

@@ -1203,6 +1203,30 @@ class TestVerifyAndComplete:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d7f3b0c158c70a0677ba4e30b0bb0e494abd10acc5d23f9f4c9de3ca3d108ce")
 
+    def test_mutation_closure_failure_keeps_every_check(self, capsys, monkeypatch):
+        # a mutation failing below the root ends no check: monotonicity reads
+        # the children closure built, and the involution of (29,5,2), which
+        # needs the broken mutation to come back, fails on its own
+        real = mbl.suites.mutate
+
+        def broken(t, kind):
+            if t == MarkovTriple(5, 2, 1) and kind is MutationKind.ELIMINATE_MIN:
+                raise ValueError("mutation left the solution set")
+            return real(t, kind)
+
+        monkeypatch.setattr(mbl.suites, "mutate", broken)
+        code, out, _ = run(capsys, "verify", "--suite", "markov", "--max-bound", "30")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  markov:mutation-closure  [(5,2,1) ELIMINATE_MIN]",
+            "FAIL  markov:mutation-involution  [(29,5,2) ELIMINATE_MAX]",
+            "PASS  markov:mutation-monotonicity",
+            "PASS  markov:pairwise-coprimality",
+            "PASS  markov:brute-force-equivalence",
+            "PASS  markov:uniqueness",
+            "FAILURES above",
+        ]
+
     @pytest.mark.parametrize("suite, check, name, broken, witness", _BROKEN_CHECKS,
                              ids=[case[1] for case in _BROKEN_CHECKS])
     def test_each_check_can_fail(self, capsys, monkeypatch, suite, check, name,
@@ -1356,11 +1380,20 @@ class TestPlot:
         assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_single_chain_subtree_bytes_are_pinned(self, tmp_path):
-        out = tmp_path / "chain.svg"  # (2,1,1) is degenerate: one chain below it
-        assert main(["plot", "--figure", "order5", "--triple", "2,1,1",
-                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c43f3d5b5e5694ed319d664fb71b2bc2918305567cf0dbb33e7f9353f1eb314f")
+        # (2,1,1) and (1,1,1) are degenerate: one chain below each; the
+        # default (5,2,1) has two, and (29,5,2) at depth 0 only its apex
+        for flags, digest in [
+            (["--triple", "2,1,1"],
+             "c43f3d5b5e5694ed319d664fb71b2bc2918305567cf0dbb33e7f9353f1eb314f"),
+            ([], "bc0a0dd74cbe8c53d11f36903dda7666239962b2c75842871154ca3144de4605"),
+            (["--triple", "29,5,2", "--depth", "0"],
+             "c92f44ab9e96efe69b00182b238cf754ac84c5c672f29a25b83934569e8c9aff"),
+            (["--triple", "1,1,1", "--depth", "5"],
+             "8ada9fcd15cb915898aacd81f1b0b93713dcf8c614aa0cf5329d439c8f367d34"),
+        ]:
+            out = tmp_path / "chain.svg"
+            assert main(["plot", "--figure", "order5", *flags, "--out", str(out)]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
 
     def test_triangle_figure(self, tmp_path):
         out = tmp_path / "tri.svg"

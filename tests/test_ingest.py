@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,48 +12,53 @@ import mbl.cli
 import mbl.oeis
 from mbl.cli import main
 from mbl.markov import markov_numbers
-from mbl.oeis import SEQUENCE_IDS, BFile, cross_check, load_bfile, parse_bfile
+from mbl.oeis import SEQUENCE_IDS, cross_check, load_bfile, parse_bfile
 from mbl.suites import fibonacci, pell
 
 
 class TestParse:
     def test_basic(self):
-        bfile = parse_bfile(b"1 1\n2 2\n3 5\n", "A000045", "test")
-        assert bfile == BFile("A000045", {1: 1, 2: 2, 3: 5}, "test")
+        assert parse_bfile(b"1 1\n2 2\n3 5\n") == {1: 1, 2: 2, 3: 5}
 
     def test_comments_and_blanks(self):
-        assert parse_bfile(b"# comment\n\n1 1\n", "A000045", "test").entries == {1: 1}
+        assert parse_bfile(b"# comment\n\n1 1\n") == {1: 1}
 
     def test_malformed_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            parse_bfile(b"1 x\n", "A000045", "test")
+            parse_bfile(b"1 x\n")
 
     def test_extra_fields_rejected(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_bfile(b"1 1\n2 2 3\n", "A000045", "test")
+            parse_bfile(b"1 1\n2 2 3\n")
 
     def test_crlf_accepted(self):
-        assert parse_bfile(b"0 0\r\n1 1\r\n", "A000045", "test").entries == {0: 0, 1: 1}
+        assert parse_bfile(b"0 0\r\n1 1\r\n") == {0: 0, 1: 1}
 
     def test_indices_must_increase(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_bfile(b"5 1\n5 2\n", "A000045", "test")
+            parse_bfile(b"5 1\n5 2\n")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            parse_bfile(b"# nothing\n", "A000045", "test")
+            parse_bfile(b"# nothing\n")
 
     def test_deterministic(self):
-        args = (b"1 1\n2 2\n3 5\n", "A000045", "test")
-        assert parse_bfile(*args).entries == parse_bfile(*args).entries
+        data = b"1 1\n2 2\n3 5\n"
+        assert parse_bfile(data) == parse_bfile(data)
+
+
+def _vendored(kind: str) -> dict[int, int]:
+    # the map of the vendored b-file, read here without its checksum
+    data = Path(mbl.oeis.__file__).parent / "data"
+    return parse_bfile((data / f"b{SEQUENCE_IDS[kind][1:]}.txt").read_bytes())
 
 
 class TestVendored:
     def test_all_kinds_load(self):
         for kind in SEQUENCE_IDS:
-            bfile = load_bfile(kind)
-            assert bfile.source == "vendored"
-            assert len(bfile.entries) >= 1000
+            entries = load_bfile(kind)
+            assert entries == _vendored(kind)
+            assert len(entries) >= 1000
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -76,7 +82,7 @@ class TestVendored:
             with pytest.raises(OSError, match="b002559.txt fails its checksum"):
                 load_bfile("markov")
         data_with_sums(f"{digest}  b002559.txt\n")
-        assert load_bfile("markov").entries == {1: 1}
+        assert load_bfile("markov") == {1: 1}
 
     def test_digests_are_blake2b_256_of_the_vendored_files(self):
         data = Path(mbl.oeis.__file__).parent / "data"
@@ -97,26 +103,26 @@ class TestVendored:
         assert result.stdout.endswith("all suites passed\n0 []\n")
 
     def test_markov_file_prefix(self):
-        entries = load_bfile("markov").entries
+        entries = load_bfile("markov")
         assert [entries[i] for i in range(1, 7)] == [1, 2, 5, 13, 29, 34]
 
 
 class TestCrossCheck:
     def test_markov_500(self):
-        assert cross_check("markov", 500, load_bfile("markov")) is None
+        assert cross_check("markov", 500, load_bfile("markov"), "vendored") is None
 
     def test_fibonacci_entry_27(self):
-        bfile = load_bfile("fibonacci")
-        assert bfile.entries[27] == 196418
-        assert cross_check("fibonacci", 1000, bfile) is None
+        entries = load_bfile("fibonacci")
+        assert entries[27] == 196418
+        assert cross_check("fibonacci", 1000, entries, "vendored") is None
 
     def test_pell_entry_15(self):
-        bfile = load_bfile("pell")
-        assert bfile.entries[15] == 195025
-        assert cross_check("pell", 1000, bfile) is None
+        entries = load_bfile("pell")
+        assert entries[15] == 195025
+        assert cross_check("pell", 1000, entries, "vendored") is None
 
     def test_identity_anchors(self):
-        markov = load_bfile("markov").entries
+        markov = load_bfile("markov")
         assert markov[33] == pell(15) == 195025
         assert markov[34] == fibonacci(27) == 196418
 
@@ -126,17 +132,18 @@ class TestCrossCheck:
         lines = [f"{i + 1} {m}\n" for i, m in enumerate(numbers)]
         lines[4] = "5 30\n"  # true m_5 is 29
         doctored.write_text("".join(lines))
-        assert cross_check("markov", 20, load_bfile("markov", path=doctored)) == (5, 29, 30)
+        entries = load_bfile("markov", path=doctored)
+        assert cross_check("markov", 20, entries, str(doctored)) == (5, 29, 30)
 
     def test_short_file_rejected(self, tmp_path):
         short = tmp_path / "short.txt"
         short.write_text("1 1\n2 2\n")
-        with pytest.raises(ValueError, match="shorter"):
-            cross_check("markov", 10, load_bfile("markov", path=short))
+        with pytest.raises(ValueError, match=re.escape(f"markov ({short}) is shorter than n=10")):
+            cross_check("markov", 10, load_bfile("markov", path=short), str(short))
 
     def test_n_validated(self):
         with pytest.raises(ValueError):
-            cross_check("markov", 0, load_bfile("markov"))
+            cross_check("markov", 0, load_bfile("markov"), "vendored")
 
     def test_report_json(self, capsys, monkeypatch, tmp_path):
         # `ingest` writes each cross-check as a JSON row
@@ -160,15 +167,15 @@ class TestCachePrecedence:
     def test_env_var_is_ignored(self, tmp_path, monkeypatch):
         (tmp_path / "b000129.txt").write_text("0 0\n1 1\n")
         monkeypatch.setenv("MBL_CACHE_DIR", str(tmp_path))
-        bfile = load_bfile("pell")
-        assert bfile.source == "vendored" and len(bfile.entries) >= 1000
+        entries = load_bfile("pell")
+        assert entries == _vendored("pell") and len(entries) >= 1000
 
     def test_explicit_path_wins(self, tmp_path, monkeypatch):
         path = tmp_path / "b002559.txt"
         path.write_text("1 41\n")
         monkeypatch.setenv("MBL_CACHE_DIR", str(tmp_path))
-        assert load_bfile("markov", path=path) == BFile("A002559", {1: 41}, str(path))
-        assert load_bfile("markov").source == "vendored"
+        assert load_bfile("markov", path=path) == {1: 41}
+        assert load_bfile("markov") == _vendored("markov")
 
 
 def test_verify_and_ingest_ignore_mbl_cache_dir(tmp_path):

@@ -29,7 +29,7 @@ from mbl.suites import (
     pell,
 )
 
-from support import apex_of_number, essential_subtree, vieta_neighbours
+from support import apex_of_number, essential_subtree, vieta_levels, vieta_neighbours
 
 T = MarkovTriple
 
@@ -339,35 +339,37 @@ class TestApexFor:
         # same apex from every node of the preserving subtree
         for p in markov_numbers(12):
             apex = apex_of_number(p)
-            for t in wedge(apex, 4):
-                assert apex_on_path(p, t) == tuple(apex)
+            for level in wedge(apex, 4):
+                for t in level:
+                    assert apex_on_path(p, t) == tuple(apex)
             assert apex_on_path(p, apex) == tuple(apex)
 
 
 class TestWedge:
     def test_order5_nodes(self):
-        nodes = wedge(T(5, 2, 1), 2)
-        assert [tuple(t) for t in nodes] == [
-            (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5), (433, 29, 5)]
+        assert wedge(T(5, 2, 1), 2) == [
+            (T(5, 2, 1),), (T(13, 5, 1), T(29, 5, 2)), (T(194, 13, 5), T(433, 29, 5))]
 
     def test_fibonacci_chain(self):
-        nodes = wedge(T(1, 1, 1), 3)
-        assert [tuple(t) for t in nodes] == [
-            (1, 1, 1), (2, 1, 1), (5, 2, 1), (13, 5, 1)]
+        assert wedge(T(1, 1, 1), 3) == [
+            (T(1, 1, 1),), (T(2, 1, 1),), (T(5, 2, 1),), (T(13, 5, 1),)]
 
     def test_pell_chain(self):
-        nodes = wedge(T(2, 1, 1), 2)
-        assert [tuple(t) for t in nodes[1:]] == [(5, 2, 1), (29, 5, 2)]
+        assert wedge(T(2, 1, 1), 2)[1:] == [(T(5, 2, 1),), (T(29, 5, 2),)]
 
     def test_nodes_are_preserving_mutations(self):
         # each node is a max-increasing mutation, keeping p, of the node above
-        # it in its column
+        # it on its side; the levels are the oracle's own jumps
         for p in markov_numbers(40):
-            nodes = wedge(apex_of_number(p), 6)
+            apex = apex_of_number(p)
+            levels, jumps = wedge(apex, 6), vieta_levels(apex)
             width = 1 if p in (1, 2) else 2
-            assert len(nodes) == 1 + 6 * width
-            for column in range(width):
-                chain = nodes[:1] + nodes[1 + column::width]
+            assert levels[0] == (apex,) and len(levels) == 7
+            assert all(len(level) == width for level in levels[1:])
+            assert [[tuple(t) for t in level] for level in levels] == [
+                next(jumps) for _ in range(7)]
+            for side in range(width):
+                chain = [apex] + [level[side] for level in levels[1:]]
                 for above, node in zip(chain, chain[1:]):
                     assert p in node and node.a > above.a
                     assert ancestors(node)[1] == tuple(above)
@@ -447,8 +449,8 @@ def test_wedge_levels_counted_from_apex(depth_seed, p_index):
     p = markov_numbers(5)[p_index - 1]
     apex = apex_of_number(p)
     depth = depth_seed % 4
-    nodes = wedge(apex, depth)
-    expected = depth + 1 if p in (1, 2) else 1 + 2 * depth
-    assert len(nodes) == expected
-    top = len(ancestors(nodes[0]))
-    assert all(len(ancestors(t)) - top <= depth for t in nodes)
+    levels = wedge(apex, depth)
+    assert levels[0] == (apex,) and len(levels) == depth + 1
+    assert [len(level) for level in levels[1:]] == [1 if p in (1, 2) else 2] * depth
+    top = len(ancestors(apex))
+    assert all(len(ancestors(t)) - top == i for i, level in enumerate(levels) for t in level)
