@@ -110,6 +110,14 @@ FIXED = [
     ("order", "--triple", "29,5,2", "--depth", "0"),
     ("plot", "--figure", "order5"),
     ("plot", "--figure", "numberline", "--n", "33"),
+    # the irregularity path: a span-1 and a span-2 figure, `complete` with the
+    # first record and the first span-2 record as the last n, and the regular
+    # prefix below an n_max of 32
+    ("plot", "--figure", "numberline", "--n", "37"),
+    ("plot", "--figure", "numberline", "--n", "433", "--k", "1"),
+    *(("complete", "--threshold", str(workloads.threshold(44)), "--n-max", n,
+       "--format", fmt) for n in ("33", "369") for fmt in ("text", "json")),
+    ("verify", "--suite", "ordering", "--n-max", "10"),
     *(("plot", "--figure", "triangle", "--triple", triple)
       for triple in ("1,1,1", "2,1,1", "29,5,2")),
     *(("verify", "--suite", suite)

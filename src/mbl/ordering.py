@@ -128,11 +128,6 @@ def _b_value(apex) -> int:
     return 3 * a * c - b
 
 
-def _f1_value(apex) -> int:
-    a, b, c = apex
-    return 3 * a * b - c
-
-
 def _exceeds(p: tuple[int, int], q: tuple[int, int]) -> bool:
     # p > q for (num, den) pairs with den > 0
     return p[0] * q[1] > q[0] * p[1]
@@ -164,12 +159,6 @@ def descent_integers(apex) -> tuple[int, int, int, int]:
         raise VerificationError(
             f"capacity descent fails below ({a},{b},{c}): needs b > c and 3ac > 2b")
     return a * a, b * b - c * c, c * (3 * a * c - 2 * b), c * c
-
-
-def _holds(n: int, n_prime: int, numbers, apexes) -> bool:
-    # the juxtaposition inequality: w_1(n') does not exceed the limit of n
-    lead = _deficit(numbers[n_prime - 1], _b_value(apexes[n_prime - 1]))
-    return not _exceeds(lead, _deficit(numbers[n - 1]))
 
 
 def alternating_order(
@@ -258,10 +247,10 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
     """
     n, n_prime = rec.n, rec.n_prime
     numbers, apexes = markov_prefix(n_prime)
-    if _holds(n, n_prime, numbers, apexes):
+    a, b, c = apexes[n_prime - 1]  # a = m_n'; the deficits of w_1(n') and w_2(n'):
+    lead, second = _deficit(a, 3 * a * c - b), _deficit(a, 3 * a * b - c)
+    if not _exceeds(lead, _deficit(numbers[n - 1])):  # the pair holds: nothing swaps
         return True
-    m_p, apex_p = numbers[n_prime - 1], apexes[n_prime - 1]
-    lead, second = _deficit(m_p, _b_value(apex_p)), _deficit(m_p, _f1_value(apex_p))
     # each spanned (k, n') is violated too: 1/m_k^2 <= 1/m_n^2 < 1/m_n'^2 + 1/b_n'^2
     for k in range(n, n_prime):
         m_k = numbers[k - 1]
@@ -269,7 +258,8 @@ def verify_swap_pattern(rec: IrregularityRecord) -> bool:
             return False
         if _exceeds(second, _deficit(m_k)):  # w_2(n') below the infimum of k
             return False
-    return n <= 1 or _holds(n - 1, n_prime, numbers, apexes)
+    # the swap stops at n: w_1(n') stays behind the limit of n - 1
+    return n <= 1 or not _exceeds(lead, _deficit(numbers[n - 2]))
 
 
 def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
@@ -314,17 +304,16 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         if not ok:
             failures.append(f"swap pattern at n={rec.n} (span {rec.span}) fails")
 
-    numbers, apexes = markov_prefix(n_max)
+    # sequences 1..n_max, then the tail to the first index past it with m_n^2 >= 2T^2/(3T-1)
+    numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
     try:
-        for apex in apexes:
+        for apex in apexes[:n_max]:
             descent_integers(apex)
     except VerificationError as exc:
         failures.append(str(exc))
-    active = sum(1 for m in numbers if not _exceeds(bar, _deficit(m)))
+    active = sum(1 for m in numbers[:n_max] if not _exceeds(bar, _deficit(m)))
 
     tail_exact = []
-    # the tail ends at the first index past n_max with m_n^2 >= 2T^2/(3T-1)
-    numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
     for n in range(n_max + 1, len(numbers)):
         ok = _exceeds(bar, _deficit(numbers[n - 1], _b_value(apexes[n - 1])))
         tail_exact.append({"n": n, "ok": ok})

@@ -324,9 +324,9 @@ def _suite_ordering(config: SimpleNamespace):
         anchors = (rows[32].m, rows[33].m, rows[32].b, rows[33].b)
         expected = (pell(15), fibonacci(27), pell(17), fibonacci(29))
         yield "row-anchors", anchors == expected, ""
-    records = find_irregularities(config.n_max)
     # a record keeps the lowest n of its violated pairs, so the pairs with
-    # n <= 32 all hold exactly when no record has n <= 32
+    # n <= 32 all hold exactly when a scan to at least 32 has no record with n <= 32
+    records = find_irregularities(max(config.n_max, 32))
     for rec in records:
         if rec.n <= 32:
             failures["regular-prefix"] = f"(n,n')=({rec.n},{rec.n_prime})"

@@ -106,15 +106,13 @@ def figure_numberline(n: int, k: int) -> str:
     """Clustered capacity sequences around an irregularity at index n.
 
     Shows sequences n-1 .. n+span as ticks on one axis; the leading capacity
-    of the higher sequence (the swapped one) is highlighted.
+    of the higher sequence (the swapped one) is highlighted, and the title
+    names every sequence it moves ahead of.
     """
-    records = {rec.n: rec for rec in find_irregularities(n)}
-    if n not in records:
+    rec = next((rec for rec in find_irregularities(n) if rec.n == n), None)
+    if rec is None:
         raise ValueError(f"no irregularity at n={n}")
-    rec = records[n]
-    indices = list(range(n - 1, n + rec.span + 1))
-    rows = {row.n: row for row in spectrum_rows(n + rec.span, k)}
-    seqs = [rows[i] for i in indices]
+    seqs = spectrum_rows(rec.n_prime, k)[n - 2:]  # no record has n = 1
     # the capacities exactly; each limit, for layout only, to 40 correct digits
     caps = [[Fraction(*ratio) for ratio in row.ratios] for row in seqs]
     limits = [Fraction(limit_decimal(row.m, 40)) for row in seqs]
@@ -128,16 +126,12 @@ def figure_numberline(n: int, k: int) -> str:
     def xpos(v: Fraction) -> Fraction:
         return margin + (v - lo) / (hi - lo) * (width_px - 2 * margin)
 
+    passed = f"sequence {n}" if rec.span == 1 else f"sequences {n}..{rec.n_prime - 1}"
     body = [
         _line(margin - 20, axis_y, width_px - margin + 20, axis_y, "#000000"),
         _text(width_px - margin + 20, axis_y + 18, "R", anchor="end"),
-        _text(
-            Fraction(width_px, 2),
-            30,
-            f"sequences {indices[0]}..{indices[-1]}: leading capacity of "
-            f"sequence {rec.n_prime} moves ahead of sequence {rec.n}",
-            size=13,
-        ),
+        _text(Fraction(width_px, 2), 30, f"sequences {n - 1}..{rec.n_prime}: leading "
+              f"capacity of sequence {rec.n_prime} moves ahead of {passed}", size=13),
     ]
     for color_idx, row in enumerate(seqs):
         color = STYLE["tick_colors"][color_idx % len(STYLE["tick_colors"])]

@@ -7,10 +7,12 @@ a basis and takes its spreads over the Fraction vertices instead of the
 polygon's integer form, unimodular images are mapped vertex by vertex on Fractions,
 the juxtaposition inequality is decided on Fractions rather than on
 cross-multiplied integers over every pair of a plain double loop rather than
-by bisection, the essential subtrees are filtered from levels reached by
-Vieta jumps written here (`vieta_levels`) rather than read off `wedge` or
-the raw chains, the global order of the capacities is read off a plain
-sort of every triple below a bound, reached by Vieta jumps written here
+by bisection, on Markov numbers and apexes read off Vieta jumps
+(`vieta_prefix`) rather than the walk, the essential subtrees are filtered
+from levels reached by Vieta jumps written here (`vieta_levels`) rather
+than read off `wedge` or the raw chains, the global order of the capacities
+is read off a plain sort of every triple below a bound, reached by Vieta
+jumps written here
 (`vieta_neighbours` gives all three, so depths in the tree are
 breadth-first distances rather than climbs back along the parent rule),
 the descent below an apex
@@ -27,6 +29,7 @@ decides every eps at once.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from fractions import Fraction
@@ -35,7 +38,7 @@ import mpmath
 
 from mbl.capacity import QuadraticValue, closed_forms
 from mbl.lattice import LatticePolygon, _inner_normals
-from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix
+from mbl.markov import MarkovTriple
 
 
 def quadratic_interval(a: int, b: int, r: int, d: int = 1, digits: int = 200):
@@ -248,7 +251,7 @@ def random_quadratic(rng: random.Random) -> QuadraticValue:
 
 def nn_inequality_holds(n: int, n_prime: int) -> bool:
     """1/m_n^2 >= 1/m_{n'}^2 + 1/b_{n'}^2 on Fractions, b = 3ac - b of the apex."""
-    numbers, apexes = markov_prefix(n_prime)
+    numbers, apexes = vieta_prefix(n_prime)
     a, b, c = apexes[n_prime - 1]
     b_p = 3 * a * c - b
     return (Fraction(1, numbers[n - 1] ** 2)
@@ -269,10 +272,10 @@ def window_pairs(numbers, n_max: int) -> list[tuple[int, int]]:
 
 def apex_of_number(p: int) -> MarkovTriple:
     """The triple in which p is the maximal entry (root of its subtree)."""
-    apexes = enumerate_triples(p)  # raises for p < 1
-    if apexes[-1].a != p:
+    apex = next((t for t in _triples_upto(p) if t[0] == p), None)
+    if apex is None:
         raise ValueError(f"{p} is not a Markov number")
-    return apexes[-1]
+    return MarkovTriple(*apex)
 
 
 def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
@@ -315,6 +318,24 @@ def _triples_upto(bound: int) -> list[tuple[int, int, int]]:
         stack.extend(child for child in {(3 * a * b - c, a, b), (3 * a * c - b, a, c)}
                      if child[0] <= bound)
     return found
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_triples(bound: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted(_triples_upto(bound)))
+
+
+def vieta_prefix(count: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The first `count` Markov numbers and the triple each is the maximum of.
+
+    Read off `_triples_upto`, its bound squared until the triples below it
+    hold `count` maxima; each Markov number is the maximum of one triple.
+    """
+    bound = 2
+    while len(triples := _sorted_triples(bound)) < count:
+        bound *= bound
+    apexes = triples[:count]
+    return tuple(a for a, _, _ in apexes), apexes
 
 
 def sorted_capacity_order(bound: int) -> tuple[dict[int, dict[int, int]], list[int]]:

@@ -891,6 +891,14 @@ class TestSwapPatternCatalogue:
         assert ["794", "3", "797", "NO", self.SPAN_3] in \
             [line.split(None, 4) for line in out.splitlines()]
 
+    def test_a_catalogued_span_3_reaches_the_numberline_figure(self, capsys, monkeypatch):
+        monkeypatch.setitem(mbl.ordering.SWAP_PATTERNS, 3, self.SPAN_3)
+        code, out, _ = run(capsys, "plot", "--figure", "numberline", "--n", "794")
+        assert code == 0
+        assert ("sequences 793..797: leading capacity of sequence 797 moves ahead of "
+                "sequences 794..796</text>") in out
+        assert [f"w(ess {n})" in out for n in range(792, 799)] == [False] + [True] * 5 + [False]
+
 
 class TestGeometryCommands:
     def test_triangle(self, capsys):
@@ -1320,6 +1328,16 @@ class TestVerifyAndComplete:
         assert checks["swap-patterns"] == {
             "name": "swap-patterns", "passed": True, "witness": "2 records"}
 
+    def test_regular_prefix_scans_to_32_below_it(self, capsys, monkeypatch):
+        # the check stands for every pair with n <= 32, whatever --n-max is
+        injected = [IrregularityRecord(20, 1)]
+        monkeypatch.setattr(mbl.suites, "find_irregularities",
+                            lambda n_max: [rec for rec in injected if rec.n <= n_max])
+        code, out, _ = run(capsys, "verify", "--suite", "ordering",
+                           "--max-bound", "30", "--n-max", "10")
+        assert code == 1
+        assert "FAIL  ordering:regular-prefix  [(n,n')=(20,21)]" in out.splitlines()
+
     def test_removed_flags_are_usage_errors(self):
         # per-sequence b-files go through `ingest --bfile`, the stored
         # catalogue through `irregularities --n-max 450 --fixture`
@@ -1426,7 +1444,7 @@ class TestPlot:
 
     @pytest.mark.parametrize("n, digest", [
         (33, "84afe8f82fbfc4b34e9d6547e81561a01dcbd26f505ef156745574877d73160e"),
-        (369, "fde030ccf8b964c45785d92ddb1780f11e40a2988b9808b88c05d01b707559da"),
+        (369, "21d5bf871a0e4b5477fa5c1ff58690bbab7596b0691fa379215dfa4f5afa343b"),
     ])
     def test_numberline_figure_bytes_are_pinned(self, tmp_path, n, digest):
         out = tmp_path / "numberline.svg"

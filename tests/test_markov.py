@@ -29,7 +29,13 @@ from mbl.suites import (
     pell,
 )
 
-from support import apex_of_number, essential_subtree, vieta_levels, vieta_neighbours
+from support import (
+    apex_of_number,
+    essential_subtree,
+    vieta_levels,
+    vieta_neighbours,
+    vieta_prefix,
+)
 
 T = MarkovTriple
 
@@ -224,6 +230,10 @@ class TestMarkovWalk:
         numbers, apexes = MarkovWalk().prefix(len(brute_apexes))
         assert numbers == tuple(sorted(brute_apexes))
         assert apexes == tuple(tuple(brute_apexes[m]) for m in numbers)  # int triples
+
+    def test_prefix_matches_vieta_jumps(self):
+        # past the span-3 record at 794, against the triples the oracle jumps to
+        assert MarkovWalk().prefix(851) == vieta_prefix(851)
 
     def test_out_of_order_requests(self):
         walk = MarkovWalk()

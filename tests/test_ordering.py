@@ -19,7 +19,6 @@ from mbl.ordering import (
     _deficit,
     _essential_capacities,
     _exceeds,
-    _holds,
     alternating_order,
     descent_integers,
     find_irregularities,
@@ -35,6 +34,7 @@ from support import (
     limit_point,
     nn_inequality_holds,
     sorted_capacity_order,
+    vieta_prefix,
     wedge_descends,
     window_pairs,
 )
@@ -260,8 +260,11 @@ class TestSpectrumRows:
 
 def _scan_prefix(n_max: int):
     # every scan window up to n_max closes at the first m^2 >= 2 m_{n_max}^2
-    m = markov_prefix(n_max)[0][-1]
-    return markov_prefix(n_max + 1, lambda m_end: m_end ** 2 >= 2 * m * m)
+    numbers, apexes = vieta_prefix(n_max + 1)
+    m = numbers[n_max - 1]
+    while numbers[-1] ** 2 < 2 * m * m:
+        numbers, apexes = vieta_prefix(len(numbers) + 1)
+    return numbers, apexes
 
 
 def _fraction_violations(n_max: int) -> set[tuple[int, int]]:
@@ -296,7 +299,9 @@ class TestNNInequality:
         numbers, apexes = _scan_prefix(850)
         for n, n_prime in window_pairs(numbers, 850):
             expected = (n, n_prime) not in violated
-            assert _holds(n, n_prime, numbers, apexes) == expected
+            a, b, c = apexes[n_prime - 1]
+            lead = _deficit(numbers[n_prime - 1], 3 * a * c - b)
+            assert (not _exceeds(lead, _deficit(numbers[n - 1]))) == expected
 
 
 def _inv_sq(x: int) -> Fraction:
@@ -307,7 +312,7 @@ def _fraction_swap_pattern(n: int, n_prime: int) -> bool:
     """verify_swap_pattern's conditions, decided on Fractions."""
     if nn_inequality_holds(n, n_prime):
         return True
-    numbers, apexes = markov_prefix(n_prime)
+    numbers, apexes = vieta_prefix(n_prime)
     a, b, c = apexes[n_prime - 1]
     m_p, b_p, f1_p = numbers[n_prime - 1], 3 * a * c - b, 3 * a * b - c
     for k in range(n, n_prime):
