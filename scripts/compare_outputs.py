@@ -10,13 +10,11 @@ that OLD_SRC lists, an unknown command and an unknown flag; and FIXED, the
 invocations outside the benchmark that reach the ordering layer in every
 format it renders, every other command in each format it renders, and the
 argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
-each as `python -m mbl.cli ...` with PYTHONPATH set to each tree,
-MBL_CACHE_DIR unset (trees older than the removal of `--cache-dir` read
-their b-files from the directory it names, and download into it on
-`ingest --fetch`) and a temporary directory holding the polygon files of
-POLYGONS and the b-files `doctored.txt` and `short.txt` as the working
-directory, and compares exit code, stdout and stderr; a run still going
-after TIMEOUT_S seconds is stopped and differs from every finished one.
+each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and a
+temporary directory holding the polygon files of POLYGONS and the b-files
+`doctored.txt` and `short.txt` as the working directory, and compares exit
+code, stdout and stderr; a run still going after TIMEOUT_S seconds is
+stopped and differs from every finished one.
 Prints the counts for the usage paths, for FIXED and per seed, and every
 differing command line; exits 1 if any differs.
 """
@@ -160,8 +158,12 @@ FIXED = [
     # uniqueness check read off the walk up to 10^9
     *(("complete", "--threshold", t, "--n-max", "10", "--format", fmt)
       for t in ("2/3", "1", "2", "10", "1e100") for fmt in ("text", "json")),
-    ("complete", "--threshold", "1e99999", "--n-max", "10"),
     ("verify", "--suite", "markov", "--max-bound", str(10 ** 9)),
+    # a 6-digit threshold preview at exponent 99999; the ordering suite past
+    # the span-3 refusal, which keeps the checks made before the scan
+    ("complete", "--threshold", "1e99999", "--n-max", "10"),
+    *(("verify", "--suite", "ordering", "--n-max", "800", "--max-bound", "30",
+       "--format", fmt) for fmt in ("text", "json")),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
@@ -172,8 +174,7 @@ BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes]:
-    env = {key: value for key, value in os.environ.items() if key != "MBL_CACHE_DIR"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     try:
         done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
                               capture_output=True, timeout=TIMEOUT_S)

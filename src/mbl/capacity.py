@@ -138,15 +138,24 @@ def surd_text(parts) -> str:
 
 
 @functools.cache
-def _contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:
-    return decimal.Context(prec=digits + 20), decimal.Context(prec=digits)
+def _context(prec: int) -> decimal.Context:
+    """The context of every printed decimal: `prec` significant digits at any
+    exponent, so no preview overflows or loses digits below 1E-999999."""
+    return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _preview(value, digits: int = 12) -> str:
+    """The rational `value` correctly rounded to `digits` significant digits."""
+    value = Fraction(value)
+    return str(_context(digits).divide(decimal.Decimal(value.numerator),
+                                       decimal.Decimal(value.denominator)))
 
 
 def limit_decimal(m: int, digits: int = 12) -> str:
     """The limit 2m/(3m + sqrt(9m^2 - 4)) of sequence m to `digits` significant
     digits, rounded from `digits + 20`; the denominator adds two positives."""
-    ctx, out = _contexts(digits)
-    return str(out.plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
+    ctx = _context(digits + 20)
+    return str(_context(digits).plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
 
 
 def width(t: MarkovTriple) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import lattice, oeis
-from .capacity import closed_forms, limit_decimal, surd_text
+from .capacity import _preview, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import (
@@ -41,7 +41,6 @@ from .report import (
     EXIT_VERIFICATION,
     _at_least,
     _emit_rows,
-    _preview,
     _report,
 )
 
@@ -130,23 +129,26 @@ def cmd_limits(config: SimpleNamespace) -> int:
 def cmd_complete(config: SimpleNamespace) -> int:
     _at_least(config, 1, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
-    records = report["records"]
-    spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
-                      for span in SWAP_PATTERNS)
-    lines = [
-        f"threshold = {config.threshold} (~{_preview(config.threshold, 6)})",
-        f"n_max = {config.n_max}",
-        f"records: {len(records)} ({spans})",
-        f"sequences with limit above threshold: {report['active_sequences']}",
-        f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "
-        f"monotone bound from index {report['tail_bound_index']} "
-        f"(m = {report['tail_bound_m']})",
-        f"certified: {report['certified']}",
-        *(f"condition: {c}" for c in report["conditions"]),
-        *(f"FAILURE: {f}" for f in report["failures"]),
-    ]
+
+    def render() -> str:
+        records = report["records"]
+        spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
+                          for span in SWAP_PATTERNS)
+        return "\n".join([
+            f"threshold = {config.threshold} (~{_preview(config.threshold, 6)})",
+            f"n_max = {config.n_max}",
+            f"records: {len(records)} ({spans})",
+            f"sequences with limit above threshold: {report['active_sequences']}",
+            f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "
+            f"monotone bound from index {report['tail_bound_index']} "
+            f"(m = {report['tail_bound_m']})",
+            f"certified: {report['certified']}",
+            *(f"condition: {c}" for c in report["conditions"]),
+            *(f"FAILURE: {f}" for f in report["failures"]),
+        ]) + "\n"
+
     status = EXIT_OK if report["certified"] else EXIT_VERIFICATION
-    return _report(config, report, lambda: "\n".join(lines) + "\n", status)
+    return _report(config, report, render, status)
 
 
 def _module(name: str):
@@ -291,16 +293,7 @@ def _plain_parse(argv) -> dict | None:
     return values
 
 
-def main(argv=None) -> int:
-    if argv is None:  # the process itself: `python -m mbl.cli` or `mbl`
-        import gc  # imported here: only the process itself needs it
-        # the objects loaded so far live until exit, and `run` ends in
-        # os._exit: keep every collection from walking them again
-        gc.freeze()
-        # exact integers at any length: mbl parses only its user's own input
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(0)
-        argv = sys.argv[1:]
+def main(argv: list[str]) -> int:
     values = _plain_parse(argv)
     if values is None:
         values = vars(build_parser().parse_args(argv))
@@ -326,13 +319,18 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The `mbl` process: main(), a flush, then exit without interpreter teardown.
+    """The `mbl` process: lift the int/str digit limit, main(sys.argv[1:]), a
+    flush, then exit without interpreter teardown.
 
-    A flush that fails (stdout closed) is an i/o error; a stream whose file
-    descriptor was closed at start-up is None and is not flushed; a
-    SystemExit or an uncaught exception from main takes Python's own exit path.
+    Integers convert at any length, since mbl parses only its user's own
+    input; an in-process caller of main keeps its own limit.  A flush that
+    fails (stdout closed) is an i/o error; a stream whose file descriptor was
+    closed at start-up is None and is not flushed; a SystemExit or an
+    uncaught exception from main takes Python's own exit path.
     """
-    status = main()
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    status = main(sys.argv[1:])
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:

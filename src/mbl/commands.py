@@ -13,12 +13,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import oeis
-from .capacity import capacity_to_json, width
+from .capacity import _preview, capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import MarkovTriple, ancestors, enumerate_triples, wedge
 from .ordering import alternating_order
-from .report import (EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _preview,
-                     _report, _table)
+from .report import EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _report, _table
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
 

@@ -1,18 +1,16 @@
-"""What every `mbl` command writes: tables, JSON payloads, previews, exit codes.
+"""What every `mbl` command writes: tables, JSON payloads, exit codes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All output is deterministic for a given invocation: exact rationals are
-rendered as "p/q" plus a 12-significant-digit decimal preview; previews
-never feed back into any computation.
+rendered as "p/q", and every decimal preview beside them comes from
+`mbl.capacity`; previews never feed back into any computation.
 """
 
 from __future__ import annotations
 
-import decimal
 import io
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from types import SimpleNamespace
 try:  # the C quoter of json.encoder, without loading the json package
     from _json import encode_basestring_ascii as _quote
@@ -23,14 +21,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _preview(value, digits: int = 12) -> str:
-    value = Fraction(value)
-    ctx = decimal.Context(prec=digits)
-    return str(
-        ctx.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
-    )
 
 
 def _at_least(config: SimpleNamespace, least: int, *flags: str) -> None:

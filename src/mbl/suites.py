@@ -396,10 +396,11 @@ def cmd_verify(config: SimpleNamespace) -> int:
     report = {"command": "verify", "suites": {}, "passed": True}
     lines = []
     for name in names:
-        try:  # a suite that raises is replaced by one failed check
-            results = list(SUITES[name](config))
+        results = []
+        try:  # a suite that raises keeps the checks it made, then fails one more
+            results.extend(SUITES[name](config))
         except (ValueError, VerificationError) as exc:
-            results = [("completed", False, f"{type(exc).__name__}: {exc}")]
+            results.append(("completed", False, f"{type(exc).__name__}: {exc}"))
         passed = all(ok for _, ok, _ in results)
         checks = [{"name": check, "passed": ok, "witness": witness}
                   for check, ok, witness in results]

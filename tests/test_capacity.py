@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from mbl.capacity import (
     QuadraticValue,
+    _context,
+    _preview,
     _sign,
     capacity_to_json,
     closed_forms,
@@ -119,6 +122,16 @@ class TestSpectrumValues:
             "QuadraticValue(Fraction(3, 2), Fraction(-1, 2), Fraction(5, 1))")
         assert limit_decimal(1) == rounded_limit(1) == "0.381966011250"
         assert limit_decimal(1, 40) == rounded_limit(1, 40)
+
+    def test_previews_round_at_any_exponent(self):
+        # outside the default exponent bounds of +-999999 the first quotient
+        # would overflow and the last lose two digits as a subnormal
+        ctx = _context(6)
+        assert str(ctx.divide(Decimal("1E+1000000"), 1)) == "1E+1000000"
+        assert str(ctx.divide(Decimal("1E+1000000"), 3)) == "3.33333E+999999"
+        assert str(ctx.divide(Decimal("1E-1000000"), 3)) == "3.33333E-1000001"
+        assert _preview(Fraction(2, 3)) == "0.666666666667"
+        assert _preview(Fraction(1, 3 * 10 ** 9999), 6) == "3.33333E-10000"
 
     def test_limit_point_two(self):
         # 2/(3 + sqrt(8)) rationalizes to 6 - 4*sqrt(2)

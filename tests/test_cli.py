@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -639,18 +638,6 @@ def test_usage_text_is_pinned(capsys, monkeypatch, argv, code, out_digest, err_d
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
 
 
-def test_only_the_process_freezes_the_gc(capsys):
-    frozen = gc.get_freeze_count()
-    assert run(capsys, "widths")[0] == 0  # an explicit argv: an in-process caller
-    assert gc.get_freeze_count() == frozen
-    probe = ("import gc, sys, mbl.cli; sys.argv = ['mbl', 'widths']; "
-             "code = mbl.cli.main(); print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stderr == "0 True\n"
-
-
 def test_the_process_converts_integers_of_any_length(capsys):
     # (F_21203, F_21201, 1) solves the Markov equation; its largest entry has
     # 4,431 digits, past the int/str conversion limit of 4,300 that Python
@@ -994,6 +981,15 @@ class TestFormatOnlyRendering:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_complete_json_formats_no_preview(self, capsys, monkeypatch):
+        monkeypatch.setattr(mbl.cli, "_preview", self.refuse)
+        digest = next(digest for command, fmt, _, digest in _ORDER_SCALE_DIGESTS
+                      if (command, fmt) == (f"complete --threshold {_T44} --n-max 450", "json"))
+        code, out, _ = run(capsys, "complete", "--threshold", _T44, "--n-max", "450",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_builds_no_value_objects(self, capsys, monkeypatch):
         self._limits_450_from_integers(capsys, monkeypatch, "json")
 
@@ -1132,6 +1128,10 @@ _BROKEN_CHECKS = [
 
 
 class TestVerifyAndComplete:
+    # the checks of the ordering suite made before its irregularity scan
+    BEFORE_SCAN = ("chain-interleaving", "chain-inequalities", "alternating-descent",
+                   "row-anchors")
+
     def test_markov_suite_trivial_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "markov",
                            "--max-bound", "1")
@@ -1310,9 +1310,26 @@ class TestVerifyAndComplete:
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
         assert code == 1
         suite = json.loads(out)["suites"]["ordering"]
-        assert suite == {"passed": False, "checks": [{
-            "name": "completed", "passed": False,
-            "witness": f"{error.__name__}: scan broke"}]}
+        # the checks made before the scan stay in the report
+        assert suite == {"passed": False, "checks": [
+            *({"name": name, "passed": True, "witness": ""} for name in self.BEFORE_SCAN),
+            {"name": "completed", "passed": False,
+             "witness": f"{error.__name__}: scan broke"}]}
+
+    def test_span_3_refusal_keeps_the_checks_made(self, capsys):
+        refusal = ("VerificationError: irregularity at (n=794, n'=797) spans 3 "
+                   "sequences; outside the catalogued patterns")
+        argv = ["verify", "--suite", "ordering", "--n-max", "800", "--max-bound", "30"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines() == [
+            *(f"PASS  ordering:{name}" for name in self.BEFORE_SCAN),
+            f"FAIL  ordering:completed  [{refusal}]", "FAILURES above"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["suites"]["ordering"]["checks"] == [
+            *({"name": name, "passed": True, "witness": ""} for name in self.BEFORE_SCAN),
+            {"name": "completed", "passed": False, "witness": refusal}]
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
         records = [IrregularityRecord(5, 1), IrregularityRecord(7, 2)]
