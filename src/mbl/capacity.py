@@ -5,22 +5,22 @@ branch of the subtree preserving a these capacities decrease to the
 irrational value 2/(3 + sqrt(9 - 4/a^2)), so deciding orderings near the
 limit needs sign-exact arithmetic on numbers of the form q + s*sqrt(r).
 Differences there shrink below 10^-40; floating point never enters any
-decision, only human-readable previews.
+decision, only human-readable previews.  `fractions` and `decimal` are
+imported inside the functions that build a `Fraction` or a decimal, since
+`irregularities` builds neither and `limits` no `Fraction`.
 """
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
-from fractions import Fraction
 
 from .markov import MarkovTriple, is_markov_number
 
-_Rational = (int, Fraction)
-
 
 def _fraction(x) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -33,6 +33,8 @@ def _rational_sqrt(r: Fraction) -> Fraction | None:
     pn = math.isqrt(r.numerator)
     pd = math.isqrt(r.denominator)
     if pn * pn == r.numerator and pd * pd == r.denominator:
+        from fractions import Fraction
+
         return Fraction(pn, pd)
     return None
 
@@ -67,11 +69,11 @@ class QuadraticValue:
         if r < 0:
             raise ValueError(f"negative radicand {r}")
         if s == 0 or r == 0:
-            q, s, r = q, Fraction(0), Fraction(0)
+            q, s, r = q, _fraction(0), _fraction(0)
         else:
             root = _rational_sqrt(r)
             if root is not None:
-                q, s, r = q + s * root, Fraction(0), Fraction(0)
+                q, s, r = q + s * root, _fraction(0), _fraction(0)
         self._q, self._s, self._r = q, s, r
 
     def _cleared(self) -> tuple[int, int, int, int]:
@@ -88,10 +90,12 @@ class QuadraticValue:
         sign of self - other is that of u - v, where u = x + y*sqrt(r) with
         x = a*d2 - a2*d, y = b*d2, and v = z*sqrt(r2) with z = b2*d.
         """
+        from fractions import Fraction
+
         a, b, r, d = self._cleared()
         if isinstance(other, QuadraticValue):
             a2, b2, r2, d2 = other._cleared()
-        elif isinstance(other, _Rational):
+        elif isinstance(other, (int, Fraction)):
             a2, b2, r2, d2 = other.numerator, 0, 0, other.denominator
         else:
             raise TypeError(
@@ -108,7 +112,9 @@ class QuadraticValue:
         return t if su > 0 else -t
 
     def __eq__(self, other):
-        if isinstance(other, (QuadraticValue, *_Rational)):
+        from fractions import Fraction
+
+        if isinstance(other, (QuadraticValue, int, Fraction)):
             return self.compare(other) == 0
         return NotImplemented
 
@@ -141,14 +147,15 @@ def surd_text(parts) -> str:
 def _context(prec: int) -> decimal.Context:
     """The context of every printed decimal: `prec` significant digits at any
     exponent, so no preview overflows or loses digits below 1E-999999."""
+    import decimal
+
     return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _preview(value, digits: int = 12) -> str:
     """The rational `value` correctly rounded to `digits` significant digits."""
-    value = Fraction(value)
-    return str(_context(digits).divide(decimal.Decimal(value.numerator),
-                                       decimal.Decimal(value.denominator)))
+    value = _fraction(value)
+    return str(_context(digits).divide(value.numerator, value.denominator))
 
 
 def limit_decimal(m: int, digits: int = 12) -> str:
@@ -160,6 +167,8 @@ def limit_decimal(m: int, digits: int = 12) -> str:
 
 def width(t: MarkovTriple) -> Fraction:
     """bc/a for the sorted triple; equals 1 only at (1,1,1)."""
+    from fractions import Fraction
+
     return Fraction(t.b * t.c, t.a)
 
 
@@ -173,6 +182,8 @@ def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def lagrange_number(a: int) -> QuadraticValue:
     """sqrt(9 - 4/a^2) for a Markov number a, normalized to sqrt(9a^2-4)/a."""
+    from fractions import Fraction
+
     if not is_markov_number(a):
         raise ValueError(f"{a} is not a Markov number")
     return QuadraticValue(*(Fraction(*part) for part in closed_forms(a)[1]))

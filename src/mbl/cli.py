@@ -9,21 +9,24 @@ parse declines, through `build_parser`, which builds the same parser from
 the same table.  Either way `main` looks the handler up in the table, and
 the module holding a handler outside this one is imported only when its
 command runs: `mbl.commands` (the other table commands),
-`mbl.suites` (`verify`) or `mbl.svg` (`plot`).  The Markov walk behind the
-ordering commands hands out int triples, and `json` loads only for
-`--fixture` and `width --polygon`.  Exit codes and output helpers live in
-`mbl.report`.
+`mbl.suites` (`verify`) or `mbl.svg` (`plot`).  No ordering command calls
+`mbl.lattice` or `mbl.oeis`: `_deferred` puts both in `sys.modules` unrun,
+and the first read of one of their names runs it.  The bench tracer
+(perfbench/tracer.py) reads the namespace of every loaded `mbl` module
+before it re-binds its traced functions, which runs both first, so its
+counts stay exact.  `fractions` and `decimal` load where a `Fraction` or a
+printed decimal is first built.  The Markov walk behind the ordering
+commands hands out int triples, and `json` loads only for `--fixture` and
+`width --polygon`.  Exit codes and output helpers live in `mbl.report`.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
 import os
 import sys
-from fractions import Fraction
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
-from . import lattice, oeis
 from .capacity import _preview, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
@@ -44,10 +47,44 @@ from .report import (
     _report,
 )
 
-#: Loaded with the parser although only handler modules call them: the bench
-#: tracer (perfbench/tracer.py) re-binds its traced functions only in modules
-#: loaded before it installs.
-_TRACED_OWNERS = (lattice, oeis)
+
+class _Deferred(ModuleType):
+    """A module not yet run: its first attribute read, `__dict__` included,
+    compiles and runs it in place, so every holder sees the same module."""
+
+    def __getattribute__(self, name):
+        self.__class__ = ModuleType  # every later read is a plain one
+        self.__spec__.loader.exec_module(self)
+        return getattr(self, name)
+
+
+def _deferred(name: str) -> ModuleType:
+    """The module `mbl.<name>`: the one imported already, or else an unrun
+    one put in sys.modules and on the package, as an import would put it.
+
+    An import from it (`from .lattice import ...`) reads its `__spec__` and
+    so runs it; `from . import oeis` binds it unrun, to run at its first
+    use.  The bench tracer (perfbench/tracer.py) reads `vars()` of every
+    loaded `mbl` module before it re-binds, so it runs both before it wraps
+    their functions.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    package = sys.modules[__package__]
+    spec = importlib.machinery.PathFinder.find_spec(fullname, package.__path__)
+    module = ModuleType(fullname)
+    module.__spec__, module.__loader__ = spec, spec.loader
+    module.__file__, module.__package__ = spec.origin, __package__
+    module.__class__ = _Deferred
+    sys.modules[fullname] = module
+    setattr(package, name, module)
+    return module
+
+
+# Registered unrun: no ordering command calls either (see _deferred).
+_deferred("lattice")
+oeis = _deferred("oeis")
 
 
 def _parse_triple(text: str) -> MarkovTriple:
@@ -61,6 +98,8 @@ def _parse_triple(text: str) -> MarkovTriple:
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction  # only --threshold and --delta build one
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -216,8 +255,9 @@ _COMMANDS = {
                  ("--delta", {"default": "1/4"}))),
     "ingest": ("load and cross-check sequence b-files", _FORMATS,
                lambda: _module("commands").cmd_ingest, (
+                   # "all", then the keys of oeis.SEQUENCE_IDS, in its order
                    ("--kind", {"default": "all",
-                               "choices": ("all",) + tuple(oeis.SEQUENCE_IDS)}),
+                               "choices": ("all", "markov", "fibonacci", "pell")}),
                    ("--n", {"type": int, "default": 500}),
                    ("--bfile", {}))),
 }

@@ -37,10 +37,9 @@ def parse_bfile(data: bytes) -> dict[int, int]:
     entries: dict[int, int] = {}
     last_index = None
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
         try:

@@ -31,7 +31,6 @@ of `descent_integers` for its apex.
 from __future__ import annotations
 
 import bisect
-from fractions import Fraction
 
 from .capacity import _fraction, _sign, capacity_to_json, closed_forms, limit_decimal, width
 from .errors import VerificationError, _Record

@@ -350,14 +350,20 @@ def test_import_leaves_the_network_stack_unloaded():
 # imported before it (python -S).  An interpreter whose site imports more at
 # start loads a subset of these.
 _IMPORT_CLOSURE = frozenset("""
-    __future__ _bisect _collections _collections_abc _decimal _functools _heapq
-    _json _operator _sre _stat bisect collections collections.abc copyreg
-    decimal enum fractions functools genericpath heapq importlib
-    importlib._bootstrap importlib._bootstrap_external itertools keyword math
-    mbl mbl.capacity mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis
-    mbl.ordering mbl.report numbers operator os os.path posixpath re re._casefix
-    re._compiler re._constants re._parser reprlib stat types warnings
+    __future__ _bisect _collections _collections_abc _functools _heapq _json
+    _operator _stat bisect collections collections.abc functools genericpath
+    heapq importlib importlib._bootstrap importlib._bootstrap_external
+    importlib.machinery itertools keyword math mbl mbl.capacity mbl.cli
+    mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering mbl.report operator
+    os os.path posixpath reprlib stat types warnings
 """.split())
+
+# A probe's line naming the deferred modules that have run in its process:
+# one that has run holds its functions.  object.__getattribute__ reads the
+# namespace without running the module.
+_PRINT_RAN = ("print(*[name for name, fn in (('mbl.lattice', 'lattice_width'), "
+              "('mbl.oeis', 'load_bfile')) "
+              "if fn in object.__getattribute__(sys.modules[name], '__dict__')])")
 
 
 def test_import_loads_no_unused_machinery():
@@ -365,22 +371,61 @@ def test_import_loads_no_unused_machinery():
     # (with gettext and locale) and every handler module outside mbl.cli
     # (commands, suites, svg) serve few commands and load inside them;
     # argparse only for help, usage errors and argv the plain parse declines.
-    # Every traced owner, lattice and oeis included, loads eagerly, because
-    # the bench tracer (perfbench/tracer.py, install) re-binds its traced
-    # functions only in modules already loaded
-    probe = ("import sys; before = set(sys.modules); import mbl.cli; "
-             "print(*sorted(set(sys.modules) - before))")
+    # mbl.lattice and mbl.oeis are in sys.modules but have not run: the bench
+    # tracer (perfbench/tracer.py, install) re-binds its traced functions only
+    # in modules already loaded, and its vars() of each runs it; a handler
+    # module's import runs them too.  fractions and decimal (with numbers)
+    # load where a Fraction or a printed decimal is first built
+    probe = ("import sys; before = set(sys.modules); import mbl.cli\n"
+             "print(*sorted(set(sys.modules) - before))\n" + _PRINT_RAN)
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    loaded = set(result.stdout.split())
+    loaded_line, ran = result.stdout.split("\n")[:2]
+    loaded = set(loaded_line.split())
     assert loaded & {"dataclasses", "inspect", "csv", "hashlib", "json", "json.decoder",
                      "json.encoder", "json.scanner", "argparse", "gettext", "locale",
-                     "mbl.commands", "mbl.suites", "mbl.svg"} == set()
+                     "mbl.commands", "mbl.suites", "mbl.svg",
+                     "fractions", "decimal", "numbers"} == set()
     assert {"mbl.cli", "mbl.markov", "mbl.capacity", "mbl.ordering", "mbl.lattice",
             "mbl.oeis"} <= loaded
+    assert ran == ""
     if sys.version_info[:2] == (3, 11):  # nothing new: the JSON writer quotes with _json
         assert loaded <= _IMPORT_CLOSURE
+
+
+@pytest.mark.parametrize("argv, ran, unloaded", [
+    ("limits --n 40 --format json", "", {"fractions"}),
+    ("irregularities --n-max 450", "", {"fractions", "decimal"}),
+    ("complete --threshold 7/20 --n-max 450", "", set()),
+    ("verify --suite lattice --max-bound 30", "mbl.lattice", set()),
+    ("width --triple 5,2,1", "mbl.lattice", set()),
+], ids=["limits", "irregularities", "complete", "verify-lattice", "width"])
+def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unloaded):
+    probe = ("import os, sys, mbl.cli\n"
+             "sys.stdout = open(os.devnull, 'w')\n"
+             f"code = mbl.cli.main({argv.split()!r})\n"
+             "sys.stdout = sys.__stdout__\n"
+             "print(code)\n" + _PRINT_RAN + "\n"
+             "print(*sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    code, ran_line, loaded = result.stdout.split("\n")[:3]
+    assert (code, ran_line) == ("0", ran)
+    assert set(loaded.split()) & unloaded == set()
+
+
+def test_a_module_imported_before_the_cli_is_not_deferred():
+    probe = ("import sys, mbl.lattice\n"
+             "first, polygon = sys.modules['mbl.lattice'], mbl.lattice.LatticePolygon\n"
+             "import mbl.cli, mbl.commands, mbl.suites\n"
+             "print(sys.modules['mbl.lattice'] is first is mbl.lattice,\n"
+             "      mbl.commands.LatticePolygon is polygon is mbl.suites.LatticePolygon)")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "True True\n"
 
 
 def test_import_without_site_loads_neither_typing_nor_contextlib():
@@ -459,6 +504,11 @@ def test_only_a_polygon_file_loads_json():
 def test_suite_choices_are_the_suites():
     options = mbl.cli._flags("verify")["--suite"]
     assert options["choices"] == tuple(mbl.suites.SUITES)
+
+
+def test_ingest_kind_choices_are_the_sequences():
+    options = mbl.cli._flags("ingest")["--kind"]
+    assert options["choices"] == ("all",) + tuple(mbl.oeis.SEQUENCE_IDS)
 
 
 # Well-formed argv, the benchmark's shapes among them: each parses without argparse.
@@ -970,7 +1020,7 @@ class TestFormatOnlyRendering:
         # no surd, limit or Lagrange value and no Fraction is built for the
         # rows, and the bytes are the pinned ones
         monkeypatch.setattr(mbl.capacity.QuadraticValue, "__init__", self.refuse)
-        monkeypatch.setattr(mbl.ordering, "Fraction", self.refuse)
+        monkeypatch.setattr(Fraction, "__new__", self.refuse)
         for module in (mbl.capacity, mbl.ordering, mbl.cli, mbl.suites):
             for name in ("limit_point", "lagrange_number"):
                 if hasattr(module, name):

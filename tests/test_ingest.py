@@ -21,7 +21,7 @@ class TestParse:
         assert parse_bfile(b"1 1\n2 2\n3 5\n") == {1: 1, 2: 2, 3: 5}
 
     def test_comments_and_blanks(self):
-        assert parse_bfile(b"# comment\n\n1 1\n") == {1: 1}
+        assert parse_bfile(b"# comment\n\n  # indented comment\n \t \n1 1\n") == {1: 1}
 
     def test_malformed_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):

@@ -359,15 +359,16 @@ class TestIntegerForms:
         assert not _exceeds(_deficit(15, 20), _deficit(20, 15))
 
     def test_no_ordering_decision_builds_a_fraction(self, monkeypatch):
-        def refuse(*args):
+        def refuse(cls, *args):
             raise AssertionError(f"an ordering decision built Fraction{args}")
 
-        monkeypatch.setattr("mbl.ordering.Fraction", refuse)
+        threshold = Fraction(7, 20)
+        monkeypatch.setattr(Fraction, "__new__", refuse)  # any Fraction, built anywhere
         for t in enumerate_triples(10 ** 4):
             if t.a >= 5:
                 assert min(descent_integers(t)) > 0
         assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
-        report = ordered_prefix_complete_above(Fraction(7, 20), 793)
+        report = ordered_prefix_complete_above(threshold, 793)
         assert report["certified"] and report["failures"] == []
         records = find_irregularities(793)
         assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)

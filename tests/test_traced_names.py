@@ -1,13 +1,24 @@
-"""Every name the bench tracer wraps must still exist in `mbl`.
+"""Every name the bench tracer wraps must still exist in `mbl`, and the
+tracer must still count its calls.
 
 `perfbench/tracer.py` re-binds each entry of its TRACED table when a run
 asks for per-layer numbers; a missing name would break only those runs, and
-the tier-1 suite does not collect `perfbench/`.
+the tier-1 suite does not collect `perfbench/`.  It re-binds only in `mbl`
+modules loaded when it installs, so `mbl.cli` registers `mbl.lattice` and
+`mbl.oeis` unrun, and the tracer's `vars()` runs them.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import mbl
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +40,25 @@ def test_every_traced_name_resolves():
             assert callable(vars(getattr(owner, cls_name)).get(attr)), qualname
         else:
             assert callable(getattr(owner, qualname, None)), qualname
+
+
+# Span counts of the tracer's own run (`python perfbench/tracer.py`), as the
+# parent of the deferred `mbl.lattice` and `mbl.oeis` gave them: a traced
+# owner that `install` could not see would count 0 calls.
+_TRACED_COUNTS = [
+    (("verify", "--suite", "lattice", "--max-bound", "30"),
+     {"lattice.lattice_width.calls": 48, "lattice.width_along.calls": 644}),
+    (("verify", "--suite", "ingest"),
+     {"oeis.load_bfile.calls": 3, "oeis.cross_check.calls": 3}),
+]
+
+
+@pytest.mark.parametrize("argv, counts", _TRACED_COUNTS, ids=["lattice", "ingest"])
+def test_tracer_counts_the_deferred_modules(tmp_path, argv, counts):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(TRACER), str(spans), "0", "--", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = _load_tracer().summarize([json.loads(spans.read_text())])
+    assert {name: summary[name] for name in counts} == counts
