@@ -164,6 +164,9 @@ FIXED = [
     ("complete", "--threshold", "1e99999", "--n-max", "10"),
     *(("verify", "--suite", "ordering", "--n-max", "800", "--max-bound", "30",
        "--format", fmt) for fmt in ("text", "json")),
+    # each triple-walking suite up to a bound past 10^6, with no cap of its own
+    *(("verify", "--suite", suite, "--max-bound", str(10 ** 30), "--format", "json")
+      for suite in ("markov", "capacity", "ordering", "lattice")),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.

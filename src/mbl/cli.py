@@ -27,6 +27,7 @@ import os
 import sys
 from types import ModuleType, SimpleNamespace
 
+from . import _package_data
 from .capacity import _preview, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
@@ -84,7 +85,7 @@ def _deferred(name: str) -> ModuleType:
 
 # Registered unrun: no ordering command calls either (see _deferred).
 _deferred("lattice")
-oeis = _deferred("oeis")
+_deferred("oeis")
 
 
 def _parse_triple(text: str) -> MarkovTriple:
@@ -110,7 +111,7 @@ def _fixture(n_max: int) -> dict:
     """The stored catalogue of records, which covers n_max = 450 only."""
     import json
 
-    fixture = json.loads(oeis._package_data("irregularities_450.json"))
+    fixture = json.loads(_package_data("irregularities_450.json"))
     if n_max != fixture["n_max"]:
         raise ValueError(
             f"--fixture catalogue covers n_max={fixture['n_max']}, "

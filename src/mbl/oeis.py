@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 
+from . import _package_data
 from .markov import markov_numbers, recurrence_prefix
 
 SEQUENCE_IDS = {
@@ -26,9 +27,6 @@ _GENERATORS = {
     "fibonacci": (0, lambda n: recurrence_prefix(1, n)),
     "pell": (0, lambda n: recurrence_prefix(2, n)),
 }
-
-#: The vendored b-files, their B2SUMS and the `irregularities --fixture` catalogue.
-_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def parse_bfile(data: bytes) -> dict[int, int]:
@@ -58,11 +56,6 @@ def parse_bfile(data: bytes) -> dict[int, int]:
 def _read(path: str | os.PathLike) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
-
-
-def _package_data(name: str) -> bytes:
-    """The bytes of the package data file data/<name>."""
-    return _read(os.path.join(_DATA_DIR, name))
 
 
 def _vendored_bytes(kind: str) -> bytes:

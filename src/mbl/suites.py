@@ -243,7 +243,7 @@ def _failed(failures: dict[str, str], *names: str):
 
 
 def _suite_markov(config: SimpleNamespace):
-    bound = min(config.max_bound, 10_000)
+    triples = enumerate_triples(config.max_bound)
     failures: dict[str, str] = {}
 
     def mutated(t, kind):  # None where the mutation leaves the solution set
@@ -253,7 +253,7 @@ def _suite_markov(config: SimpleNamespace):
             failures["mutation-closure"] = f"{t} {kind.name}"
             return None
 
-    for t in enumerate_triples(bound):
+    for t in triples:
         degenerate = tuple(t) in ((1, 1, 1), (2, 1, 1))
         for kind in MutationKind:
             child = mutated(t, kind)
@@ -271,7 +271,7 @@ def _suite_markov(config: SimpleNamespace):
                        "mutation-monotonicity", "pairwise-coprimality")
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
-    walked = [tuple(t) for t in enumerate_triples(small)]
+    walked = [tuple(t) for t in triples if t.a <= small]
     yield "brute-force-equivalence", brute == walked, f"bound {small}"
     unique = True
     try:  # the walk refuses a shared maximum once it reaches it
@@ -282,10 +282,9 @@ def _suite_markov(config: SimpleNamespace):
 
 
 def _suite_capacity(config: SimpleNamespace):
-    bound = min(config.max_bound, 10 ** 6)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
-    for t in enumerate_triples(bound):
+    for t in enumerate_triples(config.max_bound):
         w = width(t)
         if t == root:
             if w != 1 or surd_identity_check(t):
@@ -293,7 +292,7 @@ def _suite_capacity(config: SimpleNamespace):
             continue
         if not (Fraction(1, 3) < w <= Fraction(1, 2)):
             failures["width-bounds"] = str(t)
-        if t.a <= 10_000 and not surd_identity_check(t):
+        if not surd_identity_check(t):
             failures["surd-identity"] = str(t)
     # every node to depth 10 lies above the limit of its apex maximum; the
     # gaps to it decrease with the widths, which `alternating_order` checks
@@ -309,9 +308,8 @@ def _suite_capacity(config: SimpleNamespace):
 
 
 def _suite_ordering(config: SimpleNamespace):
-    apex_bound = min(config.max_bound, 10_000)
     failures: dict[str, str] = {}
-    for t in enumerate_triples(apex_bound):
+    for t in enumerate_triples(config.max_bound):
         try:  # b > c and 3ac > 2b: L_i < R_i < L_{i+1}, and descent at every depth
             descent_integers(t)
         except VerificationError as exc:
@@ -336,10 +334,9 @@ def _suite_ordering(config: SimpleNamespace):
 
 
 def _suite_lattice(config: SimpleNamespace):
-    bound = min(config.max_bound, 10_000)
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
-    for t in enumerate_triples(bound):
+    for t in enumerate_triples(config.max_bound):
         tri = vianna_triangle(t)  # construction re-checks the invariants
         value, xi = lattice_width(tri.polygon)
         # below the root the width also drops under the ambient width 1

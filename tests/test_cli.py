@@ -325,7 +325,7 @@ def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
     (data / "B2SUMS").write_text("".join(
         line + "\n" for line in (vendored / "B2SUMS").read_text().splitlines()
         if not line.endswith("b002559.txt")))
-    monkeypatch.setattr(mbl.oeis, "_DATA_DIR", str(data))
+    monkeypatch.setattr(mbl, "_DATA_DIR", str(data))
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *command.split()) == (exit_code, "", err)
 
@@ -397,10 +397,12 @@ def test_import_loads_no_unused_machinery():
 @pytest.mark.parametrize("argv, ran, unloaded", [
     ("limits --n 40 --format json", "", {"fractions"}),
     ("irregularities --n-max 450", "", {"fractions", "decimal"}),
+    ("irregularities --n-max 450 --fixture", "", {"fractions", "decimal"}),
     ("complete --threshold 7/20 --n-max 450", "", set()),
     ("verify --suite lattice --max-bound 30", "mbl.lattice", set()),
     ("width --triple 5,2,1", "mbl.lattice", set()),
-], ids=["limits", "irregularities", "complete", "verify-lattice", "width"])
+], ids=["limits", "irregularities", "irregularities-fixture", "complete", "verify-lattice",
+        "width"])
 def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unloaded):
     probe = ("import os, sys, mbl.cli\n"
              "sys.stdout = open(os.devnull, 'w')\n"
@@ -1130,50 +1132,71 @@ def _doubling_map(rng):  # scales every polygon by 2, so its width doubles
 _DESCENT_FAILURE = "capacity descent fails below (13,5,1): needs b > c and 3ac > 2b"
 
 
-def _descent_fails_at_13_5_1(real):  # the helper refusing one apex, in its own words
+def _descent_fails_at(*triple):  # the helper refusing one apex, in its own words
     # by its entries: the ordering layer passes the walk's int triples
-    return lambda t: (_raise(VerificationError(_DESCENT_FAILURE)) if tuple(t) == (13, 5, 1)
-                      else real(t))
+    return lambda real: lambda t: (_raise(VerificationError(_DESCENT_FAILURE))
+                                   if tuple(t) == triple else real(t))
+
+
+_descent_fails_at_13_5_1 = _descent_fails_at(13, 5, 1)
+
+
+def _gcd_fails_at(*pair):  # math as mbl.suites reads it, with one gcd of 2
+    return lambda real: SimpleNamespace(
+        gcd=lambda x, y: 2 if (x, y) == pair else real.gcd(x, y), isqrt=real.isqrt)
 
 
 T = MarkovTriple
 MIN, MAX = MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX
+PAST_THE_OLD_CAPS = 10 ** 30
 
 # (suite, check, collaborator read from mbl.suites, its broken form given the
-# real one, the witness of the FAIL line); bounds --max-bound 30 --n-max 40
+# real one, the witness of the FAIL line, the --max-bound); --n-max 40
 _BROKEN_CHECKS = [
     ("markov", "mutation-involution", "mutate",  # (2,1,1) never leads back to the root
      lambda real: lambda t, kind: t if (t, kind) == (T(2, 1, 1), MAX) else real(t, kind),
-     "(1,1,1) ELIMINATE_MAX"),
+     "(1,1,1) ELIMINATE_MAX", 30),
     ("markov", "mutation-monotonicity", "mutate",
      lambda real: lambda t, kind: T(2, 1, 1) if (t, kind) == (T(5, 2, 1), MIN)
      else real(t, kind),
-     "(5,2,1)"),
-    ("markov", "pairwise-coprimality", "math",
-     lambda real: SimpleNamespace(gcd=lambda x, y: 2 if (x, y) == (13, 5) else real.gcd(x, y),
-                                 isqrt=real.isqrt),
-     "(13,5,1)"),
+     "(5,2,1)", 30),
+    ("markov", "pairwise-coprimality", "math", _gcd_fails_at(13, 5), "(13,5,1)", 30),
     ("capacity", "width-bounds", "width",
-     lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)"),
+     lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)", 30),
     ("capacity", "limit-gaps", "_above_limit",  # 2/5 read against the limit of 1
      lambda real: lambda num, den, m: (num, den, m) != (2, 5, 1) and real(num, den, m),
-     "gap at (5,2,1) is not positive"),
+     "gap at (5,2,1) is not positive", 30),
     ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at_13_5_1,
-     "(13,5,1)"),
+     "(13,5,1)", 30),
     ("ordering", "chain-inequalities", "descent_integers", _descent_fails_at_13_5_1,
-     "(13,5,1)"),
+     "(13,5,1)", 30),
     ("ordering", "alternating-descent", "descent_integers", _descent_fails_at_13_5_1,
-     _DESCENT_FAILURE),
+     _DESCENT_FAILURE, 30),
     ("lattice", "lattice-width-equals-capacity", "width",
-     lambda real: lambda t: real(t) + (t == T(13, 5, 1)), "(13,5,1)"),
-    ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)"),
+     lambda real: lambda t: real(t) + (t == T(13, 5, 1)), "(13,5,1)", 30),
+    ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)", 30),
     ("lattice", "shear-and-inscribed", "inscribed_right_triangle",
      lambda real: lambda tri: tri.triple != T(13, 5, 1) and real(tri),
-     "(13,5,1)"),
+     "(13,5,1)", 30),
     ("lattice", "alg-lemma", "check_alg_lemma",
-     lambda real: lambda t: t != T(13, 5, 1) and real(t), "(13,5,1)"),
+     lambda real: lambda t: t != T(13, 5, 1) and real(t), "(13,5,1)", 30),
     ("lattice", "unimodular-invariance", "random_unimodular",
-     lambda real: _doubling_map, "(29,5,2)"),
+     lambda real: _doubling_map, "(29,5,2)", 30),
+    # every triple-walking check reaches the bound it is given: each of these
+    # triples lies past a cap the suites once put on it (10^4, or 10^6 for
+    # width-bounds)
+    ("markov", "pairwise-coprimality", "math",  # the pair's last triple is the witness
+     _gcd_fails_at(10946, 4181), "(137295677,10946,4181)", PAST_THE_OLD_CAPS),
+    ("capacity", "width-bounds", "width",
+     lambda real: lambda t: Fraction(1, 3) if t == T(1136689, 195025, 2) else real(t),
+     "(1136689,195025,2)", PAST_THE_OLD_CAPS),
+    ("capacity", "surd-identity", "surd_identity_check",
+     lambda real: lambda t: t != T(14701, 169, 29) and real(t), "(14701,169,29)", 10 ** 6),
+    ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at(10946, 4181, 1),
+     "(10946,4181,1)", PAST_THE_OLD_CAPS),
+    ("lattice", "lattice-width-equals-capacity", "width",
+     lambda real: lambda t: real(t) + (t == T(10946, 4181, 1)), "(10946,4181,1)",
+     PAST_THE_OLD_CAPS),
 ]
 
 
@@ -1285,13 +1308,15 @@ class TestVerifyAndComplete:
             "FAILURES above",
         ]
 
-    @pytest.mark.parametrize("suite, check, name, broken, witness", _BROKEN_CHECKS,
-                             ids=[case[1] for case in _BROKEN_CHECKS])
+    @pytest.mark.parametrize(
+        "suite, check, name, broken, witness, bound", _BROKEN_CHECKS,
+        ids=[check if bound == 30 else f"{check}-bound-1e{len(str(bound)) - 1}"
+             for _, check, _, _, _, bound in _BROKEN_CHECKS])
     def test_each_check_can_fail(self, capsys, monkeypatch, suite, check, name,
-                                 broken, witness):
+                                 broken, witness, bound):
         monkeypatch.setattr(mbl.suites, name, broken(getattr(mbl.suites, name)))
         code, out, _ = run(capsys, "verify", "--suite", suite,
-                           "--max-bound", "30", "--n-max", "40")
+                           "--max-bound", str(bound), "--n-max", "40")
         assert code == 1
         assert f"FAIL  {suite}:{check}  [{witness}]" in out.splitlines()
 

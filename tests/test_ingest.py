@@ -70,7 +70,7 @@ class TestVendored:
             data.mkdir()
             (data / "b002559.txt").write_text("1 1\n")
             (data / "B2SUMS").write_text(sums)
-            monkeypatch.setattr(mbl.oeis, "_DATA_DIR", str(data))
+            monkeypatch.setattr(mbl, "_DATA_DIR", str(data))
 
         digest = hashlib.blake2b(b"1 1\n", digest_size=32).hexdigest()
         blake2b_512 = hashlib.blake2b(b"1 1\n").hexdigest()  # b2sum's default length
