@@ -9,7 +9,7 @@ command of `mbl.cli._COMMANDS`, an unknown command and an unknown flag),
 its FIXED list, and the distinct `order` and `verify` operations of the
 benchmark's seeded lists (perfbench/workloads.py) for each seed (default 1
 and 20261017).  Each goes through `mbl.cli.main` under `sys.settrace`, with
-a temporary directory holding the polygon files and b-files of
+a temporary directory holding the polygon files and text files of
 compare_outputs.py as the working directory; a SystemExit ends only its run.
 Prints, per file of SRC/mbl, the executable lines that no run reached, then
 their total.  A line counts as executable if the compiled module maps an
@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave src/ and perfbench/ as they are
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from compare_outputs import BFILES, FIXED, POLYGONS, workloads  # noqa: E402
+from compare_outputs import FIXED, POLYGONS, TEXT_FILES, workloads  # noqa: E402
 
 
 def _executable(path: Path) -> set[int]:
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         os.chdir(workdir)  # every run reads its polygon file and b-file from here
         for name, polygon in POLYGONS.items():
             Path(name).write_text(json.dumps(polygon))
-        for name, text in BFILES.items():
+        for name, text in TEXT_FILES.items():
             Path(name).write_text(text)
         sys.settrace(call)
         try:

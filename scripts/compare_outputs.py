@@ -11,10 +11,10 @@ invocations outside the benchmark that reach the ordering layer in every
 format it renders, every other command in each format it renders, and the
 argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and a
-temporary directory holding the polygon files of POLYGONS and the b-files
-`doctored.txt` and `short.txt` as the working directory, and compares exit
-code, stdout and stderr; a run still going after TIMEOUT_S seconds is
-stopped and differs from every finished one.
+temporary directory holding the polygon files of POLYGONS and the files of
+TEXT_FILES (two b-files and a broken polygon file) as the working
+directory, and compares exit code, stdout and stderr; a run still going
+after TIMEOUT_S seconds is stopped and differs from every finished one.
 Prints the counts for the usage paths, for FIXED and per seed, and every
 differing command line; exits 1 if any differs.
 """
@@ -50,9 +50,10 @@ LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
 #: The polygon files `width --polygon` reads: a unimodular image of a base
 #: triangle, unreduced fractions mixed with ints, triangles of height 1 and
 #: base 2^61 or 10^999, the image of a thin triangle under (x, y) ->
-#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and the five
+#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and seven
 #: refusals of a polygon file (clockwise, collinear, one vertex written
-#: twice as 1/2 and 2/4, a float and a bool coordinate).
+#: twice as 1/2 and 2/4, a float and a bool coordinate, a JSON object, two
+#: vertices).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
@@ -66,6 +67,8 @@ POLYGONS = {
     "duplicate.json": [["0", "0"], ["1/2", "0"], ["2/4", "0"], ["0", "1"]],
     "float.json": [[0, 0], [0.5, 0], [0, 1]],
     "bool.json": [[0, 0], [True, 0], [0, 1]],
+    "object.json": {"vertices": [[0, 0], [1, 0], [0, 1]]},
+    "two.json": [[0, 0], [1, 0]],
 }
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
@@ -167,13 +170,32 @@ FIXED = [
     # each triple-walking suite up to a bound past 10^6, with no cap of its own
     *(("verify", "--suite", suite, "--max-bound", str(10 ** 30), "--format", "json")
       for suite in ("markov", "capacity", "ordering", "lattice")),
+    # the refusals of user input: a triple that is not three integers, a
+    # rational that does not parse or divides by zero, --k outside JSON,
+    # width with neither or both of its inputs, a polygon file that is not
+    # JSON, a b-file of no kind, a triangle figure without its triple or with
+    # a delta out of range, a numberline off a record
+    ("order", "--triple", "1,x,1"),
+    ("order", "--triple", "1,1"),
+    ("complete", "--threshold", "abc"),
+    ("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "1/0"),
+    ("limits", "--n", "3", "--k", "3"),
+    ("width",),
+    ("width", "--triple", "5,2,1", "--polygon", "skew.json"),
+    ("width", "--polygon", "broken.json"),
+    ("ingest", "--bfile", "doctored.txt"),
+    ("plot", "--figure", "triangle"),
+    ("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "1/2"),
+    ("plot", "--figure", "numberline", "--n", "34"),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
 TIMEOUT_S = 60
-#: The first 8 Markov numbers with m_5 = 29 written as 30, and a file too short for 8.
-BFILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
-          "short.txt": "1 1\n2 2\n"}
+#: Files written as they are: the b-files of the first 8 Markov numbers with
+#: m_5 = 29 written as 30 and of a sequence too short for 8, and a polygon
+#: file cut off inside its JSON.
+TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
+              "short.txt": "1 1\n2 2\n", "broken.json": "[[0, 0], [1, 0"}
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes]:
@@ -212,7 +234,7 @@ def main(argv=None) -> int:
         os.chdir(workdir)  # every run reads its polygon file and b-file from here
         for name, polygon in POLYGONS.items():
             Path(name).write_text(json.dumps(polygon))
-        for name, text in BFILES.items():
+        for name, text in TEXT_FILES.items():
             Path(name).write_text(text)
         return _compare(old, new, args.seeds or (1, 20261017))
 

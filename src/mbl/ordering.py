@@ -211,8 +211,9 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     return rows
 
 
-def find_irregularities(n_max: int) -> list[IrregularityRecord]:
-    """All juxtaposition failures with lowest index <= n_max.
+def find_irregularities(n_max: int) -> list[tuple[IrregularityRecord, bool]]:
+    """All juxtaposition failures with lowest index <= n_max, by increasing
+    n, each with the verdict of `verify_swap_pattern` on the scan's prefix.
 
     Each offending sequence n' is recorded once, against the smallest n whose
     sequence it overtakes; a span n' - n outside the catalogued patterns
@@ -232,20 +233,19 @@ def find_irregularities(n_max: int) -> list[IrregularityRecord]:
         if n <= min(n_prime - 1, n_max):
             records.append(IrregularityRecord(n, n_prime - n))
     records.sort(key=lambda rec: rec.n)
-    return records
+    return [(rec, verify_swap_pattern(rec, numbers, apexes)) for rec in records]
 
 
-def verify_swap_pattern(rec: IrregularityRecord) -> bool:
+def verify_swap_pattern(rec: IrregularityRecord, numbers, apexes) -> bool:
     """Check that only the leading capacity of the higher sequence swaps.
 
     For the record's pair (n, n') this means: the leading capacity of
     sequence n' exceeds every capacity of each spanned sequence, the second
     capacity of sequence n' stays below each spanned sequence's infimum, and
     the swap reaches no further than n.  Vacuously true if the pair is not
-    violated at all.
+    violated at all.  Reads the first n' of `markov_prefix`'s numbers and apexes.
     """
     n, n_prime = rec.n, rec.n_prime
-    numbers, apexes = markov_prefix(n_prime)
     a, b, c = apexes[n_prime - 1]  # a = m_n'; the deficits of w_1(n') and w_2(n'):
     lead, second = _deficit(a, 3 * a * c - b), _deficit(a, 3 * a * b - c)
     if not _exceeds(lead, _deficit(numbers[n - 1])):  # the pair holds: nothing swaps
@@ -292,16 +292,12 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     bar = (9, 4) if above else ((3 * num - den) * den, num * num)  # (3T - 1)/T^2, T = N/D
 
     try:
-        records = find_irregularities(n_max)
+        checked = find_irregularities(n_max)
     except VerificationError as exc:
-        records = []
+        checked = []
         failures.append(str(exc))
-    swap_checks = []
-    for rec in records:
-        ok = verify_swap_pattern(rec)
-        swap_checks.append({"n": rec.n, "ok": ok})
-        if not ok:
-            failures.append(f"swap pattern at n={rec.n} (span {rec.span}) fails")
+    failures += [f"swap pattern at n={rec.n} (span {rec.span}) fails"
+                 for rec, ok in checked if not ok]
 
     # sequences 1..n_max, then the tail to the first index past it with m_n^2 >= 2T^2/(3T-1)
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
@@ -324,8 +320,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         "threshold": capacity_to_json(threshold),
         "n_max": n_max,
         "certified": not failures,
-        "records": [rec.to_json() for rec in records],
-        "swap_checks": swap_checks,
+        "records": [rec.to_json() for rec, _ in checked],
+        "swap_checks": [{"n": rec.n, "ok": ok} for rec, ok in checked],
         "active_sequences": active,
         "tail_exact": tail_exact,
         "tail_bound_index": end,

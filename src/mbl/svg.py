@@ -109,7 +109,7 @@ def figure_numberline(n: int, k: int) -> str:
     of the higher sequence (the swapped one) is highlighted, and the title
     names every sequence it moves ahead of.
     """
-    rec = next((rec for rec in find_irregularities(n) if rec.n == n), None)
+    rec = next((rec for rec, _ in find_irregularities(n) if rec.n == n), None)
     if rec is None:
         raise ValueError(f"no irregularity at n={n}")
     seqs = spectrum_rows(rec.n_prime, k)[n - 2:]  # no record has n = 1

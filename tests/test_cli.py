@@ -26,7 +26,7 @@ import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.lattice import LatticePolygon
-from mbl.markov import MarkovTriple, ancestors, markov_numbers
+from mbl.markov import MarkovTriple, MarkovWalk, ancestors, markov_numbers
 from mbl.ordering import IrregularityRecord
 from mbl.suites import MutationKind, fibonacci
 
@@ -471,9 +471,10 @@ def test_import_mbl_loads_no_submodule():
 
 
 def _imported_by_process(*argv):
-    # every module a `python -m mbl.cli` process imports by an import
-    # statement, from -X importtime (which does not log importlib.import_module;
-    # argparse, gettext and locale load by import statements)
+    # every module a `python -m mbl.cli` process imports through `__import__`,
+    # which -X importtime logs: by import statements (argparse, gettext and
+    # locale too) and by `cli._module` (the handler modules); not `mbl.lattice`
+    # or `mbl.oeis`, which `cli._deferred` runs in place
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "mbl.cli", *argv],
                             env=env, capture_output=True, text=True)
@@ -490,6 +491,15 @@ def test_well_formed_runs_load_no_argparse(argv):
     imported = _imported_by_process(*argv)
     assert "mbl.ordering" in imported  # the probe sees the process's imports
     assert imported & {"argparse", "gettext", "locale"} == set()
+
+
+@pytest.mark.parametrize("argv, module", [
+    (("verify", "--suite", "capacity", "--format", "json"), "mbl.suites"),
+    (("order", "--triple", "5,2,1", "--depth", "1"), "mbl.commands"),
+    (("plot", "--figure", "order5"), "mbl.svg"),
+], ids=["suites", "commands", "svg"])
+def test_importtime_sees_the_handler_modules(argv, module):
+    assert module in _imported_by_process(*argv)
 
 
 def test_only_a_polygon_file_loads_json():
@@ -906,6 +916,24 @@ class TestIrregularities:
             assert code == 2
             assert err == f"mbl: --fixture catalogue covers n_max=450, got --n-max {n_max}\n"
 
+    def test_the_scan_enters_the_walk_once_per_prefix(self, capsys, monkeypatch):
+        # each swap verdict reads the prefix the scan walked: `find_irregularities`
+        # enters the walk twice, and `complete` once more for its tail
+        entries = []
+        walk = MarkovWalk()
+
+        def counted(*args):
+            entries.append(args)
+            return walk.prefix(*args)
+
+        monkeypatch.setattr(mbl.ordering, "markov_prefix", counted)
+        report = mbl.ordering.ordered_prefix_complete_above(Fraction(7, 20), 793)
+        assert report["certified"] and len(report["swap_checks"]) == 30
+        assert len(entries) == 3
+        entries.clear()
+        code, _, _ = run(capsys, "irregularities", "--n-max", "793")
+        assert code == 0 and len(entries) == 2
+
     def test_fixture_mismatch_fails(self, capsys, monkeypatch):
         real = mbl.cli.find_irregularities
         monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: real(n_max)[1:])
@@ -1155,7 +1183,7 @@ PAST_THE_OLD_CAPS = 10 ** 30
 _BROKEN_CHECKS = [
     ("markov", "mutation-involution", "mutate",  # (2,1,1) never leads back to the root
      lambda real: lambda t, kind: t if (t, kind) == (T(2, 1, 1), MAX) else real(t, kind),
-     "(1,1,1) ELIMINATE_MAX", 30),
+     "(1,1,1) ELIMINATE_MIN", 30),
     ("markov", "mutation-monotonicity", "mutate",
      lambda real: lambda t, kind: T(2, 1, 1) if (t, kind) == (T(5, 2, 1), MIN)
      else real(t, kind),
@@ -1181,12 +1209,12 @@ _BROKEN_CHECKS = [
     ("lattice", "alg-lemma", "check_alg_lemma",
      lambda real: lambda t: t != T(13, 5, 1) and real(t), "(13,5,1)", 30),
     ("lattice", "unimodular-invariance", "random_unimodular",
-     lambda real: _doubling_map, "(29,5,2)", 30),
+     lambda real: _doubling_map, "(5,2,1)", 30),
     # every triple-walking check reaches the bound it is given: each of these
     # triples lies past a cap the suites once put on it (10^4, or 10^6 for
     # width-bounds)
-    ("markov", "pairwise-coprimality", "math",  # the pair's last triple is the witness
-     _gcd_fails_at(10946, 4181), "(137295677,10946,4181)", PAST_THE_OLD_CAPS),
+    ("markov", "pairwise-coprimality", "math",  # the pair's first triple is the witness
+     _gcd_fails_at(10946, 4181), "(10946,4181,1)", PAST_THE_OLD_CAPS),
     ("capacity", "width-bounds", "width",
      lambda real: lambda t: Fraction(1, 3) if t == T(1136689, 195025, 2) else real(t),
      "(1136689,195025,2)", PAST_THE_OLD_CAPS),
@@ -1407,24 +1435,32 @@ class TestVerifyAndComplete:
             {"name": "completed", "passed": False, "witness": refusal}]
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
-        records = [IrregularityRecord(5, 1), IrregularityRecord(7, 2)]
-        monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: records)
+        checked = [(IrregularityRecord(5, 1), True), (IrregularityRecord(7, 2), True)]
+        monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: checked)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["suites"]["ordering"]["checks"]}
         failed = [name for name, c in checks.items() if not c["passed"]]
         assert failed == ["regular-prefix"]
-        assert checks["regular-prefix"]["witness"] == "(n,n')=(7,9)"
-        # both pairs are regular, so the swap holds vacuously for each
+        assert checks["regular-prefix"]["witness"] == "(n,n')=(5,6)"  # the first record
+        # the suite reads each swap verdict off the scan
         assert checks["swap-patterns"] == {
             "name": "swap-patterns", "passed": True, "witness": "2 records"}
 
+    def test_a_rejected_swap_fails_the_swap_patterns(self, capsys, monkeypatch):
+        checked = [(IrregularityRecord(33, 1), True), (IrregularityRecord(37, 1), False)]
+        monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: checked)
+        code, out, _ = run(capsys, "verify", "--suite", "ordering",
+                           "--max-bound", "30", "--n-max", "40")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+        assert code == 1 and failed == ["FAIL  ordering:swap-patterns  [2 records]"]
+
     def test_regular_prefix_scans_to_32_below_it(self, capsys, monkeypatch):
         # the check stands for every pair with n <= 32, whatever --n-max is
-        injected = [IrregularityRecord(20, 1)]
+        injected = [(IrregularityRecord(20, 1), True)]
         monkeypatch.setattr(mbl.suites, "find_irregularities",
-                            lambda n_max: [rec for rec in injected if rec.n <= n_max])
+                            lambda n_max: [pair for pair in injected if pair[0].n <= n_max])
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "10")
         assert code == 1

@@ -370,24 +370,25 @@ class TestIntegerForms:
         assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
         report = ordered_prefix_complete_above(threshold, 793)
         assert report["certified"] and report["failures"] == []
-        records = find_irregularities(793)
-        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
-        assert all(verify_swap_pattern(rec) for rec in records)
+        checked = find_irregularities(793)
+        assert len(checked) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
+        assert all(ok for _, ok in checked)
 
     def test_swap_pattern_matches_fractions_to_793(self):
-        records = find_irregularities(793)
-        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
-        for rec in records:
-            assert verify_swap_pattern(rec) == _fraction_swap_pattern(rec.n, rec.n_prime)
+        checked = find_irregularities(793)
+        assert len(checked) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
+        for rec, ok in checked:
+            assert ok == _fraction_swap_pattern(rec.n, rec.n_prime)
+        prefix = markov_prefix(5360)  # through the n' of every record below
         for n in range(1, 60):  # regular pairs and pairs one below a record
             rec = IrregularityRecord(n, 1)
-            assert verify_swap_pattern(rec) == _fraction_swap_pattern(n, n + 1)
+            assert verify_swap_pattern(rec, *prefix) == _fraction_swap_pattern(n, n + 1)
         # rejected records: sequences 371 and 435 also overtake 369 and 433, so
         # those swaps reach sequence n - 1; in (4600, 2) and (5359, 1) the
         # leading capacity of n' stays behind the first capacity of sequence n
         for n, span in ((370, 1), (434, 1), (4600, 2), (5359, 1)):
             rec = IrregularityRecord(n, span)
-            assert verify_swap_pattern(rec) is False
+            assert verify_swap_pattern(rec, *prefix) is False
             assert _fraction_swap_pattern(n, n + span) is False
 
     def test_threshold_checks_match_fractions_to_850(self):
@@ -418,17 +419,17 @@ class TestIrregularities:
         assert find_irregularities(32) == []
 
     def test_first_two_records(self):
-        records = find_irregularities(40)
-        assert [(rec.n, rec.span) for rec in records] == [(33, 1), (37, 1)]
+        checked = find_irregularities(40)
+        assert [(rec.n, rec.span, ok) for rec, ok in checked] == [(33, 1, True), (37, 1, True)]
 
     def test_record_33_swaps(self):
-        rec = find_irregularities(33)[0]
+        [(rec, ok)] = find_irregularities(33)
         assert rec.n == 33 and rec.span == 1 and rec.n_prime == 34
-        assert verify_swap_pattern(rec)
+        assert ok
 
     def test_regular_pair_vacuous(self):
         rec = IrregularityRecord(3, 1)  # manufactured for a regular pair
-        assert verify_swap_pattern(rec)
+        assert verify_swap_pattern(rec, *markov_prefix(4))
 
     def test_span_validation(self):
         with pytest.raises(VerificationError, match=re.escape(
@@ -444,7 +445,7 @@ class TestIrregularities:
                 IrregularityRecord(n, span)
 
     def test_catalogue_to_793_and_span_three_at_794(self):
-        records = find_irregularities(793)
+        records = [rec for rec, _ in find_irregularities(793)]
         assert [rec.n for rec in records if rec.span == 1] == SPAN_1_TO_793
         assert [rec.n for rec in records if rec.span == 2] == SPAN_2_TO_793
         lowest = {}
@@ -465,7 +466,7 @@ class TestIrregularities:
         catalogue = sorted((n, n_prime - n) for n_prime, n in lowest.items())
         assert len(catalogue) == 30
         for n_max in range(1, 794):
-            assert [(rec.n, rec.span) for rec in find_irregularities(n_max)] == \
+            assert [(rec.n, rec.span) for rec, _ in find_irregularities(n_max)] == \
                 [(n, span) for n, span in catalogue if n <= n_max]
 
 
@@ -474,7 +475,7 @@ class TestSortedCapacities:
 
     def test_order_below_ten_to_the_hundred(self):
         overtakes, moved = sorted_capacity_order(10 ** 100)
-        records = find_irregularities(793)
+        records = [rec for rec, _ in find_irregularities(793)]
         assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793) == 30
         # each leader moves ahead of all capacities of exactly its spanned sequences
         assert {n_prime: behind for n_prime, behind in overtakes.items()
