@@ -13,8 +13,9 @@ argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and a
 temporary directory holding the polygon files of POLYGONS and the files of
 TEXT_FILES (two b-files and a broken polygon file) as the working
-directory, and compares exit code, stdout and stderr; a run still going
-after TIMEOUT_S seconds is stopped and differs from every finished one.
+directory, and compares exit code, stdout, stderr and the bytes of the file
+that `--out FILE` names; a run still going after TIMEOUT_S seconds is
+stopped and differs from every finished one.
 Prints the counts for the usage paths, for FIXED and per seed, and every
 differing command line; exits 1 if any differs.
 """
@@ -131,6 +132,12 @@ FIXED = [
       for shape in (("--n-max", "5"), ("--format=json",), ("--n", "5", "--n", "6"),
                     ("--n", "-1"), ("--n",), ("--suite", "markov", "--suite", "markov"),
                     ("--fixture", "x"), ("--n", "5", "-h"))),
+    # and the three values it declines: a bad int, a bad choice and a
+    # missing required flag; a table written to --out FILE
+    ("limits", "--n", "x"),
+    ("verify", "--suite", "nope"),
+    ("complete", "--n-max", "5"),
+    ("limits", "--n", "3", "--out", "limits.txt"),
     # the flags of the b-file cache and its download, removed: usage errors
     ("ingest", "--fetch"),
     ("ingest", "--kind", "markov", "--cache-dir", "d"),
@@ -198,18 +205,23 @@ TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
               "short.txt": "1 1\n2 2\n", "broken.json": "[[0, 0], [1, 0"}
 
 
-def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes]:
+def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes, bytes | None]:
     env = dict(os.environ, PYTHONPATH=str(src))
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     try:
         done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
                               capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return None, b"", b"timed out"  # unequal to every finished run
-    return done.returncode, done.stdout, done.stderr
+        return None, b"", b"timed out", None  # unequal to every finished run
+    written = None
+    if out is not None and out.exists():
+        written = out.read_bytes()
+        out.unlink()  # the other tree's run writes it afresh
+    return done.returncode, done.stdout, done.stderr, written
 
 
 def _usage_paths(src: Path) -> list[tuple[str, ...]]:
-    _, help_text, _ = _run(src, ("-h",))
+    _, help_text, _, _ = _run(src, ("-h",))
     commands = re.search(rb"\{([a-z,]+)\}", help_text).group(1).decode().split(",")
     return [(), ("-h",), *((command, "-h") for command in commands),
             ("bogus",), ("widths", "--bogus")]

@@ -6,18 +6,19 @@ every command's flags once.  `main` parses an argv of the plain shape
 `<command> (--flag value | --switch)*` from it directly; argparse (with
 gettext and locale) loads only for help, usage errors and the argv that
 parse declines, through `build_parser`, which builds the same parser from
-the same table.  Either way `main` looks the handler up in the table, and
-the module holding a handler outside this one is imported only when its
-command runs: `mbl.commands` (the other table commands),
-`mbl.suites` (`verify`) or `mbl.svg` (`plot`).  No ordering command calls
-`mbl.lattice` or `mbl.oeis`: `_deferred` puts both in `sys.modules` unrun,
-and the first read of one of their names runs it.  The bench tracer
-(perfbench/tracer.py) reads the namespace of every loaded `mbl` module
-before it re-binds its traced functions, which runs both first, so its
-counts stay exact.  `fractions` and `decimal` load where a `Fraction` or a
-printed decimal is first built.  The Markov walk behind the ordering
-commands hands out int triples, and `json` loads only for `--fixture` and
-`width --polygon`.  Exit codes and output helpers live in `mbl.report`.
+the same table.  Either way `main` parses each value `_VALUES` names, then
+looks the handler up in the table, so the module holding a handler outside
+this one is imported only when its command runs with values that parse:
+`mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
+`mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
+`_deferred` puts both in `sys.modules` unrun, and the first read of one of
+their names runs it.  The bench tracer (perfbench/tracer.py) reads the
+namespace of every loaded `mbl` module before it re-binds its traced
+functions, which runs both first, so its counts stay exact.  `fractions`
+and `decimal` load where a `Fraction` or a printed decimal is first built.
+The Markov walk behind the ordering commands hands out int triples, and
+`json` loads only for `--fixture` and `width --polygon`.  Exit codes and
+output helpers live in `mbl.report`.
 """
 
 from __future__ import annotations
@@ -87,23 +88,28 @@ _deferred("lattice")
 _deferred("oeis")
 
 
-def _parse_triple(text: str) -> MarkovTriple:
+def _parse_triple(flag: str, text: str) -> MarkovTriple:
     try:
         values = [int(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"--triple expects integers a,b,c, got {text!r}") from None
+        raise ValueError(f"{flag} expects integers a,b,c, got {text!r}") from None
     if len(values) != 3:
-        raise ValueError(f"--triple expects three entries, got {text!r}")
+        raise ValueError(f"{flag} expects three entries, got {text!r}")
     return MarkovTriple.from_values(*values)
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(flag: str, text: str) -> Fraction:
     from fractions import Fraction  # only --threshold and --delta build one
 
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected an exact rational like 'p/q', got {text!r}") from None
+        raise ValueError(f"{flag} expects an exact rational like 'p/q', got {text!r}") from None
+
+
+#: The flag values `main` parses before it loads a handler: each dest, in
+#: this order, and the parser that reads the text of its flag `--<dest>`.
+_VALUES = {"triple": _parse_triple, "threshold": _parse_rational, "delta": _parse_rational}
 
 
 def _fixture(n_max: int) -> dict:
@@ -336,16 +342,12 @@ def main(argv: list[str]) -> int:
     values = _plain_parse(argv)
     if values is None:
         values = vars(build_parser().parse_args(argv))
-    args = SimpleNamespace(**values)
-    handler = _COMMANDS[args.command][2]()  # imports the module holding it
     try:
-        if getattr(args, "triple", None) is not None:
-            args.triple = _parse_triple(args.triple)
-        if getattr(args, "threshold", None) is not None:
-            args.threshold = _parse_rational(args.threshold)
-        if getattr(args, "delta", None) is not None:
-            args.delta = _parse_rational(args.delta)
-        return handler(args)
+        for dest, parse in _VALUES.items():
+            if values.get(dest) is not None:
+                values[dest] = parse(f"--{dest}", values[dest])
+        handler = _COMMANDS[values["command"]][2]()  # imports the module holding it
+        return handler(SimpleNamespace(**values))
     except ValueError as exc:
         print(f"mbl: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -61,10 +61,7 @@ def _read(path: str | os.PathLike) -> bytes:
 def _vendored_bytes(kind: str) -> bytes:
     """A vendored b-file, once its BLAKE2b-256 digest matches its line in
     the `b2sum` file data/B2SUMS ("<hex digest>  <file name>")."""
-    try:  # the C module behind hashlib.blake2b, without loading OpenSSL
-        from _blake2 import blake2b
-    except ImportError:
-        from hashlib import blake2b
+    from _blake2 import blake2b  # hashlib.blake2b itself, without loading OpenSSL
     name = f"b{SEQUENCE_IDS[kind][1:]}.txt"
     blob = _package_data(name)
     line = f"{blake2b(blob, digest_size=32).hexdigest()}  {name}".encode()

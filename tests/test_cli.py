@@ -285,7 +285,7 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("widths --triple 5,2", 2, "mbl: --triple expects three entries, got '5,2'\n"),
     ("widths --triple a,b,c", 2, "mbl: --triple expects integers a,b,c, got 'a,b,c'\n"),
     ("complete --threshold 1/0", 2,
-     "mbl: expected an exact rational like 'p/q', got '1/0'\n"),
+     "mbl: --threshold expects an exact rational like 'p/q', got '1/0'\n"),
     ("plot --figure triangle", 2, "mbl: plot --figure triangle needs --triple\n"),
     # a bound below 1 is named by the flag that set it
     ("limits --n 0", 2, "mbl: --n must be >= 1\n"),
@@ -328,6 +328,31 @@ def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
     monkeypatch.setattr(mbl, "_DATA_DIR", str(data))
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *command.split()) == (exit_code, "", err)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("complete --threshold abc", "--threshold"),
+    ("plot --figure triangle --triple 5,2,1 --delta x", "--delta"),
+    ("widths --triple 1,x,1", "--triple"),
+    ("widths --triple 1,1", "--triple"),
+])
+def test_every_value_refusal_names_its_flag(capsys, command, flag):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mbl: {flag} expects ") and err.count("\n") == 1
+
+
+def test_a_refused_value_loads_no_handler_module():
+    # main parses every value before it imports the module holding the handler
+    probe = ("import sys, mbl.cli\n"
+             "print(mbl.cli.main(['widths', '--triple', '1,x,1']),\n"
+             "      mbl.cli.main(['plot', '--figure', 'triangle', '--triple', '1,x,1']))\n"
+             "print(sorted({'mbl.commands', 'mbl.svg'} & set(sys.modules)),\n"
+             "      type(sys.modules['mbl.lattice']) is mbl.cli._Deferred)")
+    env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "2 2\n[] True\n"
 
 
 def test_depth_is_checked_only_where_it_is_read(capsys):
