@@ -12,7 +12,7 @@ format it renders, every other command in each format it renders, and the
 argv shapes that `mbl.cli` hands from its plain parse to argparse.  Runs
 each as `python -m mbl.cli ...` with PYTHONPATH set to each tree and a
 temporary directory holding the polygon files of POLYGONS and the files of
-TEXT_FILES (two b-files and a broken polygon file) as the working
+TEXT_FILES (b-files and a broken polygon file) as the working
 directory, and compares exit code, stdout, stderr and the bytes of the file
 that `--out FILE` names; a run still going after TIMEOUT_S seconds is
 stopped and differs from every finished one.
@@ -51,10 +51,10 @@ LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
 #: The polygon files `width --polygon` reads: a unimodular image of a base
 #: triangle, unreduced fractions mixed with ints, triangles of height 1 and
 #: base 2^61 or 10^999, the image of a thin triangle under (x, y) ->
-#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and seven
+#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and eight
 #: refusals of a polygon file (clockwise, collinear, one vertex written
 #: twice as 1/2 and 2/4, a float and a bool coordinate, a JSON object, two
-#: vertices).
+#: vertices, a coordinate that is not a number).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
@@ -70,6 +70,7 @@ POLYGONS = {
     "bool.json": [[0, 0], [True, 0], [0, 1]],
     "object.json": {"vertices": [[0, 0], [1, 0], [0, 1]]},
     "two.json": [[0, 0], [1, 0]],
+    "letters.json": [["x", 0], [1, 0], [0, 1]],
 }
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
@@ -194,15 +195,38 @@ FIXED = [
     ("plot", "--figure", "triangle"),
     ("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "1/2"),
     ("plot", "--figure", "numberline", "--n", "34"),
+    # a triple that is not sorted or not a solution, the threshold 1/3, an
+    # --out FILE in no directory, and a b-file with comments and a blank
+    # line beside the four refusals of its lines
+    ("widths", "--triple", "3,2,1"),
+    ("widths", "--triple", "0,0,0"),
+    ("complete", "--threshold", "1/3"),
+    ("limits", "--n", "3", "--out", "nodir/limits.txt"),
+    *(("ingest", "--kind", "markov", "--n", "3", "--bfile", name)
+      for name in ("comments.txt", "three.txt", "letter.txt", "repeated.txt", "empty.txt")),
+    # a count's bound is checked first, whatever the command reads of its
+    # other flags and whatever figure it draws
+    ("limits", "--n", "0", "--k", "3"),
+    ("subtree", "--triple", "5,2,1", "--preserve", "7", "--depth", "-1"),
+    ("ingest", "--bfile", "doctored.txt", "--n", "0"),
+    ("plot", "--figure", "triangle", "--depth", "-1"),
+    ("plot", "--figure", "numberline", "--depth", "-1"),
+    ("plot", "--figure", "order5", "--n", "0"),
+    ("verify", "--max-bound", "0"),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
 TIMEOUT_S = 60
 #: Files written as they are: the b-files of the first 8 Markov numbers with
-#: m_5 = 29 written as 30 and of a sequence too short for 8, and a polygon
-#: file cut off inside its JSON.
+#: m_5 = 29 written as 30, of a sequence too short for 8, of the first 3
+#: Markov numbers under a comment and a blank line, and four malformed ones
+#: (a line of three fields, a field that is no integer, an index written
+#: twice, comments only), and a polygon file cut off inside its JSON.
 TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
-              "short.txt": "1 1\n2 2\n", "broken.json": "[[0, 0], [1, 0"}
+              "short.txt": "1 1\n2 2\n", "comments.txt": "# A002559\n\n1 1\n2 2\n3 5\n",
+              "three.txt": "1 1\n2 2 2\n", "letter.txt": "1 1\n2 x\n",
+              "repeated.txt": "1 1\n1 2\n", "empty.txt": "# no entries\n",
+              "broken.json": "[[0, 0], [1, 0"}
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes, bytes | None]:

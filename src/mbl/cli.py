@@ -6,19 +6,21 @@ every command's flags once.  `main` parses an argv of the plain shape
 `<command> (--flag value | --switch)*` from it directly; argparse (with
 gettext and locale) loads only for help, usage errors and the argv that
 parse declines, through `build_parser`, which builds the same parser from
-the same table.  Either way `main` parses each value `_VALUES` names, then
-looks the handler up in the table, so the module holding a handler outside
-this one is imported only when its command runs with values that parse:
-`mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
-`mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
-`_deferred` puts both in `sys.modules` unrun, and the first read of one of
-their names runs it.  The bench tracer (perfbench/tracer.py) reads the
-namespace of every loaded `mbl` module before it re-binds its traced
-functions, which runs both first, so its counts stay exact.  `fractions`
-and `decimal` load where a `Fraction` or a printed decimal is first built.
-The Markov walk behind the ordering commands hands out int triples, and
-`json` loads only for `--fixture` and `width --polygon`.  Exit codes and
-output helpers live in `mbl.report`.
+the same table.  Either way `main` finishes each value `_VALUES` names,
+counts included (a triple or a rational is parsed, a count's bound is
+checked), then looks the handler up in the table, so no handler checks a
+bound, and the module holding one outside this one is imported only when
+its command runs with values that pass: `mbl.commands` (the other table
+commands), `mbl.suites` (`verify`) or `mbl.svg` (`plot`).  No ordering
+command calls `mbl.lattice` or `mbl.oeis`: `_deferred` puts both in
+`sys.modules` unrun, and the first read of one of their names runs it.
+The bench tracer (perfbench/tracer.py) reads the namespace of every loaded
+`mbl` module before it re-binds its traced functions, which runs both
+first, so its counts stay exact.  `fractions` and `decimal` load where a
+`Fraction` or a printed decimal is first built.  The Markov walk behind the
+ordering commands hands out int triples, and `json` loads only for
+`--fixture` and `width --polygon`.  Exit codes and output helpers live in
+`mbl.report`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .report import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
-    _at_least,
     _emit_rows,
     _report,
 )
@@ -107,9 +108,20 @@ def _parse_rational(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag} expects an exact rational like 'p/q', got {text!r}") from None
 
 
-#: The flag values `main` parses before it loads a handler: each dest, in
-#: this order, and the parser that reads the text of its flag `--<dest>`.
-_VALUES = {"triple": _parse_triple, "threshold": _parse_rational, "delta": _parse_rational}
+def _at_least(least: int):
+    """The check of a count flag: its int value, or the refusal of one below `least`."""
+    def check(flag: str, value: int) -> int:
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+        return value
+    return check
+
+
+#: The flag values `main` finishes before it loads a handler: each dest, in
+#: this order, and the parser of its flag's text or the check of its count.
+_VALUES = {"triple": _parse_triple, "threshold": _parse_rational, "delta": _parse_rational,
+           "max_bound": _at_least(1), "n_max": _at_least(1), "n": _at_least(1),
+           "k": _at_least(1), "depth": _at_least(0)}
 
 
 def _fixture(n_max: int) -> dict:
@@ -126,7 +138,6 @@ def _fixture(n_max: int) -> dict:
 
 
 def cmd_irregularities(config: SimpleNamespace) -> int:
-    _at_least(config, 1, "--n-max")
     fixture = _fixture(config.n_max) if config.fixture else None  # before the scan
     checked = find_irregularities(config.n_max)
     payload = {"command": "irregularities", "n_max": config.n_max}
@@ -152,7 +163,6 @@ def cmd_irregularities(config: SimpleNamespace) -> int:
 def cmd_limits(config: SimpleNamespace) -> int:
     if config.k is not None and config.fmt != "json":
         raise ValueError("--k shows only in the JSON rows; use it with --format json")
-    _at_least(config, 1, "--n", "--k")
     rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
     notes = ("* b for rows 1 and 2 follows the second-smallest-member "
              "convention (values 2 and 5)",)
@@ -171,7 +181,6 @@ def cmd_limits(config: SimpleNamespace) -> int:
 
 
 def cmd_complete(config: SimpleNamespace) -> int:
-    _at_least(config, 1, "--n-max")
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
 
     def render() -> str:
@@ -345,7 +354,7 @@ def main(argv: list[str]) -> int:
     try:
         for dest, parse in _VALUES.items():
             if values.get(dest) is not None:
-                values[dest] = parse(f"--{dest}", values[dest])
+                values[dest] = parse("--" + dest.replace("_", "-"), values[dest])
         handler = _COMMANDS[values["command"]][2]()  # imports the module holding it
         return handler(SimpleNamespace(**values))
     except ValueError as exc:

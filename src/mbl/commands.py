@@ -17,7 +17,7 @@ from .capacity import _preview, capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import MarkovTriple, ancestors, enumerate_triples, wedge
 from .ordering import alternating_order
-from .report import EXIT_OK, EXIT_VERIFICATION, _at_least, _emit_rows, _report, _table
+from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report, _table
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
 
@@ -38,7 +38,6 @@ def cmd_widths(config: SimpleNamespace) -> int:
 
 
 def cmd_triples(config: SimpleNamespace) -> int:
-    _at_least(config, 1, "--max-bound")
     triples = enumerate_triples(config.max_bound)
     depths = {1: 0}  # by maximum; the parent of (a, b, c) is the triple with maximum b
     for t in triples[1:]:
@@ -60,7 +59,6 @@ def cmd_subtree(config: SimpleNamespace) -> int:
     # an entry stays in each ancestor until it is maximal, and the maxima decrease
     path = [t for t in ancestors(config.triple) if t[0] <= preserved]
     apex, top = MarkovTriple(*path[0]), len(path) - 1
-    _at_least(config, 0, "--depth")
     records = [(top + i, t, width(t))
                for i, level in enumerate(wedge(apex, config.depth)) for t in level]
     payload = {
@@ -78,7 +76,6 @@ def cmd_subtree(config: SimpleNamespace) -> int:
 
 
 def cmd_order(config: SimpleNamespace) -> int:
-    _at_least(config, 0, "--depth")
     records = [(rank, t, w) for rank, (t, w)
                in enumerate(alternating_order(config.triple, config.depth), start=1)]
     return _emit_rows(
@@ -137,7 +134,7 @@ def cmd_width(config: SimpleNamespace) -> int:
         try:
             with open(config.polygon, "r") as handle:
                 polygon = LatticePolygon.from_json(json.load(handle))
-        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and vertex refusals
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
@@ -157,7 +154,6 @@ def cmd_width(config: SimpleNamespace) -> int:
 def cmd_ingest(config: SimpleNamespace) -> int:
     if config.bfile is not None and config.kind == "all":
         raise ValueError("--bfile holds one sequence; name it with --kind")
-    _at_least(config, 1, "--n")
     kinds = list(oeis.SEQUENCE_IDS) if config.kind == "all" else [config.kind]
     source = "vendored" if config.bfile is None else str(config.bfile)
     checks = [(kind, oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile),

@@ -72,10 +72,15 @@ def _vendored_bytes(kind: str) -> bytes:
 
 def load_bfile(kind: str, path: str | os.PathLike | None = None) -> dict[int, int]:
     """The index -> value map of a b-file: the file at `path` if one is
-    given, else the vendored copy."""
+    given, its refusal naming the path, else the vendored copy."""
     if kind not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence kind {kind!r}")
-    return parse_bfile(_vendored_bytes(kind) if path is None else _read(path))
+    if path is None:
+        return parse_bfile(_vendored_bytes(kind))
+    try:
+        return parse_bfile(_read(path))
+    except ValueError as exc:  # malformed lines and bytes that are not UTF-8
+        raise ValueError(f"bad b-file {path}: {exc}") from None
 
 
 def cross_check(kind: str, n: int, entries: dict[int, int],

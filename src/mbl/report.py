@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All output is deterministic for a given invocation: exact rationals are
 rendered as "p/q", and every decimal preview beside them comes from
-`mbl.capacity`; previews never feed back into any computation.
+`mbl.capacity`; previews never feed back into any computation.  This module
+only writes output: `mbl.cli.main` checks every flag value.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _at_least(config: SimpleNamespace, least: int, *flags: str) -> None:
-    """Raise the usage error naming the first of the flags ("--n-max") set below `least`."""
-    for flag in flags:
-        value = getattr(config, flag[2:].replace("-", "_"))
-        if value is not None and value < least:
-            raise ValueError(f"{flag} must be >= {least}")
 
 
 def _table(

@@ -17,7 +17,7 @@ from .capacity import limit_decimal, width
 from .lattice import central_point, vianna_triangle
 from .markov import MarkovTriple, wedge
 from .ordering import find_irregularities, spectrum_rows
-from .report import EXIT_OK, _at_least, _emit
+from .report import EXIT_OK, _emit
 
 #: Versioned layout constants; bump "version" when changing any of them.
 STYLE = {
@@ -211,11 +211,9 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
 
 def cmd_plot(config: SimpleNamespace) -> int:
     if config.figure == "order5":
-        _at_least(config, 0, "--depth")
         triple = config.triple or MarkovTriple(5, 2, 1)
         data = figure_subtree(triple, config.depth)
     elif config.figure == "numberline":
-        _at_least(config, 1, "--n", "--k")
         data = figure_numberline(config.n, k=config.k)
     elif config.triple is None:
         raise ValueError("plot --figure triangle needs --triple")

@@ -304,11 +304,23 @@ def test_limits_json_is_canonical(capsys, n, k):
     ("plot --figure order5 --depth -1", 2, "mbl: --depth must be >= 0\n"),
     ("plot --figure triangle --triple 5,2,1 --delta 1/2", 2,
      "mbl: --delta must lie strictly between 0 and 1/3\n"),
-    # a polygon file too deeply nested to parse, or not UTF-8, is a bad file
+    # main checks every bound before a handler reads its other flags
+    ("limits --n 0 --k 3", 2, "mbl: --n must be >= 1\n"),
+    ("subtree --triple 5,2,1 --preserve 7 --depth -1", 2, "mbl: --depth must be >= 0\n"),
+    ("ingest --bfile latin1.txt --n 0", 2, "mbl: --n must be >= 1\n"),
+    ("plot --figure triangle --depth -1", 2, "mbl: --depth must be >= 0\n"),
+    # a polygon file too deeply nested to parse, or not UTF-8, is a bad file,
+    # and so is one whose vertices are refused; each refusal names the file
     ("width --polygon deep.json", 2, "mbl: bad polygon file deep.json: maximum recursion "
      "depth exceeded while decoding a JSON array from a unicode string\n"),
     ("width --polygon latin1.json", 2, "mbl: bad polygon file latin1.json: 'utf-8' codec "
      "can't decode byte 0xe9 in position 3: invalid continuation byte\n"),
+    ("width --polygon twice.json", 2, "mbl: bad polygon file twice.json: duplicate vertices\n"),
+    # as is a b-file that is not UTF-8 or holds a malformed line
+    ("ingest --kind markov --n 3 --bfile latin1.txt", 2, "mbl: bad b-file latin1.txt: "
+     "'utf-8' codec can't decode byte 0xe9 in position 4: invalid continuation byte\n"),
+    ("ingest --kind markov --n 3 --bfile repeated.txt", 2, "mbl: bad b-file repeated.txt: "
+     "line 2: indices must strictly increase\n"),
     # a digest file that lacks the line of a vendored b-file is an i/o error
     *((command, 3, "mbl: i/o error: vendored b002559.txt fails its checksum: "
        "no matching line in B2SUMS\n")
@@ -318,6 +330,9 @@ def test_error_exits_write_one_line_to_stderr(capsys, monkeypatch, tmp_path,
                                               command, exit_code, err):
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "latin1.json").write_bytes('[["\u00e9", 1]]'.encode("latin-1"))
+    (tmp_path / "twice.json").write_text('[[0, 0], [1, 0], ["2/2", 0], [0, 1]]')
+    (tmp_path / "latin1.txt").write_bytes("1 1\n\u00e9\n".encode("latin-1"))
+    (tmp_path / "repeated.txt").write_text("1 1\n1 2\n")
     data = tmp_path / "data"  # vendored data whose B2SUMS lost the Markov line
     data.mkdir()
     vendored = Path(mbl.oeis.__file__).parent / "data"
@@ -343,22 +358,39 @@ def test_every_value_refusal_names_its_flag(capsys, command, flag):
 
 
 def test_a_refused_value_loads_no_handler_module():
-    # main parses every value before it imports the module holding the handler
+    # main parses every value and checks every count before it imports the
+    # module holding the handler
     probe = ("import sys, mbl.cli\n"
              "print(mbl.cli.main(['widths', '--triple', '1,x,1']),\n"
-             "      mbl.cli.main(['plot', '--figure', 'triangle', '--triple', '1,x,1']))\n"
-             "print(sorted({'mbl.commands', 'mbl.svg'} & set(sys.modules)),\n"
+             "      mbl.cli.main(['plot', '--figure', 'triangle', '--triple', '1,x,1']),\n"
+             "      mbl.cli.main(['verify', '--max-bound', '0']),\n"
+             "      mbl.cli.main(['triples', '--max-bound', '0']),\n"
+             "      mbl.cli.main(['plot', '--figure', 'order5', '--depth', '-1']))\n"
+             "print(sorted({'mbl.commands', 'mbl.suites', 'mbl.svg'} & set(sys.modules)),\n"
              "      type(sys.modules['mbl.lattice']) is mbl.cli._Deferred)")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "2 2\n[] True\n"
+    assert result.stdout == "2 2 2 2 2\n[] True\n"
 
 
-def test_depth_is_checked_only_where_it_is_read(capsys):
-    # the numberline figure takes no depth
+def test_depth_is_refused_whatever_the_figure(capsys):
+    # the numberline figure draws no depth, and still takes none below 0
     assert run(capsys, "plot", "--figure", "numberline", "--depth", "-1") == \
-        run(capsys, "plot", "--figure", "numberline")
+        (2, "", "mbl: --depth must be >= 0\n")
+
+
+def test_each_value_rule_names_a_flag_of_its_kind():
+    # a misspelt dest in _VALUES would check nothing: each names a flag of
+    # some command, a count's flag is an int wherever it appears, and a
+    # parsed value's flag is text
+    counts = {"max_bound", "n_max", "n", "k", "depth"}
+    flags = [options for command in mbl.cli._COMMANDS
+             for options in mbl.cli._flags(command).values()]
+    for dest in mbl.cli._VALUES:
+        types = {options.get("type") for options in flags if options["dest"] == dest}
+        assert types == ({int} if dest in counts else {None}), dest
+    assert counts <= set(mbl.cli._VALUES)
 
 
 def test_import_leaves_the_network_stack_unloaded():
