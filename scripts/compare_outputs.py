@@ -170,9 +170,11 @@ FIXED = [
     *(("complete", "--threshold", t, "--n-max", "10", "--format", fmt)
       for t in ("2/3", "1", "2", "10", "1e100") for fmt in ("text", "json")),
     ("verify", "--suite", "markov", "--max-bound", str(10 ** 9)),
-    # a 6-digit threshold preview at exponent 99999; the ordering suite past
-    # the span-3 refusal, which keeps the checks made before the scan
-    ("complete", "--threshold", "1e99999", "--n-max", "10"),
+    # a 6-digit threshold preview at exponent 99999, and the certificate that
+    # writes its 10^5 digits; the ordering suite past the span-3 refusal,
+    # which keeps the checks made before the scan
+    *(("complete", "--threshold", "1e99999", "--n-max", "10", "--format", fmt)
+      for fmt in ("text", "json")),
     *(("verify", "--suite", "ordering", "--n-max", "800", "--max-bound", "30",
        "--format", fmt) for fmt in ("text", "json")),
     # each triple-walking suite up to a bound past 10^6, with no cap of its own

@@ -14,13 +14,12 @@ its command runs with values that pass: `mbl.commands` (the other table
 commands), `mbl.suites` (`verify`) or `mbl.svg` (`plot`).  No ordering
 command calls `mbl.lattice` or `mbl.oeis`: `_deferred` puts both in
 `sys.modules` unrun, and the first read of one of their names runs it.
-The bench tracer (perfbench/tracer.py) reads the namespace of every loaded
-`mbl` module before it re-binds its traced functions, which runs both
-first, so its counts stay exact.  `fractions` and `decimal` load where a
-`Fraction` or a printed decimal is first built.  The Markov walk behind the
-ordering commands hands out int triples, and `json` loads only for
-`--fixture` and `width --polygon`.  Exit codes and output helpers live in
-`mbl.report`.
+`fractions` and `decimal` load where a `Fraction` or a printed decimal is
+first built.  The Markov walk behind the ordering commands hands out int
+triples, and `json` loads only for `--fixture` and `width --polygon`.  A
+report's text is rendered from its payload: `complete` reads its
+certificate alone, so it converts each value to decimal once.  Exit codes
+and output helpers live in `mbl.report`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 
 from . import _package_data
-from .capacity import _preview, closed_forms, limit_decimal, surd_text
+from .capacity import _context, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import (
@@ -183,13 +182,16 @@ def cmd_limits(config: SimpleNamespace) -> int:
 def cmd_complete(config: SimpleNamespace) -> int:
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
 
-    def render() -> str:
-        records = report["records"]
+    def render() -> str:  # from the certificate alone
+        from decimal import Decimal  # from a digit string in linear time, from an int quadratic
+        records, threshold = report["records"], report["threshold"]
+        num, den = threshold["num"], threshold["den"]
         spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
                           for span in SWAP_PATTERNS)
         return "\n".join([
-            f"threshold = {config.threshold} (~{_preview(config.threshold, 6)})",
-            f"n_max = {config.n_max}",
+            f"threshold = {num if den == '1' else f'{num}/{den}'} "
+            f"(~{_context(6).divide(Decimal(num), Decimal(den))})",
+            f"n_max = {report['n_max']}",
             f"records: {len(records)} ({spans})",
             f"sequences with limit above threshold: {report['active_sequences']}",
             f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "

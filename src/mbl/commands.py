@@ -5,6 +5,7 @@
 ordering commands (`irregularities`, `limits`, `complete`) never compile it.
 Depths are read on ints: `triples` gives each row its parent's depth plus
 one, and `subtree` finds its apex and its depth in one `ancestors` climb.
+A report's text is rendered from its payload: `width` previews its width once.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def cmd_width(config: SimpleNamespace) -> int:
         "minimizer": list(xi),
         "preview": _preview(value),
     }
-    rows = [[str(value), f"({xi[0]},{xi[1]})", _preview(value)]]
-    columns = ["lattice_width", "minimizer", "decimal"]
-    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
+    return _report(config, payload, lambda: _table(
+        config.fmt, ["lattice_width", "minimizer", "decimal"],
+        [[str(value), f"({xi[0]},{xi[1]})", payload["preview"]]]))
 
 
 def cmd_ingest(config: SimpleNamespace) -> int:

@@ -2,7 +2,8 @@
 
 Each suite takes the parsed `verify` arguments and yields one
 (check name, passed, witness) per check; SUITES names them in run order and
-`cmd_verify` runs them.  Only `verify` reads this module, so the command
+`cmd_verify` runs them into one report, which its JSON writes and its text
+renders check for check.  Only `verify` reads this module, so the command
 line loads it on demand, and the checks below that no other command needs
 (the three mutations, independent enumerations, closed forms, limit gaps,
 unimodular maps and shears) are compiled only then.  The three descent
@@ -385,23 +386,22 @@ SUITES = {
 
 
 def cmd_verify(config: SimpleNamespace) -> int:
-    names = dict.fromkeys(config.suites or SUITES)  # once each, first-given order
-    report = {"command": "verify", "suites": {}, "passed": True}
-    lines = []
-    for name in names:
+    report = {"command": "verify", "suites": {}}
+    for name in dict.fromkeys(config.suites or SUITES):  # once each, first-given order
         results = []
         try:  # a suite that raises keeps the checks it made, then fails one more
             results.extend(SUITES[name](config))
         except (ValueError, VerificationError) as exc:
             results.append(("completed", False, f"{type(exc).__name__}: {exc}"))
-        passed = all(ok for _, ok, _ in results)
-        checks = [{"name": check, "passed": ok, "witness": witness}
-                  for check, ok, witness in results]
-        report["suites"][name] = {"passed": passed, "checks": checks}
-        report["passed"] = report["passed"] and passed
-        for check, ok, witness in results:
-            suffix = f"  [{witness}]" if witness and not ok else ""
-            lines.append(f"{'PASS' if ok else 'FAIL'}  {name}:{check}{suffix}")
-    lines.append("all suites passed" if report["passed"] else "FAILURES above")
-    status = EXIT_OK if report["passed"] else EXIT_VERIFICATION
-    return _report(config, report, lambda: "\n".join(lines) + "\n", status)
+        report["suites"][name] = {"passed": all(ok for _, ok, _ in results), "checks": [
+            {"name": check, "passed": ok, "witness": witness} for check, ok, witness in results]}
+    report["passed"] = all(suite["passed"] for suite in report["suites"].values())
+
+    def render() -> str:
+        lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {name}:{c['name']}"
+                 + (f"  [{c['witness']}]" if c["witness"] and not c["passed"] else "")
+                 for name, suite in report["suites"].items() for c in suite["checks"]]
+        lines.append("all suites passed" if report["passed"] else "FAILURES above")
+        return "\n".join(lines) + "\n"
+
+    return _report(config, report, render, EXIT_OK if report["passed"] else EXIT_VERIFICATION)

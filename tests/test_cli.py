@@ -1118,14 +1118,38 @@ class TestFormatOnlyRendering:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_complete_json_formats_no_preview(self, capsys, monkeypatch):
-        monkeypatch.setattr(mbl.cli, "_preview", self.refuse)
-        digest = next(digest for command, fmt, _, digest in _ORDER_SCALE_DIGESTS
-                      if (command, fmt) == (f"complete --threshold {_T44} --n-max 450", "json"))
+    @staticmethod
+    def _complete_t44(capsys, fmt):
+        digest = next(digest for command, fmt_, _, digest in _ORDER_SCALE_DIGESTS
+                      if (command, fmt_) == (f"complete --threshold {_T44} --n-max 450", fmt))
         code, out, _ = run(capsys, "complete", "--threshold", _T44, "--n-max", "450",
-                           "--format", "json")
+                           "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_complete_json_formats_no_preview(self, capsys, monkeypatch):
+        # the preview's decimal context is built for the text alone
+        monkeypatch.setattr(mbl.cli, "_context", self.refuse)
+        self._complete_t44(capsys, "json")
+
+    def test_complete_text_renders_the_certificate(self, capsys, monkeypatch):
+        # the threshold line and its preview read the digits the JSON writes,
+        # so the threshold converts to decimal once
+        monkeypatch.setattr(Fraction, "__str__", self.refuse)
+        self._complete_t44(capsys, "text")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("source", [("--triple", "29,5,2"), ("--polygon", "skew.json")])
+    def test_width_previews_once(self, capsys, monkeypatch, tmp_path, fmt, source):
+        (tmp_path / "skew.json").write_text(
+            json.dumps([["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]]))
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        real = mbl.commands._preview
+        monkeypatch.setattr(mbl.commands, "_preview",
+                            lambda *args: calls.append(args) or real(*args))
+        code, _, _ = run(capsys, "width", *source, "--format", fmt)
+        assert code == 0 and len(calls) == 1
 
     def test_json_builds_no_value_objects(self, capsys, monkeypatch):
         self._limits_450_from_integers(capsys, monkeypatch, "json")
@@ -1490,6 +1514,26 @@ class TestVerifyAndComplete:
         assert json.loads(out)["suites"]["ordering"]["checks"] == [
             *({"name": name, "passed": True, "witness": ""} for name in self.BEFORE_SCAN),
             {"name": "completed", "passed": False, "witness": refusal}]
+
+    @pytest.mark.parametrize("argv, code", [
+        (("--suite", "ordering", "--n-max", "800", "--max-bound", "30"), 1),
+        (("--suite", "capacity"), 0),
+    ])
+    def test_text_renders_the_json_report(self, capsys, argv, code):
+        # check for check, in the report's order, a witness beside each failure
+        text_code, text, _ = run(capsys, "verify", *argv)
+        json_code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert text_code == json_code == code
+        report = json.loads(out)
+        lines = [f"{'PASS' if check['passed'] else 'FAIL'}  {suite}:{check['name']}"
+                 + (f"  [{check['witness']}]" if check["witness"] and not check["passed"]
+                    else "")
+                 for suite, result in report["suites"].items() for check in result["checks"]]
+        assert any(not check["passed"] and check["witness"]
+                   for result in report["suites"].values()
+                   for check in result["checks"]) == (code == 1)
+        assert text.splitlines() == [
+            *lines, "all suites passed" if report["passed"] else "FAILURES above"]
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
         checked = [(IrregularityRecord(5, 1), True), (IrregularityRecord(7, 2), True)]
