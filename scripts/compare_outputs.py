@@ -143,8 +143,11 @@ FIXED = [
     ("ingest", "--fetch"),
     ("ingest", "--kind", "markov", "--cache-dir", "d"),
     ("verify", "--suite", "ingest", "--cache-dir", "d"),
-    # refused before any work: a catalogue covering another n_max, and an n
-    # past the vendored Pell b-file; every limit-gaps node at the smallest bound
+    # the stored catalogue matched in each format; refused before any work:
+    # a catalogue covering another n_max, and an n past the vendored Pell
+    # b-file; every limit-gaps node at the smallest bound
+    *(("irregularities", "--n-max", "450", "--fixture", "--format", fmt)
+      for fmt in ("text", "csv", "json")),
     ("irregularities", "--n-max", "800", "--fixture"),
     ("ingest", "--kind", "pell", "--n", "2000"),
     ("verify", "--suite", "capacity", "--max-bound", "1"),

@@ -126,21 +126,23 @@ def capacity_to_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def _ratio_text(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+def _ratio_text(num: str, den: str) -> str:
+    """str(x) of the rational x, read off `capacity_to_json(x)`'s digits."""
+    return num if den == "1" else f"{num}/{den}"
 
 
 def surd_text(parts) -> str:
     """q + s*sqrt(r) given as reduced (num, den) pairs, s != 0 and r not a
     square, with each part written as str(Fraction) writes it:
     "3/2 - 1/2*sqrt(5)", "1/2*sqrt(32)", "-sqrt(5)"."""
-    (qn, qd), (sn, sd), r = parts
+    (qn, qd), (sn, sd), r = (map(str, part) for part in parts)
+    sign, sn = ("-", sn[1:]) if sn[0] == "-" else ("+", sn)
     surd = f"sqrt({_ratio_text(*r)})"
-    if (abs(sn), sd) != (1, 1):
-        surd = f"{_ratio_text(abs(sn), sd)}*{surd}"
-    if qn == 0:
-        return surd if sn > 0 else "-" + surd
-    return f"{_ratio_text(qn, qd)} {'+' if sn > 0 else '-'} {surd}"
+    if (sn, sd) != ("1", "1"):
+        surd = f"{_ratio_text(sn, sd)}*{surd}"
+    if qn == "0":
+        return surd if sign == "+" else "-" + surd
+    return f"{_ratio_text(qn, qd)} {sign} {surd}"
 
 
 @functools.cache
@@ -152,10 +154,11 @@ def _context(prec: int) -> decimal.Context:
     return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-def _preview(value, digits: int = 12) -> str:
-    """The rational `value` correctly rounded to `digits` significant digits."""
-    value = _fraction(value)
-    return str(_context(digits).divide(value.numerator, value.denominator))
+def _preview(pair: dict, digits: int = 12) -> str:
+    """The rational {"num", "den"} correctly rounded to `digits` significant digits."""
+    from decimal import Decimal  # from a digit string in linear time, from an int quadratic
+
+    return str(_context(digits).divide(Decimal(pair["num"]), Decimal(pair["den"])))
 
 
 def limit_decimal(m: int, digits: int = 12) -> str:

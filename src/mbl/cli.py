@@ -17,9 +17,10 @@ command calls `mbl.lattice` or `mbl.oeis`: `_deferred` puts both in
 `fractions` and `decimal` load where a `Fraction` or a printed decimal is
 first built.  The Markov walk behind the ordering commands hands out int
 triples, and `json` loads only for `--fixture` and `width --polygon`.  A
-report's text is rendered from its payload: `complete` reads its
-certificate alone, so it converts each value to decimal once.  Exit codes
-and output helpers live in `mbl.report`.
+report's text is rendered from its payload (`complete` reads its
+certificate alone), and a table's text and CSV cells from its JSON rows
+(`limits`' rows are its `SpectrumRow`s), so each value converts once.
+Exit codes and output helpers live in `mbl.report`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from types import ModuleType, SimpleNamespace
 
 from . import _package_data
-from .capacity import _context, closed_forms, limit_decimal, surd_text
+from .capacity import _preview, _ratio_text, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import (
@@ -151,10 +152,10 @@ def cmd_irregularities(config: SimpleNamespace) -> int:
         if not match:
             status = EXIT_VERIFICATION
     return _emit_rows(
-        config, ["n", "span", "n_prime", "swap_verified", "kind"], checked,
-        lambda rec, ok: [str(rec.n), str(rec.span), str(rec.n_prime),
-                         "yes" if ok else "NO", rec.kind],
-        lambda rec, ok: {**rec.to_json(), "swap_verified": ok},
+        config, ["n", "span", "n_prime", "swap_verified", "kind"],
+        [{**rec.to_json(), "swap_verified": ok} for rec, ok in checked],
+        lambda row: [str(row["n"]), str(row["span"]), str(row["n_prime"]),
+                     "yes" if row["swap_verified"] else "NO", row["kind"]],
         payload, notes, status,
     )
 
@@ -171,10 +172,8 @@ def cmd_limits(config: SimpleNamespace) -> int:
         return [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
                 surd_text(lagrange), surd_text(limit), limit_decimal(row.m)]
 
-    return _emit_rows(
-        config, ["n", "m", "b", "lagrange", "limit", "decimal"],
-        [(row,) for row in rows], cells,
-        lambda row: row,  # a row writes its own JSON text
+    return _emit_rows(  # a row writes its own JSON text
+        config, ["n", "m", "b", "lagrange", "limit", "decimal"], rows, cells,
         {"command": "limits"}, notes,
     )
 
@@ -183,14 +182,11 @@ def cmd_complete(config: SimpleNamespace) -> int:
     report = ordered_prefix_complete_above(config.threshold, config.n_max)
 
     def render() -> str:  # from the certificate alone
-        from decimal import Decimal  # from a digit string in linear time, from an int quadratic
         records, threshold = report["records"], report["threshold"]
-        num, den = threshold["num"], threshold["den"]
         spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
                           for span in SWAP_PATTERNS)
         return "\n".join([
-            f"threshold = {num if den == '1' else f'{num}/{den}'} "
-            f"(~{_context(6).divide(Decimal(num), Decimal(den))})",
+            f"threshold = {_ratio_text(**threshold)} (~{_preview(threshold, 6)})",
             f"n_max = {report['n_max']}",
             f"records: {len(records)} ({spans})",
             f"sequences with limit above threshold: {report['active_sequences']}",

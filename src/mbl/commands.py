@@ -5,7 +5,9 @@
 ordering commands (`irregularities`, `limits`, `complete`) never compile it.
 Depths are read on ints: `triples` gives each row its parent's depth plus
 one, and `subtree` finds its apex and its depth in one `ancestors` climb.
-A report's text is rendered from its payload: `width` previews its width once.
+Each table is its JSON rows, and its text and CSV cells are read off them;
+`triangle` and `width` render their text from their payload.  So each
+width converts to digits once and previews once, from those digits.
 """
 
 from __future__ import annotations
@@ -14,13 +16,19 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import oeis
-from .capacity import _preview, capacity_to_json, width
+from .capacity import _preview, _ratio_text, capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import MarkovTriple, ancestors, enumerate_triples, wedge
 from .ordering import alternating_order
 from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report, _table
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
+_TRIPLE = "({a},{b},{c})"  # a triple's JSON object as `MarkovTriple` writes it
+
+
+def _row(t: MarkovTriple, **fields) -> dict:
+    """The JSON row of the triple t and its width bc/a, beside `fields`."""
+    return {**fields, "triple": t.to_json(), "width": capacity_to_json(width(t))}
 
 
 def cmd_widths(config: SimpleNamespace) -> int:
@@ -29,11 +37,11 @@ def cmd_widths(config: SimpleNamespace) -> int:
         if config.triple is not None
         else [MarkovTriple(*t) for t in _PAPER_TABLE]
     )
+    rows = [{**row, "preview": _preview(row["width"])} for row in map(_row, triples)]
     return _emit_rows(
-        config, ["triple", "width", "decimal"], [(t, width(t)) for t in triples],
-        lambda t, w: [str(t), str(w), _preview(w)],
-        lambda t, w: {"triple": t.to_json(), "width": capacity_to_json(w),
-                      "preview": _preview(w)},
+        config, ["triple", "width", "decimal"], rows,
+        lambda row: [_TRIPLE.format(**row["triple"]), _ratio_text(**row["width"]),
+                     row["preview"]],
         {"command": "widths"},
     )
 
@@ -43,12 +51,10 @@ def cmd_triples(config: SimpleNamespace) -> int:
     depths = {1: 0}  # by maximum; the parent of (a, b, c) is the triple with maximum b
     for t in triples[1:]:
         depths[t.a] = depths[t.b] + 1
-    records = [(t, depths[t.a], width(t)) for t in triples]
     return _emit_rows(
-        config, ["triple", "depth", "width"], records,
-        lambda t, depth, w: [str(t), str(depth), str(w)],
-        lambda t, depth, w: {"triple": t.to_json(), "depth": depth,
-                             "width": capacity_to_json(w)},
+        config, ["triple", "depth", "width"], [_row(t, depth=depths[t.a]) for t in triples],
+        lambda row: [_TRIPLE.format(**row["triple"]), str(row["depth"]),
+                     _ratio_text(**row["width"])],
         {"command": "triples", "max_bound": str(config.max_bound)},
     )
 
@@ -60,30 +66,28 @@ def cmd_subtree(config: SimpleNamespace) -> int:
     # an entry stays in each ancestor until it is maximal, and the maxima decrease
     path = [t for t in ancestors(config.triple) if t[0] <= preserved]
     apex, top = MarkovTriple(*path[0]), len(path) - 1
-    records = [(top + i, t, width(t))
-               for i, level in enumerate(wedge(apex, config.depth)) for t in level]
     payload = {
         "command": "subtree",
         "preserved": str(apex.a),
         "apex": apex.to_json(),
     }
     return _emit_rows(
-        config, ["depth", "triple", "width", "decimal"], records,
-        lambda depth, t, w: [str(depth), str(t), str(w), _preview(w)],
-        lambda depth, t, w: {"depth": depth, "triple": t.to_json(),
-                             "width": capacity_to_json(w)},
+        config, ["depth", "triple", "width", "decimal"],
+        [_row(t, depth=top + i) for i, level in enumerate(wedge(apex, config.depth))
+         for t in level],
+        lambda row: [str(row["depth"]), _TRIPLE.format(**row["triple"]),
+                     _ratio_text(**row["width"]), _preview(row["width"])],
         payload,
     )
 
 
 def cmd_order(config: SimpleNamespace) -> int:
-    records = [(rank, t, w) for rank, (t, w)
-               in enumerate(alternating_order(config.triple, config.depth), start=1)]
     return _emit_rows(
-        config, ["rank", "triple", "width", "decimal"], records,
-        lambda rank, t, w: [str(rank), str(t), str(w), _preview(w)],
-        lambda rank, t, w: {"rank": rank, "triple": t.to_json(),
-                            "width": capacity_to_json(w)},
+        config, ["rank", "triple", "width", "decimal"],
+        [{"rank": rank, "triple": t.to_json(), "width": capacity_to_json(w)} for rank, (t, w)
+         in enumerate(alternating_order(config.triple, config.depth), start=1)],
+        lambda row: [str(row["rank"]), _TRIPLE.format(**row["triple"]),
+                     _ratio_text(**row["width"]), _preview(row["width"])],
         {"command": "order", "apex": config.triple.to_json()},
     )
 
@@ -94,7 +98,6 @@ def cmd_triangle(config: SimpleNamespace) -> int:
     value, xi = lattice_width(tri.polygon)
     den, (_, (ell, _), (t, h)) = tri.polygon.scaled
     ell, h, t, lam = (str(Fraction(x, den)) for x in (ell, h, t, 1))
-    lengths = [str(Fraction(g, den)) for *_, g in tri.edges]
     payload = {
         "command": "triangle",
         "triple": config.triple.to_json(),
@@ -104,24 +107,23 @@ def cmd_triangle(config: SimpleNamespace) -> int:
         "t": t,
         "lam": lam,
         "u": tri.u,
-        "edges": [{"direction": [dx, dy], "affine_length": length}
-                  for (dx, dy, _), length in zip(tri.edges, lengths)],
+        "edges": [{"direction": [dx, dy], "affine_length": str(Fraction(g, den))}
+                  for dx, dy, g in tri.edges],
         "central_point": [str(cx), str(cy)],
         "lattice_width": capacity_to_json(value),
         "minimizer": list(xi),
     }
-    rows = [
-        ["vertices", " ".join(f"({x},{y})" for x, y in tri.polygon.vertices)],
-        ["ell", ell],
-        ["h", h],
-        ["apex abscissa t", t],
-        ["lam", lam],
-        ["edge lengths", " ".join(lengths)],
-        ["central point", f"({cx}, {cy})"],
-        ["lattice width", f"{value} at xi={xi}"],
-    ]
-    columns = ["quantity", "value"]
-    return _report(config, payload, lambda: _table(config.fmt, columns, rows))
+    return _report(config, payload, lambda: _table(config.fmt, ["quantity", "value"], [
+        ["vertices", " ".join(f"({x},{y})" for x, y in payload["vertices"])],
+        ["ell", payload["ell"]],
+        ["h", payload["h"]],
+        ["apex abscissa t", payload["t"]],
+        ["lam", payload["lam"]],
+        ["edge lengths", " ".join(edge["affine_length"] for edge in payload["edges"])],
+        ["central point", "({}, {})".format(*payload["central_point"])],
+        ["lattice width", "{} at xi=({}, {})".format(
+            _ratio_text(**payload["lattice_width"]), *payload["minimizer"])],
+    ]))
 
 
 def cmd_width(config: SimpleNamespace) -> int:
@@ -139,17 +141,18 @@ def cmd_width(config: SimpleNamespace) -> int:
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
     value, xi = lattice_width(polygon)
+    pair = capacity_to_json(value)
     payload = {
         "command": "width",
         **source,
         "vertices": polygon.to_json(),
-        "lattice_width": capacity_to_json(value),
+        "lattice_width": pair,
         "minimizer": list(xi),
-        "preview": _preview(value),
+        "preview": _preview(pair),
     }
     return _report(config, payload, lambda: _table(
         config.fmt, ["lattice_width", "minimizer", "decimal"],
-        [[str(value), f"({xi[0]},{xi[1]})", payload["preview"]]]))
+        [[_ratio_text(**pair), "({},{})".format(*payload["minimizer"]), payload["preview"]]]))
 
 
 def cmd_ingest(config: SimpleNamespace) -> int:
@@ -160,17 +163,14 @@ def cmd_ingest(config: SimpleNamespace) -> int:
     checks = [(kind, oeis.cross_check(kind, config.n, oeis.load_bfile(kind, config.bfile),
                                       source)) for kind in kinds]
     status = EXIT_OK if all(mismatch is None for _, mismatch in checks) else EXIT_VERIFICATION
+    rows = [{"kind": kind, "sequence_id": oeis.SEQUENCE_IDS[kind], "n": config.n,
+             "source": source, "ok": mismatch is None,
+             "first_mismatch": None if mismatch is None else {
+                 "index": mismatch[0], "generated": str(mismatch[1]), "file": str(mismatch[2])}}
+            for kind, mismatch in checks]
     return _emit_rows(
-        config, ["kind", "sequence", "n", "source", "status"], checks,
-        lambda kind, mismatch: [
-            kind, oeis.SEQUENCE_IDS[kind], str(config.n), source,
-            "ok" if mismatch is None else f"MISMATCH at {mismatch[0]}",
-        ],
-        lambda kind, mismatch: {
-            "kind": kind, "sequence_id": oeis.SEQUENCE_IDS[kind], "n": config.n,
-            "source": source, "ok": mismatch is None,
-            "first_mismatch": None if mismatch is None else {
-                "index": mismatch[0], "generated": str(mismatch[1]), "file": str(mismatch[2])},
-        },
+        config, ["kind", "sequence", "n", "source", "status"], rows,
+        lambda row: [row["kind"], row["sequence_id"], str(row["n"]), row["source"],
+                     "ok" if row["ok"] else f"MISMATCH at {row['first_mismatch']['index']}"],
         {"command": "ingest"}, status=status,
     )

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All output is deterministic for a given invocation: exact rationals are
 rendered as "p/q", and every decimal preview beside them comes from
-`mbl.capacity`; previews never feed back into any computation.  This module
-only writes output: `mbl.cli.main` checks every flag value.
+`mbl.capacity`; previews never feed back into any computation.  A table is
+its JSON rows: `_emit_rows` reads its text and CSV cells off them, so no
+format can disagree with another.  This module only writes output:
+`mbl.cli.main` checks every flag value.
 """
 
 from __future__ import annotations
@@ -112,22 +114,17 @@ def _report(
 def _emit_rows(
     config: SimpleNamespace,
     columns: list[str],
-    records: list,
+    rows: list,
     cells: Callable[..., list[str]],
-    json_row: Callable[..., object],
     payload: dict,
     notes: tuple[str, ...] = (),
     status: int = EXIT_OK,
 ) -> int:
-    """Emit one table row per record and return status.
+    """Emit a table of the JSON `rows` and return status.
 
-    Only the format asked for is rendered: cells(*record) fills the text and
-    CSV rows, json_row(*record) the JSON rows under payload["rows"].
+    The rows go under payload["rows"]; cells(row) reads the text and CSV
+    strings of one row off it, so each value is converted once, in the row.
     """
-    if config.fmt == "json":
-        payload["rows"] = [json_row(*record) for record in records]
-
-    def render() -> str:
-        return _table(config.fmt, columns, [cells(*record) for record in records], notes)
-
-    return _report(config, payload, render, status)
+    payload["rows"] = rows
+    return _report(config, payload, lambda: _table(
+        config.fmt, columns, [cells(row) for row in rows], notes), status)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -1128,8 +1129,8 @@ class TestFormatOnlyRendering:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_complete_json_formats_no_preview(self, capsys, monkeypatch):
-        # the preview's decimal context is built for the text alone
-        monkeypatch.setattr(mbl.cli, "_context", self.refuse)
+        # the threshold's preview is built for the text alone
+        monkeypatch.setattr(mbl.cli, "_preview", self.refuse)
         self._complete_t44(capsys, "json")
 
     def test_complete_text_renders_the_certificate(self, capsys, monkeypatch):
@@ -1168,11 +1169,106 @@ class TestFormatOnlyRendering:
             assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("command", ["widths", "triples --max-bound 100",
+                                         "subtree --triple 29,5,2 --preserve 5 --depth 2",
+                                         "order --triple 5,2,1 --depth 3"])
+    def test_width_cells_read_the_json_row(self, capsys, monkeypatch, command, fmt):
+        # each width and its preview are written from the digits of its JSON
+        # row, so no cell writes a Fraction
+        digest = next(digest for command_, fmt_, _, digest in _ROW_TABLE_DIGESTS
+                      if (command_, fmt_) == (command, fmt))
+        monkeypatch.setattr(Fraction, "__str__", self.refuse)
+        code, out, _ = run(capsys, *command.split(), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_text_and_csv_build_no_json_rows(self, capsys, monkeypatch, fmt):
         _, expected, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
         monkeypatch.setattr(mbl.ordering.SpectrumRow, "json_text", self.refuse)
         code, out, _ = run(capsys, "limits", "--n", "40", "--format", fmt)
         assert code == 0 and out == expected
+
+
+def _fraction_text(pair):
+    return str(Fraction(int(pair["num"]), int(pair["den"])))
+
+
+def _decimal_text(pair):  # 12 significant digits, in a context of this test's own
+    return str(decimal.Context(prec=12).divide(decimal.Decimal(pair["num"]),
+                                               decimal.Decimal(pair["den"])))
+
+
+def _triple_text(t):
+    return f"({t['a']},{t['b']},{t['c']})"
+
+
+def _surd_text(surd):  # q + s*sqrt(r), each part as str(Fraction) writes it
+    q, s, r = (Fraction(int(surd[k]["num"]), int(surd[k]["den"])) for k in "qsr")
+    root = f"sqrt({r})" if abs(s) == 1 else f"{abs(s)}*sqrt({r})"
+    if q == 0:
+        return root if s > 0 else f"-{root}"
+    return f"{q} {'+' if s > 0 else '-'} {root}"
+
+
+def _width_cells(row):
+    return [_triple_text(row["triple"]), _fraction_text(row["width"]),
+            _decimal_text(row["width"])]
+
+
+#: One argv per table command, its exit code, and the cells of one JSON row,
+#: written here from the row's fields alone.
+_TABLE_CELLS = [
+    ("widths", 0, _width_cells),
+    ("triples --max-bound 100", 0, lambda row: [
+        _triple_text(row["triple"]), str(row["depth"]), _fraction_text(row["width"])]),
+    ("subtree --triple 29,5,2 --preserve 5 --depth 2", 0,
+     lambda row: [str(row["depth"]), *_width_cells(row)]),
+    ("order --triple 5,2,1 --depth 3", 0, lambda row: [str(row["rank"]), *_width_cells(row)]),
+    ("limits --n 5", 0, lambda row: [
+        str(row["n"]), row["m"], row["b"] + ("*" if row["degenerate_b"] else ""),
+        _surd_text(row["lagrange"]), _surd_text(row["limit"]), rounded_limit(int(row["m"]))]),
+    *((f"irregularities --n-max {n_max}", 0, lambda row: [
+        str(row["n"]), str(row["span"]), str(row["n_prime"]),
+        "yes" if row["swap_verified"] else "NO", row["kind"]])
+      for n_max in ("40", "450 --fixture")),
+    *((f"ingest --kind markov --n {n}", code, lambda row: [
+        row["kind"], row["sequence_id"], str(row["n"]), row["source"],
+        "ok" if row["ok"] else f"MISMATCH at {row['first_mismatch']['index']}"])
+      for n, code in (("10", 0), ("8 --bfile doctored.txt", 1))),
+]
+
+
+class TestOneRowEveryFormat:
+    """A table's text and CSV cells are its JSON rows' fields, written out."""
+
+    @staticmethod
+    def text_cells(out):
+        # each column starts where its run of dashes under the header does
+        header, dashes, *lines = out.splitlines()
+        spans = [m.span() for m in re.finditer("-+", dashes)]
+        return [[line[start:end].rstrip() for start, end in spans]
+                for line in [header, *lines] if not line.startswith("# ")]
+
+    @pytest.mark.parametrize("command, code, cells", _TABLE_CELLS,
+                             ids=[command for command, _, _ in _TABLE_CELLS])
+    def test_text_csv_and_json_agree(self, capsys, monkeypatch, tmp_path, command, code, cells):
+        (tmp_path / "doctored.txt").write_text(
+            "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n")
+        monkeypatch.chdir(tmp_path)
+        outputs = {}
+        for fmt in ("text", "csv", "json"):
+            code_, outputs[fmt], _ = run(capsys, *command.split(), "--format", fmt)
+            assert code_ == code
+        rows = json.loads(outputs["json"])["rows"]
+        table = list(csv.reader(io.StringIO(outputs["csv"])))
+        assert self.text_cells(outputs["text"]) == table
+        assert table[1:] == [cells(row) for row in rows] and rows
+        if command == "widths":
+            assert [row["preview"] for row in rows] == [_decimal_text(row["width"])
+                                                        for row in rows]
+        if command.startswith("limits"):
+            assert [row["preview"] for row in rows] == [row[-1] for row in table[1:]]
 
 
 _JSON_TEXT = st.text(st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
