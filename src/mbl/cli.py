@@ -1,26 +1,23 @@
-"""Command-line front end: the command table, the parser, `main`, and the
-ordering commands.
+"""Command-line front end: the command table, the value parsers, the argv
+parsers, `main` and `run`.
 
-`irregularities`, `limits` and `complete` run here.  `_COMMANDS` declares
-every command's flags once.  `main` parses an argv of the plain shape
-`<command> (--flag value | --switch)*` from it directly; argparse (with
-gettext and locale) loads only for help, usage errors and the argv that
-parse declines, through `build_parser`, which builds the same parser from
-the same table.  Either way `main` finishes each value `_VALUES` names,
-counts included (a triple or a rational is parsed, a count's bound is
-checked), then looks the handler up in the table, so no handler checks a
-bound, and the module holding one outside this one is imported only when
-its command runs with values that pass: `mbl.commands` (the other table
-commands), `mbl.suites` (`verify`) or `mbl.svg` (`plot`).  No ordering
-command calls `mbl.lattice` or `mbl.oeis`: `_deferred` puts both in
-`sys.modules` unrun, and the first read of one of their names runs it.
-`fractions` and `decimal` load where a `Fraction` or a printed decimal is
-first built.  The Markov walk behind the ordering commands hands out int
-triples, and `json` loads only for `--fixture` and `width --polygon`.  A
-report's text is rendered from its payload (`complete` reads its
-certificate alone), and a table's text and CSV cells from its JSON rows
-(`limits`' rows are its `SpectrumRow`s), so each value converts once.
-Exit codes and output helpers live in `mbl.report`.
+`_COMMANDS` declares every command's flags once.  `main` parses an argv of
+the plain shape `<command> (--flag value | --switch)*` from it directly;
+argparse (with gettext and locale) loads only for help, usage errors and
+the argv that parse declines, through `build_parser`, which builds the same
+parser from the same table.  Either way `main` finishes each value `_VALUES`
+names, counts included (a triple or a rational is parsed, a count's bound
+is checked), then looks the handler up in the table, so no handler checks a
+bound.  The handlers of the ordering commands (`irregularities`, `limits`,
+`complete`) live in `mbl.ordering`, which every process loads; the module
+holding any other is imported only when its command runs with values that
+pass: `mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
+`mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
+`_deferred` puts both in `sys.modules` unrun, and the first read of one of
+their names runs it.  `fractions` and `decimal` load where a `Fraction` or a
+printed decimal is first built.  The Markov walk behind the ordering
+commands hands out int triples, and `json` loads only for `--fixture` and
+`width --polygon`.  Exit codes and output helpers live in `mbl.report`.
 """
 
 from __future__ import annotations
@@ -30,24 +27,10 @@ import os
 import sys
 from types import ModuleType, SimpleNamespace
 
-from . import _package_data
-from .capacity import _preview, _ratio_text, closed_forms, limit_decimal, surd_text
 from .errors import VerificationError
 from .markov import MarkovTriple
-from .ordering import (
-    SWAP_PATTERNS,
-    find_irregularities,
-    ordered_prefix_complete_above,
-    spectrum_rows,
-)
-from .report import (
-    EXIT_IO,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFICATION,
-    _emit_rows,
-    _report,
-)
+from .ordering import cmd_complete, cmd_irregularities, cmd_limits
+from .report import EXIT_IO, EXIT_USAGE, EXIT_VERIFICATION
 
 
 class _Deferred(ModuleType):
@@ -122,84 +105,6 @@ def _at_least(least: int):
 _VALUES = {"triple": _parse_triple, "threshold": _parse_rational, "delta": _parse_rational,
            "max_bound": _at_least(1), "n_max": _at_least(1), "n": _at_least(1),
            "k": _at_least(1), "depth": _at_least(0)}
-
-
-def _fixture(n_max: int) -> dict:
-    """The stored catalogue of records, which covers n_max = 450 only."""
-    import json
-
-    fixture = json.loads(_package_data("irregularities_450.json"))
-    if n_max != fixture["n_max"]:
-        raise ValueError(
-            f"--fixture catalogue covers n_max={fixture['n_max']}, "
-            f"got --n-max {n_max}"
-        )
-    return fixture
-
-
-def cmd_irregularities(config: SimpleNamespace) -> int:
-    fixture = _fixture(config.n_max) if config.fixture else None  # before the scan
-    checked = find_irregularities(config.n_max)
-    payload = {"command": "irregularities", "n_max": config.n_max}
-    notes = ("b values for rows 1 and 2 use the second-smallest-member "
-             "convention; those rows never violate the inequality",)
-    status = EXIT_OK if all(ok for _, ok in checked) else EXIT_VERIFICATION
-    if fixture is not None:
-        match = all([rec.n for rec, _ in checked if rec.span == span] == fixture[f"span_{span}"]
-                    for span in SWAP_PATTERNS)
-        payload["fixture_match"] = match
-        notes += (f"fixture match: {match}",)
-        if not match:
-            status = EXIT_VERIFICATION
-    return _emit_rows(
-        config, ["n", "span", "n_prime", "swap_verified", "kind"],
-        [{**rec.to_json(), "swap_verified": ok} for rec, ok in checked],
-        lambda row: [str(row["n"]), str(row["span"]), str(row["n_prime"]),
-                     "yes" if row["swap_verified"] else "NO", row["kind"]],
-        payload, notes, status,
-    )
-
-
-def cmd_limits(config: SimpleNamespace) -> int:
-    if config.k is not None and config.fmt != "json":
-        raise ValueError("--k shows only in the JSON rows; use it with --format json")
-    rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
-    notes = ("* b for rows 1 and 2 follows the second-smallest-member "
-             "convention (values 2 and 5)",)
-
-    def cells(row):
-        limit, lagrange = closed_forms(row.m)
-        return [str(row.n), str(row.m), str(row.b) + ("*" if row.degenerate else ""),
-                surd_text(lagrange), surd_text(limit), limit_decimal(row.m)]
-
-    return _emit_rows(  # a row writes its own JSON text
-        config, ["n", "m", "b", "lagrange", "limit", "decimal"], rows, cells,
-        {"command": "limits"}, notes,
-    )
-
-
-def cmd_complete(config: SimpleNamespace) -> int:
-    report = ordered_prefix_complete_above(config.threshold, config.n_max)
-
-    def render() -> str:  # from the certificate alone
-        records, threshold = report["records"], report["threshold"]
-        spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
-                          for span in SWAP_PATTERNS)
-        return "\n".join([
-            f"threshold = {_ratio_text(**threshold)} (~{_preview(threshold, 6)})",
-            f"n_max = {report['n_max']}",
-            f"records: {len(records)} ({spans})",
-            f"sequences with limit above threshold: {report['active_sequences']}",
-            f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "
-            f"monotone bound from index {report['tail_bound_index']} "
-            f"(m = {report['tail_bound_m']})",
-            f"certified: {report['certified']}",
-            *(f"condition: {c}" for c in report["conditions"]),
-            *(f"FAILURE: {f}" for f in report["failures"]),
-        ]) + "\n"
-
-    status = EXIT_OK if report["certified"] else EXIT_VERIFICATION
-    return _report(config, report, render, status)
 
 
 def _module(name: str):

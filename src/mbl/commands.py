@@ -2,7 +2,7 @@
 `width` and `ingest`.
 
 `mbl.cli` imports this module only when one of these commands runs, so the
-ordering commands (`irregularities`, `limits`, `complete`) never compile it.
+ordering commands (their handlers live in `mbl.ordering`) never compile it.
 Depths are read on ints: `triples` gives each row its parent's depth plus
 one, and `subtree` finds its apex and its depth in one `ancestors` climb.
 Each table is its JSON rows, and its text and CSV cells are read off them;

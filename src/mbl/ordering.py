@@ -26,15 +26,31 @@ deficits, and `_exceeds` decides every comparison between two of them, save
 the scan's num/den > 1/m_n^2, which `find_irregularities` bisects as m_n^2 > den // num.
 Descent within a sequence, at every depth, is decided by the four integers
 of `descent_integers` for its apex.
+
+The handlers of `irregularities`, `limits` and `complete` live here, beside
+what they render: a `SpectrumRow` writes its JSON text and its cells, and
+`complete` renders its text from its certificate alone.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from .capacity import _fraction, _sign, capacity_to_json, closed_forms, limit_decimal, width
+from . import _package_data
+from .capacity import (
+    _fraction,
+    _preview,
+    _ratio_text,
+    _sign,
+    capacity_to_json,
+    closed_forms,
+    limit_decimal,
+    surd_text,
+    width,
+)
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple, chains, markov_prefix, wedge
+from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report
 
 
 class SpectrumRow(_Record):
@@ -80,6 +96,12 @@ class SpectrumRow(_Record):
                 f'{i1}"limit": {surd % (qd, qn, rd, r, sd, sn)},'
                 f'{i1}"m": "{self.m}",{i1}"n": {self.n},'
                 f'{i1}"preview": "{limit_decimal(self.m)}"{newline}}}')
+
+    def cells(self) -> list[str]:
+        """The row's text and CSV cells, from the same integers as `json_text`."""
+        limit, lagrange = closed_forms(self.m)
+        return [str(self.n), str(self.m), str(self.b) + ("*" if self.degenerate else ""),
+                surd_text(lagrange), surd_text(limit), limit_decimal(self.m)]
 
 
 #: The catalogued swap patterns: each span n' - n with the sentence naming it.
@@ -342,3 +364,74 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
             f"m_n^2 >= 2T^2/(3T-1) makes every capacity fall below the threshold",
         ],
     }
+
+
+def _fixture(n_max: int) -> dict:
+    """The stored catalogue of records, which covers n_max = 450 only."""
+    import json
+
+    fixture = json.loads(_package_data("irregularities_450.json"))
+    if n_max != fixture["n_max"]:
+        raise ValueError(f"--fixture catalogue covers n_max={fixture['n_max']}, "
+                         f"got --n-max {n_max}")
+    return fixture
+
+
+def cmd_irregularities(config: SimpleNamespace) -> int:
+    fixture = _fixture(config.n_max) if config.fixture else None  # before the scan
+    checked = find_irregularities(config.n_max)
+    payload = {"command": "irregularities", "n_max": config.n_max}
+    notes = ("b values for rows 1 and 2 use the second-smallest-member "
+             "convention; those rows never violate the inequality",)
+    status = EXIT_OK if all(ok for _, ok in checked) else EXIT_VERIFICATION
+    if fixture is not None:
+        listed = [(int(key[5:]), n) for key, ns in fixture.items() if key.startswith("span_")
+                  for n in ns]  # (span, n) of each record the file lists, by its span_* keys
+        match = sorted((rec.span, rec.n) for rec, _ in checked) == sorted(listed)
+        payload["fixture_match"] = match
+        notes += (f"fixture match: {match}",)
+        if not match:
+            status = EXIT_VERIFICATION
+    return _emit_rows(
+        config, ["n", "span", "n_prime", "swap_verified", "kind"],
+        [{**rec.to_json(), "swap_verified": ok} for rec, ok in checked],
+        lambda row: [str(row["n"]), str(row["span"]), str(row["n_prime"]),
+                     "yes" if row["swap_verified"] else "NO", row["kind"]],
+        payload, notes, status,
+    )
+
+
+def cmd_limits(config: SimpleNamespace) -> int:
+    if config.k is not None and config.fmt != "json":
+        raise ValueError("--k shows only in the JSON rows; use it with --format json")
+    rows = spectrum_rows(config.n, k=4 if config.k is None else config.k)
+    notes = ("* b for rows 1 and 2 follows the second-smallest-member "
+             "convention (values 2 and 5)",)
+    return _emit_rows(  # a row writes its own JSON text and cells
+        config, ["n", "m", "b", "lagrange", "limit", "decimal"], rows, SpectrumRow.cells,
+        {"command": "limits"}, notes,
+    )
+
+
+def cmd_complete(config: SimpleNamespace) -> int:
+    report = ordered_prefix_complete_above(config.threshold, config.n_max)
+
+    def render() -> str:  # from the certificate alone
+        records, threshold = report["records"], report["threshold"]
+        spans = ", ".join(f"span-{span} at {[r['n'] for r in records if r['span'] == span]}"
+                          for span in SWAP_PATTERNS)
+        return "\n".join([
+            f"threshold = {_ratio_text(**threshold)} (~{_preview(threshold, 6)})",
+            f"n_max = {report['n_max']}",
+            f"records: {len(records)} ({spans})",
+            f"sequences with limit above threshold: {report['active_sequences']}",
+            f"tail: {len(report['tail_exact'])} exact leading-capacity checks, "
+            f"monotone bound from index {report['tail_bound_index']} "
+            f"(m = {report['tail_bound_m']})",
+            f"certified: {report['certified']}",
+            *(f"condition: {c}" for c in report["conditions"]),
+            *(f"FAILURE: {f}" for f in report["failures"]),
+        ]) + "\n"
+
+    status = EXIT_OK if report["certified"] else EXIT_VERIFICATION
+    return _report(config, report, render, status)

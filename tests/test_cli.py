@@ -993,8 +993,8 @@ class TestIrregularities:
         assert code == 0 and len(entries) == 2
 
     def test_fixture_mismatch_fails(self, capsys, monkeypatch):
-        real = mbl.cli.find_irregularities
-        monkeypatch.setattr(mbl.cli, "find_irregularities", lambda n_max: real(n_max)[1:])
+        real = mbl.ordering.find_irregularities
+        monkeypatch.setattr(mbl.ordering, "find_irregularities", lambda n_max: real(n_max)[1:])
         code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--fixture")
         assert code == 1 and "# fixture match: False" in out.splitlines()
 
@@ -1015,6 +1015,20 @@ class TestSwapPatternCatalogue:
         assert code == 1
         assert ["794", "3", "797", "NO", self.SPAN_3] in \
             [line.split(None, 4) for line in out.splitlines()]
+
+    def test_a_catalogued_span_3_keeps_the_fixture_match(self, capsys, monkeypatch):
+        # the catalogue lists spans 1 and 2 only: a catalogued span needs no
+        # key in it while no record has that span
+        monkeypatch.setitem(mbl.ordering.SWAP_PATTERNS, 3, self.SPAN_3)
+        code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--fixture")
+        assert code == 0 and "# fixture match: True" in out.splitlines()
+        # a record of a span the catalogue does not list is a mismatch
+        real = mbl.ordering.find_irregularities
+        extra = (mbl.ordering.IrregularityRecord(400, 3), True)
+        monkeypatch.setattr(mbl.ordering, "find_irregularities",
+                            lambda n_max: real(n_max) + [extra])
+        code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--fixture")
+        assert code == 1 and "# fixture match: False" in out.splitlines()
 
     def test_a_catalogued_span_3_reaches_the_numberline_figure(self, capsys, monkeypatch):
         monkeypatch.setitem(mbl.ordering.SWAP_PATTERNS, 3, self.SPAN_3)
@@ -1130,7 +1144,7 @@ class TestFormatOnlyRendering:
 
     def test_complete_json_formats_no_preview(self, capsys, monkeypatch):
         # the threshold's preview is built for the text alone
-        monkeypatch.setattr(mbl.cli, "_preview", self.refuse)
+        monkeypatch.setattr(mbl.ordering, "_preview", self.refuse)
         self._complete_t44(capsys, "json")
 
     def test_complete_text_renders_the_certificate(self, capsys, monkeypatch):

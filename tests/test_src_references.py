@@ -103,6 +103,28 @@ def test_no_module_imports_cli():
         "so importing mbl.cli compiles and runs cli.py a second time")
 
 
+def test_cli_holds_only_the_front_end():
+    # the handlers live beside what they render: cli.py defines none, takes
+    # the ordering ones from mbl.ordering by name, reads nothing of
+    # mbl.capacity, and only ordering.py reads the span catalogue
+    modules = dict(_modules())
+    cli = modules["cli"]
+    assert [node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("cmd_")] == []
+    imported = {node.module: {alias.name for alias in node.names}
+                for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported["ordering"] == {"cmd_complete", "cmd_irregularities", "cmd_limits"}
+    capacity_names = {stmt.name for stmt in modules["capacity"].body
+                      if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert "capacity" not in _imported_modules("cli", cli) | _read_names(cli)
+    assert _read_names(cli) & capacity_names == set()
+    readers = [stem for stem, module in modules.items()
+               if "SWAP_PATTERNS" in _read_names(module)
+               | {alias.name for node in ast.walk(module)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}]
+    assert readers == ["ordering"]
+
+
 def test_what_every_process_loads_serves_more_than_verify():
     # every top-level function and class of a module that `import mbl.cli`
     # loads is read outside its own definition by some module other than
