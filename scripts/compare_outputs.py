@@ -180,6 +180,11 @@ FIXED = [
       for fmt in ("text", "json")),
     *(("verify", "--suite", "ordering", "--n-max", "800", "--max-bound", "30",
        "--format", fmt) for fmt in ("text", "json")),
+    # the span-3 refusal at 794 on each path that scans: the table in text
+    # and CSV, the numberline figure and the certificate in text
+    *(("irregularities", "--n-max", "794", "--format", fmt) for fmt in ("text", "csv")),
+    ("plot", "--figure", "numberline", "--n", "794"),
+    ("complete", "--threshold", str(workloads.threshold(30)), "--n-max", "794"),
     # each triple-walking suite up to a bound past 10^6, with no cap of its own
     *(("verify", "--suite", suite, "--max-bound", str(10 ** 30), "--format", "json")
       for suite in ("markov", "capacity", "ordering", "lattice")),

@@ -28,8 +28,10 @@ Descent within a sequence, at every depth, is decided by the four integers
 of `descent_integers` for its apex.
 
 The handlers of `irregularities`, `limits` and `complete` live here, beside
-what they render: a `SpectrumRow` writes its JSON text and its cells, and
-`complete` renders its text from its certificate alone.
+what they render: a `SpectrumRow` writes its JSON text and its cells, an
+irregularity is the JSON row `find_irregularities` returns and
+`irregularities` writes, and `complete` renders its text from its
+certificate alone.
 """
 
 from __future__ import annotations
@@ -109,37 +111,6 @@ SWAP_PATTERNS = {
     1: "first capacity of sequence n+1 moves ahead of sequence n",
     2: "first capacity of sequence n+2 moves ahead of sequences n and n+1",
 }
-
-
-class IrregularityRecord(_Record):
-    """A failure of the juxtaposition inequality, keyed by its lowest index.
-
-    A span outside SWAP_PATTERNS would be a new kind of irregularity and
-    raises VerificationError; an index n below 1 raises ValueError."""
-
-    n: int
-    span: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"irregularity index n must be >= 1, got {self.n}")
-        if self.span not in SWAP_PATTERNS:
-            raise VerificationError(
-                f"irregularity at (n={self.n}, n'={self.n_prime}) spans {self.span}"
-                " sequences; outside the catalogued patterns"
-            )
-
-    @property
-    def n_prime(self) -> int:
-        return self.n + self.span
-
-    @property
-    def kind(self) -> str:
-        return SWAP_PATTERNS[self.span]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "span": self.span, "n_prime": self.n_prime,
-                "kind": self.kind}
 
 
 def _b_value(apex) -> int:
@@ -233,13 +204,14 @@ def spectrum_rows(n_max: int, k: int = 4) -> list[SpectrumRow]:
     return rows
 
 
-def find_irregularities(n_max: int) -> list[tuple[IrregularityRecord, bool]]:
+def find_irregularities(n_max: int) -> list[dict]:
     """All juxtaposition failures with lowest index <= n_max, by increasing
-    n, each with the verdict of `verify_swap_pattern` on the scan's prefix.
+    n, as the rows `irregularities` writes: `{"n", "span", "n_prime", "kind",
+    "swap_verified"}`, the last judged by `verify_swap_pattern` on the scan's prefix.
 
     Each offending sequence n' is recorded once, against the smallest n whose
     sequence it overtakes; a span n' - n outside the catalogued patterns
-    raises VerificationError as its record is built.
+    raises VerificationError at the first such n', before any swap is judged.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -247,27 +219,34 @@ def find_irregularities(n_max: int) -> list[tuple[IrregularityRecord, bool]]:
     # n' overtakes no n <= n_max past the first m_{n'}^2 >= 2 m_{n_max}^2, since b > m
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), last))
     squares = [m * m for m in numbers]
-    records = []  # by increasing n', so an uncatalogued span fails at its first record
+    pairs = []  # (n, n') by increasing n', so an uncatalogued span fails at its first pair
     for n_prime, (m, apex) in enumerate(zip(numbers, apexes), start=1):
         num, den = _deficit(m, _b_value(apex))
         # the lowest n with num/den > 1/m_n^2, that is m_n^2 > den // num
         n = bisect.bisect_right(squares, den // num, 0, n_prime - 1) + 1
-        if n <= min(n_prime - 1, n_max):
-            records.append(IrregularityRecord(n, n_prime - n))
-    records.sort(key=lambda rec: rec.n)
-    return [(rec, verify_swap_pattern(rec, numbers, apexes)) for rec in records]
+        if n > min(n_prime - 1, n_max):
+            continue
+        if n_prime - n not in SWAP_PATTERNS:
+            raise VerificationError(f"irregularity at (n={n}, n'={n_prime}) spans {n_prime - n}"
+                                    " sequences; outside the catalogued patterns")
+        pairs.append((n, n_prime))
+    return [{"n": n, "span": n_prime - n, "n_prime": n_prime, "kind": SWAP_PATTERNS[n_prime - n],
+             "swap_verified": verify_swap_pattern(n, n_prime, numbers, apexes)}
+            for n, n_prime in sorted(pairs)]
 
 
-def verify_swap_pattern(rec: IrregularityRecord, numbers, apexes) -> bool:
-    """Check that only the leading capacity of the higher sequence swaps.
+def verify_swap_pattern(n: int, n_prime: int, numbers, apexes) -> bool:
+    """Check that only the leading capacity of sequence n' swaps ahead of n.
 
-    For the record's pair (n, n') this means: the leading capacity of
-    sequence n' exceeds every capacity of each spanned sequence, the second
-    capacity of sequence n' stays below each spanned sequence's infimum, and
-    the swap reaches no further than n.  Vacuously true if the pair is not
-    violated at all.  Reads the first n' of `markov_prefix`'s numbers and apexes.
+    For the pair (n, n') this means: the leading capacity of sequence n'
+    exceeds every capacity of each spanned sequence, the second capacity of
+    sequence n' stays below each spanned sequence's infimum, and the swap
+    reaches no further than n.  Vacuously true if the pair is not violated
+    at all.  Reads the first n' of `markov_prefix`'s numbers and apexes;
+    raises ValueError unless 1 <= n < n' (n = 0 would read numbers[-1]).
     """
-    n, n_prime = rec.n, rec.n_prime
+    if not 1 <= n < n_prime:
+        raise ValueError(f"irregularity index n must be >= 1, got {n} (and below n'={n_prime})")
     a, b, c = apexes[n_prime - 1]  # a = m_n'; the deficits of w_1(n') and w_2(n'):
     lead, second = _deficit(a, 3 * a * c - b), _deficit(a, 3 * a * b - c)
     if not _exceeds(lead, _deficit(numbers[n - 1])):  # the pair holds: nothing swaps
@@ -318,8 +297,8 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     except VerificationError as exc:
         checked = []
         failures.append(str(exc))
-    failures += [f"swap pattern at n={rec.n} (span {rec.span}) fails"
-                 for rec, ok in checked if not ok]
+    failures += [f"swap pattern at n={row['n']} (span {row['span']}) fails"
+                 for row in checked if not row["swap_verified"]]
 
     # sequences 1..n_max, then the tail to the first index past it with m_n^2 >= 2T^2/(3T-1)
     numbers, apexes = markov_prefix(n_max + 1, lambda m: not _exceeds(_deficit(m, m), bar))
@@ -342,8 +321,9 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
         "threshold": capacity_to_json(threshold),
         "n_max": n_max,
         "certified": not failures,
-        "records": [rec.to_json() for rec, _ in checked],
-        "swap_checks": [{"n": rec.n, "ok": ok} for rec, ok in checked],
+        "records": [{key: row[key] for key in ("n", "span", "n_prime", "kind")}
+                    for row in checked],
+        "swap_checks": [{"n": row["n"], "ok": row["swap_verified"]} for row in checked],
         "active_sequences": active,
         "tail_exact": tail_exact,
         "tail_bound_index": end,
@@ -379,22 +359,21 @@ def _fixture(n_max: int) -> dict:
 
 def cmd_irregularities(config: SimpleNamespace) -> int:
     fixture = _fixture(config.n_max) if config.fixture else None  # before the scan
-    checked = find_irregularities(config.n_max)
+    rows = find_irregularities(config.n_max)
     payload = {"command": "irregularities", "n_max": config.n_max}
     notes = ("b values for rows 1 and 2 use the second-smallest-member "
              "convention; those rows never violate the inequality",)
-    status = EXIT_OK if all(ok for _, ok in checked) else EXIT_VERIFICATION
+    status = EXIT_OK if all(row["swap_verified"] for row in rows) else EXIT_VERIFICATION
     if fixture is not None:
         listed = [(int(key[5:]), n) for key, ns in fixture.items() if key.startswith("span_")
                   for n in ns]  # (span, n) of each record the file lists, by its span_* keys
-        match = sorted((rec.span, rec.n) for rec, _ in checked) == sorted(listed)
+        match = sorted((row["span"], row["n"]) for row in rows) == sorted(listed)
         payload["fixture_match"] = match
         notes += (f"fixture match: {match}",)
         if not match:
             status = EXIT_VERIFICATION
     return _emit_rows(
-        config, ["n", "span", "n_prime", "swap_verified", "kind"],
-        [{**rec.to_json(), "swap_verified": ok} for rec, ok in checked],
+        config, ["n", "span", "n_prime", "swap_verified", "kind"], rows,
         lambda row: [str(row["n"]), str(row["span"]), str(row["n_prime"]),
                      "yes" if row["swap_verified"] else "NO", row["kind"]],
         payload, notes, status,

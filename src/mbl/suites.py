@@ -324,11 +324,11 @@ def _suite_ordering(config: SimpleNamespace):
     # a record keeps the lowest n of its violated pairs, so the pairs with
     # n <= 32 all hold exactly when a scan to at least 32 has no record with n <= 32
     checked = find_irregularities(max(config.n_max, 32))
-    for rec, _ in checked:
-        if rec.n <= 32:
-            failures.setdefault("regular-prefix", f"(n,n')=({rec.n},{rec.n_prime})")
+    for row in checked:
+        if row["n"] <= 32:
+            failures.setdefault("regular-prefix", f"(n,n')=({row['n']},{row['n_prime']})")
     yield from _failed(failures, "regular-prefix")
-    yield "swap-patterns", all(ok for _, ok in checked), f"{len(checked)} records"
+    yield "swap-patterns", all(row["swap_verified"] for row in checked), f"{len(checked)} records"
 
 
 def _suite_lattice(config: SimpleNamespace):

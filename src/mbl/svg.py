@@ -109,10 +109,10 @@ def figure_numberline(n: int, k: int) -> str:
     of the higher sequence (the swapped one) is highlighted, and the title
     names every sequence it moves ahead of.
     """
-    rec = next((rec for rec, _ in find_irregularities(n) if rec.n == n), None)
-    if rec is None:
+    n_prime = next((row["n_prime"] for row in find_irregularities(n) if row["n"] == n), None)
+    if n_prime is None:
         raise ValueError(f"no irregularity at n={n}")
-    seqs = spectrum_rows(rec.n_prime, k)[n - 2:]  # no record has n = 1
+    seqs = spectrum_rows(n_prime, k)[n - 2:]  # no irregularity has n = 1
     # the capacities exactly; each limit, for layout only, to 40 correct digits
     caps = [[Fraction(*ratio) for ratio in row.ratios] for row in seqs]
     limits = [Fraction(limit_decimal(row.m, 40)) for row in seqs]
@@ -126,12 +126,12 @@ def figure_numberline(n: int, k: int) -> str:
     def xpos(v: Fraction) -> Fraction:
         return margin + (v - lo) / (hi - lo) * (width_px - 2 * margin)
 
-    passed = f"sequence {n}" if rec.span == 1 else f"sequences {n}..{rec.n_prime - 1}"
+    passed = f"sequence {n}" if n_prime == n + 1 else f"sequences {n}..{n_prime - 1}"
     body = [
         _line(margin - 20, axis_y, width_px - margin + 20, axis_y, "#000000"),
         _text(width_px - margin + 20, axis_y + 18, "R", anchor="end"),
-        _text(Fraction(width_px, 2), 30, f"sequences {n - 1}..{rec.n_prime}: leading "
-              f"capacity of sequence {rec.n_prime} moves ahead of {passed}", size=13),
+        _text(Fraction(width_px, 2), 30, f"sequences {n - 1}..{n_prime}: leading "
+              f"capacity of sequence {n_prime} moves ahead of {passed}", size=13),
     ]
     for color_idx, row in enumerate(seqs):
         color = STYLE["tick_colors"][color_idx % len(STYLE["tick_colors"])]
@@ -140,7 +140,7 @@ def figure_numberline(n: int, k: int) -> str:
                           anchor="start", size=11, fill=color))
         for j, w in enumerate(caps[color_idx]):
             x = xpos(w)
-            swapped = row.n == rec.n_prime and j == 0
+            swapped = row.n == n_prime and j == 0
             tick = 26 if swapped else 16
             body.append(_line(x, axis_y - tick, x, axis_y, color,
                               width_=2 if swapped else 1))

@@ -101,9 +101,9 @@ def test_criterion_02_lattice_width_equals_capacity():
 
 def test_criterion_03_irregularity_catalogue():
     with _Timer(3, "irregularity catalogue to n=450 recomputed", 120.0):
-        records = [rec for rec, _ in find_irregularities(450)]
-        assert [rec.n for rec in records if rec.span == 1] == SPAN_1
-        assert [rec.n for rec in records if rec.span == 2] == SPAN_2
+        rows = find_irregularities(450)
+        assert [row["n"] for row in rows if row["span"] == 1] == SPAN_1
+        assert [row["n"] for row in rows if row["span"] == 2] == SPAN_2
         rows = spectrum_rows(34)
         assert rows[32].m == 195025 and rows[33].m == 196418
         assert rows[32].b == 1136689 and rows[33].b == 514229

@@ -28,7 +28,6 @@ from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.lattice import LatticePolygon
 from mbl.markov import MarkovTriple, MarkovWalk, ancestors, markov_numbers
-from mbl.ordering import IrregularityRecord
 from mbl.suites import MutationKind, fibonacci
 
 from support import rounded_limit
@@ -36,6 +35,11 @@ from support import rounded_limit
 
 def fraction_of(pair):  # a rational in the reports' {"num", "den"} form
     return Fraction(int(pair["num"]), int(pair["den"]))
+
+
+def _row(n, span, swap_verified):  # an irregularity as `find_irregularities` returns it
+    return {"n": n, "span": span, "n_prime": n + span,
+            "kind": mbl.ordering.SWAP_PATTERNS[span], "swap_verified": swap_verified}
 
 
 def run(capsys, *argv):
@@ -992,6 +996,23 @@ class TestIrregularities:
         code, _, _ = run(capsys, "irregularities", "--n-max", "793")
         assert code == 0 and len(entries) == 2
 
+    def test_the_scan_returns_the_rows_both_commands_write(self, capsys):
+        # an irregularity is its JSON row: `irregularities` writes the rows the
+        # scan returns, and `complete` writes them less their swap verdicts,
+        # with the verdicts beside them
+        rows = mbl.ordering.find_irregularities(450)
+        code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--format", "json")
+        assert code == 0 and json.loads(out)["rows"] == rows
+        threshold = str(Fraction(1, 3) + Fraction(2, 10 ** 44))
+        code, out, _ = run(capsys, "complete", "--threshold", threshold, "--n-max", "450",
+                           "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and len(rows) == 17
+        assert report["records"] == [{key: value for key, value in row.items()
+                                      if key != "swap_verified"} for row in rows]
+        assert report["swap_checks"] == [{"n": row["n"], "ok": row["swap_verified"]}
+                                         for row in rows]
+
     def test_fixture_mismatch_fails(self, capsys, monkeypatch):
         real = mbl.ordering.find_irregularities
         monkeypatch.setattr(mbl.ordering, "find_irregularities", lambda n_max: real(n_max)[1:])
@@ -1024,7 +1045,7 @@ class TestSwapPatternCatalogue:
         assert code == 0 and "# fixture match: True" in out.splitlines()
         # a record of a span the catalogue does not list is a mismatch
         real = mbl.ordering.find_irregularities
-        extra = (mbl.ordering.IrregularityRecord(400, 3), True)
+        extra = _row(400, 3, True)
         monkeypatch.setattr(mbl.ordering, "find_irregularities",
                             lambda n_max: real(n_max) + [extra])
         code, out, _ = run(capsys, "irregularities", "--n-max", "450", "--fixture")
@@ -1646,7 +1667,7 @@ class TestVerifyAndComplete:
             *lines, "all suites passed" if report["passed"] else "FAILURES above"]
 
     def test_early_record_fails_the_regular_prefix(self, capsys, monkeypatch):
-        checked = [(IrregularityRecord(5, 1), True), (IrregularityRecord(7, 2), True)]
+        checked = [_row(5, 1, True), _row(7, 2, True)]
         monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: checked)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40", "--format", "json")
@@ -1660,7 +1681,7 @@ class TestVerifyAndComplete:
             "name": "swap-patterns", "passed": True, "witness": "2 records"}
 
     def test_a_rejected_swap_fails_the_swap_patterns(self, capsys, monkeypatch):
-        checked = [(IrregularityRecord(33, 1), True), (IrregularityRecord(37, 1), False)]
+        checked = [_row(33, 1, True), _row(37, 1, False)]
         monkeypatch.setattr(mbl.suites, "find_irregularities", lambda n_max: checked)
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "40")
@@ -1669,9 +1690,9 @@ class TestVerifyAndComplete:
 
     def test_regular_prefix_scans_to_32_below_it(self, capsys, monkeypatch):
         # the check stands for every pair with n <= 32, whatever --n-max is
-        injected = [(IrregularityRecord(20, 1), True)]
+        injected = [_row(20, 1, True)]
         monkeypatch.setattr(mbl.suites, "find_irregularities",
-                            lambda n_max: [pair for pair in injected if pair[0].n <= n_max])
+                            lambda n_max: [row for row in injected if row["n"] <= n_max])
         code, out, _ = run(capsys, "verify", "--suite", "ordering",
                            "--max-bound", "30", "--n-max", "10")
         assert code == 1

@@ -15,7 +15,6 @@ from mbl.markov import (
     markov_prefix,
 )
 from mbl.ordering import (
-    IrregularityRecord,
     _deficit,
     _essential_capacities,
     _exceeds,
@@ -372,23 +371,21 @@ class TestIntegerForms:
         assert report["certified"] and report["failures"] == []
         checked = find_irregularities(793)
         assert len(checked) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
-        assert all(ok for _, ok in checked)
+        assert all(row["swap_verified"] for row in checked)
 
     def test_swap_pattern_matches_fractions_to_793(self):
         checked = find_irregularities(793)
         assert len(checked) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
-        for rec, ok in checked:
-            assert ok == _fraction_swap_pattern(rec.n, rec.n_prime)
-        prefix = markov_prefix(5360)  # through the n' of every record below
-        for n in range(1, 60):  # regular pairs and pairs one below a record
-            rec = IrregularityRecord(n, 1)
-            assert verify_swap_pattern(rec, *prefix) == _fraction_swap_pattern(n, n + 1)
-        # rejected records: sequences 371 and 435 also overtake 369 and 433, so
+        for row in checked:
+            assert row["swap_verified"] == _fraction_swap_pattern(row["n"], row["n_prime"])
+        prefix = markov_prefix(5360)  # through the n' of every pair below
+        for n in range(1, 60):  # regular pairs and pairs one below an irregularity
+            assert verify_swap_pattern(n, n + 1, *prefix) == _fraction_swap_pattern(n, n + 1)
+        # rejected pairs: sequences 371 and 435 also overtake 369 and 433, so
         # those swaps reach sequence n - 1; in (4600, 2) and (5359, 1) the
         # leading capacity of n' stays behind the first capacity of sequence n
         for n, span in ((370, 1), (434, 1), (4600, 2), (5359, 1)):
-            rec = IrregularityRecord(n, span)
-            assert verify_swap_pattern(rec, *prefix) is False
+            assert verify_swap_pattern(n, n + span, *prefix) is False
             assert _fraction_swap_pattern(n, n + span) is False
 
     def test_threshold_checks_match_fractions_to_850(self):
@@ -420,38 +417,40 @@ class TestIrregularities:
 
     def test_first_two_records(self):
         checked = find_irregularities(40)
-        assert [(rec.n, rec.span, ok) for rec, ok in checked] == [(33, 1, True), (37, 1, True)]
+        assert [(row["n"], row["span"], row["swap_verified"]) for row in checked] == \
+            [(33, 1, True), (37, 1, True)]
 
     def test_record_33_swaps(self):
-        [(rec, ok)] = find_irregularities(33)
-        assert rec.n == 33 and rec.span == 1 and rec.n_prime == 34
-        assert ok
+        [row] = find_irregularities(33)
+        assert row == {"n": 33, "span": 1, "n_prime": 34,
+                       "kind": mbl.ordering.SWAP_PATTERNS[1], "swap_verified": True}
 
     def test_regular_pair_vacuous(self):
-        rec = IrregularityRecord(3, 1)  # manufactured for a regular pair
-        assert verify_swap_pattern(rec, *markov_prefix(4))
-
-    def test_span_validation(self):
-        with pytest.raises(VerificationError, match=re.escape(
-                "irregularity at (n=10, n'=13) spans 3 sequences; "
-                "outside the catalogued patterns")):
-            IrregularityRecord(10, 3)
+        assert verify_swap_pattern(3, 4, *markov_prefix(4))  # a regular pair
 
     @pytest.mark.parametrize("n", [0, -1, -33])
     def test_index_below_one_is_refused(self, n):
         # an index below 1 would read numbers[-1] in the swap check, not refuse
+        prefix = markov_prefix(4)
         for span in (1, 2):
             with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
-                IrregularityRecord(n, span)
+                verify_swap_pattern(n, n + span, *prefix)
+
+    def test_index_at_or_above_n_prime_is_refused(self):
+        prefix = markov_prefix(4)
+        for n, n_prime in ((3, 3), (4, 2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"n must be >= 1, got {n} (and below n'={n_prime})")):
+                verify_swap_pattern(n, n_prime, *prefix)
 
     def test_catalogue_to_793_and_span_three_at_794(self):
-        records = [rec for rec, _ in find_irregularities(793)]
-        assert [rec.n for rec in records if rec.span == 1] == SPAN_1_TO_793
-        assert [rec.n for rec in records if rec.span == 2] == SPAN_2_TO_793
+        rows = find_irregularities(793)
+        assert [row["n"] for row in rows if row["span"] == 1] == SPAN_1_TO_793
+        assert [row["n"] for row in rows if row["span"] == 2] == SPAN_2_TO_793
         lowest = {}
         for n, n_prime in sorted(_fraction_violations(793)):
             lowest.setdefault(n_prime, n)
-        assert sorted((rec.n, rec.n_prime) for rec in records) == \
+        assert sorted((row["n"], row["n_prime"]) for row in rows) == \
             sorted((n, n_prime) for n_prime, n in lowest.items())
         message = ("irregularity at (n=794, n'=797) spans 3 sequences;"
                    " outside the catalogued patterns")
@@ -466,7 +465,7 @@ class TestIrregularities:
         catalogue = sorted((n, n_prime - n) for n_prime, n in lowest.items())
         assert len(catalogue) == 30
         for n_max in range(1, 794):
-            assert [(rec.n, rec.span) for rec, _ in find_irregularities(n_max)] == \
+            assert [(row["n"], row["span"]) for row in find_irregularities(n_max)] == \
                 [(n, span) for n, span in catalogue if n <= n_max]
 
 
@@ -475,12 +474,12 @@ class TestSortedCapacities:
 
     def test_order_below_ten_to_the_hundred(self):
         overtakes, moved = sorted_capacity_order(10 ** 100)
-        records = [rec for rec, _ in find_irregularities(793)]
-        assert len(records) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793) == 30
+        rows = find_irregularities(793)
+        assert len(rows) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793) == 30
         # each leader moves ahead of all capacities of exactly its spanned sequences
         assert {n_prime: behind for n_prime, behind in overtakes.items()
                 if min(behind) <= 793} == \
-            {rec.n_prime: dict.fromkeys(range(rec.n, rec.n_prime), 0) for rec in records}
+            {row["n_prime"]: dict.fromkeys(range(row["n"], row["n_prime"]), 0) for row in rows}
         assert moved == []
         # 794 -> 797: the leader of 797 stays behind the first capacity of 794
         assert overtakes[797] == {794: 1, 795: 0, 796: 0}

@@ -17,7 +17,7 @@ from mbl.errors import _Record
 from mbl.lattice import LatticePolygon, vianna_triangle
 from mbl.markov import MarkovTriple
 from mbl import capacity, ordering
-from mbl.ordering import IrregularityRecord, spectrum_rows
+from mbl.ordering import spectrum_rows
 from mbl.suites import UnimodularMap
 
 T = MarkovTriple
@@ -29,9 +29,6 @@ CASES = {
         lambda: spectrum_rows(3, 2)[2], ("n", "m", "apex", "b", "ratios"),
         "SpectrumRow(n=3, m=5, apex=(5, 2, 1), b=13, "
         "ratios=((65, 194), (145, 433)))"),
-    "IrregularityRecord": (
-        lambda: IrregularityRecord(33, 1), ("n", "span"),
-        "IrregularityRecord(n=33, span=1)"),
     "LatticePolygon": (
         lambda: LatticePolygon(2, [(0, 0), (2, 0), (0, 2)]), ("scaled",),
         "LatticePolygon(scaled=(1, ((0, 0), (1, 0), (0, 1))))"),
@@ -63,15 +60,15 @@ def test_value_semantics(name):
 
 def test_unequal_fields_compare_unequal():
     assert T(5, 2, 1) != T(13, 5, 1)
-    assert IrregularityRecord(33, 1) != IrregularityRecord(33, 2)
     assert vianna_triangle(T(2, 1, 1)) != vianna_triangle(T(5, 2, 1))
     assert len({T(5, 2, 1), T(5, 2, 1), T(13, 5, 1)}) == 2
     # equal field tuples, different classes
-    class Pair(_Record):
-        n: int
-        span: int
+    class Triple(_Record):
+        a: int
+        b: int
+        c: int
 
-    assert IrregularityRecord(33, 1) != Pair(33, 1)
+    assert T(5, 2, 1) != Triple(5, 2, 1)
 
 
 def test_fields_bind_by_position_only():
