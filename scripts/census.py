@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         for name, polygon in POLYGONS.items():
             Path(name).write_text(json.dumps(polygon))
         for name, text in TEXT_FILES.items():
-            Path(name).write_text(text)
+            Path(name).write_text(text, encoding="utf-8")
         sys.settrace(call)
         try:
             import mbl.cli  # its module lines count too

@@ -223,6 +223,10 @@ FIXED = [
     ("plot", "--figure", "numberline", "--depth", "-1"),
     ("plot", "--figure", "order5", "--n", "0"),
     ("verify", "--max-bound", "0"),
+    # the vendored Markov b-file with one field spelled as int() reads it but
+    # the ASCII b-file format does not
+    *(("ingest", "--kind", "markov", "--bfile", name, "--format", fmt)
+      for name in ("underscore.txt", "arabic.txt", "plus.txt") for fmt in ("text", "json")),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
@@ -231,12 +235,18 @@ TIMEOUT_S = 60
 #: m_5 = 29 written as 30, of a sequence too short for 8, of the first 3
 #: Markov numbers under a comment and a blank line, and four malformed ones
 #: (a line of three fields, a field that is no integer, an index written
-#: twice, comments only), and a polygon file cut off inside its JSON.
+#: twice, comments only), a polygon file cut off inside its JSON, and the
+#: vendored Markov b-file with 169 written 1_69, index 3 written with the
+#: Arabic-Indic digit U+0663, or 5 written +5.
+_MARKOV = (Path(__file__).resolve().parent.parent / "src/mbl/data/b002559.txt").read_text()
 TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
               "short.txt": "1 1\n2 2\n", "comments.txt": "# A002559\n\n1 1\n2 2\n3 5\n",
               "three.txt": "1 1\n2 2 2\n", "letter.txt": "1 1\n2 x\n",
               "repeated.txt": "1 1\n1 2\n", "empty.txt": "# no entries\n",
-              "broken.json": "[[0, 0], [1, 0"}
+              "broken.json": "[[0, 0], [1, 0",
+              "underscore.txt": _MARKOV.replace("\n8 169\n", "\n8 1_69\n"),
+              "arabic.txt": _MARKOV.replace("\n3 5\n", "\n\u0663 5\n"),
+              "plus.txt": _MARKOV.replace("\n3 5\n", "\n3 +5\n")}
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes, bytes | None]:
@@ -281,7 +291,7 @@ def main(argv=None) -> int:
         for name, polygon in POLYGONS.items():
             Path(name).write_text(json.dumps(polygon))
         for name, text in TEXT_FILES.items():
-            Path(name).write_text(text)
+            Path(name).write_text(text, encoding="utf-8")
         return _compare(old, new, args.seeds or (1, 20261017))
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic for Markov triples and their geometry.
 
-Everything numerical is decided over arbitrary-precision integers,
-fractions.Fraction, or sign-exact quadratic surds; floating point appears
+Everything numerical is decided over arbitrary-precision integers, reduced
+(num, den) integer pairs, or sign-exact quadratic surds; floating point appears
 only in human-readable previews.  The package itself holds only the reader
 of its data files, which `mbl.oeis` and `irregularities --fixture` share.
 """

@@ -5,9 +5,9 @@ branch of the subtree preserving a these capacities decrease to the
 irrational value 2/(3 + sqrt(9 - 4/a^2)), so deciding orderings near the
 limit needs sign-exact arithmetic on numbers of the form q + s*sqrt(r).
 Differences there shrink below 10^-40; floating point never enters any
-decision, only human-readable previews.  `fractions` and `decimal` are
-imported inside the functions that build a `Fraction` or a decimal, since
-`irregularities` builds neither and `limits` no `Fraction`.
+decision, only human-readable previews.  Widths are reduced (num, den) int
+pairs; `fractions` loads only in `_fraction`, `QuadraticValue` and
+`lagrange_number`, `decimal` only to print a preview: `verify` loads neither.
 """
 
 from __future__ import annotations
@@ -122,18 +122,18 @@ class QuadraticValue:
         return f"QuadraticValue({self._q!r}, {self._s!r}, {self._r!r})"
 
 
-def capacity_to_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+def capacity_to_json(pair: tuple[int, int]) -> dict:
+    return {"num": str(pair[0]), "den": str(pair[1])}
 
 
 def _ratio_text(num: str, den: str) -> str:
-    """str(x) of the rational x, read off `capacity_to_json(x)`'s digits."""
+    """The rational num/den written "num/den", or "num" where den is "1"."""
     return num if den == "1" else f"{num}/{den}"
 
 
 def surd_text(parts) -> str:
     """q + s*sqrt(r) given as reduced (num, den) pairs, s != 0 and r not a
-    square, with each part written as str(Fraction) writes it:
+    square, with each part written as `_ratio_text` writes it:
     "3/2 - 1/2*sqrt(5)", "1/2*sqrt(32)", "-sqrt(5)"."""
     (qn, qd), (sn, sd), r = (map(str, part) for part in parts)
     sign, sn = ("-", sn[1:]) if sn[0] == "-" else ("+", sn)
@@ -168,11 +168,9 @@ def limit_decimal(m: int, digits: int = 12) -> str:
     return str(_context(digits).plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
 
 
-def width(t: MarkovTriple) -> Fraction:
-    """bc/a for the sorted triple; equals 1 only at (1,1,1)."""
-    from fractions import Fraction
-
-    return Fraction(t.b * t.c, t.a)
+def width(t: MarkovTriple) -> tuple[int, int]:
+    """(bc, a): bc/a in lowest terms, the entries being pairwise coprime; 1 only at (1,1,1)."""
+    return t.b * t.c, t.a
 
 
 def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -14,10 +14,11 @@ holding any other is imported only when its command runs with values that
 pass: `mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
 `mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
 `_deferred` puts both in `sys.modules` unrun, and the first read of one of
-their names runs it.  `fractions` and `decimal` load where a `Fraction` or a
-printed decimal is first built.  The Markov walk behind the ordering
-commands hands out int triples, and `json` loads only for `--fixture` and
-`width --polygon`.  Exit codes and output helpers live in `mbl.report`.
+their names runs it.  `fractions` loads only to read or write a rational as
+text and `decimal` only to print a decimal, so `verify` loads neither.  The
+Markov walk behind the ordering commands hands out int triples, and `json`
+loads only for `--fixture` and `width --polygon`.  Exit codes and output
+helpers live in `mbl.report`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ width converts to digits once and previews once, from those digits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import oeis
@@ -93,8 +92,8 @@ def cmd_order(config: SimpleNamespace) -> int:
 
 
 def cmd_triangle(config: SimpleNamespace) -> int:
+    from fractions import Fraction  # the lengths and coordinates it prints reduce here
     tri = vianna_triangle(config.triple)
-    cx, cy = central_point(tri)
     value, xi = lattice_width(tri.polygon)
     den, (_, (ell, _), (t, h)) = tri.polygon.scaled
     ell, h, t, lam = (str(Fraction(x, den)) for x in (ell, h, t, 1))
@@ -109,7 +108,7 @@ def cmd_triangle(config: SimpleNamespace) -> int:
         "u": tri.u,
         "edges": [{"direction": [dx, dy], "affine_length": str(Fraction(g, den))}
                   for dx, dy, g in tri.edges],
-        "central_point": [str(cx), str(cy)],
+        "central_point": [str(Fraction(*c)) for c in central_point(tri)],
         "lattice_width": capacity_to_json(value),
         "minimizer": list(xi),
     }

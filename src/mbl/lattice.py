@@ -8,8 +8,8 @@ b^2/(abc), c^2/(abc), and lattice width bc/a realized by xi = (0, 1) in the
 normal form used here.  All geometry is exact and has one form: a polygon
 is built from and held as (D, its vertices times D), D the lcm of the vertex
 denominators, and widths, convexity and the base-triangle checks run on
-those ints.  `LatticePolygon.vertices` is the one `Fraction` view, read only
-to print; `from_json` clears the denominators of the file it parses.
+those ints, and widths and central points come back as reduced (num, den)
+pairs.  `fractions` loads only to print `vertices` and to parse polygon files.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cache, cached_property, partial
-from fractions import Fraction
 
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple
@@ -34,7 +33,7 @@ class LatticePolygon(_Record):
     def __init__(self, den: int, points):
         """The polygon with the integer vertices `points` divided by den > 0;
         the common gcd is divided out and the vertices checked on ints, so a
-        float or a Fraction coordinate raises TypeError."""
+        float or any other non-int coordinate raises TypeError."""
         if den <= 0:
             raise ValueError("the denominator must be positive")
         g = math.gcd(den, *(c for p in points for c in p))
@@ -54,6 +53,7 @@ class LatticePolygon(_Record):
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        from fractions import Fraction  # a view to print and draw; decisions read `scaled`
         den, pts = self.scaled
         return tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts)
 
@@ -77,12 +77,19 @@ def _edge_vectors(points) -> list[tuple[int, int]]:
 
 
 def _exact(value) -> Fraction:
+    from fractions import Fraction  # the text of a polygon file's coordinates
     if not isinstance(value, bool) and isinstance(value, (int, str)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):  # "x", "1/0"
             pass
     raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den for den > 0 as the (num, den) pair in lowest terms."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
@@ -95,8 +102,8 @@ def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
     return max(values) - min(values)
 
 
-def lattice_width(polygon: LatticePolygon) -> tuple[Fraction, tuple[int, int]]:
-    """Exact lattice width and its lexicographically least minimizing direction.
+def lattice_width(polygon: LatticePolygon) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Exact lattice width, a reduced pair, and its lexicographically least minimizer.
 
     F(xi) = width_along(polygon, xi), the spread times D (the lcm of the
     vertex denominators), is a norm on Z^2 (the vertices are not collinear)
@@ -139,7 +146,7 @@ def lattice_width(polygon: LatticePolygon) -> tuple[Fraction, tuple[int, int]]:
                   ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))]
     value, xi = min((norm(v), v) for p, q in candidates  # in the upper half-plane
                     for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
-    return Fraction(value, polygon.scaled[0]), xi
+    return _reduced(value, polygon.scaled[0]), xi
 
 
 class ViannaTriangle(_Record):
@@ -205,8 +212,8 @@ def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, int]]:
             for (px, py), (dx, dy, _) in zip(tri.polygon.scaled[1], tri.edges)]
 
 
-def central_point(tri: ViannaTriangle) -> tuple[Fraction, Fraction]:
-    """The point at integral affine distance 1/3 from all three edges.
+def central_point(tri: ViannaTriangle) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The point at integral affine distance 1/3 from all three edges, as reduced pairs.
 
     Affine distance to an edge is <n, x> - min <n, .> for the primitive
     inner normal n.  Two edges determine the point; the third equation is
@@ -216,7 +223,7 @@ def central_point(tri: ViannaTriangle) -> tuple[Fraction, Fraction]:
     """
     den = tri.polygon.scaled[0]
     (a0, b0, s0), (a1, b1, s1), (a2, b2, s2) = _inner_normals(tri)
-    det = a0 * b1 - a1 * b0
+    det = a0 * b1 - a1 * b0  # > 0: the inner normals turn counterclockwise, as the edges do
     r0, r1 = 3 * s0 + den, 3 * s1 + den
     x = r0 * b1 - r1 * b0  # 3D det times the coordinates
     y = a0 * r1 - a1 * r0
@@ -224,4 +231,4 @@ def central_point(tri: ViannaTriangle) -> tuple[Fraction, Fraction]:
         raise VerificationError(
             f"no point at affine distance 1/3 from all edges of {tri.triple}"
         )
-    return Fraction(x, 3 * den * det), Fraction(y, 3 * den * det)
+    return _reduced(x, 3 * den * det), _reduced(y, 3 * den * det)

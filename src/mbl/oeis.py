@@ -30,8 +30,9 @@ _GENERATORS = {
 
 
 def parse_bfile(data: bytes) -> dict[int, int]:
-    """Parse b-file bytes (UTF-8) into an index -> value map; indices must
-    strictly increase, and a malformed line reports its number."""
+    """Parse b-file bytes (UTF-8) into an index -> value map.  Each field is
+    ASCII -?[0-9]+, which int() alone widens to "+5", "1_000" and non-ASCII
+    digits; indices must strictly increase; a malformed line reports its number."""
     entries: dict[int, int] = {}
     last_index = None
     for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
@@ -40,10 +41,9 @@ def parse_bfile(data: bytes) -> dict[int, int]:
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}")
+        index, value = int(parts[0]), int(parts[1])
         if last_index is not None and index <= last_index:
             raise ValueError(f"line {lineno}: indices must strictly increase")
         entries[index] = value

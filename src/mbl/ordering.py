@@ -155,14 +155,14 @@ def descent_integers(apex) -> tuple[int, int, int, int]:
 
 def alternating_order(
     apex: MarkovTriple, depth: int
-) -> list[tuple[MarkovTriple, Fraction]]:
+) -> list[tuple[MarkovTriple, tuple[int, int]]]:
     """The levels of `wedge`, flattened: the apex, then the left/right
     children by level, with capacities verified strictly decreasing.
 
     This is the order of strictly decreasing capacities on the subtree
     preserving the apex maximum: go down left, right, down left, right, ...
     along increasing maximal entries.  `descent_integers` decides the
-    descent at every depth; the widths are only what the caller gets back.
+    descent at every depth; the width pairs are only what the caller gets back.
     """
     descent_integers(apex)
     return [(t, width(t)) for level in wedge(apex, depth) for t in level]
@@ -262,10 +262,10 @@ def verify_swap_pattern(n: int, n_prime: int, numbers, apexes) -> bool:
     return n <= 1 or not _exceeds(lead, _deficit(numbers[n - 2]))
 
 
-def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
+def ordered_prefix_complete_above(threshold, n_max: int) -> dict:
     """Certify that the juxtaposed-with-swaps order accounts for every
-    capacity >= threshold; return the certificate `complete --format json`
-    writes.
+    capacity >= threshold, an int or the rational `--threshold` parses;
+    return the certificate `complete --format json` writes.
 
     Exact sufficient conditions, all re-checked here:
 
@@ -281,8 +281,7 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
        leading capacity to T (and m_n is increasing).  Above T = 2/3 that
        index is n_max + 1: no capacity beyond n_max exceeds 1/2.
     """
-    threshold = _fraction(threshold)
-    num, den = threshold.numerator, threshold.denominator
+    num, den = _fraction(threshold).as_integer_ratio()
     if 3 * num <= den:
         raise ValueError(
             "threshold must exceed 1/3: it is an accumulation point of the "
@@ -318,7 +317,7 @@ def ordered_prefix_complete_above(threshold: Fraction, n_max: int) -> dict:
     end = len(numbers)
 
     return {
-        "threshold": capacity_to_json(threshold),
+        "threshold": capacity_to_json((num, den)),
         "n_max": n_max,
         "certified": not failures,
         "records": [{key: row[key] for key in ("n", "span", "n_prime", "kind")}

@@ -17,16 +17,16 @@ from __future__ import annotations
 import enum
 import math
 import random
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import oeis
-from .capacity import _fraction, _sign, closed_forms, width
+from .capacity import _sign, closed_forms, width
 from .errors import VerificationError, _Record
 from .lattice import (
     LatticePolygon,
     ViannaTriangle,
     _inner_normals,
+    _reduced,
     central_point,
     lattice_width,
     vianna_triangle,
@@ -131,30 +131,27 @@ def _above_limit(num: int, den: int, m: int) -> bool:
 
 
 class UnimodularMap(_Record):
-    """x -> M x + v with M an integer matrix of determinant +-1."""
+    """x -> M x + v, M an integer matrix of determinant +-1, v = (tx, ty) as (num, den) pairs."""
 
     m00: int
     m01: int
     m10: int
     m11: int
-    tx: Fraction
-    ty: Fraction
+    tx: tuple[int, int]
+    ty: tuple[int, int]
 
     def __post_init__(self):
         if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
             raise ValueError("matrix must have determinant +-1")
-        object.__setattr__(self, "tx", _fraction(self.tx))
-        object.__setattr__(self, "ty", _fraction(self.ty))
 
     def apply(self, polygon: LatticePolygon) -> LatticePolygon:
         # integer products on the polygon's integer form, over one common
         # denominator of D and the translation
         den, scaled = polygon.scaled
-        tx, ty = self.tx, self.ty
-        common = math.lcm(den, tx.denominator, ty.denominator)
+        (txn, txd), (tyn, tyd) = self.tx, self.ty
+        common = math.lcm(den, txd, tyd)
         k = common // den
-        sx = tx.numerator * (common // tx.denominator)
-        sy = ty.numerator * (common // ty.denominator)
+        sx, sy = txn * (common // txd), tyn * (common // tyd)
         pts = [((self.m00 * x + self.m01 * y) * k + sx, (self.m10 * x + self.m11 * y) * k + sy)
                for x, y in scaled]
         if self.m00 * self.m11 - self.m01 * self.m10 < 0:
@@ -172,11 +169,8 @@ def random_unimodular(rng: random.Random) -> UnimodularMap:
             m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
     if rng.randint(0, 1):
         m = (m[1], m[0], m[3], m[2])
-    return UnimodularMap(
-        m[0], m[1], m[2], m[3],
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-    )
+    return UnimodularMap(*m, _reduced(rng.randint(-4, 4), rng.randint(1, 3)),
+                         _reduced(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
 def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
@@ -283,12 +277,12 @@ def _suite_capacity(config: SimpleNamespace):
     root = MarkovTriple(1, 1, 1)
     failures: dict[str, str] = {}
     for t in enumerate_triples(config.max_bound):
-        w = width(t)
+        num, den = width(t)
         if t == root:
-            if w != 1 or surd_identity_check(t):
+            if num != den or surd_identity_check(t):
                 failures.setdefault("width-bounds", str(t))
             continue
-        if not (Fraction(1, 3) < w <= Fraction(1, 2)):
+        if not (den < 3 * num and 2 * num <= den):  # 1/3 < bc/a <= 1/2
             failures.setdefault("width-bounds", str(t))
         if not surd_identity_check(t):
             failures.setdefault("surd-identity", str(t))
@@ -296,8 +290,8 @@ def _suite_capacity(config: SimpleNamespace):
     # gaps to it decrease with the widths, which `alternating_order` checks
     try:
         for apex in (root, MarkovTriple(2, 1, 1), MarkovTriple(5, 2, 1)):
-            for t, w in alternating_order(apex, 10):
-                if not _above_limit(w.numerator, w.denominator, apex.a):
+            for t, (num, den) in alternating_order(apex, 10):
+                if not _above_limit(num, den, apex.a):
                     raise VerificationError(f"gap at {t} is not positive")
     except VerificationError as exc:
         failures.setdefault("limit-gaps", str(exc))
@@ -338,7 +332,7 @@ def _suite_lattice(config: SimpleNamespace):
         tri = vianna_triangle(t)  # construction re-checks the invariants
         value, xi = lattice_width(tri.polygon)
         # below the root the width also drops under the ambient width 1
-        if (value, xi) != (width(t), (0, 1)) or (t != root and not value < 1):
+        if (value, xi) != (width(t), (0, 1)) or (t != root and value[0] >= value[1]):
             failures.setdefault("lattice-width-equals-capacity", str(t))
         den, (_, (ell, _), _) = tri.polygon.scaled
         if ell < den:  # ell < 1

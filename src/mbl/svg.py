@@ -93,7 +93,7 @@ def figure_subtree(apex: MarkovTriple, depth: int) -> str:
             _line(x1, y1 + 8, x2, y2 - 8, STYLE["order_stroke"], dash="5,4")
         )
     for (x, y), t in zip(positions, nodes):
-        w = width(t)
+        w = Fraction(*width(t))
         body.append(_text(x, y - 6, str(t)))
         body.append(
             _text(x, y + 12, f"w = {w} = {_fmt(w, 4)}", size=11, fill="#444444")
@@ -169,7 +169,7 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     if not 0 < delta < Fraction(1, 3):
         raise ValueError("--delta must lie strictly between 0 and 1/3")
     tri = vianna_triangle(triple)
-    center = central_point(tri)
+    center = [Fraction(*c) for c in central_point(tri)]
     pts = list(tri.polygon.vertices)
     xs, ys = zip(*pts)
     lo_x, hi_x = min(xs), max(xs)

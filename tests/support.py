@@ -100,8 +100,8 @@ def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
 
 def fraction_apply(m, polygon: LatticePolygon) -> LatticePolygon:
     """The image of polygon under the UnimodularMap m, on Fraction vertices."""
-    pts = [(m.m00 * x + m.m01 * y + m.tx, m.m10 * x + m.m11 * y + m.ty)
-           for x, y in polygon.vertices]
+    tx, ty = Fraction(*m.tx), Fraction(*m.ty)
+    pts = [(m.m00 * x + m.m01 * y + tx, m.m10 * x + m.m11 * y + ty) for x, y in polygon.vertices]
     if m.m00 * m.m11 - m.m01 * m.m10 < 0:
         pts.reverse()  # keep counterclockwise orientation
     return fraction_polygon(pts)

@@ -119,7 +119,8 @@ def test_criterion_04_regular_prefix():
 def test_criterion_05_alternating_descent():
     with _Timer(5, "alternating descent and chain inequalities, max <= 1e4", 60.0):
         for t in enumerate_triples(10 ** 4):
-            widths = [w for _, w in alternating_order(t, 8)]  # raises on any descent violation
+            # alternating_order raises on any descent violation
+            widths = [Fraction(*w) for _, w in alternating_order(t, 8)]
             assert all(w > v for w, v in zip(widths, widths[1:]))
             if t.a >= 5:
                 assert min(descent_integers(t)) > 0  # b^2 - c^2 and c(3ac - 2b) too
@@ -135,7 +136,8 @@ def test_criterion_06_limit_points():
     with _Timer(6, "gaps decrease to the limit points; spectrum values match", 30.0):
         fib, pel, five = (apex_of_number(p) for p in (1, 2, 5))
         for apex in (fib, pel, five):
-            sequence = alternating_order(apex, 25)  # every node below the apex
+            # every node below the apex
+            sequence = [(t, Fraction(*w)) for t, w in alternating_order(apex, 25)]
             assert len(sequence) == (26 if apex.a < 5 else 51)
             assert all(compare(w, limit_point(apex.a)) > 0 for _, w in sequence)
             q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])

@@ -437,7 +437,7 @@ def test_import_loads_no_unused_machinery():
     # tracer (perfbench/tracer.py, install) re-binds its traced functions only
     # in modules already loaded, and its vars() of each runs it; a handler
     # module's import runs them too.  fractions and decimal (with numbers)
-    # load where a Fraction or a printed decimal is first built
+    # load only to read or write a rational as text or to print a decimal
     probe = ("import sys; before = set(sys.modules); import mbl.cli\n"
              "print(*sorted(set(sys.modules) - before))\n" + _PRINT_RAN)
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
@@ -461,10 +461,11 @@ def test_import_loads_no_unused_machinery():
     ("irregularities --n-max 450", "", {"fractions", "decimal"}),
     ("irregularities --n-max 450 --fixture", "", {"fractions", "decimal"}),
     ("complete --threshold 7/20 --n-max 450", "", set()),
-    ("verify --suite lattice --max-bound 30", "mbl.lattice", set()),
+    ("verify --suite lattice --max-bound 30", "mbl.lattice", {"fractions", "decimal"}),
+    ("verify --max-bound 10000 --n-max 120", "mbl.lattice mbl.oeis", {"fractions", "decimal"}),
     ("width --triple 5,2,1", "mbl.lattice", set()),
 ], ids=["limits", "irregularities", "irregularities-fixture", "complete", "verify-lattice",
-        "width"])
+        "verify", "width"])
 def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unloaded):
     probe = ("import os, sys, mbl.cli\n"
              "sys.stdout = open(os.devnull, 'w')\n"
@@ -1357,7 +1358,7 @@ def _short_root_base(real):
         # its base reads as shorter than 1
         tri = real(t)
         if t == T(1, 1, 1):
-            moved = mbl.suites.UnimodularMap(0, -1, 1, 1, 0, 0).apply(tri.polygon)
+            moved = mbl.suites.UnimodularMap(0, -1, 1, 1, (0, 1), (0, 1)).apply(tri.polygon)
             tri.__dict__["polygon"] = moved  # a cached property
             del tri.__dict__["edges"]  # cached from the polygon
         return tri
@@ -1402,7 +1403,7 @@ _BROKEN_CHECKS = [
      "(5,2,1)", 30),
     ("markov", "pairwise-coprimality", "math", _gcd_fails_at(13, 5), "(13,5,1)", 30),
     ("capacity", "width-bounds", "width",
-     lambda real: lambda t: Fraction(1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)", 30),
+     lambda real: lambda t: (1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)", 30),
     ("capacity", "limit-gaps", "_above_limit",  # 2/5 read against the limit of 1
      lambda real: lambda num, den, m: (num, den, m) != (2, 5, 1) and real(num, den, m),
      "gap at (5,2,1) is not positive", 30),
@@ -1412,8 +1413,8 @@ _BROKEN_CHECKS = [
      "(13,5,1)", 30),
     ("ordering", "alternating-descent", "descent_integers", _descent_fails_at_13_5_1,
      _DESCENT_FAILURE, 30),
-    ("lattice", "lattice-width-equals-capacity", "width",
-     lambda real: lambda t: real(t) + (t == T(13, 5, 1)), "(13,5,1)", 30),
+    ("lattice", "lattice-width-equals-capacity", "width",  # 5/13 + 1
+     lambda real: lambda t: (18, 13) if t == T(13, 5, 1) else real(t), "(13,5,1)", 30),
     ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)", 30),
     ("lattice", "shear-and-inscribed", "inscribed_right_triangle",
      lambda real: lambda tri: tri.triple != T(13, 5, 1) and real(tri),
@@ -1428,14 +1429,14 @@ _BROKEN_CHECKS = [
     ("markov", "pairwise-coprimality", "math",  # the pair's first triple is the witness
      _gcd_fails_at(10946, 4181), "(10946,4181,1)", PAST_THE_OLD_CAPS),
     ("capacity", "width-bounds", "width",
-     lambda real: lambda t: Fraction(1, 3) if t == T(1136689, 195025, 2) else real(t),
+     lambda real: lambda t: (1, 3) if t == T(1136689, 195025, 2) else real(t),
      "(1136689,195025,2)", PAST_THE_OLD_CAPS),
     ("capacity", "surd-identity", "surd_identity_check",
      lambda real: lambda t: t != T(14701, 169, 29) and real(t), "(14701,169,29)", 10 ** 6),
     ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at(10946, 4181, 1),
      "(10946,4181,1)", PAST_THE_OLD_CAPS),
-    ("lattice", "lattice-width-equals-capacity", "width",
-     lambda real: lambda t: real(t) + (t == T(10946, 4181, 1)), "(10946,4181,1)",
+    ("lattice", "lattice-width-equals-capacity", "width",  # 4181/10946 + 1
+     lambda real: lambda t: (15127, 10946) if t == T(10946, 4181, 1) else real(t), "(10946,4181,1)",
      PAST_THE_OLD_CAPS),
 ]
 

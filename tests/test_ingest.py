@@ -46,6 +46,23 @@ class TestParse:
         data = b"1 1\n2 2\n3 5\n"
         assert parse_bfile(data) == parse_bfile(data)
 
+    @pytest.mark.parametrize("field", ["1_000", "\u0663", "+5"])
+    def test_a_field_is_ascii_digits_with_an_optional_minus(self, field, tmp_path, capsys):
+        # int() alone reads these as 1000, 3 and 5
+        with pytest.raises(ValueError, match="line 1: non-integer field"):
+            parse_bfile(b"1 1_000\n2 \xd9\xa3\n3 +5\n4 7\n")
+        for line in (f"2 {field}", f"{field} 2"):
+            message = f"line 2: non-integer field in {line!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_bfile(f"1 1\n{line}\n".encode())
+        markov = (Path(mbl.oeis.__file__).parent / "data" / "b002559.txt").read_text()
+        path = tmp_path / "b002559.txt"  # the vendored file with its line 3 respelled
+        path.write_text(markov.replace("\n3 5\n", f"\n3 {field}\n"), encoding="utf-8")
+        assert main(["ingest", "--kind", "markov", "--bfile", str(path)]) == 2
+        line = f"3 {field}"
+        assert capsys.readouterr().err == (
+            f"mbl: bad b-file {path}: line 3: non-integer field in {line!r}\n")
+
 
 def _vendored(kind: str) -> dict[int, int]:
     # the map of the vendored b-file, read here without its checksum

@@ -54,12 +54,19 @@ FOUR_PAIRS_IMAGE = LatticePolygon(2, [(3, -2), (4, -4), (5, -4), (4, -2)])
 SKEW = LatticePolygon.from_json([["-7/3", "-5/4"], ["3/2", "-2/5"], ["5/6", "9/7"],
                                  [-3, "1/2"]])
 MIXED = (SKEW,
-         UnimodularMap(1, 0, 0, 1, Fraction(-11, 9), Fraction(13, 8)).apply(SKEW),
-         UnimodularMap(2, -3, -1, 2, Fraction(-4, 9), Fraction(7, 4)).apply(
+         UnimodularMap(1, 0, 0, 1, (-11, 9), (13, 8)).apply(SKEW),
+         UnimodularMap(2, -3, -1, 2, (-4, 9), (7, 4)).apply(
              vianna_triangle(T(29, 5, 2)).polygon))
 FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
 # the apexes of the first 200 Markov numbers
 APEXES = tuple(T(*t) for t in markov_prefix(200)[1])
+
+
+def oracle_width(polygon: LatticePolygon):
+    """`pruned_lattice_width` with its Fraction as the (num, den) pair in
+    lowest terms with den > 0 that `lattice_width` hands out."""
+    value, xi = pruned_lattice_width(polygon)
+    return value.as_integer_ratio(), xi
 
 
 def edge_lengths(tri: ViannaTriangle) -> list[Fraction]:
@@ -204,15 +211,15 @@ class TestWidthAlong:
 
 class TestLatticeWidth:
     def test_unit_triangle(self):
-        assert lattice_width(UNIT_TRIANGLE) == (Fraction(1), (0, 1))
+        assert lattice_width(UNIT_TRIANGLE) == ((1, 1), (0, 1))
 
     def test_unit_square(self):
         value, _ = lattice_width(UNIT_SQUARE)
-        assert value == 1
+        assert value == (1, 1)
 
     def test_base_triangle_5_2_1(self):
         value, xi = lattice_width(vianna_triangle(T(5, 2, 1)).polygon)
-        assert value == Fraction(2, 5) and xi == (0, 1)
+        assert value == (2, 5) and xi == (0, 1)
 
     def test_matches_capacity_below_thousand(self):
         for t in enumerate_triples(1000):
@@ -222,7 +229,7 @@ class TestLatticeWidth:
     def test_thin_triangles(self):
         # the second reduction step takes mu = -w, an int past a C ssize_t for w = 2^61
         for w in (2 ** 61, 10 ** 400):
-            assert lattice_width(LatticePolygon(1, [(0, 0), (w, 0), (0, 1)])) == (Fraction(1), (0, 1))
+            assert lattice_width(LatticePolygon(1, [(0, 0), (w, 0), (0, 1)])) == ((1, 1), (0, 1))
 
     def test_thin_triangles_measure_a_bounded_number_of_directions(self, monkeypatch):
         # each Gauss step measures a few breakpoints of the three edges, however
@@ -233,12 +240,12 @@ class TestLatticeWidth:
         for k in (999, 99_999):
             calls.clear()
             thin = LatticePolygon(1, [(0, 0), (10 ** k, 0), (0, 1)])
-            assert lattice_width(thin) == (Fraction(1), (0, 1))
+            assert lattice_width(thin) == ((1, 1), (0, 1))
             assert len(calls) <= 11
 
     def test_ties_go_to_the_least_direction(self):
-        assert lattice_width(FOUR_PAIRS) == (1, (0, 1))
-        assert lattice_width(FOUR_PAIRS_IMAGE) == (1, (0, 1))
+        assert lattice_width(FOUR_PAIRS) == ((1, 1), (0, 1))
+        assert lattice_width(FOUR_PAIRS_IMAGE) == ((1, 1), (0, 1))
 
     def test_brute_force_agreement(self):
         polygons = [
@@ -259,7 +266,7 @@ class TestLatticeWidth:
             if 5 <= len(hull) <= 12:
                 polygons.append(LatticePolygon(rng.randint(1, 4), hull))
         for polygon in polygons:
-            assert lattice_width(polygon) == pruned_lattice_width(polygon)
+            assert lattice_width(polygon) == oracle_width(polygon)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(FIRST_EIGHT), st.randoms(use_true_random=False))
@@ -268,7 +275,7 @@ class TestLatticeWidth:
         # the oracle's cost grows with the square of the skew
         assume(max(abs(m.m00), abs(m.m01), abs(m.m10), abs(m.m11)) <= 64)
         mapped = m.apply(vianna_triangle(triple).polygon)
-        assert lattice_width(mapped) == pruned_lattice_width(mapped)
+        assert lattice_width(mapped) == oracle_width(mapped)
 
     def test_unimodular_invariance(self):
         rng = random.Random(777)
@@ -327,8 +334,8 @@ class TestIntegerTriangles:
     def test_central_point(self):
         for t in APEXES:
             tri = vianna_triangle(t)
-            assert central_point(tri) == fraction_central_point(
-                fraction_triangle(*t, tri.u))
+            oracle = fraction_central_point(fraction_triangle(*t, tri.u))
+            assert central_point(tri) == tuple(c.as_integer_ratio() for c in oracle)
 
     def test_inscribed(self):
         for t in APEXES[1:]:  # (1,1,1) has no shear-normalized form
@@ -400,14 +407,14 @@ class TestAffineLength:
 
 class TestCentralPoint:
     def test_root(self):
-        assert central_point(vianna_triangle(T(1, 1, 1))) == (Fraction(1, 3), Fraction(1, 3))
+        assert central_point(vianna_triangle(T(1, 1, 1))) == ((1, 3), (1, 3))
 
     def test_two_one_one(self):
-        assert central_point(vianna_triangle(T(2, 1, 1))) == (Fraction(1, 3), Fraction(1, 3))
+        assert central_point(vianna_triangle(T(2, 1, 1))) == ((1, 3), (1, 3))
 
     def test_five_two_one_distances(self):
         tri = vianna_triangle(T(5, 2, 1))
-        cx, cy = central_point(tri)
+        cx, cy = (Fraction(*c) for c in central_point(tri))
         polygon = tri.polygon
         pts = polygon.vertices
         for p, q in zip(pts, pts[1:] + pts[:1]):
@@ -429,7 +436,7 @@ class TestCentralPoint:
         third = Fraction(1, 3)
         for t in enumerate_triples(10 ** 4):
             tri = vianna_triangle(t)
-            _, cy = central_point(tri)
+            cy = Fraction(*central_point(tri)[1])
             assert 0 < cy < tri.polygon.vertices[2][1]  # interior height range
 
 
@@ -523,16 +530,16 @@ class TestExactCoordinates:
     @pytest.mark.parametrize("tx, ty", [(0.5, 0), (0, 0.5)])
     def test_map_refuses_a_float_translation(self, tx, ty):
         with pytest.raises(TypeError):
-            UnimodularMap(1, 0, 0, 1, tx, ty)
+            UnimodularMap(1, 0, 0, 1, (tx, 1), (ty, 1)).apply(UNIT_SQUARE)
 
 
 class TestUnimodularMap:
     def test_determinant_validated(self):
         with pytest.raises(ValueError):
-            UnimodularMap(2, 0, 0, 1, 0, 0)
+            UnimodularMap(2, 0, 0, 1, (0, 1), (0, 1))
 
     def test_orientation_flip_keeps_polygon_valid(self):
-        flip = UnimodularMap(0, 1, 1, 0, 0, 0)
+        flip = UnimodularMap(0, 1, 1, 0, (0, 1), (0, 1))
         mapped = flip.apply(UNIT_SQUARE)
         assert fraction_area(mapped.vertices) == fraction_area(UNIT_SQUARE.vertices) == 1
 
@@ -545,5 +552,41 @@ class TestUnimodularMap:
         assert m.apply(polygon) == fraction_apply(m, polygon)
 
     def test_integer_translations(self):
-        for m in (UnimodularMap(0, 1, 1, 0, 3, -2), UnimodularMap(1, 0, 0, 1, 0, 0)):
+        for m in (UnimodularMap(0, 1, 1, 0, (3, 1), (-2, 1)),
+                  UnimodularMap(1, 0, 0, 1, (0, 1), (0, 1))):
             assert m.apply(SKEW) == fraction_apply(m, SKEW)
+
+
+def assert_reduced(pair):
+    num, den = pair
+    assert type(num) is type(den) is int and den > 0 and math.gcd(num, den) == 1
+
+
+class TestReducedPairs:
+    """`lattice_width` and `central_point` hand out (num, den) pairs in lowest
+    terms with den > 0, equal to the Fraction oracles of tests/support.py."""
+
+    def test_base_triangles_to_ten_to_thirty(self):
+        for t in enumerate_triples(10 ** 30):
+            tri = vianna_triangle(t)
+            value, xi = lattice_width(tri.polygon)
+            point = central_point(tri)
+            for pair in (value, *point):
+                assert_reduced(pair)
+            assert Fraction(*value) == fraction_spread(tri.polygon, *xi)
+            assert tuple(Fraction(*c) for c in point) == fraction_central_point(
+                fraction_triangle(*t, tri.u))
+
+    def test_images_the_lattice_suite_builds(self):
+        rng = random.Random(20240813)  # the maps of `verify`'s unimodular-invariance
+        for t in (T(5, 2, 1), T(29, 5, 2)):
+            polygon = vianna_triangle(t).polygon
+            for _ in range(20):
+                m = random_unimodular(rng)
+                for pair in (m.tx, m.ty):
+                    assert_reduced(pair)
+                mapped = m.apply(polygon)
+                value, xi = lattice_width(mapped)
+                assert_reduced(value)
+                assert (value, xi) == oracle_width(mapped)
+                assert Fraction(*value) == fraction_spread(mapped, *xi)

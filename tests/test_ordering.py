@@ -59,11 +59,7 @@ class TestAlternatingOrder:
 
     def test_order5_widths(self):
         sequence = alternating_order(T(5, 2, 1), 3)
-        expected = [
-            Fraction(2, 5), Fraction(5, 13), Fraction(10, 29),
-            Fraction(65, 194), Fraction(145, 433),
-            Fraction(970, 2897), Fraction(2165, 6466),
-        ]
+        expected = [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897), (2165, 6466)]
         assert [w for _, w in sequence] == expected
         # the tight step near the end, as a bare cross-multiplication
         assert 970 * 6466 > 2165 * 2897
@@ -72,7 +68,7 @@ class TestAlternatingOrder:
         # w((F_{2n+1}, F_{2n-1}, 1)) = 2/(3 + sqrt(5 - 4/F_{2n-1}^2))
         for t, w in alternating_order(T(1, 1, 1), 6)[1:]:
             f = t.b
-            assert compare(w, rationalized(Fraction(5) - Fraction(4, f * f))) == 0
+            assert compare(Fraction(*w), rationalized(Fraction(5) - Fraction(4, f * f))) == 0
 
     def test_no_descent_violation_below_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
@@ -122,7 +118,7 @@ class TestChains:
         # times b^2 - c^2 and c(3ac - 2b) in turn
         assert descent_integers(T(5, 2, 1)) == (25, 3, 11, 1)
         assert descent_integers(T(13, 5, 1)) == (169, 24, 29, 1)
-        caps = [(w.numerator, w.denominator) for _, w in alternating_order(T(5, 2, 1), 3)[:6]]
+        caps = [w for _, w in alternating_order(T(5, 2, 1), 3)[:6]]
         assert caps == [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897)]
         assert [p[0] * q[1] - q[0] * p[1] for p, q in zip(caps, caps[1:])] == [
             1, 5 * 3, 5 * 11, 5 * 3, 5 * 11]
@@ -173,7 +169,7 @@ class TestChains:
         # apexes included: (1,1,1) and (2,1,1) have a single chain
         for t in enumerate_triples(10 ** 4):
             for depth in range(9):
-                caps = [width(t)] + [Fraction(t.a * xs[i - 1], xs[i])
+                caps = [width(t)] + [Fraction(t.a * xs[i - 1], xs[i]).as_integer_ratio()
                                      for i in range(1, depth + 1) for xs in chains(t, depth)]
                 assert caps == [w for _, w in alternating_order(t, depth)]
 
@@ -237,8 +233,8 @@ class TestSpectrumRows:
         _, apexes = markov_prefix(850)
         for apex in apexes:
             for k in range(1, 9):
-                full = [(w.numerator, w.denominator) for _, w in alternating_order(T(*apex), k + 1)
-                        if w.numerator >= apex[0] * apex[0]][:k]
+                full = [w for _, w in alternating_order(T(*apex), k + 1)
+                        if w[0] >= apex[0] * apex[0]][:k]
                 assert _essential_capacities(apex, k) == tuple(full)
 
     def test_ratios_are_in_lowest_terms(self):
@@ -254,7 +250,7 @@ class TestSpectrumRows:
         # including the degenerate rows 1 and 2
         for row in spectrum_rows(200, k=7):
             expected = tuple(width(t) for t in essential_subtree(row.m, 7)[:7])
-            assert tuple(Fraction(*ratio) for ratio in row.ratios) == expected
+            assert row.ratios == expected
 
 
 def _scan_prefix(n_max: int):
