@@ -51,10 +51,12 @@ LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
 #: The polygon files `width --polygon` reads: a unimodular image of a base
 #: triangle, unreduced fractions mixed with ints, triangles of height 1 and
 #: base 2^61 or 10^999, the image of a thin triangle under (x, y) ->
-#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and eight
+#: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and ten
 #: refusals of a polygon file (clockwise, collinear, one vertex written
 #: twice as 1/2 and 2/4, a float and a bool coordinate, a JSON object, two
-#: vertices, a coordinate that is not a number).
+#: vertices, a coordinate that is not a number, and the coordinates 3
+#: written with the Arabic-Indic digit U+0663 and 10 written 1_0, which
+#: `Fraction` reads).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
@@ -71,6 +73,8 @@ POLYGONS = {
     "object.json": {"vertices": [[0, 0], [1, 0], [0, 1]]},
     "two.json": [[0, 0], [1, 0]],
     "letters.json": [["x", 0], [1, 0], [0, 1]],
+    "arabic.json": [[0, 0], ["\u0663", 0], [0, 1]],
+    "underscore.json": [[0, 0], ["1_0", 0], [0, 1]],
 }
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
@@ -227,6 +231,18 @@ FIXED = [
     # the ASCII b-file format does not
     *(("ingest", "--kind", "markov", "--bfile", name, "--format", fmt)
       for name in ("underscore.txt", "arabic.txt", "plus.txt") for fmt in ("text", "json")),
+    # spellings that int() or Fraction() reads but the ASCII grammar of
+    # mbl._integer and mbl._rational refuses: non-ASCII digits, "_", a
+    # leading "+" and spaces in a count, a triple, a threshold and a delta
+    # (the polygon coordinates are in POLYGONS), and Unicode line and field
+    # separators in a b-file
+    *(("limits", "--n", n) for n in ("\u0663", "1_0", "+3", " 3")),
+    *(("widths", "--triple", t) for t in ("\u0665,2,1", "5, 2, 1", "+5,2,1")),
+    *(("complete", "--threshold", t, "--n-max", "10")
+      for t in ("\u0663/8", "3_0/80", "+3/8", " 3/8")),
+    ("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "+1/4"),
+    *(("ingest", "--kind", "markov", "--bfile", name)
+      for name in ("u2028.txt", "vtab.txt", "nbsp.txt")),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
@@ -237,7 +253,9 @@ TIMEOUT_S = 60
 #: (a line of three fields, a field that is no integer, an index written
 #: twice, comments only), a polygon file cut off inside its JSON, and the
 #: vendored Markov b-file with 169 written 1_69, index 3 written with the
-#: Arabic-Indic digit U+0663, or 5 written +5.
+#: Arabic-Indic digit U+0663, or 5 written +5, or with the lines "3 5" and
+#: "4 13" joined by U+2028 or by a vertical tab, or "3 5" split by the
+#: no-break space U+00A0.
 _MARKOV = (Path(__file__).resolve().parent.parent / "src/mbl/data/b002559.txt").read_text()
 TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
               "short.txt": "1 1\n2 2\n", "comments.txt": "# A002559\n\n1 1\n2 2\n3 5\n",
@@ -246,7 +264,10 @@ TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
               "broken.json": "[[0, 0], [1, 0",
               "underscore.txt": _MARKOV.replace("\n8 169\n", "\n8 1_69\n"),
               "arabic.txt": _MARKOV.replace("\n3 5\n", "\n\u0663 5\n"),
-              "plus.txt": _MARKOV.replace("\n3 5\n", "\n3 +5\n")}
+              "plus.txt": _MARKOV.replace("\n3 5\n", "\n3 +5\n"),
+              **{name: _MARKOV.replace("\n3 5\n4 13\n", f"\n3 5{sep}4 13\n")
+                 for name, sep in (("u2028.txt", "\u2028"), ("vtab.txt", "\x0b"))},
+              "nbsp.txt": _MARKOV.replace("\n3 5\n", "\n3\u00a05\n")}
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes, bytes | None]:

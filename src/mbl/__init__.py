@@ -2,8 +2,9 @@
 
 Everything numerical is decided over arbitrary-precision integers, reduced
 (num, den) integer pairs, or sign-exact quadratic surds; floating point appears
-only in human-readable previews.  The package itself holds only the reader
-of its data files, which `mbl.oeis` and `irregularities --fixture` share.
+only in human-readable previews.  The package holds only what its modules
+share: `_package_data`, the reader of its data files, and `_integer` and
+`_rational`, the readers of every number a user writes.
 """
 
 import os
@@ -16,3 +17,20 @@ def _package_data(name: str) -> bytes:
     """The bytes of the package data file data/<name>."""
     with open(os.path.join(_DATA_DIR, name), "rb") as handle:
         return handle.read()
+
+
+def _integer(text: str) -> int:
+    """The int that ASCII -?[0-9]+ spells; ValueError for any other text."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _rational(text: str) -> tuple[int, int]:
+    """The reduced (num, den) pair of what `Fraction` reads, p/q with q > 0 or a
+    decimal like -1.5e-3, if ASCII with no whitespace, "_" or leading "+" (an
+    exponent's "+" stays); else ValueError (ZeroDivisionError for q = 0)."""
+    from fractions import Fraction  # loads only where a rational is read
+    if text.startswith("+") or not set(text) <= set("0123456789+-/.eE"):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text).as_integer_ratio()

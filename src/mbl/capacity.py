@@ -5,8 +5,8 @@ branch of the subtree preserving a these capacities decrease to the
 irrational value 2/(3 + sqrt(9 - 4/a^2)), so deciding orderings near the
 limit needs sign-exact arithmetic on numbers of the form q + s*sqrt(r).
 Differences there shrink below 10^-40; floating point never enters any
-decision, only human-readable previews.  Widths are reduced (num, den) int
-pairs; `fractions` loads only in `_fraction`, `QuadraticValue` and
+decision, only human-readable previews.  Widths and thresholds are reduced
+(num, den) int pairs; `fractions` loads only in `QuadraticValue` and
 `lagrange_number`, `decimal` only to print a preview: `verify` loads neither.
 """
 
@@ -16,16 +16,6 @@ import functools
 import math
 
 from .markov import MarkovTriple, is_markov_number
-
-
-def _fraction(x) -> Fraction:
-    from fractions import Fraction
-
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _rational_sqrt(r: Fraction) -> Fraction | None:
@@ -65,15 +55,19 @@ class QuadraticValue:
     __slots__ = ("_q", "_s", "_r")
 
     def __init__(self, q=0, s=0, r=0):
-        q, s, r = _fraction(q), _fraction(s), _fraction(r)
+        from fractions import Fraction
+
+        if not all(isinstance(x, (int, Fraction)) for x in (q, s, r)):
+            raise TypeError(f"expected exact rationals, got {q!r}, {s!r}, {r!r}")
+        q, s, r = Fraction(q), Fraction(s), Fraction(r)
         if r < 0:
             raise ValueError(f"negative radicand {r}")
         if s == 0 or r == 0:
-            q, s, r = q, _fraction(0), _fraction(0)
+            q, s, r = q, Fraction(0), Fraction(0)
         else:
             root = _rational_sqrt(r)
             if root is not None:
-                q, s, r = q + s * root, _fraction(0), _fraction(0)
+                q, s, r = q + s * root, Fraction(0), Fraction(0)
         self._q, self._s, self._r = q, s, r
 
     def _cleared(self) -> tuple[int, int, int, int]:

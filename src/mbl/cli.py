@@ -3,15 +3,15 @@ parsers, `main` and `run`.
 
 `_COMMANDS` declares every command's flags once.  `main` parses an argv of
 the plain shape `<command> (--flag value | --switch)*` from it directly;
-argparse (with gettext and locale) loads only for help, usage errors and
-the argv that parse declines, through `build_parser`, which builds the same
-parser from the same table.  Either way `main` finishes each value `_VALUES`
-names, counts included (a triple or a rational is parsed, a count's bound
-is checked), then looks the handler up in the table, so no handler checks a
-bound.  The handlers of the ordering commands (`irregularities`, `limits`,
-`complete`) live in `mbl.ordering`, which every process loads; the module
-holding any other is imported only when its command runs with values that
-pass: `mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
+argparse (with gettext and locale) loads only for help, usage errors and the
+argv that parse declines, through `build_parser`, which builds the same
+parser from the same table.  Neither converts a value: `main` reads each one
+`_VALUES` names, defaults included, with `mbl._integer` or `_rational`, checks
+a count's bound, then looks the handler up, so no handler checks a bound.  The
+handlers of the ordering commands (`irregularities`, `limits`, `complete`)
+live in `mbl.ordering`, which every process loads; the module holding any
+other is imported only when its command runs with values that pass:
+`mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
 `mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
 `_deferred` puts both in `sys.modules` unrun, and the first read of one of
 their names runs it.  `fractions` loads only to read or write a rational as
@@ -28,6 +28,7 @@ import os
 import sys
 from types import ModuleType, SimpleNamespace
 
+from . import _integer, _rational
 from .errors import VerificationError
 from .markov import MarkovTriple
 from .ordering import cmd_complete, cmd_irregularities, cmd_limits
@@ -75,7 +76,7 @@ _deferred("oeis")
 
 def _parse_triple(flag: str, text: str) -> MarkovTriple:
     try:
-        values = [int(part) for part in text.split(",")]
+        values = [_integer(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects integers a,b,c, got {text!r}") from None
     if len(values) != 3:
@@ -83,29 +84,31 @@ def _parse_triple(flag: str, text: str) -> MarkovTriple:
     return MarkovTriple.from_values(*values)
 
 
-def _parse_rational(flag: str, text: str) -> Fraction:
-    from fractions import Fraction  # only --threshold and --delta build one
-
+def _parse_rational(flag: str, text: str) -> tuple[int, int]:
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag} expects an exact rational like 'p/q', got {text!r}") from None
 
 
-def _at_least(least: int):
-    """The check of a count flag: its int value, or the refusal of one below `least`."""
-    def check(flag: str, value: int) -> int:
-        if value < least:
+def _count(least: int | None):
+    """The reader of a count flag: its int, refusing other text and any int below `least`."""
+    def read(flag: str, text: str) -> int:
+        try:
+            value = _integer(text)
+        except ValueError:
+            raise ValueError(f"{flag} expects an integer, got {text!r}") from None
+        if least is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}")
         return value
-    return check
+    return read
 
 
-#: The flag values `main` finishes before it loads a handler: each dest, in
-#: this order, and the parser of its flag's text or the check of its count.
+#: Every flag value `main` reads before it loads a handler: each dest, in
+#: this order, and the reader of its flag's text.
 _VALUES = {"triple": _parse_triple, "threshold": _parse_rational, "delta": _parse_rational,
-           "max_bound": _at_least(1), "n_max": _at_least(1), "n": _at_least(1),
-           "k": _at_least(1), "depth": _at_least(0)}
+           "max_bound": _count(1), "n_max": _count(1), "n": _count(1),
+           "k": _count(1), "depth": _count(0), "preserve": _count(None)}
 
 
 def _module(name: str):
@@ -117,27 +120,27 @@ _FORMATS = ("text", "json", "csv")
 #: Every command, in the order `mbl -h` lists them: its help, the formats it
 #: renders (the choices of its `--format`, which `plot` lacks), its handler
 #: (a function that imports the module holding it) and its flags.  A flag is
-#: its name and the keywords of argparse's `add_argument`: dest, type,
-#: default, choices, action, required.
+#: its name and the keywords of argparse's `add_argument`: dest, default (as
+#: text, which `_VALUES` reads like a given value), choices, action, required.
 _COMMANDS = {
     "widths": ("capacity table bc/a", _FORMATS,
                lambda: _module("commands").cmd_widths, (
                    ("--triple", {}),)),
     "triples": ("enumerate triples up to a bound", _FORMATS,
                 lambda: _module("commands").cmd_triples, (
-                    ("--max-bound", {"type": int, "default": 1000}),)),
+                    ("--max-bound", {"default": "1000"}),)),
     "subtree": ("bivalent subtree preserving one entry", _FORMATS,
                 lambda: _module("commands").cmd_subtree, (
                     ("--triple", {"required": True}),
-                    ("--preserve", {"type": int}),
-                    ("--depth", {"type": int, "default": 3}))),
+                    ("--preserve", {}),
+                    ("--depth", {"default": "3"}))),
     "order": ("alternating decreasing capacity order below an apex", _FORMATS,
               lambda: _module("commands").cmd_order, (
                   ("--triple", {"required": True}),
-                  ("--depth", {"type": int, "default": 3}))),
+                  ("--depth", {"default": "3"}))),
     "irregularities": ("scan the juxtaposition inequality", _FORMATS,
                        lambda: cmd_irregularities, (
-                           ("--n-max", {"type": int, "default": 450}),
+                           ("--n-max", {"default": "450"}),
                            ("--fixture", {"action": "store_true"}))),
     "triangle": ("base triangle data for a triple", _FORMATS,
                  lambda: _module("commands").cmd_triangle, (
@@ -148,35 +151,35 @@ _COMMANDS = {
                   ("--polygon", {}))),
     "limits": ("per-sequence limits and Lagrange values", _FORMATS,
                lambda: cmd_limits, (
-                   ("--n", {"type": int, "default": 10}),
-                   ("--k", {"type": int}))),
+                   ("--n", {"default": "10"}),
+                   ("--k", {}))),
     "complete": ("certify the ordered prefix above a threshold", ("text", "json"),
                  lambda: cmd_complete, (
                      ("--threshold", {"required": True}),
-                     ("--n-max", {"type": int, "default": 450}))),
+                     ("--n-max", {"default": "450"}))),
     "verify": ("run invariant suites", ("text", "json"),
                lambda: _module("suites").cmd_verify, (
                    # the names of suites.SUITES, in its order
                    ("--suite", {"action": "append", "dest": "suites",
                                 "choices": ("markov", "capacity", "ordering",
                                             "lattice", "ingest")}),
-                   ("--max-bound", {"type": int, "default": 10_000}),
-                   ("--n-max", {"type": int, "default": 60}))),
+                   ("--max-bound", {"default": "10000"}),
+                   ("--n-max", {"default": "60"}))),
     "plot": ("deterministic SVG figures", (),
              lambda: _module("svg").cmd_plot, (
                  ("--figure", {"required": True,
                                "choices": ("order5", "numberline", "triangle")}),
                  ("--triple", {}),
-                 ("--depth", {"type": int, "default": 3}),
-                 ("--n", {"type": int, "default": 33}),
-                 ("--k", {"type": int, "default": 3}),
+                 ("--depth", {"default": "3"}),
+                 ("--n", {"default": "33"}),
+                 ("--k", {"default": "3"}),
                  ("--delta", {"default": "1/4"}))),
     "ingest": ("load and cross-check sequence b-files", _FORMATS,
                lambda: _module("commands").cmd_ingest, (
                    # "all", then the keys of oeis.SEQUENCE_IDS, in its order
                    ("--kind", {"default": "all",
                                "choices": ("all", "markov", "fibonacci", "pell")}),
-                   ("--n", {"type": int, "default": 500}),
+                   ("--n", {"default": "500"}),
                    ("--bfile", {}))),
 }
 
@@ -213,9 +216,9 @@ def _plain_parse(argv) -> dict | None:
     `<command> (--flag value | --switch)*`, or None for any other argv.
 
     Flags must be named exactly and each at most once, values must not
-    start with "-", ints and choices must be valid and every required flag
-    given; argparse takes the rest: help, abbreviations, `--flag=value`,
-    repeated flags and every usage error.
+    start with "-", choices must be valid and every required flag given;
+    argparse takes the rest: help, abbreviations, `--flag=value`, repeated
+    flags and every usage error.  Like argparse, it converts no value.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -238,11 +241,6 @@ def _plain_parse(argv) -> dict | None:
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
-        if "type" in options:
-            try:
-                value = options["type"](value)
-            except ValueError:
-                return None
         if "choices" in options and value not in options["choices"]:
             return None
         values[options["dest"]] = [value] if action == "append" else value

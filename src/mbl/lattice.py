@@ -9,7 +9,7 @@ normal form used here.  All geometry is exact and has one form: a polygon
 is built from and held as (D, its vertices times D), D the lcm of the vertex
 denominators, and widths, convexity and the base-triangle checks run on
 those ints, and widths and central points come back as reduced (num, den)
-pairs.  `fractions` loads only to print `vertices` and to parse polygon files.
+pairs.  `fractions` loads only to print `vertices` and in `mbl._rational`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import bisect
 import math
 from functools import cache, cached_property, partial
 
+from . import _rational
 from .errors import VerificationError, _Record
 from .markov import MarkovTriple
 
@@ -66,8 +67,8 @@ class LatticePolygon(_Record):
         if type(obj) is not list or any(type(v) is not list or len(v) != 2 for v in obj):
             raise ValueError("a polygon file must be a JSON list of [x, y] pairs")
         coords = [_exact(c) for v in obj for c in v]
-        den = math.lcm(*(c.denominator for c in coords))
-        ints = [c.numerator * (den // c.denominator) for c in coords]
+        den = math.lcm(*(d for _, d in coords))
+        ints = [n * (den // d) for n, d in coords]
         return cls(den, list(zip(ints[::2], ints[1::2])))
 
 
@@ -76,11 +77,12 @@ def _edge_vectors(points) -> list[tuple[int, int]]:
     return [(qx - px, qy - py) for (px, py), (qx, qy) in zip(points, points[1:] + points[:1])]
 
 
-def _exact(value) -> Fraction:
-    from fractions import Fraction  # the text of a polygon file's coordinates
-    if not isinstance(value, bool) and isinstance(value, (int, str)):
+def _exact(value) -> tuple[int, int]:
+    if type(value) is int:  # not a bool
+        return value, 1
+    if type(value) is str:
         try:
-            return Fraction(value)
+            return _rational(value)
         except (ValueError, ZeroDivisionError):  # "x", "1/0"
             pass
     raise ValueError(f"coordinates must be ints or rational strings, got {value!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from . import _package_data
+from . import _integer, _package_data
 from .markov import markov_numbers, recurrence_prefix
 
 SEQUENCE_IDS = {
@@ -30,20 +30,22 @@ _GENERATORS = {
 
 
 def parse_bfile(data: bytes) -> dict[int, int]:
-    """Parse b-file bytes (UTF-8) into an index -> value map.  Each field is
-    ASCII -?[0-9]+, which int() alone widens to "+5", "1_000" and non-ASCII
-    digits; indices must strictly increase; a malformed line reports its number."""
+    """Parse b-file bytes (UTF-8) into an index -> value map: lines end at LF
+    (CRLF read as LF), fields split at ASCII spaces and tabs, a data line is
+    two `mbl._integer` fields with strictly increasing indices, and a
+    malformed line reports its number."""
     entries: dict[int, int] = {}
     last_index = None
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
-        parts = raw.split()
+    for lineno, raw in enumerate(data.decode("utf-8").replace("\r\n", "\n").split("\n"), start=1):
+        parts = [p for p in raw.replace("\t", " ").split(" ") if p]
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<index> <value>', got {raw!r}")
-        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}")
-        index, value = int(parts[0]), int(parts[1])
+        try:
+            index, value = _integer(parts[0]), _integer(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if last_index is not None and index <= last_index:
             raise ValueError(f"line {lineno}: indices must strictly increase")
         entries[index] = value

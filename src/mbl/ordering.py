@@ -40,7 +40,6 @@ import bisect
 
 from . import _package_data
 from .capacity import (
-    _fraction,
     _preview,
     _ratio_text,
     _sign,
@@ -262,9 +261,9 @@ def verify_swap_pattern(n: int, n_prime: int, numbers, apexes) -> bool:
     return n <= 1 or not _exceeds(lead, _deficit(numbers[n - 2]))
 
 
-def ordered_prefix_complete_above(threshold, n_max: int) -> dict:
+def ordered_prefix_complete_above(threshold: tuple[int, int], n_max: int) -> dict:
     """Certify that the juxtaposed-with-swaps order accounts for every
-    capacity >= threshold, an int or the rational `--threshold` parses;
+    capacity >= threshold, the reduced (num, den) pair `--threshold` reads;
     return the certificate `complete --format json` writes.
 
     Exact sufficient conditions, all re-checked here:
@@ -281,7 +280,7 @@ def ordered_prefix_complete_above(threshold, n_max: int) -> dict:
        leading capacity to T (and m_n is increasing).  Above T = 2/3 that
        index is n_max + 1: no capacity beyond n_max exceeds 1/2.
     """
-    num, den = _fraction(threshold).as_integer_ratio()
+    num, den = threshold
     if 3 * num <= den:
         raise ValueError(
             "threshold must exceed 1/3: it is an accumulation point of the "

@@ -218,6 +218,6 @@ def cmd_plot(config: SimpleNamespace) -> int:
     elif config.triple is None:
         raise ValueError("plot --figure triangle needs --triple")
     else:
-        data = figure_triangle(config.triple, config.delta)
+        data = figure_triangle(config.triple, Fraction(*config.delta))
     _emit(config, data)
     return EXIT_OK

@@ -152,7 +152,7 @@ def test_criterion_06_limit_points():
 def test_criterion_07_completeness_threshold():
     with _Timer(7, "ordered prefix complete above 1/3 + 2e-44", 120.0):
         threshold = Fraction(1, 3) + Fraction(2, 10 ** 44)
-        report = ordered_prefix_complete_above(threshold, 450)
+        report = ordered_prefix_complete_above(threshold.as_integer_ratio(), 450)
         assert report["certified"] is True
         assert not report["failures"]
         assert all(check["ok"] for check in report["tail_exact"])

@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import mbl.capacity
@@ -362,6 +362,77 @@ def test_every_value_refusal_names_its_flag(capsys, command, flag):
     assert err.startswith(f"mbl: {flag} expects ") and err.count("\n") == 1
 
 
+#: Text over the characters of Fraction's grammar, a space and U+0663.
+_NUMERAL_TEXT = st.text(alphabet="0123456789-+/.eE_ \u0663", max_size=8)
+#: Fraction's grammar in ASCII, with no whitespace, no "_" and no leading "+".
+_RATIONAL_GRAMMAR = re.compile(
+    r"-?(?=[0-9]|\.[0-9])[0-9]*(?:/(?P<den>[0-9]+)|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)",
+    re.ASCII)
+
+
+@seed(20261021)
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_NUMERAL_TEXT, st.integers().map(str)))
+def test_integer_reads_ascii_digits_with_an_optional_minus(text):
+    if re.fullmatch(r"-?[0-9]+", text, re.ASCII):
+        assert mbl._integer(text) == int(text)
+    else:
+        with pytest.raises(ValueError):
+            mbl._integer(text)
+
+
+@seed(20261021)
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(_NUMERAL_TEXT, st.fractions().map(str),
+                 st.decimals(allow_nan=False, allow_infinity=False).map(str)))
+def test_rational_reads_fractions_grammar_in_ascii(text):
+    match = _RATIONAL_GRAMMAR.fullmatch(text)
+    if match is None:
+        with pytest.raises(ValueError):
+            mbl._rational(text)
+    elif match["den"] is not None and int(match["den"]) == 0:
+        with pytest.raises(ZeroDivisionError):
+            mbl._rational(text)
+    else:
+        assert mbl._rational(text) == Fraction(text).as_integer_ratio()
+
+
+_VENDORED_MARKOV = (Path(mbl.oeis.__file__).parent / "data" / "b002559.txt").read_text()
+#: Spellings that int() or Fraction() reads but mbl._integer and mbl._rational
+#: refuse, at each entry point: the argv and what its one stderr line names.
+_REFUSED_SPELLINGS = [
+    *((("limits", "--n", n), "--n") for n in ("\u0663", "1_0", "+3", " 3")),
+    *((("widths", "--triple", t), "--triple") for t in ("\u0665,2,1", "5, 2, 1", "+5,2,1")),
+    *((("complete", "--threshold", t, "--n-max", "10"), "--threshold")
+      for t in ("\u0663/8", "3_0/80", "+3/8", " 3/8")),
+    (("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "+1/4"), "--delta"),
+    *((("width", "--polygon", name), name) for name in ("arabic.json", "underscore.json")),
+    *((("ingest", "--kind", "markov", "--bfile", name), name)
+      for name in ("u2028.txt", "vtab.txt", "nbsp.txt")),
+]
+
+
+@pytest.mark.parametrize("argv, named", _REFUSED_SPELLINGS,
+                         ids=[" ".join(argv) for argv, _ in _REFUSED_SPELLINGS])
+def test_spellings_outside_the_ascii_grammar_are_refused(capsys, monkeypatch, tmp_path,
+                                                         argv, named):
+    # non-ASCII digits, "_", a leading "+" and spaces in a count, a triple,
+    # a rational or a polygon coordinate, and Unicode line and field
+    # separators in a b-file: int(), Fraction(), str.split and
+    # str.splitlines read each as 3, 5, 3/8, 1/4, 10 or a well-formed b-file
+    (tmp_path / "arabic.json").write_text('[[0, 0], ["\u0663", 0], [0, 1]]')
+    (tmp_path / "underscore.json").write_text('[[0, 0], ["1_0", 0], [0, 1]]')
+    for name, sep in (("u2028.txt", "\u2028"), ("vtab.txt", "\x0b")):
+        (tmp_path / name).write_text(
+            _VENDORED_MARKOV.replace("\n3 5\n4 13\n", f"\n3 5{sep}4 13\n"), encoding="utf-8")
+    (tmp_path / "nbsp.txt").write_text(
+        _VENDORED_MARKOV.replace("\n3 5\n", "\n3\u00a05\n"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("mbl: ") and err.count("\n") == 1 and named in err
+
+
 def test_a_refused_value_loads_no_handler_module():
     # main parses every value and checks every count before it imports the
     # module holding the handler
@@ -385,17 +456,27 @@ def test_depth_is_refused_whatever_the_figure(capsys):
         (2, "", "mbl: --depth must be >= 0\n")
 
 
+#: The dests _VALUES reads as counts: all but the triple and the two rationals.
+_COUNTS = set(mbl.cli._VALUES) - {"triple", "threshold", "delta"}
+
+
 def test_each_value_rule_names_a_flag_of_its_kind():
-    # a misspelt dest in _VALUES would check nothing: each names a flag of
-    # some command, a count's flag is an int wherever it appears, and a
-    # parsed value's flag is text
-    counts = {"max_bound", "n_max", "n", "k", "depth"}
+    # no flag converts its text in an argv parser, so main reads every value:
+    # a misspelt dest in _VALUES would read nothing, so each names a flag of
+    # some command, and every count is among them, --preserve included; a
+    # count's default is text its reader takes
     flags = [options for command in mbl.cli._COMMANDS
              for options in mbl.cli._flags(command).values()]
-    for dest in mbl.cli._VALUES:
-        types = {options.get("type") for options in flags if options["dest"] == dest}
-        assert types == ({int} if dest in counts else {None}), dest
-    assert counts <= set(mbl.cli._VALUES)
+    assert [options for options in flags if "type" in options] == []
+    assert set(mbl.cli._VALUES) <= {options["dest"] for options in flags}
+    assert _COUNTS == {"max_bound", "n_max", "n", "k", "depth", "preserve"}
+    for options in flags:
+        if options["dest"] in _COUNTS:
+            read = mbl.cli._VALUES[options["dest"]]
+            if "default" in options:
+                assert type(read("--x", options["default"])) is int
+            with pytest.raises(ValueError, match="^--x expects an integer, got '1.0'$"):
+                read("--x", "1.0")
 
 
 def test_import_leaves_the_network_stack_unloaded():
@@ -634,14 +715,14 @@ def _drawn_argv(draw):
     def good(options):
         if "choices" in options:
             return st.sampled_from(options["choices"])
-        if "type" in options:
+        if options["dest"] in _COUNTS:
             return st.integers(0, 10_000).map(str)
         return st.sampled_from(["5,2,1", "1/4", "7/20", "x", "", "p.json"])
 
-    def bad(options):  # a value the plain parse declines; argparse refuses most
+    def bad(options):  # a value the plain parse declines, or one main refuses
         if "choices" in options:
             return st.sampled_from(["bogus", "svg", "", options["choices"][0].upper()])
-        if "type" in options:
+        if options["dest"] in _COUNTS:
             return st.sampled_from(["-1", "-7", "x", "", "2.5", "1e3"])
         return st.sampled_from(["-1", "-x", "-h", "--n", "-", "--"])
 
@@ -990,7 +1071,7 @@ class TestIrregularities:
             return walk.prefix(*args)
 
         monkeypatch.setattr(mbl.ordering, "markov_prefix", counted)
-        report = mbl.ordering.ordered_prefix_complete_above(Fraction(7, 20), 793)
+        report = mbl.ordering.ordered_prefix_complete_above((7, 20), 793)
         assert report["certified"] and len(report["swap_checks"]) == 30
         assert len(entries) == 3
         entries.clear()
@@ -1732,7 +1813,8 @@ class TestVerifyAndComplete:
     # at 17/50 with n_max 1, sequence 2 (m = 2), beyond n_max, still reaches the threshold
     @pytest.mark.parametrize("threshold, n_max, code", [("7/20", "10", 0), ("17/50", "1", 1)])
     def test_complete_writes_the_certificate_it_is_given(self, capsys, threshold, n_max, code):
-        certificate = mbl.ordering.ordered_prefix_complete_above(Fraction(threshold), int(n_max))
+        certificate = mbl.ordering.ordered_prefix_complete_above(
+            Fraction(threshold).as_integer_ratio(), int(n_max))
         assert certificate["certified"] is (code == 0)
         assert run(capsys, "complete", "--threshold", threshold, "--n-max", n_max,
                    "--format", "json") == (code, mbl.report._json_text(certificate) + "\n", "")

@@ -63,6 +63,28 @@ class TestParse:
         assert capsys.readouterr().err == (
             f"mbl: bad b-file {path}: line 3: non-integer field in {line!r}\n")
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u0085", "\x0b", "\x0c", "\r"],
+                             ids=["U+2028", "U+0085", "VT", "FF", "CR"])
+    def test_lines_end_only_at_lf(self, sep):
+        # str.splitlines also breaks at each of these, and so read "1 1<sep>2 2"
+        # as the two lines "1 1" and "2 2"
+        line = f"1 1{sep}2 2"
+        message = f"line 2: expected '<index> <value>', got {line!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_bfile(f"0 0\n{line}\n".encode())
+        with pytest.raises(ValueError, match="line 1: non-integer field"):
+            parse_bfile(f"1 1{sep}".encode())  # a last line ending in sep, not a CRLF
+
+    def test_fields_split_only_at_ascii_spaces_and_tabs(self):
+        assert parse_bfile(b"1\t1\n2 \t 2\n  3   5\t\n") == {1: 1, 2: 2, 3: 5}
+        # str.split also splits at the no-break space U+00A0
+        for line in ("2\u00a02", "2\u20032"):
+            message = f"line 2: expected '<index> <value>', got {line!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_bfile(f"1 1\n{line}\n".encode())
+        # a comment line may hold any text
+        assert parse_bfile("# \u2028 \u00a0 \x0b \u0663\n1 1\n".encode()) == {1: 1}
+
 
 def _vendored(kind: str) -> dict[int, int]:
     # the map of the vendored b-file, read here without its checksum

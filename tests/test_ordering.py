@@ -357,13 +357,12 @@ class TestIntegerForms:
         def refuse(cls, *args):
             raise AssertionError(f"an ordering decision built Fraction{args}")
 
-        threshold = Fraction(7, 20)
         monkeypatch.setattr(Fraction, "__new__", refuse)  # any Fraction, built anywhere
         for t in enumerate_triples(10 ** 4):
             if t.a >= 5:
                 assert min(descent_integers(t)) > 0
         assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
-        report = ordered_prefix_complete_above(threshold, 793)
+        report = ordered_prefix_complete_above((7, 20), 793)
         assert report["certified"] and report["failures"] == []
         checked = find_irregularities(793)
         assert len(checked) == len(SPAN_1_TO_793) + len(SPAN_2_TO_793)
@@ -393,7 +392,7 @@ class TestIntegerForms:
             for threshold in (Fraction(*row.ratios[0]),
                               Fraction(1, 3) + Fraction(1, 27 * row.m * row.m)):
                 rhs = (3 * threshold - 1) / (threshold * threshold)
-                report = ordered_prefix_complete_above(threshold, 850)
+                report = ordered_prefix_complete_above(threshold.as_integer_ratio(), 850)
                 assert report["active_sequences"] == sum(_inv_sq(r.m) >= rhs for r in rows)
                 crude = 2 * threshold * threshold / (3 * threshold - 1)
                 end = next(n for n in range(2, 1000) if numbers[n - 1] ** 2 >= crude)
@@ -401,7 +400,7 @@ class TestIntegerForms:
                 for n in range(2, end):
                     a, b, c = apexes[n - 1]
                     tail.append((n, _inv_sq(numbers[n - 1]) + _inv_sq(3 * a * c - b) < rhs))
-                report = ordered_prefix_complete_above(threshold, 1)
+                report = ordered_prefix_complete_above(threshold.as_integer_ratio(), 1)
                 assert [(c["n"], c["ok"]) for c in report["tail_exact"]] == tail
                 assert report["tail_bound_index"] == end
                 assert (j, False) in tail or j == 1
@@ -484,7 +483,7 @@ class TestSortedCapacities:
 class TestCompleteness:
     def test_small_threshold_certifies_fast(self):
         report = ordered_prefix_complete_above(
-            Fraction(1, 3) + Fraction(1, 100), 40
+            (Fraction(1, 3) + Fraction(1, 100)).as_integer_ratio(), 40
         )
         assert report["certified"] is True
         assert report["tail_exact"] == []
@@ -492,20 +491,20 @@ class TestCompleteness:
         assert report["active_sequences"] == 1
 
     def test_report_serializes(self):
-        data = ordered_prefix_complete_above(Fraction(7, 20), 10)
+        data = ordered_prefix_complete_above((7, 20), 10)
         assert data["certified"] is True
         assert data["threshold"] == {"num": "7", "den": "20"}
 
     def test_descent_condition_states_every_depth(self):
         # descent_integers decides descent at every depth, so the certificate
         # names no depth
-        data = ordered_prefix_complete_above(Fraction(7, 20), 10)
+        data = ordered_prefix_complete_above((7, 20), 10)
         assert "descent_depth" not in data
         assert data["conditions"][2] == (
             "within-sequence strict descent above the limit verified exactly at "
             "every depth of every sequence, from the four descent integers of its apex")
 
-    @pytest.mark.parametrize("threshold", [Fraction(2, 3), 1, 10, 10 ** 100],
+    @pytest.mark.parametrize("threshold", [(2, 3), (1, 1), (10, 1), (10 ** 100, 1)],
                              ids=["2/3", "1", "10", "1e100"])
     def test_nothing_is_active_from_two_thirds_on(self, monkeypatch, threshold):
         # no capacity but the width 1 of (1,1,1) reaches 2/3: no sequence is
@@ -520,11 +519,11 @@ class TestCompleteness:
 
     def test_threshold_at_one_third_rejected(self):
         with pytest.raises(ValueError):
-            ordered_prefix_complete_above(Fraction(1, 3), 10)
+            ordered_prefix_complete_above((1, 3), 10)
 
     def test_threshold_below_one_third_rejected(self):
         with pytest.raises(ValueError):
-            ordered_prefix_complete_above(Fraction(1, 4), 10)
+            ordered_prefix_complete_above((1, 4), 10)
 
     def test_float_threshold_refused(self):
         # 0.34 would otherwise certify its binary expansion 6124895493223875/2^54

@@ -6,7 +6,6 @@ tuple of its fields, prints in the dataclass format and refuses assignment.
 
 import importlib
 import pkgutil
-from fractions import Fraction
 
 import pytest
 
@@ -101,4 +100,4 @@ def test_completeness_builds_no_limit(monkeypatch):
 
     monkeypatch.setattr(capacity, "lagrange_number", refuse)
     monkeypatch.setattr(QuadraticValue, "__init__", refuse)
-    assert ordering.ordered_prefix_complete_above(Fraction(7, 20), 60)["certified"] is True
+    assert ordering.ordered_prefix_complete_above((7, 20), 60)["certified"] is True
