@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 import tempfile
@@ -28,7 +27,7 @@ from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave src/ and perfbench/ as they are
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from compare_outputs import FIXED, POLYGONS, TEXT_FILES, workloads  # noqa: E402
+from compare_outputs import FIXED, workloads, write_files  # noqa: E402
 
 
 def _executable(path: Path) -> set[int]:
@@ -71,10 +70,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     with tempfile.TemporaryDirectory() as workdir, open(os.devnull, "w") as sink:
         os.chdir(workdir)  # every run reads its polygon file and b-file from here
-        for name, polygon in POLYGONS.items():
-            Path(name).write_text(json.dumps(polygon))
-        for name, text in TEXT_FILES.items():
-            Path(name).write_text(text, encoding="utf-8")
+        write_files()
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)  # as `mbl.cli.run` lifts it
         sys.settrace(call)
         try:
             import mbl.cli  # its module lines count too

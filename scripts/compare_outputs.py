@@ -2,6 +2,7 @@
 """Compare the `mbl` command line under two src/ trees, operation by operation.
 
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--seed N ...]
+    python3 scripts/compare_outputs.py --write-golden SRC
 
 Takes the distinct `order` and `verify` operations of the benchmark's seeded
 lists (perfbench/workloads.py) for each seed (default 1 and 20261017), and
@@ -18,11 +19,18 @@ that `--out FILE` names; a run still going after TIMEOUT_S seconds is
 stopped and differs from every finished one.
 Prints the counts for the usage paths, for FIXED and per seed, and every
 differing command line; exits 1 if any differs.
+
+With --write-golden, runs the usage paths and FIXED under SRC alone and
+rewrites tests/golden.tsv: one line per distinct argv, tab-separated, of the
+argv as JSON, the exit code and the sha256 of stdout, of stderr and of the
+`--out` file ("-" where none is written).  tests/test_golden.py runs each
+line in process and compares; no test writes the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -43,20 +51,28 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)  # to write LONG_TRIPLE
+def _long_triple() -> str:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    lift(0)
+    try:
+        return f"{_fibonacci(21203)},{_fibonacci(21201)},1"
+    finally:
+        lift(limit)  # an importer keeps its own limit
+
+
 #: A Markov triple whose largest entry has 4,431 digits, past the int/str
 #: conversion limit of 4,300 that Python 3.11 sets by default.
-LONG_TRIPLE = f"{_fibonacci(21203)},{_fibonacci(21201)},1"
+LONG_TRIPLE = _long_triple()
 #: The polygon files `width --polygon` reads: a unimodular image of a base
 #: triangle, unreduced fractions mixed with ints, triangles of height 1 and
 #: base 2^61 or 10^999, the image of a thin triangle under (x, y) ->
 #: (5x + 3y, 3x + 2y), a hexagon with mixed denominators, and ten
 #: refusals of a polygon file (clockwise, collinear, one vertex written
 #: twice as 1/2 and 2/4, a float and a bool coordinate, a JSON object, two
-#: vertices, a coordinate that is not a number, and the coordinates 3
+#: vertices, a coordinate that is not a number, the coordinates 3
 #: written with the Arabic-Indic digit U+0663 and 10 written 1_0, which
-#: `Fraction` reads).
+#: `Fraction` reads, and a decimal exponent past the bound of 10^6).
 POLYGONS = {
     "skew.json": [["5607/145", "1791/145"], ["5491/10", "1933/10"], [1, -1]],
     "unreduced.json": [["0", "0"], ["6/4", "0"], [0, "3/3"]],
@@ -75,6 +91,7 @@ POLYGONS = {
     "letters.json": [["x", 0], [1, 0], [0, 1]],
     "arabic.json": [[0, 0], ["\u0663", 0], [0, 1]],
     "underscore.json": [[0, 0], ["1_0", 0], [0, 1]],
+    "exponent.json": [[0, 0], ["1e1000001", 0], [0, 1]],
 }
 FIXED = [
     *(("order", "--triple", triple, "--depth", "8", "--format", fmt)
@@ -243,6 +260,9 @@ FIXED = [
     ("plot", "--figure", "triangle", "--triple", "5,2,1", "--delta", "+1/4"),
     *(("ingest", "--kind", "markov", "--bfile", name)
       for name in ("u2028.txt", "vtab.txt", "nbsp.txt")),
+    # a decimal exponent past 10^6, refused before 10^K is built (the polygon
+    # file's coordinate is in POLYGONS)
+    ("complete", "--threshold", "1e1000001", "--n-max", "5"),
 ]
 #: Seconds a run may take before it counts as timed out: older trees walk on
 #: toward thresholds far above 2/3 without end.
@@ -271,7 +291,7 @@ TEXT_FILES = {"doctored.txt": "1 1\n2 2\n3 5\n4 13\n5 30\n6 34\n7 89\n8 169\n",
 
 
 def _run(src: Path, argv: tuple[str, ...]) -> tuple[int | None, bytes, bytes, bytes | None]:
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")  # argparse wraps help to COLUMNS
     out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     try:
         done = subprocess.run([sys.executable, "-m", "mbl.cli", *argv], env=env,
@@ -300,19 +320,53 @@ def _differing(old: Path, new: Path, commands) -> list[tuple[str, ...]]:
     return differ
 
 
+def write_files() -> None:
+    """The polygon files of POLYGONS and the files of TEXT_FILES, in the working directory."""
+    for name, polygon in POLYGONS.items():
+        Path(name).write_text(json.dumps(polygon))
+    for name, text in TEXT_FILES.items():
+        Path(name).write_text(text, encoding="utf-8")
+
+
+#: The pinned bytes of the usage paths and FIXED, which Tier-1 checks.
+GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden.tsv"
+
+
+def _digest(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def _write_golden(src: Path) -> int:
+    lines = []
+    for argv in dict.fromkeys([*_usage_paths(src), *FIXED]):
+        code, out, err, written = _run(src, argv)
+        if code is None:
+            raise SystemExit(f"timed out: {' '.join(argv)}")
+        lines.append("\t".join([json.dumps(list(argv)), str(code),
+                                *map(_digest, (out, err, written))]))
+    GOLDEN.write_text("".join(line + "\n" for line in lines))
+    print(f"{GOLDEN}: {len(lines)} rows")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old_src", type=Path)
-    parser.add_argument("new_src", type=Path)
+    parser.add_argument("old_src", type=Path, nargs="?")
+    parser.add_argument("new_src", type=Path, nargs="?")
     parser.add_argument("--seed", type=int, action="append", dest="seeds")
+    parser.add_argument("--write-golden", type=Path, metavar="SRC",
+                        help="rewrite tests/golden.tsv from SRC instead of comparing")
     args = parser.parse_args(argv)
-    old, new = args.old_src.resolve(), args.new_src.resolve()
+    trees = [args.old_src, args.new_src]
+    if trees.count(None) != (2 if args.write_golden else 0):
+        parser.error("give OLD_SRC and NEW_SRC, or --write-golden SRC alone")
+    golden = args.write_golden and args.write_golden.resolve()
+    old, new = (tree and tree.resolve() for tree in trees)
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # every run reads its polygon file and b-file from here
-        for name, polygon in POLYGONS.items():
-            Path(name).write_text(json.dumps(polygon))
-        for name, text in TEXT_FILES.items():
-            Path(name).write_text(text, encoding="utf-8")
+        write_files()
+        if golden:
+            return _write_golden(golden)
         return _compare(old, new, args.seeds or (1, 20261017))
 
 

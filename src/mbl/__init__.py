@@ -29,8 +29,12 @@ def _integer(text: str) -> int:
 def _rational(text: str) -> tuple[int, int]:
     """The reduced (num, den) pair of what `Fraction` reads, p/q with q > 0 or a
     decimal like -1.5e-3, if ASCII with no whitespace, "_" or leading "+" (an
-    exponent's "+" stays); else ValueError (ZeroDivisionError for q = 0)."""
+    exponent's "+" stays) and with an exponent K of size at most 10^6 (`Fraction`
+    builds 10^K first); else ValueError (ZeroDivisionError for q = 0)."""
     from fractions import Fraction  # loads only where a rational is read
     if text.startswith("+") or not set(text) <= set("0123456789+-/.eE"):
         raise ValueError(f"not a rational: {text!r}")
+    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if exponent.isdigit() and (len(exponent) > 7 or int(exponent) > 10 ** 6):
+        raise ValueError(f"decimal exponent beyond 10^6: {text!r}")
     return Fraction(text).as_integer_ratio()

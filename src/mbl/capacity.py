@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .markov import MarkovTriple, is_markov_number
+from .markov import is_markov_number
 
 
 def _rational_sqrt(r: Fraction) -> Fraction | None:
@@ -162,9 +162,9 @@ def limit_decimal(m: int, digits: int = 12) -> str:
     return str(_context(digits).plus(ctx.divide(2 * m, ctx.add(3 * m, ctx.sqrt(9 * m * m - 4)))))
 
 
-def width(t: MarkovTriple) -> tuple[int, int]:
+def width(t: tuple[int, int, int]) -> tuple[int, int]:
     """(bc, a): bc/a in lowest terms, the entries being pairwise coprime; 1 only at (1,1,1)."""
-    return t.b * t.c, t.a
+    return t[1] * t[2], t[0]
 
 
 def closed_forms(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -30,9 +30,9 @@ from types import ModuleType, SimpleNamespace
 
 from . import _integer, _rational
 from .errors import VerificationError
-from .markov import MarkovTriple
+from .markov import sorted_triple
 from .ordering import cmd_complete, cmd_irregularities, cmd_limits
-from .report import EXIT_IO, EXIT_USAGE, EXIT_VERIFICATION
+from .report import EXIT_INTERRUPT, EXIT_IO, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFICATION
 
 
 class _Deferred(ModuleType):
@@ -74,14 +74,14 @@ _deferred("lattice")
 _deferred("oeis")
 
 
-def _parse_triple(flag: str, text: str) -> MarkovTriple:
+def _parse_triple(flag: str, text: str) -> tuple[int, int, int]:
     try:
         values = [_integer(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects integers a,b,c, got {text!r}") from None
     if len(values) != 3:
         raise ValueError(f"{flag} expects three entries, got {text!r}")
-    return MarkovTriple.from_values(*values)
+    return sorted_triple(*values)
 
 
 def _parse_rational(flag: str, text: str) -> tuple[int, int]:
@@ -249,6 +249,14 @@ def _plain_parse(argv) -> dict | None:
     return values
 
 
+#: Each exception a command can end in, the stderr line `main` prints and the exit code.
+_OUTCOMES = ((ValueError, "mbl: {exc}", EXIT_USAGE),
+             (VerificationError, "mbl: verification failure: {exc}", EXIT_VERIFICATION),
+             (OSError, "mbl: i/o error: {exc}", EXIT_IO),
+             (MemoryError, "mbl: {command} ran out of memory", EXIT_RESOURCE),
+             (RecursionError, "mbl: {command} ran out of recursion depth", EXIT_RESOURCE))
+
+
 def main(argv: list[str]) -> int:
     values = _plain_parse(argv)
     if values is None:
@@ -259,15 +267,12 @@ def main(argv: list[str]) -> int:
                 values[dest] = parse("--" + dest.replace("_", "-"), values[dest])
         handler = _COMMANDS[values["command"]][2]()  # imports the module holding it
         return handler(SimpleNamespace(**values))
-    except ValueError as exc:
-        print(f"mbl: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationError as exc:
-        print(f"mbl: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except OSError as exc:
-        print(f"mbl: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except tuple(kind for kind, _, _ in _OUTCOMES) as exc:
+        line, status = next((line.format(exc=exc, command=values["command"]), status)
+                            for kind, line, status in _OUTCOMES if isinstance(exc, kind))
+    # printed past the except clause, which frees the frames the exception holds
+    print(line, file=sys.stderr)
+    return status
 
 
 def run() -> None:
@@ -277,16 +282,19 @@ def run() -> None:
     Integers convert at any length, since mbl parses only its user's own
     input; an in-process caller of main keeps its own limit.  A flush that
     fails (stdout closed) is an i/o error; a stream whose file descriptor was
-    closed at start-up is None and is not flushed; a SystemExit or an
-    uncaught exception from main takes Python's own exit path.
+    closed at start-up is None and is not flushed; an interrupt prints one
+    line and exits 130; a SystemExit or another uncaught exception from main
+    takes Python's own exit path.
     """
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    status = main(sys.argv[1:])
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)  # absent before 3.10.7
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        status = main(sys.argv[1:])
+    except KeyboardInterrupt:
+        print("mbl: interrupted", file=sys.stderr)
+        status = EXIT_INTERRUPT
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
     except OSError as exc:
         print(f"mbl: i/o error: {exc}", file=sys.stderr, flush=True)
         status = EXIT_IO

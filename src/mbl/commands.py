@@ -17,29 +17,24 @@ from types import SimpleNamespace
 from . import oeis
 from .capacity import _preview, _ratio_text, capacity_to_json, width
 from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
-from .markov import MarkovTriple, ancestors, enumerate_triples, wedge
+from .markov import ancestors, enumerate_triples, triple_json, triple_text, wedge
 from .ordering import alternating_order
 from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report, _table
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
-_TRIPLE = "({a},{b},{c})"  # a triple's JSON object as `MarkovTriple` writes it
 
 
-def _row(t: MarkovTriple, **fields) -> dict:
+def _row(t: tuple[int, int, int], **fields) -> dict:
     """The JSON row of the triple t and its width bc/a, beside `fields`."""
-    return {**fields, "triple": t.to_json(), "width": capacity_to_json(width(t))}
+    return {**fields, "triple": triple_json(t), "width": capacity_to_json(width(t))}
 
 
 def cmd_widths(config: SimpleNamespace) -> int:
-    triples = (
-        [config.triple]
-        if config.triple is not None
-        else [MarkovTriple(*t) for t in _PAPER_TABLE]
-    )
+    triples = _PAPER_TABLE if config.triple is None else [config.triple]
     rows = [{**row, "preview": _preview(row["width"])} for row in map(_row, triples)]
     return _emit_rows(
         config, ["triple", "width", "decimal"], rows,
-        lambda row: [_TRIPLE.format(**row["triple"]), _ratio_text(**row["width"]),
+        lambda row: [triple_text(row["triple"].values()), _ratio_text(**row["width"]),
                      row["preview"]],
         {"command": "widths"},
     )
@@ -48,33 +43,29 @@ def cmd_widths(config: SimpleNamespace) -> int:
 def cmd_triples(config: SimpleNamespace) -> int:
     triples = enumerate_triples(config.max_bound)
     depths = {1: 0}  # by maximum; the parent of (a, b, c) is the triple with maximum b
-    for t in triples[1:]:
-        depths[t.a] = depths[t.b] + 1
+    for a, b, _ in triples[1:]:
+        depths[a] = depths[b] + 1
     return _emit_rows(
-        config, ["triple", "depth", "width"], [_row(t, depth=depths[t.a]) for t in triples],
-        lambda row: [_TRIPLE.format(**row["triple"]), str(row["depth"]),
+        config, ["triple", "depth", "width"], [_row(t, depth=depths[t[0]]) for t in triples],
+        lambda row: [triple_text(row["triple"].values()), str(row["depth"]),
                      _ratio_text(**row["width"])],
         {"command": "triples", "max_bound": str(config.max_bound)},
     )
 
 
 def cmd_subtree(config: SimpleNamespace) -> int:
-    preserved = config.preserve if config.preserve is not None else config.triple.a
+    preserved = config.preserve if config.preserve is not None else config.triple[0]
     if preserved not in config.triple:
-        raise ValueError(f"{preserved} does not appear in {config.triple}")
+        raise ValueError(f"{preserved} does not appear in {triple_text(config.triple)}")
     # an entry stays in each ancestor until it is maximal, and the maxima decrease
     path = [t for t in ancestors(config.triple) if t[0] <= preserved]
-    apex, top = MarkovTriple(*path[0]), len(path) - 1
-    payload = {
-        "command": "subtree",
-        "preserved": str(apex.a),
-        "apex": apex.to_json(),
-    }
+    apex, top = path[0], len(path) - 1
+    payload = {"command": "subtree", "preserved": str(apex[0]), "apex": triple_json(apex)}
     return _emit_rows(
         config, ["depth", "triple", "width", "decimal"],
         [_row(t, depth=top + i) for i, level in enumerate(wedge(apex, config.depth))
          for t in level],
-        lambda row: [str(row["depth"]), _TRIPLE.format(**row["triple"]),
+        lambda row: [str(row["depth"]), triple_text(row["triple"].values()),
                      _ratio_text(**row["width"]), _preview(row["width"])],
         payload,
     )
@@ -83,11 +74,11 @@ def cmd_subtree(config: SimpleNamespace) -> int:
 def cmd_order(config: SimpleNamespace) -> int:
     return _emit_rows(
         config, ["rank", "triple", "width", "decimal"],
-        [{"rank": rank, "triple": t.to_json(), "width": capacity_to_json(w)} for rank, (t, w)
+        [{"rank": rank, "triple": triple_json(t), "width": capacity_to_json(w)} for rank, (t, w)
          in enumerate(alternating_order(config.triple, config.depth), start=1)],
-        lambda row: [str(row["rank"]), _TRIPLE.format(**row["triple"]),
+        lambda row: [str(row["rank"]), triple_text(row["triple"].values()),
                      _ratio_text(**row["width"]), _preview(row["width"])],
-        {"command": "order", "apex": config.triple.to_json()},
+        {"command": "order", "apex": triple_json(config.triple)},
     )
 
 
@@ -99,7 +90,7 @@ def cmd_triangle(config: SimpleNamespace) -> int:
     ell, h, t, lam = (str(Fraction(x, den)) for x in (ell, h, t, 1))
     payload = {
         "command": "triangle",
-        "triple": config.triple.to_json(),
+        "triple": triple_json(config.triple),
         "vertices": tri.polygon.to_json(),
         "ell": ell,
         "h": h,
@@ -130,7 +121,7 @@ def cmd_width(config: SimpleNamespace) -> int:
         raise ValueError("width needs exactly one of --triple or --polygon")
     if config.triple is not None:
         polygon = vianna_triangle(config.triple).polygon
-        source = {"triple": config.triple.to_json()}
+        source = {"triple": triple_json(config.triple)}
     else:
         import json  # only a polygon file is read as JSON
         try:

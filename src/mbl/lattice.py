@@ -20,7 +20,7 @@ from functools import cache, cached_property, partial
 
 from . import _rational
 from .errors import VerificationError, _Record
-from .markov import MarkovTriple
+from .markov import triple_text
 
 
 class LatticePolygon(_Record):
@@ -164,18 +164,18 @@ class ViannaTriangle(_Record):
     their sum is 3D.
     """
 
-    triple: MarkovTriple
+    triple: tuple[int, int, int]
     u: int
 
     def __post_init__(self):
         den, (_, (x1, y1), (x2, y2)) = self.polygon.scaled
         if x1 * y2 - x2 * y1 != den * den:
-            raise VerificationError(f"area != 1/2 for {self.triple}")
+            raise VerificationError(f"area != 1/2 for {triple_text(self.triple)}")
         lengths = sorted(g for *_, g in self.edges)
         if lengths != sorted(x * x for x in self.triple):
-            raise VerificationError(f"edge lengths off for {self.triple}")
+            raise VerificationError(f"edge lengths off for {triple_text(self.triple)}")
         if sum(lengths) != 3 * den:
-            raise VerificationError(f"perimeter != 3 for {self.triple}")
+            raise VerificationError(f"perimeter != 3 for {triple_text(self.triple)}")
 
     @cached_property
     def polygon(self) -> LatticePolygon:
@@ -190,7 +190,7 @@ class ViannaTriangle(_Record):
                      for g in [math.gcd(dx, dy)])
 
 
-def vianna_triangle(triple: MarkovTriple) -> ViannaTriangle:
+def vianna_triangle(triple: tuple[int, int, int]) -> ViannaTriangle:
     """Normal-form base triangle for a Markov triple.
 
     The origin-side slant edge is lam*c^2 times the primitive vector
@@ -231,6 +231,6 @@ def central_point(tri: ViannaTriangle) -> tuple[tuple[int, int], tuple[int, int]
     y = a0 * r1 - a1 * r0
     if a2 * x + b2 * y != (3 * s2 + den) * det:
         raise VerificationError(
-            f"no point at affine distance 1/3 from all edges of {tri.triple}"
+            f"no point at affine distance 1/3 from all edges of {triple_text(tri.triple)}"
         )
     return _reduced(x, 3 * den * det), _reduced(y, 3 * den * det)

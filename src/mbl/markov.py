@@ -1,13 +1,15 @@
 """Markov triples: the equation a^2 + b^2 + c^2 = 3abc and its tree.
 
-Triples are kept sorted (a >= b >= c >= 1).  Fixing two entries turns the
-equation into a quadratic in the third, so each triple has three neighbours
-("mutations"); all solutions form a trivalent tree rooted at (1,1,1), which is
-degenerate at its first two levels (where a triple repeats, it is kept once).
-`ancestors` goes back to the root along the mutation lowering the maximum;
-the `verify` markov suite (`mbl.suites`) holds all three and checks them.
-`_check` is the one test of a triple: `MarkovTriple` runs it on
-construction, and the walk on each triple it hands out.
+A triple is a sorted int tuple (a, b, c), a >= b >= c >= 1, throughout the
+package.  Fixing two entries turns the equation into a quadratic in the
+third, so each triple has three neighbours ("mutations"); all solutions form
+a trivalent tree rooted at (1,1,1), which is degenerate at its first two
+levels (where a triple repeats, it is kept once).  `ancestors` goes back to
+the root along the mutation lowering the maximum; the `verify` markov suite
+(`mbl.suites`) holds all three and checks them.  `_check` is the one test of
+a triple: the walk runs it on each apex it hands out, and `sorted_triple` on
+each triple made from other values (a `--triple` read, a mutation, a wedge
+node).  `triple_text` and `triple_json` write one.
 """
 
 from __future__ import annotations
@@ -15,36 +17,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable
 
-from .errors import VerificationError, _Record
-
-
-class MarkovTriple(_Record):
-    """A solution of a^2 + b^2 + c^2 = 3abc, stored with a >= b >= c >= 1."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        _check(self.a, self.b, self.c)
-
-    @classmethod
-    def from_values(cls, x: int, y: int, z: int) -> "MarkovTriple":
-        a, b, c = sorted((x, y, z), reverse=True)
-        return cls(a, b, c)
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
-
-    def __contains__(self, value: int) -> bool:
-        return value in (self.a, self.b, self.c)
-
-    def __str__(self) -> str:
-        return f"({self.a},{self.b},{self.c})"
-
-    def to_json(self) -> dict:
-        # decimal strings: entries outgrow doubles quickly
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
+from .errors import VerificationError
 
 
 def _check(a: int, b: int, c: int) -> None:
@@ -53,6 +26,23 @@ def _check(a: int, b: int, c: int) -> None:
         raise ValueError(f"triple must be sorted and positive: ({a},{b},{c})")
     if a * a + b * b + c * c != 3 * a * b * c:
         raise ValueError(f"({a},{b},{c}) does not solve the Markov equation")
+
+
+def sorted_triple(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The checked triple (a, b, c) of the three values, sorted a >= b >= c."""
+    t = tuple(sorted((x, y, z), reverse=True))
+    _check(*t)
+    return t
+
+
+def triple_text(t) -> str:
+    """The triple as every cell, witness and message writes it: (a,b,c)."""
+    return "({},{},{})".format(*t)
+
+
+def triple_json(t) -> dict:
+    """The triple's JSON object, its entries as decimal strings: they outgrow doubles."""
+    return dict(zip("abc", map(str, t)))
 
 
 def ancestors(t) -> list[tuple[int, int, int]]:
@@ -135,7 +125,7 @@ _WALK = MarkovWalk()  # shared by every Markov-number path of the package
 markov_prefix = _WALK.prefix
 
 
-def enumerate_triples(max_bound: int) -> tuple[MarkovTriple, ...]:
+def enumerate_triples(max_bound: int) -> tuple[tuple[int, int, int], ...]:
     """All triples with maximal entry <= max_bound, sorted.
 
     These are the shared walk's apexes up to the bound: no two triples share
@@ -146,9 +136,7 @@ def enumerate_triples(max_bound: int) -> tuple[MarkovTriple, ...]:
     if max_bound < 1:
         raise ValueError("max_bound must be >= 1")
     numbers, apexes = markov_prefix(1, lambda m: m >= max_bound)
-    if numbers[-1] > max_bound:
-        apexes = apexes[:-1]
-    return tuple([MarkovTriple(*t) for t in apexes])
+    return apexes[:-1] if numbers[-1] > max_bound else apexes
 
 
 def markov_numbers(n: int) -> list[int]:
@@ -160,7 +148,7 @@ def is_markov_number(p: int) -> bool:
     return p >= 1 and markov_prefix(1, lambda m: m >= p)[0][-1] == p
 
 
-def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:
+def chains(apex: tuple[int, int, int], depth: int) -> list[list[int]]:
     """x_0..x_depth of each branch of the subtree preserving the apex maximum.
 
     Each branch below the apex (a, b, c) is the chain
@@ -184,18 +172,18 @@ def chains(apex: MarkovTriple, depth: int) -> list[list[int]]:
     return columns
 
 
-def wedge(apex: MarkovTriple, depth: int) -> list[tuple[MarkovTriple, ...]]:
+def wedge(apex: tuple[int, int, int], depth: int) -> list[tuple[tuple[int, int, int], ...]]:
     """The levels of the bivalent subtree preserving the apex maximum, to the
     given depth.
 
-    Level 0 is (apex,); level i holds (x_i, x_{i-1}, a) for each branch of
-    `chains`, left before right: one triple below the degenerate apexes and
-    a (left, right) pair below every other.  A level-i triple lies i levels
-    below the apex in the tree.
+    Level 0 is (apex,); level i holds (x_i, x_{i-1}, a), sorted and checked,
+    for each branch of `chains`, left before right: one triple below the
+    degenerate apexes and a (left, right) pair below every other.  A level-i
+    triple lies i levels below the apex in the tree.
     """
     columns = chains(apex, depth)
-    return [(apex,)] + [tuple(MarkovTriple.from_values(xs[i], xs[i - 1], apex.a)
-                              for xs in columns) for i in range(1, depth + 1)]
+    return [(apex,)] + [tuple(sorted_triple(xs[i], xs[i - 1], apex[0]) for xs in columns)
+                        for i in range(1, depth + 1)]
 
 
 def recurrence_prefix(k: int, n: int) -> list[int]:

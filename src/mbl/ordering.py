@@ -50,7 +50,7 @@ from .capacity import (
     width,
 )
 from .errors import VerificationError, _Record
-from .markov import MarkovTriple, chains, markov_prefix, wedge
+from .markov import chains, markov_prefix, wedge
 from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report
 
 
@@ -153,8 +153,8 @@ def descent_integers(apex) -> tuple[int, int, int, int]:
 
 
 def alternating_order(
-    apex: MarkovTriple, depth: int
-) -> list[tuple[MarkovTriple, tuple[int, int]]]:
+    apex: tuple[int, int, int], depth: int
+) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
     """The levels of `wedge`, flattened: the apex, then the left/right
     children by level, with capacities verified strictly decreasing.
 

@@ -1,6 +1,7 @@
 """What every `mbl` command writes: tables, JSON payloads, exit codes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+4 a resource (memory, recursion depth) ran out, 130 interrupted.
 All output is deterministic for a given invocation: exact rationals are
 rendered as "p/q", and every decimal preview beside them comes from
 `mbl.capacity`; previews never feed back into any computation.  A table is
@@ -24,6 +25,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_RESOURCE = 4
+EXIT_INTERRUPT = 130
 
 
 def _table(

@@ -31,7 +31,7 @@ from .lattice import (
     lattice_width,
     vianna_triangle,
 )
-from .markov import MarkovTriple, enumerate_triples, markov_prefix, recurrence_prefix
+from .markov import enumerate_triples, markov_prefix, recurrence_prefix, sorted_triple, triple_text
 from .ordering import (
     alternating_order,
     descent_integers,
@@ -42,25 +42,24 @@ from .report import EXIT_OK, EXIT_VERIFICATION, _report
 
 
 class MutationKind(enum.Enum):
-    """Which entry of the sorted triple gets replaced by the other root."""
+    """Which entry of the sorted triple gets replaced by the other root: its position."""
 
-    ELIMINATE_MIN = "min"
-    ELIMINATE_MID = "mid"
-    ELIMINATE_MAX = "max"
+    ELIMINATE_MIN = 2
+    ELIMINATE_MID = 1
+    ELIMINATE_MAX = 0
 
 
-def mutate(t: MarkovTriple, kind: MutationKind) -> MarkovTriple:
-    """Replace one entry by the other root of the induced quadratic.
+def mutate(t: tuple[int, int, int], kind: MutationKind) -> tuple[int, int, int]:
+    """Replace one entry x by the other root 3yz - x of the induced quadratic,
+    y and z the other two, and sort and check the result.
 
     Slots refer to positions of the sorted triple; for the degenerate triples
     (1,1,1) and (2,1,1) equal entries are resolved by position.
     """
-    a, b, c = t
-    if kind is MutationKind.ELIMINATE_MAX:
-        return MarkovTriple.from_values(3 * b * c - a, b, c)
-    if kind is MutationKind.ELIMINATE_MID:
-        return MarkovTriple.from_values(a, 3 * a * c - b, c)
-    return MarkovTriple.from_values(a, b, 3 * a * b - c)
+    values = list(t)
+    x = values.pop(kind.value)
+    y, z = values
+    return sorted_triple(3 * y * z - x, y, z)
 
 
 def fibonacci(n: int) -> int:
@@ -95,7 +94,7 @@ def brute_force_triples(max_bound: int) -> list[tuple[int, int, int]]:
     return sorted(found)
 
 
-def surd_identity_check(t: MarkovTriple) -> bool:
+def surd_identity_check(t: tuple[int, int, int]) -> bool:
     """Integer form of bc/a = 2/(3 + sqrt(9 - 4/c^2 - 4/b^2)).
 
     Holds iff (2a - 3bc)^2 = 9 b^2 c^2 - 4 b^2 - 4 c^2 and 2a >= 3bc; the
@@ -184,13 +183,13 @@ def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
     the apex (1/2, 1/2).  Rejects (1,1,1), whose apex can never move strictly
     inside (its width equals its base).
     """
-    if tri.triple == MarkovTriple(1, 1, 1):
+    if tri.triple == (1, 1, 1):
         raise ValueError("(1,1,1) cannot be shear-normalized")
-    b = tri.triple.b
+    b = tri.triple[1]
     sheared = tri if tri.u > 0 else ViannaTriangle(tri.triple, tri.u + b * b)  # t > 0 iff u > 0
     _, (_, (ell, _), (t, _)) = sheared.polygon.scaled
     if not 0 < t < ell:
-        raise VerificationError(f"no shear normalizes {tri.triple}")
+        raise VerificationError(f"no shear normalizes {triple_text(tri.triple)}")
     return sheared
 
 
@@ -221,11 +220,12 @@ def inscribed_right_triangle(tri: ViannaTriangle) -> bool:
     return all(lo >= 0 and hi >= 0 and (lo or hi) for lo, hi in zip(values(0), values(h)))
 
 
-def check_alg_lemma(t: MarkovTriple) -> bool:
+def check_alg_lemma(t: tuple[int, int, int]) -> bool:
     """Exact form of ell > 2h for the base triangle: a^2 > 2 b^2 c^2.
 
     False exactly at (1,1,1)."""
-    return t.a * t.a > 2 * t.b * t.b * t.c * t.c
+    a, b, c = t
+    return a * a > 2 * b * b * c * c
 
 
 def _failed(failures: dict[str, str], *names: str):
@@ -240,30 +240,30 @@ def _suite_markov(config: SimpleNamespace):
 
     def mutated(t, kind):  # None where the mutation leaves the solution set
         try:
-            return mutate(t, kind)  # construction re-checks the equation
+            return mutate(t, kind)  # which re-checks the equation
         except ValueError:
-            failures.setdefault("mutation-closure", f"{t} {kind.name}")
-            return None
+            failures.setdefault("mutation-closure", f"{triple_text(t)} {kind.name}")
 
     for t in triples:
-        degenerate = tuple(t) in ((1, 1, 1), (2, 1, 1))
+        degenerate = t in ((1, 1, 1), (2, 1, 1))
         for kind in MutationKind:
             child = mutated(t, kind)
             if child is None:
                 continue
             if not any(mutated(child, back) == t for back in MutationKind):
-                failures.setdefault("mutation-involution", f"{t} {kind.name}")
+                failures.setdefault("mutation-involution", f"{triple_text(t)} {kind.name}")
             # min and mid raise the maximum; max lowers it below the degenerate apexes
-            if not (degenerate or child.a < t.a if kind is MutationKind.ELIMINATE_MAX
-                    else child.a > t.a):
-                failures.setdefault("mutation-monotonicity", str(t))
-        if math.gcd(t.a, t.b) != 1 or math.gcd(t.b, t.c) != 1 or math.gcd(t.a, t.c) != 1:
-            failures.setdefault("pairwise-coprimality", str(t))
+            if not (degenerate or child[0] < t[0] if kind is MutationKind.ELIMINATE_MAX
+                    else child[0] > t[0]):
+                failures.setdefault("mutation-monotonicity", triple_text(t))
+        a, b, c = t
+        if math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1:
+            failures.setdefault("pairwise-coprimality", triple_text(t))
     yield from _failed(failures, "mutation-closure", "mutation-involution",
                        "mutation-monotonicity", "pairwise-coprimality")
     small = min(config.max_bound, 600)
     brute = brute_force_triples(small)
-    walked = [tuple(t) for t in triples if t.a <= small]
+    walked = [t for t in triples if t[0] <= small]
     yield "brute-force-equivalence", brute == walked, f"bound {small}"
     unique = True
     try:  # the walk refuses a shared maximum once it reaches it
@@ -274,25 +274,22 @@ def _suite_markov(config: SimpleNamespace):
 
 
 def _suite_capacity(config: SimpleNamespace):
-    root = MarkovTriple(1, 1, 1)
+    root = (1, 1, 1)
     failures: dict[str, str] = {}
     for t in enumerate_triples(config.max_bound):
         num, den = width(t)
-        if t == root:
-            if num != den or surd_identity_check(t):
-                failures.setdefault("width-bounds", str(t))
-            continue
-        if not (den < 3 * num and 2 * num <= den):  # 1/3 < bc/a <= 1/2
-            failures.setdefault("width-bounds", str(t))
-        if not surd_identity_check(t):
-            failures.setdefault("surd-identity", str(t))
+        # 1 at the root, 1/3 < bc/a <= 1/2 below it
+        if not (num == den if t == root else den < 3 * num and 2 * num <= den):
+            failures.setdefault("width-bounds", triple_text(t))
+        if surd_identity_check(t) == (t == root):  # it fails exactly at the root
+            failures.setdefault("surd-identity", triple_text(t))
     # every node to depth 10 lies above the limit of its apex maximum; the
     # gaps to it decrease with the widths, which `alternating_order` checks
     try:
-        for apex in (root, MarkovTriple(2, 1, 1), MarkovTriple(5, 2, 1)):
+        for apex in (root, (2, 1, 1), (5, 2, 1)):
             for t, (num, den) in alternating_order(apex, 10):
-                if not _above_limit(num, den, apex.a):
-                    raise VerificationError(f"gap at {t} is not positive")
+                if not _above_limit(num, den, apex[0]):
+                    raise VerificationError(f"gap at {triple_text(t)} is not positive")
     except VerificationError as exc:
         failures.setdefault("limit-gaps", str(exc))
     yield from _failed(failures, "width-bounds", "surd-identity", "limit-gaps")
@@ -305,8 +302,8 @@ def _suite_ordering(config: SimpleNamespace):
         try:  # b > c and 3ac > 2b: L_i < R_i < L_{i+1}, and descent at every depth
             descent_integers(t)
         except VerificationError as exc:  # the first apex refused is the witness
-            failures.update({"chain-interleaving": str(t), "chain-inequalities": str(t),
-                             "alternating-descent": str(exc)})
+            failures.update({"chain-interleaving": triple_text(t), "alternating-descent": str(exc),
+                             "chain-inequalities": triple_text(t)})
             break
     yield from _failed(failures, "chain-interleaving", "chain-inequalities",
                        "alternating-descent")
@@ -326,17 +323,17 @@ def _suite_ordering(config: SimpleNamespace):
 
 
 def _suite_lattice(config: SimpleNamespace):
-    root = MarkovTriple(1, 1, 1)
+    root = (1, 1, 1)
     failures: dict[str, str] = {}
     for t in enumerate_triples(config.max_bound):
         tri = vianna_triangle(t)  # construction re-checks the invariants
         value, xi = lattice_width(tri.polygon)
         # below the root the width also drops under the ambient width 1
         if (value, xi) != (width(t), (0, 1)) or (t != root and value[0] >= value[1]):
-            failures.setdefault("lattice-width-equals-capacity", str(t))
+            failures.setdefault("lattice-width-equals-capacity", triple_text(t))
         den, (_, (ell, _), _) = tri.polygon.scaled
         if ell < den:  # ell < 1
-            failures.setdefault("triangle-invariants", str(t))
+            failures.setdefault("triangle-invariants", triple_text(t))
         central_point(tri)  # raises if the 1/3-point fails
         if t != root:
             normalized = shear_normalize(tri)
@@ -344,18 +341,18 @@ def _suite_lattice(config: SimpleNamespace):
             if normalized != tri:
                 after, _ = lattice_width(normalized.polygon)
             if value != after or not inscribed_right_triangle(normalized):
-                failures.setdefault("shear-and-inscribed", str(t))
+                failures.setdefault("shear-and-inscribed", triple_text(t))
         if check_alg_lemma(t) == (t == root):
-            failures.setdefault("alg-lemma", str(t))
+            failures.setdefault("alg-lemma", triple_text(t))
     rng = random.Random(20240813)
-    for t in (MarkovTriple(5, 2, 1), MarkovTriple(29, 5, 2)):
+    for t in ((5, 2, 1), (29, 5, 2)):
         polygon = vianna_triangle(t).polygon
         base, _ = lattice_width(polygon)
         for _ in range(20):
             mapped = random_unimodular(rng).apply(polygon)
             got, _ = lattice_width(mapped)
             if got != base:
-                failures.setdefault("unimodular-invariance", str(t))
+                failures.setdefault("unimodular-invariance", triple_text(t))
     yield from _failed(failures, "lattice-width-equals-capacity", "triangle-invariants",
                        "shear-and-inscribed", "alg-lemma", "unimodular-invariance")
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from .capacity import limit_decimal, width
 from .lattice import central_point, vianna_triangle
-from .markov import MarkovTriple, wedge
+from .markov import triple_text, wedge
 from .ordering import find_irregularities, spectrum_rows
 from .report import EXIT_OK, _emit
 
@@ -71,7 +71,7 @@ def _document(width_px: int, height_px: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def figure_subtree(apex: MarkovTriple, depth: int) -> str:
+def figure_subtree(apex: tuple[int, int, int], depth: int) -> str:
     """The subtree preserving the apex maximum, nodes labelled with their
     capacity, dashed arrows tracing the decreasing order."""
     levels = wedge(apex, depth)
@@ -94,7 +94,7 @@ def figure_subtree(apex: MarkovTriple, depth: int) -> str:
         )
     for (x, y), t in zip(positions, nodes):
         w = Fraction(*width(t))
-        body.append(_text(x, y - 6, str(t)))
+        body.append(_text(x, y - 6, triple_text(t)))
         body.append(
             _text(x, y + 12, f"w = {w} = {_fmt(w, 4)}", size=11, fill="#444444")
         )
@@ -163,7 +163,7 @@ def _primitive(vx: Fraction, vy: Fraction) -> tuple[int, int]:
     return nx // g, ny // g
 
 
-def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
+def figure_triangle(triple: tuple[int, int, int], delta: Fraction) -> str:
     """Base triangle with cut segments from each vertex toward the central
     point and a cross at affine distance delta along each segment."""
     if not 0 < delta < Fraction(1, 3):
@@ -204,15 +204,14 @@ def figure_triangle(triple: MarkovTriple, delta: Fraction) -> str:
     body.append(_text(cx + 10, cy - 8, "({}, {})".format(*center),
                       anchor="start", size=11))
     body.append(_text(Fraction(width_px, 2), height_px - 18,
-                      f"base triangle of {triple}, cut length delta = {delta}",
+                      f"base triangle of {triple_text(triple)}, cut length delta = {delta}",
                       size=13))
     return _document(width_px, height_px, body)
 
 
 def cmd_plot(config: SimpleNamespace) -> int:
     if config.figure == "order5":
-        triple = config.triple or MarkovTriple(5, 2, 1)
-        data = figure_subtree(triple, config.depth)
+        data = figure_subtree(config.triple or (5, 2, 1), config.depth)
     elif config.figure == "numberline":
         data = figure_numberline(config.n, k=config.k)
     elif config.triple is None:

@@ -38,7 +38,6 @@ import mpmath
 
 from mbl.capacity import QuadraticValue, closed_forms
 from mbl.lattice import LatticePolygon, _inner_normals
-from mbl.markov import MarkovTriple
 
 
 def quadratic_interval(a: int, b: int, r: int, d: int = 1, digits: int = 200):
@@ -270,15 +269,15 @@ def window_pairs(numbers, n_max: int) -> list[tuple[int, int]]:
             if squares[n_prime - 1] < 2 * squares[n - 1]]
 
 
-def apex_of_number(p: int) -> MarkovTriple:
+def apex_of_number(p: int) -> tuple[int, int, int]:
     """The triple in which p is the maximal entry (root of its subtree)."""
     apex = next((t for t in _triples_upto(p) if t[0] == p), None)
     if apex is None:
         raise ValueError(f"{p} is not a Markov number")
-    return MarkovTriple(*apex)
+    return apex
 
 
-def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
+def essential_subtree(p: int, depth: int) -> list[tuple[int, int, int]]:
     """The nodes with minimal entry p in the first `depth` levels of the
     subtree preserving p that hold any, level by level from `vieta_levels`.
 
@@ -291,7 +290,7 @@ def essential_subtree(p: int, depth: int) -> list[MarkovTriple]:
     apex = apex_of_number(p)  # raises for non-Markov p
     found, levels = [], vieta_levels(apex)
     while len(found) < depth:
-        kept = [MarkovTriple(*t) for t in next(levels) if t[2] == p]
+        kept = [t for t in next(levels) if t[2] == p]
         if kept:
             found.append(kept)
     return [t for kept in found for t in kept]

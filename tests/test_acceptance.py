@@ -14,7 +14,6 @@ from mbl.capacity import QuadraticValue, closed_forms, lagrange_number, width
 from mbl.cli import main
 from mbl.lattice import lattice_width, vianna_triangle
 from mbl.markov import (
-    MarkovTriple,
     enumerate_triples,
     markov_numbers,
     markov_prefix,
@@ -47,7 +46,6 @@ from support import (
     window_pairs,
 )
 
-T = MarkovTriple
 
 SPAN_1 = [33, 37, 42, 104, 112, 118, 120, 214, 227, 309, 353, 382, 400, 416, 450]
 SPAN_2 = [369, 433]
@@ -122,11 +120,11 @@ def test_criterion_05_alternating_descent():
             # alternating_order raises on any descent violation
             widths = [Fraction(*w) for _, w in alternating_order(t, 8)]
             assert all(w > v for w, v in zip(widths, widths[1:]))
-            if t.a >= 5:
+            if t[0] >= 5:
                 assert min(descent_integers(t)) > 0  # b^2 - c^2 and c(3ac - 2b) too
             assert wedge_descends(t, 30)
-        sequence = alternating_order(T(5, 2, 1), 3)
-        assert [tuple(x) for x, _ in sequence] == [
+        sequence = alternating_order((5, 2, 1), 3)
+        assert [x for x, _ in sequence] == [
             (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5),
             (433, 29, 5), (2897, 194, 5), (6466, 433, 5),
         ]
@@ -138,9 +136,9 @@ def test_criterion_06_limit_points():
         for apex in (fib, pel, five):
             # every node below the apex
             sequence = [(t, Fraction(*w)) for t, w in alternating_order(apex, 25)]
-            assert len(sequence) == (26 if apex.a < 5 else 51)
-            assert all(compare(w, limit_point(apex.a)) > 0 for _, w in sequence)
-            q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
+            assert len(sequence) == (26 if apex[0] < 5 else 51)
+            assert all(compare(w, limit_point(apex[0])) > 0 for _, w in sequence)
+            q, s, r = (Fraction(*part) for part in closed_forms(apex[0])[0])
             gaps = [QuadraticValue(w - q, -s, r) for _, w in sequence]  # width - limit
             assert all(compare(x, y) > 0 for x, y in zip(gaps, gaps[1:]))
         assert compare(lagrange_number(1), QuadraticValue(0, 1, 5)) == 0
@@ -162,7 +160,7 @@ def test_criterion_07_completeness_threshold():
 def test_criterion_08_surd_identity():
     with _Timer(8, "surd identity for every triple != (1,1,1), max <= 1e4", 10.0):
         for t in enumerate_triples(10 ** 4):
-            expected = t != T(1, 1, 1)
+            expected = t != (1, 1, 1)
             assert surd_identity_check(t) == expected
 
 
@@ -184,11 +182,10 @@ def test_criterion_09_cross_checks():
 def test_criterion_10_property_suites():
     with _Timer(10, "property suites (brute force, unimodular, order oracle)", 120.0):
         # tree enumeration vs quadratic-root scan
-        assert [tuple(t) for t in enumerate_triples(2000)] == \
-            brute_force_triples(2000)
+        assert list(enumerate_triples(2000)) == brute_force_triples(2000)
         # unimodular invariance, 100 random maps
         rng = random.Random(8191)
-        polygon = vianna_triangle(T(29, 5, 2)).polygon
+        polygon = vianna_triangle((29, 5, 2)).polygon
         base, _ = lattice_width(polygon)
         for _ in range(100):
             assert lattice_width(random_unimodular(rng).apply(polygon))[0] == base

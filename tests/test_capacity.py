@@ -20,7 +20,7 @@ from mbl.capacity import (
     surd_text,
     width,
 )
-from mbl.markov import MarkovTriple, enumerate_triples, markov_numbers
+from mbl.markov import enumerate_triples, markov_numbers
 from mbl.ordering import alternating_order, spectrum_rows
 from mbl.suites import spectrum_values_check, surd_identity_check
 
@@ -34,7 +34,6 @@ from support import (
     rounded_limit,
 )
 
-T = MarkovTriple
 QV = QuadraticValue
 
 _RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -60,33 +59,33 @@ class TestWidth:
         ],
     )
     def test_table(self, triple, expected):
-        assert width(T(*triple)) == expected
+        assert width(triple) == expected
 
     def test_bounds_below_one_million(self):
         # strictly between 1/3 and 1/2 except at the root
         for t in enumerate_triples(10 ** 6):
             w = Fraction(*width(t))
-            if t == T(1, 1, 1):
+            if t == (1, 1, 1):
                 assert w == 1
             else:
                 assert Fraction(1, 3) < w <= Fraction(1, 2)
 
     def test_json_roundtrip(self):
-        w = width(T(433, 29, 5))
+        w = width((433, 29, 5))
         assert capacity_to_json(w) == {"num": "145", "den": "433"}
 
 
 class TestSurdIdentity:
     def test_two_one_one_integers(self):
         # (2a-3bc)^2 = 1 and 9-4-4 = 1
-        assert surd_identity_check(T(2, 1, 1))
+        assert surd_identity_check((2, 1, 1))
 
     def test_root_fails_sign_condition(self):
-        assert not surd_identity_check(T(1, 1, 1))
+        assert not surd_identity_check((1, 1, 1))
 
     def test_exhaustive_to_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
-            expected = t != T(1, 1, 1)
+            expected = t != (1, 1, 1)
             assert surd_identity_check(t) == expected
 
 
@@ -153,7 +152,7 @@ class TestCompare:
         assert compare(limit_point(1), Fraction(1, 3)) == 1
 
     def test_width_above_limit(self):
-        assert compare(Fraction(*width(T(194, 13, 5))), limit_point(5)) == 1
+        assert compare(Fraction(*width((194, 13, 5))), limit_point(5)) == 1
 
     def test_reflexive(self):
         x = limit_point(5)
@@ -312,9 +311,9 @@ class TestConvergenceTrace:
 
     @staticmethod
     def gaps(apex, depth):
-        q, s, r = (Fraction(*part) for part in closed_forms(apex.a)[0])
+        q, s, r = (Fraction(*part) for part in closed_forms(apex[0])[0])
         sequence = [(t, Fraction(*w)) for t, w in alternating_order(apex, depth)]
-        assert all(compare(w, limit_point(apex.a)) > 0 for _, w in sequence)
+        assert all(compare(w, limit_point(apex[0])) > 0 for _, w in sequence)
         return [QV(w - q, -s, r) for _, w in sequence]  # width - limit
 
     def test_fibonacci_gaps_decrease(self):
@@ -323,7 +322,7 @@ class TestConvergenceTrace:
         assert len(gaps) == 3
         assert compare(gaps[0], gaps[1]) > 0 and compare(gaps[1], gaps[2]) > 0
         # below the degenerate apexes a single branch: one node per level
-        for apex, child in ((T(1, 1, 1), T(2, 1, 1)), (T(2, 1, 1), T(5, 2, 1))):
+        for apex, child in (((1, 1, 1), (2, 1, 1)), ((2, 1, 1), (5, 2, 1))):
             sequence = alternating_order(apex, 6)
             assert len(sequence) == 7 and sequence[1][0] == child
 
@@ -333,11 +332,11 @@ class TestConvergenceTrace:
         assert len(gaps) == 11
         assert all(compare(x, y) > 0 for x, y in zip(gaps, gaps[1:]))
         left = [t for t, _ in alternating_order(apex, 2)[1::2]]
-        assert [tuple(t) for t in left] == [(13, 5, 1), (194, 13, 5)]
+        assert left == [(13, 5, 1), (194, 13, 5)]
 
     def test_single_entry(self):
         apex = apex_of_number(2)
-        assert alternating_order(apex, 0) == [(T(2, 1, 1), (1, 2))]
+        assert alternating_order(apex, 0) == [((2, 1, 1), (1, 2))]
 
     def test_count_validation(self):
         apex = apex_of_number(1)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import decimal
+import fractions
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 import mbl.capacity
 import mbl.cli
 import mbl.commands
+import mbl.markov
 import mbl.oeis
 import mbl.ordering
 import mbl.report
@@ -27,7 +29,7 @@ import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.lattice import LatticePolygon
-from mbl.markov import MarkovTriple, MarkovWalk, ancestors, markov_numbers
+from mbl.markov import MarkovWalk, ancestors, markov_numbers, sorted_triple
 from mbl.suites import MutationKind, fibonacci
 
 from support import rounded_limit
@@ -366,7 +368,7 @@ def test_every_value_refusal_names_its_flag(capsys, command, flag):
 _NUMERAL_TEXT = st.text(alphabet="0123456789-+/.eE_ \u0663", max_size=8)
 #: Fraction's grammar in ASCII, with no whitespace, no "_" and no leading "+".
 _RATIONAL_GRAMMAR = re.compile(
-    r"-?(?=[0-9]|\.[0-9])[0-9]*(?:/(?P<den>[0-9]+)|(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?)",
+    r"-?(?=[0-9]|\.[0-9])[0-9]*(?:/(?P<den>[0-9]+)|(?:\.[0-9]*)?(?:[eE](?P<exp>[-+]?[0-9]+))?)",
     re.ASCII)
 
 
@@ -387,7 +389,7 @@ def test_integer_reads_ascii_digits_with_an_optional_minus(text):
                  st.decimals(allow_nan=False, allow_infinity=False).map(str)))
 def test_rational_reads_fractions_grammar_in_ascii(text):
     match = _RATIONAL_GRAMMAR.fullmatch(text)
-    if match is None:
+    if match is None or abs(int(match["exp"] or 0)) > 10 ** 6:
         with pytest.raises(ValueError):
             mbl._rational(text)
     elif match["den"] is not None and int(match["den"]) == 0:
@@ -431,6 +433,71 @@ def test_spellings_outside_the_ascii_grammar_are_refused(capsys, monkeypatch, tm
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("mbl: ") and err.count("\n") == 1 and named in err
+
+
+def test_a_decimal_exponent_past_a_million_is_refused_before_it_is_read(
+        capsys, monkeypatch, tmp_path):
+    # Fraction builds 10^K before any other check, so the 9 characters
+    # 1e9999999 took seconds to read: each of these is refused before
+    # Fraction is called, with the message of its flag or file
+    def refuse(*args):
+        raise AssertionError("Fraction called")
+
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    for text in ("1e1000001", "1e-1000001", "1E+1000001", "-2.5e001000001", "1e9999999",
+                 "1e" + "9" * 40):
+        with pytest.raises(ValueError, match="decimal exponent beyond 10\\^6"):
+            mbl._rational(text)
+    monkeypatch.undo()
+    assert mbl._rational("1e1000000") == (10 ** 1000000, 1)
+    assert mbl._rational("-1e-001000000") == (-1, 10 ** 1000000)
+    assert run(capsys, "complete", "--threshold", "1e1000001", "--n-max", "5") == (
+        2, "", "mbl: --threshold expects an exact rational like 'p/q', got '1e1000001'\n")
+    (tmp_path / "exponent.json").write_text('[[0, 0], ["1e1000001", 0], [0, 1]]')
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "width", "--polygon", "exponent.json") == (
+        2, "", "mbl: bad polygon file exponent.json: coordinates must be ints or rational "
+        "strings, got '1e1000001'\n")
+
+
+@pytest.mark.parametrize("error, resource", [(MemoryError, "memory"),
+                                             (RecursionError, "recursion depth")])
+def test_running_out_is_one_line_and_exit_4(capsys, monkeypatch, error, resource):
+    def exhausted(config):
+        print("partial row")
+        raise error()
+
+    monkeypatch.setattr(mbl.cli, "cmd_limits", exhausted)
+    assert run(capsys, "limits", "--n", "3") == (
+        4, "partial row\n", f"mbl: limits ran out of {resource}\n")
+
+
+def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    exits = []
+    monkeypatch.setattr(mbl.cli, "cmd_limits", interrupted)
+    monkeypatch.setattr(mbl.cli.os, "_exit", exits.append)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", lambda digits: None, raising=False)
+    monkeypatch.setattr(sys, "argv", ["mbl", "limits", "--n", "3"])
+    mbl.cli.run()
+    assert exits == [130] and capsys.readouterr() == ("", "mbl: interrupted\n")
+
+
+def test_a_process_out_of_memory_exits_4():
+    # the child's own address space is capped, before it runs mbl; the chains
+    # below (5,2,1) to depth 10^7 would need far more
+    resource = pytest.importorskip("resource")
+    cap = 256 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = _process("subtree", "--triple", "5,2,1", "--depth", str(10 ** 7),
+                    preexec_fn=limit, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        4, "", "mbl: subtree ran out of memory\n")
 
 
 def test_a_refused_value_loads_no_handler_module():
@@ -977,9 +1044,8 @@ class TestWidths:
             Fraction(1, 2), Fraction(2, 5), Fraction(5, 13),
             Fraction(10, 29), Fraction(145, 433),
         ]
-        triples = [MarkovTriple(*(int(row["triple"][k]) for k in "abc"))
-                   for row in payload["rows"]]
-        assert triples[0] == MarkovTriple(2, 1, 1)
+        triples = [sorted_triple(*map(int, row["triple"].values())) for row in payload["rows"]]
+        assert triples[0] == (2, 1, 1)
 
     def test_csv_parses(self, capsys):
         code, out, _ = run(capsys, "widths", "--format", "csv")
@@ -1018,29 +1084,36 @@ class TestTriplesAndSubtree:
         monkeypatch.setattr(mbl.commands, "ancestors", lambda t: seen.append(t) or ancestors(t))
         code, out, _ = run(capsys, "subtree", "--triple", triple, "--preserve", preserve,
                            "--depth", "9", "--format", "json")
-        assert code == 0 and seen == [MarkovTriple.from_values(*map(int, triple.split(",")))]
+        assert code == 0 and seen == [tuple(map(int, triple.split(",")))]
         rows = json.loads(out)["rows"]
         assert len(rows) in (10, 19)
         assert rows[0]["triple"]["a"] == preserve
         for row in rows:
-            t = MarkovTriple(*(int(row["triple"][key]) for key in "abc"))
+            t = sorted_triple(*map(int, row["triple"].values()))
             assert row["depth"] == len(ancestors(t)) - 1
 
     def test_depths_build_no_triples(self, capsys, monkeypatch):
         # `triples` reads each depth off its parent's row, and `subtree`
-        # climbs on ints: one MarkovTriple per row listed, and for a triple
-        # 100 levels down only the parsed one and the apex
-        built = []
-        real = MarkovTriple.__post_init__
-        monkeypatch.setattr(MarkovTriple, "__post_init__",
-                            lambda self: built.append(self) or real(self))
-        code, out, _ = run(capsys, "triples", "--max-bound", str(10 ** 30), "--format", "csv")
-        assert code == 0 and len(built) == out.count("\n") - 1 == 893
-        built.clear()
-        deep = f"{fibonacci(201)},{fibonacci(199)},1"
-        code, out, _ = run(capsys, "subtree", "--triple", deep, "--depth", "0", "--format", "json")
+        # climbs on ints: on a fresh walk `_check` runs once per apex the walk
+        # hands out (the 893 rows and the first past the bound) and on a
+        # walk gone that far not at all; for a triple 100 levels down only
+        # on the parsed one
+        checked = []
+        real = mbl.markov._check
+        monkeypatch.setattr(mbl.markov, "_check", lambda *t: checked.append(t) or real(*t))
+        walk = MarkovWalk()
+        monkeypatch.setattr(mbl.markov, "markov_prefix", walk.prefix)
+        argv = ("triples", "--max-bound", str(10 ** 30), "--format", "csv")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") - 1 == 893
+        assert checked == walk._apexes and len(checked) == 894
+        checked.clear()
+        assert run(capsys, *argv) == (0, out, "") and checked == []
+        deep = (fibonacci(201), fibonacci(199), 1)
+        code, out, _ = run(capsys, "subtree", "--triple", ",".join(map(str, deep)),
+                           "--depth", "0", "--format", "json")
         assert code == 0 and json.loads(out)["rows"][0]["depth"] == 100
-        assert len(built) == 2 and built[0] == built[1]
+        assert checked == [deep]
 
 
 class TestIrregularities:
@@ -1278,12 +1351,21 @@ class TestFormatOnlyRendering:
         self._limits_450_from_integers(capsys, monkeypatch, fmt)
 
     def test_ordering_commands_build_no_markov_triple(self, capsys, monkeypatch):
-        # the walk's int triples serve the rows, the scan and the certificate
-        monkeypatch.setattr(MarkovTriple, "__post_init__", self.refuse)
-        for argv in (["limits", "--n", "450", "--format", "json"],
-                     ["complete", "--threshold", "7/20", "--n-max", "450"],
-                     ["irregularities", "--n-max", "450", "--fixture"]):
+        # the walk's int triples serve the rows, the scan and the certificate:
+        # on a fresh walk `_check` runs once per apex it hands out, and nowhere else
+        checked = []
+        real = mbl.markov._check
+        monkeypatch.setattr(mbl.markov, "_check", lambda *t: checked.append(t) or real(*t))
+        for argv, count in ((["limits", "--n", "450", "--format", "json"], 450),
+                            # the scan's window runs 7 numbers past n_max
+                            (["complete", "--threshold", "7/20", "--n-max", "450"], 457),
+                            (["irregularities", "--n-max", "450", "--fixture"], 457)):
+            walk = MarkovWalk()
+            monkeypatch.setattr(mbl.markov, "markov_prefix", walk.prefix)
+            monkeypatch.setattr(mbl.ordering, "markov_prefix", walk.prefix)
+            checked.clear()
             assert run(capsys, *argv)[0] == 0
+            assert checked == walk._apexes and len(checked) == count, argv
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("command", ["widths", "triples --max-bound 100",
@@ -1438,7 +1520,7 @@ def _short_root_base(real):
         # width 1 along (0, 1), but the vertex read as (ell, 0) is (0, 1), so
         # its base reads as shorter than 1
         tri = real(t)
-        if t == T(1, 1, 1):
+        if t == (1, 1, 1):
             moved = mbl.suites.UnimodularMap(0, -1, 1, 1, (0, 1), (0, 1)).apply(tri.polygon)
             tri.__dict__["polygon"] = moved  # a cached property
             del tri.__dict__["edges"]  # cached from the polygon
@@ -1455,9 +1537,8 @@ _DESCENT_FAILURE = "capacity descent fails below (13,5,1): needs b > c and 3ac >
 
 
 def _descent_fails_at(*triple):  # the helper refusing one apex, in its own words
-    # by its entries: the ordering layer passes the walk's int triples
     return lambda real: lambda t: (_raise(VerificationError(_DESCENT_FAILURE))
-                                   if tuple(t) == triple else real(t))
+                                   if t == triple else real(t))
 
 
 _descent_fails_at_13_5_1 = _descent_fails_at(13, 5, 1)
@@ -1468,7 +1549,6 @@ def _gcd_fails_at(*pair):  # math as mbl.suites reads it, with one gcd of 2
         gcd=lambda x, y: 2 if (x, y) == pair else real.gcd(x, y), isqrt=real.isqrt)
 
 
-T = MarkovTriple
 MIN, MAX = MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX
 PAST_THE_OLD_CAPS = 10 ** 30
 
@@ -1476,15 +1556,15 @@ PAST_THE_OLD_CAPS = 10 ** 30
 # real one, the witness of the FAIL line, the --max-bound); --n-max 40
 _BROKEN_CHECKS = [
     ("markov", "mutation-involution", "mutate",  # (2,1,1) never leads back to the root
-     lambda real: lambda t, kind: t if (t, kind) == (T(2, 1, 1), MAX) else real(t, kind),
+     lambda real: lambda t, kind: t if (t, kind) == ((2, 1, 1), MAX) else real(t, kind),
      "(1,1,1) ELIMINATE_MIN", 30),
     ("markov", "mutation-monotonicity", "mutate",
-     lambda real: lambda t, kind: T(2, 1, 1) if (t, kind) == (T(5, 2, 1), MIN)
+     lambda real: lambda t, kind: (2, 1, 1) if (t, kind) == ((5, 2, 1), MIN)
      else real(t, kind),
      "(5,2,1)", 30),
     ("markov", "pairwise-coprimality", "math", _gcd_fails_at(13, 5), "(13,5,1)", 30),
     ("capacity", "width-bounds", "width",
-     lambda real: lambda t: (1, 3) if t == T(5, 2, 1) else real(t), "(5,2,1)", 30),
+     lambda real: lambda t: (1, 3) if t == (5, 2, 1) else real(t), "(5,2,1)", 30),
     ("capacity", "limit-gaps", "_above_limit",  # 2/5 read against the limit of 1
      lambda real: lambda num, den, m: (num, den, m) != (2, 5, 1) and real(num, den, m),
      "gap at (5,2,1) is not positive", 30),
@@ -1495,13 +1575,13 @@ _BROKEN_CHECKS = [
     ("ordering", "alternating-descent", "descent_integers", _descent_fails_at_13_5_1,
      _DESCENT_FAILURE, 30),
     ("lattice", "lattice-width-equals-capacity", "width",  # 5/13 + 1
-     lambda real: lambda t: (18, 13) if t == T(13, 5, 1) else real(t), "(13,5,1)", 30),
+     lambda real: lambda t: (18, 13) if t == (13, 5, 1) else real(t), "(13,5,1)", 30),
     ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)", 30),
     ("lattice", "shear-and-inscribed", "inscribed_right_triangle",
-     lambda real: lambda tri: tri.triple != T(13, 5, 1) and real(tri),
+     lambda real: lambda tri: tri.triple != (13, 5, 1) and real(tri),
      "(13,5,1)", 30),
     ("lattice", "alg-lemma", "check_alg_lemma",
-     lambda real: lambda t: t != T(13, 5, 1) and real(t), "(13,5,1)", 30),
+     lambda real: lambda t: t != (13, 5, 1) and real(t), "(13,5,1)", 30),
     ("lattice", "unimodular-invariance", "random_unimodular",
      lambda real: _doubling_map, "(5,2,1)", 30),
     # every triple-walking check reaches the bound it is given: each of these
@@ -1510,14 +1590,14 @@ _BROKEN_CHECKS = [
     ("markov", "pairwise-coprimality", "math",  # the pair's first triple is the witness
      _gcd_fails_at(10946, 4181), "(10946,4181,1)", PAST_THE_OLD_CAPS),
     ("capacity", "width-bounds", "width",
-     lambda real: lambda t: (1, 3) if t == T(1136689, 195025, 2) else real(t),
+     lambda real: lambda t: (1, 3) if t == (1136689, 195025, 2) else real(t),
      "(1136689,195025,2)", PAST_THE_OLD_CAPS),
     ("capacity", "surd-identity", "surd_identity_check",
-     lambda real: lambda t: t != T(14701, 169, 29) and real(t), "(14701,169,29)", 10 ** 6),
+     lambda real: lambda t: t != (14701, 169, 29) and real(t), "(14701,169,29)", 10 ** 6),
     ("ordering", "chain-interleaving", "descent_integers", _descent_fails_at(10946, 4181, 1),
      "(10946,4181,1)", PAST_THE_OLD_CAPS),
     ("lattice", "lattice-width-equals-capacity", "width",  # 4181/10946 + 1
-     lambda real: lambda t: (15127, 10946) if t == T(10946, 4181, 1) else real(t), "(10946,4181,1)",
+     lambda real: lambda t: (15127, 10946) if t == (10946, 4181, 1) else real(t), "(10946,4181,1)",
      PAST_THE_OLD_CAPS),
 ]
 
@@ -1586,7 +1666,7 @@ class TestVerifyAndComplete:
         real = mbl.suites.mutate
 
         def broken(t, kind):
-            if t == MarkovTriple(1, 1, 1) and kind is MutationKind.ELIMINATE_MAX:
+            if t == (1, 1, 1) and kind is MutationKind.ELIMINATE_MAX:
                 raise ValueError("mutation left the solution set")
             return real(t, kind)
 
@@ -1613,7 +1693,7 @@ class TestVerifyAndComplete:
         real = mbl.suites.mutate
 
         def broken(t, kind):
-            if t == MarkovTriple(5, 2, 1) and kind is MutationKind.ELIMINATE_MIN:
+            if t == (5, 2, 1) and kind is MutationKind.ELIMINATE_MIN:
                 raise ValueError("mutation left the solution set")
             return real(t, kind)
 
@@ -1686,7 +1766,7 @@ class TestVerifyAndComplete:
         real = mbl.suites.surd_identity_check
 
         def broken(t):  # the identity fails at (433,29,5) alone
-            return t != MarkovTriple(433, 29, 5) and real(t)
+            return t != (433, 29, 5) and real(t)
 
         monkeypatch.setattr(mbl.suites, "surd_identity_check", broken)
         code, out, _ = run(capsys, "verify", "--suite", "capacity",

@@ -17,7 +17,7 @@ from mbl.lattice import (
     width_along,
 )
 from mbl.errors import VerificationError
-from mbl.markov import MarkovTriple, enumerate_triples, markov_prefix
+from mbl.markov import enumerate_triples, markov_prefix
 from mbl.suites import (
     UnimodularMap,
     check_alg_lemma,
@@ -40,7 +40,6 @@ from support import (
     pruned_lattice_width,
 )
 
-T = MarkovTriple
 
 UNIT_TRIANGLE = LatticePolygon(1, [(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = LatticePolygon(1, [(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -56,10 +55,10 @@ SKEW = LatticePolygon.from_json([["-7/3", "-5/4"], ["3/2", "-2/5"], ["5/6", "9/7
 MIXED = (SKEW,
          UnimodularMap(1, 0, 0, 1, (-11, 9), (13, 8)).apply(SKEW),
          UnimodularMap(2, -3, -1, 2, (-4, 9), (7, 4)).apply(
-             vianna_triangle(T(29, 5, 2)).polygon))
+             vianna_triangle((29, 5, 2)).polygon))
 FIRST_EIGHT = enumerate_triples(169)  # (1,1,1) up to (169,29,2)
 # the apexes of the first 200 Markov numbers
-APEXES = tuple(T(*t) for t in markov_prefix(200)[1])
+APEXES = markov_prefix(200)[1]
 
 
 def oracle_width(polygon: LatticePolygon):
@@ -135,13 +134,13 @@ class TestPolygonValidation:
                 LatticePolygon(den, [(0, 0), (1, 0), (0, 1)])
 
     def test_json_roundtrip(self):
-        polygon = vianna_triangle(T(5, 2, 1)).polygon
+        polygon = vianna_triangle((5, 2, 1)).polygon
         assert LatticePolygon.from_json(polygon.to_json()) == polygon
 
     def test_json_roundtrip_of_mapped_triangles(self):
         # the unimodular images the lattice suite of `verify` draws
         rng = random.Random(20240813)
-        for t in (T(5, 2, 1), T(29, 5, 2)):
+        for t in ((5, 2, 1), (29, 5, 2)):
             polygon = vianna_triangle(t).polygon
             for _ in range(20):
                 mapped = random_unimodular(rng).apply(polygon)
@@ -181,12 +180,12 @@ class TestWidthAlong:
     """width_along counts in units of 1/D, D = polygon.scaled[0]."""
 
     def test_horizontal(self):
-        tri = vianna_triangle(T(5, 2, 1)).polygon
+        tri = vianna_triangle((5, 2, 1)).polygon
         assert tri.scaled[0] == 10
         assert width_along(tri, (1, 0)) == 10 * Fraction(5, 2)
 
     def test_vertical(self):
-        tri = vianna_triangle(T(5, 2, 1)).polygon
+        tri = vianna_triangle((5, 2, 1)).polygon
         assert width_along(tri, (0, 1)) == 10 * Fraction(2, 5)
 
     def test_scales_the_fraction_spread_by_d(self):
@@ -205,7 +204,7 @@ class TestWidthAlong:
     def test_sign_symmetry(self, x, y):
         if (x, y) == (0, 0):
             return
-        tri = vianna_triangle(T(29, 5, 2)).polygon
+        tri = vianna_triangle((29, 5, 2)).polygon
         assert width_along(tri, (x, y)) == width_along(tri, (-x, -y))
 
 
@@ -218,7 +217,7 @@ class TestLatticeWidth:
         assert value == (1, 1)
 
     def test_base_triangle_5_2_1(self):
-        value, xi = lattice_width(vianna_triangle(T(5, 2, 1)).polygon)
+        value, xi = lattice_width(vianna_triangle((5, 2, 1)).polygon)
         assert value == (2, 5) and xi == (0, 1)
 
     def test_matches_capacity_below_thousand(self):
@@ -253,7 +252,7 @@ class TestLatticeWidth:
             UNIT_SQUARE,
             LatticePolygon(1, [(0, 0), (4, 1), (5, 4), (1, 3)]),
             LatticePolygon(6, [(3, 0), (18, 2), (12, 12)]),
-            vianna_triangle(T(13, 5, 1)).polygon,
+            vianna_triangle((13, 5, 1)).polygon,
             FOUR_PAIRS,
             FOUR_PAIRS_IMAGE,
         ]
@@ -280,7 +279,7 @@ class TestLatticeWidth:
     def test_unimodular_invariance(self):
         rng = random.Random(777)
         for triple in ((5, 2, 1), (34, 13, 1)):
-            polygon = vianna_triangle(T(*triple)).polygon
+            polygon = vianna_triangle(triple).polygon
             base, _ = lattice_width(polygon)
             for _ in range(25):
                 mapped = random_unimodular(rng).apply(polygon)
@@ -289,18 +288,18 @@ class TestLatticeWidth:
 
 class TestViannaTriangle:
     def test_root_triangle(self):
-        tri = vianna_triangle(T(1, 1, 1))
+        tri = vianna_triangle((1, 1, 1))
         assert tri.polygon.vertices == ((0, 0), (1, 0), (0, 1))
 
     def test_two_one_one(self):
-        tri = vianna_triangle(T(2, 1, 1))
+        tri = vianna_triangle((2, 1, 1))
         assert tri.polygon.vertices == ((0, 0), (2, 0), (0, Fraction(1, 2)))
         assert sorted(edge_lengths(tri)) == [Fraction(1, 2), Fraction(1, 2), 2]
         directions = {(dx, dy) for dx, dy, _ in tri.edges}
         assert (4, -1) in directions or (-4, 1) in directions
 
     def test_five_two_one(self):
-        tri = vianna_triangle(T(5, 2, 1))
+        tri = vianna_triangle((5, 2, 1))
         assert tri.u == 1  # 25 mod 4
         assert tri.polygon.vertices[2] == (Fraction(1, 10), Fraction(2, 5))
         assert tri.polygon.scaled[0] == 10
@@ -325,7 +324,7 @@ class TestIntegerTriangles:
             tri = vianna_triangle(t)
             points = fraction_triangle(*t, tri.u)
             assert list(tri.polygon.vertices) == points
-            assert tri.polygon.scaled[0] == t.a * t.b * t.c
+            assert tri.polygon.scaled[0] == t[0] * t[1] * t[2]
             assert fraction_area(points) == Fraction(1, 2)
             assert [((dx, dy), length) for (dx, dy, _), length
                     in zip(tri.edges, edge_lengths(tri))] == fraction_edges(points)
@@ -350,19 +349,19 @@ class TestIntegerTriangles:
         # every base triangle holds its right triangle; (2,1,1)'s with its
         # polygon swapped for the taller (0,0), (1,0), (1/4, 1) does so only
         # for large eps, where the horizontal leg (1 - eps/2) stays short
-        tri = _swapped_polygon(T(2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), (1, 4)]))
+        tri = _swapped_polygon((2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), (1, 4)]))
         points = list(tri.polygon.vertices)
         decisions = [(inscribed_at(tri, eps), fraction_inscribed(points, eps))
                      for eps in (Fraction(1, 8), Fraction(1, 2), Fraction(9, 10))]
         assert decisions == [(False, False), (False, False), (True, True)]
         assert not inscribed_right_triangle(tri)
-        assert inscribed_right_triangle(shear_normalize(vianna_triangle(T(2, 1, 1))))
+        assert inscribed_right_triangle(shear_normalize(vianna_triangle((2, 1, 1))))
 
     @pytest.mark.parametrize("apex", [(1, 4), (3, 4)])
     def test_apex_beyond_ell_minus_h_does_not_fit(self, apex):
         # ell = h = 1: a leg near h reaches past the far edge for small eps,
         # whichever half of the base the apex lies over
-        tri = _swapped_polygon(T(2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), apex]))
+        tri = _swapped_polygon((2, 1, 1), LatticePolygon(4, [(0, 0), (4, 0), apex]))
         points = list(tri.polygon.vertices)
         assert not inscribed_right_triangle(tri)
         assert not all(fraction_inscribed(points, Fraction(k, 64)) for k in range(1, 64))
@@ -372,9 +371,9 @@ class TestIntegerTriangles:
         # gcd(u - 25, 4) and gcd(u, 4): 25, 1, 4 in some order for u = 0, 1, 5,
         # but 25, 1, 2 for u = 2
         with pytest.raises(VerificationError, match="edge lengths off"):
-            ViannaTriangle(T(5, 2, 1), 2)
+            ViannaTriangle((5, 2, 1), 2)
         for u in (0, 1, 5):
-            tri = ViannaTriangle(T(5, 2, 1), u)
+            tri = ViannaTriangle((5, 2, 1), u)
             assert sorted(edge_lengths(tri)) == [Fraction(1, 10), Fraction(2, 5), Fraction(5, 2)]
 
 
@@ -407,13 +406,13 @@ class TestAffineLength:
 
 class TestCentralPoint:
     def test_root(self):
-        assert central_point(vianna_triangle(T(1, 1, 1))) == ((1, 3), (1, 3))
+        assert central_point(vianna_triangle((1, 1, 1))) == ((1, 3), (1, 3))
 
     def test_two_one_one(self):
-        assert central_point(vianna_triangle(T(2, 1, 1))) == ((1, 3), (1, 3))
+        assert central_point(vianna_triangle((2, 1, 1))) == ((1, 3), (1, 3))
 
     def test_five_two_one_distances(self):
-        tri = vianna_triangle(T(5, 2, 1))
+        tri = vianna_triangle((5, 2, 1))
         cx, cy = (Fraction(*c) for c in central_point(tri))
         polygon = tri.polygon
         pts = polygon.vertices
@@ -442,13 +441,13 @@ class TestCentralPoint:
 
 class TestShearAndInscribed:
     def test_two_one_one_needs_one_shear(self):
-        tri = vianna_triangle(T(2, 1, 1))
+        tri = vianna_triangle((2, 1, 1))
         normalized = shear_normalize(tri)
         assert normalized.u - tri.u == 1
         assert normalized.polygon.vertices[2] == (Fraction(1, 2), Fraction(1, 2))
 
     def test_five_two_one_already_interior(self):
-        tri = vianna_triangle(T(5, 2, 1))
+        tri = vianna_triangle((5, 2, 1))
         normalized = shear_normalize(tri)
         assert normalized == tri
 
@@ -456,13 +455,13 @@ class TestShearAndInscribed:
         # the normal form puts the apex at 0 <= t < h, and h < ell below the
         # root, so only t = 0, which is (2,1,1), needs a shear
         for t in enumerate_triples(10 ** 12):
-            if t == T(1, 1, 1):
+            if t == (1, 1, 1):
                 continue
             tri = vianna_triangle(t)
             _, (_, (ell, _), (t_, h)) = tri.polygon.scaled  # all three times D
             assert 0 <= t_ < h < ell
             normalized = shear_normalize(tri)
-            if t == T(2, 1, 1):
+            if t == (2, 1, 1):
                 assert normalized.u == 1
                 assert normalized.polygon.vertices[2] == (Fraction(1, 2), Fraction(1, 2))
             else:
@@ -470,29 +469,29 @@ class TestShearAndInscribed:
 
     def test_width_preserved(self):
         for triple in ((2, 1, 1), (13, 5, 1), (433, 29, 5)):
-            tri = vianna_triangle(T(*triple))
+            tri = vianna_triangle(triple)
             normalized = shear_normalize(tri)
             assert lattice_width(tri.polygon) == lattice_width(normalized.polygon)
 
     def test_root_rejected(self):
         with pytest.raises(ValueError):
-            shear_normalize(vianna_triangle(T(1, 1, 1)))
+            shear_normalize(vianna_triangle((1, 1, 1)))
 
     def test_inscribed_examples(self):
-        normalized = shear_normalize(vianna_triangle(T(2, 1, 1)))
+        normalized = shear_normalize(vianna_triangle((2, 1, 1)))
         assert inscribed_right_triangle(normalized)
         assert inscribed_at(normalized, Fraction(1, 10))
-        normalized = shear_normalize(vianna_triangle(T(5, 2, 1)))
+        normalized = shear_normalize(vianna_triangle((5, 2, 1)))
         assert inscribed_right_triangle(normalized)
         assert inscribed_at(normalized, Fraction(1, 25))
 
     def test_inscribed_needs_normal_form(self):
         with pytest.raises(ValueError):
-            inscribed_right_triangle(vianna_triangle(T(2, 1, 1)))
+            inscribed_right_triangle(vianna_triangle((2, 1, 1)))
 
     def test_inscribed_eps_range(self):
         # the decision covers the open range (0, h) up to both of its ends
-        for t in (T(2, 1, 1), T(5, 2, 1), T(433, 29, 5)):
+        for t in ((2, 1, 1), (5, 2, 1), (433, 29, 5)):
             normalized = shear_normalize(vianna_triangle(t))
             points = list(normalized.polygon.vertices)
             h = points[2][1]
@@ -502,7 +501,7 @@ class TestShearAndInscribed:
 
     def test_inscribed_small_eps_below_thousand(self):
         for t in enumerate_triples(1000):
-            if t == T(1, 1, 1):
+            if t == (1, 1, 1):
                 continue
             normalized = shear_normalize(vianna_triangle(t))
             assert inscribed_right_triangle(normalized)
@@ -511,14 +510,14 @@ class TestShearAndInscribed:
 
 class TestAlgLemma:
     def test_root_fails(self):
-        assert not check_alg_lemma(T(1, 1, 1))
+        assert not check_alg_lemma((1, 1, 1))
 
     def test_two_one_one(self):
-        assert check_alg_lemma(T(2, 1, 1))
+        assert check_alg_lemma((2, 1, 1))
 
     def test_exhaustive_to_one_million(self):
         for t in enumerate_triples(10 ** 6):
-            expected = t != T(1, 1, 1)
+            expected = t != (1, 1, 1)
             assert check_alg_lemma(t) == expected
 
 
@@ -579,7 +578,7 @@ class TestReducedPairs:
 
     def test_images_the_lattice_suite_builds(self):
         rng = random.Random(20240813)  # the maps of `verify`'s unimodular-invariance
-        for t in (T(5, 2, 1), T(29, 5, 2)):
+        for t in ((5, 2, 1), (29, 5, 2)):
             polygon = vianna_triangle(t).polygon
             for _ in range(20):
                 m = random_unimodular(rng)

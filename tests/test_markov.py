@@ -12,13 +12,16 @@ import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
 from mbl.markov import (
-    MarkovTriple,
     MarkovWalk,
+    _check,
     ancestors,
     enumerate_triples,
     is_markov_number,
     markov_numbers,
     markov_prefix,
+    sorted_triple,
+    triple_json,
+    triple_text,
     wedge,
 )
 from mbl.suites import (
@@ -37,35 +40,33 @@ from support import (
     vieta_prefix,
 )
 
-T = MarkovTriple
-
 
 def triples_up_to(bound):
     return list(enumerate_triples(bound))
 
 
 class TestIsMarkov:
-    """Whether a triple is Markov, as construction decides it."""
+    """Whether a triple is Markov, as `sorted_triple` decides it through `_check`."""
 
     def test_root(self):
-        assert tuple(T(1, 1, 1)) == (1, 1, 1)
+        assert sorted_triple(1, 1, 1) == (1, 1, 1)
 
     def test_tree_member(self):
-        assert tuple(T(433, 29, 5)) == (433, 29, 5)
+        assert sorted_triple(433, 29, 5) == (433, 29, 5)
 
     def test_non_solution(self):
         with pytest.raises(ValueError, match=re.escape("(3,1,1) does not solve")):
-            T(3, 1, 1)  # 9+1+1 = 11 != 9
+            sorted_triple(3, 1, 1)  # 9+1+1 = 11 != 9
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (-2, 1, 1)])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError, match="triple must be sorted and positive"):
-            T.from_values(*bad)
+            sorted_triple(*bad)
 
     @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
     def test_matches_direct_equation(self, a, b, c):
         try:
-            T.from_values(a, b, c)
+            sorted_triple(a, b, c)
         except ValueError:
             built = False
         else:
@@ -75,53 +76,66 @@ class TestIsMarkov:
 
 class TestTriple:
     def test_requires_sorted(self):
-        with pytest.raises(ValueError):
-            T(1, 2, 5)
+        with pytest.raises(ValueError, match=re.escape("sorted and positive: (1,2,5)")):
+            _check(1, 2, 5)
 
     def test_requires_solution(self):
         with pytest.raises(ValueError):
-            T(4, 2, 1)
+            _check(4, 2, 1)
 
     def test_from_values_sorts(self):
-        assert T.from_values(5, 1, 2) == T(5, 2, 1)
+        t = sorted_triple(5, 1, 2)
+        assert t == (5, 2, 1) and type(t) is tuple
 
     def test_json_roundtrip(self):
-        assert T(433, 29, 5).to_json() == {"a": "433", "b": "29", "c": "5"}
+        assert triple_json((433, 29, 5)) == {"a": "433", "b": "29", "c": "5"}
+        assert sorted_triple(*map(int, triple_json((433, 29, 5)).values())) == (433, 29, 5)
+
+    def test_text(self):
+        # the one writer of a triple: no spaces, unlike str() of a tuple
+        assert triple_text((433, 29, 5)) == "(433,29,5)"
+        assert triple_text(triple_json((433, 29, 5)).values()) == "(433,29,5)"
 
     def test_contains(self):
-        assert 29 in T(433, 29, 5)
-        assert 7 not in T(433, 29, 5)
+        assert 29 in sorted_triple(433, 29, 5)
+        assert 7 not in sorted_triple(433, 29, 5)
 
 
 class TestMutate:
     def test_root_eliminate_max(self):
-        assert mutate(T(1, 1, 1), MutationKind.ELIMINATE_MAX) == T(2, 1, 1)
+        assert mutate((1, 1, 1), MutationKind.ELIMINATE_MAX) == (2, 1, 1)
 
     def test_eliminate_min(self):
-        assert mutate(T(5, 2, 1), MutationKind.ELIMINATE_MIN) == T(29, 5, 2)
+        assert mutate((5, 2, 1), MutationKind.ELIMINATE_MIN) == (29, 5, 2)
 
     def test_eliminate_mid(self):
-        assert mutate(T(5, 2, 1), MutationKind.ELIMINATE_MID) == T(13, 5, 1)
+        assert mutate((5, 2, 1), MutationKind.ELIMINATE_MID) == (13, 5, 1)
 
     def test_closure_and_involution(self):
         # every mutation lands on a solution and can be undone in place
         for t in triples_up_to(10 ** 4):
             for kind in MutationKind:
-                child = mutate(t, kind)  # constructor checks the equation
+                child = mutate(t, kind)  # which checks the equation
                 assert any(mutate(child, back) == t for back in MutationKind)
 
     def test_monotonicity(self):
         degenerate = {(1, 1, 1), (2, 1, 1)}
         for t in triples_up_to(10 ** 4):
-            assert mutate(t, MutationKind.ELIMINATE_MIN).a > t.a
-            assert mutate(t, MutationKind.ELIMINATE_MID).a > t.a
-            if tuple(t) not in degenerate:
-                assert mutate(t, MutationKind.ELIMINATE_MAX).a < t.a
+            assert mutate(t, MutationKind.ELIMINATE_MIN)[0] > t[0]
+            assert mutate(t, MutationKind.ELIMINATE_MID)[0] > t[0]
+            if t not in degenerate:
+                assert mutate(t, MutationKind.ELIMINATE_MAX)[0] < t[0]
+
+    @pytest.mark.parametrize("kind", list(MutationKind))
+    def test_result_is_checked(self, kind):
+        # each mutation of a non-solution leaves the solution set, and is refused
+        with pytest.raises(ValueError, match="does not solve the Markov equation"):
+            mutate((4, 2, 1), kind)
 
 
 class TestEnumerate:
     def test_small_bound(self):
-        assert [tuple(t) for t in triples_up_to(5)] == [
+        assert triples_up_to(5) == [
             (1, 1, 1), (2, 1, 1), (5, 2, 1)]
 
     def test_eleven_triples_up_to_433(self):
@@ -134,14 +148,13 @@ class TestEnumerate:
         assert capsys.readouterr().err == "mbl: --max-bound must be >= 1\n"
 
     def test_deterministic_order(self):
-        keys = [tuple(t) for t in triples_up_to(3000)]
+        keys = triples_up_to(3000)
         assert keys == sorted(keys)
 
     def test_matches_quadratic_scan(self):
         # oracle solves the equation pairwise, never applies a mutation
         for bound in (5, 50, 600):
-            assert [tuple(t) for t in triples_up_to(bound)] == \
-                brute_force_triples(bound)
+            assert triples_up_to(bound) == brute_force_triples(bound)
 
     def test_pruned_scan_matches_full_pair_scan(self):
         # every pair c <= b <= 300, each solved for both roots a >= b: the
@@ -174,7 +187,7 @@ class TestEnumerate:
                 if child[0] <= bound and child not in depths:
                     depths[child] = depths[t] + 1
                     queue.append(child)
-        assert {tuple(t): len(ancestors(t)) - 1 for t in enumerate_triples(bound)} == depths
+        assert {t: len(ancestors(t)) - 1 for t in enumerate_triples(bound)} == depths
         assert main(["triples", "--max-bound", str(bound), "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert {tuple(int(row["triple"][k]) for k in "abc"): row["depth"]
@@ -183,7 +196,8 @@ class TestEnumerate:
 
     def test_pairwise_coprime(self):
         for t in triples_up_to(2000):
-            assert math.gcd(t.a, t.b) == math.gcd(t.b, t.c) == math.gcd(t.a, t.c) == 1
+            a, b, c = t
+            assert math.gcd(a, b) == math.gcd(b, c) == math.gcd(a, c) == 1
 
 
 class TestMarkovNumbers:
@@ -212,7 +226,7 @@ class TestMarkovWalk:
 
     @pytest.fixture(scope="class")
     def brute_apexes(self):
-        return {t[0]: T(*t) for t in brute_force_triples(2000)}
+        return {t[0]: t for t in brute_force_triples(2000)}
 
     def test_membership_matches_brute_force(self, brute_apexes):
         for p in range(-2, 2001):
@@ -229,7 +243,7 @@ class TestMarkovWalk:
     def test_prefix_matches_brute_force(self, brute_apexes):
         numbers, apexes = MarkovWalk().prefix(len(brute_apexes))
         assert numbers == tuple(sorted(brute_apexes))
-        assert apexes == tuple(tuple(brute_apexes[m]) for m in numbers)  # int triples
+        assert apexes == tuple(brute_apexes[m] for m in numbers)
 
     def test_prefix_matches_vieta_jumps(self):
         # past the span-3 record at 794, against the triples the oracle jumps to
@@ -309,11 +323,11 @@ def apex_on_path(p, t):  # the first ancestor of t with maximum p, as `subtree` 
 
 class TestAncestors:
     def test_root_levels(self):
-        assert ancestors(T(1, 1, 1)) == [(1, 1, 1)]
-        assert ancestors(T(2, 1, 1)) == [(2, 1, 1), (1, 1, 1)]
+        assert ancestors((1, 1, 1)) == [(1, 1, 1)]
+        assert ancestors((2, 1, 1)) == [(2, 1, 1), (1, 1, 1)]
 
     def test_from_433(self):
-        assert ancestors(T(433, 29, 5)) == [
+        assert ancestors((433, 29, 5)) == [
             (433, 29, 5), (29, 5, 2), (5, 2, 1), (2, 1, 1), (1, 1, 1)]
 
     def test_each_step_is_a_jump_down_to_the_middle_entry(self):
@@ -321,7 +335,7 @@ class TestAncestors:
         # parent's maximum is the child's middle entry
         for t in enumerate_triples(10 ** 4):
             path = ancestors(t)
-            assert path[0] == tuple(t) and path[-1] == (1, 1, 1)
+            assert path[0] == t and path[-1] == (1, 1, 1)
             for child, parent in zip(path, path[1:]):
                 assert parent in vieta_neighbours(*child)
                 assert parent[0] == child[1] < child[0]
@@ -329,13 +343,13 @@ class TestAncestors:
 
 class TestApexFor:
     def test_one_step(self):
-        assert apex_on_path(5, T(29, 5, 2)) == (5, 2, 1)
+        assert apex_on_path(5, (29, 5, 2)) == (5, 2, 1)
 
     def test_from_194(self):
-        assert apex_on_path(13, T(194, 13, 5)) == (13, 5, 1)
+        assert apex_on_path(13, (194, 13, 5)) == (13, 5, 1)
 
     def test_already_apex(self):
-        assert apex_on_path(5, T(5, 2, 1)) == (5, 2, 1)
+        assert apex_on_path(5, (5, 2, 1)) == (5, 2, 1)
 
     def test_absent_entry(self, capsys):
         # 2 is the maximum of an ancestor of (13,5,1), but not one of its entries
@@ -345,27 +359,34 @@ class TestApexFor:
 
     def test_idempotent_and_path_independent(self):
         # two steps: (433,29,5) -> (29,5,2) -> (5,2,1)
-        assert apex_on_path(5, T(433, 29, 5)) == (5, 2, 1)
+        assert apex_on_path(5, (433, 29, 5)) == (5, 2, 1)
         # same apex from every node of the preserving subtree
         for p in markov_numbers(12):
             apex = apex_of_number(p)
             for level in wedge(apex, 4):
                 for t in level:
-                    assert apex_on_path(p, t) == tuple(apex)
-            assert apex_on_path(p, apex) == tuple(apex)
+                    assert apex_on_path(p, t) == apex
+            assert apex_on_path(p, apex) == apex
 
 
 class TestWedge:
     def test_order5_nodes(self):
-        assert wedge(T(5, 2, 1), 2) == [
-            (T(5, 2, 1),), (T(13, 5, 1), T(29, 5, 2)), (T(194, 13, 5), T(433, 29, 5))]
+        assert wedge((5, 2, 1), 2) == [
+            ((5, 2, 1),), ((13, 5, 1), (29, 5, 2)), ((194, 13, 5), (433, 29, 5))]
 
     def test_fibonacci_chain(self):
-        assert wedge(T(1, 1, 1), 3) == [
-            (T(1, 1, 1),), (T(2, 1, 1),), (T(5, 2, 1),), (T(13, 5, 1),)]
+        assert wedge((1, 1, 1), 3) == [
+            ((1, 1, 1),), ((2, 1, 1),), ((5, 2, 1),), ((13, 5, 1),)]
 
     def test_pell_chain(self):
-        assert wedge(T(2, 1, 1), 2)[1:] == [(T(5, 2, 1),), (T(29, 5, 2),)]
+        assert wedge((2, 1, 1), 2)[1:] == [((5, 2, 1),), ((29, 5, 2),)]
+
+    def test_each_node_below_the_apex_is_checked(self, monkeypatch):
+        calls = []
+        check = mbl.markov._check
+        monkeypatch.setattr(mbl.markov, "_check", lambda *t: calls.append(t) or check(*t))
+        levels = wedge((5, 2, 1), 3)
+        assert calls == [t for level in levels[1:] for t in level] and len(calls) == 6
 
     def test_nodes_are_preserving_mutations(self):
         # each node is a max-increasing mutation, keeping p, of the node above
@@ -381,27 +402,27 @@ class TestWedge:
             for side in range(width):
                 chain = [apex] + [level[side] for level in levels[1:]]
                 for above, node in zip(chain, chain[1:]):
-                    assert p in node and node.a > above.a
-                    assert ancestors(node)[1] == tuple(above)
+                    assert p in node and node[0] > above[0]
+                    assert ancestors(node)[1] == above
                     assert any(mutate(above, kind) == node
                                for kind in MutationKind)
 
 
 class TestEssentialSubtree:
     def test_five(self):
-        assert [tuple(t) for t in essential_subtree(5, 1)] == [
+        assert essential_subtree(5, 1) == [
             (194, 13, 5), (433, 29, 5)]
 
     def test_two_starts_at_29(self):
-        assert essential_subtree(2, 1)[0] == T(29, 5, 2)
+        assert essential_subtree(2, 1)[0] == (29, 5, 2)
 
     def test_one_starts_at_root(self):
-        assert essential_subtree(1, 1)[0] == T(1, 1, 1)
+        assert essential_subtree(1, 1)[0] == (1, 1, 1)
 
     def test_minimum_is_preserved_entry(self):
         for p in (5, 13, 29):
             for t in essential_subtree(p, 4):
-                assert t.c == p
+                assert t[2] == p
 
     def test_non_markov_rejected(self):
         with pytest.raises(ValueError):

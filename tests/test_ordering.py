@@ -8,7 +8,6 @@ import mbl.ordering
 from mbl.capacity import QuadraticValue, width
 from mbl.errors import VerificationError
 from mbl.markov import (
-    MarkovTriple,
     MarkovWalk,
     chains,
     enumerate_triples,
@@ -38,7 +37,6 @@ from support import (
     window_pairs,
 )
 
-T = MarkovTriple
 
 ORDER5 = [
     (5, 2, 1), (13, 5, 1), (29, 5, 2), (194, 13, 5),
@@ -54,11 +52,11 @@ def rationalized(radicand: Fraction) -> QuadraticValue:
 
 class TestAlternatingOrder:
     def test_order5_triples(self):
-        sequence = alternating_order(T(5, 2, 1), 3)
-        assert [tuple(t) for t, _ in sequence] == ORDER5
+        sequence = alternating_order((5, 2, 1), 3)
+        assert [t for t, _ in sequence] == ORDER5
 
     def test_order5_widths(self):
-        sequence = alternating_order(T(5, 2, 1), 3)
+        sequence = alternating_order((5, 2, 1), 3)
         expected = [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897), (2165, 6466)]
         assert [w for _, w in sequence] == expected
         # the tight step near the end, as a bare cross-multiplication
@@ -66,8 +64,8 @@ class TestAlternatingOrder:
 
     def test_fibonacci_chain_closed_form(self):
         # w((F_{2n+1}, F_{2n-1}, 1)) = 2/(3 + sqrt(5 - 4/F_{2n-1}^2))
-        for t, w in alternating_order(T(1, 1, 1), 6)[1:]:
-            f = t.b
+        for t, w in alternating_order((1, 1, 1), 6)[1:]:
+            f = t[1]
             assert compare(Fraction(*w), rationalized(Fraction(5) - Fraction(4, f * f))) == 0
 
     def test_no_descent_violation_below_ten_thousand(self):
@@ -77,24 +75,22 @@ class TestAlternatingOrder:
     def test_descent_failure_names_the_apex(self):
         # entries that fail b > c, or 3ac > 2b, read as if they were a triple
         for a, b, c in ((5, 2, 2), (5, 11, 1)):
-            apex = object.__new__(T)
-            vars(apex).update(a=a, b=b, c=c)
             with pytest.raises(VerificationError, match=re.escape(
                     f"capacity descent fails below ({a},{b},{c}): needs b > c and 3ac > 2b")):
-                alternating_order(apex, 3)
+                alternating_order((a, b, c), 3)
 
 
 class TestChains:
     def test_chain_values(self):
         # left from (c, 3ac - b), right from (b, 3ab - c)
-        assert chains(T(5, 2, 1), 3) == [[1, 13, 194, 2897], [2, 29, 433, 6466]]
-        assert chains(T(5, 2, 1), 0) == [[1], [2]]
+        assert chains((5, 2, 1), 3) == [[1, 13, 194, 2897], [2, 29, 433, 6466]]
+        assert chains((5, 2, 1), 0) == [[1], [2]]
         # the degenerate apexes have a single chain
-        assert chains(T(1, 1, 1), 3) == [[1, 2, 5, 13]]
-        assert chains(T(2, 1, 1), 3) == [[1, 5, 29, 169]]
+        assert chains((1, 1, 1), 3) == [[1, 2, 5, 13]]
+        assert chains((2, 1, 1), 3) == [[1, 5, 29, 169]]
 
     def test_chain_triples_are_solutions(self):
-        for xs in chains(T(13, 5, 1), 6):
+        for xs in chains((13, 5, 1), 6):
             assert len(xs) == 7
             # from x_1 on every chain value exceeds 13, the minimal entry of each node
             assert all(x > 13 for x in xs[1:])
@@ -104,7 +100,7 @@ class TestChains:
     def test_interleaving(self):
         # the helper's b > c and 3ac > 2b give L_i < R_i < L_{i+1}
         for t in enumerate_triples(10 ** 4):
-            if t.a < 5:
+            if t[0] < 5:
                 continue
             _, left_right, right_left, _ = descent_integers(t)
             assert left_right > 0 and right_left > 0
@@ -116,29 +112,27 @@ class TestChains:
         # the opening chain bc/a > ac/g1 > ab/f1 > a g1/g2 > a f1/f2 > a g2/g3:
         # each cross-multiplication is c times c^2 (the apex step), then a
         # times b^2 - c^2 and c(3ac - 2b) in turn
-        assert descent_integers(T(5, 2, 1)) == (25, 3, 11, 1)
-        assert descent_integers(T(13, 5, 1)) == (169, 24, 29, 1)
-        caps = [w for _, w in alternating_order(T(5, 2, 1), 3)[:6]]
+        assert descent_integers((5, 2, 1)) == (25, 3, 11, 1)
+        assert descent_integers((13, 5, 1)) == (169, 24, 29, 1)
+        caps = [w for _, w in alternating_order((5, 2, 1), 3)[:6]]
         assert caps == [(2, 5), (5, 13), (10, 29), (65, 194), (145, 433), (970, 2897)]
         assert [p[0] * q[1] - q[0] * p[1] for p, q in zip(caps, caps[1:])] == [
             1, 5 * 3, 5 * 11, 5 * 3, 5 * 11]
 
     def test_all_apexes_to_ten_thousand(self):
         for t in enumerate_triples(10 ** 4):
-            if t.a >= 5:
+            if t[0] >= 5:
                 assert min(descent_integers(t)) > 0
 
     def test_small_apex_rejected(self):
         # the one-chain apexes have b = c, so only a^2 and c^2 decide them;
         # any other apex with b = c is rejected
-        assert descent_integers(T(1, 1, 1)) == (1, 0, 1, 1)
-        assert descent_integers(T(2, 1, 1)) == (4, 0, 4, 1)
-        apex = object.__new__(T)
-        vars(apex).update(a=5, b=2, c=2)
+        assert descent_integers((1, 1, 1)) == (1, 0, 1, 1)
+        assert descent_integers((2, 1, 1)) == (4, 0, 4, 1)
         with pytest.raises(VerificationError, match=re.escape("(5,2,2)")):
-            descent_integers(apex)
+            descent_integers((5, 2, 2))
         with pytest.raises(ValueError):
-            chains(T(5, 2, 1), -1)
+            chains((5, 2, 1), -1)
 
     def test_descent_integers_are_the_chain_determinants(self):
         # degenerate apexes included: their single chain gives a^2 and c^2
@@ -169,7 +163,7 @@ class TestChains:
         # apexes included: (1,1,1) and (2,1,1) have a single chain
         for t in enumerate_triples(10 ** 4):
             for depth in range(9):
-                caps = [width(t)] + [Fraction(t.a * xs[i - 1], xs[i]).as_integer_ratio()
+                caps = [width(t)] + [Fraction(t[0] * xs[i - 1], xs[i]).as_integer_ratio()
                                      for i in range(1, depth + 1) for xs in chains(t, depth)]
                 assert caps == [w for _, w in alternating_order(t, depth)]
 
@@ -233,7 +227,7 @@ class TestSpectrumRows:
         _, apexes = markov_prefix(850)
         for apex in apexes:
             for k in range(1, 9):
-                full = [w for _, w in alternating_order(T(*apex), k + 1)
+                full = [w for _, w in alternating_order(apex, k + 1)
                         if w[0] >= apex[0] * apex[0]][:k]
                 assert _essential_capacities(apex, k) == tuple(full)
 
@@ -359,7 +353,7 @@ class TestIntegerForms:
 
         monkeypatch.setattr(Fraction, "__new__", refuse)  # any Fraction, built anywhere
         for t in enumerate_triples(10 ** 4):
-            if t.a >= 5:
+            if t[0] >= 5:
                 assert min(descent_integers(t)) > 0
         assert [len(row.ratios) for row in spectrum_rows(850, 6)] == [6] * 850
         report = ordered_prefix_complete_above((7, 20), 793)

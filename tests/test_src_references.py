@@ -10,7 +10,9 @@ is not a name read.  What every process loads (`import mbl.cli`) holds only
 what some module of that set reads, and no module imports `mbl.cli`.  No
 float can enter a decision: `src/` holds no float or complex literal, no
 `float()`, `round()` or `complex()` call, no `math` name but `gcd`, `lcm`
-and `isqrt`, and no true division outside the SVG layout.
+and `isqrt`, and no true division outside the SVG layout.  A triple has one
+form, the sorted int tuple: no line of `src/` names the class that once
+wrapped it.
 """
 
 import ast
@@ -192,3 +194,11 @@ def test_each_way_in_for_a_float_is_found():
     assert all(_inexact_sites("lattice", ast.parse(probe)) for probe in probes)
     assert _inexact_sites("svg", ast.parse("x = y / 2\nx /= 2")) == []
     assert _inexact_sites("lattice", ast.parse("math.gcd(x, math.lcm(y, math.isqrt(z)))")) == []
+
+
+def test_a_triple_has_one_form():
+    hits = [f"{path.relative_to(ROOT)}:{number}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if "MarkovTriple" in line]
+    assert hits == []
