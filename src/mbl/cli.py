@@ -7,18 +7,18 @@ argparse (with gettext and locale) loads only for help, usage errors and the
 argv that parse declines, through `build_parser`, which builds the same
 parser from the same table.  Neither converts a value: `main` reads each one
 `_VALUES` names, defaults included, with `mbl._integer` or `_rational`, checks
-a count's bound, then looks the handler up, so no handler checks a bound.  The
-handlers of the ordering commands (`irregularities`, `limits`, `complete`)
-live in `mbl.ordering`, which every process loads; the module holding any
-other is imported only when its command runs with values that pass:
-`mbl.commands` (the other table commands), `mbl.suites` (`verify`) or
-`mbl.svg` (`plot`).  No ordering command calls `mbl.lattice` or `mbl.oeis`:
-`_deferred` puts both in `sys.modules` unrun, and the first read of one of
-their names runs it.  `fractions` loads only to read or write a rational as
-text and `decimal` only to print a decimal, so `verify` loads neither.  The
-Markov walk behind the ordering commands hands out int triples, and `json`
-loads only for `--fixture` and `width --polygon`.  Exit codes and output
-helpers live in `mbl.report`.
+a count's bound, then looks the handler up, so no handler checks a bound.
+`import mbl.cli` runs only `mbl/__init__.py`, this module, `mbl.errors` and
+`mbl.report` (exit codes and output helpers).  `_deferred` puts `mbl.markov`,
+`capacity`, `ordering`, `lattice` and `oeis` in `sys.modules` unrun, and the
+first read of one of their names runs it.  The module holding a handler is
+imported only when its command runs with values that pass: `mbl.ordering`
+(`irregularities`, `limits`, `complete`), `mbl.commands` (the other table
+commands), `mbl.suites` (`verify`) or `mbl.svg` (`plot`); no ordering command
+calls `mbl.lattice` or `mbl.oeis`.  `fractions` loads only to read or write a
+rational as text and `decimal` only to print a decimal, so `verify` loads
+neither.  The Markov walk behind the ordering commands hands out int triples,
+and `json` loads only for `--fixture` and `width --polygon`.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from types import ModuleType, SimpleNamespace
 
 from . import _integer, _rational
 from .errors import VerificationError
-from .markov import sorted_triple
-from .ordering import cmd_complete, cmd_irregularities, cmd_limits
 from .report import EXIT_INTERRUPT, EXIT_IO, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFICATION
 
 
@@ -45,19 +43,19 @@ class _Deferred(ModuleType):
         return getattr(self, name)
 
 
-def _deferred(name: str) -> ModuleType:
-    """The module `mbl.<name>`: the one imported already, or else an unrun
-    one put in sys.modules and on the package, as an import would put it.
+def _deferred(name: str) -> None:
+    """Put the module `mbl.<name>`, unless imported already, unrun in
+    sys.modules and on the package, as an import would put it.
 
-    An import from it (`from .lattice import ...`) reads its `__spec__` and
-    so runs it; `from . import oeis` binds it unrun, to run at its first
-    use.  The bench tracer (perfbench/tracer.py) reads `vars()` of every
-    loaded `mbl` module before it re-binds, so it runs both before it wraps
-    their functions.
+    An import from it (`from .lattice import ...`) or of it (`_module`)
+    reads its `__spec__` and so runs it, with no line in `-X importtime`;
+    `from . import oeis` binds it unrun.  The bench tracer
+    (perfbench/tracer.py) reads `vars()` of every loaded `mbl` module
+    before it re-binds, so it runs each before it wraps their functions.
     """
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
-        return sys.modules[fullname]
+        return
     package = sys.modules[__package__]
     spec = importlib.machinery.PathFinder.find_spec(fullname, package.__path__)
     module = ModuleType(fullname)
@@ -66,12 +64,11 @@ def _deferred(name: str) -> ModuleType:
     module.__class__ = _Deferred
     sys.modules[fullname] = module
     setattr(package, name, module)
-    return module
 
 
-# Registered unrun: no ordering command calls either (see _deferred).
-_deferred("lattice")
-_deferred("oeis")
+# Registered unrun: every module whose functions the bench tracer wraps.
+for _name in ("markov", "capacity", "ordering", "lattice", "oeis"):
+    _deferred(_name)
 
 
 def _parse_triple(flag: str, text: str) -> tuple[int, int, int]:
@@ -81,7 +78,7 @@ def _parse_triple(flag: str, text: str) -> tuple[int, int, int]:
         raise ValueError(f"{flag} expects integers a,b,c, got {text!r}") from None
     if len(values) != 3:
         raise ValueError(f"{flag} expects three entries, got {text!r}")
-    return sorted_triple(*values)
+    return _module("markov").sorted_triple(*values)
 
 
 def _parse_rational(flag: str, text: str) -> tuple[int, int]:
@@ -139,7 +136,7 @@ _COMMANDS = {
                   ("--triple", {"required": True}),
                   ("--depth", {"default": "3"}))),
     "irregularities": ("scan the juxtaposition inequality", _FORMATS,
-                       lambda: cmd_irregularities, (
+                       lambda: _module("ordering").cmd_irregularities, (
                            ("--n-max", {"default": "450"}),
                            ("--fixture", {"action": "store_true"}))),
     "triangle": ("base triangle data for a triple", _FORMATS,
@@ -150,11 +147,11 @@ _COMMANDS = {
                   ("--triple", {}),
                   ("--polygon", {}))),
     "limits": ("per-sequence limits and Lagrange values", _FORMATS,
-               lambda: cmd_limits, (
+               lambda: _module("ordering").cmd_limits, (
                    ("--n", {"default": "10"}),
                    ("--k", {}))),
     "complete": ("certify the ordered prefix above a threshold", ("text", "json"),
-                 lambda: cmd_complete, (
+                 lambda: _module("ordering").cmd_complete, (
                      ("--threshold", {"required": True}),
                      ("--n-max", {"default": "450"}))),
     "verify": ("run invariant suites", ("text", "json"),

@@ -244,13 +244,16 @@ def _suite_markov(config: SimpleNamespace):
         except ValueError:
             failures.setdefault("mutation-closure", f"{triple_text(t)} {kind.name}")
 
+    # the likely inverse first: max undoes min and mid, and mid or min undoes max
+    undo_max = (MutationKind.ELIMINATE_MID, MutationKind.ELIMINATE_MIN, MutationKind.ELIMINATE_MAX)
     for t in triples:
         degenerate = t in ((1, 1, 1), (2, 1, 1))
         for kind in MutationKind:
             child = mutated(t, kind)
             if child is None:
                 continue
-            if not any(mutated(child, back) == t for back in MutationKind):
+            backs = undo_max if kind is MutationKind.ELIMINATE_MAX else reversed(undo_max)
+            if not any(mutated(child, back) == t for back in backs):
                 failures.setdefault("mutation-involution", f"{triple_text(t)} {kind.name}")
             # min and mid raise the maximum; max lowers it below the degenerate apexes
             if not (degenerate or child[0] < t[0] if kind is MutationKind.ELIMINATE_MAX

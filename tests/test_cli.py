@@ -467,7 +467,7 @@ def test_running_out_is_one_line_and_exit_4(capsys, monkeypatch, error, resource
         print("partial row")
         raise error()
 
-    monkeypatch.setattr(mbl.cli, "cmd_limits", exhausted)
+    monkeypatch.setattr(mbl.ordering, "cmd_limits", exhausted)
     assert run(capsys, "limits", "--n", "3") == (
         4, "partial row\n", f"mbl: limits ran out of {resource}\n")
 
@@ -477,7 +477,7 @@ def test_an_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
         raise KeyboardInterrupt
 
     exits = []
-    monkeypatch.setattr(mbl.cli, "cmd_limits", interrupted)
+    monkeypatch.setattr(mbl.ordering, "cmd_limits", interrupted)
     monkeypatch.setattr(mbl.cli.os, "_exit", exits.append)
     monkeypatch.setattr(sys, "set_int_max_str_digits", lambda digits: None, raising=False)
     monkeypatch.setattr(sys, "argv", ["mbl", "limits", "--n", "3"])
@@ -502,19 +502,21 @@ def test_a_process_out_of_memory_exits_4():
 
 def test_a_refused_value_loads_no_handler_module():
     # main parses every value and checks every count before it imports the
-    # module holding the handler
+    # module holding the handler, and runs none of the deferred modules
     probe = ("import sys, mbl.cli\n"
              "print(mbl.cli.main(['widths', '--triple', '1,x,1']),\n"
              "      mbl.cli.main(['plot', '--figure', 'triangle', '--triple', '1,x,1']),\n"
              "      mbl.cli.main(['verify', '--max-bound', '0']),\n"
              "      mbl.cli.main(['triples', '--max-bound', '0']),\n"
-             "      mbl.cli.main(['plot', '--figure', 'order5', '--depth', '-1']))\n"
-             "print(sorted({'mbl.commands', 'mbl.suites', 'mbl.svg'} & set(sys.modules)),\n"
-             "      type(sys.modules['mbl.lattice']) is mbl.cli._Deferred)")
+             "      mbl.cli.main(['plot', '--figure', 'order5', '--depth', '-1']),\n"
+             "      mbl.cli.main(['limits', '--n', 'x']),\n"
+             "      mbl.cli.main(['complete', '--threshold', 'abc', '--n-max', '10']))\n"
+             "print(sorted({'mbl.commands', 'mbl.suites', 'mbl.svg'} & set(sys.modules)))\n"
+             + _PRINT_RAN)
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "2 2 2 2 2\n[] True\n"
+    assert result.stdout == "2 2 2 2 2 2 2\n[]\n\n"
 
 
 def test_depth_is_refused_whatever_the_figure(capsys):
@@ -560,19 +562,20 @@ def test_import_leaves_the_network_stack_unloaded():
 # imported before it (python -S).  An interpreter whose site imports more at
 # start loads a subset of these.
 _IMPORT_CLOSURE = frozenset("""
-    __future__ _bisect _collections _collections_abc _functools _heapq _json
-    _operator _stat bisect collections collections.abc functools genericpath
-    heapq importlib importlib._bootstrap importlib._bootstrap_external
-    importlib.machinery itertools keyword math mbl mbl.capacity mbl.cli
-    mbl.errors mbl.lattice mbl.markov mbl.oeis mbl.ordering mbl.report operator
-    os os.path posixpath reprlib stat types warnings
+    __future__ _collections _collections_abc _json _operator _stat collections
+    collections.abc genericpath importlib importlib._bootstrap
+    importlib._bootstrap_external importlib.machinery itertools keyword mbl
+    mbl.capacity mbl.cli mbl.errors mbl.lattice mbl.markov mbl.oeis
+    mbl.ordering mbl.report operator os os.path posixpath reprlib stat types
+    warnings
 """.split())
 
 # A probe's line naming the deferred modules that have run in its process:
 # one that has run holds its functions.  object.__getattribute__ reads the
 # namespace without running the module.
-_PRINT_RAN = ("print(*[name for name, fn in (('mbl.lattice', 'lattice_width'), "
-              "('mbl.oeis', 'load_bfile')) "
+_PRINT_RAN = ("print(*[name for name, fn in (('mbl.markov', 'sorted_triple'), "
+              "('mbl.capacity', 'width'), ('mbl.ordering', 'cmd_limits'), "
+              "('mbl.lattice', 'lattice_width'), ('mbl.oeis', 'load_bfile')) "
               "if fn in object.__getattribute__(sys.modules[name], '__dict__')])")
 
 
@@ -581,11 +584,12 @@ def test_import_loads_no_unused_machinery():
     # (with gettext and locale) and every handler module outside mbl.cli
     # (commands, suites, svg) serve few commands and load inside them;
     # argparse only for help, usage errors and argv the plain parse declines.
-    # mbl.lattice and mbl.oeis are in sys.modules but have not run: the bench
-    # tracer (perfbench/tracer.py, install) re-binds its traced functions only
-    # in modules already loaded, and its vars() of each runs it; a handler
-    # module's import runs them too.  fractions and decimal (with numbers)
-    # load only to read or write a rational as text or to print a decimal
+    # mbl.markov, capacity, ordering, lattice and oeis are in sys.modules but
+    # have not run: the bench tracer (perfbench/tracer.py, install) re-binds
+    # its traced functions only in modules already loaded, and its vars() of
+    # each runs it; a handler module's import runs them too.  fractions and
+    # decimal (with numbers) load only to read or write a rational as text or
+    # to print a decimal
     probe = ("import sys; before = set(sys.modules); import mbl.cli\n"
              "print(*sorted(set(sys.modules) - before))\n" + _PRINT_RAN)
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
@@ -604,14 +608,19 @@ def test_import_loads_no_unused_machinery():
         assert loaded <= _IMPORT_CLOSURE
 
 
+#: The deferred modules an ordering command runs, and those a lattice call adds.
+_ORDERING = "mbl.markov mbl.capacity mbl.ordering"
+_LATTICE = _ORDERING + " mbl.lattice"
+
+
 @pytest.mark.parametrize("argv, ran, unloaded", [
-    ("limits --n 40 --format json", "", {"fractions"}),
-    ("irregularities --n-max 450", "", {"fractions", "decimal"}),
-    ("irregularities --n-max 450 --fixture", "", {"fractions", "decimal"}),
-    ("complete --threshold 7/20 --n-max 450", "", set()),
-    ("verify --suite lattice --max-bound 30", "mbl.lattice", {"fractions", "decimal"}),
-    ("verify --max-bound 10000 --n-max 120", "mbl.lattice mbl.oeis", {"fractions", "decimal"}),
-    ("width --triple 5,2,1", "mbl.lattice", set()),
+    ("limits --n 40 --format json", _ORDERING, {"fractions"}),
+    ("irregularities --n-max 450", _ORDERING, {"fractions", "decimal"}),
+    ("irregularities --n-max 450 --fixture", _ORDERING, {"fractions", "decimal"}),
+    ("complete --threshold 7/20 --n-max 450", _ORDERING, set()),
+    ("verify --suite lattice --max-bound 30", _LATTICE, {"fractions", "decimal"}),
+    ("verify --max-bound 10000 --n-max 120", _LATTICE + " mbl.oeis", {"fractions", "decimal"}),
+    ("width --triple 5,2,1", _LATTICE, set()),
 ], ids=["limits", "irregularities", "irregularities-fixture", "complete", "verify-lattice",
         "verify", "width"])
 def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unloaded):
@@ -684,8 +693,9 @@ def test_import_mbl_loads_no_submodule():
 def _imported_by_process(*argv):
     # every module a `python -m mbl.cli` process imports through `__import__`,
     # which -X importtime logs: by import statements (argparse, gettext and
-    # locale too) and by `cli._module` (the handler modules); not `mbl.lattice`
-    # or `mbl.oeis`, which `cli._deferred` runs in place
+    # locale too) and by `cli._module` (the handler modules); not the modules
+    # `cli._deferred` registers (markov, capacity, ordering, lattice and oeis),
+    # which run in place
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-X", "importtime", "-m", "mbl.cli", *argv],
                             env=env, capture_output=True, text=True)
@@ -700,7 +710,7 @@ def _imported_by_process(*argv):
 ])
 def test_well_formed_runs_load_no_argparse(argv):
     imported = _imported_by_process(*argv)
-    assert "mbl.ordering" in imported  # the probe sees the process's imports
+    assert "mbl.report" in imported  # the probe sees the process's imports
     assert imported & {"argparse", "gettext", "locale"} == set()
 
 
@@ -1709,6 +1719,16 @@ class TestVerifyAndComplete:
             "PASS  markov:uniqueness",
             "FAILURES above",
         ]
+
+    def test_the_involution_tries_the_likely_inverse_first(self, capsys, monkeypatch):
+        # max undoes min and mid, and mid or min undoes max: 5,656 calls for
+        # the 893 triples below 10^30, where trying every kind in order made 9,526
+        calls = []
+        real = mbl.suites.mutate
+        monkeypatch.setattr(mbl.suites, "mutate", lambda t, kind: calls.append(t) or real(t, kind))
+        code, out, _ = run(capsys, "verify", "--suite", "markov",
+                           "--max-bound", str(PAST_THE_OLD_CAPS))
+        assert code == 0 and len(calls) == 5656
 
     @pytest.mark.parametrize(
         "suite, check, name, broken, witness, bound", _BROKEN_CHECKS,

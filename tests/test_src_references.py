@@ -18,6 +18,7 @@ wrapped it.
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -106,16 +107,26 @@ def test_no_module_imports_cli():
 
 
 def test_cli_holds_only_the_front_end():
-    # the handlers live beside what they render: cli.py defines none, takes
-    # the ordering ones from mbl.ordering by name, reads nothing of
-    # mbl.capacity, and only ordering.py reads the span catalogue
+    # the handlers live beside what they render: cli.py defines none, imports
+    # no name of the modules it defers (markov, capacity, ordering, lattice,
+    # oeis), reaches every handler as `_module(name).cmd_...`, reads nothing
+    # of mbl.capacity, and only ordering.py reads the span catalogue
     modules = dict(_modules())
     cli = modules["cli"]
     assert [node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)
             and node.name.startswith("cmd_")] == []
-    imported = {node.module: {alias.name for alias in node.names}
-                for node in ast.walk(cli) if isinstance(node, ast.ImportFrom) and node.level}
-    assert imported["ordering"] == {"cmd_complete", "cmd_irregularities", "cmd_limits"}
+    imported = {node.module for node in ast.walk(cli)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert imported & {"markov", "capacity", "ordering", "lattice", "oeis"} == set()
+    table = next(node.value for node in cli.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_COMMANDS")
+    reads = {key.value: re.fullmatch(r"lambda: _module\('(\w+)'\)\.(\w+)",
+                                     ast.unparse(entry.elts[2]))
+             for key, entry in zip(table.keys, table.values)}
+    assert None not in reads.values()
+    assert {command: read[2] for command, read in reads.items() if read[1] == "ordering"} == {
+        "irregularities": "cmd_irregularities", "limits": "cmd_limits",
+        "complete": "cmd_complete"}
     capacity_names = {stmt.name for stmt in modules["capacity"].body
                       if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
     assert "capacity" not in _imported_modules("cli", cli) | _read_names(cli)

@@ -4,8 +4,9 @@ tracer must still count its calls.
 `perfbench/tracer.py` re-binds each entry of its TRACED table when a run
 asks for per-layer numbers; a missing name would break only those runs, and
 the tier-1 suite does not collect `perfbench/`.  It re-binds only in `mbl`
-modules loaded when it installs, so `mbl.cli` registers `mbl.lattice` and
-`mbl.oeis` unrun, and the tracer's `vars()` runs them.
+modules loaded when it installs, so `mbl.cli` registers every module it
+wraps (`mbl.markov`, `capacity`, `ordering`, `lattice`, `oeis`) unrun, and
+the tracer's `vars()` runs them.
 """
 
 import importlib
@@ -43,17 +44,21 @@ def test_every_traced_name_resolves():
 
 
 # Span counts of the tracer's own run (`python perfbench/tracer.py`), as the
-# parent of the deferred `mbl.lattice` and `mbl.oeis` gave them: a traced
-# owner that `install` could not see would count 0 calls.
+# code before any deferred module gave them: a traced owner that `install`
+# could not see would count 0 calls.
 _TRACED_COUNTS = [
     (("verify", "--suite", "lattice", "--max-bound", "30"),
      {"lattice.lattice_width.calls": 48, "lattice.width_along.calls": 644}),
     (("verify", "--suite", "ingest"),
      {"oeis.load_bfile.calls": 3, "oeis.cross_check.calls": 3}),
+    (("limits", "--n", "40"), {"ordering.spectrum_rows.calls": 1}),
+    (("irregularities", "--n-max", "450"),
+     {"ordering.find_irregularities.calls": 1, "ordering.verify_swap_pattern.calls": 17}),
 ]
 
 
-@pytest.mark.parametrize("argv, counts", _TRACED_COUNTS, ids=["lattice", "ingest"])
+@pytest.mark.parametrize("argv, counts", _TRACED_COUNTS,
+                         ids=["lattice", "ingest", "limits", "irregularities"])
 def test_tracer_counts_the_deferred_modules(tmp_path, argv, counts):
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.__file__).parents[1]))
