@@ -7,7 +7,9 @@ Depths are read on ints: `triples` gives each row its parent's depth plus
 one, and `subtree` finds its apex and its depth in one `ancestors` climb.
 Each table is its JSON rows, and its text and CSV cells are read off them;
 `triangle` and `width` render their text from their payload.  So each
-width converts to digits once and previews once, from those digits.
+width converts to digits once and previews once, from those digits.  Only
+`triangle` and `width` import `mbl.lattice`, and only `order` imports
+`mbl.ordering`: the other commands run neither.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from types import SimpleNamespace
 
 from . import oeis
 from .capacity import _preview, _ratio_text, capacity_to_json, width
-from .lattice import LatticePolygon, central_point, lattice_width, vianna_triangle
 from .markov import ancestors, enumerate_triples, triple_json, triple_text, wedge
-from .ordering import alternating_order
 from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report, _table
 
 _PAPER_TABLE = ((2, 1, 1), (5, 2, 1), (13, 5, 1), (29, 5, 2), (433, 29, 5))
@@ -72,6 +72,7 @@ def cmd_subtree(config: SimpleNamespace) -> int:
 
 
 def cmd_order(config: SimpleNamespace) -> int:
+    from .ordering import alternating_order
     return _emit_rows(
         config, ["rank", "triple", "width", "decimal"],
         [{"rank": rank, "triple": triple_json(t), "width": capacity_to_json(w)} for rank, (t, w)
@@ -84,22 +85,24 @@ def cmd_order(config: SimpleNamespace) -> int:
 
 def cmd_triangle(config: SimpleNamespace) -> int:
     from fractions import Fraction  # the lengths and coordinates it prints reduce here
+    from .lattice import central_point, edges, lattice_width, polygon_json, vianna_triangle
     tri = vianna_triangle(config.triple)
-    value, xi = lattice_width(tri.polygon)
-    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    value, xi = lattice_width(tri)
+    den, (_, (ell, _), (t, h)) = tri
+    u = t // config.triple[2] ** 2  # t = uc/(ab) scales by D = abc to uc^2
     ell, h, t, lam = (str(Fraction(x, den)) for x in (ell, h, t, 1))
     payload = {
         "command": "triangle",
         "triple": triple_json(config.triple),
-        "vertices": tri.polygon.to_json(),
+        "vertices": polygon_json(tri),
         "ell": ell,
         "h": h,
         "t": t,
         "lam": lam,
-        "u": tri.u,
+        "u": u,
         "edges": [{"direction": [dx, dy], "affine_length": str(Fraction(g, den))}
-                  for dx, dy, g in tri.edges],
-        "central_point": [str(Fraction(*c)) for c in central_point(tri)],
+                  for dx, dy, g in edges(tri)],
+        "central_point": [str(Fraction(*c)) for c in central_point(tri, config.triple)],
         "lattice_width": capacity_to_json(value),
         "minimizer": list(xi),
     }
@@ -119,14 +122,15 @@ def cmd_triangle(config: SimpleNamespace) -> int:
 def cmd_width(config: SimpleNamespace) -> int:
     if (config.triple is None) == (config.polygon is None):
         raise ValueError("width needs exactly one of --triple or --polygon")
+    from .lattice import lattice_width, polygon_from_json, polygon_json, vianna_triangle
     if config.triple is not None:
-        polygon = vianna_triangle(config.triple).polygon
+        polygon = vianna_triangle(config.triple)
         source = {"triple": triple_json(config.triple)}
     else:
         import json  # only a polygon file is read as JSON
         try:
             with open(config.polygon, "r") as handle:
-                polygon = LatticePolygon.from_json(json.load(handle))
+                polygon = polygon_from_json(json.load(handle))
         except (ValueError, RecursionError) as exc:  # JSON, UTF-8 and vertex refusals
             raise ValueError(f"bad polygon file {config.polygon}: {exc}") from None
         source = {"polygon_file": config.polygon}
@@ -135,7 +139,7 @@ def cmd_width(config: SimpleNamespace) -> int:
     payload = {
         "command": "width",
         **source,
-        "vertices": polygon.to_json(),
+        "vertices": polygon_json(polygon),
         "lattice_width": pair,
         "minimizer": list(xi),
         "preview": _preview(pair),

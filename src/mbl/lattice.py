@@ -6,70 +6,71 @@ associated base triangle has area 1/2, integral affine perimeter 3 (this is
 the Markov equation in disguise), edges of affine length a^2/(abc),
 b^2/(abc), c^2/(abc), and lattice width bc/a realized by xi = (0, 1) in the
 normal form used here.  All geometry is exact and has one form: a polygon
-is built from and held as (D, its vertices times D), D the lcm of the vertex
-denominators, and widths, convexity and the base-triangle checks run on
-those ints, and widths and central points come back as reduced (num, den)
-pairs.  `fractions` loads only to print `vertices` and in `mbl._rational`.
+is the checked int tuple (D, its vertices times D) that `convex_polygon`
+returns, D the lcm of the vertex denominators, as a triple is the sorted
+int tuple `markov.sorted_triple` returns; a base triangle is its polygon.
+Widths, convexity and the base-triangle checks run on those ints, and
+widths and central points come back as reduced (num, den) pairs.
+`fractions` loads only in `vertices`, to print, and in `mbl._rational`.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 from . import _rational
-from .errors import VerificationError, _Record
+from .errors import VerificationError
 from .markov import triple_text
 
+#: (D, the counterclockwise vertices times D), D the lcm of their denominators.
+Polygon = tuple[int, tuple[tuple[int, int], ...]]
 
-class LatticePolygon(_Record):
-    """Convex polygon with rational vertices, counterclockwise, no three
-    collinear, held in integer form: `scaled` is (D, the vertices times D),
-    D the lcm of the vertex denominators.  This form is canonical, so it
-    alone decides equality and the hash."""
 
-    scaled: tuple[int, tuple[tuple[int, int], ...]]
+def convex_polygon(den: int, points) -> Polygon:
+    """The polygon with the integer vertices `points` divided by den > 0,
+    checked: at least 3 vertices, no two equal, strictly convex and
+    counterclockwise.  The common gcd is divided out and the vertices
+    checked on ints, so a float or any other non-int coordinate raises
+    TypeError."""
+    if den <= 0:
+        raise ValueError("the denominator must be positive")
+    g = math.gcd(den, *(c for p in points for c in p))
+    scaled = tuple((x // g, y // g) for x, y in points)
+    n = len(scaled)
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    if len(set(scaled)) != n:
+        raise ValueError("duplicate vertices")
+    vectors = _edge_vectors(scaled)
+    for (ax, ay), (bx, by) in zip(vectors, vectors[1:] + vectors[:1]):
+        if ax * by - ay * bx <= 0:
+            raise ValueError(
+                "vertices must be strictly convex counterclockwise"
+            )
+    return den // g, scaled
 
-    def __init__(self, den: int, points):
-        """The polygon with the integer vertices `points` divided by den > 0;
-        the common gcd is divided out and the vertices checked on ints, so a
-        float or any other non-int coordinate raises TypeError."""
-        if den <= 0:
-            raise ValueError("the denominator must be positive")
-        g = math.gcd(den, *(c for p in points for c in p))
-        scaled = tuple((x // g, y // g) for x, y in points)
-        n = len(scaled)
-        if n < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        if len(set(scaled)) != n:
-            raise ValueError("duplicate vertices")
-        edges = _edge_vectors(scaled)
-        for (ax, ay), (bx, by) in zip(edges, edges[1:] + edges[:1]):
-            if ax * by - ay * bx <= 0:
-                raise ValueError(
-                    "vertices must be strictly convex counterclockwise"
-                )
-        self.__dict__["scaled"] = (den // g, scaled)
 
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        from fractions import Fraction  # a view to print and draw; decisions read `scaled`
-        den, pts = self.scaled
-        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts)
+def vertices(polygon: Polygon) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The vertices as Fractions: a view to print and draw; decisions read the ints."""
+    from fractions import Fraction
+    den, pts = polygon
+    return tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts)
 
-    def to_json(self) -> list:
-        return [[str(x), str(y)] for x, y in self.vertices]
 
-    @classmethod
-    def from_json(cls, obj) -> "LatticePolygon":
-        """A list of [x, y] pairs of ints or rational strings; no floats."""
-        if type(obj) is not list or any(type(v) is not list or len(v) != 2 for v in obj):
-            raise ValueError("a polygon file must be a JSON list of [x, y] pairs")
-        coords = [_exact(c) for v in obj for c in v]
-        den = math.lcm(*(d for _, d in coords))
-        ints = [n * (den // d) for n, d in coords]
-        return cls(den, list(zip(ints[::2], ints[1::2])))
+def polygon_json(polygon: Polygon) -> list:
+    return [[str(x), str(y)] for x, y in vertices(polygon)]
+
+
+def polygon_from_json(obj) -> Polygon:
+    """A list of [x, y] pairs of ints or rational strings; no floats."""
+    if type(obj) is not list or any(type(v) is not list or len(v) != 2 for v in obj):
+        raise ValueError("a polygon file must be a JSON list of [x, y] pairs")
+    coords = [_exact(c) for v in obj for c in v]
+    den = math.lcm(*(d for _, d in coords))
+    ints = [n * (den // d) for n, d in coords]
+    return convex_polygon(den, list(zip(ints[::2], ints[1::2])))
 
 
 def _edge_vectors(points) -> list[tuple[int, int]]:
@@ -94,17 +95,17 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def width_along(polygon: LatticePolygon, xi: tuple[int, int]) -> int:
+def width_along(polygon: Polygon, xi: tuple[int, int]) -> int:
     """Support-function spread max <x' - x, xi> in units of 1/D, D the lcm
-    of the vertex denominators (`polygon.scaled`); symmetric in xi -> -xi."""
+    of the vertex denominators (`polygon[0]`); symmetric in xi -> -xi."""
     if xi == (0, 0):
         raise ValueError("direction must be nonzero")
     p, q = xi
-    values = [x * p + y * q for x, y in polygon.scaled[1]]
+    values = [x * p + y * q for x, y in polygon[1]]
     return max(values) - min(values)
 
 
-def lattice_width(polygon: LatticePolygon) -> tuple[tuple[int, int], tuple[int, int]]:
+def lattice_width(polygon: Polygon) -> tuple[tuple[int, int], tuple[int, int]]:
     """Exact lattice width, a reduced pair, and its lexicographically least minimizer.
 
     F(xi) = width_along(polygon, xi), the spread times D (the lcm of the
@@ -132,7 +133,7 @@ def lattice_width(polygon: LatticePolygon) -> tuple[tuple[int, int], tuple[int, 
     """
 
     norm = cache(partial(width_along, polygon))  # each direction is measured once
-    edges = _edge_vectors(polygon.scaled[1])
+    edges = _edge_vectors(polygon[1])
 
     def reduce(b1, b2):  # b2 - mu*b1 at the least mu that minimizes F(b2 - mu*b1)
         mus = sorted({(ex * b2[0] + ey * b2[1]) // d + k for ex, ey in edges
@@ -148,74 +149,64 @@ def lattice_width(polygon: LatticePolygon) -> tuple[tuple[int, int], tuple[int, 
                   ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2))]
     value, xi = min((norm(v), v) for p, q in candidates  # in the upper half-plane
                     for v in [(p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)])
-    return _reduced(value, polygon.scaled[0]), xi
+    return _reduced(value, polygon[0]), xi
 
 
-class ViannaTriangle(_Record):
-    """Base triangle of a Markov triple in the normal form with its longest
+def vianna_triangle(triple: tuple[int, int, int], u: int | None = None) -> Polygon:
+    """Normal-form base triangle of a Markov triple, checked: its longest
     edge on the x-axis from (0,0) to (ell, 0) and apex at (t, h).
 
     The triple (a, b, c) and the integer u fix it: ell = a/(bc), h = bc/a and
     t = uc/(ab).  Always has area 1/2, affine perimeter 3, h * ell = 1, and
     edge lengths lam*a^2, lam*b^2, lam*c^2 with lam = 1/(abc).  Its integer
     form scales by D = abc, the lcm of the vertex denominators:
-    (0,0), (a^2, 0), (uc^2, b^2c^2).  So the checks below run on ints: twice
-    the area is D^2, the edge gcds are a^2, b^2, c^2 in some order, and
-    their sum is 3D.
-    """
-
-    triple: tuple[int, int, int]
-    u: int
-
-    def __post_init__(self):
-        den, (_, (x1, y1), (x2, y2)) = self.polygon.scaled
-        if x1 * y2 - x2 * y1 != den * den:
-            raise VerificationError(f"area != 1/2 for {triple_text(self.triple)}")
-        lengths = sorted(g for *_, g in self.edges)
-        if lengths != sorted(x * x for x in self.triple):
-            raise VerificationError(f"edge lengths off for {triple_text(self.triple)}")
-        if sum(lengths) != 3 * den:
-            raise VerificationError(f"perimeter != 3 for {triple_text(self.triple)}")
-
-    @cached_property
-    def polygon(self) -> LatticePolygon:
-        a, b, c = self.triple
-        return LatticePolygon(a * b * c, ((0, 0), (a * a, 0), (self.u * c * c, b * b * c * c)))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(dx, dy, g) per edge: the primitive direction and g = D times the
-        affine length, from the integer form."""
-        return tuple((dx // g, dy // g, g) for dx, dy in _edge_vectors(self.polygon.scaled[1])
-                     for g in [math.gcd(dx, dy)])
-
-
-def vianna_triangle(triple: tuple[int, int, int]) -> ViannaTriangle:
-    """Normal-form base triangle for a Markov triple.
+    (0,0), (a^2, 0), (uc^2, b^2c^2), which gcd(abc, a^2, b^2c^2) = 1 leaves
+    unreduced.  So the checks below run on ints: twice the area is D^2, the
+    edge gcds are a^2, b^2, c^2 in some order, and their sum is 3D.
 
     The origin-side slant edge is lam*c^2 times the primitive vector
-    (u, b^2), which forces u*c^2 = a^2 (mod b^2); the least nonnegative
-    residue is taken.  Any residue gives a unimodularly equivalent triangle,
-    so every verified quantity is independent of this choice.
+    (u, b^2), which forces u*c^2 = a^2 (mod b^2); by default the least
+    nonnegative residue is taken.  Any residue gives a unimodularly
+    equivalent triangle, so every verified quantity is independent of this
+    choice.
     """
     a, b, c = triple
-    return ViannaTriangle(triple, a * a * pow(c, -2, b * b) % (b * b))
+    if u is None:
+        u = a * a * pow(c, -2, b * b) % (b * b)
+    tri = convex_polygon(a * b * c, ((0, 0), (a * a, 0), (u * c * c, b * b * c * c)))
+    den, (_, (x1, y1), (x2, y2)) = tri
+    if x1 * y2 - x2 * y1 != den * den:
+        raise VerificationError(f"area != 1/2 for {triple_text(triple)}")
+    lengths = sorted(g for *_, g in edges(tri))
+    if lengths != sorted(x * x for x in triple):
+        raise VerificationError(f"edge lengths off for {triple_text(triple)}")
+    if sum(lengths) != 3 * den:
+        raise VerificationError(f"perimeter != 3 for {triple_text(triple)}")
+    return tri
 
 
-def _inner_normals(tri: ViannaTriangle) -> list[tuple[int, int, int]]:
+def edges(polygon: Polygon) -> tuple[tuple[int, int, int], ...]:
+    """(dx, dy, g) per edge: the primitive direction and g = D times the
+    affine length, from the integer form."""
+    return tuple((dx // g, dy // g, g) for dx, dy in _edge_vectors(polygon[1])
+                 for g in [math.gcd(dx, dy)])
+
+
+def _inner_normals(tri: Polygon) -> list[tuple[int, int, int]]:
     """Primitive inner normal n and D times the support value min <n, .>
-    per edge, D = abc the scale of the integer form.
+    per edge, D the scale of the integer form (abc for a base triangle).
 
     Edge i leaves vertex p along the primitive direction (dx, dy); the
-    triangle is counterclockwise, so n = (-dy, dx) points inward and the
+    polygon is counterclockwise, so n = (-dy, dx) points inward and the
     minimum of <n, .> is taken at p itself.
     """
-    return [(-dy, dx, dx * py - dy * px)
-            for (px, py), (dx, dy, _) in zip(tri.polygon.scaled[1], tri.edges)]
+    return [(-dy, dx, dx * py - dy * px) for (px, py), (dx, dy, _) in zip(tri[1], edges(tri))]
 
 
-def central_point(tri: ViannaTriangle) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The point at integral affine distance 1/3 from all three edges, as reduced pairs.
+def central_point(tri: Polygon, triple: tuple[int, int, int]
+                  ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The point at integral affine distance 1/3 from all three edges of the
+    base triangle `tri` of `triple`, as reduced pairs.
 
     Affine distance to an edge is <n, x> - min <n, .> for the primitive
     inner normal n.  Two edges determine the point; the third equation is
@@ -223,7 +214,7 @@ def central_point(tri: ViannaTriangle) -> tuple[tuple[int, int], tuple[int, int]
     Scaled by 3D, the equations read <n, 3D x> = 3s + D, s the scaled
     support value, so the point is solved and checked on ints.
     """
-    den = tri.polygon.scaled[0]
+    den = tri[0]
     (a0, b0, s0), (a1, b1, s1), (a2, b2, s2) = _inner_normals(tri)
     det = a0 * b1 - a1 * b0  # > 0: the inner normals turn counterclockwise, as the edges do
     r0, r1 = 3 * s0 + den, 3 * s1 + den
@@ -231,6 +222,6 @@ def central_point(tri: ViannaTriangle) -> tuple[tuple[int, int], tuple[int, int]
     y = a0 * r1 - a1 * r0
     if a2 * x + b2 * y != (3 * s2 + den) * det:
         raise VerificationError(
-            f"no point at affine distance 1/3 from all edges of {triple_text(tri.triple)}"
+            f"no point at affine distance 1/3 from all edges of {triple_text(triple)}"
         )
     return _reduced(x, 3 * den * det), _reduced(y, 3 * den * det)

@@ -49,21 +49,21 @@ from .capacity import (
     surd_text,
     width,
 )
-from .errors import VerificationError, _Record
+from .errors import VerificationError
 from .markov import chains, markov_prefix, wedge
 from .report import EXIT_OK, EXIT_VERIFICATION, _emit_rows, _report
 
 
-class SpectrumRow(_Record):
+class SpectrumRow:
     """Ordering data for one essential sequence: `ratios` holds the first
     capacities as (num, den) pairs; the limit and the Lagrange number are
     `closed_forms(m)`."""
 
-    n: int
-    m: int
-    apex: tuple[int, int, int]
-    b: int
-    ratios: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "m", "apex", "b", "ratios")
+
+    def __init__(self, n: int, m: int, apex: tuple[int, int, int], b: int,
+                 ratios: tuple[tuple[int, int], ...]):
+        self.n, self.m, self.apex, self.b, self.ratios = n, m, apex, b, ratios
 
     @property
     def degenerate(self) -> bool:

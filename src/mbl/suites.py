@@ -21,13 +21,13 @@ from types import SimpleNamespace
 
 from . import oeis
 from .capacity import _sign, closed_forms, width
-from .errors import VerificationError, _Record
+from .errors import VerificationError
 from .lattice import (
-    LatticePolygon,
-    ViannaTriangle,
+    Polygon,
     _inner_normals,
     _reduced,
     central_point,
+    convex_polygon,
     lattice_width,
     vianna_triangle,
 )
@@ -129,36 +129,27 @@ def _above_limit(num: int, den: int, m: int) -> bool:
     return _sign(2 * num - 3 * mm * den, m * den, 9 * mm - 4) > 0
 
 
-class UnimodularMap(_Record):
-    """x -> M x + v, M an integer matrix of determinant +-1, v = (tx, ty) as (num, den) pairs."""
-
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-    tx: tuple[int, int]
-    ty: tuple[int, int]
-
-    def __post_init__(self):
-        if abs(self.m00 * self.m11 - self.m01 * self.m10) != 1:
-            raise ValueError("matrix must have determinant +-1")
-
-    def apply(self, polygon: LatticePolygon) -> LatticePolygon:
-        # integer products on the polygon's integer form, over one common
-        # denominator of D and the translation
-        den, scaled = polygon.scaled
-        (txn, txd), (tyn, tyd) = self.tx, self.ty
-        common = math.lcm(den, txd, tyd)
-        k = common // den
-        sx, sy = txn * (common // txd), tyn * (common // tyd)
-        pts = [((self.m00 * x + self.m01 * y) * k + sx, (self.m10 * x + self.m11 * y) * k + sy)
-               for x, y in scaled]
-        if self.m00 * self.m11 - self.m01 * self.m10 < 0:
-            pts.reverse()  # keep counterclockwise orientation
-        return LatticePolygon(common, pts)
+def apply_unimodular(m: tuple, polygon: Polygon) -> Polygon:
+    """The image of polygon under x -> M x + v for m = (m00, m01, m10, m11,
+    tx, ty): M the integer matrix of those four entries, of determinant +-1,
+    and v = (tx, ty) as (num, den) pairs."""
+    m00, m01, m10, m11, (txn, txd), (tyn, tyd) = m
+    det = m00 * m11 - m01 * m10
+    if abs(det) != 1:
+        raise ValueError("matrix must have determinant +-1")
+    # integer products on the polygon's integer form, over one common
+    # denominator of D and the translation
+    den, scaled = polygon
+    common = math.lcm(den, txd, tyd)
+    k = common // den
+    sx, sy = txn * (common // txd), tyn * (common // tyd)
+    pts = [((m00 * x + m01 * y) * k + sx, (m10 * x + m11 * y) * k + sy) for x, y in scaled]
+    if det < 0:
+        pts.reverse()  # keep counterclockwise orientation
+    return convex_polygon(common, pts)
 
 
-def random_unimodular(rng: random.Random) -> UnimodularMap:
+def random_unimodular(rng: random.Random) -> tuple:
     m = (1, 0, 0, 1)
     for _ in range(rng.randint(2, 6)):
         k = rng.randint(-3, 3)
@@ -168,12 +159,13 @@ def random_unimodular(rng: random.Random) -> UnimodularMap:
             m = (m[0] + k * m[1], m[1], m[2] + k * m[3], m[3])
     if rng.randint(0, 1):
         m = (m[1], m[0], m[3], m[2])
-    return UnimodularMap(*m, _reduced(rng.randint(-4, 4), rng.randint(1, 3)),
-                         _reduced(rng.randint(-4, 4), rng.randint(1, 3)))
+    return (*m, _reduced(rng.randint(-4, 4), rng.randint(1, 3)),
+            _reduced(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
-def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
-    """Shear the apex strictly over the base; the lattice width is unchanged.
+def shear_normalize(tri: Polygon, triple: tuple[int, int, int]) -> Polygon:
+    """Shear the apex of the base triangle `tri` of `triple` strictly over
+    the base; the lattice width is unchanged.
 
     The normal form has 0 <= u < b^2, so 0 <= t = uc/(ab) < bc/a = h.  Below
     the root h < ell, since ell/h = a^2/(bc)^2 > 2 (check_alg_lemma), so the
@@ -183,17 +175,18 @@ def shear_normalize(tri: ViannaTriangle) -> ViannaTriangle:
     the apex (1/2, 1/2).  Rejects (1,1,1), whose apex can never move strictly
     inside (its width equals its base).
     """
-    if tri.triple == (1, 1, 1):
+    if triple == (1, 1, 1):
         raise ValueError("(1,1,1) cannot be shear-normalized")
-    b = tri.triple[1]
-    sheared = tri if tri.u > 0 else ViannaTriangle(tri.triple, tri.u + b * b)  # t > 0 iff u > 0
-    _, (_, (ell, _), (t, _)) = sheared.polygon.scaled
+    b = triple[1]
+    t = tri[1][2][0]  # uc^2, the apex abscissa times D = abc: t > 0 iff u > 0
+    sheared = tri if t > 0 else vianna_triangle(triple, b * b)  # from u = 0
+    _, (_, (ell, _), (t, _)) = sheared
     if not 0 < t < ell:
-        raise VerificationError(f"no shear normalizes {triple_text(tri.triple)}")
+        raise VerificationError(f"no shear normalizes {triple_text(triple)}")
     return sheared
 
 
-def inscribed_right_triangle(tri: ViannaTriangle) -> bool:
+def inscribed_right_triangle(tri: Polygon) -> bool:
     """Whether, for every eps in (0, h), an axis-aligned isoceles right
     triangle with legs h - eps/2 fits strictly inside a shear-normalized
     base triangle.
@@ -206,7 +199,7 @@ def inscribed_right_triangle(tri: ViannaTriangle) -> bool:
     open interval 0 < e < h exactly when its values at e = 0 and e = h are
     both >= 0 and not both 0.
     """
-    _, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    _, (_, (ell, _), (t, h)) = tri
     if not 0 < t < ell:
         raise ValueError("triangle must be shear-normalized first")
     sign = 1 if 2 * t <= ell else -1
@@ -330,29 +323,29 @@ def _suite_lattice(config: SimpleNamespace):
     failures: dict[str, str] = {}
     for t in enumerate_triples(config.max_bound):
         tri = vianna_triangle(t)  # construction re-checks the invariants
-        value, xi = lattice_width(tri.polygon)
+        value, xi = lattice_width(tri)
         # below the root the width also drops under the ambient width 1
         if (value, xi) != (width(t), (0, 1)) or (t != root and value[0] >= value[1]):
             failures.setdefault("lattice-width-equals-capacity", triple_text(t))
-        den, (_, (ell, _), _) = tri.polygon.scaled
+        den, (_, (ell, _), _) = tri
         if ell < den:  # ell < 1
             failures.setdefault("triangle-invariants", triple_text(t))
-        central_point(tri)  # raises if the 1/3-point fails
+        central_point(tri, t)  # raises if the 1/3-point fails
         if t != root:
-            normalized = shear_normalize(tri)
+            normalized = shear_normalize(tri, t)
             after = value  # the shear moves only (2,1,1)'s triangle
             if normalized != tri:
-                after, _ = lattice_width(normalized.polygon)
+                after, _ = lattice_width(normalized)
             if value != after or not inscribed_right_triangle(normalized):
                 failures.setdefault("shear-and-inscribed", triple_text(t))
         if check_alg_lemma(t) == (t == root):
             failures.setdefault("alg-lemma", triple_text(t))
     rng = random.Random(20240813)
     for t in ((5, 2, 1), (29, 5, 2)):
-        polygon = vianna_triangle(t).polygon
+        polygon = vianna_triangle(t)
         base, _ = lattice_width(polygon)
         for _ in range(20):
-            mapped = random_unimodular(rng).apply(polygon)
+            mapped = apply_unimodular(random_unimodular(rng), polygon)
             got, _ = lattice_width(mapped)
             if got != base:
                 failures.setdefault("unimodular-invariance", triple_text(t))

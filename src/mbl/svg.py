@@ -14,7 +14,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .capacity import limit_decimal, width
-from .lattice import central_point, vianna_triangle
+from .lattice import central_point, vertices, vianna_triangle
 from .markov import triple_text, wedge
 from .ordering import find_irregularities, spectrum_rows
 from .report import EXIT_OK, _emit
@@ -169,8 +169,8 @@ def figure_triangle(triple: tuple[int, int, int], delta: Fraction) -> str:
     if not 0 < delta < Fraction(1, 3):
         raise ValueError("--delta must lie strictly between 0 and 1/3")
     tri = vianna_triangle(triple)
-    center = [Fraction(*c) for c in central_point(tri)]
-    pts = list(tri.polygon.vertices)
+    center = [Fraction(*c) for c in central_point(tri, triple)]
+    pts = list(vertices(tri))
     xs, ys = zip(*pts)
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)

@@ -37,7 +37,7 @@ from fractions import Fraction
 import mpmath
 
 from mbl.capacity import QuadraticValue, closed_forms
-from mbl.lattice import LatticePolygon, _inner_normals
+from mbl.lattice import _inner_normals, convex_polygon, vertices
 
 
 def quadratic_interval(a: int, b: int, r: int, d: int = 1, digits: int = 200):
@@ -91,27 +91,29 @@ def rounded_limit(m: int, digits: int = 12) -> str:
     return f"0.{(t + 1) // 2}"  # the limit lies in (1/3, 1/2)
 
 
-def fraction_spread(polygon: LatticePolygon, nx, ny) -> Fraction:
+def fraction_spread(polygon, nx, ny) -> Fraction:
     """max <x' - x, (nx, ny)> over the vertices, on Fractions."""
-    values = [x * nx + y * ny for x, y in polygon.vertices]
+    values = [x * nx + y * ny for x, y in vertices(polygon)]
     return max(values) - min(values)
 
 
-def fraction_apply(m, polygon: LatticePolygon) -> LatticePolygon:
-    """The image of polygon under the UnimodularMap m, on Fraction vertices."""
-    tx, ty = Fraction(*m.tx), Fraction(*m.ty)
-    pts = [(m.m00 * x + m.m01 * y + tx, m.m10 * x + m.m11 * y + ty) for x, y in polygon.vertices]
-    if m.m00 * m.m11 - m.m01 * m.m10 < 0:
+def fraction_apply(m, polygon):
+    """The image of polygon under the unimodular map m = (m00, m01, m10,
+    m11, tx, ty) of `suites.apply_unimodular`, on Fraction vertices."""
+    m00, m01, m10, m11, tx, ty = m
+    tx, ty = Fraction(*tx), Fraction(*ty)
+    pts = [(m00 * x + m01 * y + tx, m10 * x + m11 * y + ty) for x, y in vertices(polygon)]
+    if m00 * m11 - m01 * m10 < 0:
         pts.reverse()  # keep counterclockwise orientation
     return fraction_polygon(pts)
 
 
-def fraction_polygon(points) -> LatticePolygon:
+def fraction_polygon(points):
     """The polygon with these int or Fraction vertices, its denominators
     cleared here on Fractions."""
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     den = math.lcm(*(c.denominator for p in pts for c in p))
-    return LatticePolygon(den, [(int(x * den), int(y * den)) for x, y in pts])
+    return convex_polygon(den, [(int(x * den), int(y * den)) for x, y in pts])
 
 
 def fraction_triangle(a: int, b: int, c: int, u: int) -> list[tuple[Fraction, Fraction]]:
@@ -179,7 +181,7 @@ def inscribed_at(tri, eps: Fraction) -> bool:
     triangle `tri` is scaled by 4qD, D = abc, and each corner is tested
     against the library's inner normals; `suites.inscribed_right_triangle`
     decides every eps at once."""
-    den, (_, (ell, _), (t, h)) = tri.polygon.scaled
+    den, (_, (ell, _), (t, h)) = tri
     if not 0 < t < ell:
         raise ValueError("triangle must be shear-normalized first")
     p, q = eps.numerator, eps.denominator
@@ -194,10 +196,10 @@ def inscribed_at(tri, eps: Fraction) -> bool:
     )
 
 
-def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
+def _euclidean_min_width_sq(polygon) -> Fraction:
     # the Euclidean width of a convex polygon is minimized at an edge normal
     best = None
-    pts = polygon.vertices
+    pts = vertices(polygon)
     for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
         nx, ny = -(qy - py), qx - px
         spread = fraction_spread(polygon, nx, ny)
@@ -207,7 +209,7 @@ def _euclidean_min_width_sq(polygon: LatticePolygon) -> Fraction:
     return best
 
 
-def pruned_lattice_width(polygon: LatticePolygon):
+def pruned_lattice_width(polygon):
     """Exact lattice width and the lexicographically least minimizer.
 
     Any direction xi has spread at least |xi| * W with W the minimal

@@ -27,6 +27,7 @@ from mbl.ordering import (
     spectrum_rows,
 )
 from mbl.suites import (
+    apply_unimodular,
     brute_force_triples,
     fibonacci,
     pell,
@@ -93,7 +94,7 @@ def test_criterion_02_lattice_width_equals_capacity():
         triples = enumerate_triples(10 ** 4)
         assert len(triples) >= 21  # the actual census at this bound
         for t in triples:
-            polygon = vianna_triangle(t).polygon
+            polygon = vianna_triangle(t)
             assert lattice_width(polygon) == (width(t), (0, 1))
 
 
@@ -185,10 +186,10 @@ def test_criterion_10_property_suites():
         assert list(enumerate_triples(2000)) == brute_force_triples(2000)
         # unimodular invariance, 100 random maps
         rng = random.Random(8191)
-        polygon = vianna_triangle((29, 5, 2)).polygon
+        polygon = vianna_triangle((29, 5, 2))
         base, _ = lattice_width(polygon)
         for _ in range(100):
-            assert lattice_width(random_unimodular(rng).apply(polygon))[0] == base
+            assert lattice_width(apply_unimodular(random_unimodular(rng), polygon))[0] == base
         # exact order vs 200-digit interval evaluation, 1000 samples
         rng = random.Random(65537)
         for _ in range(1000):

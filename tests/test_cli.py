@@ -28,7 +28,7 @@ import mbl.report
 import mbl.suites
 from mbl.cli import main
 from mbl.errors import VerificationError
-from mbl.lattice import LatticePolygon
+from mbl.lattice import convex_polygon, vianna_triangle
 from mbl.markov import MarkovWalk, ancestors, markov_numbers, sorted_triple
 from mbl.suites import MutationKind, fibonacci
 
@@ -50,11 +50,28 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The exit code and the sha256 of stdout and of stderr that tests/golden.tsv
+# pins for each of its argv: a digest table takes a row the corpus holds
+# from it, so each pinned byte string has one digest in one place.
+_GOLDEN = {tuple(json.loads(argv)): (int(code), out, err) for argv, code, out, err, _
+           in (line.split("\t") for line in
+               Path(__file__).with_name("golden.tsv").read_text().splitlines())}
+
+
+def _held(command: str, *fmts: str) -> list[tuple[str, str, int, str]]:
+    """The digest-table rows of `command` in each format, from the corpus;
+    a text row may be held without `--format`, text being the default."""
+    rows = []
+    for fmt in fmts:
+        argv = (*command.split(), "--format", fmt)
+        code, out, _ = _GOLDEN.get(argv) or _GOLDEN[argv[:-2] if fmt == "text" else argv]
+        rows.append((command, fmt, code, out))
+    return rows
+
+
 # sha256 of stdout and the exit code of each row-table command in each format.
 _ROW_TABLE_DIGESTS = [
-    ("widths", "text", 0, "c743ae79b014644edbde641d6789c415730ed4be3f880758eb9fca9600a03123"),
-    ("widths", "csv", 0, "a52fbcc741f5754444e18fbde593d659e4f811fc4aa3fe0c9e20a8e226be0d6b"),
-    ("widths", "json", 0, "c2baa5928960c02a01817b92ad6004ebf73fd256921f7776148f90568ec4b330"),
+    *_held("widths", "text", "csv", "json"),
     ("triples --max-bound 100", "text", 0,
      "3b337b5cc6d89d3236dd44dbaf971175e90fafb210944bfc057316ad9b5a5a21"),
     ("triples --max-bound 100", "csv", 0,
@@ -150,28 +167,18 @@ _REPORT_DIGESTS = [
 # span-3 irregularity at (794, 797) refuses the certificate.
 _T44, _T29, _T30 = (str(Fraction(1, 3) + Fraction(2, 10 ** e)) for e in (44, 29, 30))
 _ORDER_SCALE_DIGESTS = [
-    ("limits --n 450", "text", 0,
-     "40efccaedd840dee473f592bc0665cf7cb31cd3332909fa230ef443e11777a9c"),
-    ("limits --n 450", "csv", 0,
-     "2d64cbc3c70dbeb82ca0c589679bb37642cecb1f7bcf94673ba8d75c839a3dca"),
+    *_held("limits --n 450", "text", "csv"),
     ("limits --n 450", "json", 0,
      "7628697ecb708ebb4b457289f9c3a5ef80647bb6b379687481e29628ecdcec90"),
-    ("limits --n 850 --k 7", "json", 0,
-     "4694f0b1cedb2319a979993f07dd877a274940ddacbc3391e71e4661352c2070"),
-    (f"complete --threshold {_T44} --n-max 450", "text", 0,
-     "15a51341d09422b6a70c9dcd75b3eea9742eccb71345743733b04d92898e84e0"),
+    *_held("limits --n 850 --k 7", "json"),
+    *_held(f"complete --threshold {_T44} --n-max 450", "text"),
     (f"complete --threshold {_T44} --n-max 450", "json", 0,
      "de9c2211c649a301731da1ab73a21372678aba2a9d8dc7de07600e9337aac947"),
     (f"complete --threshold {_T29} --n-max 759", "json", 0,
      "edef47cff1cbb422aa427ca25143dd235295aff993e4d46567d82ae3a3a641ba"),
-    ("irregularities --n-max 793", "json", 0,
-     "a7dde0648e8798551ab6beeafa64fe65190cd86f7d6bf9045082bccaae85c13f"),
-    (f"complete --threshold {_T30} --n-max 850", "json", 1,
-     "7c318db04a70c40f4fe1c3ca87f8ce803d014948a200b2b4eed9d4af4afc3513"),
-    ("irregularities --n-max 450 --fixture", "text", 0,
-     "c22167bda28ecd202662541160e7e3f3b159b97a8203dcc3141e5d32040ad1ae"),
-    ("irregularities --n-max 450 --fixture", "json", 0,
-     "860090db07a756806309116a39905a7dc8dcd433b6c86aff7a12e62d4df2ab46"),
+    *_held("irregularities --n-max 793", "json"),
+    *_held(f"complete --threshold {_T30} --n-max 850", "json"),
+    *_held("irregularities --n-max 450 --fixture", "text", "json"),
 ]
 
 
@@ -182,42 +189,22 @@ _ORDER_SCALE_DIGESTS = [
 # polygon with four pairs of minimal directions (its text and csv equal the
 # square's).
 _GEOMETRY_DIGESTS = [
-    ("triangle --triple 1,1,1", "text", 0,
-     "5d86137e9d7f22614ccffdccb4eb9fc73debb659343c72ea92d72129c3a527c7"),
-    ("triangle --triple 1,1,1", "csv", 0,
-     "d622b3e817dfc8e3135e75ba2c386b87f5f60d86bd9ba3895bc674472f6694c4"),
-    ("triangle --triple 1,1,1", "json", 0,
-     "e5390c6b1c989a9414865944f4df5f6c387a208d9e4965c2e331241689214ce9"),
-    ("triangle --triple 2,1,1", "text", 0,
-     "771786612e219bee16acb57f57ee10d0685bc32489780214e420739cb5df4eb2"),
-    ("triangle --triple 2,1,1", "csv", 0,
-     "7f1812ac26b2e854a0f8598fdc85bda5bbafa78b5adf0321204a3afa41f39758"),
-    ("triangle --triple 2,1,1", "json", 0,
-     "917782e2d72351fe94085db69a065eba4fd7b0012f4982964daaf79b516abc62"),
+    *_held("triangle --triple 1,1,1", "text", "csv", "json"),
+    *_held("triangle --triple 2,1,1", "text", "csv", "json"),
     ("triangle --triple 29,5,2", "text", 0,
      "ff7e1e9b008feed07bf97a7c9cc72ea66626f755405e7dff5de473f7249f7563"),
     ("triangle --triple 29,5,2", "csv", 0,
      "65d2c011aacb89e43024870491a5a3cd33afeece5ba3a39dd9f8470acff5bdbd"),
     ("triangle --triple 29,5,2", "json", 0,
      "c6fe6416c0141cbd560fb5c42841be31229f667c52be61523aefedd5652a471f"),
-    ("width --triple 433,29,5", "text", 0,
-     "8622bb811bf464bfd6ad37e0a17a8d617cb82db962e673b469e1652bac35dc84"),
-    ("width --triple 433,29,5", "csv", 0,
-     "956205e25a80d6854eb092903ca83bbe11dfe13443d3efdfbb4624d0ebea0a5a"),
-    ("width --triple 433,29,5", "json", 0,
-     "3c5f6081b223f7f813b5f91b47461ee23a5b60a7f86af26e4aeab08e40c00f16"),
+    *_held("width --triple 433,29,5", "text", "csv", "json"),
     ("width --polygon square.json", "text", 0,
      "0083496aa09027da84024e14e920fac8afda2834df805c83474e49b09da4378e"),
     ("width --polygon square.json", "csv", 0,
      "c34e156a4bac5771e35d35adde115253e8aa7a07ffc97fe9df63449ee164a972"),
     ("width --polygon square.json", "json", 0,
      "cdf4bb0e65b496332a281afe283027d8b8d84a84078fef42d4e16364a256d88e"),
-    ("width --polygon skew.json", "text", 0,
-     "113d8195c87e8206085fcffa3addc7f8932d16496767ba98c1e269d938d179cb"),
-    ("width --polygon skew.json", "csv", 0,
-     "602a9c92da76eec8cfdb83f313167423b05ab7128e917ddf9b37eec820a652bc"),
-    ("width --polygon skew.json", "json", 0,
-     "da7de9ef1600b1cee7581145ec457dbff95d5f51d1215f44c892b2c9cd7fb635"),
+    *_held("width --polygon skew.json", "text", "csv", "json"),
     ("width --polygon tie.json", "json", 0,
      "bcdd4237ed7ec1100932dec182fb2b1e661da6a4ec77e429adfd51b9b6e563cc"),
 ]
@@ -608,8 +595,10 @@ def test_import_loads_no_unused_machinery():
         assert loaded <= _IMPORT_CLOSURE
 
 
-#: The deferred modules an ordering command runs, and those a lattice call adds.
-_ORDERING = "mbl.markov mbl.capacity mbl.ordering"
+#: The deferred modules every command of `mbl.commands` runs, those an
+#: ordering command runs, and those the lattice suite of `verify` runs.
+_TABLE = "mbl.markov mbl.capacity"
+_ORDERING = _TABLE + " mbl.ordering"
 _LATTICE = _ORDERING + " mbl.lattice"
 
 
@@ -620,9 +609,17 @@ _LATTICE = _ORDERING + " mbl.lattice"
     ("complete --threshold 7/20 --n-max 450", _ORDERING, set()),
     ("verify --suite lattice --max-bound 30", _LATTICE, {"fractions", "decimal"}),
     ("verify --max-bound 10000 --n-max 120", _LATTICE + " mbl.oeis", {"fractions", "decimal"}),
-    ("width --triple 5,2,1", _LATTICE, set()),
+    ("width --triple 5,2,1", _TABLE + " mbl.lattice", set()),
+    # of the table commands only `order` runs mbl.ordering, and only
+    # `triangle` and `width` run mbl.lattice
+    ("triangle --triple 5,2,1", _TABLE + " mbl.lattice", set()),
+    ("order --triple 5,2,1 --depth 3", _ORDERING, {"fractions"}),
+    ("widths --triple 5,2,1", _TABLE, {"fractions"}),
+    ("triples --max-bound 100", _TABLE, {"fractions", "decimal"}),
+    ("subtree --triple 29,5,2 --preserve 5 --depth 2", _TABLE, {"fractions"}),
+    ("ingest --kind markov --n 10", _TABLE + " mbl.oeis", {"fractions", "decimal"}),
 ], ids=["limits", "irregularities", "irregularities-fixture", "complete", "verify-lattice",
-        "verify", "width"])
+        "verify", "width", "triangle", "order", "widths", "triples", "subtree", "ingest"])
 def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unloaded):
     probe = ("import os, sys, mbl.cli\n"
              "sys.stdout = open(os.devnull, 'w')\n"
@@ -640,10 +637,10 @@ def test_only_a_command_that_calls_them_runs_the_deferred_modules(argv, ran, unl
 
 def test_a_module_imported_before_the_cli_is_not_deferred():
     probe = ("import sys, mbl.lattice\n"
-             "first, polygon = sys.modules['mbl.lattice'], mbl.lattice.LatticePolygon\n"
-             "import mbl.cli, mbl.commands, mbl.suites\n"
+             "first, build = sys.modules['mbl.lattice'], mbl.lattice.vianna_triangle\n"
+             "import mbl.cli, mbl.suites, mbl.svg\n"
              "print(sys.modules['mbl.lattice'] is first is mbl.lattice,\n"
-             "      mbl.commands.LatticePolygon is polygon is mbl.suites.LatticePolygon)")
+             "      mbl.svg.vianna_triangle is build is mbl.suites.vianna_triangle)")
     env = dict(os.environ, PYTHONPATH=str(Path(mbl.cli.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -854,64 +851,20 @@ def test_subcommands_match_readme_and_have_handlers():
         assert callable(handler) and handler.__name__ == f"cmd_{name}"
 
 
-# The usage paths at 80 columns: argv, exit code, sha256 of stdout and of
-# stderr.  They pin every help and usage text of the parser that
-# build_parser makes from the command table.
-_EMPTY = hashlib.sha256(b"").hexdigest()
-_USAGE_DIGESTS = [
-    ("", 2,
-     _EMPTY,
-     "9b37972b10d6a13ef17bda45d5e814d8f3ee50a493ad28860c5a19b6effdae33"),
-    ("-h", 0,
-     "10e6b32ecc04b616518db1d1a444bd52e361ca41051dcffdb4218ac596fcd722",
-     _EMPTY),
-    ("bogus", 2,
-     _EMPTY,
-     "2860948a06d26b2b0a5adb2e45bb455cbd3f4f3fd833f7a5c987d08f3d2389f7"),
-    ("widths -h", 0,
-     "56fa35406bd796cf6d176960fc437560048d6b9aec04848e976e0527baccccea",
-     _EMPTY),
-    ("triples -h", 0,
-     "a870f8e8155a33420aae0d8082f8ec03de673cc9d48443f222ab6f58ef5bb31c",
-     _EMPTY),
-    ("subtree -h", 0,
-     "ac9987343176f79fc5bcaeb5bc508aa83861b2085bdee221e5cdcfdf67dd6cf8",
-     _EMPTY),
-    ("order -h", 0,
-     "91156e9cfc30ffa314e52ccfe829060a91391ed4618d2b17755cafce9ad44c38",
-     _EMPTY),
-    ("irregularities -h", 0,
-     "c9d12e9ce3f5ec96a42286ca31b13719dd2f4d4695ce5e25ada4a9f41605e7dc",
-     _EMPTY),
-    ("triangle -h", 0,
-     "277b990e44a1969575179f4039e19d3be2514149635643a9afb292565b43a2f7",
-     _EMPTY),
-    ("width -h", 0,
-     "04923ee199df511fd30286115edf19a0b7e6a5b5e2e53e89785ee10740be8ee9",
-     _EMPTY),
-    ("limits -h", 0,
-     "7505b719947dabe8bd44cce7ad7fcd463e4988b9cae109f7c7639b43e5f87c2d",
-     _EMPTY),
-    ("complete -h", 0,
-     "2b87ffc0f98aaf6613009e4a8d9f188709aaae8e954a4cc66da55f3309f20004",
-     _EMPTY),
-    ("verify -h", 0,
-     "201613cd36bc11598fbafdb6ab366347b0ccf5dad6f5c6c443d42ca858bd1b17",
-     _EMPTY),
-    ("plot -h", 0,
-     "8f4dce4793cbc155ac9f4fc3a0c1b47e2967ce609cba6180871998eb43b052da",
-     _EMPTY),
-    ("ingest -h", 0,
-     "f4b57dbe65f5ea11acbe0cd885cef2ed324f008c16c840edb54f328aa08ec54a",
-     _EMPTY),
+# The usage paths, run at 80 columns against the exit code and the stdout
+# and stderr digests tests/golden.tsv pins for them.  They pin every help
+# and usage text of the parser that build_parser makes from the command table.
+_USAGE_ARGV = [
+    "", "-h", "bogus", "widths -h", "triples -h", "subtree -h", "order -h", "irregularities -h",
+    "triangle -h", "width -h", "limits -h", "complete -h", "verify -h", "plot -h", "ingest -h",
 ]
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="argparse words its help differently in other versions")
-@pytest.mark.parametrize("argv, code, out_digest, err_digest", _USAGE_DIGESTS,
-                         ids=[case[0] or "no-arguments" for case in _USAGE_DIGESTS])
-def test_usage_text_is_pinned(capsys, monkeypatch, argv, code, out_digest, err_digest):
+@pytest.mark.parametrize("argv", _USAGE_ARGV, ids=[argv or "no-arguments" for argv in _USAGE_ARGV])
+def test_usage_text_is_pinned(capsys, monkeypatch, argv):
+    code, out_digest, err_digest = _GOLDEN[tuple(argv.split())]
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as excinfo:
         main(argv.split())
@@ -1526,21 +1479,18 @@ def _raise(exc):
 
 
 def _short_root_base(real):
-    def build(t):  # the root's triangle under (x, y) -> (-y, x + y): still of
+    def build(t, *u):  # the root's triangle under (x, y) -> (-y, x + y): still of
         # width 1 along (0, 1), but the vertex read as (ell, 0) is (0, 1), so
         # its base reads as shorter than 1
-        tri = real(t)
+        tri = real(t, *u)
         if t == (1, 1, 1):
-            moved = mbl.suites.UnimodularMap(0, -1, 1, 1, (0, 1), (0, 1)).apply(tri.polygon)
-            tri.__dict__["polygon"] = moved  # a cached property
-            del tri.__dict__["edges"]  # cached from the polygon
+            return mbl.suites.apply_unimodular((0, -1, 1, 1, (0, 1), (0, 1)), tri)
         return tri
     return build
 
 
-def _doubling_map(rng):  # scales every polygon by 2, so its width doubles
-    return SimpleNamespace(apply=lambda polygon: LatticePolygon(
-        polygon.scaled[0], [(2 * x, 2 * y) for x, y in polygon.scaled[1]]))
+def _doubling_map(m, polygon):  # scales every polygon by 2, so its width doubles
+    return convex_polygon(polygon[0], [(2 * x, 2 * y) for x, y in polygon[1]])
 
 
 _DESCENT_FAILURE = "capacity descent fails below (13,5,1): needs b > c and 3ac > 2b"
@@ -1587,12 +1537,12 @@ _BROKEN_CHECKS = [
     ("lattice", "lattice-width-equals-capacity", "width",  # 5/13 + 1
      lambda real: lambda t: (18, 13) if t == (13, 5, 1) else real(t), "(13,5,1)", 30),
     ("lattice", "triangle-invariants", "vianna_triangle", _short_root_base, "(1,1,1)", 30),
-    ("lattice", "shear-and-inscribed", "inscribed_right_triangle",
-     lambda real: lambda tri: tri.triple != (13, 5, 1) and real(tri),
+    ("lattice", "shear-and-inscribed", "inscribed_right_triangle",  # (13,5,1)'s needs no shear
+     lambda real: lambda tri: tri != vianna_triangle((13, 5, 1)) and real(tri),
      "(13,5,1)", 30),
     ("lattice", "alg-lemma", "check_alg_lemma",
      lambda real: lambda t: t != (13, 5, 1) and real(t), "(13,5,1)", 30),
-    ("lattice", "unimodular-invariance", "random_unimodular",
+    ("lattice", "unimodular-invariance", "apply_unimodular",
      lambda real: _doubling_map, "(5,2,1)", 30),
     # every triple-walking check reaches the bound it is given: each of these
     # triples lies past a cap the suites once put on it (10^4, or 10^6 for

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import mbl.capacity
 import mbl.ordering
 from mbl.capacity import QuadraticValue, width
 from mbl.errors import VerificationError
@@ -483,6 +484,14 @@ class TestCompleteness:
         assert report["tail_exact"] == []
         # only the Fibonacci sequence has its limit above 1/3 + 1/100
         assert report["active_sequences"] == 1
+
+    def test_completeness_builds_no_limit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a surd value built")
+
+        monkeypatch.setattr(mbl.capacity, "lagrange_number", refuse)
+        monkeypatch.setattr(QuadraticValue, "__init__", refuse)
+        assert ordered_prefix_complete_above((7, 20), 60)["certified"] is True
 
     def test_report_serializes(self):
         data = ordered_prefix_complete_above((7, 20), 10)

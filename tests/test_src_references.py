@@ -11,8 +11,9 @@ what some module of that set reads, and no module imports `mbl.cli`.  No
 float can enter a decision: `src/` holds no float or complex literal, no
 `float()`, `round()` or `complex()` call, no `math` name but `gcd`, `lcm`
 and `isqrt`, and no true division outside the SVG layout.  A triple has one
-form, the sorted int tuple: no line of `src/` names the class that once
-wrapped it.
+form, the sorted int tuple, and a polygon, a base triangle and a unimodular
+map are int tuples too: no line of `src/` names a class that once wrapped
+one, or their base, and no class of `src/` holds fields alone.
 """
 
 import ast
@@ -207,9 +208,25 @@ def test_each_way_in_for_a_float_is_found():
     assert _inexact_sites("lattice", ast.parse("math.gcd(x, math.lcm(y, math.isqrt(z)))")) == []
 
 
-def test_a_triple_has_one_form():
-    hits = [f"{path.relative_to(ROOT)}:{number}"
+def _lines_naming(*names: str) -> list[str]:
+    return [f"{path.relative_to(ROOT)}:{number}"
             for path in sorted((ROOT / "src").rglob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), start=1)
-            if "MarkovTriple" in line]
-    assert hits == []
+            if any(name in line for name in names)]
+
+
+def test_a_triple_has_one_form():
+    assert _lines_naming("MarkovTriple") == []
+
+
+def test_polygons_triangles_and_maps_are_int_tuples():
+    # `lattice.convex_polygon` returns a polygon as a checked int tuple, a
+    # base triangle is its polygon and a unimodular map is a 6-tuple; each
+    # class left defines a method beside `__init__`, or is an exception or an enum
+    assert _lines_naming("_Record", "LatticePolygon", "ViannaTriangle", "UnimodularMap") == []
+    holders = [f"{stem}.{cls.name}" for stem, module in _modules() for cls in module.body
+               if isinstance(cls, ast.ClassDef)
+               and not {ast.unparse(base) for base in cls.bases} & {"RuntimeError", "enum.Enum"}
+               and not any(isinstance(stmt, ast.FunctionDef) and stmt.name != "__init__"
+                           for stmt in cls.body)]
+    assert holders == []
